@@ -361,6 +361,15 @@ func (c *Chain) PendingNonceAt(addr types.Address) uint64 {
 	return c.state.GetNonce(addr)
 }
 
+// PendingCount returns how many accepted transactions are pooled for the
+// next block. Under manual mining it is the one signal that tells a caller
+// everything it is waiting for has been sent.
+func (c *Chain) PendingCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
+}
+
 // CodeAt returns the contract code at addr.
 func (c *Chain) CodeAt(addr types.Address) []byte {
 	c.mu.Lock()

@@ -6,8 +6,8 @@
 // auto-disputes fraudulent result submissions within their challenge
 // windows. With a Config.Store attached, every lifecycle transition is
 // written ahead to a WAL (internal/store) so a crashed hub can be rebuilt
-// with Recover — see DESIGN.md for the lifecycle diagram, the caught-up
-// barrier safety argument, and the durability/recovery invariants.
+// with Recover — see DESIGN.md for the lifecycle diagram, the two-barrier
+// safety argument, and the durability/recovery invariants.
 package hub
 
 import (
@@ -136,9 +136,9 @@ type Config struct {
 	StageHook func(sid uint64, s Stage) bool
 	// DisputeWorkers bounds the watchtower's concurrent verify-and-file
 	// dispute workers (default 4). Dispute transactions are dispatched off
-	// the tower's event loop, so one dispute's ~2-block-interval receipt
-	// wait under batch mining no longer stalls examination of every other
-	// session's blocks.
+	// the tower's event loop, so one dispute's receipt wait — one block
+	// interval, two when the instance address was mispredicted — does not
+	// stall examination of every other session's blocks.
 	DisputeWorkers int
 	// Observer, when set, mirrors the watchtower's guard events (windows
 	// opened/closed, dispute intents) to an external listener — the seam
@@ -200,8 +200,10 @@ type Hub struct {
 
 	faucetMu sync.Mutex // serializes the root faucet (shard refills)
 	shards   []*hybrid.Participant
-	keyMu    sync.Mutex
-	keySeq   uint64
+	// keySecret seeds every party and shard key (see deriveKey). Derived
+	// from the faucet key, the one credential a hub and the hub recovered
+	// from its WAL share.
+	keySecret [32]byte
 
 	jobs     chan *Ticket
 	wg       sync.WaitGroup
@@ -211,7 +213,7 @@ type Hub struct {
 // New creates a hub. faucetKey's account must hold enough balance to fund
 // every participant of every submitted session.
 func New(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, cfg Config) *Hub {
-	h := newHub(c, net, faucetKey, cfg, 0, 0, false)
+	h := newHub(c, net, faucetKey, cfg, 0, false)
 	if cfg.Rollup != nil {
 		if err := h.startRollup(); err != nil {
 			// Same contract as the shard-key failure below: the hub cannot
@@ -223,11 +225,12 @@ func New(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, 
 	return h
 }
 
-// newHub is the shared constructor; Recover passes non-zero floors so
-// fresh session IDs and participant keys never collide with the ones the
-// crashed generation minted, and holdCursor so the tower cannot durably
-// advance the block cursor before the recovery replay has caught up.
-func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, cfg Config, sidFloor, keySeqFloor uint64, holdCursor bool) *Hub {
+// newHub is the shared constructor; Recover passes a non-zero floor so
+// fresh session IDs (and with them the party keys derived from them) never
+// collide with the ones the crashed generation minted, and holdCursor so
+// the tower cannot durably advance the block cursor before the recovery
+// replay has caught up.
+func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, cfg Config, sidFloor uint64, holdCursor bool) *Hub {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -246,10 +249,10 @@ func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKe
 		metrics: m,
 		tracer:  cfg.Tracer,
 		journal: newJournal(cfg.Store, cfg.CompactEvery, holdCursor),
-		keySeq:  keySeqFloor,
 		splits:  make(map[types.Hash]*hybrid.SplitResult),
 		jobs:    make(chan *Ticket, cfg.QueueDepth),
 	}
+	h.keySecret = keccak.Sum256([]byte("onoffchain/hub/key-secret"), faucetKey.Bytes())
 	h.journal.tracer = cfg.Tracer
 	h.faucet.Ctx = ctx
 	h.sid.Store(sidFloor)
@@ -293,10 +296,12 @@ func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKe
 	// One faucet shard per worker: funding fresh participant keys is on
 	// every session's critical path, and a single faucet account would
 	// serialize it (nonces are strictly ordered per sender). Shards are
-	// topped up from the root faucet in rare, large refills.
+	// topped up from the root faucet in rare, large refills. Shard keys
+	// live under session ID 0, which Submit never issues; a recovered hub
+	// derives the same shards and inherits their balances.
 	h.shards = make([]*hybrid.Participant, cfg.Workers)
 	for i := range h.shards {
-		key, _, err := h.newKey()
+		key, err := h.deriveKey(0, i)
 		if err != nil {
 			panic(fmt.Sprintf("hub: shard key: %v", err))
 		}
@@ -499,19 +504,20 @@ func (h *Hub) split(spec *Spec) (*hybrid.SplitResult, error) {
 	return sr, nil
 }
 
-// newKey mints a fresh deterministic secp256k1 key, distinct across all
-// sessions of this hub AND all sessions of any crashed generation it was
-// recovered from (Recover floors the sequence above the WAL's high mark).
-func (h *Hub) newKey() (*secp256k1.PrivateKey, uint64, error) {
-	h.keyMu.Lock()
-	h.keySeq++
-	seq := h.keySeq
-	h.keyMu.Unlock()
-	var d [32]byte // big-endian scalar: "HUB" base word, then the sequence
-	binary.BigEndian.PutUint64(d[16:24], 0x4855_42)
-	binary.BigEndian.PutUint64(d[24:32], seq)
-	key, err := secp256k1.PrivateKeyFromBytes(d[:])
-	return key, seq, err
+// deriveKey returns the key of party (or, under session ID 0, faucet shard)
+// number index: a pure function of (hub secret, sid, index). Which worker
+// runs a session, and in what order workers reach this point, cannot change
+// the session's addresses — twin worlds fed the same fleet agree on every
+// address-seeded outcome at any core count — and the scalars are not
+// guessable without the hub's secret. Session IDs are never reissued
+// (Recover floors the allocator above the WAL's high mark), so neither are
+// keys.
+func (h *Hub) deriveKey(sid uint64, index int) (*secp256k1.PrivateKey, error) {
+	var tag [16]byte
+	binary.BigEndian.PutUint64(tag[:8], sid)
+	binary.BigEndian.PutUint64(tag[8:], uint64(index))
+	d := keccak.Sum256(h.keySecret[:], tag[:])
+	return secp256k1.PrivateKeyFromBytes(d[:])
 }
 
 // fund transfers the spec's funding to each address from the worker's own
@@ -684,9 +690,8 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 	parties := make([]*hybrid.Participant, split.Participants)
 	addrs := make([]types.Address, split.Participants)
 	scalars := make([][]byte, split.Participants)
-	var maxSeq uint64
 	for i := range parties {
-		key, seq, err := h.newKey()
+		key, err := h.deriveKey(t.ID, i)
 		if err != nil {
 			return fail(err)
 		}
@@ -700,11 +705,10 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 		}
 		addrs[i] = parties[i].Addr
 		scalars[i] = key.Bytes()
-		maxSeq = seq
 	}
 	h.journal.log(&store.Record{
 		Kind: store.KindParties, SID: t.ID,
-		U1: split.Policy.ChallengePeriod, U2: 0 /* honest index */, U3: maxSeq,
+		U1: split.Policy.ChallengePeriod, U2: 0, // U2: the honest party's index
 		Blobs: scalars,
 	})
 	funding := spec.Funding
@@ -779,12 +783,20 @@ func (h *Hub) runFromSigned(lc *lifecycle, sess *hybrid.Session, watch *Watch, s
 	}
 	rep.Watch = watch
 
+	// Stage 3a starts here, ahead of its gate: private execution has no
+	// chain inputs, so the parties' runs and the tower's own verdict overlap
+	// the deposits' block wait instead of following it. Joined at the
+	// StageExecuted gate, and on every earlier return.
+	joinPrivateRun := startPrivateRun(sess, watch)
+	defer joinPrivateRun()
+
 	// Scenario setup (deposits etc.), bracketed in the WAL: a crash
 	// between the two records leaves on-chain deposit state indeterminate
 	// and recovery abandons the session rather than re-running setup. The
 	// opening bracket MUST be durable before any deposit lands — if it is
 	// not, a later recovery would re-run setup and double-deposit.
 	if spec.Setup != nil && !setupDone {
+		setupStart := time.Now()
 		if err := h.journal.log(&store.Record{Kind: store.KindSetupStart, SID: t.ID}); err != nil {
 			return fail(fmt.Errorf("hub: setup bracket: %w", err))
 		}
@@ -792,22 +804,20 @@ func (h *Hub) runFromSigned(lc *lifecycle, sess *hybrid.Session, watch *Watch, s
 			return fail(fmt.Errorf("hub: setup: %w", err))
 		}
 		h.journal.log(&store.Record{Kind: store.KindSetupDone, SID: t.ID})
+		// No Report.Latency stage covers the deposits' block wait; this span
+		// is where it shows.
+		h.tracer.RecordChild(t.tc, t.ID, "hub", "setup", setupStart, time.Since(setupStart), "")
 	}
 
 	// Stage 3a: private unanimous execution.
 	if rep := h.gate(lc, StageExecuted); rep != nil {
 		return rep
 	}
-	outcome, err := sess.ExecuteOffChainAll()
+	outcome, err := joinPrivateRun()
 	if err != nil {
-		return fail(fmt.Errorf("hub: off-chain execution: %w", err))
-	}
-	rep.Result = outcome.Result
-	// Pre-compute the tower's verdict in this worker (parallel across
-	// sessions) so the tower's event loop finds it cached.
-	if _, err := watch.Expected(); err != nil {
 		return fail(err)
 	}
+	rep.Result = outcome.Result
 	if !h.advance(lc, StageExecuted) {
 		return h.crashReport(t, StageExecuted)
 	}
@@ -852,19 +862,22 @@ func (h *Hub) runFromSigned(lc *lifecycle, sess *hybrid.Session, watch *Watch, s
 	return h.awaitSettlement(lc, sess, watch)
 }
 
-// awaitSettlement is the tail of the lifecycle: barrier on the tower,
-// then either acknowledge the dispute the tower filed or finalize the
-// honest submission past its challenge window.
+// awaitSettlement is the tail of the lifecycle: wait for the tower's
+// verdict on this session's submission, then either acknowledge the
+// dispute the tower filed or — behind the all-verdicts barrier — finalize
+// the honest submission past its challenge window.
 func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch) *Report {
 	t, rep := lc.t, lc.rep
 	fail := func(err error) *Report { return h.failSession(lc, err) }
 
-	// Barrier: wait for the tower to have examined every block up to the
-	// submission. After this returns, a fraudulent submission has already
-	// been disputed and enforced, so advancing the clock past the window
-	// can no longer freeze a lie into the contract.
+	// Own verdict before reporting: wait for the tower to have examined
+	// every block up to the submission and decided THIS window. After this
+	// returns, a fraudulent submission has already been disputed and
+	// enforced — other sessions' disputes may still be in flight, and a
+	// disputed session does not wait for them.
 	lc.began = time.Now()
-	h.tower.WaitCaughtUp(h.chain.Height())
+	h.tower.WaitVerdict(watch, h.chain.Height())
+	own := time.Since(lc.began)
 	if h.crashed.Load() {
 		return h.crashReport(t, StageSubmitted)
 	}
@@ -873,31 +886,22 @@ func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch)
 		return fail(err)
 	}
 	if settled {
-		// The tower intervened — ours, or a federated peer whose dispute
-		// we observed as a DisputeResolved settlement. The tower's view can
-		// trail the chain by a block (the resolve event lands after the
-		// barrier height), so chain logs are the authority on HOW the
-		// contract settled.
-		raised, won := watch.Disputed()
-		byDispute := watch.SettledByDispute()
-		if !byDispute {
-			byDispute = len(h.chain.FilterLogs(chain.FilterQuery{Address: &sess.OnChainAddr, Topic: &hybrid.TopicDisputeResolved})) > 0
-		}
-		rep.Disputed = raised || byDispute
-		if raised && !won && !byDispute {
-			return fail(errors.New("hub: dispute filed but not enforced"))
-		}
-		if !h.advance(lc, StageDisputed) {
-			return h.crashReport(t, StageDisputed)
-		}
-		if !h.advance(lc, StageResolved) {
-			return h.crashReport(t, StageResolved)
-		}
-		h.terminal(lc, StageResolved)
-		return rep
+		h.barrierSpan(lc, lc.began, own, 0)
+		return h.reportSettled(lc, sess, watch)
+	}
+	// The verdict is in and the contract is still open: the submission was
+	// clean — unless the tower filed and could not enforce, in which case
+	// what stands in the contract is a lie, and it must not be finalized.
+	if raised, _ := watch.Disputed(); raised {
+		return fail(errors.New("hub: dispute filed but not enforced"))
 	}
 
-	// Honest path: advance past the challenge window and finalize.
+	// Honest path: advance past the challenge window and finalize. All
+	// verdicts before any clock jump: the clock is shared, so the jump must
+	// not overtake ANY window whose dispute is still undecided or in flight.
+	clockStart := time.Now()
+	h.tower.WaitCaughtUp(h.chain.Height())
+	h.barrierSpan(lc, lc.began, own, time.Since(clockStart))
 	if h.crashed.Load() {
 		return h.crashReport(t, StageSubmitted)
 	}
@@ -907,18 +911,12 @@ func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch)
 		return fail(fmt.Errorf("hub: finalize: %w", err))
 	}
 	if !fr.Succeeded() {
-		// A dispute may have settled the contract between the barrier and
-		// the finalize transaction (only possible if someone re-submitted).
+		// Someone else settled the contract between the barrier and the
+		// finalize transaction: a dispute (only possible if someone
+		// re-submitted), or — for a recovered session — the finalization the
+		// dead generation left in the pool.
 		if s, _ := sess.IsSettled(); s {
-			rep.Disputed = true
-			if !h.advance(lc, StageDisputed) {
-				return h.crashReport(t, StageDisputed)
-			}
-			if !h.advance(lc, StageResolved) {
-				return h.crashReport(t, StageResolved)
-			}
-			h.terminal(lc, StageResolved)
-			return rep
+			return h.reportSettled(lc, sess, watch)
 		}
 		return fail(errors.New("hub: finalizeResult reverted"))
 	}
@@ -931,11 +929,84 @@ func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch)
 	return rep
 }
 
+// reportSettled closes out a session whose owner found its contract
+// already settled, labelled from the chain's settlement log rather than
+// from how the owner got here. DisputeResolved means the tower intervened —
+// ours, or a federated peer whose dispute landed; the tower's view can
+// trail the chain by a block, so the log is the authority. ResultFinalized
+// alone means an unchallenged finalization this worker did not send (a
+// recovered session whose dead generation's finalize was still pooled at
+// the kill): that session is settled, not resolved.
+func (h *Hub) reportSettled(lc *lifecycle, sess *hybrid.Session, watch *Watch) *Report {
+	t, rep := lc.t, lc.rep
+	raised, won := watch.Disputed()
+	byDispute := watch.SettledByDispute() ||
+		len(h.chain.FilterLogs(chain.FilterQuery{Address: &sess.OnChainAddr, Topic: &hybrid.TopicDisputeResolved})) > 0
+	if raised && !won && !byDispute {
+		return h.failSession(lc, errors.New("hub: dispute filed but not enforced"))
+	}
+	rep.Disputed = raised || byDispute
+	if !rep.Disputed {
+		if !h.advance(lc, StageSettled) {
+			return h.crashReport(t, StageSettled)
+		}
+		h.terminal(lc, StageSettled)
+		return rep
+	}
+	if !h.advance(lc, StageDisputed) {
+		return h.crashReport(t, StageDisputed)
+	}
+	if !h.advance(lc, StageResolved) {
+		return h.crashReport(t, StageResolved)
+	}
+	h.terminal(lc, StageResolved)
+	return rep
+}
+
 // advancePast moves the shared clock beyond the session's challenge
 // window. The clock is shared by all sessions; advancing it for one
-// session is safe for the others because every owner barriers on the
-// watchtower before finalizing (see WaitCaughtUp), so a lie can never be
-// frozen in by someone else's clock jump.
+// session is safe for the others because the caller has just passed
+// WaitCaughtUp — no window anywhere has an undecided or unenforced verdict
+// — so a lie can never be frozen in by someone else's clock jump.
 func (h *Hub) advancePast(sess *hybrid.Session) {
 	h.chain.AdvanceTime(sess.Split.Policy.ChallengePeriod + 1)
+}
+
+// barrierSpan records how long the session's tail waited on the tower,
+// split by what each wait guards: own is the own-verdict wait every
+// session pays, clock the all-verdicts wait only an honest per-session
+// owner pays before its clock jump.
+func (h *Hub) barrierSpan(lc *lifecycle, start time.Time, own, clock time.Duration) {
+	h.tracer.RecordChild(lc.t.tc, lc.t.ID, "hub", "barrier", start, own+clock,
+		fmt.Sprintf("own_ms=%.1f clock_ms=%.1f", own.Seconds()*1e3, clock.Seconds()*1e3))
+}
+
+// startPrivateRun launches stage 3a — the parties' private executions of
+// the signed bytecode and the tower's own sandboxed verdict (pre-computed
+// off its event loop, so the dispute pipeline finds it cached) — all
+// concurrently, as they would run on separate machines. The returned join
+// waits for them and yields the unanimous outcome; it may be called more
+// than once.
+func startPrivateRun(sess *hybrid.Session, watch *Watch) (join func() (*hybrid.OffChainOutcome, error)) {
+	var (
+		wg                 sync.WaitGroup
+		outcome            *hybrid.OffChainOutcome
+		execErr, expectErr error
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		outcome, execErr = sess.ExecuteOffChainAll()
+	}()
+	go func() {
+		defer wg.Done()
+		_, expectErr = watch.Expected()
+	}()
+	return func() (*hybrid.OffChainOutcome, error) {
+		wg.Wait()
+		if execErr != nil {
+			return nil, fmt.Errorf("hub: off-chain execution: %w", execErr)
+		}
+		return outcome, expectErr
+	}
 }

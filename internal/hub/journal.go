@@ -25,7 +25,6 @@ type sessionState struct {
 
 	ChallengePeriod uint64
 	Honest          int
-	KeySeq          uint64 // highest key sequence minted for this session
 	Scalars         [][]byte
 
 	Addr        types.Address
@@ -55,7 +54,6 @@ type journal struct {
 	st           *store.Store // nil: in-memory hub, no durability
 	sessions     map[uint64]*sessionState
 	cursor       uint64
-	keySeq       uint64 // highest party-key sequence ever minted
 	sidHigh      uint64 // highest session ID ever issued
 	terminals    int
 	compactEvery int
@@ -172,9 +170,9 @@ func (j *journal) applyLocked(rec *store.Record) {
 		return
 	}
 	if rec.Kind == store.KindKeySeq {
-		if rec.U1 > j.keySeq {
-			j.keySeq = rec.U1
-		}
+		// U1 (and KindParties.U3 below) carried a key-sequence high mark
+		// while keys came from a counter; WALs written then still replay,
+		// the mark is just not read.
 		if rec.U2 > j.sidHigh {
 			j.sidHigh = rec.U2
 		}
@@ -194,11 +192,7 @@ func (j *journal) applyLocked(rec *store.Record) {
 	case store.KindParties:
 		ss.ChallengePeriod = rec.U1
 		ss.Honest = int(rec.U2)
-		ss.KeySeq = rec.U3
 		ss.Scalars = rec.Blobs
-		if rec.U3 > j.keySeq {
-			j.keySeq = rec.U3 // survives the session's later eviction
-		}
 	case store.KindStage:
 		ss.Stage = Stage(rec.U1)
 	case store.KindDeployed:
@@ -238,7 +232,7 @@ func (j *journal) stateRecordsLocked() []*store.Record {
 	}
 	out = append(out,
 		&store.Record{Kind: store.KindCursor, U1: j.cursor},
-		&store.Record{Kind: store.KindKeySeq, U1: j.keySeq, U2: j.sidHigh})
+		&store.Record{Kind: store.KindKeySeq, U2: j.sidHigh})
 	return out
 }
 
@@ -250,7 +244,7 @@ func encodeSessionState(ss *sessionState) []*store.Record {
 	if ss.Scalars != nil {
 		recs = append(recs, &store.Record{
 			Kind: store.KindParties, SID: ss.ID,
-			U1: ss.ChallengePeriod, U2: uint64(ss.Honest), U3: ss.KeySeq,
+			U1: ss.ChallengePeriod, U2: uint64(ss.Honest),
 			Blobs: ss.Scalars,
 		})
 	}
@@ -285,10 +279,11 @@ func encodeSessionState(ss *sessionState) []*store.Record {
 
 // foldRecords replays a WAL record stream into per-session state. Used by
 // hub.Recover; terminal sessions are folded and then remembered separately
-// so "no session lost" is checkable. keySeq is the high mark over EVERY
-// generation's party keys — terminal sessions included — so recovery can
-// floor its key allocator above all of them.
-func foldRecords(recs []*store.Record) (live map[uint64]*sessionState, terminal map[uint64]Stage, cursor, keySeq, sidHigh uint64) {
+// so "no session lost" is checkable. sidHigh is the high mark over EVERY
+// generation's session IDs — terminal sessions included — so recovery can
+// floor its allocator (and with it the derived party keys) above all of
+// them.
+func foldRecords(recs []*store.Record) (live map[uint64]*sessionState, terminal map[uint64]Stage, cursor, sidHigh uint64) {
 	j := newJournal(nil, 0, false)
 	terminal = make(map[uint64]Stage)
 	for _, rec := range recs {
@@ -297,7 +292,7 @@ func foldRecords(recs []*store.Record) (live map[uint64]*sessionState, terminal 
 		}
 		j.applyLocked(rec)
 	}
-	return j.sessions, terminal, j.cursor, j.keySeq, j.sidHigh
+	return j.sessions, terminal, j.cursor, j.sidHigh
 }
 
 // live returns the number of live (non-terminal) sessions in the mirror.
@@ -328,9 +323,6 @@ func (j *journal) seed(ss *sessionState) {
 	defer j.mu.Unlock()
 	cp := *ss
 	j.sessions[ss.ID] = &cp
-	if ss.KeySeq > j.keySeq {
-		j.keySeq = ss.KeySeq
-	}
 }
 
 // seedCursor raises the mirror's durable block cursor (Recover installs
@@ -343,18 +335,9 @@ func (j *journal) seedCursor(v uint64) {
 	}
 }
 
-// seedKeySeq raises the durable key-sequence high mark. Recover calls it
-// with the (padded) allocator floor so a post-recovery compaction can
-// never snapshot a mark below keys any generation ever minted.
-func (j *journal) seedKeySeq(v uint64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if v > j.keySeq {
-		j.keySeq = v
-	}
-}
-
-// seedSIDHigh raises the durable session-ID high mark likewise.
+// seedSIDHigh raises the durable session-ID high mark. Recover calls it with
+// the allocator floor so a post-recovery compaction can never snapshot a
+// mark below IDs any generation ever issued.
 func (j *journal) seedSIDHigh(v uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -60,6 +60,36 @@ func TestDisputeGateHoldsBarrier(t *testing.T) {
 	}
 }
 
+// TestUnenforcedDisputeIsNeverFinalized: a verdict that reads "filed, not
+// enforced" leaves a lie standing in an open contract. The owner must fail
+// the session there — not jump the clock and finalize it (per-session) or
+// call the leaf rolled up (rollup).
+func TestUnenforcedDisputeIsNeverFinalized(t *testing.T) {
+	for _, rc := range []*RollupConfig{nil, {Depth: 2, EpochAge: 20 * time.Millisecond}} {
+		c, net, faucetKey := miningWorld(t, "auto")
+		var h *Hub
+		h = New(c, net, faucetKey, Config{Workers: 1, Rollup: rc, StageHook: func(sid uint64, s Stage) bool {
+			if s == StageSubmitted {
+				// What a tower whose filing errored out leaves behind.
+				for _, e := range h.tower.Watches() {
+					e.mu.Lock()
+					e.disputed = true
+					e.mu.Unlock()
+				}
+			}
+			return true
+		}})
+		rep := h.Submit(BettingSpec(4, 600, false)).Report()
+		h.Stop()
+		if rep.Err == nil || rep.Stage != StageFailed {
+			t.Fatalf("rollup=%t: stage=%s err=%v, want the session failed", rc != nil, rep.Stage, rep.Err)
+		}
+		if settled, err := rep.Session.IsSettled(); err != nil || settled {
+			t.Errorf("rollup=%t: contract settled=%t (err %v) behind an unenforced dispute", rc != nil, settled, err)
+		}
+	}
+}
+
 func waitFor(tb testing.TB, d time.Duration, what string, cond func() bool) {
 	tb.Helper()
 	deadline := time.Now().Add(d)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -104,8 +103,9 @@ func (r *RecoverReport) Resumed() []*Ticket {
 //
 //  1. Fold the WAL into per-session state; no chain interaction yet.
 //  2. Start the new hub (fresh workers, fresh watchtower subscribed to
-//     live blocks) with session-ID and key-sequence floors above the
-//     WAL's high marks.
+//     live blocks) with a session-ID floor above the WAL's high mark —
+//     party keys derive from session IDs, so no dead session's keys are
+//     ever re-minted.
 //  3. Rebuild every resumable session (participants from their logged
 //     scalars, signed copy decoded and re-verified, on-chain address) and
 //     re-arm the watchtower over it, restoring its challenge window from
@@ -134,7 +134,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 	if err != nil {
 		return nil, nil, fmt.Errorf("hub: recover: %w", err)
 	}
-	live, terminal, cursor, keyFloor, sidFloor := foldRecords(recs)
+	live, terminal, cursor, sidFloor := foldRecords(recs)
 
 	// Refuse to start at all if the registry cannot cover a session that
 	// may still need guarding: silently abandoning a mid-challenge
@@ -149,36 +149,24 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 			return nil, nil, fmt.Errorf("hub: recover: session %d needs scenario %q, which is not in the registry — refusing to abandon a session that may have an open challenge window", ss.ID, ss.Scenario)
 		}
 	}
-	// keyFloor is the high mark over every generation's party keys —
-	// terminal sessions included (the journal folds it from KindParties
-	// records and compaction persists it as KindKeySeq), so a recovered
-	// hub can never re-mint a dead session's party keys. Shard keys are
-	// reclaimed implicitly: reusing a shard address is safe (nonces come
-	// from chain state); pad past the dead generation's shards anyway.
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	keyFloor += uint64(cfg.Workers) + 64
-
 	cfg.Store = st
 	// holdCursor: until the replay below has re-examined everything after
 	// the durable cursor, the live tower must not journal cursor advances
 	// for fresh blocks — a second crash mid-recovery would otherwise
 	// resume past outage-range events nobody ever examined.
-	h := newHub(c, net, faucetKey, cfg, sidFloor, keyFloor, true)
+	h := newHub(c, net, faucetKey, cfg, sidFloor, true)
 	// Seed the new journal with the ENTIRE folded state before the first
 	// record is logged: abandoning sessions writes terminal records, and
 	// enough of those can trigger compaction mid-recovery — which deletes
 	// the old generation's segments. At that moment the snapshot must
 	// already carry every live session and the durable cursor, or
 	// sessions not yet classified would lose their identity records (and
-	// with them, any chance of surviving a second crash). The key-sequence
+	// with them, any chance of surviving a second crash). The session-ID
 	// mark likewise must never snapshot below the allocator floor.
 	for _, ss := range live {
 		h.journal.seed(ss)
 	}
 	h.journal.seedCursor(cursor)
-	h.journal.seedKeySeq(keyFloor)
 	h.journal.seedSIDHigh(sidFloor)
 	// Rebuild the sequencer from the WAL's rollup records now — resumed
 	// sessions route through h.seq — but do NOT start it yet: Start can
@@ -206,21 +194,28 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 		spec  *Spec
 	}
 	var resumables []*resumable
+	// Abandoned sessions: the WAL still holds the parties' keys, so whatever
+	// faucet funding is left in their accounts goes back before the session
+	// is closed out. (Partial deposits inside a contract are beyond reach.)
+	// The sweeps of ALL abandoned sessions are sent first and awaited
+	// together below — one block per recovery, not one per session.
+	type abandoned struct {
+		rs     *RecoveredSession
+		sweeps []types.Hash
+	}
+	var abandons []*abandoned
 	abandon := func(ss *sessionState, why string) {
 		h.metrics.sessionsAbandoned.Inc()
-		// The WAL still holds the parties' keys: return whatever faucet
-		// funding is left in their accounts before closing the session
-		// out. (Partial deposits inside a contract are beyond reach.)
-		if swept := h.sweepAbandoned(ss); swept > 0 {
-			why = fmt.Sprintf("%s; swept %d party balances back to the faucet", why, swept)
-		}
+		sweeps := h.sendSweeps(ss)
 		// Close the session out in the WAL so the next recovery does not
 		// resurrect it, then record why for the operator.
 		h.journal.log(&store.Record{Kind: store.KindTerminal, SID: ss.ID, U1: uint64(StageFailed)})
-		report.Sessions = append(report.Sessions, &RecoveredSession{
+		rs := &RecoveredSession{
 			ID: ss.ID, Scenario: ss.Scenario, Stage: ss.Stage,
 			Outcome: RecoveryAbandoned, Why: why,
-		})
+		}
+		report.Sessions = append(report.Sessions, rs)
+		abandons = append(abandons, &abandoned{rs: rs, sweeps: sweeps})
 	}
 
 	for _, ss := range sortedSessions(live) {
@@ -276,6 +271,26 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 			return nil, nil, fmt.Errorf("hub: recover: session %d (%s) may have an open challenge window but cannot be rebuilt: %v", ss.ID, ss.Scenario, err)
 		}
 		abandon(ss, err.Error())
+	}
+	// Best effort and time-bounded: the sweeps are awaited INSIDE Recover,
+	// before the caller holds a hub it could Kill, so an unbounded wait on a
+	// chain whose block production is down would wedge recovery itself (the
+	// funds stay sweepable by the next recovery; a torn dispute would not
+	// be, which is why disputes get no such cap).
+	if len(abandons) > 0 {
+		ctx, cancel := context.WithTimeout(h.ctx, 10*time.Second)
+		for _, a := range abandons {
+			swept := 0
+			for _, hash := range a.sweeps {
+				if r, err := h.chain.WaitReceipt(ctx, hash); err == nil && r.Succeeded() {
+					swept++
+				}
+			}
+			if swept > 0 {
+				a.rs.Why = fmt.Sprintf("%s; swept %d party balances back to the faucet", a.rs.Why, swept)
+			}
+		}
+		cancel()
 	}
 
 	// Replay-before-act, step 4: first the WAL's restored windows (events
@@ -342,21 +357,13 @@ func sortedSessions(live map[uint64]*sessionState) []*sessionState {
 	return out
 }
 
-// sweepAbandoned returns an abandoned session's remaining party balances
-// to the faucet (the WAL holds the party scalars, so the funds are not
-// actually stranded). Best effort: unreachable or dust balances are left
-// behind, and the receipt waits are time-bounded — sweeping runs INSIDE
-// Recover, before the caller holds a hub it could Kill, so an unbounded
-// wait on a chain whose block production is down would wedge recovery
-// itself (the funds stay sweepable by the next recovery; a torn dispute
-// would not be, which is why disputes get no such cap). The sweeps are
-// independent senders, so they are all submitted before any is awaited —
-// one batch block can carry a whole session's sweep. Returns the number
-// of accounts swept.
-func (h *Hub) sweepAbandoned(ss *sessionState) int {
+// sendSweeps pools one transfer per party of an abandoned session, moving
+// its remaining balance back to the faucet (the WAL holds the party
+// scalars, so the funds are not actually stranded), and returns the
+// transaction hashes for Recover to await. Unreachable or dust balances are
+// left behind.
+func (h *Hub) sendSweeps(ss *sessionState) []types.Hash {
 	gasCost := uint256.NewInt(21_000) // transfer gas at gas price 1
-	ctx, cancel := context.WithTimeout(h.ctx, 10*time.Second)
-	defer cancel()
 	var hashes []types.Hash
 	for _, sc := range ss.Scalars {
 		key, err := secp256k1.PrivateKeyFromBytes(sc)
@@ -373,13 +380,7 @@ func (h *Hub) sweepAbandoned(ss *sessionState) int {
 			hashes = append(hashes, hash)
 		}
 	}
-	swept := 0
-	for _, hash := range hashes {
-		if r, err := h.chain.WaitReceipt(ctx, hash); err == nil && r.Succeeded() {
-			swept++
-		}
-	}
-	return swept
+	return hashes
 }
 
 // rebuildSession reconstructs a hybrid.Session from its durable state:
@@ -434,11 +435,11 @@ func (h *Hub) resumeSession(t *Ticket, ss *sessionState, sess *hybrid.Session, w
 	lc := &lifecycle{t: t, rep: rep, began: time.Now()}
 	fail := func(err error) *Report { return h.failSession(lc, err) }
 
-	// Let the dispute pipeline finish deliberating over the recovery
-	// replay's windows before reading chain state: filing is asynchronous
-	// now, so "the replay has already disputed it" is only true past the
-	// caught-up barrier.
-	h.tower.WaitCaughtUp(h.chain.Height())
+	// Let the dispute pipeline reach its verdict on whatever window the
+	// recovery replay found for this session before reading chain state:
+	// filing is asynchronous, so "the replay has already disputed it" is
+	// only true past the own-verdict barrier.
+	h.tower.WaitVerdict(watch, h.chain.Height())
 	if h.crashed.Load() {
 		return h.crashReport(t, rep.Stage)
 	}

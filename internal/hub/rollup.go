@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"onoffchain/internal/chain"
 	"onoffchain/internal/hybrid"
 	"onoffchain/internal/rollup"
 	"onoffchain/internal/secp256k1"
@@ -190,10 +189,11 @@ func (h *Hub) settleRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, su
 }
 
 // awaitRollup is the rollup-mode tail of the lifecycle: wait for the
-// leaf's epoch to post, barrier on the tower, then classify the outcome
-// from chain truth — exactly the shape of awaitSettlement, with the
-// finalize transaction replaced by nothing at all (the epoch post IS the
-// settlement commit).
+// leaf's epoch to post, wait for the tower's verdict on this leaf, then
+// classify the outcome from chain truth — the shape of awaitSettlement,
+// with the finalize transaction (and the clock jump and all-verdicts
+// barrier in front of it) replaced by nothing at all: the epoch post IS
+// the settlement commit.
 func (h *Hub) awaitRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, fut *rollup.Future) *Report {
 	t, rep := lc.t, lc.rep
 	fail := func(err error) *Report { return h.failSession(lc, err) }
@@ -206,11 +206,15 @@ func (h *Hub) awaitRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, fut
 		}
 		return fail(fmt.Errorf("hub: rollup post: %w", err))
 	}
-	// Barrier: the post receipt has landed, so the epoch's block is ≤ the
-	// height read here. After WaitCaughtUp the tower has examined every
-	// leaf window that post opened and reached a dispute decision for each
-	// — a fraudulent leaf has already been opened and enforced.
-	h.tower.WaitCaughtUp(h.chain.Height())
+	// Own verdict before reporting: the post receipt has landed, so the
+	// epoch's block is ≤ the height read here. After WaitVerdict the tower
+	// has examined the leaf window that post opened for THIS session and
+	// reached its decision — a fraudulent leaf has already been opened and
+	// enforced. Other leaves of the epoch may still be in dispute; nothing
+	// here moves the clock, so an honest leaf does not wait for them.
+	verdictStart := time.Now()
+	h.tower.WaitVerdict(watch, h.chain.Height())
+	h.barrierSpan(lc, verdictStart, time.Since(verdictStart), 0)
 	if h.crashed.Load() {
 		return h.crashReport(t, StageSubmitted)
 	}
@@ -219,28 +223,17 @@ func (h *Hub) awaitRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, fut
 		return fail(err)
 	}
 	if settled {
-		raised, won := watch.Disputed()
-		byDispute := watch.SettledByDispute()
-		if !byDispute {
-			byDispute = len(h.chain.FilterLogs(chain.FilterQuery{Address: &sess.OnChainAddr, Topic: &hybrid.TopicDisputeResolved})) > 0
-		}
-		rep.Disputed = raised || byDispute
-		if raised && !won && !byDispute {
-			return fail(errors.New("hub: leaf dispute filed but not enforced"))
-		}
-		if !h.advance(lc, StageDisputed) {
-			return h.crashReport(t, StageDisputed)
-		}
-		if !h.advance(lc, StageResolved) {
-			return h.crashReport(t, StageResolved)
-		}
-		h.terminal(lc, StageResolved)
-		return rep
+		return h.reportSettled(lc, sess, watch)
+	}
+	// Not settled with the verdict in means the leaf was clean — unless the
+	// tower filed and could not enforce: that leaf is a lie, not a roll-up.
+	if raised, _ := watch.Disputed(); raised {
+		return fail(errors.New("hub: dispute filed but not enforced"))
 	}
 	// Honest leaf: the posted root commits the true outcome and no
 	// per-session transaction exists. The batch window may still be open,
 	// but the tower's dispute decision for this leaf is already final
-	// (that is what the barrier waited for) — release the guard.
+	// (that is what WaitVerdict waited for) — release the guard.
 	if !h.advance(lc, StageRolledUp) {
 		return h.crashReport(t, StageRolledUp)
 	}

@@ -90,6 +90,18 @@ func TestSessionTraceCrossLayer(t *testing.T) {
 		}
 	}
 
+	// The two waits no stage span covers are spans of their own: the
+	// deposits' block (setup) and the tower barrier in front of the finalize.
+	for _, name := range []string{"setup", "barrier"} {
+		found := false
+		for _, s := range spans {
+			found = found || (s.Layer == "hub" && s.Name == name)
+		}
+		if !found {
+			t.Errorf("no hub/%s span in the session's trace", name)
+		}
+	}
+
 	// The per-layer rollup accounts real time in the layers that do work.
 	rollup := tr.Layers(rep.ID)
 	for _, l := range []string{"hub", "chain"} {

@@ -25,11 +25,12 @@ import (
 // open window is handed to the dispute pipeline — a pacer goroutine per
 // undecided window that consults the dispute gate (federation arbitration;
 // absent a gate the answer is always "file now") and a bounded worker set
-// that verifies and files. The caught-up barrier counts undecided windows:
-// WaitCaughtUp(h) returns only when every block ≤ h is examined AND every
-// dispute decision for the windows they opened has been reached, which is
-// what keeps the dispute-before-barrier safety argument intact — nobody
-// can advance the clock past a window whose verdict is still pending.
+// that verifies and files. Two barriers read the pipeline, one per
+// invariant (DESIGN.md §4): WaitVerdict(e, h) — block ≤ h examined and
+// THIS watch's decision reached — is what a session owner waits for
+// before reporting, and WaitCaughtUp(h) — block ≤ h examined and EVERY
+// decision reached — is what it waits for before moving the shared clock,
+// so nobody can advance time past a window whose verdict is still pending.
 //
 // With a durable hub, the tower journals every window it opens and a
 // block cursor after each block it finishes, so a restarted tower knows
@@ -418,15 +419,41 @@ func (e *Watch) OpenWindow() *Window {
 	return &cp
 }
 
+// WaitVerdict blocks until the tower has fully processed every block up to
+// and including height h AND reached its dispute decision for this one
+// watch — filed-and-enforced, verified clean, stood down, or settled by
+// someone else. It is the barrier a session owner needs before REPORTING:
+// once it returns for h ≥ the submission's block, a lie in that submission
+// has already been enforced against, whatever other sessions' disputes are
+// still in flight. It says nothing about those, so it does not license a
+// clock jump — see WaitCaughtUp. Returns immediately if the tower is
+// stopped or crash-halted; callers re-check Hub.Crashed before acting.
+func (w *Watchtower) WaitVerdict(e *Watch, h uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	// e.mu nests inside w.mu here and nowhere the other way round; a job's
+	// release clears e.pending first and broadcasts under w.mu after, so a
+	// waiter that saw it pending is already parked when the wake-up comes.
+	for (w.processed < h || e.jobPending()) && !w.stopped && !w.halted {
+		w.cond.Wait()
+	}
+}
+
+func (e *Watch) jobPending() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.pending
+}
+
 // WaitCaughtUp blocks until the tower has fully processed every block up
 // to and including height h AND reached a dispute decision for every
-// window it has ever opened — filed-and-enforced, verified clean, stood
-// down, or settled by someone else. Session owners MUST call this before
-// finalizing or advancing the clock: it guarantees any fraudulent
-// submission mined at or before h has already been enforced, so moving
-// time past the window cannot freeze a lie into the contract. Returns
-// immediately if the tower is stopped or crash-halted — callers on the
-// crashed path re-check Hub.Crashed before acting.
+// window it has ever opened. Session owners MUST call this before
+// advancing the shared clock: it guarantees no fraudulent submission mined
+// at or before h is still awaiting enforcement, so moving time past its
+// window cannot freeze a lie into a contract (or close a batch window on a
+// leaf nobody has opened yet). Returns immediately if the tower is stopped
+// or crash-halted — callers on the crashed path re-check Hub.Crashed
+// before acting.
 func (w *Watchtower) WaitCaughtUp(h uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -743,24 +770,32 @@ func (w *Watchtower) release(addr types.Address) {
 	}
 }
 
-// openLeaf pins the disputed leaf against its epoch's posted root. A
-// revert is tolerated here: the on-chain exactly-once veto (a peer tower
-// or a prior incarnation already opened this leaf) and a closed batch
-// window both surface as reverts, and neither changes what the follow-up
-// session-contract dispute will enforce — at-most-once enforcement is
-// arbitrated by the contract's own settled flag, which the caller
-// re-checks right after this returns.
-func (w *Watchtower) openLeaf(e *Watch, rl *rollupLeaf) {
+// sendLeafOpen pools the openLeaf that pins the disputed leaf against its
+// epoch's posted root, without waiting for it: the caller queues the
+// session-contract dispute right behind it (same sender, consecutive
+// nonces) so one block carries all three. The returned func observes the
+// receipt afterwards. A revert is tolerated: the on-chain exactly-once veto
+// (a peer tower or a prior incarnation already opened this leaf) and a
+// closed batch window both surface as reverts, and neither changes what
+// the dispute behind it enforces — at-most-once enforcement is arbitrated
+// by the contract's own settled flag.
+func (w *Watchtower) sendLeafOpen(e *Watch, rl *rollupLeaf) (observe func()) {
 	opener := e.sess.Parties[e.honest]
 	start := time.Now()
-	rec, err := rl.reg.OpenLeaf(opener, rl.epoch, rl.leaf, rl.index, rl.proof, rollupLeafOpenGas)
-	ok := err == nil && rec != nil && rec.Succeeded()
-	if ok {
-		w.metrics.leavesOpened.Inc()
-	}
-	if tr := w.spanTracer(); tr != nil && (e.id != 0 || e.tc.Valid()) {
-		tr.RecordChild(e.tc, e.id, "tower", "leaf_open", start, time.Since(start),
-			fmt.Sprintf("epoch=%d index=%d ok=%t", rl.epoch, rl.index, ok))
+	hash, err := rl.reg.OpenLeafAsync(opener, rl.epoch, rl.leaf, rl.index, rl.proof, rollupLeafOpenGas)
+	return func() {
+		var rec *types.Receipt
+		if err == nil {
+			rec, err = opener.WaitReceipt(hash)
+		}
+		ok := err == nil && rec.Succeeded()
+		if ok {
+			w.metrics.leavesOpened.Inc()
+		}
+		if tr := w.spanTracer(); tr != nil && (e.id != 0 || e.tc.Valid()) {
+			tr.RecordChild(e.tc, e.id, "tower", "leaf_open", start, time.Since(start),
+				fmt.Sprintf("epoch=%d index=%d ok=%t", rl.epoch, rl.index, ok))
+		}
 	}
 }
 
@@ -1029,31 +1064,23 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 		o.DisputeClaimed(e, e.sess.OnChainAddr)
 	}
 	// Batch settlement: pin WHICH leaf of WHICH epoch this dispute refutes
-	// by opening it against the posted root, then re-check the settled
-	// flag — a revert usually means a peer's open won the race, and if
-	// that peer's dispute already enforced, this one stops here.
+	// by opening it against the posted root, queued ahead of the dispute
+	// pair so the three transactions share a block.
 	e.mu.Lock()
 	rl := e.rollup
 	e.mu.Unlock()
+	observeLeafOpen := func() {}
 	if rl != nil {
-		w.openLeaf(e, rl)
-		if settled, err := e.sess.IsSettled(); err == nil && settled {
-			w.onSettled(e, e.sess.OnChainAddr, true)
-			if o := w.obs(); o != nil {
-				o.DisputeFiled(e, e.sess.OnChainAddr, false)
-			}
-			return
-		}
+		observeLeafOpen = w.sendLeafOpen(e, rl)
 	}
 	_, _, err = e.sess.Dispute(e.honest)
-	if err != nil {
-		if o := w.obs(); o != nil {
-			o.DisputeFiled(e, e.sess.OnChainAddr, false)
-		}
-		return
+	observeLeafOpen()
+	// Enforcement is read from the contract, never from the receipts.
+	enforced := false
+	if err == nil {
+		settled, serr := e.sess.IsSettled()
+		enforced = serr == nil && settled
 	}
-	settled, err := e.sess.IsSettled()
-	enforced := err == nil && settled
 	if enforced {
 		w.metrics.disputesWon.Inc()
 		e.mu.Lock()
@@ -1062,7 +1089,8 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 		w.onSettled(e, e.sess.OnChainAddr, true)
 	}
 	if tr := w.spanTracer(); tr != nil && (e.id != 0 || e.tc.Valid()) {
-		tr.RecordChild(e.tc, e.id, "tower", "dispute", disputeStart, time.Since(disputeStart), fmt.Sprintf("enforced=%t", enforced))
+		tr.RecordChild(e.tc, e.id, "tower", "dispute", disputeStart, time.Since(disputeStart),
+			fmt.Sprintf("enforced=%t fallback=%t", enforced, e.sess.DisputeFellBack))
 	}
 	if o := w.obs(); o != nil {
 		o.DisputeFiled(e, e.sess.OnChainAddr, enforced)

@@ -3,6 +3,7 @@ package hybrid
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"onoffchain/internal/rlp"
@@ -26,6 +27,10 @@ type Session struct {
 	// InstanceAddr is the verified instance created during a dispute
 	// (stage 4).
 	InstanceAddr types.Address
+	// DisputeFellBack reports that the latest Dispute mispredicted the
+	// instance address and had to re-send returnDisputeResolution one block
+	// later.
+	DisputeFellBack bool
 
 	// Trace is the session's causal identity; when set, whisper envelopes
 	// posted on the session channel carry it so a remote peer can stitch
@@ -195,25 +200,32 @@ func (s *Session) SignAndExchange(ctorArgs ...interface{}) error {
 }
 
 // ExecuteOffChainAll performs stage 3's private computation: every
-// participant executes the signed bytecode locally and the outcomes must
-// be unanimous.
+// participant executes the signed bytecode locally — concurrently, as on
+// n separate machines — and the outcomes must be unanimous.
 func (s *Session) ExecuteOffChainAll() (*OffChainOutcome, error) {
 	if s.Copy == nil {
 		return nil, errors.New("hybrid: no signed copy (run SignAndExchange)")
 	}
-	var first *OffChainOutcome
+	outs := make([]*OffChainOutcome, len(s.Parties))
+	errs := make([]error, len(s.Parties))
+	var wg sync.WaitGroup
+	wg.Add(len(s.Parties))
 	for i := range s.Parties {
-		out, err := ExecuteOffChain(s.Copy.Bytecode)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], errs[i] = ExecuteOffChain(s.Copy.Bytecode)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: participant %d off-chain execution: %w", i, err)
 		}
-		if first == nil {
-			first = out
-		} else if out.Result != first.Result {
-			return nil, fmt.Errorf("hybrid: participants disagree: %d vs %d", first.Result, out.Result)
+		if outs[i].Result != outs[0].Result {
+			return nil, fmt.Errorf("hybrid: participants disagree: %d vs %d", outs[0].Result, outs[i].Result)
 		}
 	}
-	return first, nil
+	return outs[0], nil
 }
 
 // SubmitResult has the representative participant push the agreed result
@@ -236,26 +248,92 @@ func (s *Session) FinalizeResult(partyIdx int) (*types.Receipt, error) {
 // which recomputes the result in miners' hands and enforces it through
 // enforceDisputeResolution. It returns the receipts of the two
 // transactions (paper Table II measures exactly these).
+//
+// Both transactions are sent back-to-back, before either is mined, so they
+// share a block: the instance is CREATEd by the on-chain contract, whose
+// nonce only that CREATE ever bumps, so its address is known in advance.
+// The prediction fails only when someone else's deployVerifiedInstance is
+// mined first; then the return call went to the wrong address and is
+// re-sent to the instance the contract recorded — the sequential path, one
+// block later, which is what every dispute used to cost.
 func (s *Session) Dispute(partyIdx int) (deployReceipt, returnReceipt *types.Receipt, err error) {
+	f, err := s.newDisputeFiling(partyIdx)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := f.sendDeploy(); err != nil {
+		return nil, nil, err
+	}
+	if f.returnHash, err = f.sendReturn(f.predicted); err != nil {
+		return nil, nil, err
+	}
+	return f.await()
+}
+
+// disputeFiling is one party's dispute in flight: deployVerifiedInstance
+// and returnDisputeResolution pooled under consecutive nonces (so no block
+// can carry the second without the first), then observed together.
+type disputeFiling struct {
+	s          *Session
+	party      *Participant
+	deployArgs []interface{}
+	predicted  types.Address // where the verified instance will be CREATEd
+	deployHash types.Hash
+	returnHash types.Hash
+}
+
+// newDisputeFiling re-verifies the signed copy and predicts the instance
+// address from the on-chain contract's current nonce.
+func (s *Session) newDisputeFiling(partyIdx int) (*disputeFiling, error) {
 	if s.Copy == nil {
-		return nil, nil, errors.New("hybrid: no signed copy")
+		return nil, errors.New("hybrid: no signed copy")
 	}
 	if err := s.Copy.VerifyWithKeys(s.participantPubs()); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	args := []interface{}{s.Copy.Bytecode}
 	for _, sig := range s.Copy.Sigs {
 		args = append(args, uint64(sig.V), types.Hash(sig.R), types.Hash(sig.S))
 	}
-	deployReceipt, err = s.Parties[partyIdx].Invoke(s.Split.OnChain, s.OnChainAddr, nil, 8_000_000,
-		"deployVerifiedInstance", args...)
+	p := s.Parties[partyIdx]
+	s.DisputeFellBack = false
+	return &disputeFiling{
+		s: s, party: p, deployArgs: args,
+		predicted: types.CreateAddress(s.OnChainAddr, p.Chain.NonceAt(s.OnChainAddr)),
+	}, nil
+}
+
+func (f *disputeFiling) sendDeploy() (err error) {
+	f.deployHash, err = f.party.InvokeAsync(f.s.Split.OnChain, f.s.OnChainAddr, nil, 8_000_000,
+		"deployVerifiedInstance", f.deployArgs...)
+	return err
+}
+
+func (f *disputeFiling) sendReturn(instance types.Address) (types.Hash, error) {
+	return f.party.InvokeAsync(f.s.Split.OffChain, instance, nil, 8_000_000,
+		"returnDisputeResolution", f.s.OnChainAddr)
+}
+
+// await observes both receipts and decides whether the pair enforced. A
+// succeeded return receipt alone proves nothing: a call to an address with
+// no code succeeds without running anything. The pair enforced only if
+// the contract recorded the predicted instance and the return call to it
+// succeeded; otherwise, unless the contract is settled already, the return
+// call is re-sent to the recorded instance.
+func (f *disputeFiling) await() (deployReceipt, returnReceipt *types.Receipt, err error) {
+	s := f.s
+	deployReceipt, err = f.party.WaitReceipt(f.deployHash)
 	if err != nil {
 		return nil, nil, err
 	}
+	returnReceipt, err = f.party.WaitReceipt(f.returnHash)
 	if !deployReceipt.Succeeded() {
 		return deployReceipt, nil, errors.New("hybrid: deployVerifiedInstance reverted")
 	}
-	inst, err := s.Parties[partyIdx].Query(s.Split.OnChain, s.OnChainAddr, "verifiedInstance")
+	if err != nil {
+		return deployReceipt, nil, err
+	}
+	inst, err := f.party.Query(s.Split.OnChain, s.OnChainAddr, "verifiedInstance")
 	if err != nil {
 		return deployReceipt, nil, err
 	}
@@ -263,8 +341,22 @@ func (s *Session) Dispute(partyIdx int) (deployReceipt, returnReceipt *types.Rec
 	if s.InstanceAddr.IsZero() {
 		return deployReceipt, nil, errors.New("hybrid: no verified instance recorded")
 	}
-	returnReceipt, err = s.Parties[partyIdx].Invoke(s.Split.OffChain, s.InstanceAddr, nil, 8_000_000,
-		"returnDisputeResolution", s.OnChainAddr)
+	if s.InstanceAddr == f.predicted && returnReceipt.Succeeded() {
+		return deployReceipt, returnReceipt, nil
+	}
+	settled, err := s.IsSettled()
+	if err != nil {
+		return deployReceipt, returnReceipt, err
+	}
+	if settled {
+		return deployReceipt, returnReceipt, errors.New("hybrid: returnDisputeResolution reverted (settled by another dispute)")
+	}
+	s.DisputeFellBack = true
+	hash, err := f.sendReturn(s.InstanceAddr)
+	if err != nil {
+		return deployReceipt, nil, err
+	}
+	returnReceipt, err = f.party.WaitReceipt(hash)
 	if err != nil {
 		return deployReceipt, nil, err
 	}

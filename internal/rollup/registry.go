@@ -183,15 +183,26 @@ func (r *Registry) PostEpoch(p *hybrid.Participant, root types.Hash, count uint6
 // is expected when the leaf was already opened (the on-chain exactly-once
 // veto) or the proof does not reach the root.
 func (r *Registry) OpenLeaf(p *hybrid.Participant, epoch uint64, leaf Leaf, index int, proof []types.Hash, gas uint64) (*types.Receipt, error) {
+	hash, err := r.OpenLeafAsync(p, epoch, leaf, index, proof, gas)
+	if err != nil {
+		return nil, err
+	}
+	return p.WaitReceipt(hash)
+}
+
+// OpenLeafAsync pools the openLeaf call without waiting for it to mine, so
+// the opener can queue the session-contract dispute behind it (consecutive
+// nonces) and have one block carry both.
+func (r *Registry) OpenLeafAsync(p *hybrid.Participant, epoch uint64, leaf Leaf, index int, proof []types.Hash, gas uint64) (types.Hash, error) {
 	if len(proof) != r.Depth {
-		return nil, fmt.Errorf("rollup: proof has %d siblings, registry depth is %d", len(proof), r.Depth)
+		return types.Hash{}, fmt.Errorf("rollup: proof has %d siblings, registry depth is %d", len(proof), r.Depth)
 	}
 	args := make([]interface{}, 0, 5+r.Depth)
 	args = append(args, epoch, leaf.SID, leaf.Contract, leaf.Outcome, uint64(index))
 	for _, s := range proof {
 		args = append(args, s)
 	}
-	return p.Invoke(r.CC, r.Addr, nil, gas, "openLeaf", args...)
+	return p.InvokeAsync(r.CC, r.Addr, nil, gas, "openLeaf", args...)
 }
 
 // Epochs returns the number of posted epochs.

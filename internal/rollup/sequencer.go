@@ -667,12 +667,20 @@ func (s *Sequencer) StateRecords() []*store.Record {
 // epoch order. Recovery feeds these back through the watchtower so batch
 // windows that opened before the crash are re-examined with full leaf
 // context (epoch number, index, proof) — the per-session RestoreWindow
-// path cannot reconstruct that from a KindWindow record alone.
+// path cannot reconstruct that from a KindWindow record alone. Sealed
+// epochs whose post receipt is still pending are listed too, for the same
+// reason EpochByNumber serves them: a tower can see the EpochPosted event,
+// open the window and gossip it before the sequencer's receipt wait
+// returns, and the backup restoring that window must find its leaf then —
+// or its dispute goes out without the leaf-open.
 func (s *Sequencer) CachedEpochs() []*Epoch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Epoch, 0, len(s.epochs))
+	out := make([]*Epoch, 0, len(s.epochs)+len(s.inflight))
 	for _, e := range s.epochs {
+		out = append(out, e)
+	}
+	for _, e := range s.inflight {
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })

@@ -29,9 +29,9 @@ const (
 	// crash can never silently lose a queued session.
 	KindAccepted Kind = iota + 1
 	// KindParties: the session's identity material — U1 = challenge
-	// period (seconds), U2 = honest party index, U3 = highest key
-	// sequence minted for this session, Blobs = the parties' 32-byte
-	// private scalars in participant order.
+	// period (seconds), U2 = honest party index, Blobs = the parties'
+	// 32-byte private scalars in participant order. (U3 carried a
+	// key-sequence mark in older WALs; it is no longer written or read.)
 	KindParties
 	// KindStage: write-ahead intent — the session is ABOUT to run the
 	// stage in U1. Logged before the stage's first side effect.
@@ -64,12 +64,12 @@ const (
 	// KindCursor: the watchtower has durably processed every block up to
 	// and including U1. Recovery replays chain events from U1+1.
 	KindCursor
-	// KindKeySeq: U1 is the highest participant-key sequence any session
-	// has ever minted; U2 is the highest session ID ever issued. Kept as
-	// its own record so compaction (which drops terminal sessions,
-	// KindParties records and all) cannot lose either high mark — a
-	// recovered hub must never re-mint a dead session's party keys nor
-	// reissue its session IDs.
+	// KindKeySeq: U2 is the highest session ID ever issued. Kept as its own
+	// record so compaction (which drops terminal sessions) cannot lose the
+	// high mark — a recovered hub must never reissue a dead session's ID,
+	// and with it the party keys derived from that ID. (U1 carried a
+	// key-sequence mark while keys came from a counter; older WALs still
+	// replay, the field is no longer written or read.)
 	KindKeySeq
 
 	// Federation kinds: the durable state of one internal/federation tower

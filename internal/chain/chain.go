@@ -740,10 +740,11 @@ func (c *Chain) applyTransactionOn(st *state.StateDB, tx *types.Transaction, blo
 	}
 
 	receipt := &types.Receipt{
-		Status:  types.ReceiptStatusSuccessful,
-		GasUsed: gasUsed,
-		TxHash:  tx.Hash(),
-		Logs:    st.TakeLogs(),
+		Status:      types.ReceiptStatusSuccessful,
+		GasUsed:     gasUsed,
+		TxHash:      tx.Hash(),
+		BlockNumber: blockNumber,
+		Logs:        st.TakeLogs(),
 	}
 	if execErr != nil {
 		receipt.Status = types.ReceiptStatusFailed

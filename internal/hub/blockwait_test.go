@@ -2,6 +2,7 @@ package hub
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -62,11 +63,64 @@ func mineAt(tb testing.TB, c *chain.Chain, depths ...int) {
 }
 
 // One session's phases up to its result submission, as pool depths per
-// concurrently running session: the worker's shard refill, the two funding
-// transfers, the deploy, the two deposits. (The tower's and sequencer's
-// transactions follow and are scripted by each test.)
+// concurrently running session: the worker's shard refill (once per 64
+// sessions of a shard, so not part of any session's budget), the two funding
+// transfers with the contract creation behind them, the two deposits. (The
+// tower's and sequencer's transactions follow and are scripted by each test.)
 func setupPhases(sessions int) []int {
-	return []int{sessions, 2 * sessions, sessions, 2 * sessions}
+	return []int{sessions, 3 * sessions, 2 * sessions}
+}
+
+// startRollupHub builds a rollup-mode hub on the manual chain. New returns
+// only once the registry is deployed, and that takes exactly one block: the
+// sequencer's funding transfer and the registry's creation, both from the
+// root faucet, with consecutive nonces.
+func startRollupHub(t *testing.T, c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, cfg Config) *Hub {
+	t.Helper()
+	var h *Hub
+	started := make(chan struct{})
+	go func() {
+		defer close(started)
+		h = New(c, net, faucetKey, cfg)
+	}()
+	mineAt(t, c, 2)
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("rollup start-up needed more than the one block that funds the sequencer and creates the registry")
+	}
+	stopAtCleanup(t, h)
+	reg, _ := h.RollupHandles()
+	requireNonceRun(t, c.Latest(), h.faucet.Addr, 1, reg.Addr)
+	return h
+}
+
+// requireNonceRun asserts that the block is exactly one sender's run of
+// consecutive nonces — transfers value transfers, then one creation — and
+// that the creation made the contract at created.
+func requireNonceRun(t *testing.T, b *types.Block, sender types.Address, transfers int, created types.Address) {
+	t.Helper()
+	if len(b.Transactions) != transfers+1 {
+		t.Fatalf("block %d holds %d transactions, want %d transfers + 1 creation", b.Number(), len(b.Transactions), transfers)
+	}
+	for i, tx := range b.Transactions {
+		if from, err := tx.Sender(); err != nil || from != sender {
+			t.Errorf("block %d tx %d sent by %s (err %v), want %s", b.Number(), i, from.Hex(), err, sender.Hex())
+		}
+		if want := b.Transactions[0].Nonce + uint64(i); tx.Nonce != want {
+			t.Errorf("block %d tx %d has nonce %d, want %d (consecutive)", b.Number(), i, tx.Nonce, want)
+		}
+		if creation := i == transfers; tx.IsContractCreation() != creation {
+			t.Errorf("block %d tx %d: creation=%v, want the transfers first and the creation last", b.Number(), i, tx.IsContractCreation())
+		}
+		if !b.Receipts[i].Succeeded() {
+			t.Errorf("block %d tx %d reverted", b.Number(), i)
+		}
+	}
+	creation := b.Transactions[transfers]
+	if got := types.CreateAddress(sender, creation.Nonce); got != created || b.Receipts[transfers].ContractAddress != created {
+		t.Errorf("contract at %s, want CreateAddress(sender, %d) = %s", created.Hex(), creation.Nonce, got.Hex())
+	}
 }
 
 // blockOf returns the block of the one log on addr with the topic.
@@ -102,13 +156,7 @@ func TestLoneDisputeEnforcedNextBlock(t *testing.T) {
 		t.Errorf("%d transactions pooled after the dispute resolved (a needless fallback?)", c.PendingCount())
 	}
 	requireWinnerPaid(t, rep)
-	var attrs string
-	for _, sp := range tr.SID(rep.ID) {
-		if sp.Layer == "tower" && sp.Name == "dispute" {
-			attrs = sp.Attrs
-		}
-	}
-	if attrs != "enforced=true fallback=false" {
+	if attrs := spanAttrs(t, tr, rep.ID, "tower", "dispute"); attrs != "enforced=true fallback=false" {
 		t.Errorf("tower/dispute span attrs = %q, want enforced=true fallback=false", attrs)
 	}
 }
@@ -120,15 +168,7 @@ func TestLoneDisputeEnforcedNextBlock(t *testing.T) {
 // sitting in the pool.
 func TestRollupHonestLeafDoesNotWaitForLie(t *testing.T) {
 	c, net, faucetKey := manualWorld(t)
-	var h *Hub
-	started := make(chan struct{})
-	go func() {
-		defer close(started)
-		h = New(c, net, faucetKey, Config{Workers: 2, Rollup: &RollupConfig{Depth: 2, EpochCap: 2, EpochAge: time.Hour}})
-	}()
-	mineAt(t, c, 1, 1) // fund the sequencer, deploy the registry
-	<-started
-	stopAtCleanup(t, h)
+	h := startRollupHub(t, c, net, faucetKey, Config{Workers: 2, Rollup: &RollupConfig{Depth: 2, EpochCap: 2, EpochAge: time.Hour}})
 
 	honest := h.Submit(BettingSpec(4, 600, false))
 	lying := h.Submit(BettingSpec(4, 600, true))
@@ -279,5 +319,278 @@ func TestRecoveredLabelMatchesSettlementLog(t *testing.T) {
 				t.Errorf("%d illegal transitions", m.IllegalTransitions)
 			}
 		})
+	}
+}
+
+// spanAttrs returns the attributes of the session's one span layer/name.
+func spanAttrs(t *testing.T, tr *telemetry.Tracer, sid uint64, layer, name string) string {
+	t.Helper()
+	var attrs []string
+	for _, sp := range tr.SID(sid) {
+		if sp.Layer == layer && sp.Name == name {
+			attrs = append(attrs, sp.Attrs)
+		}
+	}
+	if len(attrs) != 1 {
+		t.Fatalf("session %d has %d %s/%s spans, want exactly 1", sid, len(attrs), layer, name)
+	}
+	return attrs[0]
+}
+
+// The block-wait budget of one session (DESIGN §4's table): how many blocks
+// must be sealed between admission and the report when the session has the
+// chain to itself. Every phase below is waited for — the next block is
+// sealed only once the pool holds exactly that phase's transactions — so a
+// change that adds a wait times out here, and one that removes a wait finds
+// the wrong pool depth. The first block is the funding shard's nonce run:
+// the parties' transfers and the contract's creation behind them.
+func TestBlockWaitBudget(t *testing.T) {
+	dispute := 2 // deployVerifiedInstance + returnDisputeResolution
+	cases := []struct {
+		name   string
+		rollup bool
+		lying  bool
+		phases []int // pool depth at each seal, after the shard's refill
+		end    Stage
+	}{
+		{"persession/honest", false, false, []int{3, 2, 1, 1}, StageSettled},      // fund+deploy, deposits, submit, finalize
+		{"persession/lying", false, true, []int{3, 2, 1, dispute}, StageResolved}, // …, the lie, the dispute
+		{"rollup/honest", true, false, []int{3, 2, 1}, StageRolledUp},             // fund+deploy, deposits, postEpoch
+		{"rollup/lying", true, true, []int{3, 2, 1, 1 + dispute}, StageResolved},  // …, openLeaf + the dispute
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			c, net, faucetKey := manualWorld(t)
+			tr := telemetry.NewTracer(4096)
+			var h *Hub
+			if tc.rollup {
+				h = startRollupHub(t, c, net, faucetKey, Config{Workers: 1, Tracer: tr,
+					Rollup: &RollupConfig{Depth: 1, EpochCap: 1, EpochAge: time.Hour}})
+			} else {
+				h = New(c, net, faucetKey, Config{Workers: 1, Tracer: tr})
+				stopAtCleanup(t, h)
+			}
+			tk := h.Submit(BettingSpec(4, 600, tc.lying))
+			mineAt(t, c, 1) // the shard's refill
+			first := c.Height() + 1
+			mineAt(t, c, tc.phases...)
+			select {
+			case <-tk.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("session still running after its %d blocks (pool holds %d): a block wait was added", len(tc.phases), c.PendingCount())
+			}
+			rep := tk.Report()
+			if rep.Err != nil || rep.Stage != tc.end || rep.Disputed != tc.lying {
+				t.Fatalf("stage=%s disputed=%v err=%v, want %s", rep.Stage, rep.Disputed, rep.Err, tc.end)
+			}
+			if got, want := c.Height(), first+uint64(len(tc.phases))-1; got != want || c.PendingCount() != 0 {
+				t.Errorf("chain at block %d with %d pooled, want block %d and an empty pool", got, c.PendingCount(), want)
+			}
+
+			b, err := c.BlockByNumber(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireNonceRun(t, b, h.shards[0].Addr, len(rep.Session.Parties), rep.OnChainAddr)
+			for i, addr := range rep.Session.ParticipantAddrs() {
+				if to := b.Transactions[i].To; to == nil || *to != addr {
+					t.Errorf("transfer %d does not fund party %d", i, i)
+				}
+			}
+			// The spans' named reader: both start at send and end in the same block.
+			want := fmt.Sprintf("block=%d", first)
+			if fund, deploy := spanAttrs(t, tr, rep.ID, "chain", "fund"), spanAttrs(t, tr, rep.ID, "chain", "deploy"); fund != want || deploy != want {
+				t.Errorf("chain/fund %q, chain/deploy %q, want both %q", fund, deploy, want)
+			}
+		})
+	}
+}
+
+// fundShard gives the lone worker's shard exactly what one betting session
+// needs, so the hub sends no refill of its own.
+func fundShard(t *testing.T, c *chain.Chain, h *Hub) *hybrid.Participant {
+	t.Helper()
+	shard := h.shards[0]
+	if _, err := h.faucet.SendTxAsync(&shard.Addr, eth(11), 21_000, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.MineBlock()
+	return shard
+}
+
+// requireFailedBeforeDeposits asserts the session failed, and that it ended
+// in the block that carried its funding run: nothing was sent afterwards.
+func requireFailedBeforeDeposits(t *testing.T, c *chain.Chain, tk *Ticket, fundBlock uint64) *Report {
+	t.Helper()
+	rep := tk.Report()
+	if rep.Stage != StageFailed || rep.Err == nil {
+		t.Fatalf("stage=%s err=%v, want a failed session", rep.Stage, rep.Err)
+	}
+	if c.Height() != fundBlock || c.PendingCount() != 0 {
+		t.Errorf("chain at block %d with %d pooled, want block %d and an empty pool: the session transacted after its deployment failed", c.Height(), c.PendingCount(), fundBlock)
+	}
+	if !rep.OnChainAddr.IsZero() {
+		t.Errorf("failed deployment reported contract %s", rep.OnChainAddr.Hex())
+	}
+	return rep
+}
+
+// The creation runs out of gas while the transfers in front of it succeed:
+// the session fails with that cause and no party ever deposits.
+func TestCreationRevertFailsSessionBeforeDeposits(t *testing.T) {
+	c, net, faucetKey := manualWorld(t)
+	h := New(c, net, faucetKey, Config{Workers: 1})
+	stopAtCleanup(t, h)
+	shard := fundShard(t, c, h)
+	spec := BettingSpec(4, 600, false)
+	spec.DeployGas = 300_000 // past the intrinsic cost, short of the code deposit
+	tk := h.Submit(spec)
+	mineAt(t, c, 3)
+	rep := requireFailedBeforeDeposits(t, c, tk, c.Height())
+	if !strings.Contains(rep.Err.Error(), "hub: deploy") || !strings.Contains(rep.Err.Error(), "reverted") {
+		t.Errorf("err = %v, want the reverted deployment", rep.Err)
+	}
+	b := c.Latest()
+	if len(b.Transactions) != 3 || !b.Receipts[0].Succeeded() || !b.Receipts[1].Succeeded() || b.Receipts[2].Succeeded() {
+		t.Fatalf("fixture: want two successful transfers and a reverted creation in block %d", b.Number())
+	}
+	for i, p := range rep.Session.Parties {
+		if got := c.BalanceAt(p.Addr); !got.Eq(eth(5)) {
+			t.Errorf("party %d holds %s, want its untouched 5 ether funding", i, got)
+		}
+	}
+	if code := c.CodeAt(types.CreateAddress(shard.Addr, b.Transactions[2].Nonce)); len(code) != 0 {
+		t.Errorf("%d bytes of code where the reverted creation would have put the contract", len(code))
+	}
+}
+
+// A funding transfer is dropped at execution (the shard is drained under
+// it). A dropped transaction leaves its sender's nonce where it was, so
+// everything the shard queued behind it is dropped with it — the creation
+// too, though the shard could still pay for it: no block carries the
+// creation without the transfers. The session fails with the drop as the
+// cause, no contract exists and no party ever deposits.
+func TestDroppedTransferTakesCreationWithIt(t *testing.T) {
+	c, net, faucetKey := manualWorld(t)
+	h := New(c, net, faucetKey, Config{Workers: 1})
+	stopAtCleanup(t, h)
+	shard := fundShard(t, c, h)
+	// Pooled ahead of the session's run: leaves the shard the first transfer
+	// and change. Admission checks each transaction against the state
+	// balance, so all four enter the pool.
+	sink := types.Address{0x51}
+	if _, err := shard.SendTxAsync(&sink, eth(5), 21_000, nil); err != nil {
+		t.Fatal(err)
+	}
+	tk := h.Submit(BettingSpec(4, 600, false))
+	mineAt(t, c, 4)
+	rep := requireFailedBeforeDeposits(t, c, tk, c.Height())
+	if !errors.Is(rep.Err, chain.ErrTxDropped) || !strings.Contains(rep.Err.Error(), "hub: fund "+rep.Session.Parties[1].Addr.Hex()) {
+		t.Errorf("err = %v, want party 1's funding transfer dropped", rep.Err)
+	}
+	b := c.Latest()
+	if len(b.Transactions) != 2 {
+		t.Fatalf("block %d holds %d transactions, want the drain and the first transfer only", b.Number(), len(b.Transactions))
+	}
+	if got := c.BalanceAt(rep.Session.Parties[0].Addr); !got.Eq(eth(5)) {
+		t.Errorf("party 0 holds %s, want 5 ether", got)
+	}
+	if got := c.BalanceAt(rep.Session.Parties[1].Addr); !got.IsZero() {
+		t.Errorf("party 1 holds %s, want nothing", got)
+	}
+	if gas := uint256.NewInt(3_000_000); c.BalanceAt(shard.Addr).Lt(gas) {
+		t.Fatalf("fixture: the shard must still afford the creation's gas")
+	}
+	if code := c.CodeAt(types.CreateAddress(shard.Addr, c.NonceAt(shard.Addr)+1)); len(code) != 0 {
+		t.Errorf("the creation landed without the transfer in front of it")
+	}
+}
+
+// A kill between send and receipt leaves the creation pooled: it lands with
+// no living hub to journal it, an orphan contract with no KindDeployed.
+// Recover abandons the session and sweeps the parties' funding back.
+func TestKillBeforeCreationReceiptAbandonsOrphan(t *testing.T) {
+	c, net, faucetKey := manualWorld(t)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	h1 := New(c, net, faucetKey, Config{Workers: 1, Store: st})
+	stopAtCleanup(t, h1)
+	shard := fundShard(t, c, h1)
+	tk := h1.Submit(BettingSpec(4, 600, false))
+	waitFor(t, 10*time.Second, "the funding run to be pooled", func() bool { return c.PendingCount() == 3 })
+	h1.Kill()
+	if rep := tk.Report(); !errors.Is(rep.Err, ErrCrashed) {
+		t.Fatalf("killed session: stage=%s err=%v, want a crash", rep.Stage, rep.Err)
+	}
+	h1.Stop()
+	b := c.MineBlock()
+	orphan := b.Receipts[2].ContractAddress
+	if len(c.CodeAt(orphan)) == 0 {
+		t.Fatal("fixture: the dead hub's creation did not land")
+	}
+	requireNonceRun(t, b, shard.Addr, 2, orphan)
+
+	type recovered struct {
+		h   *Hub
+		rr  *RecoverReport
+		err error
+	}
+	done := make(chan recovered, 1)
+	go func() {
+		h2, rr, err := Recover(st, c, net, faucetKey, Config{Workers: 1}, testRegistry())
+		done <- recovered{h2, rr, err}
+	}()
+	mineAt(t, c, 2) // the two parties' sweeps
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	stopAtCleanup(t, r.h)
+	if len(r.rr.Sessions) != 1 || r.rr.Sessions[0].Outcome != RecoveryAbandoned || !strings.Contains(r.rr.Sessions[0].Why, "swept 2 party balances") {
+		t.Fatalf("recovery report %+v, want one abandoned session with both parties swept", r.rr.Sessions[0])
+	}
+	if r.h.LiveSessions() != 0 {
+		t.Errorf("%d sessions live after the orphan was abandoned", r.h.LiveSessions())
+	}
+	if got := c.BalanceAt(orphan); !got.IsZero() {
+		t.Errorf("orphan contract holds %s: a deposit reached it", got)
+	}
+}
+
+// Parties check what they did not deploy: when the code the shard's creation
+// left on chain is not the runtime of the on-chain half the parties hold, the
+// session fails at the bind — before anyone signs, and before any deposit.
+func TestForeignCodeFailsSessionBeforeDeposits(t *testing.T) {
+	c, net, faucetKey := manualWorld(t)
+	h := New(c, net, faucetKey, Config{Workers: 1})
+	stopAtCleanup(t, h)
+	fundShard(t, c, h)
+	spec := BettingSpec(4, 600, false)
+	if _, err := h.split(spec); err != nil {
+		t.Fatal(err)
+	}
+	// The parties' copy of the on-chain half differs from what the creation
+	// deploys in its last runtime byte.
+	h.splitMu.Lock()
+	for key, sr := range h.splits {
+		parties, onChain := *sr, *sr.OnChain
+		onChain.Runtime = append([]byte{}, onChain.Runtime...)
+		onChain.Runtime[len(onChain.Runtime)-1] ^= 0xff
+		parties.OnChain = &onChain
+		h.splits[key] = &parties
+	}
+	h.splitMu.Unlock()
+	tk := h.Submit(spec)
+	mineAt(t, c, 3)
+	rep := requireFailedBeforeDeposits(t, c, tk, c.Height())
+	if !strings.Contains(rep.Err.Error(), "not the agreed on-chain contract") {
+		t.Errorf("err = %v, want the code mismatch", rep.Err)
+	}
+	if b := c.Latest(); !b.Receipts[2].Succeeded() || len(c.CodeAt(b.Receipts[2].ContractAddress)) == 0 {
+		t.Fatal("fixture: the creation itself must have succeeded")
 	}
 }

@@ -167,7 +167,8 @@ type Config struct {
 
 // Hub owns a worker pool that runs sessions end-to-end, a watchtower
 // guarding every session it runs, a faucet that funds fresh per-session
-// participant keys, and a split cache so identical scenarios compile once.
+// participant keys and deploys their contract behind the funding, and a
+// split cache so identical scenarios compile once.
 // The hub is mining-policy agnostic: every transaction it (or a session
 // party) submits is observed through chain.WaitReceipt, so the chain may
 // AutoMine a block per transaction or batch many sessions' transactions
@@ -520,15 +521,21 @@ func (h *Hub) deriveKey(sid uint64, index int) (*secp256k1.PrivateKey, error) {
 	return secp256k1.PrivateKeyFromBytes(d[:])
 }
 
-// fund transfers the spec's funding to each address from the worker's own
-// faucet shard (no cross-worker contention), refilling the shard from the
-// root faucet when it runs low. Every transfer goes out asynchronously
-// first and is awaited afterwards: the root-faucet mutex covers only
-// nonce allocation (not a block round-trip), and one batch-mined block
-// can carry the refills and funding transfers of many sessions at once.
-func (h *Hub) fund(shard *hybrid.Participant, addrs []types.Address, amount *uint256.Int) error {
+// fundAndDeploy is the whole of StageDeployed on chain, in one block: the
+// worker's own faucet shard (no cross-worker contention) sends the spec's
+// funding to every party and, directly behind those transfers, the on-chain
+// contract's creation. One sender, consecutive nonces: no block can carry
+// the creation without the transfers, and nothing stops one block carrying
+// all of them — whereas a party could not deploy before a block had funded
+// it, because the pool admits no transaction its sender cannot yet pay for.
+// Everything is sent first and awaited afterwards, and the session binds to
+// the address the creation's receipt reports. Only a shard running low costs
+// a block of its own, for the rare large refill from the root faucet, whose
+// mutex covers nonce allocation and not that round-trip.
+func (h *Hub) fundAndDeploy(t *Ticket, shard *hybrid.Participant, sess *hybrid.Session, amount *uint256.Int, gas uint64, ctorArgs []interface{}) error {
+	addrs := sess.ParticipantAddrs()
 	need := new(uint256.Int).Mul(amount, uint256.NewInt(uint64(len(addrs))))
-	need.Add(need, eth(1)) // gas headroom
+	need.Add(need, eth(1)) // gas headroom, the creation's included
 	if shard.Chain.BalanceAt(shard.Addr).Lt(need) {
 		refill := new(uint256.Int).Mul(need, uint256.NewInt(64))
 		h.faucetMu.Lock()
@@ -545,15 +552,20 @@ func (h *Hub) fund(shard *hybrid.Participant, addrs []types.Address, amount *uin
 			return fmt.Errorf("hub: shard refill reverted (root faucet empty?)")
 		}
 	}
+	sent := time.Now()
 	hashes := make([]types.Hash, len(addrs))
-	for i, a := range addrs {
-		a := a
-		hash, err := shard.SendTxAsync(&a, amount, 21_000, nil)
+	for i := range addrs {
+		hash, err := shard.SendTxAsync(&addrs[i], amount, 21_000, nil)
 		if err != nil {
-			return fmt.Errorf("hub: fund %s: %w", a.Hex(), err)
+			return fmt.Errorf("hub: fund %s: %w", addrs[i].Hex(), err)
 		}
 		hashes[i] = hash
 	}
+	creation, err := sess.DeployOnChainAsync(shard, gas, ctorArgs...)
+	if err != nil {
+		return fmt.Errorf("hub: deploy: %w", err)
+	}
+	var funded uint64
 	for i, hash := range hashes {
 		r, err := shard.WaitReceipt(hash)
 		if err != nil {
@@ -562,7 +574,17 @@ func (h *Hub) fund(shard *hybrid.Participant, addrs []types.Address, amount *uin
 		if !r.Succeeded() {
 			return fmt.Errorf("hub: funding transfer to %s reverted", addrs[i].Hex())
 		}
+		funded = r.BlockNumber
 	}
+	h.tracer.RecordChild(t.tc, t.ID, "chain", "fund", sent, time.Since(sent), fmt.Sprintf("block=%d", funded))
+	r, err := shard.WaitReceipt(creation)
+	if err != nil {
+		return fmt.Errorf("hub: deploy: %w", err)
+	}
+	if err := sess.BindOnChain(r); err != nil {
+		return fmt.Errorf("hub: deploy: %w", err)
+	}
+	h.tracer.RecordChild(t.tc, t.ID, "chain", "deploy", sent, time.Since(sent), fmt.Sprintf("block=%d", r.BlockNumber))
 	return nil
 }
 
@@ -718,11 +740,6 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 	if rep := h.gate(lc, StageDeployed); rep != nil {
 		return rep
 	}
-	fundStart := time.Now()
-	if err := h.fund(shard, addrs, funding); err != nil {
-		return fail(err)
-	}
-	h.tracer.RecordChild(t.tc, t.ID, "chain", "fund", fundStart, time.Since(fundStart), "")
 	sess, err := hybrid.NewSession(split, parties)
 	if err != nil {
 		return fail(err)
@@ -732,14 +749,14 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 	sess.Trace = t.tc
 	rep.Session = sess
 
-	// Stage 2a: deploy the on-chain half.
+	// Stage 2a: fund the parties and deploy the on-chain half.
 	gas := spec.DeployGas
 	if gas == 0 {
 		gas = 3_000_000
 	}
 	ctorArgs := spec.CtorArgs(addrs, h.chain.Now())
-	if _, err := sess.DeployOnChain(gas, ctorArgs...); err != nil {
-		return fail(fmt.Errorf("hub: deploy: %w", err))
+	if err := h.fundAndDeploy(t, shard, sess, funding, gas, ctorArgs); err != nil {
+		return fail(err)
 	}
 	rep.OnChainAddr = sess.OnChainAddr
 	h.journal.log(&store.Record{Kind: store.KindDeployed, SID: t.ID, U1: h.chain.Height(), Blob: sess.OnChainAddr[:]})

@@ -10,6 +10,7 @@ import (
 	"onoffchain/internal/rollup"
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/store"
+	"onoffchain/internal/types"
 )
 
 // RollupConfig switches the hub from per-session settlement (one submit +
@@ -52,10 +53,10 @@ func sequencerKey() (*secp256k1.PrivateKey, error) {
 	return secp256k1.PrivateKeyFromBytes(d[:])
 }
 
-// initRollup builds (without starting) the hub-hosted sequencer: mint and
-// fund its identity, seed it from folded WAL state (nil for a fresh hub),
-// and hook its durable state into WAL compaction. Split from
-// launchRollup because recovery must re-arm session guards between the
+// initRollup builds (without starting) the hub-hosted sequencer: mint its
+// identity, seed it from folded WAL state (nil for a fresh hub), fund it and
+// deploy its registry, and hook its durable state into WAL compaction. Split
+// from launchRollup because recovery must re-arm session guards between the
 // two — Start can re-post torn epochs, and those posts must open batch
 // windows on a tower that already knows the sessions.
 func (h *Hub) initRollup(f *rollup.Folded) error {
@@ -66,22 +67,6 @@ func (h *Hub) initRollup(f *rollup.Folded) error {
 	}
 	party := hybrid.NewParticipant(key, h.chain, nil)
 	party.Ctx = h.ctx
-	// The sequencer pays for the registry deploy and every epoch post.
-	if h.chain.BalanceAt(party.Addr).Lt(eth(100)) {
-		h.faucetMu.Lock()
-		hash, err := h.faucet.SendTxAsync(&party.Addr, eth(1000), 21_000, nil)
-		h.faucetMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("hub: fund sequencer: %w", err)
-		}
-		r, err := h.faucet.WaitReceipt(hash)
-		if err != nil {
-			return fmt.Errorf("hub: fund sequencer: %w", err)
-		}
-		if !r.Succeeded() {
-			return errors.New("hub: sequencer funding reverted (faucet empty?)")
-		}
-	}
 	window := rc.Window
 	if window == 0 {
 		window = 600
@@ -105,24 +90,59 @@ func (h *Hub) initRollup(f *rollup.Folded) error {
 	}
 	h.seq = seq
 	h.journal.extra = seq.StateRecords
+	return h.fundAndDeployRollup(party)
+}
+
+// fundAndDeployRollup is rollup start-up on chain, in one block: the root
+// faucet sends the sequencer's funding (it pays for every epoch post) and,
+// directly behind it, the registry's creation — one sender, consecutive
+// nonces under faucetMu, the argument of fundAndDeploy. Either half is
+// skipped when a dead generation already did it: a funded sequencer, a
+// registry seeded from the WAL.
+func (h *Hub) fundAndDeployRollup(party *hybrid.Participant) error {
+	var (
+		funding types.Hash
+		bind    func() error
+		err     error
+	)
+	fund := h.chain.BalanceAt(party.Addr).Lt(eth(100))
+	h.faucetMu.Lock()
+	if fund {
+		funding, err = h.faucet.SendTxAsync(&party.Addr, eth(1000), 21_000, nil)
+	}
+	if err == nil && h.seq.Registry() == nil {
+		bind, err = h.seq.DeployRegistryAsync(h.faucet)
+	}
+	h.faucetMu.Unlock()
+	if err != nil {
+		return fmt.Errorf("hub: rollup start-up: %w", err)
+	}
+	if fund {
+		r, err := h.faucet.WaitReceipt(funding)
+		if err != nil {
+			return fmt.Errorf("hub: fund sequencer: %w", err)
+		}
+		if !r.Succeeded() {
+			return errors.New("hub: sequencer funding reverted (faucet empty?)")
+		}
+	}
+	if bind != nil {
+		return bind()
+	}
 	return nil
 }
 
-// launchRollup arms the tower and starts the sequencer. The pre-Start arm
-// matters on recovery: Start re-posts epochs the crash tore between seal
-// and receipt, and those posts must open batch windows. A fresh hub has
-// no registry before Start, so it arms after — no epochs can post in
-// between. The CachedEpochs sweep re-examines every posted epoch whose
-// batch window may still be open (recovery's replacement for the
-// per-session RestoreWindow path, which cannot carry Merkle context).
+// launchRollup arms the tower — initRollup left the registry installed —
+// and then starts the sequencer. The order matters on recovery: Start
+// re-posts epochs the crash tore between seal and receipt, and those posts
+// must open batch windows. The CachedEpochs sweep re-examines every posted
+// epoch whose batch window may still be open (recovery's replacement for
+// the per-session RestoreWindow path, which cannot carry Merkle context).
 func (h *Hub) launchRollup() error {
-	if reg := h.seq.Registry(); reg != nil {
-		h.tower.ArmRollup(reg, h.seq)
-	}
+	h.tower.ArmRollup(h.seq.Registry(), h.seq)
 	if err := h.seq.Start(); err != nil {
 		return err
 	}
-	h.tower.ArmRollup(h.seq.Registry(), h.seq)
 	for _, ep := range h.seq.CachedEpochs() {
 		h.tower.IngestEpoch(ep)
 	}

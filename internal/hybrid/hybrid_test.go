@@ -630,3 +630,77 @@ func TestSplitSourcesCompileStandalone(t *testing.T) {
 		t.Errorf("default challenge period = %d", split.Policy.ChallengePeriod)
 	}
 }
+
+// The parties need not deploy their own contract — anyone with the balance
+// can send the creation — but they bind only to the code they split: a
+// deployer that created anything else is found out from the receipt, before
+// there is an address to sign for or deposit to.
+func TestBindOnChainChecksDeployedCode(t *testing.T) {
+	fx := newFixture(t)
+	split, err := Split(BettingSource, "Betting", BettingPolicy(600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := fx.chain.Now()
+	ctorArgs := []interface{}{
+		fx.alice.Addr, fx.bob.Addr, now + 1000, now + 2000, now + 3000,
+		uint64(0x5ec4e7a), uint64(0x5ec4e7b), uint64(8),
+	}
+	keyD, _ := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0xD3B107))
+	deployer := NewParticipant(keyD, fx.chain, nil)
+	if r, err := fx.alice.SendTx(&deployer.Addr, eth(1), 21_000, nil); err != nil || !r.Succeeded() {
+		t.Fatalf("funding the deployer: %v", err)
+	}
+
+	sess, err := NewSession(split, []*Participant{fx.alice, fx.bob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce := fx.chain.NonceAt(deployer.Addr)
+	hash, err := sess.DeployOnChainAsync(deployer, 3_000_000, ctorArgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := deployer.WaitReceipt(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.BindOnChain(r); err != nil {
+		t.Fatalf("the agreed contract from a non-party deployer: %v", err)
+	}
+	if want := types.CreateAddress(deployer.Addr, nonce); sess.OnChainAddr != want {
+		t.Errorf("bound to %s, want the deployer's creation %s", sess.OnChainAddr.Hex(), want.Hex())
+	}
+	if err := sess.SignAndExchange(ctorArgs...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.alice.Invoke(split.OnChain, sess.OnChainAddr, eth(1), 300_000, "deposit"); err != nil {
+		t.Fatalf("party deposit into a contract it did not deploy: %v", err)
+	}
+
+	// The same deployer, creating the on-chain half of a different policy.
+	pol := BettingPolicy(600)
+	pol.LifecycleEvents = true
+	other, err := Split(BettingSource, "Betting", pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := other.OnChain.DeployWithArgs(other.OnChainCtorArgs(ctorArgs)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, foreign, err := deployer.Deploy(code, nil, 3_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := NewSession(split, []*Participant{fx.alice, fx.bob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.BindOnChain(foreign); err == nil || !strings.Contains(err.Error(), "not the agreed on-chain contract") {
+		t.Fatalf("bound to foreign code: err=%v", err)
+	}
+	if !victim.OnChainAddr.IsZero() {
+		t.Errorf("session holds address %s after a refused bind", victim.OnChainAddr.Hex())
+	}
+}

@@ -86,11 +86,7 @@ func (p *Participant) submitAndWait(to *types.Address, value *uint256.Int, gas u
 	}
 	r, err := p.Chain.WaitReceipt(p.ctx(), hash)
 	if p.Trace != nil {
-		name := "tx"
-		if to == nil {
-			name = "deploy"
-		}
-		p.Trace(name, start, time.Since(start), "")
+		p.Trace("tx", start, time.Since(start), "")
 	}
 	return r, err
 }

@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -20,7 +21,7 @@ type Session struct {
 	Split   *SplitResult
 	Parties []*Participant // in participant order (index = signature slot)
 
-	// OnChainAddr is set by DeployOnChain (stage 2).
+	// OnChainAddr is set by BindOnChain (stage 2).
 	OnChainAddr types.Address
 	// Copy is the fully-signed off-chain contract (stage 2).
 	Copy *SignedCopy
@@ -85,22 +86,54 @@ func (s *Session) participantPubs() []*secp256k1.PublicKey {
 	return pubs
 }
 
-// DeployOnChain performs the first half of stage 2 (deploy/sign): any
-// participant (by convention the first) deploys the on-chain contract.
-// ctorArgs is the WHOLE contract's argument list; the session selects the
-// pruned public subset, so private rule parameters never leave the
-// participants' machines.
+// DeployOnChain performs the first half of stage 2 (deploy/sign): the first
+// participant deploys the on-chain contract and the session binds to the
+// address its receipt reports. ctorArgs is the WHOLE contract's argument
+// list; the session selects the pruned public subset, so private rule
+// parameters never leave the participants' machines.
 func (s *Session) DeployOnChain(gas uint64, ctorArgs ...interface{}) (*types.Receipt, error) {
+	hash, err := s.DeployOnChainAsync(s.Parties[0], gas, ctorArgs...)
+	if err != nil {
+		return nil, err
+	}
+	r, err := s.Parties[0].WaitReceipt(hash)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.BindOnChain(r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// DeployOnChainAsync pools the on-chain contract's creation from deployer
+// without waiting for it to mine; BindOnChain completes the deployment from
+// the receipt. The deployer need not be a participant: participants are
+// constructor arguments and no generated constructor reads msg.sender, so
+// whoever pays for the creation has no standing in the contract. A sender
+// that queues the creation behind the parties' funding transfers has one
+// block carry both.
+func (s *Session) DeployOnChainAsync(deployer *Participant, gas uint64, ctorArgs ...interface{}) (types.Hash, error) {
 	code, err := s.Split.OnChain.DeployWithArgs(s.Split.OnChainCtorArgs(ctorArgs)...)
 	if err != nil {
-		return nil, err
+		return types.Hash{}, err
 	}
-	addr, receipt, err := s.Parties[0].Deploy(code, nil, gas)
-	if err != nil {
-		return nil, err
+	return deployer.SendTxAsync(nil, nil, gas, code)
+}
+
+// BindOnChain binds the session to the contract the creation's receipt
+// reports. The parties did not necessarily send that creation, so before
+// anyone signs or deposits the code at the address must be, byte for byte,
+// the runtime of the on-chain half they split themselves.
+func (s *Session) BindOnChain(r *types.Receipt) error {
+	if !r.Succeeded() {
+		return errors.New("hybrid: deployment reverted")
 	}
-	s.OnChainAddr = addr
-	return receipt, nil
+	if !bytes.Equal(s.Parties[0].Chain.CodeAt(r.ContractAddress), s.Split.OnChain.Runtime) {
+		return fmt.Errorf("hybrid: code at %s is not the agreed on-chain contract", r.ContractAddress.Hex())
+	}
+	s.OnChainAddr = r.ContractAddress
+	return nil
 }
 
 // SignAndExchange performs the second half of stage 2: every participant

@@ -141,6 +141,20 @@ type Registry struct {
 // DeployRegistry deploys a fresh registry naming sequencer as the only
 // address allowed to post epochs.
 func DeployRegistry(p *hybrid.Participant, depth int, sequencer types.Address, window, gas uint64) (*Registry, error) {
+	bind, err := DeployRegistryAsync(p, depth, sequencer, window, gas)
+	if err != nil {
+		return nil, err
+	}
+	return bind()
+}
+
+// DeployRegistryAsync pools the registry's creation from p without waiting
+// for it to mine; the returned bind waits for the receipt and yields the
+// handle. The constructor takes the sequencer as an argument and never
+// reads msg.sender, so p may be anyone with the balance — a faucet that
+// queues the creation behind the sequencer's funding transfer has one block
+// carry both.
+func DeployRegistryAsync(p *hybrid.Participant, depth int, sequencer types.Address, window, gas uint64) (bind func() (*Registry, error), err error) {
 	cc, err := CompiledRegistry(depth)
 	if err != nil {
 		return nil, err
@@ -149,11 +163,20 @@ func DeployRegistry(p *hybrid.Participant, depth int, sequencer types.Address, w
 	if err != nil {
 		return nil, err
 	}
-	addr, _, err := p.Deploy(code, nil, gas)
+	hash, err := p.SendTxAsync(nil, nil, gas, code)
 	if err != nil {
 		return nil, fmt.Errorf("rollup: registry deploy: %w", err)
 	}
-	return &Registry{CC: cc, Addr: addr, Depth: depth, Window: window}, nil
+	return func() (*Registry, error) {
+		r, err := p.WaitReceipt(hash)
+		if err != nil {
+			return nil, fmt.Errorf("rollup: registry deploy: %w", err)
+		}
+		if !r.Succeeded() {
+			return nil, fmt.Errorf("rollup: registry deploy reverted")
+		}
+		return &Registry{CC: cc, Addr: r.ContractAddress, Depth: depth, Window: window}, nil
+	}, nil
 }
 
 // OpenRegistry re-attaches to an already-deployed registry (recovery,

@@ -275,20 +275,43 @@ func (s *Sequencer) Seed(f *Folded) error {
 	return nil
 }
 
-// Start deploys the registry (or probes the seeded one), reconciles any
-// sealed-but-maybe-unposted epochs against the chain — posting exactly
-// the ones that never landed — and launches the seal loop.
-func (s *Sequencer) Start() error {
-	if s.registry == nil {
-		reg, err := DeployRegistry(s.cfg.Party, s.cfg.Depth, s.cfg.Party.Addr, s.cfg.Window, s.cfg.DeployGas)
+// DeployRegistryAsync pools the registry's creation from deployer — the
+// sequencer's own party, or whoever funds it — naming this sequencer as the
+// only poster. The returned bind waits for the receipt, journals the
+// registry and installs it. Must complete before Start, which otherwise
+// deploys from the sequencer's party itself.
+func (s *Sequencer) DeployRegistryAsync(deployer *hybrid.Participant) (bind func() error, err error) {
+	wait, err := DeployRegistryAsync(deployer, s.cfg.Depth, s.cfg.Party.Addr, s.cfg.Window, s.cfg.DeployGas)
+	if err != nil {
+		return nil, err
+	}
+	return func() error {
+		reg, err := wait()
 		if err != nil {
 			return err
 		}
-		s.registry = reg
 		if err := s.journal(&store.Record{
 			Kind: store.KindRollupRegistry, Blob: reg.Addr[:],
 			U1: s.cfg.Window, U2: uint64(s.cfg.Depth),
 		}); err != nil {
+			return err
+		}
+		s.registry = reg
+		return nil
+	}, nil
+}
+
+// Start deploys the registry unless one is installed already (seeded, or
+// deployed through DeployRegistryAsync), reconciles any
+// sealed-but-maybe-unposted epochs against the chain — posting exactly the
+// ones that never landed — and launches the seal loop.
+func (s *Sequencer) Start() error {
+	if s.registry == nil {
+		bind, err := s.DeployRegistryAsync(s.cfg.Party)
+		if err != nil {
+			return err
+		}
+		if err := bind(); err != nil {
 			return err
 		}
 	}

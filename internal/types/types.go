@@ -311,6 +311,7 @@ type Receipt struct {
 	CumulativeGasUsed uint64
 	GasUsed           uint64
 	TxHash            Hash
+	BlockNumber       uint64  // the block that carries the tx; not part of the consensus encoding
 	ContractAddress   Address // set when the tx created a contract
 	Logs              []*Log
 	Bloom             Bloom

@@ -110,8 +110,9 @@ type Config struct {
 	// verdict hint usually arrives a beat after the chain event, and
 	// honoring it saves the fleet a redundant off-chain execution.
 	VouchWait time.Duration
-	// DisputeWorkers bounds the wrapped tower's verify-and-file workers
-	// (standalone towers only; a hub's tower is sized by hub.Config).
+	// DisputeWorkers bounds the wrapped tower's concurrent sandbox runs, not
+	// its filings (standalone towers only; a hub's tower is sized by
+	// hub.Config, which has the full statement).
 	DisputeWorkers int
 	// SignGossip additionally signs every gossip envelope with the
 	// tower's secp256k1 key (whisper.PostOptions.Unsigned = false) and

@@ -63,12 +63,12 @@ func mineAt(tb testing.TB, c *chain.Chain, depths ...int) {
 }
 
 // One session's phases up to its result submission, as pool depths per
-// concurrently running session: the worker's shard refill (once per 64
-// sessions of a shard, so not part of any session's budget), the two funding
-// transfers with the contract creation behind them, the two deposits. (The
+// concurrently running session, when its worker's shard is cold (as every
+// shard of a fresh hub is): the root faucet's run — the shard's refill, the
+// two funding transfers, the contract creation — then the two deposits. (The
 // tower's and sequencer's transactions follow and are scripted by each test.)
 func setupPhases(sessions int) []int {
-	return []int{sessions, 3 * sessions, 2 * sessions}
+	return []int{4 * sessions, 2 * sessions}
 }
 
 // startRollupHub builds a rollup-mode hub on the manual chain. New returns
@@ -91,17 +91,22 @@ func startRollupHub(t *testing.T, c *chain.Chain, net *whisper.Network, faucetKe
 	}
 	stopAtCleanup(t, h)
 	reg, _ := h.RollupHandles()
-	requireNonceRun(t, c.Latest(), h.faucet.Addr, 1, reg.Addr)
+	seqKey, err := sequencerKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireNonceRun(t, c.Latest(), h.faucet.Addr, []types.Address{types.Address(seqKey.EthereumAddress())}, reg.Addr)
 	return h
 }
 
 // requireNonceRun asserts that the block is exactly one sender's run of
-// consecutive nonces — transfers value transfers, then one creation — and
-// that the creation made the contract at created.
-func requireNonceRun(t *testing.T, b *types.Block, sender types.Address, transfers int, created types.Address) {
+// consecutive nonces — transfers value transfers to the given recipients, in
+// that order, then one creation — and that the creation made the contract at
+// created.
+func requireNonceRun(t *testing.T, b *types.Block, sender types.Address, transfers []types.Address, created types.Address) {
 	t.Helper()
-	if len(b.Transactions) != transfers+1 {
-		t.Fatalf("block %d holds %d transactions, want %d transfers + 1 creation", b.Number(), len(b.Transactions), transfers)
+	if len(b.Transactions) != len(transfers)+1 {
+		t.Fatalf("block %d holds %d transactions, want %d transfers + 1 creation", b.Number(), len(b.Transactions), len(transfers))
 	}
 	for i, tx := range b.Transactions {
 		if from, err := tx.Sender(); err != nil || from != sender {
@@ -110,17 +115,37 @@ func requireNonceRun(t *testing.T, b *types.Block, sender types.Address, transfe
 		if want := b.Transactions[0].Nonce + uint64(i); tx.Nonce != want {
 			t.Errorf("block %d tx %d has nonce %d, want %d (consecutive)", b.Number(), i, tx.Nonce, want)
 		}
-		if creation := i == transfers; tx.IsContractCreation() != creation {
+		if creation := i == len(transfers); tx.IsContractCreation() != creation {
 			t.Errorf("block %d tx %d: creation=%v, want the transfers first and the creation last", b.Number(), i, tx.IsContractCreation())
+		} else if !creation && *tx.To != transfers[i] {
+			t.Errorf("block %d tx %d pays %s, want %s", b.Number(), i, tx.To.Hex(), transfers[i].Hex())
 		}
 		if !b.Receipts[i].Succeeded() {
 			t.Errorf("block %d tx %d reverted", b.Number(), i)
 		}
 	}
-	creation := b.Transactions[transfers]
-	if got := types.CreateAddress(sender, creation.Nonce); got != created || b.Receipts[transfers].ContractAddress != created {
+	creation := b.Transactions[len(transfers)]
+	if got := types.CreateAddress(sender, creation.Nonce); got != created || b.Receipts[len(transfers)].ContractAddress != created {
 		t.Errorf("contract at %s, want CreateAddress(sender, %d) = %s", created.Hex(), creation.Nonce, got.Hex())
 	}
+}
+
+// recovered is what Recover returned.
+type recovered struct {
+	h   *Hub
+	rr  *RecoverReport
+	err error
+}
+
+// recoverAsync runs Recover off the test's goroutine: on the manual chain it
+// returns only once the test has sealed the blocks recovery waits for.
+func recoverAsync(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, cfg Config) <-chan recovered {
+	done := make(chan recovered, 1)
+	go func() {
+		h, rr, err := Recover(st, c, net, faucetKey, cfg, testRegistry())
+		done <- recovered{h, rr, err}
+	}()
+	return done
 }
 
 // blockOf returns the block of the one log on addr with the topic.
@@ -342,21 +367,28 @@ func spanAttrs(t *testing.T, tr *telemetry.Tracer, sid uint64, layer, name strin
 // chain to itself. Every phase below is waited for — the next block is
 // sealed only once the pool holds exactly that phase's transactions — so a
 // change that adds a wait times out here, and one that removes a wait finds
-// the wrong pool depth. The first block is the funding shard's nonce run:
-// the parties' transfers and the contract's creation behind them.
+// the wrong pool depth. The first block is one sender's nonce run: the
+// parties' transfers and the contract's creation behind them, from the
+// worker's shard when it can pay and otherwise from the root faucet, with the
+// shard's refill in front. The burst rows are the same budget for sessions
+// that arrive together: k epochs post in one block, l lies are enforced in
+// one block.
 func TestBlockWaitBudget(t *testing.T) {
-	dispute := 2 // deployVerifiedInstance + returnDisputeResolution
+	const dispute = 2 // deployVerifiedInstance + returnDisputeResolution
 	cases := []struct {
 		name   string
 		rollup bool
 		lying  bool
-		phases []int // pool depth at each seal, after the shard's refill
+		cold   bool  // the shard cannot pay: the root faucet sends the run, refill first
+		phases []int // pool depth at each seal
 		end    Stage
 	}{
-		{"persession/honest", false, false, []int{3, 2, 1, 1}, StageSettled},      // fund+deploy, deposits, submit, finalize
-		{"persession/lying", false, true, []int{3, 2, 1, dispute}, StageResolved}, // …, the lie, the dispute
-		{"rollup/honest", true, false, []int{3, 2, 1}, StageRolledUp},             // fund+deploy, deposits, postEpoch
-		{"rollup/lying", true, true, []int{3, 2, 1, 1 + dispute}, StageResolved},  // …, openLeaf + the dispute
+		{"persession/honest", false, false, false, []int{3, 2, 1, 1}, StageSettled},      // fund+deploy, deposits, submit, finalize
+		{"persession/lying", false, true, false, []int{3, 2, 1, dispute}, StageResolved}, // …, the lie, the dispute
+		{"rollup/honest", true, false, false, []int{3, 2, 1}, StageRolledUp},             // fund+deploy, deposits, postEpoch
+		{"rollup/lying", true, true, false, []int{3, 2, 1, 1 + dispute}, StageResolved},  // …, openLeaf + the dispute
+		{"cold/persession", false, false, true, []int{4, 2, 1, 1}, StageSettled},         // refill+fund+deploy, …: the same four blocks
+		{"cold/rollup", true, false, true, []int{4, 2, 1}, StageRolledUp},                // … and the same three
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -371,8 +403,11 @@ func TestBlockWaitBudget(t *testing.T) {
 				h = New(c, net, faucetKey, Config{Workers: 1, Tracer: tr})
 				stopAtCleanup(t, h)
 			}
+			sender, label := h.faucet.Addr, "root"
+			if !tc.cold {
+				sender, label = fundShard(t, c, h).Addr, "shard"
+			}
 			tk := h.Submit(BettingSpec(4, 600, tc.lying))
-			mineAt(t, c, 1) // the shard's refill
 			first := c.Height() + 1
 			mineAt(t, c, tc.phases...)
 			select {
@@ -392,19 +427,100 @@ func TestBlockWaitBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireNonceRun(t, b, h.shards[0].Addr, len(rep.Session.Parties), rep.OnChainAddr)
-			for i, addr := range rep.Session.ParticipantAddrs() {
-				if to := b.Transactions[i].To; to == nil || *to != addr {
-					t.Errorf("transfer %d does not fund party %d", i, i)
-				}
+			transfers := rep.Session.ParticipantAddrs()
+			if tc.cold {
+				transfers = append([]types.Address{h.shards[0].Addr}, transfers...)
 			}
-			// The spans' named reader: both start at send and end in the same block.
-			want := fmt.Sprintf("block=%d", first)
-			if fund, deploy := spanAttrs(t, tr, rep.ID, "chain", "fund"), spanAttrs(t, tr, rep.ID, "chain", "deploy"); fund != want || deploy != want {
-				t.Errorf("chain/fund %q, chain/deploy %q, want both %q", fund, deploy, want)
+			requireNonceRun(t, b, sender, transfers, rep.OnChainAddr)
+			// The spans' named reader: both start at send and end in the same
+			// block, and chain/fund names who paid.
+			fund, deploy := fmt.Sprintf("block=%d sender=%s", first, label), fmt.Sprintf("block=%d", first)
+			if gotFund, gotDeploy := spanAttrs(t, tr, rep.ID, "chain", "fund"), spanAttrs(t, tr, rep.ID, "chain", "deploy"); gotFund != fund || gotDeploy != deploy {
+				t.Errorf("chain/fund %q, chain/deploy %q, want %q and %q", gotFund, gotDeploy, fund, deploy)
+			}
+			if tc.cold && c.BalanceAt(h.shards[0].Addr).Lt(eth(11)) {
+				t.Errorf("shard holds %s after the cold run: the next session would be cold too", c.BalanceAt(h.shards[0].Addr))
 			}
 		})
 	}
+
+	// k sessions in lockstep, one leaf per epoch: the sequencer seals and sends
+	// epoch n+1 without waiting for epoch n's receipt, so one block carries all
+	// k posts, numbered in seal order — 3 blocks for the wave, as for one.
+	t.Run("burst/epochs", func(t *testing.T) {
+		const k = 3
+		c, net, faucetKey := manualWorld(t)
+		tr := telemetry.NewTracer(4096)
+		h := startRollupHub(t, c, net, faucetKey, Config{Workers: k, Tracer: tr,
+			Rollup: &RollupConfig{Depth: 1, EpochCap: 1, EpochAge: time.Hour}})
+		tickets := make([]*Ticket, k)
+		for i := range tickets {
+			tickets[i] = h.Submit(BettingSpec(4, 600, false))
+		}
+		mineAt(t, c, setupPhases(k)...)
+		mineAt(t, c, k) // every postEpoch
+		for _, tk := range tickets {
+			if rep := tk.Report(); rep.Err != nil || rep.Stage != StageRolledUp {
+				t.Fatalf("session %d: stage=%s err=%v, want rolled-up", rep.ID, rep.Stage, rep.Err)
+			}
+		}
+		posts := c.Latest()
+		for n, l := range requireEpochsInSealOrder(t, c, h, k, k) {
+			if l.BlockNumber != posts.Number() {
+				t.Errorf("epoch %d posted in block %d, want all %d in block %d", n, l.BlockNumber, k, posts.Number())
+			}
+		}
+		// rollup/post_epoch's named reader: equal block= means one block.
+		var spans []string
+		for _, sp := range tr.SID(0) {
+			if sp.Layer == "rollup" && sp.Name == "post_epoch" {
+				spans = append(spans, sp.Attrs)
+			}
+		}
+		if len(spans) != k {
+			t.Fatalf("%d rollup/post_epoch spans, want %d", len(spans), k)
+		}
+		for n, attrs := range spans {
+			if !strings.HasPrefix(attrs, fmt.Sprintf("epoch=%d ", n)) || !strings.HasSuffix(attrs, fmt.Sprintf(" block=%d", posts.Number())) {
+				t.Errorf("post_epoch span %d: %q, want epoch=%d … block=%d", n, attrs, n, posts.Number())
+			}
+		}
+	})
+
+	// More lies in one block than the tower has sandbox slots: every dispute is
+	// sent before any of them has a receipt, so all are enforced in the next
+	// block, and the honest submission of that block has its clean verdict
+	// while they are still pooled.
+	t.Run("burst/lies", func(t *testing.T) {
+		const l = 4 + 2 // the default DisputeWorkers, and two more
+		c, net, faucetKey := manualWorld(t)
+		h := New(c, net, faucetKey, Config{Workers: l + 1})
+		stopAtCleanup(t, h)
+		honest := h.Submit(BettingSpec(4, 600, false))
+		lying := make([]*Ticket, l)
+		for i := range lying {
+			lying[i] = h.Submit(BettingSpec(4, 600, true))
+		}
+		mineAt(t, c, setupPhases(l+1)...)
+		mineAt(t, c, l+1) // every submitResult
+		lies := c.Height()
+		waitFor(t, 10*time.Second, "all l dispute pairs to be pooled at once", func() bool { return c.PendingCount() == l*dispute })
+		waitFor(t, 10*time.Second, "the honest submission's verdict, with every dispute unmined", func() bool { return h.tower.PendingDisputes() == l })
+		c.MineBlock()
+		for _, tk := range lying {
+			rep := tk.Report()
+			if rep.Err != nil || rep.Stage != StageResolved || !rep.Disputed {
+				t.Fatalf("lying session %d: stage=%s disputed=%v err=%v, want a resolved dispute", rep.ID, rep.Stage, rep.Disputed, rep.Err)
+			}
+			if got := blockOf(t, c, rep.OnChainAddr, hybrid.TopicDisputeResolved); got != lies+1 {
+				t.Errorf("session %d lied in block %d, enforced in block %d, want %d", rep.ID, lies, got, lies+1)
+			}
+		}
+		mineAt(t, c, 1) // the honest finalizeResult, behind the clock barrier
+		if rep := honest.Report(); rep.Err != nil || rep.Stage != StageSettled || rep.Disputed {
+			t.Fatalf("honest session: stage=%s disputed=%v err=%v, want settled", rep.Stage, rep.Disputed, rep.Err)
+		}
+	})
 }
 
 // fundShard gives the lone worker's shard exactly what one betting session
@@ -532,18 +648,17 @@ func TestKillBeforeCreationReceiptAbandonsOrphan(t *testing.T) {
 	if len(c.CodeAt(orphan)) == 0 {
 		t.Fatal("fixture: the dead hub's creation did not land")
 	}
-	requireNonceRun(t, b, shard.Addr, 2, orphan)
-
-	type recovered struct {
-		h   *Hub
-		rr  *RecoverReport
-		err error
+	parties := make([]types.Address, 2)
+	for i := range parties {
+		key, err := h1.deriveKey(tk.ID, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parties[i] = types.Address(key.EthereumAddress())
 	}
-	done := make(chan recovered, 1)
-	go func() {
-		h2, rr, err := Recover(st, c, net, faucetKey, Config{Workers: 1}, testRegistry())
-		done <- recovered{h2, rr, err}
-	}()
+	requireNonceRun(t, b, shard.Addr, parties, orphan)
+
+	done := recoverAsync(st, c, net, faucetKey, Config{Workers: 1})
 	mineAt(t, c, 2) // the two parties' sweeps
 	r := <-done
 	if r.err != nil {

@@ -134,11 +134,12 @@ type Config struct {
 	// WAL writes and no further chain transactions. The crash-injection
 	// harness is built on this hook (typically combined with Kill).
 	StageHook func(sid uint64, s Stage) bool
-	// DisputeWorkers bounds the watchtower's concurrent verify-and-file
-	// dispute workers (default 4). Dispute transactions are dispatched off
-	// the tower's event loop, so one dispute's receipt wait — one block
-	// interval, two when the instance address was mispredicted — does not
-	// stall examination of every other session's blocks.
+	// DisputeWorkers bounds the watchtower's concurrent sandbox runs — the
+	// private re-executions that produce its own verdict on a submission
+	// (default 4). It does not bound filings: a slot is released before any
+	// dispute transaction is sent or awaited, so a clean verdict never queues
+	// behind another window's receipt wait, and any number of concurrent lies
+	// are enforced in the same block.
 	DisputeWorkers int
 	// Observer, when set, mirrors the watchtower's guard events (windows
 	// opened/closed, dispute intents) to an external listener — the seam
@@ -199,7 +200,7 @@ type Hub struct {
 	splitMu sync.Mutex
 	splits  map[types.Hash]*hybrid.SplitResult
 
-	faucetMu sync.Mutex // serializes the root faucet (shard refills)
+	faucetMu sync.Mutex // serializes the root faucet's nonce runs (cold-shard runs, rollup start-up)
 	shards   []*hybrid.Participant
 	// keySecret seeds every party and shard key (see deriveKey). Derived
 	// from the faucet key, the one credential a hub and the hub recovered
@@ -521,30 +522,64 @@ func (h *Hub) deriveKey(sid uint64, index int) (*secp256k1.PrivateKey, error) {
 	return secp256k1.PrivateKeyFromBytes(d[:])
 }
 
-// fundAndDeploy is the whole of StageDeployed on chain, in one block: the
-// worker's own faucet shard (no cross-worker contention) sends the spec's
-// funding to every party and, directly behind those transfers, the on-chain
-// contract's creation. One sender, consecutive nonces: no block can carry
-// the creation without the transfers, and nothing stops one block carrying
-// all of them — whereas a party could not deploy before a block had funded
-// it, because the pool admits no transaction its sender cannot yet pay for.
-// Everything is sent first and awaited afterwards, and the session binds to
-// the address the creation's receipt reports. Only a shard running low costs
-// a block of its own, for the rare large refill from the root faucet, whose
-// mutex covers nonce allocation and not that round-trip.
+// fundAndDeploy is the whole of StageDeployed on chain, in one block: one
+// sender sends the spec's funding to every party and, directly behind those
+// transfers, the on-chain contract's creation. One sender, consecutive nonces:
+// no block can carry the creation without the transfers, and nothing stops one
+// block carrying all of them — whereas a party could not deploy before a block
+// had funded it, because the pool admits no transaction its sender cannot yet
+// pay for. Everything is sent first and awaited afterwards, and the session
+// binds to the address the creation's receipt reports.
+//
+// The sender is the worker's own faucet shard (no cross-worker contention)
+// whenever the shard can pay. A shard that cannot — every worker's first
+// session, then one in ~64 — is under the same pool rule as the parties: it
+// could not send until a block had refilled it. So the root faucet sends that
+// session's whole run instead, the shard's refill in front of it, in one nonce
+// run under faucetMu (which covers the sends and none of the waits): the
+// single-sender argument with the sender swapped, and no block for the refill
+// alone. The next session finds the shard funded.
 func (h *Hub) fundAndDeploy(t *Ticket, shard *hybrid.Participant, sess *hybrid.Session, amount *uint256.Int, gas uint64, ctorArgs []interface{}) error {
 	addrs := sess.ParticipantAddrs()
 	need := new(uint256.Int).Mul(amount, uint256.NewInt(uint64(len(addrs))))
 	need.Add(need, eth(1)) // gas headroom, the creation's included
-	if shard.Chain.BalanceAt(shard.Addr).Lt(need) {
-		refill := new(uint256.Int).Mul(need, uint256.NewInt(64))
-		h.faucetMu.Lock()
-		hash, err := h.faucet.SendTxAsync(&shard.Addr, refill, 21_000, nil)
-		h.faucetMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("hub: refill shard: %w", err)
+	sender, label := shard, "shard"
+	cold := shard.Chain.BalanceAt(shard.Addr).Lt(need)
+	if cold {
+		sender, label = h.faucet, "root"
+	}
+	sent := time.Now()
+	hashes := make([]types.Hash, len(addrs))
+	var refill, creation types.Hash
+	sendRun := func() (err error) {
+		if cold {
+			refill, err = sender.SendTxAsync(&shard.Addr, new(uint256.Int).Mul(need, uint256.NewInt(64)), 21_000, nil)
+			if err != nil {
+				return fmt.Errorf("hub: refill shard: %w", err)
+			}
 		}
-		r, err := h.faucet.WaitReceipt(hash)
+		for i := range addrs {
+			if hashes[i], err = sender.SendTxAsync(&addrs[i], amount, 21_000, nil); err != nil {
+				return fmt.Errorf("hub: fund %s: %w", addrs[i].Hex(), err)
+			}
+		}
+		if creation, err = sess.DeployOnChainAsync(sender, gas, ctorArgs...); err != nil {
+			return fmt.Errorf("hub: deploy: %w", err)
+		}
+		return nil
+	}
+	if cold {
+		h.faucetMu.Lock()
+	}
+	err := sendRun()
+	if cold {
+		h.faucetMu.Unlock()
+	}
+	if err != nil {
+		return err
+	}
+	if cold {
+		r, err := h.faucet.WaitReceipt(refill)
 		if err != nil {
 			return fmt.Errorf("hub: refill shard: %w", err)
 		}
@@ -552,22 +587,9 @@ func (h *Hub) fundAndDeploy(t *Ticket, shard *hybrid.Participant, sess *hybrid.S
 			return fmt.Errorf("hub: shard refill reverted (root faucet empty?)")
 		}
 	}
-	sent := time.Now()
-	hashes := make([]types.Hash, len(addrs))
-	for i := range addrs {
-		hash, err := shard.SendTxAsync(&addrs[i], amount, 21_000, nil)
-		if err != nil {
-			return fmt.Errorf("hub: fund %s: %w", addrs[i].Hex(), err)
-		}
-		hashes[i] = hash
-	}
-	creation, err := sess.DeployOnChainAsync(shard, gas, ctorArgs...)
-	if err != nil {
-		return fmt.Errorf("hub: deploy: %w", err)
-	}
 	var funded uint64
 	for i, hash := range hashes {
-		r, err := shard.WaitReceipt(hash)
+		r, err := sender.WaitReceipt(hash)
 		if err != nil {
 			return fmt.Errorf("hub: fund %s: %w", addrs[i].Hex(), err)
 		}
@@ -576,8 +598,8 @@ func (h *Hub) fundAndDeploy(t *Ticket, shard *hybrid.Participant, sess *hybrid.S
 		}
 		funded = r.BlockNumber
 	}
-	h.tracer.RecordChild(t.tc, t.ID, "chain", "fund", sent, time.Since(sent), fmt.Sprintf("block=%d", funded))
-	r, err := shard.WaitReceipt(creation)
+	h.tracer.RecordChild(t.tc, t.ID, "chain", "fund", sent, time.Since(sent), fmt.Sprintf("block=%d sender=%s", funded, label))
+	r, err := sender.WaitReceipt(creation)
 	if err != nil {
 		return fmt.Errorf("hub: deploy: %w", err)
 	}

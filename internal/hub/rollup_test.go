@@ -1,7 +1,9 @@
 package hub
 
 import (
+	"encoding/binary"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,6 +42,40 @@ func countRollupEvents(c *chain.Chain) (posted, opened int) {
 		}
 	}
 	return posted, opened
+}
+
+// requireEpochsInSealOrder asserts the registry's EpochPosted logs are exactly
+// epochs 0..epochs-1, each once and in chain order, each carrying the root the
+// sequencer sealed under that number, and that those epochs hold the given
+// number of leaves with no session in two of them. It returns the logs.
+func requireEpochsInSealOrder(t *testing.T, c *chain.Chain, h *Hub, epochs, leaves int) []*types.Log {
+	t.Helper()
+	reg, src := h.RollupHandles()
+	logs := c.FilterLogs(chain.FilterQuery{Address: &reg.Addr, Topic: &rollup.TopicEpochPosted})
+	if len(logs) != epochs {
+		t.Fatalf("%d EpochPosted logs, want %d", len(logs), epochs)
+	}
+	inEpoch := map[uint64]int{}
+	for n, l := range logs {
+		ev, err := rollup.DecodeEpochPosted(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, ok := src.EpochByNumber(uint64(n))
+		if !ok || ev.Epoch != uint64(n) || ev.Root != ep.Root {
+			t.Fatalf("post %d is epoch %d, want epoch %d with the root sealed under it", n, ev.Epoch, n)
+		}
+		for _, leaf := range ep.Leaves {
+			if prev, dup := inEpoch[leaf.SID]; dup {
+				t.Errorf("session %d has a leaf in epochs %d and %d", leaf.SID, prev, n)
+			}
+			inEpoch[leaf.SID] = n
+		}
+	}
+	if len(inEpoch) != leaves {
+		t.Errorf("%d sessions posted, want %d", len(inEpoch), leaves)
+	}
+	return logs
 }
 
 // TestRollupHonestBatch: N honest sessions settle through epochs — far
@@ -292,6 +328,112 @@ func rollupCrashRecoveryRun(t *testing.T, mode string) {
 		t.Errorf("dispute resolutions = %d, want exactly 1", got)
 	}
 	requireWinnerPaid(t, rep2)
+}
+
+// TestRollupCrashWithEpochsInFlight kills the hub with several epochs between
+// seal and receipt, on a chain that seals a block only when the test says so:
+// epochs 0 and 1 sealed and sent, their posts still pooled at the kill, and
+// epoch 2 sealed in the WAL with nothing sent. The snapshot taken while they
+// are in flight folds to what the WAL folds to. Recover, called before the
+// next block, must wait for the pooled posts to mine before it probes the
+// registry, then re-post exactly epoch 2; every epoch number is posted once,
+// no leaf sits in two epochs, and all five sessions roll up.
+func TestRollupCrashWithEpochsInFlight(t *testing.T) {
+	const n = 5
+	c, net, faucetKey := manualWorld(t)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rc := &RollupConfig{Depth: 1, EpochCap: 2, EpochAge: time.Hour}
+	var enqueued atomic.Int32
+	h1 := startRollupHub(t, c, net, faucetKey, Config{Workers: n, Store: st, Rollup: rc,
+		StageHook: func(sid uint64, s Stage) bool {
+			if s == StageSubmitted {
+				enqueued.Add(1)
+			}
+			return true
+		}})
+	tickets := make([]*Ticket, n)
+	for i := range tickets {
+		tickets[i] = h1.Submit(BettingSpec(4, 600, false))
+	}
+	mineAt(t, c, setupPhases(n)...)
+	// Five leaves, two to an epoch: two posts go out, the fifth leaf waits for
+	// a partner that never comes.
+	waitFor(t, 10*time.Second, "two epoch posts pooled and the fifth leaf enqueued", func() bool {
+		return enqueued.Load() == n && c.PendingCount() == 2
+	})
+	recs, err := st.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromWAL, fromSnap := rollup.Fold(recs), rollup.Fold(h1.seq.StateRecords())
+	if len(fromWAL.Sealed) != 2 || len(fromWAL.Pending) != 1 {
+		t.Fatalf("fixture: WAL folds to %d sealed / %d pending, want 2 / 1", len(fromWAL.Sealed), len(fromWAL.Pending))
+	}
+	if fromSnap.Registry != fromWAL.Registry || fromSnap.PostedThru != fromWAL.PostedThru ||
+		len(fromSnap.Sealed) != 2 || len(fromSnap.Pending) != 1 {
+		t.Fatalf("snapshot with two epochs in flight folds to %+v, the WAL to %+v", fromSnap, fromWAL)
+	}
+	h1.Kill()
+	for _, tk := range tickets {
+		if rep := tk.Report(); !errors.Is(rep.Err, ErrCrashed) {
+			t.Fatalf("killed session %d: stage=%s err=%v, want a crash", rep.ID, rep.Stage, rep.Err)
+		}
+	}
+	h1.Stop()
+
+	// Epoch 2, sealed and never sent: the seal's WAL record is the last thing
+	// the dead generation wrote.
+	var last rollup.Leaf
+	for _, l := range fromWAL.Pending {
+		last = l
+	}
+	tree, err := rollup.NewTree(rc.Depth, []rollup.Leaf{last})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := tree.Root()
+	enc := make([]byte, 36) // sid ‖ contract ‖ outcome
+	binary.BigEndian.PutUint64(enc[0:8], last.SID)
+	copy(enc[8:28], last.Contract[:])
+	binary.BigEndian.PutUint64(enc[28:36], last.Outcome)
+	if err := st.Append(&store.Record{Kind: store.KindEpochSealed, U1: 2, U2: 1, Blob: root[:], Blobs: [][]byte{enc}}); err != nil {
+		t.Fatal(err)
+	}
+
+	done := recoverAsync(st, c, net, faucetKey, Config{Workers: n, Rollup: rc})
+	select {
+	case r := <-done:
+		t.Fatalf("Recover returned (%v) with the dead generation's posts still pooled", r.err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	mineAt(t, c, 2) // the dead generation's posts: no re-post has joined them
+	mineAt(t, c, 1) // epoch 2, the one that never reached the chain
+	reposted := c.Height()
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	stopAtCleanup(t, r.h)
+	resumed := r.rr.Resumed()
+	if len(resumed) != n {
+		t.Fatalf("resumed %d sessions, want %d", len(resumed), n)
+	}
+	for _, tk := range resumed {
+		if rep := tk.Report(); rep.Err != nil || rep.Stage != StageRolledUp || rep.Disputed {
+			t.Fatalf("recovered session %d: stage=%s disputed=%v err=%v, want rolled-up", rep.ID, rep.Stage, rep.Disputed, rep.Err)
+		}
+	}
+	if c.Height() != reposted || c.PendingCount() != 0 {
+		t.Errorf("chain at block %d with %d pooled, want block %d and an empty pool: recovery sent more than the one re-post", c.Height(), c.PendingCount(), reposted)
+	}
+	logs := requireEpochsInSealOrder(t, c, r.h, 3, n)
+	if logs[2].BlockNumber != reposted || logs[1].BlockNumber != reposted-1 {
+		t.Errorf("epoch 1 in block %d, epoch 2 in block %d; want blocks %d and %d", logs[1].BlockNumber, logs[2].BlockNumber, reposted-1, reposted)
+	}
 }
 
 // TestRollupRecoveryHonest crashes an honest fleet mid-settlement and

@@ -24,8 +24,9 @@ import (
 // Dispute filing is asynchronous: the event loop never transacts. Every
 // open window is handed to the dispute pipeline — a pacer goroutine per
 // undecided window that consults the dispute gate (federation arbitration;
-// absent a gate the answer is always "file now") and a bounded worker set
-// that verifies and files. Two barriers read the pipeline, one per
+// absent a gate the answer is always "file now"), verifies on one of a
+// bounded set of sandbox slots, and files with the slot already released.
+// Two barriers read the pipeline, one per
 // invariant (DESIGN.md §4): WaitVerdict(e, h) — block ≤ h examined and
 // THIS watch's decision reached — is what a session owner waits for
 // before reporting, and WaitCaughtUp(h) — block ≤ h examined and EVERY
@@ -54,7 +55,7 @@ type Watchtower struct {
 	observer TowerObserver
 	gate     DisputeGate
 
-	sem     chan struct{} // bounded dispute worker slots
+	sem     chan struct{} // sandbox slots: bounds concurrent Watch.Expected runs, never a filing
 	pacerWG sync.WaitGroup
 	stopCh  chan struct{} // closed by Stop: pacers wind down undecided
 	haltCh  chan struct{} // closed by halt: the "process" is dead
@@ -247,8 +248,8 @@ func (w *Watchtower) jrnl() *journal {
 	return w.journal
 }
 
-// SetDisputeWorkers bounds the concurrent verify-and-file worker set
-// (default 4). Must be called before any session is guarded.
+// SetDisputeWorkers bounds the pipeline's concurrent sandbox runs (default
+// 4); filings are not bounded. Must be called before any session is guarded.
 func (w *Watchtower) SetDisputeWorkers(n int) {
 	if n > 0 {
 		w.sem = make(chan struct{}, n)
@@ -956,9 +957,8 @@ func (w *Watchtower) releaseJob(e *Watch) {
 }
 
 // driveDispute is the pacer for one open window: it consults the gate
-// until a final decision is reached, then funnels the expensive
-// verify-and-file step through the bounded worker set. The job ends when
-// the window settles, the gate stands down, or a filing completes.
+// until a final decision is reached, then verifies and files. The job ends
+// when the window settles, the gate stands down, or a filing completes.
 func (w *Watchtower) driveDispute(e *Watch) {
 	defer w.pacerWG.Done()
 	defer w.releaseJob(e)
@@ -1000,9 +1000,7 @@ func (w *Watchtower) driveDispute(e *Watch) {
 			}
 			continue
 		case GateFile:
-			w.sem <- struct{}{}
 			w.fileDispute(e, *win)
-			<-w.sem
 			return
 		}
 	}
@@ -1015,10 +1013,14 @@ func (e *Watch) settledChRef() chan struct{} {
 }
 
 // fileDispute is the decision point: verify the submission in the tower's
-// own sandbox, veto against chain truth, claim, and file. Runs on a
-// bounded worker slot.
+// own sandbox, veto against chain truth, claim, and file. Only the sandbox
+// run holds a DisputeWorkers slot: the slot is back before any transaction
+// is sent or awaited, so a filing's block wait never makes another window's
+// verdict — clean or not — wait a block for a free slot.
 func (w *Watchtower) fileDispute(e *Watch, win Window) {
+	w.sem <- struct{}{}
 	expected, err := e.Expected()
+	<-w.sem
 	if err != nil || win.Result == expected {
 		return // cannot verify, or verified clean: nothing to file
 	}

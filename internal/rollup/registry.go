@@ -189,10 +189,14 @@ func OpenRegistry(addr types.Address, depth int, window uint64) (*Registry, erro
 	return &Registry{CC: cc, Addr: addr, Depth: depth, Window: window}, nil
 }
 
-// PostEpoch submits one epoch's root. The receipt reports the actual gas
-// the batch settlement cost.
+// PostEpoch submits one epoch's root and waits for it to mine. The receipt
+// reports the actual gas the batch settlement cost.
 func (r *Registry) PostEpoch(p *hybrid.Participant, root types.Hash, count uint64, gas uint64) (*types.Receipt, error) {
-	rec, err := p.Invoke(r.CC, r.Addr, nil, gas, "postEpoch", root, count)
+	hash, err := r.PostEpochAsync(p, root, count, gas)
+	if err != nil {
+		return nil, err
+	}
+	rec, err := p.WaitReceipt(hash)
 	if err != nil {
 		return nil, err
 	}
@@ -200,6 +204,25 @@ func (r *Registry) PostEpoch(p *hybrid.Participant, root types.Hash, count uint6
 		return rec, fmt.Errorf("rollup: postEpoch reverted")
 	}
 	return rec, nil
+}
+
+// PostEpochAsync pools the postEpoch call without waiting for it to mine. The
+// registry numbers epochs itself, in execution order, so a sequencer that
+// queues several posts (one sender, consecutive nonces) has one block carry
+// them all, numbered in the order they were sent.
+func (r *Registry) PostEpochAsync(p *hybrid.Participant, root types.Hash, count uint64, gas uint64) (types.Hash, error) {
+	return p.InvokeAsync(r.CC, r.Addr, nil, gas, "postEpoch", root, count)
+}
+
+// PostedBy returns the EpochPosted event a postEpoch receipt carries: the
+// number the registry gave the epoch and the root it stored under it.
+func (r *Registry) PostedBy(rec *types.Receipt) (*EpochPostedEvent, error) {
+	for _, l := range rec.Logs {
+		if l.Address == r.Addr && len(l.Topics) > 0 && l.Topics[0] == TopicEpochPosted {
+			return DecodeEpochPosted(l)
+		}
+	}
+	return nil, fmt.Errorf("rollup: receipt carries no EpochPosted log of registry %s", r.Addr.Hex())
 }
 
 // OpenLeaf pins a disputed leaf against its epoch's posted root. A revert

@@ -107,11 +107,24 @@ type seqMetrics struct {
 	hLeaves, hSeconds       *telemetry.Histogram
 }
 
+// postWindow is how many sent epoch posts may sit between the seal loop and
+// the landing goroutine: the landing queue's capacity. A burst of
+// postWindow·EpochCap leaves is sealed and sent without waiting for any
+// receipt, so one block can carry all of those posts; past it the seal loop
+// waits for the oldest post to land. It also bounds what a crash can tear:
+// Start re-posts at most postWindow+2 epochs (queue, the one landing, the one
+// sealed and not yet sent).
+const postWindow = 8
+
 // Sequencer batches finished-session outcomes into epochs and posts one
-// rollup transaction per epoch. One goroutine owns the seal/post cycle,
-// so posts are serial (at most one in flight) — leaves arriving during a
-// post's receipt wait accumulate into the next epoch, which is what makes
-// batches form under load without any explicit batching delay.
+// rollup transaction per epoch. Two goroutines split the cycle. The seal loop
+// cuts a batch when the cap fills or the age deadline passes, journals it,
+// sends its post without waiting and goes back to sealing; it is the one
+// sender and its nonces are consecutive, so the registry numbers the epochs
+// in seal order even when one block carries several. The landing goroutine
+// awaits the receipts in that same order, checks each against what was
+// sealed, journals the landing and resolves the leaf futures. Batches form by
+// cap or age only — nothing waits on a receipt to seal.
 type Sequencer struct {
 	cfg      Config
 	registry *Registry
@@ -126,11 +139,22 @@ type Sequencer struct {
 	halted    bool
 	arrivedCh chan struct{} // pulsed when pending goes non-empty
 
+	landing chan *sentEpoch // sent posts, in send order; capacity postWindow
+
 	metrics seqMetrics
 
 	wg     sync.WaitGroup
 	ctx    context.Context
 	cancel context.CancelFunc
+}
+
+// sentEpoch is a sealed epoch whose post transaction has been sent and whose
+// receipt nobody has read yet.
+type sentEpoch struct {
+	*Epoch
+	hash  types.Hash
+	sent  time.Time
+	first time.Time // earliest leaf arrival; zero for a recovery re-post
 }
 
 // sealedState is a folded KindEpochSealed awaiting on-chain
@@ -170,6 +194,7 @@ func New(cfg Config) (*Sequencer, error) {
 		epochs:    make(map[uint64]*Epoch),
 		inflight:  make(map[uint64]*Epoch),
 		arrivedCh: make(chan struct{}, 1),
+		landing:   make(chan *sentEpoch, postWindow),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if reg := cfg.Telemetry; reg != nil {
@@ -201,8 +226,7 @@ type Folded struct {
 // of other subsystems are ignored, so the hub can pass its whole replay.
 func Fold(recs []*store.Record) *Folded {
 	f := &Folded{Pending: map[uint64]Leaf{}, postedEpochs: map[uint64]*sealedState{}}
-	sealedBySID := map[uint64]bool{}
-	var sealed []*sealedState
+	sealed := map[uint64]*sealedState{} // by number: a record replayed twice is one epoch
 	posted := map[uint64]bool{}
 	for _, rec := range recs {
 		switch rec.Kind {
@@ -217,10 +241,9 @@ func Fold(recs []*store.Record) *Folded {
 			for _, b := range rec.Blobs {
 				if l, ok := decodeLeaf(b); ok {
 					ss.leaves = append(ss.leaves, l)
-					sealedBySID[l.SID] = true
 				}
 			}
-			sealed = append(sealed, ss)
+			sealed[ss.number] = ss
 		case store.KindEpochPosted:
 			posted[rec.U1] = true
 			if rec.U1+1 > f.PostedThru {
@@ -228,18 +251,19 @@ func Fold(recs []*store.Record) *Folded {
 			}
 		}
 	}
-	for sid := range f.Pending {
-		if sealedBySID[sid] {
-			delete(f.Pending, sid)
-		}
-	}
 	for _, ss := range sealed {
+		for _, l := range ss.leaves {
+			delete(f.Pending, l.SID)
+		}
 		if posted[ss.number] {
 			f.postedEpochs[ss.number] = ss
 			continue
 		}
 		f.Sealed = append(f.Sealed, ss)
 	}
+	// Start re-posts these in slice order and the registry numbers posts in
+	// arrival order, so the order must be the seal order.
+	sort.Slice(f.Sealed, func(i, j int) bool { return f.Sealed[i].number < f.Sealed[j].number })
 	return f
 }
 
@@ -304,7 +328,8 @@ func (s *Sequencer) DeployRegistryAsync(deployer *hybrid.Participant) (bind func
 // Start deploys the registry unless one is installed already (seeded, or
 // deployed through DeployRegistryAsync), reconciles any
 // sealed-but-maybe-unposted epochs against the chain — posting exactly the
-// ones that never landed — and launches the seal loop.
+// ones that never landed, in order, all in one block — and launches the seal
+// loop and the landing goroutine.
 func (s *Sequencer) Start() error {
 	if s.registry == nil {
 		bind, err := s.DeployRegistryAsync(s.cfg.Party)
@@ -325,6 +350,14 @@ func (s *Sequencer) Start() error {
 	sealed := s.sealed
 	s.sealed = nil
 	s.mu.Unlock()
+	if len(sealed) > 0 {
+		// The probe reads mined state only, so it may run only once nothing
+		// of the dead generation is left to mine.
+		if err := s.awaitPoolDrained(); err != nil {
+			return err
+		}
+	}
+	var resent []*sentEpoch
 	for _, ss := range sealed {
 		onChain, err := s.registry.RootOf(s.cfg.Party, ss.number)
 		if err != nil {
@@ -334,24 +367,61 @@ func (s *Sequencer) Start() error {
 		if err != nil || tree.Root() != ss.root {
 			return fmt.Errorf("rollup: sealed epoch %d does not re-fold to its journaled root", ss.number)
 		}
+		e := &Epoch{Number: ss.number, Root: ss.root, Tree: tree, Leaves: ss.leaves}
+		s.mu.Lock()
+		if e.Number >= s.nextEpoch {
+			s.nextEpoch = e.Number + 1
+		}
+		s.mu.Unlock()
 		if onChain == ss.root {
 			s.cfg.Logf("rollup: sealed epoch %d already on chain, not re-posting", ss.number)
 			if err := s.journal(&store.Record{Kind: store.KindEpochPosted, U1: ss.number, Blob: ss.root[:]}); err != nil {
 				return err
 			}
-			s.finishEpoch(ss.number, tree, ss.leaves, 0, time.Time{})
+			s.finishEpoch(e, 0)
 			continue
 		}
 		s.cfg.Logf("rollup: re-posting torn epoch %d (%d leaves)", ss.number, len(ss.leaves))
 		s.mu.Lock()
-		s.inflight[ss.number] = &Epoch{Number: ss.number, Root: ss.root, Tree: tree, Leaves: ss.leaves}
+		s.inflight[e.Number] = e
 		s.mu.Unlock()
-		if err := s.post(ss.number, tree, ss.leaves, time.Now()); err != nil {
-			return fmt.Errorf("rollup: re-posting epoch %d: %w", ss.number, err)
+		se, err := s.send(e, time.Time{})
+		if err != nil {
+			return fmt.Errorf("rollup: re-posting epoch %d: %w", e.Number, err)
+		}
+		resent = append(resent, se)
+	}
+	for _, se := range resent {
+		if err := s.land(se); err != nil {
+			return fmt.Errorf("rollup: re-posting epoch %d: %w", se.Number, err)
 		}
 	}
-	s.wg.Add(1)
+	s.wg.Add(2)
 	go s.loop()
+	go s.landLoop()
+	return nil
+}
+
+// awaitPoolDrained returns once the chain's pool holds no transaction of the
+// sequencer's: on an interval-mined chain a dead generation's postEpoch can
+// outlive it there. Probing rootOf(n) before that post mines would find the
+// root absent and post the epoch a second time; both copies would mine, one
+// as n and one as n+1, and every later epoch would be numbered one off.
+func (s *Sequencer) awaitPoolDrained() error {
+	c, addr := s.cfg.Party.Chain, s.cfg.Party.Addr
+	drained := func() bool { return c.NonceAt(addr) == c.PendingNonceAt(addr) }
+	if drained() {
+		return nil
+	}
+	sub := c.SubscribeBlocks()
+	defer sub.Unsubscribe()
+	for !drained() {
+		select {
+		case <-s.ctx.Done():
+			return s.ctx.Err()
+		case <-sub.Blocks():
+		}
+	}
 	return nil
 }
 
@@ -479,23 +549,60 @@ func (s *Sequencer) loop() {
 			}
 		}
 		deadline.Stop()
-		if err := s.sealAndPost(); err != nil {
-			s.cfg.Logf("rollup: epoch post failed: %v", err)
-			s.abort(err)
+		se, err := s.sealAndSend()
+		if err != nil {
+			s.fail(err)
+			return
+		}
+		if se == nil {
+			continue
+		}
+		select {
+		case s.landing <- se:
+		case <-s.ctx.Done():
 			return
 		}
 	}
 }
 
-// sealAndPost cuts the current batch into an epoch: WAL the sealed epoch
-// BEFORE the transaction (tearing recovery's anchor), post, WAL the
-// landing, resolve the leaf futures.
-func (s *Sequencer) sealAndPost() error {
+// landLoop lands the sent posts one at a time, in the order they were sent.
+func (s *Sequencer) landLoop() {
+	defer s.wg.Done()
+	for {
+		select {
+		case <-s.ctx.Done():
+			return
+		case se := <-s.landing:
+			if err := s.land(se); err != nil {
+				s.fail(err)
+				return
+			}
+		}
+	}
+}
+
+// fail ends the seal/land cycle on an error from either goroutine: poison the
+// sequencer and stop the other goroutine. An error that is only Stop or Halt
+// taking the context away is not a failure — a halted sequencer resolves
+// nothing and writes nothing.
+func (s *Sequencer) fail(err error) {
+	if s.ctx.Err() != nil {
+		return
+	}
+	s.cfg.Logf("rollup: epoch post failed: %v", err)
+	s.abort(err)
+	s.cancel()
+}
+
+// sealAndSend cuts the current batch into an epoch: WAL the sealed epoch
+// BEFORE the transaction (tearing recovery's anchor), then send the post
+// without waiting for it. Nil without an error means there was no batch.
+func (s *Sequencer) sealAndSend() (*sentEpoch, error) {
 	s.mu.Lock()
 	n := len(s.pending)
 	if n == 0 {
 		s.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	if n > s.cfg.EpochCap {
 		n = s.cfg.EpochCap
@@ -513,68 +620,90 @@ func (s *Sequencer) sealAndPost() error {
 	s.mu.Unlock()
 
 	leaves := make([]Leaf, n)
-	blobs := make([][]byte, n)
 	first := batch[0].arrived
 	for i, t := range batch {
 		leaves[i] = t.leaf
-		blobs[i] = encodeLeaf(t.leaf)
 		if t.arrived.Before(first) {
 			first = t.arrived
 		}
 	}
 	tree, err := NewTree(s.cfg.Depth, leaves)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	root := tree.Root()
-	if err := s.journal(&store.Record{
-		Kind: store.KindEpochSealed, U1: number, U2: uint64(n),
-		Blob: root[:], Blobs: blobs,
-	}); err != nil {
-		return err
+	e := &Epoch{Number: number, Root: tree.Root(), Tree: tree, Leaves: leaves}
+	if err := s.journal(sealedRecord(e)); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
-	s.inflight[number] = &Epoch{Number: number, Root: root, Tree: tree, Leaves: leaves}
+	s.inflight[number] = e
 	s.mu.Unlock()
-	return s.post(number, tree, leaves, first)
+	return s.send(e, first)
 }
 
-// post lands one epoch on chain and resolves its tickets.
-func (s *Sequencer) post(number uint64, tree *Tree, leaves []Leaf, first time.Time) error {
-	start := time.Now()
-	rec, err := s.registry.PostEpoch(s.cfg.Party, tree.Root(), uint64(len(leaves)), s.cfg.PostGas)
+// send pools one sealed epoch's post. Only the seal loop (and Start, before
+// the loop exists) calls it, so posts leave in seal order.
+func (s *Sequencer) send(e *Epoch, first time.Time) (*sentEpoch, error) {
+	sent := time.Now()
+	hash, err := s.registry.PostEpochAsync(s.cfg.Party, e.Root, uint64(len(e.Leaves)), s.cfg.PostGas)
+	if err != nil {
+		return nil, err
+	}
+	return &sentEpoch{Epoch: e, hash: hash, sent: sent, first: first}, nil
+}
+
+// land awaits one post's receipt and, only if the chain recorded exactly what
+// was sealed, WALs the landing and resolves the epoch's tickets. The number
+// check is what keeps the sequencer's count and the registry's the same
+// count: a post of this key that the sequencer did not send, or one that
+// reverted, shifts every later number, and proofs built for epoch n would be
+// opened against the root stored under another.
+func (s *Sequencer) land(se *sentEpoch) error {
+	rec, err := s.cfg.Party.Chain.WaitReceipt(s.ctx, se.hash)
 	if err != nil {
 		return err
 	}
-	root := tree.Root()
-	if err := s.journal(&store.Record{Kind: store.KindEpochPosted, U1: number, Blob: root[:]}); err != nil {
+	if !rec.Succeeded() {
+		return fmt.Errorf("rollup: postEpoch of epoch %d reverted", se.Number)
+	}
+	ev, err := s.registry.PostedBy(rec)
+	if err != nil {
+		return err
+	}
+	if ev.Epoch != se.Number || ev.Root != se.Root {
+		return fmt.Errorf("rollup: sealed epoch %d (root %s) landed as epoch %d (root %s)",
+			se.Number, se.Root.Hex(), ev.Epoch, ev.Root.Hex())
+	}
+	if err := s.journal(&store.Record{Kind: store.KindEpochPosted, U1: se.Number, U2: rec.BlockNumber, Blob: se.Root[:]}); err != nil {
 		return err
 	}
 	if s.metrics.epochs != nil {
 		s.metrics.epochs.Inc()
-		s.metrics.leaves.Add(uint64(len(leaves)))
+		s.metrics.leaves.Add(uint64(len(se.Leaves)))
 		s.metrics.postGas.Add(rec.GasUsed)
-		s.metrics.hLeaves.Observe(float64(len(leaves)))
-		if !first.IsZero() {
-			s.metrics.hSeconds.Observe(time.Since(first).Seconds())
+		s.metrics.hLeaves.Observe(float64(len(se.Leaves)))
+		if !se.first.IsZero() {
+			s.metrics.hSeconds.Observe(time.Since(se.first).Seconds())
 		}
 	}
 	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.Record(0, "rollup", "post_epoch", start, time.Since(start),
-			fmt.Sprintf("epoch=%d leaves=%d gas=%d", number, len(leaves), rec.GasUsed))
+		s.cfg.Tracer.Record(0, "rollup", "post_epoch", se.sent, time.Since(se.sent),
+			fmt.Sprintf("epoch=%d leaves=%d gas=%d block=%d", se.Number, len(se.Leaves), rec.GasUsed, rec.BlockNumber))
 	}
-	s.finishEpoch(number, tree, leaves, rec.GasUsed, start)
+	s.finishEpoch(se.Epoch, rec.GasUsed)
 	return nil
 }
 
 // finishEpoch records the posted epoch, resolves tickets, and runs the
-// OnEpoch hook.
-func (s *Sequencer) finishEpoch(number uint64, tree *Tree, leaves []Leaf, gasUsed uint64, start time.Time) {
+// OnEpoch hook. sealed stays as it is — Source readers may hold it — and the
+// cache gets a copy that carries the posting time.
+func (s *Sequencer) finishEpoch(sealed *Epoch, gasUsed uint64) {
+	number, leaves := sealed.Number, sealed.Leaves
 	postedAt, err := s.registry.PostedAt(s.cfg.Party, number)
 	if err != nil {
 		s.cfg.Logf("rollup: postedAt(%d) probe failed: %v", number, err)
 	}
-	e := &Epoch{Number: number, Root: tree.Root(), Tree: tree, Leaves: leaves, PostedAt: postedAt, GasUsed: gasUsed}
+	e := &Epoch{Number: number, Root: sealed.Root, Tree: sealed.Tree, Leaves: leaves, PostedAt: postedAt, GasUsed: gasUsed}
 	index := make(map[uint64]int, len(leaves))
 	for i, l := range leaves {
 		index[l.SID] = i

@@ -10,24 +10,17 @@
 //	bench -exp privacy
 //	bench -exp participants
 //	bench -exp deposit
-//	bench -exp all -json BENCH.json   # append machine-readable records
-//	bench -compare BENCH.json         # diff latest records against the previous revision
-//	bench -compare BENCH.json -baseline 7c34d2d
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"onoffchain/internal/experiments"
-	"onoffchain/internal/telemetry"
 )
 
 func parseRounds(s string) ([]uint64, error) {
@@ -42,134 +35,14 @@ func parseRounds(s string) ([]uint64, error) {
 	return out, nil
 }
 
-// configKey renders a record's config axes canonically (sorted keys) so
-// records of the same experiment row pair up across revisions.
-func configKey(cfg map[string]any) string {
-	keys := make([]string, 0, len(cfg))
-	for k := range cfg {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%v", k, cfg[k]))
-	}
-	return strings.Join(parts, " ")
-}
-
-// compare diffs the latest BENCH.json records of the newest revision in
-// the file against those of a baseline revision (the previous distinct
-// revision when the flag is empty), printing per-metric deltas.
-func compare(path, baseline string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var recs []telemetry.BenchRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
-	}
-	if len(recs) == 0 {
-		return fmt.Errorf("%s holds no records", path)
-	}
-	// The file is append-only, so "newest" is positional: the last record's
-	// revision is current, and the last revision before the current block
-	// started is the default baseline.
-	current := recs[len(recs)-1].GitRev
-	if baseline == "" {
-		for i := len(recs) - 1; i >= 0; i-- {
-			if recs[i].GitRev != current {
-				baseline = recs[i].GitRev
-				break
-			}
-		}
-		if baseline == "" {
-			return fmt.Errorf("only one revision (%s) in %s; pass -baseline", current, path)
-		}
-	}
-	// Latest record per (name, config) for each side.
-	type side map[string]telemetry.BenchRecord
-	base, cur := side{}, side{}
-	for _, r := range recs {
-		key := r.Name + " | " + configKey(r.Config)
-		switch r.GitRev {
-		case baseline:
-			base[key] = r
-		case current:
-			cur[key] = r
-		}
-	}
-	keys := make([]string, 0, len(cur))
-	for k := range cur {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fmt.Printf("comparing %s (baseline) -> %s (current) from %s\n\n", baseline, current, path)
-	matched := 0
-	for _, k := range keys {
-		b, ok := base[k]
-		if !ok {
-			fmt.Printf("%-60s  (new at %s, no baseline)\n", k, current)
-			continue
-		}
-		c := cur[k]
-		matched++
-		fmt.Println(k)
-		mnames := make([]string, 0, len(c.Metrics))
-		for m := range c.Metrics {
-			mnames = append(mnames, m)
-		}
-		sort.Strings(mnames)
-		for _, m := range mnames {
-			nv := c.Metrics[m]
-			ov, ok := b.Metrics[m]
-			if !ok {
-				fmt.Printf("  %-28s %14.3f  (new metric)\n", m, nv)
-				continue
-			}
-			delta := "n/a"
-			if ov != 0 {
-				delta = fmt.Sprintf("%+.1f%%", (nv-ov)/ov*100)
-			}
-			fmt.Printf("  %-28s %14.3f -> %12.3f  %s\n", m, ov, nv, delta)
-		}
-	}
-	if matched == 0 {
-		return fmt.Errorf("no overlapping rows between %s and %s", baseline, current)
-	}
-	return nil
-}
-
 func main() {
 	exp := flag.String("exp", "all", "experiment: table2|fig1|fig2|dispute-prob|privacy|participants|deposit|all")
 	roundsFlag := flag.String("rounds", "0,64,256,1024", "reveal-round sweep for table2/fig1")
-	jsonPath := flag.String("json", "", "append machine-readable result records to this BENCH.json file")
-	comparePath := flag.String("compare", "", "diff the latest records in this BENCH.json against a baseline revision and exit")
-	baselineRev := flag.String("baseline", "", "baseline git revision for -compare (default: previous distinct revision in the file)")
 	flag.Parse()
-
-	if *comparePath != "" {
-		if err := compare(*comparePath, *baselineRev); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	rounds, err := parseRounds(*roundsFlag)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	// Each experiment prints its paper-style table and, under -json,
-	// contributes one record per row (config axes + scalar metrics) tagged
-	// with the git revision, so results accumulate across commits.
-	var recs []telemetry.BenchRecord
-	now := time.Now().UTC().Format(time.RFC3339)
-	record := func(name string, config map[string]any, metrics map[string]float64) {
-		recs = append(recs, telemetry.BenchRecord{
-			Name: "bench/" + name, GitRev: telemetry.GitRev(), When: now,
-			Config: config, Metrics: metrics,
-		})
 	}
 
 	run := func(name string, fn func() (string, error)) {
@@ -185,97 +58,33 @@ func main() {
 
 	run("table2", func() (string, error) {
 		rows, err := experiments.Table2(rounds)
-		if err != nil {
-			return "", err
-		}
-		for _, r := range rows {
-			record("table2", map[string]any{"rounds": r.RevealRounds}, map[string]float64{
-				"deploy_vi_gas":     float64(r.DeployVIGas),
-				"return_dr_gas":     float64(r.ReturnDRGas),
-				"offchain_bytecode": float64(r.OffChainBytecode),
-			})
-		}
-		return experiments.FormatTable2(rows), nil
+		return experiments.FormatTable2(rows), err
 	})
 	run("fig1", func() (string, error) {
 		rows, err := experiments.Fig1(rounds)
-		if err != nil {
-			return "", err
-		}
-		for _, r := range rows {
-			record("fig1", map[string]any{"rounds": r.RevealRounds}, map[string]float64{
-				"monolith_gas":       float64(r.MonolithGas),
-				"hybrid_honest_gas":  float64(r.HybridHonestGas),
-				"hybrid_dispute_gas": float64(r.HybridDisputeGas),
-				"honest_savings_pct": r.HonestSavingsPct,
-			})
-		}
-		return experiments.FormatFig1(rows), nil
+		return experiments.FormatFig1(rows), err
 	})
 	run("fig2", func() (string, error) {
 		rows, err := experiments.Fig2(64)
-		if err != nil {
-			return "", err
-		}
-		for _, r := range rows {
-			record("fig2", map[string]any{"stage": r.Stage, "path": r.Path, "on_chain": r.OnChain},
-				map[string]float64{"gas": float64(r.Gas)})
-		}
-		return experiments.FormatFig2(rows), nil
+		return experiments.FormatFig2(rows), err
 	})
 	run("dispute-prob", func() (string, error) {
 		rows, err := experiments.DisputeProbability(512,
 			[]float64{0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0})
-		if err != nil {
-			return "", err
-		}
-		for _, r := range rows {
-			record("dispute-prob", map[string]any{"p": r.P}, map[string]float64{
-				"expected_hybrid_gas": r.ExpectedHybrid,
-				"monolith_gas":        float64(r.MonolithGas),
-			})
-		}
-		return experiments.FormatDisputeProbability(rows), nil
+		return experiments.FormatDisputeProbability(rows), err
 	})
 	run("privacy", func() (string, error) {
 		rows, err := experiments.PrivacyLeakage(64)
-		if err != nil {
-			return "", err
-		}
-		for _, r := range rows {
-			record("privacy", map[string]any{"model": r.Model}, map[string]float64{
-				"code_bytes":     float64(r.CodeBytes),
-				"calldata_bytes": float64(r.CalldataBytes),
-				"hidden_bytes":   float64(r.HiddenBytes),
-			})
-		}
-		return experiments.FormatPrivacyLeakage(rows), nil
+		return experiments.FormatPrivacyLeakage(rows), err
 	})
 	run("participants", func() (string, error) {
 		rows, err := experiments.Participants([]int{2, 3, 4, 6, 8, 12, 16})
-		if err != nil {
-			return "", err
-		}
-		for _, r := range rows {
-			record("participants", map[string]any{"n": r.N}, map[string]float64{
-				"deploy_vi_gas": float64(r.DeployVIGas),
-				"per_sig_gas":   float64(r.PerSigGas),
-			})
-		}
-		return experiments.FormatParticipants(rows), nil
+		return experiments.FormatParticipants(rows), err
 	})
 	run("deposit", func() (string, error) {
 		rows, err := experiments.DepositCompensation(64,
 			[]uint64{0, 100_000, 500_000, 1_000_000, 5_000_000})
-		if err != nil {
-			return "", err
-		}
-		for _, r := range rows {
-			record("deposit", map[string]any{"deposit_wei": r.DepositWei}, map[string]float64{
-				"resolver_gas_cost": float64(r.ResolverGasCost),
-			})
-		}
-		return experiments.FormatDepositCompensation(rows), nil
+		return experiments.FormatDepositCompensation(rows), err
 	})
 
 	switch *exp {
@@ -284,12 +93,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *jsonPath != "" {
-		if err := telemetry.AppendBenchJSON(*jsonPath, recs...); err != nil {
-			log.Fatalf("write %s: %v", *jsonPath, err)
-		}
-		fmt.Fprintf(os.Stderr, "appended %d records to %s\n", len(recs), *jsonPath)
 	}
 }

@@ -12,7 +12,7 @@
 // deploy/sign, submit/challenge, dispute/resolve).
 //
 // See README.md for a tour and DESIGN.md for the system inventory and the
-// hub's lifecycle/watchtower design. The benchmarks in bench_test.go
-// regenerate every table and figure of the paper's evaluation section and
-// add the concurrent-session throughput sweep the paper only assumes.
+// hub's lifecycle/watchtower design. cmd/bench regenerates every table and
+// figure of the paper's evaluation section; benchmark/ (a module of its
+// own) measures the concurrent-session fleets the paper only assumes.
 package onoffchain

@@ -2,9 +2,9 @@
 // regenerate every table and figure (Table II gas costs, the Fig. 1
 // all-on-chain vs hybrid comparison, Fig. 2 stage costs) plus the
 // ablations DESIGN.md calls out (dispute probability, privacy leakage,
-// participant scaling, security deposits). Both bench_test.go and
-// cmd/bench call these, so the paper's numbers are regenerable in one
-// command.
+// participant scaling, security deposits). cmd/bench prints them and
+// benchmark/ pins six of them as exact anchors, so the paper's numbers are
+// regenerable in one command.
 package experiments
 
 import (

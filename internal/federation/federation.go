@@ -110,20 +110,16 @@ type Config struct {
 	// verdict hint usually arrives a beat after the chain event, and
 	// honoring it saves the fleet a redundant off-chain execution.
 	VouchWait time.Duration
-	// DisputeWorkers bounds the wrapped tower's concurrent sandbox runs, not
-	// its filings (standalone towers only; a hub's tower is sized by
-	// hub.Config, which has the full statement).
-	DisputeWorkers int
 	// SignGossip additionally signs every gossip envelope with the
 	// tower's secp256k1 key (whisper.PostOptions.Unsigned = false) and
 	// requires a valid per-sender signature on receive. The shared group
 	// key already authenticates traffic as coming from SOME member;
 	// per-envelope signatures bind each record to the member that claims
 	// to have sent it, so one leaked group key (or a misbehaving member)
-	// cannot impersonate the rest of the fleet. PR 4 shipped this off by
-	// necessity — per-envelope signing at heartbeat rates measurably
-	// taxed hub throughput on the big.Int curve — and the fixed-limb
-	// rewrite made it affordable: see DESIGN.md for the measured cost.
+	// cannot impersonate the rest of the fleet. Off by default: replicas
+	// of one operator get authentication from the group key alone, and
+	// signing costs one Sign per envelope sent and one recovery per
+	// envelope received (DESIGN.md §9).
 	SignGossip bool
 	// Logf sinks diagnostics (default: the structured telemetry logger's
 	// "federation" layer at Info level).
@@ -268,11 +264,9 @@ func Join(cfg Config) (*Tower, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := hub.NewWatchtower(t.cfg.Chain, nil)
+	w := hub.NewWatchtower(t.cfg.Chain, nil, t.cfg.Tracer, nil)
 	w.SetObserver((*towerObserver)(t))
 	w.SetDisputeGate(t.decide)
-	w.SetDisputeWorkers(t.cfg.DisputeWorkers)
-	w.SetTracer(t.cfg.Tracer)
 	if cfg.RollupRegistry != nil && cfg.RollupSource != nil {
 		w.ArmRollup(cfg.RollupRegistry, cfg.RollupSource)
 	}

@@ -20,20 +20,8 @@ import (
 	"onoffchain/internal/whisper"
 )
 
-// miningModes mirrors the hub suite's sweep: the ONOFFCHAIN_TEST_MINING
-// env var restricts the parameterized tests to one block-production
-// policy (the CI race matrix gives batch mining its own leg).
-func miningModes(tb testing.TB) []string {
-	switch v := os.Getenv("ONOFFCHAIN_TEST_MINING"); v {
-	case "":
-		return []string{"auto", "batch"}
-	case "auto", "batch":
-		return []string{v}
-	default:
-		tb.Fatalf("ONOFFCHAIN_TEST_MINING=%q (want auto or batch)", v)
-		return nil
-	}
-}
+// miningModes mirrors the hub suite's sweep of block-production policies.
+var miningModes = []string{"auto", "batch"}
 
 func fedWorld(tb testing.TB, mode string) (*chain.Chain, *whisper.Network, *secp256k1.PrivateKey) {
 	tb.Helper()
@@ -155,7 +143,7 @@ func countEvents(c *chain.Chain) *eventCounts {
 // honest windows ride the owner's vouch (no redundant filing), and the
 // sum of per-tower filings equals the adversary count.
 func TestFederationFleet(t *testing.T) {
-	for _, mode := range miningModes(t) {
+	for _, mode := range miningModes {
 		mode := mode
 		t.Run("mining="+mode, func(t *testing.T) { fedFleetRun(t, mode) })
 	}
@@ -291,7 +279,7 @@ func submittedContract(tb testing.TB, c *chain.Chain) types.Address {
 // deadline — exactly once — and a later hub.Recover must find the window
 // already enforced and not double-dispute.
 func TestFederationBackupDisputesWhenHubDies(t *testing.T) {
-	for _, mode := range miningModes(t) {
+	for _, mode := range miningModes {
 		mode := mode
 		t.Run("mining="+mode, func(t *testing.T) { fedFailoverRun(t, mode) })
 	}
@@ -721,7 +709,7 @@ func TestSignedGossip(t *testing.T) {
 // transactions; each fraudulent leaf is opened against the posted root
 // and disputed exactly once fleet-wide.
 func TestFederationRollupFleet(t *testing.T) {
-	for _, mode := range miningModes(t) {
+	for _, mode := range miningModes {
 		mode := mode
 		t.Run("mining="+mode, func(t *testing.T) { fedRollupRun(t, mode) })
 	}

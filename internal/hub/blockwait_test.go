@@ -91,7 +91,7 @@ func startRollupHub(t *testing.T, c *chain.Chain, net *whisper.Network, faucetKe
 	}
 	stopAtCleanup(t, h)
 	reg, _ := h.RollupHandles()
-	seqKey, err := sequencerKey()
+	seqKey, err := h.deriveKey(0, sequencerIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestBlockWaitBudget(t *testing.T) {
 	// block, and the honest submission of that block has its clean verdict
 	// while they are still pooled.
 	t.Run("burst/lies", func(t *testing.T) {
-		const l = 4 + 2 // the default DisputeWorkers, and two more
+		const l = sandboxSlots + 2
 		c, net, faucetKey := manualWorld(t)
 		h := New(c, net, faucetKey, Config{Workers: l + 1})
 		stopAtCleanup(t, h)

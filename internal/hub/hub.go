@@ -116,10 +116,9 @@ func (t *Ticket) Report() *Report {
 
 // Config tunes the hub.
 type Config struct {
-	// Workers is the session worker pool size (default GOMAXPROCS).
+	// Workers is the session worker pool size (default GOMAXPROCS). The
+	// submission queue holds four tickets per worker.
 	Workers int
-	// QueueDepth bounds the submission queue (default 4 * Workers).
-	QueueDepth int
 	// Store, when set, makes the hub durable: every lifecycle transition
 	// is logged to the WAL before it is acted on, and hub.Recover can
 	// rebuild the session table from it after a crash. The caller owns
@@ -134,21 +133,6 @@ type Config struct {
 	// WAL writes and no further chain transactions. The crash-injection
 	// harness is built on this hook (typically combined with Kill).
 	StageHook func(sid uint64, s Stage) bool
-	// DisputeWorkers bounds the watchtower's concurrent sandbox runs — the
-	// private re-executions that produce its own verdict on a submission
-	// (default 4). It does not bound filings: a slot is released before any
-	// dispute transaction is sent or awaited, so a clean verdict never queues
-	// behind another window's receipt wait, and any number of concurrent lies
-	// are enforced in the same block.
-	DisputeWorkers int
-	// Observer, when set, mirrors the watchtower's guard events (windows
-	// opened/closed, dispute intents) to an external listener — the seam
-	// internal/federation attaches to. See TowerObserver.
-	Observer TowerObserver
-	// DisputeGate, when set, arbitrates dispute filing (see DisputeGate):
-	// the federation uses it to defer to a window's assigned primary
-	// tower and escalate on staggered timeouts.
-	DisputeGate DisputeGate
 	// Telemetry, when set, is the registry the hub publishes its series
 	// into (hub_sessions_*, hub_stage_seconds, hub_queue_depth, ...), so
 	// one /metrics scrape covers every component sharing the registry.
@@ -236,9 +220,6 @@ func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKe
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
-	}
 	m := newMetrics(cfg.Telemetry)
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &Hub{
@@ -252,7 +233,7 @@ func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKe
 		tracer:  cfg.Tracer,
 		journal: newJournal(cfg.Store, cfg.CompactEvery, holdCursor),
 		splits:  make(map[types.Hash]*hybrid.SplitResult),
-		jobs:    make(chan *Ticket, cfg.QueueDepth),
+		jobs:    make(chan *Ticket, 4*cfg.Workers),
 	}
 	h.keySecret = keccak.Sum256([]byte("onoffchain/hub/key-secret"), faucetKey.Bytes())
 	h.journal.tracer = cfg.Tracer
@@ -263,7 +244,7 @@ func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKe
 	// SLO: a full submission queue means Submit callers are blocking —
 	// sustained saturation is the first symptom of a wedged worker pool.
 	cfg.Telemetry.RegisterHealth("hub_workers", func() telemetry.ComponentHealth {
-		depth, cap := len(h.jobs), cfg.QueueDepth
+		depth, cap := len(h.jobs), cap(h.jobs)
 		switch {
 		case depth >= cap:
 			return telemetry.Unhealthy(fmt.Sprintf("submission queue full (%d/%d)", depth, cap))
@@ -276,25 +257,20 @@ func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKe
 	if net != nil {
 		net.RegisterMetrics(cfg.Telemetry)
 	}
-	h.tower = NewWatchtower(c, m)
-	// SLO: open dispute decisions pile up when dispute workers stall or the
+	h.tower = NewWatchtower(c, m, cfg.Tracer, h.journal)
+	// SLO: open dispute decisions pile up when the sandbox slots stall or the
 	// chain stops confirming filings; a deep backlog risks missed windows.
 	cfg.Telemetry.RegisterHealth("tower_disputes", func() telemetry.ComponentHealth {
 		backlog := h.tower.PendingDisputes()
 		switch {
-		case backlog > 4*cfg.DisputeWorkers && backlog > 32:
+		case backlog > 8*sandboxSlots:
 			return telemetry.Unhealthy(fmt.Sprintf("dispute backlog %d", backlog))
-		case backlog > 2*cfg.DisputeWorkers && backlog > 8:
+		case backlog > 2*sandboxSlots:
 			return telemetry.Degraded(fmt.Sprintf("dispute backlog %d", backlog))
 		default:
 			return telemetry.Healthy()
 		}
 	})
-	h.tower.SetTracer(cfg.Tracer)
-	h.tower.setJournal(h.journal)
-	h.tower.SetDisputeWorkers(cfg.DisputeWorkers)
-	h.tower.SetObserver(cfg.Observer)
-	h.tower.SetDisputeGate(cfg.DisputeGate)
 	// One faucet shard per worker: funding fresh participant keys is on
 	// every session's critical path, and a single faucet account would
 	// serialize it (nonces are strictly ordered per sender). Shards are
@@ -349,27 +325,6 @@ type GuardExport struct {
 	// same trace as the hub's own spans. Zero when the hub runs untraced.
 	TraceID   uint64
 	TraceSpan uint64
-}
-
-// ExportGuard returns the guard state of a live session from the durable
-// mirror (available whether or not a WAL store is attached). It returns
-// false until the session's identity records are complete — party
-// scalars, deployed address, and signed copy — i.e. exactly when the
-// session becomes guardable.
-func (h *Hub) ExportGuard(sid uint64) (*GuardExport, bool) {
-	ss, ok := h.journal.session(sid)
-	if !ok || ss.Scalars == nil || ss.Addr.IsZero() || ss.CopyEnc == nil {
-		return nil, false
-	}
-	honest := ss.Honest
-	if honest < 0 {
-		honest = 0
-	}
-	return &GuardExport{
-		SID: ss.ID, Scenario: ss.Scenario, Contract: ss.Addr,
-		ChallengePeriod: ss.ChallengePeriod, Honest: honest,
-		Scalars: ss.Scalars, CopyEnc: ss.CopyEnc,
-	}, true
 }
 
 // LiveSessions counts sessions the durable mirror considers in flight
@@ -506,12 +461,12 @@ func (h *Hub) split(spec *Spec) (*hybrid.SplitResult, error) {
 	return sr, nil
 }
 
-// deriveKey returns the key of party (or, under session ID 0, faucet shard)
-// number index: a pure function of (hub secret, sid, index). Which worker
-// runs a session, and in what order workers reach this point, cannot change
-// the session's addresses — twin worlds fed the same fleet agree on every
-// address-seeded outcome at any core count — and the scalars are not
-// guessable without the hub's secret. Session IDs are never reissued
+// deriveKey returns the key of party (or, under session ID 0, faucet shard
+// or sequencer) number index: a pure function of (hub secret, sid, index).
+// Which worker runs a session, and in what order workers reach this point,
+// cannot change the session's addresses — twin worlds fed the same fleet
+// agree on every address-seeded outcome at any core count — and the scalars
+// are not guessable without the hub's secret. Session IDs are never reissued
 // (Recover floors the allocator above the WAL's high mark), so neither are
 // keys.
 func (h *Hub) deriveKey(sid uint64, index int) (*secp256k1.PrivateKey, error) {

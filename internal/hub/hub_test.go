@@ -156,9 +156,9 @@ func TestHubConcurrentMixed(t *testing.T) {
 	}
 }
 
-// TestHubManySessions pushes a large concurrent batch through one chain.
-// The full 1000-session sweep lives in BenchmarkHubThroughput; this keeps
-// the regular (race-enabled) test suite at a size CI can afford.
+// TestHubManySessions pushes a large concurrent batch through one chain, at
+// a size the regular (race-enabled) test suite can afford; benchmark/ runs
+// the fleets of record.
 func TestHubManySessions(t *testing.T) {
 	n := 120
 	if testing.Short() {

@@ -302,19 +302,6 @@ func (j *journal) live() int {
 	return len(j.sessions)
 }
 
-// session returns a copy of one live session's mirror state (the backing
-// slices are shared — callers treat them as immutable, which they are:
-// the fold only ever replaces them wholesale).
-func (j *journal) session(sid uint64) (sessionState, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ss := j.sessions[sid]
-	if ss == nil {
-		return sessionState{}, false
-	}
-	return *ss, true
-}
-
 // seed installs a recovered session state into the mirror (Recover calls
 // it before re-arming the watchtower, so compaction snapshots keep
 // carrying sessions that were recovered but not yet terminal).

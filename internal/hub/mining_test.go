@@ -17,21 +17,9 @@ import (
 // (the dev-chain block-per-transaction policy) and "batch" (AutoMine off,
 // the background driver sealing many sessions' transactions per block).
 
-// miningModes is the sweep a parameterized suite runs. The
-// ONOFFCHAIN_TEST_MINING env var ("auto" or "batch") restricts it to one
-// policy — the CI matrix uses that to give batch mining a dedicated leg
-// without doubling the default leg.
-func miningModes(tb testing.TB) []string {
-	switch v := os.Getenv("ONOFFCHAIN_TEST_MINING"); v {
-	case "":
-		return []string{"auto", "batch"}
-	case "auto", "batch":
-		return []string{v}
-	default:
-		tb.Fatalf("ONOFFCHAIN_TEST_MINING=%q (want auto or batch)", v)
-		return nil
-	}
-}
+// miningModes is the sweep a parameterized suite runs; -run '<Test>/batch'
+// picks one leg.
+var miningModes = []string{"auto", "batch"}
 
 // applyTestExec applies the ONOFFCHAIN_TEST_EXEC env var ("serial" or
 // "parallel") to a chain config: the CI race matrix uses it to run the

@@ -30,8 +30,9 @@ func TestDisputeGateHoldsBarrier(t *testing.T) {
 		deferred.Add(1)
 		return GateDefer, 5 * time.Millisecond
 	}
-	h := New(c, net, faucetKey, Config{Workers: 2, DisputeGate: gate})
+	h := New(c, net, faucetKey, Config{Workers: 2})
 	defer h.Stop()
+	h.tower.SetDisputeGate(gate) // on a live hub, as federation.AttachHub does
 
 	tk := h.Submit(BettingSpec(4, 600, true))
 	// The adversarial window opens, the gate defers, the pipeline holds
@@ -100,52 +101,6 @@ func waitFor(tb testing.TB, d time.Duration, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	tb.Fatalf("timed out waiting for %s", what)
-}
-
-// TestExportGuard pins the federation's guard-state seam on the hub's
-// durable mirror.
-func TestExportGuard(t *testing.T) {
-	h, _ := newTestHub(t, 2)
-	rep := h.Submit(BettingSpec(4, 600, false)).Report()
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	// Terminal session: evicted from the mirror, no export.
-	if _, ok := h.ExportGuard(rep.ID); ok {
-		t.Error("terminal session still exports guard state")
-	}
-	if _, ok := h.ExportGuard(999); ok {
-		t.Error("unknown session exports guard state")
-	}
-	// A live session exports complete guard state the moment it is
-	// guardable; capture it mid-flight via the stage hook.
-	got := make(chan *GuardExport, 1)
-	c, net, faucetKey := miningWorld(t, "auto")
-	var h2 *Hub
-	h2 = New(c, net, faucetKey, Config{Workers: 1, StageHook: func(sid uint64, s Stage) bool {
-		if s == StageSigned {
-			if g, ok := h2.ExportGuard(sid); ok {
-				select {
-				case got <- g:
-				default:
-				}
-			}
-		}
-		return true
-	}})
-	defer h2.Stop()
-	rep2 := h2.Submit(BettingSpec(4, 600, false)).Report()
-	if rep2.Err != nil {
-		t.Fatal(rep2.Err)
-	}
-	select {
-	case g := <-got:
-		if g.Scenario != "betting" || g.Contract != rep2.OnChainAddr || len(g.Scalars) != 2 || len(g.CopyEnc) == 0 || g.ChallengePeriod != 600 {
-			t.Errorf("incomplete guard export: %+v", g)
-		}
-	default:
-		t.Error("no guard export captured at the signed stage")
-	}
 }
 
 // TestWhisperDropsInHubMetrics: envelope loss on the hub's whisper

@@ -75,7 +75,7 @@ func countEvents(c *chain.Chain) *chainEventCounts {
 // dispute, and no contract may ever see more than one dispute.
 func TestCrashRecoveryAtEveryStage(t *testing.T) {
 	stages := []Stage{StagePending, StageSplit, StageDeployed, StageSigned, StageExecuted, StageSubmitted, StageSettled}
-	for _, mode := range miningModes(t) {
+	for _, mode := range miningModes {
 		for _, target := range stages {
 			mode, target := mode, target
 			t.Run("mining="+mode+"/"+target.String(), func(t *testing.T) {
@@ -346,7 +346,7 @@ func addrOf(t *testing.T, gen1 []*Report, rec *RecoverReport, id uint64) types.A
 // batch mode the fraud lands in a driver-sealed block nobody was waiting
 // on, the exact shape a real outage produces.
 func TestFraudWhileHubDown(t *testing.T) {
-	for _, mode := range miningModes(t) {
+	for _, mode := range miningModes {
 		mode := mode
 		t.Run("mining="+mode, func(t *testing.T) {
 			fraudWhileHubDownRun(t, mode)

@@ -1,14 +1,12 @@
 package hub
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"onoffchain/internal/hybrid"
 	"onoffchain/internal/rollup"
-	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/store"
 	"onoffchain/internal/types"
 )
@@ -40,18 +38,13 @@ type RollupConfig struct {
 	Window uint64
 }
 
-// sequencerKey mints the hub's FIXED sequencer identity. Deterministic
-// and generation-stable on purpose: the rollup registry admits exactly
-// one posting address, so a recovered hub must come back as the same
-// sequencer the crashed generation deployed the registry with. The scalar
-// lives outside the session-key namespace ("HUB" base word) and the
-// faucet namespace.
-func sequencerKey() (*secp256k1.PrivateKey, error) {
-	var d [32]byte // big-endian scalar: "SEQ" base word
-	binary.BigEndian.PutUint64(d[16:24], 0x53_45_51)
-	binary.BigEndian.PutUint64(d[24:32], 1)
-	return secp256k1.PrivateKeyFromBytes(d[:])
-}
+// sequencerIndex is the sequencer's place among the hub's own keys, which
+// live under session ID 0: the faucet shards count up from 0, so no worker
+// count reaches it. Generation-stable like every derived key, as it must be:
+// the rollup registry admits exactly one posting address, so a recovered hub
+// has to come back as the sequencer the crashed generation deployed the
+// registry with.
+const sequencerIndex = -1
 
 // initRollup builds (without starting) the hub-hosted sequencer: mint its
 // identity, seed it from folded WAL state (nil for a fresh hub), fund it and
@@ -61,7 +54,7 @@ func sequencerKey() (*secp256k1.PrivateKey, error) {
 // windows on a tower that already knows the sessions.
 func (h *Hub) initRollup(f *rollup.Folded) error {
 	rc := h.cfg.Rollup
-	key, err := sequencerKey()
+	key, err := h.deriveKey(0, sequencerIndex)
 	if err != nil {
 		return err
 	}

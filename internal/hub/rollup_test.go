@@ -10,6 +10,7 @@ import (
 	"onoffchain/internal/chain"
 	"onoffchain/internal/hybrid"
 	"onoffchain/internal/rollup"
+	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
 	"onoffchain/internal/types"
@@ -193,7 +194,7 @@ func TestRollupDisputesFraudulentLeaf(t *testing.T) {
 // leaves are each opened and disputed exactly once, and the settlement
 // commit count stays a small fraction of the session count.
 func TestRollupConcurrentMixed(t *testing.T) {
-	for _, mode := range miningModes(t) {
+	for _, mode := range miningModes {
 		mode := mode
 		t.Run("mining="+mode, func(t *testing.T) {
 			const n = 20
@@ -245,7 +246,7 @@ func TestRollupConcurrentMixed(t *testing.T) {
 // without double-posting, and the recovered tower must open and dispute
 // the fraudulent leaf exactly once.
 func TestRollupCrashRecovery(t *testing.T) {
-	for _, mode := range miningModes(t) {
+	for _, mode := range miningModes {
 		mode := mode
 		t.Run("mining="+mode, func(t *testing.T) {
 			rollupCrashRecoveryRun(t, mode)
@@ -586,3 +587,79 @@ func TestRollupWindowBookkeeping(t *testing.T) {
 }
 
 var _ = []interface{}{hybrid.TopicDisputeResolved, types.Address{}, whisper.NewNetwork}
+
+// epochPosters returns, in chain order, who sent each postEpoch the hub's
+// registry accepted.
+func epochPosters(t *testing.T, c *chain.Chain, h *Hub) []types.Address {
+	t.Helper()
+	reg, _ := h.RollupHandles()
+	var out []types.Address
+	for _, l := range c.FilterLogs(chain.FilterQuery{Address: &reg.Addr, Topic: &rollup.TopicEpochPosted}) {
+		b, err := c.BlockByNumber(l.BlockNumber)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from, err := b.Transactions[l.TxIndex].Sender()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, from)
+	}
+	return out
+}
+
+// TestSequencerKeyDerivedFromHubSecret: the one address a registry lets post
+// epochs is minted from the hub's secret like every other key, so hubs on
+// different faucet keys do not share it — and it is generation-stable: a
+// recovered hub posts, as the same sequencer, to the registry the dead
+// generation deployed.
+func TestSequencerKeyDerivedFromHubSecret(t *testing.T) {
+	c, net, faucetKey := durableWorld(t)
+	otherKey, err := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0xFA0CE8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherAddr := types.Address(otherKey.EthereumAddress())
+	if _, err := hybrid.NewParticipant(faucetKey, c, nil).SendTx(&otherAddr, eth(10_000), 21_000, nil); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rc := &RollupConfig{Depth: 2, EpochAge: 20 * time.Millisecond}
+	cfg := Config{Workers: 1, Store: st, Rollup: rc}
+	rollUp := func(h *Hub) {
+		t.Helper()
+		if rep := h.Submit(BettingSpec(4, 600, false)).Report(); rep.Err != nil || rep.Stage != StageRolledUp {
+			t.Fatalf("stage=%s err=%v, want rolled up", rep.Stage, rep.Err)
+		}
+	}
+
+	h1 := New(c, net, faucetKey, cfg)
+	other := New(c, net, otherKey, Config{Workers: 1, Rollup: rc})
+	defer other.Stop()
+	rollUp(h1)
+	rollUp(other)
+	seq := epochPosters(t, c, h1)
+	if otherSeq := epochPosters(t, c, other); len(seq) != 1 || len(otherSeq) != 1 || seq[0] == otherSeq[0] {
+		t.Fatalf("sequencers %v and %v, want one post each from different addresses", seq, otherSeq)
+	}
+
+	reg1, _ := h1.RollupHandles()
+	h1.Kill()
+	h1.Stop()
+	h2, _, err := Recover(st, c, net, faucetKey, cfg, testRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Stop()
+	if reg2, _ := h2.RollupHandles(); reg2.Addr != reg1.Addr {
+		t.Fatalf("recovered hub posts to registry %s, the dead generation deployed %s", reg2.Addr.Hex(), reg1.Addr.Hex())
+	}
+	rollUp(h2)
+	if got := epochPosters(t, c, h2); len(got) != 2 || got[1] != seq[0] {
+		t.Fatalf("posters across the crash: %v, want two posts from %s", got, seq[0].Hex())
+	}
+}

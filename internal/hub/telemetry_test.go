@@ -2,7 +2,9 @@ package hub
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"onoffchain/internal/chain"
 	"onoffchain/internal/secp256k1"
@@ -126,5 +128,48 @@ func TestTraceDisabledIsNoOp(t *testing.T) {
 	var tr *telemetry.Tracer
 	if got := tr.SID(rep.ID); got != nil {
 		t.Fatalf("nil tracer returned spans: %v", got)
+	}
+}
+
+// TestTowerDisputesHealth: the tower_disputes reporter reads the backlog of
+// undecided windows — degraded above two per sandbox slot — and recovers once
+// they are decided.
+func TestTowerDisputesHealth(t *testing.T) {
+	const held = 2*sandboxSlots + 1
+	c, net, faucetKey := miningWorld(t, "auto")
+	reg := telemetry.NewRegistry()
+	// An owner waits for its own verdict, so each held window takes a worker.
+	h := New(c, net, faucetKey, Config{Workers: held, Telemetry: reg})
+	defer h.Stop()
+	var release atomic.Bool
+	h.tower.SetDisputeGate(func(*Watch, Window) (GateDecision, time.Duration) {
+		if release.Load() {
+			return GateFile, 0
+		}
+		return GateDefer, 5 * time.Millisecond
+	})
+	status := func() telemetry.HealthStatus {
+		return reg.HealthReport().Components["tower_disputes"].Status
+	}
+	if got := status(); got != telemetry.HealthOK {
+		t.Fatalf("idle tower reports %s", got)
+	}
+	tickets := make([]*Ticket, held)
+	for i := range tickets {
+		tickets[i] = h.Submit(BettingSpec(4, 600, true))
+	}
+	waitFor(t, 20*time.Second, "every window to be held undecided", func() bool { return h.tower.PendingDisputes() == held })
+	if got := status(); got != telemetry.HealthDegraded {
+		t.Errorf("%d undecided windows report %s, want degraded", held, got)
+	}
+	release.Store(true)
+	for _, tk := range tickets {
+		if rep := tk.Report(); rep.Err != nil || rep.Stage != StageResolved {
+			t.Fatalf("after gate release: stage=%s err=%v, want a resolved dispute", rep.Stage, rep.Err)
+		}
+	}
+	waitFor(t, 5*time.Second, "the pipeline to drain", func() bool { return h.tower.PendingDisputes() == 0 })
+	if got := status(); got != telemetry.HealthOK {
+		t.Errorf("drained tower reports %s, want healthy", got)
 	}
 }

@@ -41,17 +41,16 @@ type Watchtower struct {
 	sub     *chain.BlockLogSubscription
 	filter  *chain.AddressSet // guarded contracts; gates log delivery chain-side
 	metrics *metrics
+	tracer  *telemetry.Tracer // nil: no spans
+	journal *journal          // the hub's WAL; nil for a standalone tower
 	wg      sync.WaitGroup
 
-	// Collaborators installed after construction: the hub wires tracer and
-	// journal right after NewWatchtower, and federation.AttachHub installs
-	// observer/gate on an already-running hub — by which time the event
-	// loop may have processed blocks (the rollup registry deploy mines one
-	// during hub.New), so every access goes through cbMu. All four are
-	// set before any session is guarded and never changed after.
+	// The federation's two collaborators: AttachHub installs them on an
+	// already-running hub — by which time the event loop may have processed
+	// blocks (the rollup registry deploy mines one during hub.New) — so
+	// every access goes through cbMu. Both are set before any session is
+	// guarded and never changed after.
 	cbMu     sync.RWMutex
-	tracer   *telemetry.Tracer // set by the hub (or SetTracer); nil: no spans
-	journal  *journal          // set by the hub; nil for a standalone tower
 	observer TowerObserver
 	gate     DisputeGate
 
@@ -155,11 +154,18 @@ type Window struct {
 	Deadline  uint64 // OpenedAt + challenge period
 }
 
+// sandboxSlots bounds the tower's concurrent sandbox runs — the private
+// re-executions that produce its own verdict on a submission. It does not
+// bound filings: a slot is released before any dispute transaction is sent
+// or awaited, so any number of concurrent lies are enforced in one block.
+const sandboxSlots = 4
+
 // NewWatchtower starts a tower on the chain. Stop() must be called to
-// release the subscription and its goroutines. The second parameter is
-// the hub's internal metrics sink; external callers (the federation's
-// standalone towers) pass nil.
-func NewWatchtower(c *chain.Chain, m *metrics) *Watchtower {
+// release the subscription and its goroutines. m is the hub's internal
+// metrics sink and j its WAL; external callers (the federation's standalone
+// towers) pass nil for both. tr records tower-layer spans (windows opened,
+// settlements, dispute filings); nil disables them.
+func NewWatchtower(c *chain.Chain, m *metrics, tr *telemetry.Tracer, j *journal) *Watchtower {
 	if m == nil {
 		m = newMetrics(nil)
 	}
@@ -178,8 +184,10 @@ func NewWatchtower(c *chain.Chain, m *metrics) *Watchtower {
 		}),
 		filter:  filter,
 		metrics: m,
+		tracer:  tr,
+		journal: j,
 		entries: make(map[types.Address]*Watch),
-		sem:     make(chan struct{}, 4),
+		sem:     make(chan struct{}, sandboxSlots),
 		stopCh:  make(chan struct{}),
 		haltCh:  make(chan struct{}),
 	}
@@ -205,25 +213,8 @@ func (w *Watchtower) SetDisputeGate(g DisputeGate) {
 	w.cbMu.Unlock()
 }
 
-// SetTracer installs a span recorder for tower-layer events (windows
-// opened, settlements, dispute filings). Must be called before any
-// session is guarded; standalone federation towers use it.
-func (w *Watchtower) SetTracer(tr *telemetry.Tracer) {
-	w.cbMu.Lock()
-	w.tracer = tr
-	w.cbMu.Unlock()
-}
-
-// setJournal wires the hub's WAL (nil for a standalone tower). Like the
-// setters above it may run after the event loop has started.
-func (w *Watchtower) setJournal(j *journal) {
-	w.cbMu.Lock()
-	w.journal = j
-	w.cbMu.Unlock()
-}
-
-// obs/disputeGate/spanTracer/jrnl are the loop-side reads of the
-// late-installed collaborators.
+// obs/disputeGate are the loop-side reads of the late-installed
+// collaborators.
 func (w *Watchtower) obs() TowerObserver {
 	w.cbMu.RLock()
 	defer w.cbMu.RUnlock()
@@ -234,26 +225,6 @@ func (w *Watchtower) disputeGate() DisputeGate {
 	w.cbMu.RLock()
 	defer w.cbMu.RUnlock()
 	return w.gate
-}
-
-func (w *Watchtower) spanTracer() *telemetry.Tracer {
-	w.cbMu.RLock()
-	defer w.cbMu.RUnlock()
-	return w.tracer
-}
-
-func (w *Watchtower) jrnl() *journal {
-	w.cbMu.RLock()
-	defer w.cbMu.RUnlock()
-	return w.journal
-}
-
-// SetDisputeWorkers bounds the pipeline's concurrent sandbox runs (default
-// 4); filings are not bounded. Must be called before any session is guarded.
-func (w *Watchtower) SetDisputeWorkers(n int) {
-	if n > 0 {
-		w.sem = make(chan struct{}, n)
-	}
 }
 
 // Metrics exposes the tower's counter snapshot (standalone towers have
@@ -562,8 +533,8 @@ func (w *Watchtower) loop() {
 		if w.isHalted() {
 			continue
 		}
-		if j := w.jrnl(); j != nil {
-			j.log(&store.Record{Kind: store.KindCursor, U1: b.Number})
+		if w.journal != nil {
+			w.journal.log(&store.Record{Kind: store.KindCursor, U1: b.Number})
 		}
 		if o := w.obs(); o != nil {
 			o.BlockProcessed(b.Number)
@@ -793,8 +764,8 @@ func (w *Watchtower) sendLeafOpen(e *Watch, rl *rollupLeaf) (observe func()) {
 		if ok {
 			w.metrics.leavesOpened.Inc()
 		}
-		if tr := w.spanTracer(); tr != nil && (e.id != 0 || e.tc.Valid()) {
-			tr.RecordChild(e.tc, e.id, "tower", "leaf_open", start, time.Since(start),
+		if w.tracer != nil && (e.id != 0 || e.tc.Valid()) {
+			w.tracer.RecordChild(e.tc, e.id, "tower", "leaf_open", start, time.Since(start),
 				fmt.Sprintf("epoch=%d index=%d ok=%t", rl.epoch, rl.index, ok))
 		}
 	}
@@ -860,8 +831,8 @@ func (w *Watchtower) onSettled(e *Watch, addr types.Address, byDispute bool) {
 	delete(w.entries, addr)
 	w.mu.Unlock()
 	w.filter.Remove(addr) // settled for good: stop receiving its logs
-	if tr := w.spanTracer(); first && tr != nil && (e.id != 0 || e.tc.Valid()) {
-		tr.EventChild(e.tc, e.id, "tower", "settled", fmt.Sprintf("by_dispute=%t", byDispute))
+	if first && w.tracer != nil && (e.id != 0 || e.tc.Valid()) {
+		w.tracer.EventChild(e.tc, e.id, "tower", "settled", fmt.Sprintf("by_dispute=%t", byDispute))
 	}
 	if o := w.obs(); first && o != nil {
 		o.WindowClosed(addr, byDispute)
@@ -913,11 +884,11 @@ func (w *Watchtower) examine(e *Watch, result, openedAt, deadline uint64, submit
 		e.pending = true
 	}
 	e.mu.Unlock()
-	if tr := w.spanTracer(); tr != nil && (e.id != 0 || e.tc.Valid()) {
-		tr.EventChild(e.tc, e.id, "tower", "window_open", fmt.Sprintf("result=%d deadline=%d", result, deadline))
+	if w.tracer != nil && (e.id != 0 || e.tc.Valid()) {
+		w.tracer.EventChild(e.tc, e.id, "tower", "window_open", fmt.Sprintf("result=%d deadline=%d", result, deadline))
 	}
-	if j := w.jrnl(); j != nil && e.id != 0 {
-		j.log(&store.Record{
+	if w.journal != nil && e.id != 0 {
+		w.journal.log(&store.Record{
 			Kind: store.KindWindow, SID: e.id,
 			U1: result, U2: openedAt, U3: deadline,
 			Blob: submitter[:],
@@ -1014,7 +985,7 @@ func (e *Watch) settledChRef() chan struct{} {
 
 // fileDispute is the decision point: verify the submission in the tower's
 // own sandbox, veto against chain truth, claim, and file. Only the sandbox
-// run holds a DisputeWorkers slot: the slot is back before any transaction
+// run holds a slot: the slot is back before any transaction
 // is sent or awaited, so a filing's block wait never makes another window's
 // verdict — clean or not — wait a block for a free slot.
 func (w *Watchtower) fileDispute(e *Watch, win Window) {
@@ -1059,8 +1030,8 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 	// recompute and enforce the true result.
 	w.metrics.disputesRaised.Inc()
 	disputeStart := time.Now()
-	if j := w.jrnl(); j != nil && e.id != 0 {
-		j.log(&store.Record{Kind: store.KindDisputed, SID: e.id})
+	if w.journal != nil && e.id != 0 {
+		w.journal.log(&store.Record{Kind: store.KindDisputed, SID: e.id})
 	}
 	if o := w.obs(); o != nil {
 		o.DisputeClaimed(e, e.sess.OnChainAddr)
@@ -1090,8 +1061,8 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 		e.mu.Unlock()
 		w.onSettled(e, e.sess.OnChainAddr, true)
 	}
-	if tr := w.spanTracer(); tr != nil && (e.id != 0 || e.tc.Valid()) {
-		tr.RecordChild(e.tc, e.id, "tower", "dispute", disputeStart, time.Since(disputeStart),
+	if w.tracer != nil && (e.id != 0 || e.tc.Valid()) {
+		w.tracer.RecordChild(e.tc, e.id, "tower", "dispute", disputeStart, time.Since(disputeStart),
 			fmt.Sprintf("enforced=%t fallback=%t", enforced, e.sess.DisputeFellBack))
 	}
 	if o := w.obs(); o != nil {

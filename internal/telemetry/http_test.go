@@ -5,8 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -93,49 +91,5 @@ func TestServeAndClose(t *testing.T) {
 	}
 	if _, err := Serve("256.0.0.1:99999", reg, nil); err == nil {
 		t.Fatal("bad addr must error")
-	}
-}
-
-func TestAppendBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH.json")
-	h := NewHistogram([]float64{1, 2, 4})
-	h.Observe(0.5)
-	h.Observe(3)
-	rec := BenchRecord{
-		Name:      "hub_throughput",
-		GitRev:    GitRev(),
-		When:      time.Now().UTC().Format(time.RFC3339),
-		Config:    map[string]any{"sessions": 100, "mining": "batch"},
-		Metrics:   map[string]float64{"sessions_per_sec": 123.4},
-		Quantiles: map[string]map[string]float64{"stage_split": QuantileMap(h)},
-	}
-	if err := AppendBenchJSON(path, rec); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if err := AppendBenchJSON(path, rec); err != nil {
-		t.Fatalf("second append: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []BenchRecord
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("BENCH.json not a JSON array: %v", err)
-	}
-	if len(got) != 2 || got[0].Name != "hub_throughput" || got[1].Metrics["sessions_per_sec"] != 123.4 {
-		t.Fatalf("roundtrip wrong: %+v", got)
-	}
-	if got[0].Quantiles["stage_split"]["max"] != 3 {
-		t.Fatalf("quantiles wrong: %+v", got[0].Quantiles)
-	}
-	if QuantileMap(nil) != nil || QuantileMap(NewHistogram([]float64{1})) != nil {
-		t.Fatal("QuantileMap of empty histogram must be nil")
-	}
-	// Corrupt file refuses to append rather than silently clobbering.
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	os.WriteFile(bad, []byte("{not json"), 0o644)
-	if err := AppendBenchJSON(bad, rec); err == nil {
-		t.Fatal("corrupt file must error")
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"log"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"onoffchain/internal/chain"
@@ -146,34 +145,30 @@ func main() {
 	// Stream finalization and dispute events live over the push API. In
 	// rollup mode no per-session finalizations exist — the epoch feed shows
 	// the batched commits instead.
-	finalized := c.SubscribeLogs(chain.FilterQuery{Topic: &hybrid.TopicResultFinalized})
-	resolved := c.SubscribeLogs(chain.FilterQuery{Topic: &hybrid.TopicDisputeResolved})
-	epochs := c.SubscribeLogs(chain.FilterQuery{Topic: &rollup.TopicEpochPosted})
-	var feedWG sync.WaitGroup
-	feedWG.Add(3)
+	events := c.SubscribeBlockLogs(chain.FilterQuery{Topics: []types.Hash{
+		hybrid.TopicResultFinalized, hybrid.TopicDisputeResolved, rollup.TopicEpochPosted,
+	}})
+	feedDone := make(chan struct{})
 	go func() {
-		defer feedWG.Done()
-		for l := range epochs.Logs() {
-			if ev, err := rollup.DecodeEpochPosted(l); err == nil {
-				fmt.Printf("  [events] block %4d  epoch %d POSTED root=%s.. (%d sessions in one tx)\n",
-					l.BlockNumber, ev.Epoch, ev.Root.Hex()[:10], ev.Count)
+		defer close(feedDone)
+		for b := range events.BlockLogs() {
+			for _, l := range b.Logs {
+				switch l.Topics[0] {
+				case rollup.TopicEpochPosted:
+					if ev, err := rollup.DecodeEpochPosted(l); err == nil {
+						fmt.Printf("  [events] block %4d  epoch %d POSTED root=%s.. (%d sessions in one tx)\n",
+							l.BlockNumber, ev.Epoch, ev.Root.Hex()[:10], ev.Count)
+					}
+				case hybrid.TopicResultFinalized:
+					r, _ := hybrid.DecodeResultWord(l)
+					fmt.Printf("  [events] block %4d  %s  finalized result=%d (unchallenged)\n",
+						l.BlockNumber, l.Address.Hex()[:10], r)
+				case hybrid.TopicDisputeResolved:
+					r, _ := hybrid.DecodeResultWord(l)
+					fmt.Printf("  [events] block %4d  %s  DISPUTE RESOLVED result=%d (enforced by miners)\n",
+						l.BlockNumber, l.Address.Hex()[:10], r)
+				}
 			}
-		}
-	}()
-	go func() {
-		defer feedWG.Done()
-		for l := range finalized.Logs() {
-			r, _ := hybrid.DecodeResultWord(l)
-			fmt.Printf("  [events] block %4d  %s  finalized result=%d (unchallenged)\n",
-				l.BlockNumber, l.Address.Hex()[:10], r)
-		}
-	}()
-	go func() {
-		defer feedWG.Done()
-		for l := range resolved.Logs() {
-			r, _ := hybrid.DecodeResultWord(l)
-			fmt.Printf("  [events] block %4d  %s  DISPUTE RESOLVED result=%d (enforced by miners)\n",
-				l.BlockNumber, l.Address.Hex()[:10], r)
 		}
 	}()
 
@@ -192,10 +187,8 @@ func main() {
 
 	// Flush the live event feed before summarizing.
 	h.Stop()
-	finalized.Unsubscribe()
-	resolved.Unsubscribe()
-	epochs.Unsubscribe()
-	feedWG.Wait()
+	events.Unsubscribe()
+	<-feedDone
 
 	fmt.Println("\nper-session outcome:")
 	for i, rep := range reports {

@@ -133,10 +133,8 @@ type Chain struct {
 	mineCap  int
 
 	// Push subscriptions (see subscription.go).
-	subID        uint64
-	logSubs      map[uint64]*LogSubscription
-	blockSubs    map[uint64]*BlockSubscription
-	blockLogSubs map[uint64]*BlockLogSubscription
+	subID uint64
+	subs  map[uint64]*BlockLogSubscription
 
 	// In-memory log index (see appendBlock/filterIndexedLocked): every
 	// mined log, keyed by emitting address, in chain order. LogCursor

@@ -3,7 +3,7 @@ package chain
 import "onoffchain/internal/types"
 
 // LogCursor is a resumable position in the chain's log history: the
-// poll-side counterpart of a LogSubscription for consumers that persist
+// poll-side counterpart of a BlockLogSubscription for consumers that persist
 // their progress and survive restarts (the hub's watchtower checkpoints
 // its cursor in the WAL and resumes from it after a crash). Next drains
 // all logs mined since the cursor's position and advances it; the caller

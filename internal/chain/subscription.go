@@ -7,183 +7,11 @@ import (
 )
 
 // Push-based event delivery, the counterpart of the poll-only
-// FilterLogs/FilterQuery API: a subscription receives every matching log
-// (or every block) mined after the subscription was taken, in chain order.
+// FilterLogs/FilterQuery API: a subscription receives, for every block
+// mined after it was taken, that block's matching logs, in chain order.
 // Delivery is decoupled from mining by an unbounded per-subscription queue
 // and a pump goroutine, so a slow consumer can never stall block
 // production or other subscribers.
-
-// LogSubscription streams logs matching a filter as blocks are mined.
-type LogSubscription struct {
-	c  *Chain
-	id uint64
-	q  FilterQuery
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*types.Log
-	closed bool
-
-	quit chan struct{}
-	out  chan *types.Log
-}
-
-// BlockSubscription streams every newly mined block.
-type BlockSubscription struct {
-	c  *Chain
-	id uint64
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*types.Block
-	closed bool
-
-	quit chan struct{}
-	out  chan *types.Block
-}
-
-// SubscribeLogs registers a push subscription for logs matching q's
-// Address/Topic selectors. The FromBlock/ToBlock range fields are ignored:
-// a subscription always starts at the next mined block (use FilterLogs for
-// history). The channel is closed by Unsubscribe.
-func (c *Chain) SubscribeLogs(q FilterQuery) *LogSubscription {
-	s := &LogSubscription{
-		c:    c,
-		q:    q,
-		quit: make(chan struct{}),
-		out:  make(chan *types.Log, 64),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	c.mu.Lock()
-	c.subID++
-	s.id = c.subID
-	if c.logSubs == nil {
-		c.logSubs = make(map[uint64]*LogSubscription)
-	}
-	c.logSubs[s.id] = s
-	c.mu.Unlock()
-	go s.pump()
-	return s
-}
-
-// Logs returns the delivery channel.
-func (s *LogSubscription) Logs() <-chan *types.Log { return s.out }
-
-// Unsubscribe detaches the subscription and closes the delivery channel
-// once queued logs are no longer wanted. Safe to call more than once.
-func (s *LogSubscription) Unsubscribe() {
-	s.c.mu.Lock()
-	delete(s.c.logSubs, s.id)
-	s.c.mu.Unlock()
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.quit)
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
-func (s *LogSubscription) enqueue(logs []*types.Log) {
-	s.mu.Lock()
-	s.queue = append(s.queue, logs...)
-	s.cond.Signal()
-	s.mu.Unlock()
-}
-
-func (s *LogSubscription) pump() {
-	defer close(s.out)
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 && s.closed {
-			s.mu.Unlock()
-			return
-		}
-		batch := s.queue
-		s.queue = nil
-		s.mu.Unlock()
-		for _, l := range batch {
-			select {
-			case s.out <- l:
-			case <-s.quit:
-				return
-			}
-		}
-	}
-}
-
-// SubscribeBlocks registers a push subscription delivering every block
-// mined after the call, including empty blocks from a manual MineBlock.
-func (c *Chain) SubscribeBlocks() *BlockSubscription {
-	s := &BlockSubscription{
-		c:    c,
-		quit: make(chan struct{}),
-		out:  make(chan *types.Block, 64),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	c.mu.Lock()
-	c.subID++
-	s.id = c.subID
-	if c.blockSubs == nil {
-		c.blockSubs = make(map[uint64]*BlockSubscription)
-	}
-	c.blockSubs[s.id] = s
-	c.mu.Unlock()
-	go s.pump()
-	return s
-}
-
-// Blocks returns the delivery channel.
-func (s *BlockSubscription) Blocks() <-chan *types.Block { return s.out }
-
-// Unsubscribe detaches the subscription and closes the delivery channel.
-// Safe to call more than once.
-func (s *BlockSubscription) Unsubscribe() {
-	s.c.mu.Lock()
-	delete(s.c.blockSubs, s.id)
-	s.c.mu.Unlock()
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.quit)
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
-func (s *BlockSubscription) enqueue(b *types.Block) {
-	s.mu.Lock()
-	s.queue = append(s.queue, b)
-	s.cond.Signal()
-	s.mu.Unlock()
-}
-
-func (s *BlockSubscription) pump() {
-	defer close(s.out)
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 && s.closed {
-			s.mu.Unlock()
-			return
-		}
-		batch := s.queue
-		s.queue = nil
-		s.mu.Unlock()
-		for _, b := range batch {
-			select {
-			case s.out <- b:
-			case <-s.quit:
-				return
-			}
-		}
-	}
-}
 
 // AddressSet is a concurrent, mutable address set used as a live
 // subscription filter (FilterQuery.AddressIn): the chain's mined-block
@@ -281,12 +109,12 @@ type BlockLogs struct {
 	Logs   []*types.Log
 }
 
-// BlockLogSubscription streams per-block batches of filtered logs: the
-// subscription-layer filter a watchtower uses so only the logs of ITS
-// guarded contracts cross the channel, while block boundaries still
-// arrive for cursor advancement. Compare LogSubscription (a flat log
-// stream, no boundaries) and BlockSubscription (whole blocks — every
-// receipt of every transaction, whether the subscriber cares or not).
+// BlockLogSubscription streams per-block batches of filtered logs: only
+// the logs the subscriber's filter selects cross the channel (a
+// watchtower's live AddressSet of guarded contracts), while every block
+// boundary still arrives for cursor advancement. It is the chain's one
+// push feed: a flat log stream is this with the batches ranged over, a
+// block ticker is this with a filter that matches nothing.
 type BlockLogSubscription struct {
 	c  *Chain
 	id uint64
@@ -316,10 +144,10 @@ func (c *Chain) SubscribeBlockLogs(q FilterQuery) *BlockLogSubscription {
 	c.mu.Lock()
 	c.subID++
 	s.id = c.subID
-	if c.blockLogSubs == nil {
-		c.blockLogSubs = make(map[uint64]*BlockLogSubscription)
+	if c.subs == nil {
+		c.subs = make(map[uint64]*BlockLogSubscription)
 	}
-	c.blockLogSubs[s.id] = s
+	c.subs[s.id] = s
 	c.mu.Unlock()
 	go s.pump()
 	return s
@@ -332,7 +160,7 @@ func (s *BlockLogSubscription) BlockLogs() <-chan *BlockLogs { return s.out }
 // Safe to call more than once.
 func (s *BlockLogSubscription) Unsubscribe() {
 	s.c.mu.Lock()
-	delete(s.c.blockLogSubs, s.id)
+	delete(s.c.subs, s.id)
 	s.c.mu.Unlock()
 	s.mu.Lock()
 	if !s.closed {
@@ -379,39 +207,17 @@ func (s *BlockLogSubscription) pump() {
 // own lock (and AddressSet filters their own), so the lock order is
 // always c.mu -> sub.mu / set.mu.
 func (c *Chain) notifySubs(b *types.Block) {
-	for _, s := range c.blockSubs {
-		s.enqueue(b)
-	}
-	if len(c.logSubs) == 0 && len(c.blockLogSubs) == 0 {
-		return
-	}
-	var logs []*types.Log
-	for _, r := range b.Receipts {
-		logs = append(logs, r.Logs...)
-	}
-	for _, s := range c.blockLogSubs {
+	for _, s := range c.subs {
 		batch := &BlockLogs{Number: b.Number()}
-		for _, l := range logs {
-			if matchLog(&s.q, l) {
-				batch.Logs = append(batch.Logs, l)
+		for _, r := range b.Receipts {
+			for _, l := range r.Logs {
+				if matchLog(&s.q, l) {
+					batch.Logs = append(batch.Logs, l)
+				}
 			}
 		}
 		// Empty batches are delivered too: the block boundary is the
 		// subscriber's cursor tick.
 		s.enqueue(batch)
-	}
-	if len(logs) == 0 {
-		return
-	}
-	for _, s := range c.logSubs {
-		var matched []*types.Log
-		for _, l := range logs {
-			if matchLog(&s.q, l) {
-				matched = append(matched, l)
-			}
-		}
-		if len(matched) > 0 {
-			s.enqueue(matched)
-		}
 	}
 }

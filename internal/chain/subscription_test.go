@@ -115,28 +115,49 @@ func TestFilterLogsTopicMatching(t *testing.T) {
 	}
 }
 
-func TestSubscribeLogsDelivery(t *testing.T) {
+// TestSubscriptionDelivery: two subscribers with different filters each
+// receive their own view of the same blocks — only logs mined after the
+// subscription, only the ones their selectors match, one batch per block.
+func TestSubscriptionDelivery(t *testing.T) {
 	alice := newAccount(132)
 	c := testChain(alice)
 	addr, nonce := deployLogger(t, c, alice, 0, 0x33)
+	other, nonce := deployLogger(t, c, alice, nonce, 0x34)
+	// Mined before the subscriptions: never replayed.
+	nonce = callLogger(t, c, alice, nonce, addr)
 
 	topic := types.BytesToHash([]byte{0x33})
-	sub := c.SubscribeLogs(FilterQuery{Address: &addr, Topic: &topic})
-	defer sub.Unsubscribe()
+	exact := c.SubscribeBlockLogs(FilterQuery{Address: &addr, Topic: &topic})
+	defer exact.Unsubscribe()
+	all := c.SubscribeBlockLogs(FilterQuery{})
+	defer all.Unsubscribe()
 
-	// Logs mined before the subscription are not replayed; these three are.
+	start := c.Height()
 	for i := 0; i < 3; i++ {
 		nonce = callLogger(t, c, alice, nonce, addr)
 	}
-	for i := 0; i < 3; i++ {
-		l := <-sub.Logs()
-		if l.Address != addr || l.Topics[0] != topic {
-			t.Fatalf("log %d: wrong address/topic", i)
+	callLogger(t, c, alice, nonce, other)
+	for i := uint64(1); i <= 4; i++ {
+		e, a := recvBatch(t, exact), recvBatch(t, all)
+		if e.Number != start+i || a.Number != start+i {
+			t.Fatalf("batch %d: numbers %d/%d, want %d", i, e.Number, a.Number, start+i)
+		}
+		if len(a.Logs) != 1 {
+			t.Fatalf("batch %d: unfiltered subscriber got %d logs, want 1", i, len(a.Logs))
+		}
+		if i == 4 {
+			if len(e.Logs) != 0 || a.Logs[0].Address != other {
+				t.Fatalf("batch 4: exact filter got %d logs, unfiltered got %s", len(e.Logs), a.Logs[0].Address.Hex())
+			}
+			continue
+		}
+		if len(e.Logs) != 1 || e.Logs[0].Address != addr || e.Logs[0].Topics[0] != topic {
+			t.Fatalf("batch %d: wrong address/topic: %+v", i, e.Logs)
 		}
 	}
 	select {
-	case l := <-sub.Logs():
-		t.Fatalf("unexpected extra log from block %d", l.BlockNumber)
+	case b := <-exact.BlockLogs():
+		t.Fatalf("unexpected extra batch for block %d", b.Number)
 	default:
 	}
 }
@@ -144,23 +165,27 @@ func TestSubscribeLogsDelivery(t *testing.T) {
 func TestSubscribeUnsubscribeClosesChannel(t *testing.T) {
 	alice := newAccount(133)
 	c := testChain(alice)
-	sub := c.SubscribeBlocks()
+	sub := c.SubscribeBlockLogs(FilterQuery{})
 	sub.Unsubscribe()
 	sub.Unsubscribe() // idempotent
-	if _, ok := <-sub.Blocks(); ok {
+	if _, ok := <-sub.BlockLogs(); ok {
 		t.Error("channel not closed after Unsubscribe")
 	}
-	logSub := c.SubscribeLogs(FilterQuery{})
-	logSub.Unsubscribe()
-	if _, ok := <-logSub.Logs(); ok {
-		t.Error("log channel not closed after Unsubscribe")
+	// Detached: the mined-block fan-out no longer reaches it.
+	c.mu.Lock()
+	n := len(c.subs)
+	c.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d subscriptions still registered after Unsubscribe", n)
 	}
 }
 
 // TestSubscriptionsUnderConcurrentMining hammers manual mining (AutoMine
 // off) from several goroutines while subscribers consume: every mined
-// block must be delivered exactly once and in order, and every log must
-// reach the log subscriber. Run with -race.
+// block must be delivered exactly once and in order — to a subscriber
+// whose empty-set filter lets no log through as much as to one that
+// matches — and every log must reach the matching subscriber. Run with
+// -race.
 func TestSubscriptionsUnderConcurrentMining(t *testing.T) {
 	alice := newAccount(134)
 	cfg := DefaultConfig()
@@ -192,8 +217,8 @@ func TestSubscriptionsUnderConcurrentMining(t *testing.T) {
 	}
 	addr := r.ContractAddress
 
-	blockSub := c.SubscribeBlocks()
-	logSub := c.SubscribeLogs(FilterQuery{Address: &addr})
+	tickSub := c.SubscribeBlockLogs(FilterQuery{AddressIn: NewAddressSet()})
+	logSub := c.SubscribeBlockLogs(FilterQuery{Address: &addr})
 	startHeight := c.Height()
 
 	const (
@@ -234,26 +259,31 @@ func TestSubscriptionsUnderConcurrentMining(t *testing.T) {
 	c.MineBlock()
 
 	mined := c.Height() - startHeight
-	var prev uint64 = startHeight
-	for i := uint64(0); i < mined; i++ {
-		b := <-blockSub.Blocks()
-		if b.Number() != prev+1 {
-			t.Fatalf("blocks out of order: got %d after %d", b.Number(), prev)
+	logs := 0
+	for i := uint64(1); i <= mined; i++ {
+		tick, b := recvBatch(t, tickSub), recvBatch(t, logSub)
+		if tick.Number != startHeight+i || b.Number != startHeight+i {
+			t.Fatalf("blocks out of order: got %d/%d, want %d", tick.Number, b.Number, startHeight+i)
 		}
-		prev = b.Number()
+		if len(tick.Logs) != 0 {
+			t.Fatalf("block %d: empty-set filter delivered %d logs", tick.Number, len(tick.Logs))
+		}
+		for _, l := range b.Logs {
+			if l.Address != addr || l.BlockNumber != b.Number {
+				t.Fatalf("block %d: log from %s in block %d", b.Number, l.Address.Hex(), l.BlockNumber)
+			}
+		}
+		logs += len(b.Logs)
 	}
-	for i := 0; i < loggedTxs; i++ {
-		l := <-logSub.Logs()
-		if l.Address != addr {
-			t.Fatalf("log %d from wrong address", i)
-		}
+	if logs != loggedTxs {
+		t.Fatalf("%d logs delivered, want %d", logs, loggedTxs)
 	}
 	select {
-	case <-logSub.Logs():
-		t.Fatal("more logs than logged transactions")
+	case b := <-logSub.BlockLogs():
+		t.Fatalf("batch for block %d past the head", b.Number)
 	default:
 	}
-	blockSub.Unsubscribe()
+	tickSub.Unsubscribe()
 	logSub.Unsubscribe()
 }
 

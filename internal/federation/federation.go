@@ -77,9 +77,6 @@ type Config struct {
 	// restarted member re-arms from durable state. Each tower owns its
 	// store exclusively; never share one with a hub WAL.
 	Store *store.Store
-	// Label names the federation (topic + shared key derivation).
-	// Default "guard".
-	Label string
 	// HeartbeatEvery is the wall-clock heartbeat period (default 100ms);
 	// a member is presumed dead after HeartbeatMisses missed beats
 	// (default 4). Liveness is wall-clock, not chain-clock: the simulated
@@ -97,14 +94,6 @@ type Config struct {
 	// dispute intent (default 2*EscalateAfter): the peer's transactions
 	// are in flight, give them time to land before escalating past it.
 	IntentGrace time.Duration
-	// ElectionDelay is the pause between announcing a dispute intent and
-	// actually filing (default 150ms): long enough for a rival's intent to
-	// arrive, so concurrent would-be filers deterministically yield to
-	// whoever announced first (or, on a tie, to the lower rendezvous
-	// slot). It buys exactly-once filing at the cost of one gossip
-	// round-trip of dispute latency — only when federated; a gateless hub
-	// pays nothing.
-	ElectionDelay time.Duration
 	// VouchWait is how long a primary holds an unvouched remote window
 	// before verifying it in its own sandbox (default 50ms) — the owner's
 	// verdict hint usually arrives a beat after the chain event, and
@@ -148,6 +137,19 @@ type Config struct {
 	RollupSource   rollup.Source
 }
 
+const (
+	// fleetLabel names the federation: the gossip topic and the shared
+	// topic key both derive from it.
+	fleetLabel = "federation/guard"
+	// electionDelay is the pause between announcing a dispute intent and
+	// actually filing: long enough for a rival's intent to arrive, so
+	// concurrent would-be filers deterministically yield to whoever
+	// announced first (or, on a tie, to the lower rendezvous slot). It buys
+	// exactly-once filing at the cost of one gossip round-trip of dispute
+	// latency — only when federated; a gateless hub pays nothing.
+	electionDelay = 150 * time.Millisecond
+)
+
 func (c *Config) withDefaults() (Config, error) {
 	cfg := *c
 	if cfg.Chain == nil || cfg.Net == nil || cfg.Key == nil {
@@ -163,9 +165,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if !found {
 		return cfg, fmt.Errorf("federation: Members must include self (%s)", self.Hex())
 	}
-	if cfg.Label == "" {
-		cfg.Label = "guard"
-	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 100 * time.Millisecond
 	}
@@ -177,9 +176,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.IntentGrace <= 0 {
 		cfg.IntentGrace = 2 * cfg.EscalateAfter
-	}
-	if cfg.ElectionDelay <= 0 {
-		cfg.ElectionDelay = 150 * time.Millisecond
 	}
 	if cfg.VouchWait <= 0 {
 		cfg.VouchWait = 50 * time.Millisecond
@@ -200,7 +196,7 @@ type rivalIntent struct {
 
 // guardInfo is one contract this tower shares guard duty for.
 type guardInfo struct {
-	export *hub.GuardExport
+	export *guardExport
 	watch  *hub.Watch
 	own    bool // guarded by the wrapped hub itself (not adopted)
 }
@@ -248,7 +244,7 @@ type Tower struct {
 // for submissions that raced the gossip (no event for this contract can
 // predate the gossip's arrival, because owners guard before submitting).
 type adoptReq struct {
-	export    *hub.GuardExport
+	export    *guardExport
 	fromBlock uint64
 }
 
@@ -264,15 +260,8 @@ func Join(cfg Config) (*Tower, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := hub.NewWatchtower(t.cfg.Chain, nil, t.cfg.Tracer, nil)
-	w.SetObserver((*towerObserver)(t))
-	w.SetDisputeGate(t.decide)
-	if cfg.RollupRegistry != nil && cfg.RollupSource != nil {
-		w.ArmRollup(cfg.RollupRegistry, cfg.RollupSource)
-	}
-	t.tower = w
 	t.ownTower = true
-	t.start()
+	t.attach(hub.NewWatchtower(t.cfg.Chain, nil, t.cfg.Tracer, nil))
 	return t, nil
 }
 
@@ -287,13 +276,7 @@ func AttachHub(h *hub.Hub, cfg Config) (*Tower, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.tower = h.Watchtower()
-	t.tower.SetObserver((*towerObserver)(t))
-	t.tower.SetDisputeGate(t.decide)
-	if cfg.RollupRegistry != nil && cfg.RollupSource != nil {
-		t.tower.ArmRollup(cfg.RollupRegistry, cfg.RollupSource)
-	}
-	t.start()
+	t.attach(h.Watchtower())
 	// Back-fill sessions guarded before the attach (a recovered hub).
 	for _, e := range t.tower.Watches() {
 		if e.SID() == 0 {
@@ -319,8 +302,8 @@ func newTower(c Config) (*Tower, error) {
 		cfg:       cfg,
 		self:      self,
 		node:      cfg.Net.NewNode(cfg.Key),
-		topic:     whisper.TopicFromString("federation/" + cfg.Label),
-		symKey:    whisper.SharedTopicKey("federation/"+cfg.Label, cfg.Members),
+		topic:     whisper.TopicFromString(fleetLabel),
+		symKey:    whisper.SharedTopicKey(fleetLabel, cfg.Members),
 		presence:  whisper.NewPresence(uint64(cfg.HeartbeatEvery.Milliseconds())*uint64(cfg.HeartbeatMisses), wallMillis),
 		metrics:   newMetrics(cfg.Telemetry, self.Hex()),
 		ctx:       ctx,
@@ -373,9 +356,15 @@ func (t *Tower) ctxOf(contract types.Address) telemetry.TraceContext {
 	return telemetry.TraceContext{}
 }
 
-// start re-arms durable state, subscribes to gossip, and launches the
-// heartbeat and receiver loops. Called once the wrapped tower exists.
-func (t *Tower) start() {
+// attach makes w this member's tower: the federation's observer and gate
+// go in, the tower is rollup-armed when configured, durable state is
+// re-armed onto it, and the gossip, adoption and heartbeat loops start.
+func (t *Tower) attach(w *hub.Watchtower) {
+	t.tower = w
+	w.Federate((*towerObserver)(t), t.decide)
+	if t.cfg.RollupRegistry != nil && t.cfg.RollupSource != nil {
+		w.ArmRollup(t.cfg.RollupRegistry, t.cfg.RollupSource)
+	}
 	t.rearm()
 	t.inbox = t.node.Subscribe(t.topic)
 	t.wg.Add(3)
@@ -600,7 +589,7 @@ func (t *Tower) regossip() {
 		intents = append(intents, c)
 	}
 	type openGuard struct {
-		export *hub.GuardExport
+		export *guardExport
 		watch  *hub.Watch
 	}
 	var open []openGuard
@@ -708,7 +697,7 @@ func (t *Tower) isMember(a types.Address) bool {
 // signature verification) is too heavy for the receiver loop — stalling
 // it under a burst of session starts would drop heartbeats.
 func (t *Tower) handleGuardGossip(from types.Address, g *whisper.Gossip) {
-	export := &hub.GuardExport{
+	export := &guardExport{
 		SID: g.U3, Scenario: g.Str, Contract: g.Addr,
 		ChallengePeriod: g.U1, Honest: int(g.U2),
 		CopyEnc: g.Blob, Scalars: g.Blobs,
@@ -738,10 +727,10 @@ func (t *Tower) adopterLoop() {
 }
 
 // adopt takes a peer's session under this tower's guard: rebuild the
-// session from the registry spec + party scalars, re-verify the signed
-// copy, register the watch, and sweep the contract's chain history
+// session from the registry spec + party scalars + signed copy (see
+// rebuild), register the watch, and sweep the contract's chain history
 // through the tower in case the submission beat the gossip here.
-func (t *Tower) adopt(g *hub.GuardExport, fromBlock uint64, journalIt bool) error {
+func (t *Tower) adopt(g *guardExport, fromBlock uint64, journalIt bool) error {
 	t.mu.Lock()
 	if t.closed[g.Contract] || t.guards[g.Contract] != nil {
 		t.mu.Unlock()
@@ -768,7 +757,7 @@ func (t *Tower) adopt(g *hub.GuardExport, fromBlock uint64, journalIt bool) erro
 		}
 		sess.Trace = adoptTC
 	}
-	watch, err := t.tower.GuardWithTrace(sess, g.Honest, g.Scenario, adoptTC)
+	watch, err := t.tower.Guard(sess, g.Honest, g.Scenario, adoptTC)
 	if err != nil {
 		return err
 	}
@@ -801,8 +790,9 @@ func (t *Tower) adopt(g *hub.GuardExport, fromBlock uint64, journalIt bool) erro
 }
 
 // rebuild reconstructs a guardable session from exported guard state —
-// the same recipe hub.Recover uses from its WAL, from gossip instead.
-func (t *Tower) rebuild(g *hub.GuardExport) (*hybrid.Session, error) {
+// hybrid.RebuildSession, the recipe hub.Recover uses from its WAL, fed
+// from gossip instead, over this tower's per-scenario split cache.
+func (t *Tower) rebuild(g *guardExport) (*hybrid.Session, error) {
 	spec := t.cfg.Registry[g.Scenario]
 	if spec == nil {
 		return nil, fmt.Errorf("scenario %q not in registry", g.Scenario)
@@ -820,35 +810,13 @@ func (t *Tower) rebuild(g *hub.GuardExport) (*hybrid.Session, error) {
 		t.splits[g.Scenario] = split
 		t.mu.Unlock()
 	}
-	if len(g.Scalars) != split.Participants {
-		return nil, fmt.Errorf("guard has %d party scalars, split expects %d", len(g.Scalars), split.Participants)
-	}
-	parties := make([]*hybrid.Participant, len(g.Scalars))
-	for i, sc := range g.Scalars {
-		key, err := secp256k1.PrivateKeyFromBytes(sc)
-		if err != nil {
-			return nil, fmt.Errorf("party %d scalar: %v", i, err)
-		}
-		parties[i] = hybrid.NewParticipant(key, t.cfg.Chain, nil)
-		parties[i].Ctx = t.ctx
-	}
-	sess, err := hybrid.NewSession(split, parties)
-	if err != nil {
-		return nil, err
-	}
-	sess.OnChainAddr = g.Contract
-	cp, err := hybrid.DecodeSignedCopy(g.CopyEnc)
-	if err != nil {
-		return nil, fmt.Errorf("signed copy: %v", err)
-	}
 	// The copy's n-of-n signatures are deliberately NOT re-verified here:
 	// Session.Dispute verifies them before filing and the on-chain
 	// deployVerifiedInstance re-checks them in miners' hands, so a corrupt
 	// copy can only waste this tower's gas, never enforce anything — and
 	// adopt-time verification would charge every backup two ecrecovers per
 	// session on the hot path of a 1000-session fleet.
-	sess.Copy = cp
-	return sess, nil
+	return hybrid.RebuildSession(split, g.Scalars, t.cfg.Chain, nil, t.ctx, g.Contract, g.CopyEnc)
 }
 
 func (t *Tower) handleWindowGossip(from types.Address, g *whisper.Gossip) {
@@ -858,13 +826,10 @@ func (t *Tower) handleWindowGossip(from types.Address, g *whisper.Gossip) {
 		t.firstSeen[g.Addr] = time.Now()
 	}
 	var hint *uint64
-	if len(g.Blobs) > 0 && len(g.Blobs[0]) == 8 {
-		v := uint64(0)
-		for _, b := range g.Blobs[0] {
-			v = v<<8 | uint64(b)
+	if len(g.Blobs) > 0 {
+		if hint = decodeHint(g.Blobs[0]); hint != nil {
+			t.vouch[g.Addr] = *hint
 		}
-		t.vouch[g.Addr] = v
-		hint = &v
 	}
 	var adopted *hub.Watch
 	if gi := t.guards[g.Addr]; gi != nil && !gi.own {
@@ -911,7 +876,6 @@ func (t *Tower) handleIntentGossip(from types.Address, g *whisper.Gossip) {
 		ri.last = time.Now()
 	}
 	t.mu.Unlock()
-	t.journal.log(&store.Record{Kind: store.KindFedIntent, U1: g.Time, Blob: g.Addr[:], Blobs: [][]byte{from[:]}})
 }
 
 // decide is the dispute gate installed on the wrapped watchtower: it
@@ -975,7 +939,7 @@ func (t *Tower) decide(e *hub.Watch, w hub.Window) (hub.GateDecision, time.Durat
 	return t.electFile(contract, slot, now)
 }
 
-// electFile is the filing election: announce intent, wait ElectionDelay
+// electFile is the filing election: announce intent, wait electionDelay
 // for rival announcements, then file only if no rival is ahead. A rival
 // is ahead when its intent arrived before ours was announced (it is
 // already in the filing pipeline — towers' first-sight clocks skew, so a
@@ -1011,9 +975,9 @@ func (t *Tower) electFile(contract types.Address, mySlot int, now time.Time) (hu
 		}
 		t.announceIntent(contract)
 		t.cfg.Tracer.EventChild(t.ctxOf(contract), t.sidOf(contract), "federation", "intent_announced", "tower="+t.self.Hex())
-		return hub.GateDefer, t.cfg.ElectionDelay
+		return hub.GateDefer, electionDelay
 	}
-	if d := t.cfg.ElectionDelay - now.Sub(myAt); d > 0 {
+	if d := electionDelay - now.Sub(myAt); d > 0 {
 		return hub.GateDefer, d
 	}
 	if rivalAhead || rivalWins {
@@ -1036,7 +1000,6 @@ func (t *Tower) announceIntent(contract types.Address) {
 		t.myIntent[contract] = time.Now()
 	}
 	t.mu.Unlock()
-	t.journal.log(&store.Record{Kind: store.KindFedIntent, U1: wallMillis(), Blob: contract[:], Blobs: [][]byte{t.self[:]}})
 	t.postIntent(contract)
 }
 
@@ -1064,7 +1027,7 @@ func (o *towerObserver) Guarded(e *hub.Watch, contract types.Address) {
 	for i, p := range sess.Parties {
 		scalars[i] = p.Key.Bytes()
 	}
-	export := &hub.GuardExport{
+	export := &guardExport{
 		SID: e.SID(), Scenario: e.Scenario(), Contract: contract,
 		ChallengePeriod: sess.Split.Policy.ChallengePeriod,
 		Honest:          e.Honest(),
@@ -1086,7 +1049,7 @@ func (o *towerObserver) Guarded(e *hub.Watch, contract types.Address) {
 	t.metrics.guardsExported.Inc()
 }
 
-func (t *Tower) postGuard(export *hub.GuardExport) {
+func (t *Tower) postGuard(export *guardExport) {
 	t.post(&whisper.Gossip{
 		Kind: gossipGuard, Addr: export.Contract,
 		U1: export.ChallengePeriod, U2: uint64(export.Honest), U3: export.SID,
@@ -1104,11 +1067,7 @@ func (t *Tower) postWindow(e *hub.Watch, w hub.Window) {
 	}
 	g.SetTraceCtx(e.TraceCtx())
 	if exp, ok := e.ExpectedCached(); ok {
-		h := make([]byte, 8)
-		for i := 0; i < 8; i++ {
-			h[7-i] = byte(exp >> (8 * i))
-		}
-		g.Blobs = [][]byte{h}
+		g.Blobs = [][]byte{encodeHint(exp)}
 	}
 	t.post(g)
 }

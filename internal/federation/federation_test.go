@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -450,7 +451,7 @@ func TestFederationStandaloneRecovery(t *testing.T) {
 	if len(fs.guards) != 1 {
 		t.Fatalf("journal folds to %d guards, want 1", len(fs.guards))
 	}
-	var g *hub.GuardExport
+	var g *guardExport
 	for _, gg := range fs.guards {
 		g = gg
 	}
@@ -458,20 +459,8 @@ func TestFederationStandaloneRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parties := make([]*hybrid.Participant, len(g.Scalars))
-	for i, sc := range g.Scalars {
-		key, err := secp256k1.PrivateKeyFromBytes(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parties[i] = hybrid.NewParticipant(key, c, net)
-	}
-	sess, err := hybrid.NewSession(split, parties)
+	sess, err := hybrid.RebuildSession(split, g.Scalars, c, net, context.Background(), g.Contract, g.CopyEnc)
 	if err != nil {
-		t.Fatal(err)
-	}
-	sess.OnChainAddr = g.Contract
-	if sess.Copy, err = hybrid.DecodeSignedCopy(g.CopyEnc); err != nil {
 		t.Fatal(err)
 	}
 	out, err := hybrid.ExecuteOffChain(sess.Copy.Bytecode)
@@ -482,7 +471,7 @@ func TestFederationStandaloneRecovery(t *testing.T) {
 	if out.Result == 1 {
 		lie = 0
 	}
-	if r, err := sess.SubmitResult(len(parties)-1, lie); err != nil || !r.Succeeded() {
+	if r, err := sess.SubmitResult(len(sess.Parties)-1, lie); err != nil || !r.Succeeded() {
 		t.Fatalf("adversary's submission did not land: %v", err)
 	}
 	fraudBlock := c.Height()

@@ -12,7 +12,7 @@ import (
 
 // journal is the tower's durable state: federation membership, the guard
 // states it shares duty for, the challenge windows it has observed (local
-// or gossiped), dispute intents, and a chain cursor — enough for a
+// or gossiped), and a chain cursor — enough for a
 // restarted member to re-arm every guard and replay the chain events it
 // slept through via chain.LogCursor. It reuses the hub's WAL store
 // (internal/store) with the federation record kinds; the store is this
@@ -45,9 +45,29 @@ func (j *journal) log(rec *store.Record) {
 	}
 }
 
+// guardExport is the durable identity of one guarded session — exactly
+// what a federated backup tower needs to share guard duty: rebuild the
+// session from the registry spec and the party scalars, and (if it comes to
+// that) dispute as the honest party. It travels as guard gossip and rests
+// as a KindFedGuard record.
+type guardExport struct {
+	SID             uint64
+	Scenario        string
+	Contract        types.Address
+	ChallengePeriod uint64
+	Honest          int
+	Scalars         [][]byte
+	CopyEnc         []byte
+	// TraceID/TraceSpan carry the session's causal identity to peers, so
+	// a backup tower's adoption (and any dispute it files) appears in the
+	// same trace as the hub's own spans. Zero when the hub runs untraced.
+	TraceID   uint64
+	TraceSpan uint64
+}
+
 // guardRecord encodes a guard export. Layout documented on KindFedGuard:
 // Blobs[0] = contract, Blobs[1] = signed copy, Blobs[2:] = party scalars.
-func guardRecord(g *hub.GuardExport) *store.Record {
+func guardRecord(g *guardExport) *store.Record {
 	blobs := make([][]byte, 0, len(g.Scalars)+2)
 	blobs = append(blobs, g.Contract[:], g.CopyEnc)
 	blobs = append(blobs, g.Scalars...)
@@ -58,11 +78,11 @@ func guardRecord(g *hub.GuardExport) *store.Record {
 	}
 }
 
-func decodeGuardRecord(rec *store.Record) (*hub.GuardExport, error) {
+func decodeGuardRecord(rec *store.Record) (*guardExport, error) {
 	if len(rec.Blobs) < 3 || len(rec.Blobs[0]) != 20 {
 		return nil, fmt.Errorf("federation: malformed guard record")
 	}
-	return &hub.GuardExport{
+	return &guardExport{
 		SID: rec.SID, Scenario: rec.Str,
 		Contract:        types.BytesToAddress(rec.Blobs[0]),
 		ChallengePeriod: rec.U1, Honest: int(rec.U2),
@@ -70,14 +90,27 @@ func decodeGuardRecord(rec *store.Record) (*hub.GuardExport, error) {
 	}, nil
 }
 
+// encodeHint and decodeHint are the one wire form of the owner's verdict
+// hint, in window gossip and in window records alike: 8 bytes big-endian.
+func encodeHint(v uint64) []byte {
+	return binary.BigEndian.AppendUint64(nil, v)
+}
+
+// decodeHint returns nil for anything but a well-formed hint.
+func decodeHint(b []byte) *uint64 {
+	if len(b) != 8 {
+		return nil
+	}
+	v := binary.BigEndian.Uint64(b)
+	return &v
+}
+
 // windowRecord encodes an observed challenge window; hint, when non-nil,
-// is the owner's verdict (Blobs[1], 8 bytes big-endian).
+// is the owner's verdict (Blobs[1]).
 func windowRecord(w hub.Window, hint *uint64) *store.Record {
 	blobs := [][]byte{w.Submitter[:]}
 	if hint != nil {
-		h := make([]byte, 8)
-		binary.BigEndian.PutUint64(h, *hint)
-		blobs = append(blobs, h)
+		blobs = append(blobs, encodeHint(*hint))
 	}
 	return &store.Record{
 		Kind: store.KindFedWindow,
@@ -95,9 +128,8 @@ func decodeWindowRecord(rec *store.Record) (w hub.Window, hint *uint64, err erro
 		Submitter: types.BytesToAddress(rec.Blobs[0]),
 		Result:    rec.U1, OpenedAt: rec.U2, Deadline: rec.U3,
 	}
-	if len(rec.Blobs) > 1 && len(rec.Blobs[1]) == 8 {
-		v := binary.BigEndian.Uint64(rec.Blobs[1])
-		hint = &v
+	if len(rec.Blobs) > 1 {
+		hint = decodeHint(rec.Blobs[1])
 	}
 	return w, hint, nil
 }
@@ -107,7 +139,7 @@ func decodeWindowRecord(rec *store.Record) (w hub.Window, hint *uint64, err erro
 // saw, and the durable chain cursor.
 type foldState struct {
 	members []types.Address
-	guards  map[types.Address]*hub.GuardExport
+	guards  map[types.Address]*guardExport
 	windows map[types.Address]*store.Record // raw, decoded lazily at re-arm
 	closed  map[types.Address]bool
 	cursor  uint64
@@ -119,7 +151,7 @@ type foldState struct {
 // gossip).
 func foldFederation(recs []*store.Record) *foldState {
 	fs := &foldState{
-		guards:  make(map[types.Address]*hub.GuardExport),
+		guards:  make(map[types.Address]*guardExport),
 		windows: make(map[types.Address]*store.Record),
 		closed:  make(map[types.Address]bool),
 	}

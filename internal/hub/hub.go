@@ -308,25 +308,6 @@ func (h *Hub) Metrics() Snapshot {
 	return snap
 }
 
-// GuardExport is the durable identity of one guarded session — exactly
-// what a federated backup tower needs to share guard duty: rebuild the
-// session from the registry spec and the party scalars, re-verify the
-// signed copy, and (if it comes to that) dispute as the honest party.
-type GuardExport struct {
-	SID             uint64
-	Scenario        string
-	Contract        types.Address
-	ChallengePeriod uint64
-	Honest          int
-	Scalars         [][]byte
-	CopyEnc         []byte
-	// TraceID/TraceSpan carry the session's causal identity to peers, so
-	// a backup tower's adoption (and any dispute it files) appears in the
-	// same trace as the hub's own spans. Zero when the hub runs untraced.
-	TraceID   uint64
-	TraceSpan uint64
-}
-
 // LiveSessions counts sessions the durable mirror considers in flight
 // (accepted but not yet terminal).
 func (h *Hub) LiveSessions() int { return h.journal.live() }
@@ -403,7 +384,7 @@ func (h *Hub) Stop() {
 func (h *Hub) Kill() {
 	h.crashed.Store(true)
 	h.cancel()
-	h.tower.halt()
+	h.tower.Halt()
 	if h.seq != nil {
 		// The sequencer "dies" too: its loop stops (in-flight receipt waits
 		// just unblocked via the canceled generation context), unresolved

@@ -32,7 +32,7 @@ func TestDisputeGateHoldsBarrier(t *testing.T) {
 	}
 	h := New(c, net, faucetKey, Config{Workers: 2})
 	defer h.Stop()
-	h.tower.SetDisputeGate(gate) // on a live hub, as federation.AttachHub does
+	h.tower.Federate(nil, gate) // on a live hub, as federation.AttachHub does
 
 	tk := h.Submit(BettingSpec(4, 600, true))
 	// The adversarial window opens, the gate defers, the pipeline holds

@@ -358,15 +358,15 @@ func sortedSessions(live map[uint64]*sessionState) []*sessionState {
 }
 
 // sendSweeps pools one transfer per party of an abandoned session, moving
-// its remaining balance back to the faucet (the WAL holds the party
-// scalars, so the funds are not actually stranded), and returns the
-// transaction hashes for Recover to await. Unreachable or dust balances are
-// left behind.
+// its remaining balance back to the faucet, and returns the transaction
+// hashes for Recover to await. The keys are re-derived (see deriveKey); the
+// WAL's party record supplies the count, which a session whose spec is gone
+// has nowhere else to get. Unreachable or dust balances are left behind.
 func (h *Hub) sendSweeps(ss *sessionState) []types.Hash {
 	gasCost := uint256.NewInt(21_000) // transfer gas at gas price 1
 	var hashes []types.Hash
-	for _, sc := range ss.Scalars {
-		key, err := secp256k1.PrivateKeyFromBytes(sc)
+	for i := range ss.Scalars {
+		key, err := h.deriveKey(ss.ID, i)
 		if err != nil {
 			continue
 		}
@@ -383,39 +383,22 @@ func (h *Hub) sendSweeps(ss *sessionState) []types.Hash {
 	return hashes
 }
 
-// rebuildSession reconstructs a hybrid.Session from its durable state:
-// participants from their logged scalars, the signed copy re-verified
-// against them, and the on-chain address from the WAL.
+// rebuildSession reconstructs a hybrid.Session from its durable state
+// (hybrid.RebuildSession) and re-verifies the signed copy against the
+// rebuilt participants: the hub resumes the protocol from this copy, so it
+// must be the one all parties signed.
 func (h *Hub) rebuildSession(ss *sessionState, spec *Spec) (*hybrid.Session, error) {
 	split, err := h.split(spec)
 	if err != nil {
 		return nil, err
 	}
-	if len(ss.Scalars) != split.Participants {
-		return nil, fmt.Errorf("WAL has %d party scalars, split expects %d", len(ss.Scalars), split.Participants)
-	}
-	parties := make([]*hybrid.Participant, len(ss.Scalars))
-	for i, sc := range ss.Scalars {
-		key, err := secp256k1.PrivateKeyFromBytes(sc)
-		if err != nil {
-			return nil, fmt.Errorf("party %d scalar: %v", i, err)
-		}
-		parties[i] = hybrid.NewParticipant(key, h.chain, h.net)
-		parties[i].Ctx = h.ctx
-	}
-	sess, err := hybrid.NewSession(split, parties)
+	sess, err := hybrid.RebuildSession(split, ss.Scalars, h.chain, h.net, h.ctx, ss.Addr, ss.CopyEnc)
 	if err != nil {
 		return nil, err
 	}
-	sess.OnChainAddr = ss.Addr
-	cp, err := hybrid.DecodeSignedCopy(ss.CopyEnc)
-	if err != nil {
+	if err := sess.Copy.Verify(sess.ParticipantAddrs()); err != nil {
 		return nil, fmt.Errorf("signed copy: %v", err)
 	}
-	if err := cp.Verify(sess.ParticipantAddrs()); err != nil {
-		return nil, fmt.Errorf("signed copy: %v", err)
-	}
-	sess.Copy = cp
 	return sess, nil
 }
 

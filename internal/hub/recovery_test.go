@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"context"
 	"errors"
 	"os"
 	"reflect"
@@ -389,20 +390,8 @@ func fraudWhileHubDownRun(t *testing.T, mode string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parties := make([]*hybrid.Participant, len(ss.Scalars))
-	for i, sc := range ss.Scalars {
-		key, err := secp256k1.PrivateKeyFromBytes(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parties[i] = hybrid.NewParticipant(key, c, net)
-	}
-	sess, err := hybrid.NewSession(split, parties)
+	sess, err := hybrid.RebuildSession(split, ss.Scalars, c, net, context.Background(), ss.Addr, ss.CopyEnc)
 	if err != nil {
-		t.Fatal(err)
-	}
-	sess.OnChainAddr = ss.Addr
-	if sess.Copy, err = hybrid.DecodeSignedCopy(ss.CopyEnc); err != nil {
 		t.Fatal(err)
 	}
 	out, err := hybrid.ExecuteOffChain(sess.Copy.Bytecode)
@@ -413,7 +402,7 @@ func fraudWhileHubDownRun(t *testing.T, mode string) {
 	if out.Result == 1 {
 		lie = 0
 	}
-	r, err := sess.SubmitResult(len(parties)-1, lie)
+	r, err := sess.SubmitResult(len(sess.Parties)-1, lie)
 	if err != nil || !r.Succeeded() {
 		t.Fatalf("adversary's submission did not land: %v", err)
 	}

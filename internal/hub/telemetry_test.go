@@ -142,7 +142,7 @@ func TestTowerDisputesHealth(t *testing.T) {
 	h := New(c, net, faucetKey, Config{Workers: held, Telemetry: reg})
 	defer h.Stop()
 	var release atomic.Bool
-	h.tower.SetDisputeGate(func(*Watch, Window) (GateDecision, time.Duration) {
+	h.tower.Federate(nil, func(*Watch, Window) (GateDecision, time.Duration) {
 		if release.Load() {
 			return GateFile, 0
 		}

@@ -45,7 +45,7 @@ type Watchtower struct {
 	journal *journal          // the hub's WAL; nil for a standalone tower
 	wg      sync.WaitGroup
 
-	// The federation's two collaborators: AttachHub installs them on an
+	// The federation's two collaborators: Federate installs them on an
 	// already-running hub — by which time the event loop may have processed
 	// blocks (the rollup registry deploy mines one during hub.New) — so
 	// every access goes through cbMu. Both are set before any session is
@@ -57,7 +57,7 @@ type Watchtower struct {
 	sem     chan struct{} // sandbox slots: bounds concurrent Watch.Expected runs, never a filing
 	pacerWG sync.WaitGroup
 	stopCh  chan struct{} // closed by Stop: pacers wind down undecided
-	haltCh  chan struct{} // closed by halt: the "process" is dead
+	haltCh  chan struct{} // closed by Halt: the "process" is dead
 
 	// Rollup guard state (nil in per-session mode): the registry whose
 	// EpochPosted events open batch challenge windows, and the Source that
@@ -197,34 +197,19 @@ func NewWatchtower(c *chain.Chain, m *metrics, tr *telemetry.Tracer, j *journal)
 	return w
 }
 
-// SetObserver installs the federation mirror. Must be called before any
-// session is guarded.
-func (w *Watchtower) SetObserver(obs TowerObserver) {
+// Federate installs the federation's mirror and its filing arbiter. Must be
+// called before any session is guarded.
+func (w *Watchtower) Federate(obs TowerObserver, gate DisputeGate) {
 	w.cbMu.Lock()
-	w.observer = obs
+	w.observer, w.gate = obs, gate
 	w.cbMu.Unlock()
 }
 
-// SetDisputeGate installs the filing arbiter. Must be called before any
-// session is guarded.
-func (w *Watchtower) SetDisputeGate(g DisputeGate) {
-	w.cbMu.Lock()
-	w.gate = g
-	w.cbMu.Unlock()
-}
-
-// obs/disputeGate are the loop-side reads of the late-installed
-// collaborators.
-func (w *Watchtower) obs() TowerObserver {
+// federated is the loop-side read of the late-installed collaborators.
+func (w *Watchtower) federated() (TowerObserver, DisputeGate) {
 	w.cbMu.RLock()
 	defer w.cbMu.RUnlock()
-	return w.observer
-}
-
-func (w *Watchtower) disputeGate() DisputeGate {
-	w.cbMu.RLock()
-	defer w.cbMu.RUnlock()
-	return w.gate
+	return w.observer, w.gate
 }
 
 // Metrics exposes the tower's counter snapshot (standalone towers have
@@ -235,17 +220,13 @@ func (w *Watchtower) Metrics() Snapshot { return w.metrics.snapshot() }
 // monitor. honest is the party index the tower uses to file disputes;
 // scenario labels the session's spec (federated towers gossip it so peers
 // can rebuild the guard from their SpecRegistry — pass "" when unused).
-// Must be called after DeployOnChain and SignAndExchange (the tower needs
-// the address and the signed copy) and before any result is submitted.
-func (w *Watchtower) Guard(sess *hybrid.Session, honest int, scenario string) (*Watch, error) {
-	return w.guard(sess, honest, 0, scenario, telemetry.TraceContext{})
-}
-
-// GuardWithTrace is Guard carrying a causal trace context, so the spans a
-// standalone tower records for this session (window openings, disputes)
-// join the trace that produced the session — the federation passes the
-// context it re-hydrated from gossip.
-func (w *Watchtower) GuardWithTrace(sess *hybrid.Session, honest int, scenario string, tc telemetry.TraceContext) (*Watch, error) {
+// tc is the session's causal trace context (zero when untraced), so the
+// spans a standalone tower records for it (window openings, disputes) join
+// the trace that produced the session — the federation passes the context
+// it re-hydrated from gossip. Must be called after DeployOnChain and
+// SignAndExchange (the tower needs the address and the signed copy) and
+// before any result is submitted.
+func (w *Watchtower) Guard(sess *hybrid.Session, honest int, scenario string, tc telemetry.TraceContext) (*Watch, error) {
 	return w.guard(sess, honest, 0, scenario, tc)
 }
 
@@ -268,7 +249,7 @@ func (w *Watchtower) guard(sess *hybrid.Session, honest int, sid uint64, scenari
 	// Guard is called before any result can be submitted, so the filter
 	// is listening before the first event that matters can be mined.
 	w.filter.Add(sess.OnChainAddr)
-	if o := w.obs(); o != nil {
+	if o, _ := w.federated(); o != nil {
 		o.Guarded(e, sess.OnChainAddr)
 	}
 	// A rollup-armed tower can adopt a guard AFTER the epoch carrying the
@@ -488,16 +469,11 @@ func (w *Watchtower) Watches() []*Watch {
 	return out
 }
 
-// Halt simulates the tower process dying right now (the crash-harness
-// seam for standalone towers; Hub.Kill calls the same machinery): block
-// delivery keeps draining but nothing is examined, journaled, or
-// disputed, and barrier waiters are released.
-func (w *Watchtower) Halt() { w.halt() }
-
-// halt simulates the tower dying mid-flight (Hub.Kill): block delivery
-// keeps draining but nothing is examined, journaled, or disputed, and
-// barrier waiters are released so their workers can observe the crash.
-func (w *Watchtower) halt() {
+// Halt simulates the tower process dying right now (Hub.Kill, and the
+// crash-harness seam for standalone towers): block delivery keeps draining
+// but nothing is examined, journaled, or disputed, and barrier waiters are
+// released so their workers can observe the crash.
+func (w *Watchtower) Halt() {
 	w.mu.Lock()
 	alreadyHalted := w.halted
 	w.halted = true
@@ -536,7 +512,7 @@ func (w *Watchtower) loop() {
 		if w.journal != nil {
 			w.journal.log(&store.Record{Kind: store.KindCursor, U1: b.Number})
 		}
-		if o := w.obs(); o != nil {
+		if o, _ := w.federated(); o != nil {
 			o.BlockProcessed(b.Number)
 		}
 		w.mu.Lock()
@@ -737,7 +713,7 @@ func (w *Watchtower) release(addr types.Address) {
 		return
 	}
 	w.filter.Remove(addr)
-	if o := w.obs(); o != nil {
+	if o, _ := w.federated(); o != nil {
 		o.WindowClosed(addr, false)
 	}
 }
@@ -834,7 +810,7 @@ func (w *Watchtower) onSettled(e *Watch, addr types.Address, byDispute bool) {
 	if first && w.tracer != nil && (e.id != 0 || e.tc.Valid()) {
 		w.tracer.EventChild(e.tc, e.id, "tower", "settled", fmt.Sprintf("by_dispute=%t", byDispute))
 	}
-	if o := w.obs(); first && o != nil {
+	if o, _ := w.federated(); first && o != nil {
 		o.WindowClosed(addr, byDispute)
 	}
 }
@@ -894,7 +870,7 @@ func (w *Watchtower) examine(e *Watch, result, openedAt, deadline uint64, submit
 			Blob: submitter[:],
 		})
 	}
-	if o := w.obs(); o != nil {
+	if o, _ := w.federated(); o != nil {
 		o.WindowOpened(e, win)
 	}
 	if driven {
@@ -946,7 +922,7 @@ func (w *Watchtower) driveDispute(e *Watch) {
 			return // settled (or re-guarded) while we deliberated
 		}
 		decision, retry := GateFile, time.Duration(0)
-		if g := w.disputeGate(); g != nil {
+		if _, g := w.federated(); g != nil {
 			decision, retry = g(e, *win)
 		}
 		switch decision {
@@ -1033,7 +1009,7 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 	if w.journal != nil && e.id != 0 {
 		w.journal.log(&store.Record{Kind: store.KindDisputed, SID: e.id})
 	}
-	if o := w.obs(); o != nil {
+	if o, _ := w.federated(); o != nil {
 		o.DisputeClaimed(e, e.sess.OnChainAddr)
 	}
 	// Batch settlement: pin WHICH leaf of WHICH epoch this dispute refutes
@@ -1065,7 +1041,7 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 		w.tracer.RecordChild(e.tc, e.id, "tower", "dispute", disputeStart, time.Since(disputeStart),
 			fmt.Sprintf("enforced=%t fallback=%t", enforced, e.sess.DisputeFellBack))
 	}
-	if o := w.obs(); o != nil {
+	if o, _ := w.federated(); o != nil {
 		o.DisputeFiled(e, e.sess.OnChainAddr, enforced)
 	}
 }

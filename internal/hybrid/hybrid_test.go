@@ -1,6 +1,8 @@
 package hybrid
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -702,5 +704,58 @@ func TestBindOnChainChecksDeployedCode(t *testing.T) {
 	}
 	if !victim.OnChainAddr.IsZero() {
 		t.Errorf("session holds address %s after a refused bind", victim.OnChainAddr.Hex())
+	}
+}
+
+// TestRebuildSessionHostileBytes: the durable bytes a session is rebuilt
+// from (a WAL, a gossiped guard) are untrusted — each malformation is an
+// error, never a panic — and the well-formed bytes rebuild a session that
+// carries the original's participants, address and signed copy.
+func TestRebuildSessionHostileBytes(t *testing.T) {
+	fx := newFixture(t)
+	orig := bettingSession(t, fx, 4)
+	good := [][]byte{fx.alice.Key.Bytes(), fx.bob.Key.Bytes()}
+	enc := orig.Copy.Encode()
+	// The curve order n: the smallest out-of-range scalar.
+	order, err := uint256.FromHex("0xfffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orderBytes := order.Bytes32()
+
+	sess, err := RebuildSession(orig.Split, good, fx.chain, fx.net, context.Background(), orig.OnChainAddr, enc)
+	if err != nil {
+		t.Fatalf("well-formed bytes: %v", err)
+	}
+	if sess.OnChainAddr != orig.OnChainAddr || !reflect.DeepEqual(sess.ParticipantAddrs(), orig.ParticipantAddrs()) {
+		t.Fatal("rebuilt session differs from the original")
+	}
+	if err := sess.Copy.Verify(sess.ParticipantAddrs()); err != nil {
+		t.Fatalf("rebuilt copy does not verify: %v", err)
+	}
+
+	cases := []struct {
+		name     string
+		scalars  [][]byte
+		contract types.Address
+		copyEnc  []byte
+	}{
+		{"too few scalars", good[:1], orig.OnChainAddr, enc},
+		{"too many scalars", append(append([][]byte{}, good...), good[0]), orig.OnChainAddr, enc},
+		{"no scalars", nil, orig.OnChainAddr, enc},
+		{"zero scalar", [][]byte{good[0], make([]byte, 32)}, orig.OnChainAddr, enc},
+		{"scalar at the curve order", [][]byte{orderBytes[:], good[1]}, orig.OnChainAddr, enc},
+		{"short scalar", [][]byte{good[0], good[1][:31]}, orig.OnChainAddr, enc},
+		{"truncated signed copy", good, orig.OnChainAddr, enc[:len(enc)/2]},
+		{"empty signed copy", good, orig.OnChainAddr, nil},
+		{"zero contract address", good, types.Address{}, enc},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := RebuildSession(orig.Split, tc.scalars, fx.chain, fx.net, context.Background(), tc.contract, tc.copyEnc)
+			if err == nil || sess != nil {
+				t.Fatalf("got session %v, err %v; want an error", sess, err)
+			}
+		})
 	}
 }

@@ -2,11 +2,13 @@ package hybrid
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"onoffchain/internal/chain"
 	"onoffchain/internal/rlp"
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/telemetry"
@@ -65,6 +67,47 @@ func NewSession(split *SplitResult, parties []*Participant) (*Session, error) {
 		topic:   whisper.TopicFromString("hybrid/signed-copy/" + split.Name + tag),
 		symKey:  whisper.SharedTopicKey("hybrid/"+split.Name, addrs),
 	}, nil
+}
+
+// RebuildSession reconstructs a deployed, signed session from its durable
+// bytes — a hub's WAL or a federated tower's guard record: one participant
+// per logged key scalar on c (with a whisper node when net is set), every
+// receipt wait bounded by ctx, the on-chain address, and the decoded
+// signed copy. The bytes are untrusted: anything malformed is an error
+// before a participant is built. The copy's signatures are NOT verified
+// here — a caller that acts on the copy beyond disputing with it (Dispute
+// and the miners both re-check) calls Copy.Verify itself.
+func RebuildSession(split *SplitResult, scalars [][]byte, c *chain.Chain, net *whisper.Network, ctx context.Context, contract types.Address, copyEnc []byte) (*Session, error) {
+	if len(scalars) != split.Participants {
+		return nil, fmt.Errorf("hybrid: %d party scalars, split expects %d", len(scalars), split.Participants)
+	}
+	if contract.IsZero() {
+		return nil, errors.New("hybrid: rebuild: zero contract address")
+	}
+	keys := make([]*secp256k1.PrivateKey, len(scalars))
+	for i, sc := range scalars {
+		key, err := secp256k1.PrivateKeyFromBytes(sc)
+		if err != nil {
+			return nil, fmt.Errorf("hybrid: party %d scalar: %w", i, err)
+		}
+		keys[i] = key
+	}
+	cp, err := DecodeSignedCopy(copyEnc)
+	if err != nil {
+		return nil, err
+	}
+	parties := make([]*Participant, len(keys))
+	for i, key := range keys {
+		parties[i] = NewParticipant(key, c, net)
+		parties[i].Ctx = ctx
+	}
+	sess, err := NewSession(split, parties)
+	if err != nil {
+		return nil, err
+	}
+	sess.OnChainAddr = contract
+	sess.Copy = cp
+	return sess, nil
 }
 
 // ParticipantAddrs returns the ordered participant addresses.

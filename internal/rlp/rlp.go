@@ -78,9 +78,6 @@ func Encode(item *Item) []byte {
 // EncodeBytes returns the RLP encoding of a single byte string.
 func EncodeBytes(b []byte) []byte { return Encode(Bytes(b)) }
 
-// EncodeUint returns the RLP encoding of an unsigned integer.
-func EncodeUint(v uint64) []byte { return Encode(Uint(v)) }
-
 // EncodeList returns the RLP encoding of a list of items.
 func EncodeList(items ...*Item) []byte { return Encode(List(items...)) }
 

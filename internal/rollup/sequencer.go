@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"onoffchain/internal/chain"
 	"onoffchain/internal/hybrid"
 	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
@@ -413,13 +414,14 @@ func (s *Sequencer) awaitPoolDrained() error {
 	if drained() {
 		return nil
 	}
-	sub := c.SubscribeBlocks()
+	// An empty address set matches no log; block boundaries still arrive.
+	sub := c.SubscribeBlockLogs(chain.FilterQuery{AddressIn: chain.NewAddressSet()})
 	defer sub.Unsubscribe()
 	for !drained() {
 		select {
 		case <-s.ctx.Done():
 			return s.ctx.Err()
-		case <-sub.Blocks():
+		case <-sub.BlockLogs():
 		}
 	}
 	return nil
@@ -427,9 +429,6 @@ func (s *Sequencer) awaitPoolDrained() error {
 
 // Registry exposes the deployed registry handle (nil before Start).
 func (s *Sequencer) Registry() *Registry { return s.registry }
-
-// Window returns the batch challenge period.
-func (s *Sequencer) Window() uint64 { return s.cfg.Window }
 
 // EpochByNumber implements Source over the sequencer's posted epochs.
 // Sealed epochs whose post receipt is still pending are served too: the
@@ -782,9 +781,10 @@ func (s *Sequencer) Halt() {
 // StateRecords synthesizes the record stream that re-folds to the
 // sequencer's durable state — the hub appends it to compaction snapshots
 // so WAL compaction cannot lose epoch state. Posted epochs are carried
-// while cached (their batch windows may still be open); the set is
-// bounded by epochs-per-challenge-window at steady state because Evict
-// drops closed windows.
+// while cached (their batch windows may still be open). The cache is not
+// bounded today: Evict would drop closed windows, but only
+// sequencer_test.go calls it, so the set grows with the chain (ROADMAP
+// item 3, bounded retention).
 func (s *Sequencer) StateRecords() []*store.Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -840,7 +840,8 @@ func (s *Sequencer) CachedEpochs() []*Epoch {
 }
 
 // Evict drops posted epochs numbered below n from the in-memory cache
-// (their challenge windows closed; proofs are no longer needed).
+// (their challenge windows closed; proofs are no longer needed). No
+// production caller yet — see StateRecords.
 func (s *Sequencer) Evict(below uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

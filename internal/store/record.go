@@ -92,7 +92,9 @@ const (
 	KindFedWindow
 	// KindFedIntent: a member declared intent to dispute the contract in
 	// Blob; U1 = wall-clock milliseconds at declaration, Blobs[0] = the
-	// declaring member address. Forensic + dedup grace on restart.
+	// declaring member address. No longer written and never folded
+	// (intents are re-gossiped while live, so a restart relearns them);
+	// the kind stays so journals that carry it still decode.
 	KindFedIntent
 	// KindFedClosed: the contract in Blob settled (U1 = 1 when settled by
 	// dispute resolution); its guard state is dead and a restarted member

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"onoffchain/internal/keccak"
@@ -42,8 +41,8 @@ type (
 )
 
 // Database is the node store for hashed trie nodes. It is safe for
-// concurrent use: parallel subtree hashing (and parallel storage-trie
-// commits that share one store) persist nodes from many goroutines.
+// concurrent use: state forks and the parallel storage-trie flush share
+// one store and persist nodes from many goroutines.
 // Stored encodings are immutable once put, so readers may retain the
 // returned slices without copying.
 type Database struct {
@@ -460,11 +459,6 @@ func (t *Trie) encodeRef(n node) *rlp.Item {
 	return rlp.Bytes(h.Bytes())
 }
 
-// parallelMinChildren is the fan-out threshold: a top-level branch with
-// fewer occupied children than this is hashed serially, since goroutine
-// startup would cost more than the subtree work it hides.
-const parallelMinChildren = 4
-
 // Hash computes the root commitment, persisting hashed nodes to the
 // database, and collapses the in-memory tree to its root hash. Without
 // the collapse, every node ever expanded by an Update would be re-encoded
@@ -472,17 +466,9 @@ const parallelMinChildren = 4
 // commits O(trie size) instead of O(touched paths): subsequent operations
 // re-resolve just the paths they walk from the node store.
 //
-// On multi-core hosts the subtrees under the top-level branch are hashed
-// in parallel: each of the 16 nibble children is an independent Merkle
-// subtree whose encode/hash/persist work shares nothing with its siblings
-// except the (mutex-guarded) node store.
+// The walk is serial: fanning the top-level branch's subtrees across
+// goroutines read slower at every size tried (DESIGN §8 "Verdicts").
 func (t *Trie) Hash() types.Hash {
-	return t.hash(runtime.GOMAXPROCS(0))
-}
-
-// hash is Hash with an explicit worker bound (tests exercise the parallel
-// path regardless of the host's core count through this).
-func (t *Trie) hash(workers int) types.Hash {
 	if t.root == nil {
 		return EmptyRoot
 	}
@@ -492,80 +478,11 @@ func (t *Trie) hash(workers int) types.Hash {
 	if h, ok := t.root.(hashNode); ok {
 		return types.BytesToHash(h)
 	}
-	var item *rlp.Item
-	if workers > 1 {
-		switch n := t.root.(type) {
-		case *fullNode:
-			item = t.encodeFullParallel(n, workers)
-		case *shortNode:
-			// A trie rooted at an extension: the branch below it is where
-			// the fan-out lives.
-			if fn, ok := n.Val.(*fullNode); ok {
-				child := t.refFromItem(t.encodeFullParallel(fn, workers))
-				item = rlp.List(rlp.Bytes(hexToCompact(n.Key)), child)
-			}
-		}
-	}
-	if item == nil {
-		item = t.encodeNode(t.root)
-	}
-	enc := rlp.Encode(item)
+	enc := rlp.Encode(t.encodeNode(t.root))
 	h := types.Hash(keccak.Sum256(enc))
 	t.db.put(h, enc)
 	t.root = hashNode(h.Bytes())
 	return h
-}
-
-// encodeFullParallel encodes a branch node with its children fanned across
-// at most workers goroutines. Each child's encodeRef walks, encodes, and
-// persists its whole subtree independently; results land positionally so
-// the assembled encoding is byte-identical to the serial one.
-func (t *Trie) encodeFullParallel(fn *fullNode, workers int) *rlp.Item {
-	occupied := 0
-	for i := 0; i < 16; i++ {
-		if fn.Children[i] != nil {
-			occupied++
-		}
-	}
-	if occupied < parallelMinChildren {
-		return t.encodeNode(fn)
-	}
-	items := make([]*rlp.Item, 17)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		child := fn.Children[i]
-		if child == nil {
-			items[i] = rlp.Bytes(nil)
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, child node) {
-			defer wg.Done()
-			items[i] = t.encodeRef(child)
-			<-sem
-		}(i, child)
-	}
-	wg.Wait()
-	if v, ok := fn.Children[16].(valueNode); ok {
-		items[16] = rlp.Bytes(v)
-	} else {
-		items[16] = rlp.Bytes(nil)
-	}
-	return rlp.List(items...)
-}
-
-// refFromItem applies the commitment rule (inline under 32 bytes, hash
-// reference otherwise) to an already-built node item.
-func (t *Trie) refFromItem(item *rlp.Item) *rlp.Item {
-	enc := rlp.Encode(item)
-	if len(enc) < 32 {
-		return item
-	}
-	h := types.Hash(keccak.Sum256(enc))
-	t.db.put(h, enc)
-	return rlp.Bytes(h.Bytes())
 }
 
 // FromRoot rebuilds a trie handle from a previously committed root.

@@ -367,66 +367,6 @@ func TestHashIdempotentAfterCollapse(t *testing.T) {
 	}
 }
 
-// TestParallelHashMatchesSerial: the fan-out hash must produce the exact
-// root (and persist the same nodes) as the serial walk, across random
-// tries of many shapes, including branch-rooted and extension-rooted ones.
-func TestParallelHashMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	randKV := func(keyLen int) ([]byte, []byte) {
-		k := make([]byte, keyLen)
-		rng.Read(k)
-		v := make([]byte, 1+rng.Intn(60))
-		rng.Read(v)
-		return k, v
-	}
-	for trial := 0; trial < 20; trial++ {
-		serial := New(nil)
-		parallel := New(nil)
-		n := 1 + rng.Intn(200)
-		shared := rng.Intn(2) == 1 // half the trials root at an extension
-		for i := 0; i < n; i++ {
-			k, v := randKV(2 + rng.Intn(6))
-			if shared {
-				k = append([]byte{0xAB, 0xCD}, k...)
-			}
-			serial.Update(k, v)
-			parallel.Update(k, v)
-		}
-		want := serial.hash(1)
-		got := parallel.hash(8)
-		if got != want {
-			t.Fatalf("trial %d: parallel root %s, serial root %s", trial, got.Hex(), want.Hex())
-		}
-		if serial.db.Len() != parallel.db.Len() {
-			t.Fatalf("trial %d: node counts differ: serial %d, parallel %d",
-				trial, serial.db.Len(), parallel.db.Len())
-		}
-		// Incremental re-hash after more updates stays consistent too.
-		for i := 0; i < 10; i++ {
-			k, v := randKV(3)
-			serial.Update(k, v)
-			parallel.Update(k, v)
-		}
-		if got, want := parallel.hash(8), serial.hash(1); got != want {
-			t.Fatalf("trial %d: post-update parallel root %s, serial %s", trial, got.Hex(), want.Hex())
-		}
-	}
-}
-
-// TestParallelHashSmallTrie: tries below the fan-out threshold take the
-// serial path inside hash(workers>1) and still produce correct roots.
-func TestParallelHashSmallTrie(t *testing.T) {
-	tr := New(nil)
-	tr.Update([]byte("do"), []byte("verb"))
-	tr.Update([]byte("dog"), []byte("puppy"))
-	tr.Update([]byte("doge"), []byte("coin"))
-	tr.Update([]byte("horse"), []byte("stallion"))
-	want := "5991bb8c6514148a29db676a14ac506cd2cd5775ace63c30a4fe457715e9ac84"
-	if got := hex.EncodeToString(tr.hash(8).Bytes()); got != want {
-		t.Fatalf("root = %s, want %s", got, want)
-	}
-}
-
 // TestConcurrentDatabaseAccess: hammers one node store from hashing,
 // reading, and committing goroutines at once — meaningful under -race.
 func TestConcurrentDatabaseAccess(t *testing.T) {
@@ -441,7 +381,7 @@ func TestConcurrentDatabaseAccess(t *testing.T) {
 				k := []byte(fmt.Sprintf("g%d-key-%d", g, i))
 				tr.Update(k, []byte(fmt.Sprintf("value-%d", i*g)))
 			}
-			roots[g] = tr.hash(4)
+			roots[g] = tr.Hash()
 			// Read back through a fresh handle while others still write.
 			reload, err := FromRoot(db, roots[g])
 			if err != nil {

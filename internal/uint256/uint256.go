@@ -29,16 +29,6 @@ func FromBig(b *big.Int) (*Int, bool) {
 	return z, overflow
 }
 
-// MustFromBig is FromBig that panics on overflow. Intended for tests and
-// constant initialization.
-func MustFromBig(b *big.Int) *Int {
-	z, overflow := FromBig(b)
-	if overflow {
-		panic("uint256: big.Int overflows 256 bits")
-	}
-	return z
-}
-
 // FromHex parses a 0x-prefixed or bare hexadecimal string.
 func FromHex(s string) (*Int, error) {
 	if len(s) >= 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') {
@@ -142,11 +132,6 @@ func (z *Int) IsUint64() bool {
 // Uint64 returns the low 64 bits of z.
 func (z *Int) Uint64() uint64 {
 	return z[0]
-}
-
-// Uint64WithOverflow returns the low 64 bits and whether z exceeds them.
-func (z *Int) Uint64WithOverflow() (uint64, bool) {
-	return z[0], !z.IsUint64()
 }
 
 // Eq reports whether z == x.
@@ -438,17 +423,6 @@ func (z *Int) Mod(x, y *Int) *Int {
 	return z.Set(&r)
 }
 
-// DivMod sets z = x / y and m = x % y in one pass, returning (z, m).
-func (z *Int) DivMod(x, y, m *Int) (*Int, *Int) {
-	if y.IsZero() {
-		return z.Clear(), m.Clear()
-	}
-	q, r := udivrem(x.limbs(), y)
-	m.Set(&r)
-	z[0], z[1], z[2], z[3] = q[0], q[1], q[2], q[3]
-	return z, m
-}
-
 // SDiv sets z = x / y under two's-complement interpretation, EVM SDIV rules
 // (truncated division; MinInt256 / -1 wraps to MinInt256).
 func (z *Int) SDiv(x, y *Int) *Int {
@@ -677,14 +651,6 @@ func (z *Int) SignExtend(b, x *Int) *Int {
 	mask.Not(&mask)
 	mask.Rsh(&mask, 256-(bitPos+1))
 	return z.And(z, &mask)
-}
-
-// IsBitSet reports whether bit i (0 = least significant) is set.
-func (z *Int) IsBitSet(i uint) bool {
-	if i >= 256 {
-		return false
-	}
-	return z[i/64]&(1<<(i%64)) != 0
 }
 
 // BitLen returns the number of bits required to represent z.

@@ -137,9 +137,9 @@ type Chain struct {
 	subs  map[uint64]*BlockLogSubscription
 
 	// In-memory log index (see appendBlock/filterIndexedLocked): every
-	// mined log, keyed by emitting address, in chain order. LogCursor
-	// resumes and address-filtered FilterLogs queries walk only their
-	// matching logs instead of scanning every receipt of every block.
+	// mined log, keyed by emitting address, in chain order.
+	// Address-filtered FilterLogs queries walk only their matching logs
+	// instead of scanning every receipt of every block.
 	logIndex   map[types.Address][]indexedLog
 	logSeq     uint64 // global chain-order sequence for cross-address merges
 	logScanned uint64 // blocks walked by the fallback full-scan path
@@ -819,10 +819,10 @@ type FilterQuery struct {
 
 // FilterLogs returns mined logs matching q. Address-selective queries
 // (Address or AddressIn set) are served from the in-memory per-address log
-// index — O(matching logs + log n), not O(blocks) — which is what makes a
-// LogCursor resume cheap: previously every watchtower recovery replay
-// re-walked every receipt of every block in range. Queries with no address
-// selector still fall back to the full scan.
+// index — O(matching logs + log n), not O(blocks) — which is what keeps a
+// watchtower's catch-up after a restart from re-walking every receipt of
+// every block in range. Queries with no address selector still fall back
+// to the full scan.
 func (c *Chain) FilterLogs(q FilterQuery) []*types.Log {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -895,8 +895,8 @@ func (c *Chain) filterIndexedLocked(q *FilterQuery, addrs []types.Address, from,
 
 // LogScanStats reports how FilterLogs queries have been served since the
 // chain started: blocks walked by the fallback full-scan path, and queries
-// answered entirely from the per-address log index. The log-index test
-// pins the LogCursor-resume fix with it.
+// answered entirely from the per-address log index. The log-index and
+// recovery tests pin "served from the index" with it.
 func (c *Chain) LogScanStats() (scannedBlocks, indexedQueries uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -90,28 +90,38 @@ func TestLogIndexEquivalence(t *testing.T) {
 	}
 }
 
-// TestLogCursorResumeUsesIndex pins the satellite fix: a LogCursor resume
-// (the watchtower recovery-replay path) must be served entirely from the
-// log index — zero blocks walked by the fallback full scan.
-func TestLogCursorResumeUsesIndex(t *testing.T) {
+// TestResumeQueryUsesIndex: a resume from a persisted block number — the
+// watchtower's catch-up query after a restart — returns exactly the logs
+// at or after that block, no duplicates and no gaps, and is served
+// entirely from the log index: zero blocks walked by the full scan.
+func TestResumeQueryUsesIndex(t *testing.T) {
 	c, addrA, _ := logIndexWorld(t)
 	scan0, idx0 := c.LogScanStats()
 
-	cur := c.NewLogCursor(FilterQuery{Address: &addrA}, 0)
-	logs, head := cur.Next()
-	if head != c.Height() || len(logs) == 0 {
-		t.Fatalf("cursor drained %d logs to head %d", len(logs), head)
+	all := c.FilterLogs(FilterQuery{Address: &addrA})
+	if len(all) == 0 {
+		t.Fatal("world emitted no logs")
 	}
-	// Resume replay from genesis a second time — the recovery pattern.
-	cur2 := c.NewLogCursor(FilterQuery{Address: &addrA}, 0)
-	logs2, _ := cur2.Next()
-	if len(logs2) != len(logs) {
-		t.Fatalf("replay returned %d logs, want %d", len(logs2), len(logs))
+	const resumeAt = 3
+	before := 0
+	for _, l := range all {
+		if l.BlockNumber < resumeAt {
+			before++
+		}
+	}
+	resumed := c.FilterLogs(FilterQuery{Address: &addrA, FromBlock: resumeAt})
+	if before == 0 || len(resumed) != len(all)-before {
+		t.Fatalf("resume at block %d returned %d logs, want %d of %d", resumeAt, len(resumed), len(all)-before, len(all))
+	}
+	for i, l := range resumed {
+		if l != all[before+i] {
+			t.Fatalf("resumed log %d is not log %d of the full history", i, before+i)
+		}
 	}
 
 	scan1, idx1 := c.LogScanStats()
 	if scan1 != scan0 {
-		t.Errorf("cursor resume walked %d blocks in the full-scan path, want 0", scan1-scan0)
+		t.Errorf("resume walked %d blocks in the full-scan path, want 0", scan1-scan0)
 	}
 	if idx1 != idx0+2 {
 		t.Errorf("indexed queries grew by %d, want 2", idx1-idx0)

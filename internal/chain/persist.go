@@ -1,7 +1,7 @@
 // Chain persistence: journal every sealed block to a write-ahead store
 // and rebuild the whole chain — state, receipts, and the per-address log
 // index — by re-executing those blocks on restart. A restarted cmd/chaind
-// serves FilterLogs and LogCursor straight from the rebuilt index: the
+// serves address-selective FilterLogs straight from the rebuilt index: the
 // full-scan fallback stays cold (LogScanStats' scanned counter is the
 // regression tripwire).
 //

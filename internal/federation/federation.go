@@ -25,17 +25,18 @@
 // Enforcement is exactly-once no matter what: the generated contract's
 // settled flag and deployedAddr guard admit a single enforcement.
 //
-// Durability: each tower journals membership, guard states, windows and a
-// chain cursor to its own internal/store WAL; a restarted member re-arms
-// every guard from durable state and replays the chain events it slept
-// through with chain.LogCursor. See DESIGN.md §7.
+// Wire = disk: the fleet gossips the store.Records it journals (guard,
+// window, member-heartbeat and intent kinds; see journal.go), so one codec
+// serves both directions. Each tower journals guard states, windows,
+// closures and a chain cursor to its own internal/store WAL; a restarted
+// member re-arms every guard from durable state and replays the chain
+// events it slept through with Watchtower.CatchUp. See DESIGN.md §7.
 package federation
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"onoffchain/internal/chain"
@@ -47,14 +48,6 @@ import (
 	"onoffchain/internal/telemetry"
 	"onoffchain/internal/types"
 	"onoffchain/internal/whisper"
-)
-
-// Gossip record kinds (whisper.Gossip.Kind) the federation speaks.
-const (
-	gossipHeartbeat uint8 = iota + 1
-	gossipGuard
-	gossipWindow
-	gossipIntent
 )
 
 // Config tunes one federation member.
@@ -73,7 +66,7 @@ type Config struct {
 	// (logged loudly — an unguardable window is the failure this package
 	// exists to prevent).
 	Registry hub.SpecRegistry
-	// Store, when set, journals membership/guards/windows/cursor so a
+	// Store, when set, journals guards/windows/closures/cursor so a
 	// restarted member re-arms from durable state. Each tower owns its
 	// store exclusively; never share one with a hub WAL.
 	Store *store.Store
@@ -215,7 +208,6 @@ type Tower struct {
 	presence *whisper.Presence
 	journal  *journal
 	metrics  *metrics
-	seq      atomic.Uint64
 
 	// ctx bounds receipt waits of disputes filed for adopted sessions;
 	// canceled by Stop and Kill.
@@ -379,18 +371,14 @@ func (t *Tower) attach(w *hub.Watchtower) {
 // replay-before-act recipe hub.Recover uses, scoped to guard duty.
 func (t *Tower) rearm() {
 	if t.cfg.Store == nil {
-		// Nothing durable; still journal the configured membership.
-		t.journalMembers(nil)
 		return
 	}
 	recs, err := t.cfg.Store.Replay()
 	if err != nil {
 		t.cfg.Logf("federation: journal replay failed (starting empty): %v", err)
-		t.journalMembers(nil)
 		return
 	}
 	fs := foldFederation(recs)
-	t.journalMembers(fs.members)
 	t.mu.Lock()
 	for c := range fs.closed {
 		t.closed[c] = true
@@ -424,28 +412,10 @@ func (t *Tower) rearm() {
 			t.tower.RestoreWindow(gi.watch, w)
 		}
 	}
-	cur := t.cfg.Chain.NewLogCursor(chain.FilterQuery{}, fs.cursor+1)
-	logs, head := cur.Next()
-	t.tower.ReplayLogs(logs)
-	t.tower.MarkProcessed(head)
+	head = t.tower.CatchUp(fs.cursor)
 	t.journal.log(&store.Record{Kind: store.KindCursor, U1: head})
 	if rearmed > 0 {
 		t.cfg.Logf("federation: re-armed %d guards, replayed blocks %d..%d", rearmed, fs.cursor+1, head)
-	}
-}
-
-// journalMembers records the configured membership (minus what the
-// journal already carries).
-func (t *Tower) journalMembers(known []types.Address) {
-	seen := make(map[types.Address]bool, len(known))
-	for _, m := range known {
-		seen[m] = true
-	}
-	for _, m := range t.cfg.Members {
-		if !seen[m] {
-			m := m
-			t.journal.log(&store.Record{Kind: store.KindFedMember, Blob: m[:]})
-		}
 	}
 }
 
@@ -538,15 +508,14 @@ func (t *Tower) Kill() {
 	t.tower.Halt()
 }
 
-func (t *Tower) post(g *whisper.Gossip) {
-	g.Seq = t.seq.Add(1)
-	if g.Time == 0 {
-		g.Time = wallMillis()
-	}
+// post gossips one record — the bytes a journal would hold — under the
+// fleet key; tc, the trace context of the session the record concerns,
+// rides the envelope.
+func (t *Tower) post(rec *store.Record, tc telemetry.TraceContext) {
 	// Default unsigned: the group key authenticates fleet traffic (see
 	// handleEnvelope). SignGossip opts into per-sender envelope
 	// signatures, affordable since the fixed-limb secp256k1 rewrite.
-	if _, err := t.node.Post(t.topic, g.Encode(), whisper.PostOptions{Key: t.symKey, Unsigned: !t.cfg.SignGossip, Trace: g.TraceCtx()}); err != nil {
+	if _, err := t.node.Post(t.topic, rec.Encode(), whisper.PostOptions{Key: t.symKey, Unsigned: !t.cfg.SignGossip, Trace: tc}); err != nil {
 		t.cfg.Logf("federation: gossip post failed: %v", err)
 	}
 }
@@ -561,7 +530,7 @@ func (t *Tower) heartbeatLoop() {
 		case <-t.stopCh:
 			return
 		case <-tick.C:
-			t.post(&whisper.Gossip{Kind: gossipHeartbeat})
+			t.post(&store.Record{Kind: store.KindFedMember, Blob: t.self[:]}, telemetry.TraceContext{})
 			t.metrics.heartbeatsSent.Inc()
 			// Re-gossip on a slower cadence than liveness: guard state is
 			// KBs per record and only needs to beat the escalation stagger,
@@ -607,8 +576,8 @@ func (t *Tower) regossip() {
 		if w == nil {
 			continue // nothing at stake right now
 		}
-		t.postGuard(og.export)
-		t.postWindow(og.watch, *w)
+		t.post(guardRecord(og.export), og.export.Trace)
+		t.post(ownWindowRecord(og.watch, *w), og.watch.TraceCtx())
 	}
 }
 
@@ -665,22 +634,22 @@ func (t *Tower) handleEnvelope(env *whisper.Envelope) {
 	if err != nil {
 		return
 	}
-	g, err := whisper.DecodeGossip(plain)
+	rec, err := store.DecodeRecord(plain)
 	if err != nil {
 		t.cfg.Logf("federation: malformed gossip from %s: %v", env.From.Hex(), err)
 		return
 	}
 	// Any authenticated record proves the peer is alive.
 	t.presence.Mark(env.From)
-	switch g.Kind {
-	case gossipHeartbeat:
+	switch rec.Kind {
+	case store.KindFedMember:
 		t.metrics.heartbeatsSeen.Inc()
-	case gossipGuard:
-		t.handleGuardGossip(env.From, g)
-	case gossipWindow:
-		t.handleWindowGossip(env.From, g)
-	case gossipIntent:
-		t.handleIntentGossip(env.From, g)
+	case store.KindFedGuard:
+		t.handleGuardGossip(env.From, rec, env.TraceCtx())
+	case store.KindFedWindow:
+		t.handleWindowGossip(env.From, rec, env.TraceCtx())
+	case store.KindFedIntent:
+		t.handleIntentGossip(env.From, rec)
 	}
 }
 
@@ -696,18 +665,18 @@ func (t *Tower) isMember(a types.Address) bool {
 // handleGuardGossip queues the adoption: rebuilding a session (n-of-n
 // signature verification) is too heavy for the receiver loop — stalling
 // it under a burst of session starts would drop heartbeats.
-func (t *Tower) handleGuardGossip(from types.Address, g *whisper.Gossip) {
-	export := &guardExport{
-		SID: g.U3, Scenario: g.Str, Contract: g.Addr,
-		ChallengePeriod: g.U1, Honest: int(g.U2),
-		CopyEnc: g.Blob, Scalars: g.Blobs,
-		TraceID: g.TraceID, TraceSpan: g.TraceSpan,
+func (t *Tower) handleGuardGossip(from types.Address, rec *store.Record, tc telemetry.TraceContext) {
+	export, err := decodeGuardRecord(rec)
+	if err != nil {
+		t.cfg.Logf("federation: guard gossip from %s: %v", from.Hex(), err)
+		return
 	}
+	export.Trace = tc
 	select {
 	case t.adoptCh <- adoptReq{export: export, fromBlock: t.cfg.Chain.Height()}:
 	default:
 		t.cfg.Logf("federation: adoption queue full, dropping guard %s (%s) from %s — the window will be UNGUARDED here",
-			g.Addr.Hex(), g.Str, from.Hex())
+			export.Contract.Hex(), export.Scenario, from.Hex())
 	}
 }
 
@@ -742,8 +711,7 @@ func (t *Tower) adopt(g *guardExport, fromBlock uint64, journalIt bool) error {
 	// adoption becomes a child span in this tower's own recorder, and every
 	// chain interaction the adopted guard makes parents under the adoption —
 	// so a cross-process merge stitches hub and tower files into one tree.
-	gctx := telemetry.TraceContext{TraceID: g.TraceID, Span: g.TraceSpan}
-	adoptTC := t.cfg.Tracer.Child(gctx)
+	adoptTC := t.cfg.Tracer.Child(g.Trace)
 	sess, err := t.rebuild(g)
 	if err != nil {
 		return err
@@ -776,7 +744,7 @@ func (t *Tower) adopt(g *guardExport, fromBlock uint64, journalIt bool) error {
 		t.journal.log(guardRecord(g))
 	}
 	t.metrics.guardsAdopted.Inc()
-	t.cfg.Tracer.RecordSpan(adoptTC, gctx.Span, g.SID, "federation", "adopt", adoptStart, time.Since(adoptStart), "tower="+t.self.Hex())
+	t.cfg.Tracer.RecordSpan(adoptTC, g.Trace.Span, g.SID, "federation", "adopt", adoptStart, time.Since(adoptStart), "tower="+t.self.Hex())
 	// The submission may already be on chain (the block raced the
 	// adoption queue): replay the contract's events since the gossip
 	// arrived through the same idempotent handlers as live delivery.
@@ -819,27 +787,25 @@ func (t *Tower) rebuild(g *guardExport) (*hybrid.Session, error) {
 	return hybrid.RebuildSession(split, g.Scalars, t.cfg.Chain, nil, t.ctx, g.Contract, g.CopyEnc)
 }
 
-func (t *Tower) handleWindowGossip(from types.Address, g *whisper.Gossip) {
+func (t *Tower) handleWindowGossip(from types.Address, rec *store.Record, tc telemetry.TraceContext) {
+	w, hint, err := decodeWindowRecord(rec)
+	if err != nil {
+		t.cfg.Logf("federation: window gossip from %s: %v", from.Hex(), err)
+		return
+	}
 	t.metrics.windowsMirror.Inc()
 	t.mu.Lock()
-	if _, ok := t.firstSeen[g.Addr]; !ok {
-		t.firstSeen[g.Addr] = time.Now()
+	if _, ok := t.firstSeen[w.Contract]; !ok {
+		t.firstSeen[w.Contract] = time.Now()
 	}
-	var hint *uint64
-	if len(g.Blobs) > 0 {
-		if hint = decodeHint(g.Blobs[0]); hint != nil {
-			t.vouch[g.Addr] = *hint
-		}
+	if hint != nil {
+		t.vouch[w.Contract] = *hint
 	}
 	var adopted *hub.Watch
-	if gi := t.guards[g.Addr]; gi != nil && !gi.own {
+	if gi := t.guards[w.Contract]; gi != nil && !gi.own {
 		adopted = gi.watch
 	}
 	t.mu.Unlock()
-	w := hub.Window{
-		Contract: g.Addr, Submitter: types.BytesToAddress(g.Blob),
-		Result: g.U1, OpenedAt: g.U2, Deadline: g.U3,
-	}
 	if adopted != nil {
 		if hint != nil {
 			// The owner's verdict makes this tower's own sandbox run
@@ -855,25 +821,31 @@ func (t *Tower) handleWindowGossip(from types.Address, g *whisper.Gossip) {
 		// it and nothing else would ever drive this window.
 		t.tower.RestoreWindow(adopted, w)
 	}
-	if pc := g.TraceCtx(); pc.Valid() {
-		t.cfg.Tracer.EventChild(pc, t.sidOf(g.Addr), "federation", "window_mirror", "from="+from.Hex())
-	} else if pc := t.ctxOf(g.Addr); pc.Valid() {
-		t.cfg.Tracer.EventChild(pc, t.sidOf(g.Addr), "federation", "window_mirror", "from="+from.Hex())
+	if !tc.Valid() {
+		tc = t.ctxOf(w.Contract)
 	}
-	t.journal.log(windowRecord(w, hint))
+	if tc.Valid() {
+		t.cfg.Tracer.EventChild(tc, t.sidOf(w.Contract), "federation", "window_mirror", "from="+from.Hex())
+	}
+	t.journal.log(rec)
 }
 
-func (t *Tower) handleIntentGossip(from types.Address, g *whisper.Gossip) {
-	t.metrics.intentsSeen.Inc()
-	t.mu.Lock()
-	if t.intents[g.Addr] == nil {
-		t.intents[g.Addr] = make(map[types.Address]*rivalIntent)
+func (t *Tower) handleIntentGossip(from types.Address, rec *store.Record) {
+	if len(rec.Blob) != 20 {
+		t.cfg.Logf("federation: malformed intent gossip from %s", from.Hex())
+		return
 	}
-	if ri := t.intents[g.Addr][from]; ri == nil {
-		now := time.Now()
-		t.intents[g.Addr][from] = &rivalIntent{first: now, last: now}
+	contract := types.BytesToAddress(rec.Blob)
+	t.metrics.intentsSeen.Inc()
+	now := time.Now()
+	t.mu.Lock()
+	if t.intents[contract] == nil {
+		t.intents[contract] = make(map[types.Address]*rivalIntent)
+	}
+	if ri := t.intents[contract][from]; ri == nil {
+		t.intents[contract][from] = &rivalIntent{first: now, last: now}
 	} else {
-		ri.last = time.Now()
+		ri.last = now
 	}
 	t.mu.Unlock()
 }
@@ -1004,9 +976,7 @@ func (t *Tower) announceIntent(contract types.Address) {
 }
 
 func (t *Tower) postIntent(contract types.Address) {
-	g := &whisper.Gossip{Kind: gossipIntent, Addr: contract, Time: wallMillis()}
-	g.SetTraceCtx(t.ctxOf(contract))
-	t.post(g)
+	t.post(&store.Record{Kind: store.KindFedIntent, Blob: contract[:]}, t.ctxOf(contract))
 }
 
 // towerObserver adapts Tower to hub.TowerObserver (a distinct type so the
@@ -1037,39 +1007,26 @@ func (o *towerObserver) Guarded(e *hub.Watch, contract types.Address) {
 	// Export the session's ROOT trace context (not a child): adopters parent
 	// their own spans directly under the hub's root session span, so a
 	// dropped/re-gossiped export never leaves a dangling intermediate node.
-	if tc := e.TraceCtx(); tc.Valid() {
-		export.TraceID, export.TraceSpan = tc.TraceID, tc.Span
-		t.cfg.Tracer.EventChild(tc, export.SID, "federation", "guard_export", "tower="+t.self.Hex())
+	if export.Trace = e.TraceCtx(); export.Trace.Valid() {
+		t.cfg.Tracer.EventChild(export.Trace, export.SID, "federation", "guard_export", "tower="+t.self.Hex())
 	}
 	t.mu.Lock()
 	t.guards[contract] = &guardInfo{export: export, watch: e, own: true}
 	t.mu.Unlock()
-	t.journal.log(guardRecord(export))
-	t.postGuard(export)
+	rec := guardRecord(export)
+	t.journal.log(rec)
+	t.post(rec, export.Trace)
 	t.metrics.guardsExported.Inc()
 }
 
-func (t *Tower) postGuard(export *guardExport) {
-	t.post(&whisper.Gossip{
-		Kind: gossipGuard, Addr: export.Contract,
-		U1: export.ChallengePeriod, U2: uint64(export.Honest), U3: export.SID,
-		Str: export.Scenario, Blob: export.CopyEnc, Blobs: export.Scalars,
-		TraceID: export.TraceID, TraceSpan: export.TraceSpan,
-	})
-}
-
-// postWindow gossips an open window with the owner's verdict hint.
-func (t *Tower) postWindow(e *hub.Watch, w hub.Window) {
-	g := &whisper.Gossip{
-		Kind: gossipWindow, Addr: w.Contract,
-		U1: w.Result, U2: w.OpenedAt, U3: w.Deadline,
-		Blob: w.Submitter[:],
-	}
-	g.SetTraceCtx(e.TraceCtx())
+// ownWindowRecord is an own session's open window with the owner's verdict
+// hint (when the session worker has computed it), as journaled and gossiped.
+func ownWindowRecord(e *hub.Watch, w hub.Window) *store.Record {
+	var hint *uint64
 	if exp, ok := e.ExpectedCached(); ok {
-		g.Blobs = [][]byte{encodeHint(exp)}
+		hint = &exp
 	}
-	t.post(g)
+	return windowRecord(w, hint)
 }
 
 // WindowOpened journals the window and — for own sessions — gossips it
@@ -1082,17 +1039,13 @@ func (o *towerObserver) WindowOpened(e *hub.Watch, w hub.Window) {
 		t.firstSeen[w.Contract] = time.Now()
 	}
 	t.mu.Unlock()
-	var hint *uint64
-	if e.SID() != 0 {
-		if exp, ok := e.ExpectedCached(); ok {
-			hint = &exp
-		}
-	}
-	t.journal.log(windowRecord(w, hint))
 	if e.SID() == 0 {
+		t.journal.log(windowRecord(w, nil))
 		return
 	}
-	t.postWindow(e, w)
+	rec := ownWindowRecord(e, w)
+	t.journal.log(rec)
+	t.post(rec, e.TraceCtx())
 }
 
 // WindowClosed retires the contract everywhere: journal, mirrors, maps.

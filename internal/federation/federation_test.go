@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -297,7 +298,12 @@ func fedFailoverRun(t *testing.T, mode string) {
 	var h *hub.Hub
 	var killOnce sync.Once
 	cfg := hub.Config{Workers: 2, Store: st, StageHook: func(sid uint64, s hub.Stage) bool {
-		if s == hub.StageSubmitted {
+		switch s {
+		case hub.StageExecuted:
+			// The owner's tower is dead when the lie lands; under AutoMine
+			// the submission is mined before the next hook runs.
+			h.Watchtower().Halt()
+		case hub.StageSubmitted:
 			killOnce.Do(h.Kill)
 		}
 		return !h.Crashed()
@@ -397,7 +403,7 @@ func fedFailoverRun(t *testing.T, mode string) {
 // TestFederationStandaloneRecovery: a standalone tower crashes while
 // guarding; the hub is also dead; an adversary pushes a lie while NOBODY
 // is alive. A new tower incarnation re-arms from the journal, replays the
-// chain events it slept through via chain.LogCursor, and disputes — the
+// chain events it slept through (Watchtower.CatchUp), and disputes — the
 // fraud-while-hub-down property, carried by the federation's own
 // durability.
 func TestFederationStandaloneRecovery(t *testing.T) {
@@ -525,7 +531,12 @@ func TestFederationPartition(t *testing.T) {
 	var h *hub.Hub
 	var killOnce sync.Once
 	h = hub.New(c, net, faucetKey, hub.Config{Workers: 2, StageHook: func(sid uint64, s hub.Stage) bool {
-		if s == hub.StageSubmitted {
+		switch s {
+		case hub.StageExecuted:
+			// The owner's tower is dead when the lie lands; under AutoMine
+			// the submission is mined before the next hook runs.
+			h.Watchtower().Halt()
+		case hub.StageSubmitted:
 			killOnce.Do(h.Kill)
 		}
 		return !h.Crashed()
@@ -682,8 +693,8 @@ func TestSignedGossip(t *testing.T) {
 	rogue := net.NewNode(keys[2])
 	topic := whisper.TopicFromString("federation/guard")
 	symKey := whisper.SharedTopicKey("federation/guard", members)
-	g := &whisper.Gossip{Kind: 0 /* heartbeat */, Seq: 1, Time: 1}
-	if _, err := rogue.Post(topic, g.Encode(), whisper.PostOptions{Key: symKey, Unsigned: true}); err != nil {
+	beat := &store.Record{Kind: store.KindFedMember, Blob: members[2][:]}
+	if _, err := rogue.Post(topic, beat.Encode(), whisper.PostOptions{Key: symKey, Unsigned: true}); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, "unsigned envelope rejected", func() bool {
@@ -808,5 +819,169 @@ func fedRollupRun(t *testing.T, mode string) {
 	if int(filed) != adversarial {
 		t.Errorf("fleet filed %d disputes (hub %d, s1 %d, s2 %d), want %d",
 			filed, m0.DisputesFiled, m1.DisputesFiled, m2.DisputesFiled, adversarial)
+	}
+}
+
+// TestHostileGossip: a holder of the group key posts bytes no member would.
+// Every record is dropped at the decoder that owns its kind — no panic, no
+// guard adopted, no window or intent recorded — and the receiver goes on
+// reading: the rogue's well-formed heartbeats keep arriving throughout.
+func TestHostileGossip(t *testing.T) {
+	c, net, _ := fedWorld(t, "auto")
+	keys, members := memberKeys(t, 2)
+	var mu sync.Mutex
+	var logged []string
+	cfg := fedConfig(c, net, keys[0], members)
+	cfg.Logf = func(format string, args ...interface{}) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	s0, err := Join(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s0.Stop()
+
+	rogue := net.NewNode(keys[1])
+	topic := whisper.TopicFromString(fleetLabel)
+	symKey := whisper.SharedTopicKey(fleetLabel, members)
+	post := func(payload []byte) {
+		t.Helper()
+		if _, err := rogue.Post(topic, payload, whisper.PostOptions{Key: symKey, Unsigned: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	beat := (&store.Record{Kind: store.KindFedMember, Blob: members[1][:]}).Encode()
+	beatSeen := func() {
+		t.Helper()
+		before := s0.Metrics().HeartbeatsSeen
+		post(beat)
+		waitUntil(t, 5*time.Second, "the heartbeat behind the hostile record", func() bool {
+			return s0.Metrics().HeartbeatsSeen > before
+		})
+	}
+
+	contract := addrN(0xC0)
+	scalar := func(b byte) []byte { s := make([]byte, 32); s[31] = b; return s }
+	goodGuard := func() *store.Record {
+		return guardRecord(&guardExport{
+			SID: 1, Scenario: hub.BettingSpec(4, 600, true).Scenario, Contract: contract,
+			ChallengePeriod: 600, CopyEnc: []byte{0xc0}, Scalars: [][]byte{scalar(1), scalar(2)},
+		})
+	}
+	twoBlobs := goodGuard()
+	twoBlobs.Blobs = twoBlobs.Blobs[:2]
+	shortContract := goodGuard()
+	shortContract.Blobs[0] = contract[:19]
+	honestOutOfRange := goodGuard()
+	honestOutOfRange.U2 = 2
+	badScalar := goodGuard()
+	badScalar.Blobs[2] = bytes.Repeat([]byte{0xff}, 32) // ≥ the group order
+	shortSubmitter := windowRecord(hub.Window{Contract: contract, Result: 1, OpenedAt: 10, Deadline: 610}, nil)
+	shortSubmitter.Blobs[0] = shortSubmitter.Blobs[0][:7]
+
+	hostile := map[string][]byte{
+		"random bytes":            {0xde, 0xad, 0xbe, 0xef, 0x00, 0xc1},
+		"hub-kind record":         (&store.Record{Kind: store.KindAccepted, SID: 7, Str: "betting/honest"}).Encode(),
+		"guard, two blobs":        twoBlobs.Encode(),
+		"guard, 19-byte address":  shortContract.Encode(),
+		"guard, honest index":     honestOutOfRange.Encode(),
+		"guard, scalar ≥ order":   badScalar.Encode(),
+		"window, short submitter": shortSubmitter.Encode(),
+		"intent, 3-byte blob":     (&store.Record{Kind: store.KindFedIntent, Blob: []byte{1, 2, 3}}).Encode(),
+	}
+	beatSeen()
+	for _, payload := range hostile {
+		post(payload)
+		beatSeen() // delivery is ordered: the hostile record has been handled
+	}
+	// The one guard that decodes (bad scalar) is refused on the adopter's
+	// own goroutine, by the session rebuild.
+	waitUntil(t, 5*time.Second, "the adopter to refuse the bad scalar", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, l := range logged {
+			if strings.Contains(l, "cannot adopt guard") && strings.Contains(l, "scalar") {
+				return true
+			}
+		}
+		return false
+	})
+	m := s0.Metrics()
+	if m.GuardsAdopted != 0 || m.Guards != 0 {
+		t.Errorf("hostile gossip adopted a guard: adopted=%d guards=%d", m.GuardsAdopted, m.Guards)
+	}
+	if m.WindowsMirror != 0 || m.IntentsSeen != 0 {
+		t.Errorf("hostile gossip was recorded: windows=%d intents=%d", m.WindowsMirror, m.IntentsSeen)
+	}
+	if got := s0.Watchtower().Watches(); len(got) != 0 {
+		t.Errorf("tower guards %d contracts after hostile gossip, want none", len(got))
+	}
+}
+
+// TestRearmReplaysFromTheIndex: a restarted tower catches up on the blocks
+// it slept through with the subscription's own query — served from the
+// chain's log index, not by walking every block's receipts — and its
+// journal may still carry the member and intent records older towers
+// wrote.
+func TestRearmReplaysFromTheIndex(t *testing.T) {
+	c, net, faucetKey := fedWorld(t, "auto")
+	keys, members := memberKeys(t, 1)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fedConfig(c, net, keys[0], members)
+	cfg.Store = st
+	s, err := Join(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Kill()
+	s.Stop()
+	to := addrN(0xEE)
+	for _, rec := range []*store.Record{
+		{Kind: store.KindFedMember, Blob: members[0][:]},
+		{Kind: store.KindFedIntent, U1: 1234, Blob: to[:], Blobs: [][]byte{members[0][:]}},
+	} {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	// A block the dead tower never saw, so the outage range is not empty.
+	if r, err := hybrid.NewParticipant(faucetKey, c, nil).SendTx(&to, uint256.NewInt(1), 21_000, nil); err != nil || !r.Succeeded() {
+		t.Fatalf("transfer did not land: %v", err)
+	}
+	head := c.Height()
+
+	st2, err := store.Open(st.Dir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	scanned, indexed := c.LogScanStats()
+	cfg2 := fedConfig(c, net, keys[0], members)
+	cfg2.Store = st2
+	s2, err := Join(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Stop()
+	scanned2, indexed2 := c.LogScanStats()
+	if scanned2 != scanned {
+		t.Errorf("re-arm walked %d blocks in the full-scan path, want 0", scanned2-scanned)
+	}
+	if indexed2 == indexed {
+		t.Error("re-arm ran no indexed catch-up query")
+	}
+	recs, err := st2.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := foldFederation(recs); fs.cursor != head {
+		t.Errorf("durable cursor %d after re-arm, want the replayed head %d", fs.cursor, head)
 	}
 }

@@ -7,49 +7,45 @@ import (
 
 	"onoffchain/internal/hub"
 	"onoffchain/internal/store"
+	"onoffchain/internal/telemetry"
 	"onoffchain/internal/types"
 )
 
-// journal is the tower's durable state: federation membership, the guard
-// states it shares duty for, the challenge windows it has observed (local
-// or gossiped), and a chain cursor — enough for a
-// restarted member to re-arm every guard and replay the chain events it
-// slept through via chain.LogCursor. It reuses the hub's WAL store
-// (internal/store) with the federation record kinds; the store is this
-// tower's own, never shared with a hub WAL.
+// journal is the tower's durable state: the guard states it shares duty
+// for, the challenge windows it has observed (local or gossiped), which
+// contracts have closed, and a chain cursor — enough for a restarted member
+// to re-arm every guard and replay the chain events it slept through
+// (Watchtower.CatchUp). It reuses the hub's WAL store (internal/store) with
+// the federation record kinds; the store is this tower's own, never shared
+// with a hub WAL.
 type journal struct {
 	st   *store.Store // nil: in-memory tower, no durability
 	logf func(string, ...interface{})
-	mu   sync.Mutex
-	err  error // sticky: first append failure stops durability claims
+	lost sync.Once // the first append failure is reported, the rest are not
 }
 
-// log appends one record; failures are sticky and surfaced once. Unlike
-// the hub's WAL (where lost durability must fail sessions), a federation
-// tower keeps guarding from memory when its disk dies — protecting open
-// windows NOW outranks surviving a restart. Serialized: callers come
-// from the tower's event loop, dispute workers, and all three federation
-// loops at once.
+// log appends one record. Callers come from the tower's event loop, dispute
+// workers and all three federation loops at once; the store orders and
+// group-commits them, and once an append fails it refuses every later one.
+// Unlike the hub's WAL (where lost durability must fail sessions), a
+// federation tower keeps guarding from memory when its disk dies —
+// protecting open windows NOW outranks surviving a restart.
 func (j *journal) log(rec *store.Record) {
 	if j.st == nil {
 		return
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
-	}
 	if err := j.st.Append(rec); err != nil {
-		j.err = err
-		j.logf("federation: journal lost durability (guarding continues in memory): %v", err)
+		j.lost.Do(func() {
+			j.logf("federation: journal lost durability (guarding continues in memory): %v", err)
+		})
 	}
 }
 
 // guardExport is the durable identity of one guarded session — exactly
 // what a federated backup tower needs to share guard duty: rebuild the
 // session from the registry spec and the party scalars, and (if it comes to
-// that) dispute as the honest party. It travels as guard gossip and rests
-// as a KindFedGuard record.
+// that) dispute as the honest party. It travels and rests as one
+// KindFedGuard record.
 type guardExport struct {
 	SID             uint64
 	Scenario        string
@@ -58,11 +54,11 @@ type guardExport struct {
 	Honest          int
 	Scalars         [][]byte
 	CopyEnc         []byte
-	// TraceID/TraceSpan carry the session's causal identity to peers, so
-	// a backup tower's adoption (and any dispute it files) appears in the
-	// same trace as the hub's own spans. Zero when the hub runs untraced.
-	TraceID   uint64
-	TraceSpan uint64
+	// Trace is the session's causal identity, so a backup tower's adoption
+	// (and any dispute it files) appears in the same trace as the hub's own
+	// spans. It rides the gossip envelope, not the record: zero when the hub
+	// runs untraced and for guards re-armed from a journal.
+	Trace telemetry.TraceContext
 }
 
 // guardRecord encodes a guard export. Layout documented on KindFedGuard:
@@ -79,7 +75,7 @@ func guardRecord(g *guardExport) *store.Record {
 }
 
 func decodeGuardRecord(rec *store.Record) (*guardExport, error) {
-	if len(rec.Blobs) < 3 || len(rec.Blobs[0]) != 20 {
+	if len(rec.Blobs) < 3 || len(rec.Blobs[0]) != 20 || rec.U2 >= uint64(len(rec.Blobs)-2) {
 		return nil, fmt.Errorf("federation: malformed guard record")
 	}
 	return &guardExport{
@@ -90,8 +86,8 @@ func decodeGuardRecord(rec *store.Record) (*guardExport, error) {
 	}, nil
 }
 
-// encodeHint and decodeHint are the one wire form of the owner's verdict
-// hint, in window gossip and in window records alike: 8 bytes big-endian.
+// encodeHint and decodeHint are the form of the owner's verdict hint in a
+// window record: 8 bytes big-endian.
 func encodeHint(v uint64) []byte {
 	return binary.BigEndian.AppendUint64(nil, v)
 }
@@ -135,10 +131,9 @@ func decodeWindowRecord(rec *store.Record) (w hub.Window, hint *uint64, err erro
 }
 
 // foldState is what a federation store replays to: the latest guard and
-// window per contract (minus closed ones), the configured membership it
-// saw, and the durable chain cursor.
+// window per contract (minus closed ones) and the durable chain cursor.
+// Member and intent records, which older journals carry, fold to nothing.
 type foldState struct {
-	members []types.Address
 	guards  map[types.Address]*guardExport
 	windows map[types.Address]*store.Record // raw, decoded lazily at re-arm
 	closed  map[types.Address]bool
@@ -155,17 +150,8 @@ func foldFederation(recs []*store.Record) *foldState {
 		windows: make(map[types.Address]*store.Record),
 		closed:  make(map[types.Address]bool),
 	}
-	seen := make(map[types.Address]bool)
 	for _, rec := range recs {
 		switch rec.Kind {
-		case store.KindFedMember:
-			if len(rec.Blob) == 20 {
-				m := types.BytesToAddress(rec.Blob)
-				if !seen[m] {
-					seen[m] = true
-					fs.members = append(fs.members, m)
-				}
-			}
 		case store.KindFedGuard:
 			if g, err := decodeGuardRecord(rec); err == nil {
 				fs.guards[g.Contract] = g

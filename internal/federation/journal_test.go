@@ -8,10 +8,11 @@ import (
 	"onoffchain/internal/store"
 )
 
-// TestFoldIgnoresIntentRecords: journals written before intents stopped
-// being journaled still carry KindFedIntent records. They must survive the
-// store round trip (the kind still decodes) and fold to exactly the state
-// the same journal folds to without them — which is all a re-arm reads.
+// TestFoldIgnoresIntentRecords: journals written while towers journaled
+// membership and dispute intents still carry KindFedMember and
+// KindFedIntent records. They must survive the store round trip (the kinds
+// still decode) and fold to exactly the state the same journal folds to
+// without them — which is all a re-arm reads.
 func TestFoldIgnoresIntentRecords(t *testing.T) {
 	open, settled, member := addrN(1), addrN(2), addrN(3)
 	hint := uint64(7)
@@ -24,8 +25,10 @@ func TestFoldIgnoresIntentRecords(t *testing.T) {
 	intent := func(c [20]byte) *store.Record {
 		return &store.Record{Kind: store.KindFedIntent, U1: 1234, Blob: c[:], Blobs: [][]byte{member[:]}}
 	}
+	retired := func(c [20]byte) []*store.Record {
+		return []*store.Record{intent(c), {Kind: store.KindFedMember, Blob: member[:]}}
+	}
 	plain := []*store.Record{
-		{Kind: store.KindFedMember, Blob: member[:]},
 		guard(1, open),
 		guard(2, settled),
 		windowRecord(hub.Window{Contract: open, Submitter: member, Result: 9, OpenedAt: 100, Deadline: 700}, &hint),
@@ -35,7 +38,7 @@ func TestFoldIgnoresIntentRecords(t *testing.T) {
 	}
 	var withIntents []*store.Record
 	for _, rec := range plain {
-		withIntents = append(withIntents, intent(open), rec, intent(settled))
+		withIntents = append(append(append(withIntents, retired(open)...), rec), retired(settled)...)
 	}
 
 	st, err := store.Open(t.TempDir(), store.Options{})
@@ -50,7 +53,7 @@ func TestFoldIgnoresIntentRecords(t *testing.T) {
 	}
 	replayed, err := st.Replay()
 	if err != nil {
-		t.Fatalf("journal with intent records no longer replays: %v", err)
+		t.Fatalf("journal with member and intent records no longer replays: %v", err)
 	}
 	if len(replayed) != len(withIntents) {
 		t.Fatalf("replayed %d records, wrote %d", len(replayed), len(withIntents))
@@ -58,7 +61,7 @@ func TestFoldIgnoresIntentRecords(t *testing.T) {
 
 	want, got := foldFederation(plain), foldFederation(replayed)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fold with intent records:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("fold with member and intent records:\n got %+v\nwant %+v", got, want)
 	}
 	if len(got.guards) != 1 || got.guards[open] == nil || got.cursor != 42 || !got.closed[settled] {
 		t.Fatalf("fold lost state: %+v", got)

@@ -40,7 +40,12 @@ func TestDisputeTraceCrossTower(t *testing.T) {
 	var killOnce sync.Once
 	h = hub.New(c, net, faucetKey, hub.Config{Workers: 2, Store: st, Tracer: trHub,
 		StageHook: func(sid uint64, s hub.Stage) bool {
-			if s == hub.StageSubmitted {
+			switch s {
+			case hub.StageExecuted:
+				// The owner's tower is dead when the lie lands; under AutoMine
+				// the submission is mined before the next hook runs.
+				h.Watchtower().Halt()
+			case hub.StageSubmitted:
 				killOnce.Do(h.Kill)
 			}
 			return !h.Crashed()

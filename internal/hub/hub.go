@@ -717,7 +717,7 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 		return fail(err)
 	}
 	rep.OnChainAddr = sess.OnChainAddr
-	h.journal.log(&store.Record{Kind: store.KindDeployed, SID: t.ID, U1: h.chain.Height(), Blob: sess.OnChainAddr[:]})
+	h.journal.log(&store.Record{Kind: store.KindDeployed, SID: t.ID, Blob: sess.OnChainAddr[:]})
 	if !h.advance(lc, StageDeployed) {
 		return h.crashReport(t, StageDeployed)
 	}
@@ -915,8 +915,7 @@ func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch)
 func (h *Hub) reportSettled(lc *lifecycle, sess *hybrid.Session, watch *Watch) *Report {
 	t, rep := lc.t, lc.rep
 	raised, won := watch.Disputed()
-	byDispute := watch.SettledByDispute() ||
-		len(h.chain.FilterLogs(chain.FilterQuery{Address: &sess.OnChainAddr, Topic: &hybrid.TopicDisputeResolved})) > 0
+	byDispute := watch.SettledByDispute() || settledByDispute(h.chain, sess.OnChainAddr)
 	if raised && !won && !byDispute {
 		return h.failSession(lc, errors.New("hub: dispute filed but not enforced"))
 	}

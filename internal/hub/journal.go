@@ -27,16 +27,14 @@ type sessionState struct {
 	Honest          int
 	Scalars         [][]byte
 
-	Addr        types.Address
-	DeployBlock uint64
-	CopyEnc     []byte
+	Addr    types.Address
+	CopyEnc []byte
 
 	SetupStarted bool
 	SetupDone    bool
 
 	Submitted    uint64
 	SubmittedSet bool
-	Disputed     bool
 
 	HasWindow                                    bool
 	WindowResult, WindowOpenedAt, WindowDeadline uint64
@@ -197,7 +195,6 @@ func (j *journal) applyLocked(rec *store.Record) {
 		ss.Stage = Stage(rec.U1)
 	case store.KindDeployed:
 		ss.Addr = types.BytesToAddress(rec.Blob)
-		ss.DeployBlock = rec.U1
 	case store.KindSigned:
 		ss.CopyEnc = rec.Blob
 	case store.KindSetupStart:
@@ -207,8 +204,6 @@ func (j *journal) applyLocked(rec *store.Record) {
 	case store.KindSubmitted:
 		ss.Submitted = rec.U1
 		ss.SubmittedSet = true
-	case store.KindDisputed:
-		ss.Disputed = true
 	case store.KindWindow:
 		ss.HasWindow = true
 		ss.WindowResult, ss.WindowOpenedAt, ss.WindowDeadline = rec.U1, rec.U2, rec.U3
@@ -249,7 +244,7 @@ func encodeSessionState(ss *sessionState) []*store.Record {
 		})
 	}
 	if !ss.Addr.IsZero() {
-		recs = append(recs, &store.Record{Kind: store.KindDeployed, SID: ss.ID, U1: ss.DeployBlock, Blob: ss.Addr[:]})
+		recs = append(recs, &store.Record{Kind: store.KindDeployed, SID: ss.ID, Blob: ss.Addr[:]})
 	}
 	if ss.CopyEnc != nil {
 		recs = append(recs, &store.Record{Kind: store.KindSigned, SID: ss.ID, Blob: ss.CopyEnc})
@@ -262,9 +257,6 @@ func encodeSessionState(ss *sessionState) []*store.Record {
 	}
 	if ss.SubmittedSet {
 		recs = append(recs, &store.Record{Kind: store.KindSubmitted, SID: ss.ID, U1: ss.Submitted})
-	}
-	if ss.Disputed {
-		recs = append(recs, &store.Record{Kind: store.KindDisputed, SID: ss.ID})
 	}
 	if ss.HasWindow {
 		recs = append(recs, &store.Record{

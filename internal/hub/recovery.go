@@ -111,10 +111,11 @@ func (r *RecoverReport) Resumed() []*Ticket {
 //     re-arm the watchtower over it, restoring its challenge window from
 //     the WAL.
 //  4. Re-examine every restored window, then replay chain events after
-//     the durable cursor via FilterLogs. Any fraudulent submission whose
-//     contract is not yet settled is disputed immediately — exactly once,
-//     because examinations claim the dispute per-watch and the chain's
-//     settled flag vetoes re-filing lies whose dispute already landed.
+//     the durable cursor (Watchtower.CatchUp). Any fraudulent submission
+//     whose contract is not yet settled is disputed immediately — exactly
+//     once, because examinations claim the dispute per-watch and the
+//     chain's settled flag vetoes re-filing lies whose dispute already
+//     landed.
 //  5. Enqueue a resume job per session so workers drive it to a terminal
 //     stage (finalizing honest submissions once their window elapses).
 //
@@ -316,10 +317,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 			}
 		}
 	}
-	cur := c.NewLogCursor(chain.FilterQuery{}, cursor+1)
-	logs, head := cur.Next()
-	h.tower.ReplayLogs(logs)
-	h.tower.MarkProcessed(head)
+	head := h.tower.CatchUp(cursor)
 	// The outage range is covered: release the cursor hold, then journal
 	// the replayed head. (Order is safe — any cursor the live loop logs
 	// in between is for a block it fully examined, and the fold takes the
@@ -437,7 +435,7 @@ func (h *Hub) resumeSession(t *Ticket, ss *sessionState, sess *hybrid.Session, w
 		// and advanced the cursor before the crash), in which case neither
 		// the replay nor live delivery will ever close the window — left
 		// alone it would sit "open" in the tower forever.
-		byDispute := len(h.chain.FilterLogs(chain.FilterQuery{Address: &sess.OnChainAddr, Topic: &hybrid.TopicDisputeResolved})) > 0
+		byDispute := settledByDispute(h.chain, sess.OnChainAddr)
 		h.tower.onSettled(watch, sess.OnChainAddr, byDispute)
 		raised, won := watch.Disputed()
 		rep.Disputed = raised

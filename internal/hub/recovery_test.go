@@ -14,6 +14,7 @@ import (
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/store"
 	"onoffchain/internal/types"
+	"onoffchain/internal/uint256"
 	"onoffchain/internal/whisper"
 )
 
@@ -454,6 +455,65 @@ func fraudWhileHubDownRun(t *testing.T, mode string) {
 	}
 }
 
+// TestRecoverReplaysFromTheIndex: Recover's chain-event replay asks the
+// chain what the live subscription asks — the guarded set and the tower's
+// topics — so it is served from the log index; the full-scan path, which
+// walks every receipt of every block in the outage range, stays cold.
+func TestRecoverReplaysFromTheIndex(t *testing.T) {
+	c, net, faucetKey := miningWorld(t, "auto")
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h1 *Hub
+	h1 = New(c, net, faucetKey, Config{Workers: 1, Store: st, StageHook: func(sid uint64, s Stage) bool {
+		if s == StageExecuted {
+			h1.Kill()
+		}
+		return !h1.Crashed()
+	}})
+	rep := h1.Submit(BettingSpec(4, 600, false)).Report()
+	h1.Stop()
+	if !errors.Is(rep.Err, ErrCrashed) || rep.Stage != StageExecuted {
+		t.Fatalf("setup: session should crash at executed, got stage=%s err=%v", rep.Stage, rep.Err)
+	}
+	// A block the dead tower never saw, so the outage range is not empty.
+	to := types.BytesToAddress([]byte{0xEE})
+	if r, err := hybrid.NewParticipant(faucetKey, c, nil).SendTx(&to, uint256.NewInt(1), 21_000, nil); err != nil || !r.Succeeded() {
+		t.Fatalf("transfer did not land: %v", err)
+	}
+	st.Close()
+	st2, err := store.Open(st.Dir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+
+	scanned, indexed := c.LogScanStats()
+	h2, rec, err := Recover(st2, c, net, faucetKey, Config{Workers: 1}, testRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Stop()
+	if rec.ReplayedTo <= rec.Cursor {
+		t.Fatalf("replayed (%d, %d]: the outage range is empty, the test proves nothing", rec.Cursor, rec.ReplayedTo)
+	}
+	resumed := rec.Resumed()
+	if len(resumed) != 1 {
+		t.Fatalf("%d sessions resumed, want 1", len(resumed))
+	}
+	if rep2 := resumed[0].Report(); rep2.Err != nil || rep2.Stage != StageSettled {
+		t.Fatalf("recovered session: stage=%s err=%v, want a clean settle", rep2.Stage, rep2.Err)
+	}
+	scanned2, indexed2 := c.LogScanStats()
+	if scanned2 != scanned {
+		t.Errorf("recovery walked %d blocks in the full-scan path, want 0", scanned2-scanned)
+	}
+	if indexed2 == indexed {
+		t.Error("recovery ran no indexed query")
+	}
+}
+
 // TestDurableHappyPath: with the WAL on and nothing crashing, the hub
 // behaves exactly like the in-memory one, compaction keeps the log
 // bounded, and a recovery of the quiesced store finds only terminal
@@ -580,21 +640,27 @@ func TestSeededStateSurvivesCompaction(t *testing.T) {
 	}
 }
 
-// TestSessionStateSnapshotRoundTrip pins the snapshot codec: encoding a
-// session state and folding it back must reproduce the state.
-func TestSessionStateSnapshotRoundTrip(t *testing.T) {
-	in := &sessionState{
+// snapshotFixture is a mid-challenge session with every durable field set.
+func snapshotFixture() *sessionState {
+	ss := &sessionState{
 		ID: 9, Scenario: "betting/adversarial", Stage: StageSubmitted,
 		ChallengePeriod: 600, Honest: 0,
 		Scalars: [][]byte{make([]byte, 32), make([]byte, 32)},
-		Addr:    types.BytesToAddress([]byte{1, 2, 3}), DeployBlock: 17,
+		Addr:    types.BytesToAddress([]byte{1, 2, 3}),
 		CopyEnc: []byte{0xc0}, SetupStarted: true, SetupDone: true,
-		Submitted: 1, SubmittedSet: true, Disputed: true,
+		Submitted: 1, SubmittedSet: true,
 		HasWindow: true, WindowResult: 1, WindowOpenedAt: 100, WindowDeadline: 700,
 		WindowSubmitter: types.BytesToAddress([]byte{9, 9}),
 	}
-	in.Scalars[0][31] = 5
-	in.Scalars[1][31] = 6
+	ss.Scalars[0][31] = 5
+	ss.Scalars[1][31] = 6
+	return ss
+}
+
+// TestSessionStateSnapshotRoundTrip pins the snapshot codec: encoding a
+// session state and folding it back must reproduce the state.
+func TestSessionStateSnapshotRoundTrip(t *testing.T) {
+	in := snapshotFixture()
 	j := newJournal(nil, 0, false)
 	for _, rec := range encodeSessionState(in) {
 		// Round-trip each record through its wire encoding too.
@@ -610,5 +676,46 @@ func TestSessionStateSnapshotRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("snapshot round trip mismatch:\n in %+v\nout %+v", in, out)
+	}
+}
+
+// TestFoldIgnoresRetiredRecords: WALs written while the tower journaled a
+// KindDisputed before filing, and while KindDeployed carried the deploy
+// block in U1, must still replay — and fold to exactly the state the same
+// WAL folds to without them, which is all Recover reads.
+func TestFoldIgnoresRetiredRecords(t *testing.T) {
+	plain := append(encodeSessionState(snapshotFixture()), &store.Record{Kind: store.KindCursor, U1: 42})
+	var old []*store.Record
+	for _, rec := range plain {
+		cp := *rec
+		if cp.Kind == store.KindDeployed {
+			cp.U1 = 17
+		}
+		old = append(old, &cp)
+		if cp.Kind == store.KindWindow {
+			old = append(old, &store.Record{Kind: store.KindDisputed, SID: cp.SID})
+		}
+	}
+	if len(old) != len(plain)+1 {
+		t.Fatalf("fixture carries no window record to dispute")
+	}
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, rec := range old {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantLive, wantTerm, wantCursor, wantHigh := foldRecords(plain)
+	live, term, cursor, high := foldRecords(mustReplay(t, st))
+	if !reflect.DeepEqual(live, wantLive) || !reflect.DeepEqual(term, wantTerm) || cursor != wantCursor || high != wantHigh {
+		t.Fatalf("fold of the old WAL:\n got %+v cursor %d high %d\nwant %+v cursor %d high %d",
+			live[9], cursor, high, wantLive[9], wantCursor, wantHigh)
+	}
+	if !reflect.DeepEqual(live[9], snapshotFixture()) {
+		t.Fatalf("fold lost state: %+v", live[9])
 	}
 }

@@ -524,10 +524,8 @@ func (w *Watchtower) loop() {
 	}
 }
 
-// ReplayLogs feeds historical logs (FilterLogs / LogCursor output)
-// through the same handlers as live blocks. Recovery — the hub's and a
-// federation tower's — uses it to re-examine everything after the durable
-// cursor; overlap with live delivery is harmless because the handlers are
+// ReplayLogs feeds historical logs through the same handlers as live
+// blocks; overlap with live delivery is harmless because the handlers are
 // idempotent.
 func (w *Watchtower) ReplayLogs(logs []*types.Log) {
 	for _, l := range logs {
@@ -535,15 +533,25 @@ func (w *Watchtower) ReplayLogs(logs []*types.Log) {
 	}
 }
 
-// MarkProcessed raises the processed watermark (recovery calls it after a
-// replay so WaitCaughtUp barriers see the replayed height).
-func (w *Watchtower) MarkProcessed(h uint64) {
+// CatchUp closes an outage gap: it replays blocks (after, head] with the
+// query the live subscription runs — the guarded set and towerTopics,
+// served from the chain's log index — raises the processed watermark to
+// head so the barriers see the replayed height, and returns head. A
+// restarted tower calls it once its guards are re-armed, with the durable
+// cursor; the caller journals the returned head.
+func (w *Watchtower) CatchUp(after uint64) uint64 {
+	head := w.chain.Height()
+	w.ReplayLogs(w.chain.FilterLogs(chain.FilterQuery{
+		FromBlock: after + 1, ToBlock: head,
+		AddressIn: w.filter, Topics: towerTopics,
+	}))
 	w.mu.Lock()
-	if h > w.processed {
-		w.processed = h
+	if head > w.processed {
+		w.processed = head
 	}
 	w.cond.Broadcast()
 	w.mu.Unlock()
+	return head
 }
 
 // RestoreWindow re-arms a window from durable state (the WAL's or a
@@ -747,11 +755,10 @@ func (w *Watchtower) sendLeafOpen(e *Watch, rl *rollupLeaf) (observe func()) {
 	}
 }
 
-// towerTopics are the lifecycle topics the tower subscribes to at the
-// chain's filter layer AND dispatches in handleLog's switch — the two
-// must cover the same set, so extend them together: a topic handled but
-// not subscribed would only ever fire via ReplayLogs, a silent partial
-// failure on the live path.
+// towerTopics are the lifecycle topics the tower asks the chain for — live
+// in its subscription, after a restart in CatchUp — AND dispatches in
+// handleLog's switch. Extend them together: a topic handled but not listed
+// here never reaches the tower on either path.
 var towerTopics = []types.Hash{
 	hybrid.TopicResultSubmitted,
 	hybrid.TopicResultFinalized,
@@ -959,6 +966,13 @@ func (e *Watch) settledChRef() chan struct{} {
 	return e.settledCh
 }
 
+// settledByDispute reports whether the chain's settlement log for the
+// contract is a DisputeResolved — the authority on how a settled contract
+// got there, whoever filed.
+func settledByDispute(c *chain.Chain, contract types.Address) bool {
+	return len(c.FilterLogs(chain.FilterQuery{Address: &contract, Topic: &hybrid.TopicDisputeResolved})) > 0
+}
+
 // fileDispute is the decision point: verify the submission in the tower's
 // own sandbox, veto against chain truth, claim, and file. Only the sandbox
 // run holds a slot: the slot is back before any transaction
@@ -980,8 +994,7 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 	// skipping one lets a lie finalize, and nothing would ever re-examine
 	// it.
 	if settled, err := e.sess.IsSettled(); err == nil && settled {
-		byDispute := len(w.chain.FilterLogs(chain.FilterQuery{Address: &e.sess.OnChainAddr, Topic: &hybrid.TopicDisputeResolved})) > 0
-		w.onSettled(e, e.sess.OnChainAddr, byDispute)
+		w.onSettled(e, e.sess.OnChainAddr, settledByDispute(w.chain, e.sess.OnChainAddr))
 		return
 	}
 	// Claim the dispute under the lock so concurrent examinations (live
@@ -1006,9 +1019,6 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 	// recompute and enforce the true result.
 	w.metrics.disputesRaised.Inc()
 	disputeStart := time.Now()
-	if w.journal != nil && e.id != 0 {
-		w.journal.log(&store.Record{Kind: store.KindDisputed, SID: e.id})
-	}
 	if o, _ := w.federated(); o != nil {
 		o.DisputeClaimed(e, e.sess.OnChainAddr)
 	}

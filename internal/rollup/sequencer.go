@@ -2,6 +2,7 @@ package rollup
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -781,10 +782,9 @@ func (s *Sequencer) Halt() {
 // StateRecords synthesizes the record stream that re-folds to the
 // sequencer's durable state — the hub appends it to compaction snapshots
 // so WAL compaction cannot lose epoch state. Posted epochs are carried
-// while cached (their batch windows may still be open). The cache is not
-// bounded today: Evict would drop closed windows, but only
-// sequencer_test.go calls it, so the set grows with the chain (ROADMAP
-// item 3, bounded retention).
+// while cached, and finishEpoch bounds the cache: each post evicts every
+// epoch whose batch window closed before it, so the set is the epochs
+// posted within one Window of the newest.
 func (s *Sequencer) StateRecords() []*store.Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -839,19 +839,6 @@ func (s *Sequencer) CachedEpochs() []*Epoch {
 	return out
 }
 
-// Evict drops posted epochs numbered below n from the in-memory cache
-// (their challenge windows closed; proofs are no longer needed). No
-// production caller yet — see StateRecords.
-func (s *Sequencer) Evict(below uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for n := range s.epochs {
-		if n < below {
-			delete(s.epochs, n)
-		}
-	}
-}
-
 func (s *Sequencer) journal(rec *store.Record) error {
 	if s.cfg.Journal == nil {
 		return nil
@@ -871,9 +858,9 @@ func sealedRecord(e *Epoch) *store.Record {
 // encodeLeaf packs a leaf as sid(8) ‖ contract(20) ‖ outcome(8).
 func encodeLeaf(l Leaf) []byte {
 	b := make([]byte, 36)
-	putBE64(b[0:8], l.SID)
+	binary.BigEndian.PutUint64(b[0:8], l.SID)
 	copy(b[8:28], l.Contract[:])
-	putBE64(b[28:36], l.Outcome)
+	binary.BigEndian.PutUint64(b[28:36], l.Outcome)
 	return b
 }
 
@@ -882,22 +869,8 @@ func decodeLeaf(b []byte) (Leaf, bool) {
 		return Leaf{}, false
 	}
 	return Leaf{
-		SID:      be64(b[0:8]),
+		SID:      binary.BigEndian.Uint64(b[0:8]),
 		Contract: types.BytesToAddress(b[8:28]),
-		Outcome:  be64(b[28:36]),
+		Outcome:  binary.BigEndian.Uint64(b[28:36]),
 	}, true
-}
-
-func putBE64(dst []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		dst[7-i] = byte(v >> (8 * i))
-	}
-}
-
-func be64(b []byte) uint64 {
-	v := uint64(0)
-	for _, x := range b {
-		v = v<<8 | uint64(x)
-	}
-	return v
 }

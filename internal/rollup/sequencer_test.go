@@ -293,7 +293,7 @@ func TestSequencerReenqueuesPendingLeaves(t *testing.T) {
 }
 
 func TestFoldStateRoundTrip(t *testing.T) {
-	_, party := seqFixture(t)
+	c, party := seqFixture(t)
 	wal := &recordLog{}
 	s := newSeq(t, party, Config{Depth: 4, EpochAge: 20 * time.Millisecond}, wal)
 	if err := s.Start(); err != nil {
@@ -306,16 +306,19 @@ func TestFoldStateRoundTrip(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
+	var first *Epoch
 	for _, f := range futs {
-		if _, _, err := f.Wait(ctx); err != nil {
+		e, _, err := f.Wait(ctx)
+		if err != nil {
 			t.Fatal(err)
 		}
+		first = e
 	}
 	// StateRecords (the compaction snapshot contribution) must fold back
 	// to the same durable state as the full WAL.
 	fromWAL := Fold(wal.all())
 	fromSnap := Fold(s.StateRecords())
-	s.Stop()
+	defer s.Stop()
 	if fromWAL.Registry != fromSnap.Registry || fromWAL.PostedThru != fromSnap.PostedThru {
 		t.Fatalf("snapshot fold diverges: %+v vs %+v", fromWAL, fromSnap)
 	}
@@ -325,10 +328,23 @@ func TestFoldStateRoundTrip(t *testing.T) {
 	if len(fromSnap.postedEpochs) != len(fromWAL.postedEpochs) {
 		t.Fatalf("posted epochs lost in snapshot: %d vs %d", len(fromSnap.postedEpochs), len(fromWAL.postedEpochs))
 	}
-	// Eviction drops closed windows from snapshots.
-	s.Evict(1000)
-	if got := Fold(s.StateRecords()); len(got.postedEpochs) != 0 {
-		t.Fatal("evicted epochs still in snapshot")
+	// A post evicts every epoch whose window closed before it: once chain
+	// time is past the first epoch's window, the next post drops it from the
+	// proof cache and from the snapshot.
+	c.AdvanceTime(600 + 1)
+	f, err := s.Enqueue(Leaf{SID: 99, Contract: types.BytesToAddress([]byte{0x99}), Outcome: 1}, telemetry.TraceContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, _, err := f.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached := s.CachedEpochs(); len(cached) != 1 || cached[0].Number != next.Number {
+		t.Fatalf("proof cache holds %d epochs after epoch %d, want it alone (epoch %d's window closed)", len(cached), next.Number, first.Number)
+	}
+	if got := Fold(s.StateRecords()); len(got.postedEpochs) != 1 || got.postedEpochs[next.Number] == nil {
+		t.Fatalf("snapshot after epoch %d carries %d posted epochs, want it alone", next.Number, len(got.postedEpochs))
 	}
 }
 

@@ -23,6 +23,7 @@ package secp256k1
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 )
@@ -175,8 +176,8 @@ func verifyChunk(jobs []VerifyJob, idxs []int, ok []bool) {
 		if mi > 0 {
 			// 128-bit random coefficient: soundness 2^-128 per member.
 			off := (mi - 1) * 16
-			a.n[0] = be64(entropy[off+8 : off+16])
-			a.n[1] = be64(entropy[off : off+8])
+			a.n[0] = binary.BigEndian.Uint64(entropy[off+8 : off+16])
+			a.n[1] = binary.BigEndian.Uint64(entropy[off : off+8])
 			if a.IsZero() {
 				a.SetUint64(1)
 			}

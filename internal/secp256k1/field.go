@@ -1,6 +1,9 @@
 package secp256k1
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // FieldElement is an integer modulo the secp256k1 field prime
 // p = 2^256 - 2^32 - 977, held in four 64-bit little-endian limbs and kept
@@ -25,10 +28,10 @@ var fieldP = [4]uint64{0xFFFFFFFEFFFFFC2F, 0xFFFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFF
 // The return value reports whether b was already canonical (< p); callers
 // that parse untrusted coordinates reject on false.
 func (z *FieldElement) SetBytes32(b *[32]byte) (ok bool) {
-	z.n[3] = be64(b[0:8])
-	z.n[2] = be64(b[8:16])
-	z.n[1] = be64(b[16:24])
-	z.n[0] = be64(b[24:32])
+	z.n[3] = binary.BigEndian.Uint64(b[0:8])
+	z.n[2] = binary.BigEndian.Uint64(b[8:16])
+	z.n[1] = binary.BigEndian.Uint64(b[16:24])
+	z.n[0] = binary.BigEndian.Uint64(b[24:32])
 	if z.geP() {
 		z.subPInPlace()
 		return false
@@ -39,10 +42,10 @@ func (z *FieldElement) SetBytes32(b *[32]byte) (ok bool) {
 // Bytes32 returns the canonical 32-byte big-endian encoding.
 func (z *FieldElement) Bytes32() [32]byte {
 	var out [32]byte
-	putBE64(out[0:8], z.n[3])
-	putBE64(out[8:16], z.n[2])
-	putBE64(out[16:24], z.n[1])
-	putBE64(out[24:32], z.n[0])
+	binary.BigEndian.PutUint64(out[0:8], z.n[3])
+	binary.BigEndian.PutUint64(out[8:16], z.n[2])
+	binary.BigEndian.PutUint64(out[16:24], z.n[1])
+	binary.BigEndian.PutUint64(out[24:32], z.n[0])
 	return out
 }
 
@@ -381,22 +384,4 @@ func sqr256(p *[8]uint64, x *[4]uint64) {
 	pp[6], c = bits.Add64(pp[6], l3, c)
 	pp[7], _ = bits.Add64(pp[7], h3, c)
 	*p = pp
-}
-
-func be64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[7]) | uint64(b[6])<<8 | uint64(b[5])<<16 | uint64(b[4])<<24 |
-		uint64(b[3])<<32 | uint64(b[2])<<40 | uint64(b[1])<<48 | uint64(b[0])<<56
-}
-
-func putBE64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v >> 56)
-	b[1] = byte(v >> 48)
-	b[2] = byte(v >> 40)
-	b[3] = byte(v >> 32)
-	b[4] = byte(v >> 24)
-	b[5] = byte(v >> 16)
-	b[6] = byte(v >> 8)
-	b[7] = byte(v)
 }

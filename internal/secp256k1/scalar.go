@@ -1,6 +1,9 @@
 package secp256k1
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Scalar is an integer modulo the secp256k1 group order
 //
@@ -50,10 +53,10 @@ func ScalarFromBytes(b []byte) (s Scalar, ok bool) {
 // SetBytes32 sets z to b (big-endian) reduced modulo n and reports whether
 // the raw value overflowed (was >= n).
 func (z *Scalar) SetBytes32(b *[32]byte) (overflow bool) {
-	z.n[3] = be64(b[0:8])
-	z.n[2] = be64(b[8:16])
-	z.n[1] = be64(b[16:24])
-	z.n[0] = be64(b[24:32])
+	z.n[3] = binary.BigEndian.Uint64(b[0:8])
+	z.n[2] = binary.BigEndian.Uint64(b[8:16])
+	z.n[1] = binary.BigEndian.Uint64(b[16:24])
+	z.n[0] = binary.BigEndian.Uint64(b[24:32])
 	if z.geN() {
 		z.subNInPlace()
 		return true
@@ -76,10 +79,10 @@ func (z *Scalar) Set(x *Scalar) *Scalar {
 // Bytes32 returns the canonical 32-byte big-endian encoding.
 func (z *Scalar) Bytes32() [32]byte {
 	var out [32]byte
-	putBE64(out[0:8], z.n[3])
-	putBE64(out[8:16], z.n[2])
-	putBE64(out[16:24], z.n[1])
-	putBE64(out[24:32], z.n[0])
+	binary.BigEndian.PutUint64(out[0:8], z.n[3])
+	binary.BigEndian.PutUint64(out[8:16], z.n[2])
+	binary.BigEndian.PutUint64(out[16:24], z.n[1])
+	binary.BigEndian.PutUint64(out[24:32], z.n[0])
 	return out
 }
 

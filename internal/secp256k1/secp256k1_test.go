@@ -2,6 +2,7 @@ package secp256k1
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math/big"
 	"math/rand"
@@ -218,10 +219,10 @@ func TestRecoverRejectsGarbage(t *testing.T) {
 	nb := scalarN
 	_ = nb
 	var nBytes [32]byte
-	putBE64(nBytes[0:8], scalarN[3])
-	putBE64(nBytes[8:16], scalarN[2])
-	putBE64(nBytes[16:24], scalarN[1])
-	putBE64(nBytes[24:32], scalarN[0])
+	binary.BigEndian.PutUint64(nBytes[0:8], scalarN[3])
+	binary.BigEndian.PutUint64(nBytes[8:16], scalarN[2])
+	binary.BigEndian.PutUint64(nBytes[16:24], scalarN[1])
+	binary.BigEndian.PutUint64(nBytes[24:32], scalarN[0])
 	if _, ok := ScalarFromBytes(nBytes[:]); ok {
 		t.Error("r=N accepted by ScalarFromBytes")
 	}
@@ -296,10 +297,10 @@ func TestPrivateKeyBytesRoundTrip(t *testing.T) {
 		t.Error("short key accepted")
 	}
 	var nBytes [32]byte
-	putBE64(nBytes[0:8], scalarN[3])
-	putBE64(nBytes[8:16], scalarN[2])
-	putBE64(nBytes[16:24], scalarN[1])
-	putBE64(nBytes[24:32], scalarN[0])
+	binary.BigEndian.PutUint64(nBytes[0:8], scalarN[3])
+	binary.BigEndian.PutUint64(nBytes[8:16], scalarN[2])
+	binary.BigEndian.PutUint64(nBytes[16:24], scalarN[1])
+	binary.BigEndian.PutUint64(nBytes[24:32], scalarN[0])
 	if _, err := PrivateKeyFromBytes(nBytes[:]); err == nil {
 		t.Error("key bytes = N accepted")
 	}

@@ -37,7 +37,8 @@ const (
 	// stage in U1. Logged before the stage's first side effect.
 	KindStage
 	// KindDeployed: the on-chain half is live. Blob = 20-byte contract
-	// address, U1 = deploy block number.
+	// address. (U1 carried the deploy block in older WALs; it is no longer
+	// written or read.)
 	KindDeployed
 	// KindSigned: every participant holds the verified signed copy.
 	// Blob = hybrid.SignedCopy.Encode().
@@ -52,9 +53,10 @@ const (
 	// is the source of truth for whether the transaction actually landed;
 	// recovery checks FilterLogs, never this record alone.
 	KindSubmitted
-	// KindDisputed: the watchtower is about to file a dispute for the
-	// session. Forensic only — recovery re-derives dispute necessity from
-	// the chain (a landed dispute settles the contract).
+	// KindDisputed: the watchtower was about to file a dispute for the
+	// session. No longer written and never folded — recovery re-derives
+	// dispute necessity from the chain (a landed dispute settles the
+	// contract); the kind stays so WALs that carry it still decode.
 	KindDisputed
 	// KindWindow: the watchtower observed an open challenge window.
 	// U1 = submitted result, U2 = opened-at (chain time), U3 = deadline.
@@ -72,11 +74,13 @@ const (
 	// replay, the field is no longer written or read.)
 	KindKeySeq
 
-	// Federation kinds: the durable state of one internal/federation tower
-	// (a separate store from any hub's WAL; hub recovery ignores these).
+	// Federation kinds: what internal/federation's towers gossip to each
+	// other and journal (a separate store from any hub's WAL; hub recovery
+	// ignores these). Wire and disk share the one encoding.
 
-	// KindFedMember: a federation member identity was configured or
-	// observed. Blob = 20-byte member address.
+	// KindFedMember: a member's heartbeat. Blob = 20-byte member address.
+	// Gossiped, not journaled and never folded; the kind stays decodable
+	// from journals that recorded membership.
 	KindFedMember
 	// KindFedGuard: guard state for one contract this tower shares duty
 	// for — enough to rebuild the session and dispute as the honest party.
@@ -90,11 +94,11 @@ const (
 	// Blob = 20-byte contract address, Blobs[0] = submitter,
 	// Blobs[1] (optional, 8 bytes big-endian) = the owner's verdict hint.
 	KindFedWindow
-	// KindFedIntent: a member declared intent to dispute the contract in
-	// Blob; U1 = wall-clock milliseconds at declaration, Blobs[0] = the
-	// declaring member address. No longer written and never folded
-	// (intents are re-gossiped while live, so a restart relearns them);
-	// the kind stays so journals that carry it still decode.
+	// KindFedIntent: the sending member intends to dispute the contract in
+	// Blob. Gossiped, not journaled and never folded (intents are
+	// re-gossiped while live, so a restart relearns them). Journals that
+	// carry it (then with U1 = wall-clock milliseconds, Blobs[0] = the
+	// declaring member) still decode.
 	KindFedIntent
 	// KindFedClosed: the contract in Blob settled (U1 = 1 when settled by
 	// dispute resolution); its guard state is dead and a restarted member

@@ -13,56 +13,6 @@ import (
 	"onoffchain/internal/types"
 )
 
-// TestGossipTraceBackwardCompat pins the two-generation codec contract:
-// untraced records emit the legacy 10-item frame byte-for-byte, traced
-// records append exactly two items, and both decode — so old and new
-// fleet members interoperate on one topic.
-func TestGossipTraceBackwardCompat(t *testing.T) {
-	legacy := &Gossip{Kind: 3, Seq: 1, Time: 2, Addr: types.BytesToAddress([]byte{1}), U3: 42, Str: "s"}
-	legacyFrame := legacy.Encode()
-	item, err := rlp.Decode(legacyFrame)
-	if err != nil || len(item.Items) != 10 {
-		t.Fatalf("untraced record must stay a 10-item frame, got %d items (err %v)", len(item.Items), err)
-	}
-
-	traced := &Gossip{Kind: 3, Seq: 1, Time: 2, Addr: types.BytesToAddress([]byte{1}), U3: 42, Str: "s"}
-	traced.SetTraceCtx(telemetry.TraceContext{TraceID: 0xDEAD, Span: 0xBEEF})
-	tracedFrame := traced.Encode()
-	item, err = rlp.Decode(tracedFrame)
-	if err != nil || len(item.Items) != 12 {
-		t.Fatalf("traced record must be a 12-item frame, got %d items (err %v)", len(item.Items), err)
-	}
-	// The trace items are strictly trailing: a legacy decoder that reads
-	// the first 10 items sees the identical record.
-	for i := 0; i < 10; i++ {
-		a, b := rlp.EncodeList(item.Items[i]), rlp.EncodeList(mustDecode(t, legacyFrame).Items[i])
-		if !bytes.Equal(a, b) {
-			t.Fatalf("item %d differs between generations", i)
-		}
-	}
-
-	out, err := DecodeGossip(tracedFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(traced, out) {
-		t.Fatalf("traced round trip mismatch:\n in %+v\nout %+v", traced, out)
-	}
-	if tc := out.TraceCtx(); tc.TraceID != 0xDEAD || tc.Span != 0xBEEF {
-		t.Fatalf("TraceCtx lost: %+v", tc)
-	}
-	if !bytes.Equal(out.Encode(), tracedFrame) {
-		t.Fatal("decode∘encode must be the identity on traced frames")
-	}
-
-	// Canonical form: a 12-item frame with zero trace fields must be
-	// rejected (it would not re-encode to its own bytes).
-	zeroTrace := rlp.EncodeList(append(mustDecode(t, legacyFrame).Items, rlp.Uint(0), rlp.Uint(0))...)
-	if _, err := DecodeGossip(zeroTrace); err == nil {
-		t.Fatal("12-item frame with zero trace fields must not decode")
-	}
-}
-
 func mustDecode(t *testing.T, frame []byte) *rlp.Item {
 	t.Helper()
 	item, err := rlp.Decode(frame)

@@ -40,45 +40,10 @@ func (p *Presence) Mark(member types.Address) {
 	}
 }
 
-// Forget drops a member (e.g. one removed from the configured set).
-func (p *Presence) Forget(member types.Address) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.seen, member)
-}
-
 // Alive reports whether the member's last heartbeat is within the ttl.
 func (p *Presence) Alive(member types.Address) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.aliveLocked(member)
-}
-
-func (p *Presence) aliveLocked(member types.Address) bool {
 	at, ok := p.seen[member]
-	if !ok {
-		return false
-	}
-	return p.now() <= at+p.ttl
-}
-
-// LastSeen returns the clock reading of the member's latest heartbeat.
-func (p *Presence) LastSeen(member types.Address) (uint64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	at, ok := p.seen[member]
-	return at, ok
-}
-
-// Filter returns the subset of members currently alive, preserving order.
-func (p *Presence) Filter(members []types.Address) []types.Address {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]types.Address, 0, len(members))
-	for _, m := range members {
-		if p.aliveLocked(m) {
-			out = append(out, m)
-		}
-	}
-	return out
+	return ok && p.now() <= at+p.ttl
 }

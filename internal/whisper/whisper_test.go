@@ -199,3 +199,86 @@ func TestMultipleSubscribers(t *testing.T) {
 		}
 	}
 }
+
+func TestPresence(t *testing.T) {
+	now := uint64(1000)
+	p := NewPresence(50, func() uint64 { return now })
+	a := types.BytesToAddress([]byte{1})
+	b := types.BytesToAddress([]byte{2})
+	if p.Alive(a) {
+		t.Fatal("unmarked member alive")
+	}
+	p.Mark(a)
+	p.Mark(b)
+	if !p.Alive(a) || !p.Alive(b) {
+		t.Fatal("marked members not alive")
+	}
+	now = 1050
+	if !p.Alive(a) {
+		t.Fatal("member dead at exactly ttl")
+	}
+	now = 1051
+	if p.Alive(a) {
+		t.Fatal("member alive past ttl")
+	}
+	p.Mark(b)
+	if !p.Alive(b) || p.Alive(a) {
+		t.Fatal("a fresh mark must revive b and only b")
+	}
+}
+
+// TestDropCounters pins the loss accounting: backpressure on a full
+// subscriber buffer and TTL expiry both surface through Drops, and a link
+// filter withholds without counting a loss.
+func TestDropCounters(t *testing.T) {
+	clock := uint64(0)
+	n := NewNetwork(func() uint64 { return clock })
+	key, err := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0xD0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender := n.NewNode(key)
+	key2, err := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0xD1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	receiver := n.NewNode(key2)
+	topic := TopicFromString("drops")
+	receiver.Subscribe(topic)
+
+	// Fill the buffer (256) and push one more: exactly one backpressure drop.
+	for i := 0; i < 257; i++ {
+		if _, err := sender.Post(topic, []byte{byte(i)}, PostOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if exp, bp := n.DropStats(); exp != 0 || bp != 1 {
+		t.Fatalf("DropStats = %d,%d, want 0,1", exp, bp)
+	}
+	// An envelope that expires between stamping and delivery (the clock
+	// jumps past the TTL while the post is in flight).
+	step := uint64(100)
+	post := func() uint64 { clock += step; return clock }
+	n2 := NewNetwork(post)
+	s2 := n2.NewNode(key)
+	if _, err := s2.Post(topic, []byte("late"), PostOptions{TTL: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if exp, _ := n2.DropStats(); exp != 1 {
+		t.Fatalf("expired drops = %d, want 1", exp)
+	}
+	if n.Drops() != 1 {
+		t.Fatalf("Drops = %d, want 1", n.Drops())
+	}
+
+	// Partitioned delivery is withheld, not dropped.
+	_, bpBefore := n.DropStats()
+	n.SetLinkFilter(func(from, to types.Address) bool { return false })
+	if _, err := sender.Post(topic, []byte("cut"), PostOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, bp := n.DropStats(); bp != bpBefore {
+		t.Fatalf("partitioned delivery counted as backpressure drop")
+	}
+	n.SetLinkFilter(nil)
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -345,6 +346,195 @@ func TestRecoveredLabelMatchesSettlementLog(t *testing.T) {
 			}
 		})
 	}
+}
+
+// overlapFixture kills a durable hub on the manual chain holding one
+// session of every kind Recover treats differently, and returns the world
+// with the hub dead and the outage block sealed:
+//
+//   - presign died at deployed: no signed copy, so Recover abandons it and
+//     sweeps its two funded parties;
+//   - honest died at submitted: its window is in the WAL, and its next
+//     transaction — the finalize — sits behind the all-verdicts barrier;
+//   - executed died before submitting: its next transaction is its
+//     submitResult;
+//   - lying had its fraudulent submitResult pooled at the kill, mined during
+//     the outage with no tower alive.
+type overlapFixture struct {
+	st        *store.Store
+	c         *chain.Chain
+	net       *whisper.Network
+	faucetKey *secp256k1.PrivateKey
+
+	presign, honest, executed, lying uint64 // session IDs
+	lieBlock                         uint64
+}
+
+func newOverlapFixture(t *testing.T) *overlapFixture {
+	t.Helper()
+	f := &overlapFixture{}
+	f.c, f.net, f.faucetKey = manualWorld(t)
+	var err error
+	if f.st, err = store.Open(t.TempDir(), store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.st.Close() })
+
+	// dieAt is where each session's worker stops dead. submit holds the lock
+	// across Submit, so a session's first hook call already sees its entry.
+	dieAt := make(map[uint64]Stage)
+	var dieMu sync.Mutex
+	h1 := New(f.c, f.net, f.faucetKey, Config{Workers: 3, Store: f.st, StageHook: func(sid uint64, s Stage) bool {
+		dieMu.Lock()
+		defer dieMu.Unlock()
+		at, dies := dieAt[sid]
+		return !dies || s != at
+	}})
+	stopAtCleanup(t, h1)
+	submit := func(spec *Spec, at Stage) *Ticket {
+		dieMu.Lock()
+		defer dieMu.Unlock()
+		tk := h1.Submit(spec)
+		if at != StagePending {
+			dieAt[tk.ID] = at
+		}
+		return tk
+	}
+	presign := submit(BettingSpec(4, 600, false), StageDeployed)
+	honest := submit(BettingSpec(4, 600, false), StageSubmitted)
+	executed := submit(BettingSpec(4, 600, false), StageExecuted)
+	mineAt(t, f.c, 12) // three cold shards: refill, two transfers, creation each
+	if rep := presign.Report(); !errors.Is(rep.Err, ErrCrashed) || rep.Stage != StageDeployed {
+		t.Fatalf("fixture: pre-sign session stage=%s err=%v, want a crash at deployed", rep.Stage, rep.Err)
+	}
+	// The lying session starts a block behind, on the worker (and the now
+	// funded shard) the pre-sign session left: two transfers and a creation.
+	lying := submit(BettingSpec(4, 600, true), StagePending)
+	mineAt(t, f.c, 4+3) // two sessions' deposits, the late session's funding run
+	if rep := executed.Report(); !errors.Is(rep.Err, ErrCrashed) || rep.Stage != StageExecuted {
+		t.Fatalf("fixture: executed session stage=%s err=%v, want a crash at executed", rep.Stage, rep.Err)
+	}
+	mineAt(t, f.c, 1+2) // the honest submitResult, the late session's deposits
+	if rep := honest.Report(); !errors.Is(rep.Err, ErrCrashed) || rep.Stage != StageSubmitted {
+		t.Fatalf("fixture: honest session stage=%s err=%v, want a crash at submitted", rep.Stage, rep.Err)
+	}
+	waitFor(t, 10*time.Second, "the lie to be pooled", func() bool { return f.c.PendingCount() == 1 })
+	h1.tower.WaitCaughtUp(f.c.Height()) // the honest window and its block's cursor are journaled
+	h1.Kill()
+	if rep := lying.Report(); !errors.Is(rep.Err, ErrCrashed) {
+		t.Fatalf("fixture: lying session stage=%s err=%v, want a crash", rep.Stage, rep.Err)
+	}
+	h1.Stop()
+	f.c.MineBlock() // the outage: the lie lands unwatched
+	f.presign, f.honest, f.executed, f.lying = presign.ID, honest.ID, executed.ID, lying.ID
+	f.lieBlock = f.c.Height()
+	return f
+}
+
+// recover starts Recover and waits, without sealing a block, until the pool
+// holds everything recovery has to say at once: the abandoned session's two
+// sweeps, the dispute pair against the outage lie, and the executed
+// session's submitResult. (The honest session's finalize is held by the
+// all-verdicts barrier until the lie is enforced.)
+func (f *overlapFixture) recover(t *testing.T) <-chan recovered {
+	t.Helper()
+	done := recoverAsync(f.st, f.c, f.net, f.faucetKey, Config{Workers: 3})
+	waitFor(t, 10*time.Second, "sweeps, dispute pair and the resumed submitResult to share the pool", func() bool { return f.c.PendingCount() == 5 })
+	if f.c.Height() != f.lieBlock {
+		t.Fatalf("chain at block %d, want %d: nobody seals during recovery", f.c.Height(), f.lieBlock)
+	}
+	return done
+}
+
+// finish waits for Recover to return and hands its hub to the test's cleanup.
+func (f *overlapFixture) finish(t *testing.T, done <-chan recovered, late string) recovered {
+	t.Helper()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		stopAtCleanup(t, r.h)
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatal(late)
+		return recovered{}
+	}
+}
+
+func (f *overlapFixture) checkReport(t *testing.T, rr *RecoverReport, swept bool) map[uint64]*RecoveredSession {
+	t.Helper()
+	byID := make(map[uint64]*RecoveredSession)
+	for _, rs := range rr.Sessions {
+		byID[rs.ID] = rs
+	}
+	if rs := byID[f.presign]; rs == nil || rs.Outcome != RecoveryAbandoned || strings.Contains(rs.Why, "swept 2 party balances") != swept {
+		t.Fatalf("pre-sign session recovered as %+v, want abandoned, swept=%v", rs, swept)
+	}
+	for _, id := range []uint64{f.honest, f.executed, f.lying} {
+		if rs := byID[id]; rs == nil || rs.Outcome != RecoveryResumed {
+			t.Fatalf("session %d recovered as %+v, want resumed", id, rs)
+		}
+	}
+	if rr.Cursor >= f.lieBlock || rr.ReplayedTo < f.lieBlock {
+		t.Fatalf("replayed (%d, %d], want the outage block %d inside", rr.Cursor, rr.ReplayedTo, f.lieBlock)
+	}
+	return byID
+}
+
+// Recover pools its sweeps, replays the outage and releases the resumed
+// sessions before it waits for anything: one block carries the sweeps, the
+// dispute against a lie mined during the outage, and the resumed sessions'
+// next transactions. The lie is enforced in the first block after recovery
+// starts.
+func TestRecoverOverlapsItsSweeps(t *testing.T) {
+	t.Run("one-block", func(t *testing.T) {
+		f := newOverlapFixture(t)
+		done := f.recover(t)
+		select {
+		case r := <-done:
+			t.Fatalf("Recover returned (err %v) before its sweeps were mined", r.err)
+		default:
+		}
+		f.c.MineBlock()
+		r := f.finish(t, done, "Recover did not return in the block that mined its sweeps")
+		sessions := f.checkReport(t, r.rr, true)
+
+		lied := sessions[f.lying].Ticket.Report()
+		if lied.Err != nil || lied.Stage != StageResolved || !lied.Disputed {
+			t.Fatalf("lying session: stage=%s disputed=%v err=%v, want a resolved dispute", lied.Stage, lied.Disputed, lied.Err)
+		}
+		if got := blockOf(t, f.c, lied.OnChainAddr, hybrid.TopicDisputeResolved); got != f.lieBlock+1 {
+			t.Errorf("lie mined in outage block %d, enforced in block %d, want %d: the first block after recovery starts", f.lieBlock, got, f.lieBlock+1)
+		}
+		requireWinnerPaid(t, lied)
+
+		mineAt(t, f.c, 2) // both honest finalizes, released by the enforced dispute
+		for _, id := range []uint64{f.honest, f.executed} {
+			if rep := sessions[id].Ticket.Report(); rep.Err != nil || rep.Stage != StageSettled || rep.Disputed {
+				t.Errorf("session %d: stage=%s disputed=%v err=%v, want settled", id, rep.Stage, rep.Disputed, rep.Err)
+			}
+		}
+		if got := blockOf(t, f.c, sessions[f.executed].Ticket.Report().OnChainAddr, hybrid.TopicResultSubmitted); got != f.lieBlock+1 {
+			t.Errorf("resumed session submitted in block %d, want %d, beside the sweeps", got, f.lieBlock+1)
+		}
+		if m := r.h.Metrics(); m.DisputesRaised != 1 || m.DisputesWon != 1 || m.IllegalTransitions != 0 {
+			t.Errorf("disputes raised/won = %d/%d, %d illegal transitions, want 1/1 and none", m.DisputesRaised, m.DisputesWon, m.IllegalTransitions)
+		}
+	})
+
+	// Block production is down: Recover gives up on its sweeps when the time
+	// box expires, and by then the resumed tickets have long been running.
+	t.Run("no-blocks", func(t *testing.T) {
+		f := newOverlapFixture(t)
+		defer func(d time.Duration) { sweepTimeBox = d }(sweepTimeBox)
+		sweepTimeBox = 200 * time.Millisecond
+		r := f.finish(t, f.recover(t), "Recover outlived its time box on a chain that seals nothing")
+		f.checkReport(t, r.rr, false)
+		if f.c.Height() != f.lieBlock || f.c.PendingCount() != 5 {
+			t.Errorf("chain at block %d with %d pooled, want block %d and all 5 transactions still pooled", f.c.Height(), f.c.PendingCount(), f.lieBlock)
+		}
+	})
 }
 
 // spanAttrs returns the attributes of the session's one span layer/name.

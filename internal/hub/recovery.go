@@ -118,6 +118,9 @@ func (r *RecoverReport) Resumed() []*Ticket {
 //     landed.
 //  5. Enqueue a resume job per session so workers drive it to a terminal
 //     stage (finalizing honest submissions once their window elapses).
+//  6. Await the receipts of the abandoned sessions' sweeps, pooled back in
+//     step 3 — time-boxed, and last, so the block they wait for is the one
+//     steps 4 and 5 are already using.
 //
 // The store must be the crashed generation's store, reopened (or still
 // open); the new hub appends to it. Sessions that died before their
@@ -198,8 +201,9 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 	// Abandoned sessions: the WAL still holds the parties' keys, so whatever
 	// faucet funding is left in their accounts goes back before the session
 	// is closed out. (Partial deposits inside a contract are beyond reach.)
-	// The sweeps of ALL abandoned sessions are sent first and awaited
-	// together below — one block per recovery, not one per session.
+	// The sweeps of ALL abandoned sessions are pooled here and awaited
+	// together at the end of Recover, so the block that carries them also
+	// carries the replay's disputes and the resumed sessions' next steps.
 	type abandoned struct {
 		rs     *RecoveredSession
 		sweeps []types.Hash
@@ -273,27 +277,6 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 		}
 		abandon(ss, err.Error())
 	}
-	// Best effort and time-bounded: the sweeps are awaited INSIDE Recover,
-	// before the caller holds a hub it could Kill, so an unbounded wait on a
-	// chain whose block production is down would wedge recovery itself (the
-	// funds stay sweepable by the next recovery; a torn dispute would not
-	// be, which is why disputes get no such cap).
-	if len(abandons) > 0 {
-		ctx, cancel := context.WithTimeout(h.ctx, 10*time.Second)
-		for _, a := range abandons {
-			swept := 0
-			for _, hash := range a.sweeps {
-				if r, err := h.chain.WaitReceipt(ctx, hash); err == nil && r.Succeeded() {
-					swept++
-				}
-			}
-			if swept > 0 {
-				a.rs.Why = fmt.Sprintf("%s; swept %d party balances back to the faucet", a.rs.Why, swept)
-			}
-		}
-		cancel()
-	}
-
 	// Replay-before-act, step 4: first the WAL's restored windows (events
 	// at or before the cursor the dead tower had already examined), then
 	// the chain events the dead tower never saw. The tower's live
@@ -341,8 +324,35 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 		})
 		h.jobs <- t
 	}
+
+	// The sweeps pooled in step 3 have been riding along with everything
+	// above; only now are their receipts awaited. Best effort and
+	// time-bounded: the wait is INSIDE Recover, before the caller holds a hub
+	// it could Kill, so an unbounded wait on a chain whose block production
+	// is down would wedge recovery itself (the funds stay sweepable by the
+	// next recovery; a torn dispute would not be, which is why disputes get
+	// no such cap).
+	if len(abandons) > 0 {
+		ctx, cancel := context.WithTimeout(h.ctx, sweepTimeBox)
+		for _, a := range abandons {
+			swept := 0
+			for _, hash := range a.sweeps {
+				if r, err := h.chain.WaitReceipt(ctx, hash); err == nil && r.Succeeded() {
+					swept++
+				}
+			}
+			if swept > 0 {
+				a.rs.Why = fmt.Sprintf("%s; swept %d party balances back to the faucet", a.rs.Why, swept)
+			}
+		}
+		cancel()
+	}
 	return h, report, nil
 }
+
+// sweepTimeBox bounds Recover's wait on its abandoned-session sweeps. A
+// variable only so a test can watch the box expire without sitting it out.
+var sweepTimeBox = 10 * time.Second
 
 // sortedSessions returns the live sessions in ID order so recovery is
 // deterministic.

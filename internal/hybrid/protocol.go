@@ -224,16 +224,18 @@ func (s *Session) SignAndExchange(ctorArgs ...interface{}) error {
 			return err
 		}
 	}
+	// One deadline for the whole exchange. Generous: delivery is in-process,
+	// so anything but scheduling starvation arrives in microseconds — but
+	// race-instrumented CI running many packages at once can starve a worker
+	// for seconds, and a spurious timeout here fails an otherwise healthy
+	// session.
+	deadline := time.NewTimer(15 * time.Second)
+	defer deadline.Stop()
 	// Each participant independently collects and verifies all signatures;
 	// the session keeps participant 0's view as the canonical copy.
 	for pi, inbox := range inboxes {
 		copyView := &SignedCopy{Bytecode: bytecode}
 		got := 0
-		// Generous: delivery is in-process, so anything but scheduling
-		// starvation arrives in microseconds — but race-instrumented CI
-		// running many packages at once can starve a worker for seconds,
-		// and a spurious timeout here fails an otherwise healthy session.
-		timeout := time.After(15 * time.Second)
 		for got < len(s.Parties) {
 			select {
 			case env := <-inbox:
@@ -261,7 +263,7 @@ func (s *Session) SignAndExchange(ctorArgs ...interface{}) error {
 				}
 				copyView.AddSignature(int(idx), sig)
 				got++
-			case <-timeout:
+			case <-deadline.C:
 				return errors.New("hybrid: timed out collecting signatures")
 			}
 		}

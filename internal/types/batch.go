@@ -11,8 +11,8 @@ import "onoffchain/internal/secp256k1"
 // when asked, exactly as without priming.
 func RecoverSenders(txs []*Transaction, workers int) {
 	type slot struct {
-		tx *Transaction
-		h  Hash
+		tx  *Transaction
+		key senderKey
 	}
 	var slots []slot
 	var jobs []secp256k1.RecoverJob
@@ -20,15 +20,12 @@ func RecoverSenders(txs []*Transaction, workers int) {
 		if tx == nil || tx.R.IsZero() || tx.S.IsZero() || tx.V < 27 {
 			continue
 		}
-		h := tx.SigHash()
-		tx.senderMu.Lock()
-		cached := tx.senderSet && tx.senderFor == h
-		tx.senderMu.Unlock()
-		if cached {
+		key := tx.senderKey()
+		if tx.senderCachedFor(key) {
 			continue
 		}
-		slots = append(slots, slot{tx, h})
-		jobs = append(jobs, secp256k1.RecoverJob{Hash: [32]byte(h), R: tx.R, S: tx.S, V: tx.V - 27})
+		slots = append(slots, slot{tx, key})
+		jobs = append(jobs, secp256k1.RecoverJob{Hash: [32]byte(key.sigHash), R: tx.R, S: tx.S, V: tx.V - 27})
 	}
 	if len(jobs) == 0 {
 		return
@@ -38,10 +35,6 @@ func RecoverSenders(txs []*Transaction, workers int) {
 		if errs[i] != nil {
 			continue // leave uncached; Sender() re-derives the error
 		}
-		sl.tx.senderMu.Lock()
-		sl.tx.senderAddr = Address(addrs[i])
-		sl.tx.senderFor = sl.h
-		sl.tx.senderSet = true
-		sl.tx.senderMu.Unlock()
+		sl.tx.cacheSender(sl.key, Address(addrs[i]))
 	}
 }

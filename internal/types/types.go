@@ -145,14 +145,39 @@ type Transaction struct {
 	R secp256k1.Scalar
 	S secp256k1.Scalar
 
-	// sender caches the recovered sending address, keyed by the sig hash
-	// it was recovered for: recovery costs two scalar multiplications and
-	// validation needs it several times per transaction, while re-hashing
-	// keeps tampered payloads detectable. Guarded by senderMu.
+	// sender caches the sending address, keyed by everything it is a
+	// function of (sig hash, V, R, S): recovery costs two scalar
+	// multiplications and validation needs it several times per
+	// transaction, while re-keying on every call keeps a tampered payload or
+	// an overwritten signature detectable. Guarded by senderMu.
 	senderMu   sync.Mutex
-	senderFor  Hash
+	senderFor  senderKey
 	senderSet  bool
 	senderAddr Address
+}
+
+// senderKey is what a transaction's sender is a function of.
+type senderKey struct {
+	sigHash Hash
+	v       byte
+	r, s    secp256k1.Scalar
+}
+
+func (tx *Transaction) senderKey() senderKey {
+	return senderKey{sigHash: tx.SigHash(), v: tx.V, r: tx.R, s: tx.S}
+}
+
+// senderCachedFor reports whether the memo holds the sender for key.
+func (tx *Transaction) senderCachedFor(key senderKey) bool {
+	tx.senderMu.Lock()
+	defer tx.senderMu.Unlock()
+	return tx.senderSet && tx.senderFor == key
+}
+
+func (tx *Transaction) cacheSender(key senderKey, addr Address) {
+	tx.senderMu.Lock()
+	tx.senderFor, tx.senderAddr, tx.senderSet = key, addr, true
+	tx.senderMu.Unlock()
 }
 
 // NewTransaction builds an unsigned call transaction.
@@ -226,7 +251,10 @@ func (tx *Transaction) Hash() Hash {
 	return Hash(keccak.Sum256(tx.EncodeRLP()))
 }
 
-// Sign signs the transaction in place with the given key.
+// Sign signs the transaction in place with the given key and primes the
+// sender cache with the signer's address — the value recovery would
+// return, without the recovery. A transaction decoded from bytes carries
+// no cache and still recovers.
 func (tx *Transaction) Sign(key *secp256k1.PrivateKey) error {
 	h := tx.SigHash()
 	sig, err := secp256k1.Sign(key, h[:])
@@ -236,15 +264,14 @@ func (tx *Transaction) Sign(key *secp256k1.PrivateKey) error {
 	tx.V = sig.V + 27
 	tx.R = sig.R
 	tx.S = sig.S
-	tx.senderMu.Lock()
-	tx.senderSet = false
-	tx.senderMu.Unlock()
+	tx.cacheSender(senderKey{sigHash: h, v: tx.V, r: tx.R, s: tx.S}, Address(key.EthereumAddress()))
 	return nil
 }
 
-// Sender recovers the sending address from the signature. The recovery is
-// cached: repeated calls (validation, execution, pool scans) pay the
-// elliptic-curve cost once.
+// Sender returns the sending address: recovered from the signature, or
+// remembered from Sign. The answer is cached, so repeated calls
+// (validation, execution, pool scans) pay the elliptic-curve cost at most
+// once.
 func (tx *Transaction) Sender() (Address, error) {
 	if tx.R.IsZero() || tx.S.IsZero() {
 		return Address{}, errors.New("types: transaction is unsigned")
@@ -252,19 +279,17 @@ func (tx *Transaction) Sender() (Address, error) {
 	if tx.V < 27 {
 		return Address{}, fmt.Errorf("types: invalid signature v=%d", tx.V)
 	}
-	h := tx.SigHash()
+	key := tx.senderKey()
 	tx.senderMu.Lock()
 	defer tx.senderMu.Unlock()
-	if tx.senderSet && tx.senderFor == h {
+	if tx.senderSet && tx.senderFor == key {
 		return tx.senderAddr, nil
 	}
-	addr, err := secp256k1.RecoverAddress(h[:], tx.R, tx.S, tx.V-27)
+	addr, err := secp256k1.RecoverAddress(key.sigHash[:], tx.R, tx.S, tx.V-27)
 	if err != nil {
 		return Address{}, err
 	}
-	tx.senderAddr = Address(addr)
-	tx.senderFor = h
-	tx.senderSet = true
+	tx.senderFor, tx.senderAddr, tx.senderSet = key, Address(addr), true
 	return tx.senderAddr, nil
 }
 

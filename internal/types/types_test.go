@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"onoffchain/internal/keccak"
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/uint256"
 )
@@ -281,4 +282,112 @@ func TestSignedTxGoldenEncoding(t *testing.T) {
 	if err != nil || sender != Address(key.EthereumAddress()) {
 		t.Fatalf("golden decode sender: %v %v", sender, err)
 	}
+}
+
+// Sign primes the sender memo: the signer's own Sender() call costs no
+// recovery, and answers what a recovery from the wire bytes answers.
+func TestSignPrimesSender(t *testing.T) {
+	key, _ := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0xC0DE))
+	tx := NewTransaction(2, BytesToAddress([]byte{3}), uint256.NewInt(9), 21000, uint256.NewInt(1), []byte{1})
+	if err := tx.Sign(key); err != nil {
+		t.Fatal(err)
+	}
+	before := secp256k1.GLVSplits()
+	primed, err := tx.Sender()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := secp256k1.GLVSplits() - before; n != 0 {
+		t.Errorf("Sender after Sign did %d scalar multiplications, want none", n)
+	}
+	decoded, err := DecodeTransaction(tx.EncodeRLP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = secp256k1.GLVSplits()
+	recovered, err := decoded.Sender()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if secp256k1.GLVSplits() == before {
+		t.Error("a transaction decoded from bytes must recover its sender")
+	}
+	if primed != recovered || primed != Address(key.EthereumAddress()) {
+		t.Errorf("primed sender %s, recovered %s", primed.Hex(), recovered.Hex())
+	}
+}
+
+// The memo is keyed by everything the sender is a function of: overwriting
+// the exported signature fields after a Sender() call must not keep
+// answering with the old signer.
+func TestSenderMemoKeyedBySignature(t *testing.T) {
+	keyA, _ := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0xA))
+	keyB, _ := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0xB))
+	tx := NewTransaction(0, BytesToAddress([]byte{1}), uint256.NewInt(5), 21000, uint256.NewInt(1), nil)
+	if err := tx.Sign(keyA); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := tx.Sender(); got != Address(keyA.EthereumAddress()) {
+		t.Fatalf("sender = %s, want A", got.Hex())
+	}
+	h := tx.SigHash()
+	sig, err := secp256k1.Sign(keyB, h[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx.V, tx.R, tx.S = sig.V+27, sig.R, sig.S
+	got, err := tx.Sender()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != Address(keyB.EthereumAddress()) {
+		t.Errorf("sender after overwriting the signature = %s, want B %s", got.Hex(), Address(keyB.EthereumAddress()).Hex())
+	}
+	// Each field alone re-keys the memo too.
+	for name, mutate := range map[string]func(){
+		"V": func() { tx.V ^= 1 },
+		"R": func() { tx.R = sig.S },
+		"S": func() { tx.S = sig.R },
+	} {
+		tx.V, tx.R, tx.S = sig.V+27, sig.R, sig.S
+		mutate()
+		if again, err := tx.Sender(); err == nil && again == got {
+			t.Errorf("mutating %s alone still answers the memoised sender", name)
+		}
+	}
+}
+
+// FuzzSignPrimesSender: for any key and any transaction fields, the sender
+// Sign primes is the sender recovered from the transaction's own bytes.
+func FuzzSignPrimesSender(f *testing.F) {
+	f.Add([]byte{1}, uint64(0), uint64(21000), uint64(1), uint64(0), []byte{1}, []byte(nil), false)
+	f.Add([]byte("key"), uint64(7), uint64(8_000_000), uint64(1e9), uint64(1e18), []byte("to"), []byte{0x60, 0x00}, true)
+	f.Fuzz(func(t *testing.T, seed []byte, nonce, gas, gasPrice, value uint64, to, data []byte, create bool) {
+		key, err := secp256k1.PrivateKeyFromBytes(keccak.Sum256Bytes(seed))
+		if err != nil {
+			return // a digest outside [1, n)
+		}
+		tx := NewTransaction(nonce, BytesToAddress(to), uint256.NewInt(value), gas, uint256.NewInt(gasPrice), data)
+		if create {
+			tx = NewContractCreation(nonce, uint256.NewInt(value), gas, uint256.NewInt(gasPrice), data)
+		}
+		if err := tx.Sign(key); err != nil {
+			t.Fatal(err)
+		}
+		primed, err := tx.Sender()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeTransaction(tx.EncodeRLP())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := decoded.Sender()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if primed != recovered {
+			t.Fatalf("primed sender %s != recovered sender %s", primed.Hex(), recovered.Hex())
+		}
+	})
 }

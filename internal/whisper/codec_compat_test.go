@@ -90,9 +90,11 @@ func TestEnvelopeCodecBackwardCompat(t *testing.T) {
 
 	// A relay stripping the trace items leaves a valid legacy frame whose
 	// signature still verifies — traced and untraced peers interoperate.
-	stripped := *tout
-	stripped.TraceID, stripped.TraceSpan = 0, 0
-	sout, err := DecodeEnvelope(EncodeEnvelope(&stripped))
+	stripped := &Envelope{
+		Topic: tout.Topic, Expiry: tout.Expiry, Payload: tout.Payload, From: tout.From,
+		SigV: tout.SigV, SigR: tout.SigR, SigS: tout.SigS,
+	}
+	sout, err := DecodeEnvelope(EncodeEnvelope(stripped))
 	if err != nil {
 		t.Fatal(err)
 	}

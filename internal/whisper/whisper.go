@@ -48,6 +48,22 @@ type Envelope struct {
 	// and a relay may strip or add tracing without breaking signatures.
 	TraceID   uint64
 	TraceSpan uint64
+
+	// verdict caches Verify's answer, keyed by everything it is a function
+	// of: one posted envelope reaches n subscribers as one object, and each
+	// of them verifies it. Guarded by verdictMu.
+	verdictMu  sync.Mutex
+	verdictFor verdictKey
+	verdictSet bool
+	verdict    bool
+}
+
+// verdictKey is what an envelope's signature verdict is a function of.
+type verdictKey struct {
+	signingHash [32]byte
+	from        types.Address
+	v           byte
+	r, s        secp256k1.Scalar
 }
 
 // TraceCtx returns the envelope's causal trace context (zero when the
@@ -64,16 +80,25 @@ func (e *Envelope) signingHash() []byte {
 	return keccak.Sum256Bytes(e.Topic[:], expiry[:], e.Payload)
 }
 
-// Verify checks the envelope signature against the claimed sender.
+// Verify checks the envelope signature against the claimed sender. The
+// verdict is remembered on the envelope, so the subscribers that share one
+// delivered envelope pay one recovery between them; a changed field changes
+// the key and verifies afresh.
 func (e *Envelope) Verify() bool {
 	if e.SigR.IsZero() || e.SigS.IsZero() {
 		return false // unsigned envelope (see PostOptions.Unsigned)
 	}
-	addr, err := secp256k1.RecoverAddress(e.signingHash(), e.SigR, e.SigS, e.SigV)
-	if err != nil {
-		return false
+	key := verdictKey{from: e.From, v: e.SigV, r: e.SigR, s: e.SigS}
+	copy(key.signingHash[:], e.signingHash())
+	e.verdictMu.Lock()
+	defer e.verdictMu.Unlock()
+	if e.verdictSet && e.verdictFor == key {
+		return e.verdict
 	}
-	return types.Address(addr) == e.From
+	addr, err := secp256k1.RecoverAddress(key.signingHash[:], e.SigR, e.SigS, e.SigV)
+	e.verdictFor, e.verdictSet = key, true
+	e.verdict = err == nil && types.Address(addr) == e.From
+	return e.verdict
 }
 
 // Network is an in-process message hub connecting nodes, standing in for

@@ -2,6 +2,7 @@ package whisper
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"onoffchain/internal/secp256k1"
@@ -281,4 +282,105 @@ func TestDropCounters(t *testing.T) {
 		t.Fatalf("partitioned delivery counted as backpressure drop")
 	}
 	n.SetLinkFilter(nil)
+}
+
+// The verdict memo is keyed by everything the verdict is a function of:
+// after a Verify, changing any signed field, the claimed sender or any
+// signature field makes the next Verify recompute.
+func TestEnvelopeVerdictMemoKeyedByContent(t *testing.T) {
+	net := NewNetwork(nil)
+	alice := net.NewNode(newKey(5))
+	bob := net.NewNode(newKey(6))
+	topic := TopicFromString("memo")
+	inbox := bob.Subscribe(topic)
+	if _, err := alice.Post(topic, []byte("authentic"), PostOptions{TTL: 60}); err != nil {
+		t.Fatal(err)
+	}
+	env := <-inbox
+
+	before := secp256k1.GLVSplits()
+	if !env.Verify() {
+		t.Fatal("fresh envelope must verify")
+	}
+	first := secp256k1.GLVSplits() - before
+	if !env.Verify() {
+		t.Fatal("second Verify must agree with the first")
+	}
+	if again := secp256k1.GLVSplits() - before; first == 0 || again != first {
+		t.Errorf("second Verify of an unchanged envelope recovered again (%d splits, then %d)", first, again)
+	}
+
+	good := struct {
+		topic   Topic
+		expiry  uint64
+		payload []byte
+		from    types.Address
+		v       byte
+		r, s    secp256k1.Scalar
+	}{env.Topic, env.Expiry, env.Payload, env.From, env.SigV, env.SigR, env.SigS}
+	for name, mutate := range map[string]func(){
+		"topic":   func() { env.Topic[0] ^= 1 },
+		"expiry":  func() { env.Expiry++ },
+		"payload": func() { env.Payload = []byte("forged!!!") },
+		"from":    func() { env.From = bob.Address() },
+		"sigV":    func() { env.SigV ^= 1 },
+		"sigR":    func() { env.SigR = good.s },
+		"sigS":    func() { env.SigS = good.r },
+	} {
+		mutate()
+		if env.Verify() {
+			t.Errorf("envelope with a changed %s still verifies from the memo", name)
+		}
+		env.Topic, env.Expiry, env.Payload, env.From = good.topic, good.expiry, good.payload, good.from
+		env.SigV, env.SigR, env.SigS = good.v, good.r, good.s
+		if !env.Verify() {
+			t.Fatalf("restoring %s must verify again", name)
+		}
+	}
+
+	// An unsigned envelope stays false, before and after a verdict is held.
+	env.SigR, env.SigS = secp256k1.Scalar{}, secp256k1.Scalar{}
+	if env.Verify() {
+		t.Error("unsigned envelope verified")
+	}
+}
+
+// One posted envelope reaches every subscriber as one object and each of
+// them verifies it, from its own goroutine: between them they pay one
+// recovery (run under -race).
+func TestEnvelopeVerifyConcurrent(t *testing.T) {
+	net := NewNetwork(nil)
+	poster := net.NewNode(newKey(7))
+	topic := TopicFromString("shared")
+	const subscribers = 8
+	inboxes := make([]<-chan *Envelope, subscribers)
+	for i := range inboxes {
+		inboxes[i] = net.NewNode(newKey(int64(100 + i))).Subscribe(topic)
+	}
+	if _, err := poster.Post(topic, []byte("signature share"), PostOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	before := secp256k1.GLVSplits()
+	var wg sync.WaitGroup
+	for _, inbox := range inboxes {
+		wg.Add(1)
+		go func(inbox <-chan *Envelope) {
+			defer wg.Done()
+			if env := <-inbox; !env.Verify() {
+				t.Error("delivered envelope must verify")
+			}
+		}(inbox)
+	}
+	wg.Wait()
+	one := secp256k1.GLVSplits() - before
+
+	// What one recovery costs, measured on an envelope of its own.
+	solo := testEnvelope(t, false)
+	before = secp256k1.GLVSplits()
+	if !solo.Verify() {
+		t.Fatal("solo envelope must verify")
+	}
+	if want := secp256k1.GLVSplits() - before; one != want {
+		t.Errorf("%d subscribers did %d scalar splits between them, want one recovery's %d", subscribers, one, want)
+	}
 }

@@ -246,7 +246,7 @@ func main() {
 // session — is killed the instant the lie lands on-chain, and a standalone
 // backup tower escalates and disputes it before the window closes.
 func federationDemo(faucetKey *secp256k1.PrivateKey, towers int, o obs) {
-	fmt.Printf("\n--- tower federation: %d towers, primary killed mid-window, backup disputes ---\n", towers)
+	fmt.Printf("\n--- tower federation: %d towers, owner killed mid-window, backup disputes ---\n", towers)
 	ccfg := chain.DefaultConfig()
 	applyExec(&ccfg)
 	ccfg.Telemetry = o.reg
@@ -282,8 +282,7 @@ func federationDemo(faucetKey *secp256k1.PrivateKey, towers int, o obs) {
 	mk := func(k *secp256k1.PrivateKey) federation.Config {
 		return federation.Config{
 			Chain: c, Net: net, Key: k, Members: members, Registry: registry,
-			HeartbeatEvery: 50 * time.Millisecond, EscalateAfter: 300 * time.Millisecond,
-			Logf: quiet, Telemetry: o.reg, Tracer: o.tr,
+			EscalateAfter: 300 * time.Millisecond, Logf: quiet, Telemetry: o.reg, Tracer: o.tr,
 		}
 	}
 	hubTower, err := federation.AttachHub(h, mk(keys[0]))

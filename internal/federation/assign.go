@@ -14,21 +14,19 @@ import (
 // when membership changes — removing one member only reassigns the
 // contracts it was ranked first for.
 //
-// The ranking serves two distinct purposes, deliberately fed by two
-// different member sets:
+// The ranking is always taken over the FULL configured member set, and a
+// tower's rank in it is its SLOT for the contract:
 //
-//   - The PRIMARY for a window — who files a dispute with zero delay — is
-//     the top-ranked member of the LIVE set (per the local tower's
-//     heartbeat view). That is what makes a crashed member's guard duty
-//     move instantly in everyone else's eyes.
-//   - The ESCALATION SLOT — how long a tower waits before filing itself —
-//     is the tower's rank in the FULL configured set, regardless of
-//     liveness. Slots are partition-independent: two towers whose gossip
-//     is severed may both believe they are the live primary, but their
-//     full-set slots still differ, so their filings stay time-staggered
-//     and the second one hits the chain's settled veto instead of
-//     double-filing. Liveness views may be wrong exactly when it matters;
-//     slots cannot be.
+//   - Slot 0 files at once (after VouchWait when the window is not its own
+//     hub's, giving the owner's verdict hint a beat to arrive).
+//   - Slot k waits k*EscalateAfter after first sight of the window, then
+//     enters the filing election.
+//
+// No view of who is alive enters the decision. Slots are
+// partition-independent: two towers whose gossip is severed still hold
+// different slots, so their filings stay time-staggered and the second
+// one hits the chain's settled veto instead of double-filing. A dead slot
+// 0 costs one EscalateAfter of dispute latency, never the dispute.
 func rendezvousRank(members []types.Address, contract types.Address) []types.Address {
 	type scored struct {
 		m     types.Address
@@ -52,8 +50,8 @@ func rendezvousRank(members []types.Address, contract types.Address) []types.Add
 }
 
 // slotOf returns self's escalation slot for the contract: its index in
-// the full-member rendezvous ranking (0 = would-be primary were everyone
-// alive). Returns len(members) if self is not a configured member.
+// the full-member rendezvous ranking (0 = files at once). Returns
+// len(members) if self is not a configured member.
 func slotOf(members []types.Address, contract, self types.Address) int {
 	for i, m := range rendezvousRank(members, contract) {
 		if m == self {

@@ -7,30 +7,31 @@
 //
 // Each federated tower wraps a hub.Watchtower. Members gossip signed
 // whisper envelopes on a dedicated AES-GCM-encrypted topic (key derived
-// from the member set via whisper.SharedTopicKey): membership heartbeats,
-// guard state for every session a hub takes under guard (enough for a
-// peer to rebuild the session and dispute as the honest party — the
-// fleet is one operator's replicas, which is the trust model), challenge
-// windows with the owner's verdict hint, and dispute intents.
+// from the member set via whisper.SharedTopicKey): guard state for every
+// session a hub takes under guard (enough for a peer to rebuild the
+// session and dispute as the honest party — the fleet is one operator's
+// replicas, which is the trust model), challenge windows with the owner's
+// verdict hint, and dispute intents.
 //
-// Dispute duty is assigned per contract by rendezvous hashing (see
-// assign.go): the live primary files immediately; every other tower is a
-// time-staggered backup whose filing delay is its slot in the FULL member
-// ranking. Exactly-once filing stacks four mechanisms: the per-watch
-// dispute claim, the gossiped intent (a fresh intent from a live peer
-// postpones escalation past the in-flight filing), the staggered slots
-// (partition-proof: even two towers that each believe they are primary
-// never act at the same instant), and — the unconditional backstop — the
-// on-chain settled veto, re-checked immediately before any filing.
+// Dispute duty is assigned per contract by rendezvous hashing over the
+// FULL member set (see assign.go): slot 0 files at once (after VouchWait
+// for a window it did not open itself), and slot k waits k*EscalateAfter
+// after first sight before it enters the filing election. No view of who
+// is alive enters the decision. Exactly-once filing stacks four
+// mechanisms: the per-watch dispute claim, the gossiped intent (a fresh
+// intent from a peer postpones escalation past the in-flight filing), the
+// staggered slots (partition-proof: towers that cannot hear each other
+// still never act at the same instant), and — the unconditional backstop —
+// the on-chain settled veto, re-checked immediately before any filing.
 // Enforcement is exactly-once no matter what: the generated contract's
 // settled flag and deployedAddr guard admit a single enforcement.
 //
 // Wire = disk: the fleet gossips the store.Records it journals (guard,
-// window, member-heartbeat and intent kinds; see journal.go), so one codec
-// serves both directions. Each tower journals guard states, windows,
-// closures and a chain cursor to its own internal/store WAL; a restarted
-// member re-arms every guard from durable state and replays the chain
-// events it slept through with Watchtower.CatchUp. See DESIGN.md §7.
+// window and intent kinds; see journal.go), so one codec serves both
+// directions. Each tower journals guard states, windows, closures and a
+// chain cursor to its own internal/store WAL; a restarted member re-arms
+// every guard from durable state and replays the chain events it slept
+// through with Watchtower.CatchUp. See DESIGN.md §7.
 package federation
 
 import (
@@ -70,24 +71,17 @@ type Config struct {
 	// restarted member re-arms from durable state. Each tower owns its
 	// store exclusively; never share one with a hub WAL.
 	Store *store.Store
-	// HeartbeatEvery is the wall-clock heartbeat period (default 100ms);
-	// a member is presumed dead after HeartbeatMisses missed beats
-	// (default 4). Liveness is wall-clock, not chain-clock: the simulated
-	// chain time jumps by whole challenge periods, which says nothing
-	// about whether a peer process is alive.
-	HeartbeatEvery  time.Duration
-	HeartbeatMisses int
 	// EscalateAfter is the escalation slot width: a backup in full-member
 	// slot k files no earlier than k*EscalateAfter after it first saw the
 	// window (default 750ms). Must exceed the fleet's worst-case dispute
 	// in-flight time (~2 block intervals under batch mining) or a backup
 	// can race a primary's unconfirmed filing.
 	EscalateAfter time.Duration
-	// IntentGrace extends a backup's deferral after a live peer gossips a
+	// IntentGrace extends a backup's deferral after a peer gossips a
 	// dispute intent (default 2*EscalateAfter): the peer's transactions
 	// are in flight, give them time to land before escalating past it.
 	IntentGrace time.Duration
-	// VouchWait is how long a primary holds an unvouched remote window
+	// VouchWait is how long slot 0 holds an unvouched remote window
 	// before verifying it in its own sandbox (default 50ms) — the owner's
 	// verdict hint usually arrives a beat after the chain event, and
 	// honoring it saves the fleet a redundant off-chain execution.
@@ -123,7 +117,7 @@ type Config struct {
 	// hub.Hub.RollupHandles. AttachHub refuses it: the hub's tower is
 	// already armed with the hub's own sequencer. Exactly-once leaf
 	// disputes across members come from the same machinery as per-session
-	// mode — the gate's primary election, the registry's on-chain
+	// mode — the gate's slots and intent election, the registry's on-chain
 	// opened-leaf veto, and the session contract's settled flag.
 	Rollup rollup.Source
 }
@@ -139,6 +133,10 @@ const (
 	// exactly-once filing at the cost of one gossip round-trip of dispute
 	// latency — only when federated; a gateless hub pays nothing.
 	electionDelay = 150 * time.Millisecond
+	// regossipEvery paces the regossip loop: re-posting live records only
+	// needs to beat the escalation stagger, and checking whisper's loss
+	// counter on the same beat is cheap.
+	regossipEvery = 400 * time.Millisecond
 )
 
 func (c *Config) withDefaults() (Config, error) {
@@ -155,12 +153,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if !found {
 		return cfg, fmt.Errorf("federation: Members must include self (%s)", self.Hex())
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 100 * time.Millisecond
-	}
-	if cfg.HeartbeatMisses <= 0 {
-		cfg.HeartbeatMisses = 4
 	}
 	if cfg.EscalateAfter <= 0 {
 		cfg.EscalateAfter = 750 * time.Millisecond
@@ -193,8 +185,8 @@ type guardInfo struct {
 }
 
 // Tower is one federation member: a wrapped hub.Watchtower plus the
-// gossip, liveness and assignment machinery that shares its guard duty
-// with the fleet.
+// gossip and assignment machinery that shares its guard duty with the
+// fleet.
 type Tower struct {
 	cfg      Config
 	self     types.Address
@@ -203,7 +195,6 @@ type Tower struct {
 	symKey   []byte
 	tower    *hub.Watchtower
 	ownTower bool // Join created it (Stop tears it down); AttachHub wraps
-	presence *whisper.Presence
 	journal  *journal
 	metrics  *metrics
 
@@ -238,8 +229,6 @@ type adoptReq struct {
 	fromBlock uint64
 }
 
-func wallMillis() uint64 { return uint64(time.Now().UnixMilli()) }
-
 // Join starts a standalone guard tower: a federation member with no hub
 // of its own that adopts guard duty for sessions its peers gossip. With a
 // Store carrying a previous incarnation's journal, the tower re-arms
@@ -271,17 +260,6 @@ func AttachHub(h *hub.Hub, cfg Config) (*Tower, error) {
 		return nil, err
 	}
 	t.attach(h.Watchtower())
-	// Back-fill sessions guarded before the attach (a recovered hub).
-	for _, e := range t.tower.Watches() {
-		if e.SID() == 0 {
-			continue
-		}
-		obs := (*towerObserver)(t)
-		obs.Guarded(e, e.Contract())
-		if w := e.OpenWindow(); w != nil {
-			obs.WindowOpened(e, *w)
-		}
-	}
 	return t, nil
 }
 
@@ -298,7 +276,6 @@ func newTower(c Config) (*Tower, error) {
 		node:      cfg.Net.NewNode(cfg.Key),
 		topic:     whisper.TopicFromString(fleetLabel),
 		symKey:    whisper.SharedTopicKey(fleetLabel, cfg.Members),
-		presence:  whisper.NewPresence(uint64(cfg.HeartbeatEvery.Milliseconds())*uint64(cfg.HeartbeatMisses), wallMillis),
 		metrics:   newMetrics(cfg.Telemetry, self.Hex()),
 		ctx:       ctx,
 		cancel:    cancel,
@@ -341,16 +318,29 @@ func (t *Tower) ctxOf(contract types.Address) telemetry.TraceContext {
 
 // attach makes w this member's tower: the federation's observer and gate
 // go in, durable state is re-armed onto it, and the gossip, adoption and
-// heartbeat loops start.
+// regossip loops start. Sessions w already guards (a hub recovered before
+// AttachHub) are back-filled to the fleet BEFORE the re-arm, so the
+// journal's copy of an own guard finds it taken instead of overwriting the
+// hub's watch with a standalone one.
 func (t *Tower) attach(w *hub.Watchtower) {
 	t.tower = w
-	w.Federate((*towerObserver)(t), t.decide)
+	obs := (*towerObserver)(t)
+	w.Federate(obs, t.decide)
+	for _, e := range w.Watches() {
+		if e.SID() == 0 {
+			continue
+		}
+		obs.Guarded(e, e.Contract())
+		if win := e.OpenWindow(); win != nil {
+			obs.WindowOpened(e, *win)
+		}
+	}
 	t.rearm()
 	t.inbox = t.node.Subscribe(t.topic)
 	t.wg.Add(3)
 	go t.receiverLoop()
 	go t.adopterLoop()
-	go t.heartbeatLoop()
+	go t.regossipLoop()
 }
 
 // rearm rebuilds guard duty from the journal: fold the store, re-guard
@@ -413,43 +403,17 @@ func (t *Tower) Self() types.Address { return t.self }
 // Watchtower exposes the wrapped tower (for tests and monitoring).
 func (t *Tower) Watchtower() *hub.Watchtower { return t.tower }
 
-// Metrics returns the tower's federation counters plus liveness/guard
-// gauges.
+// Metrics returns the tower's federation counters plus its guard count.
 func (t *Tower) Metrics() Snapshot {
 	snap := t.metrics.snapshot()
-	snap.LiveMembers = len(t.AliveMembers())
 	t.mu.Lock()
 	snap.Guards = len(t.guards)
 	t.mu.Unlock()
 	return snap
 }
 
-// AliveMembers returns the members currently considered alive (self
-// always is).
-func (t *Tower) AliveMembers() []types.Address {
-	out := []types.Address{}
-	for _, m := range t.cfg.Members {
-		if m == t.self || t.presence.Alive(m) {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// Primary returns the live member assigned to guard the contract first:
-// the top of the rendezvous ranking restricted to members this tower
-// believes alive.
-func (t *Tower) Primary(contract types.Address) types.Address {
-	ranked := rendezvousRank(t.AliveMembers(), contract)
-	if len(ranked) == 0 {
-		return t.self
-	}
-	return ranked[0]
-}
-
 // Slot returns this tower's escalation slot for the contract (rank in
-// the FULL member set — see assign.go for why liveness must not shorten
-// it).
+// the FULL member set — see assign.go).
 func (t *Tower) Slot(contract types.Address) int {
 	return slotOf(t.cfg.Members, contract, t.self)
 }
@@ -478,11 +442,11 @@ func (t *Tower) Stop() {
 	})
 }
 
-// Kill simulates the tower process dying right now: heartbeats cease (the
-// fleet sees the lapse), gossip is no longer read, the wrapped tower
-// halts (examines and files nothing), and in-flight receipt waits are
-// canceled. The journal is left exactly as it was — that is what the next
-// incarnation re-arms from. Call Stop afterwards to reclaim goroutines.
+// Kill simulates the tower process dying right now: regossip stops, gossip
+// is no longer read, the wrapped tower halts (examines and files nothing),
+// and in-flight receipt waits are canceled. The journal is left exactly as
+// it was — that is what the next incarnation re-arms from. Call Stop
+// afterwards to reclaim goroutines.
 func (t *Tower) Kill() {
 	t.mu.Lock()
 	if t.killed {
@@ -508,24 +472,16 @@ func (t *Tower) post(rec *store.Record, tc telemetry.TraceContext) {
 	}
 }
 
-func (t *Tower) heartbeatLoop() {
+func (t *Tower) regossipLoop() {
 	defer t.wg.Done()
-	tick := time.NewTicker(t.cfg.HeartbeatEvery)
+	tick := time.NewTicker(regossipEvery)
 	defer tick.Stop()
-	n := 0
 	for {
 		select {
 		case <-t.stopCh:
 			return
 		case <-tick.C:
-			t.post(&store.Record{Kind: store.KindFedMember, Blob: t.self[:]}, telemetry.TraceContext{})
-			t.metrics.heartbeatsSent.Inc()
-			// Re-gossip on a slower cadence than liveness: guard state is
-			// KBs per record and only needs to beat the escalation stagger,
-			// not the heartbeat TTL.
-			if n++; n%4 == 0 {
-				t.regossip()
-			}
+			t.regossip()
 			t.checkDrops()
 		}
 	}
@@ -569,12 +525,12 @@ func (t *Tower) regossip() {
 	}
 }
 
-// checkDrops surfaces whisper envelope loss: heartbeats and guard gossip
-// ride the same network, so growth here is the first sign a member is
-// about to be presumed dead for the wrong reason. Only backpressure
-// counts — TTL expiry is unrelated traffic (federation gossip never
-// carries a TTL), and warning on it would spam every tower for every
-// expired session envelope.
+// checkDrops surfaces whisper envelope loss: guard, window and intent
+// gossip ride the same network as every session's traffic, so growth here
+// is the first sign a record the fleet relies on may be missing until its
+// next regossip. Only backpressure counts — TTL expiry is unrelated
+// traffic (federation gossip never carries a TTL), and warning on it
+// would spam every tower for every expired session envelope.
 func (t *Tower) checkDrops() {
 	_, d := t.cfg.Net.DropStats()
 	t.mu.Lock()
@@ -584,7 +540,7 @@ func (t *Tower) checkDrops() {
 	t.mu.Unlock()
 	if grew {
 		t.metrics.dropWarnings.Inc()
-		t.cfg.Logf("federation: whisper dropped %d envelope(s) since last check (%d total) — gossip is lossy, heartbeats/guards may be missing", delta, d)
+		t.cfg.Logf("federation: whisper dropped %d envelope(s) since last check (%d total) — gossip is lossy, guards/windows/intents may be missing", delta, d)
 	}
 }
 
@@ -627,11 +583,7 @@ func (t *Tower) handleEnvelope(env *whisper.Envelope) {
 		t.cfg.Logf("federation: malformed gossip from %s: %v", env.From.Hex(), err)
 		return
 	}
-	// Any authenticated record proves the peer is alive.
-	t.presence.Mark(env.From)
 	switch rec.Kind {
-	case store.KindFedMember:
-		t.metrics.heartbeatsSeen.Inc()
 	case store.KindFedGuard:
 		t.handleGuardGossip(env.From, rec, env.TraceCtx())
 	case store.KindFedWindow:
@@ -652,7 +604,7 @@ func (t *Tower) isMember(a types.Address) bool {
 
 // handleGuardGossip queues the adoption: rebuilding a session (n-of-n
 // signature verification) is too heavy for the receiver loop — stalling
-// it under a burst of session starts would drop heartbeats.
+// it under a burst of session starts would back up every other record.
 func (t *Tower) handleGuardGossip(from types.Address, rec *store.Record, tc telemetry.TraceContext) {
 	export, err := decodeGuardRecord(rec)
 	if err != nil {
@@ -875,24 +827,23 @@ func (t *Tower) decide(e *hub.Watch, w hub.Window) (hub.GateDecision, time.Durat
 	if slot == 0 {
 		if e.SID() == 0 && !hasVouch {
 			// Give the owner's vouch a beat before paying for a sandbox
-			// run — unless the owner looks dead, in which case verify now.
+			// run.
 			if wait := t.cfg.VouchWait - now.Sub(fs); wait > 0 {
 				return hub.GateDefer, wait
 			}
 		}
-		// The designated primary skips the election wait: the stagger
-		// already orders every backup k*EscalateAfter behind it, so the
-		// only theoretical rival is a backup that escalated past a
-		// primary it wrongly presumed dead — the settled veto and the
-		// contract's own guards keep even that race enforcement-safe. The
-		// announcement still goes out so backups extend their deferrals.
+		// Slot 0 skips the election wait: the stagger already orders every
+		// backup k*EscalateAfter behind it, so the only theoretical rival
+		// is a backup whose first sight came that much earlier than ours —
+		// the settled veto and the contract's own guards keep even that
+		// race enforcement-safe. The announcement still goes out so backups
+		// extend their deferrals.
 		t.announceIntent(contract)
 		return hub.GateFile, 0
 	}
 	// Staggered escalation: slot k enters the election only k*EscalateAfter
-	// after first sight, whatever this tower believes about the primary's
-	// liveness — heartbeat views diverge under partition, full-member slots
-	// do not.
+	// after first sight. The slot is a rank in the full member set, which
+	// every tower computes alike whatever gossip it can or cannot hear.
 	if wait := fs.Add(time.Duration(slot) * t.cfg.EscalateAfter).Sub(now); wait > 0 {
 		return hub.GateDefer, wait
 	}

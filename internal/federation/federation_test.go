@@ -86,8 +86,7 @@ func fedRegistry() hub.SpecRegistry {
 func fedConfig(c *chain.Chain, net *whisper.Network, key *secp256k1.PrivateKey, members []types.Address) Config {
 	return Config{
 		Chain: c, Net: net, Key: key, Members: members,
-		Registry:       fedRegistry(),
-		HeartbeatEvery: 20 * time.Millisecond, HeartbeatMisses: 3,
+		Registry:      fedRegistry(),
 		EscalateAfter: 250 * time.Millisecond,
 		// Generous intent grace: under -race a filer's verify+file can be
 		// slow, and a backup must keep deferring on the fresh intent
@@ -519,11 +518,99 @@ func TestFederationStandaloneRecovery(t *testing.T) {
 	}
 }
 
+// TestAttachHubAfterRecoverKeepsOwnWatches: a hub member restarts on its
+// WAL and its federation journal. AttachHub must back-fill the recovered
+// hub's sessions before it re-arms from the journal; otherwise the
+// journal's copy of an own guard is adopted as a standalone watch that
+// replaces the hub's, the session is never exported to the fleet, and the
+// hub's own watch stops receiving its events. Block production pauses
+// across Recover and AttachHub, so the resumed session cannot settle (and
+// leave the guard set) before the attach looks at it.
+func TestAttachHubAfterRecoverKeepsOwnWatches(t *testing.T) {
+	c, net, faucetKey := fedWorld(t, "batch")
+	keys, members := memberKeys(t, 2)
+	hubDir, fedDir := t.TempDir(), t.TempDir()
+	st, err := store.Open(hubDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fst, err := store.Open(fedDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var h *hub.Hub
+	h = hub.New(c, net, faucetKey, hub.Config{Workers: 1, Store: st, StageHook: func(sid uint64, s hub.Stage) bool {
+		if s == hub.StageSubmitted {
+			h.Kill()
+		}
+		return !h.Crashed()
+	}})
+	cfg := fedConfig(c, net, keys[0], members)
+	cfg.Store = fst
+	ht, err := AttachHub(h, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := hub.BettingSpec(4, 600, false)
+	if rep := h.Submit(spec).Report(); !errors.Is(rep.Err, hub.ErrCrashed) {
+		t.Fatalf("session should have crashed at submitted, got stage=%s err=%v", rep.Stage, rep.Err)
+	}
+	h.Stop()
+	ht.Kill()
+	ht.Stop()
+	st.Close()
+	fst.Close()
+
+	c.StopMining()
+	st2, err := store.Open(hubDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	fst2, err := store.Open(fedDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fst2.Close()
+	h2, rec, err := hub.Recover(st2, c, net, faucetKey, hub.Config{Workers: 1}, hub.NewSpecRegistry(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := rec.Resumed()
+	if len(resumed) != 1 {
+		t.Fatalf("%d sessions resumed, want 1", len(resumed))
+	}
+	cfg2 := fedConfig(c, net, keys[0], members)
+	cfg2.Store = fst2
+	ht2, err := AttachHub(h2, cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws := h2.Watchtower().Watches(); len(ws) != 1 || ws[0].SID() != resumed[0].ID {
+		for _, w := range ws {
+			t.Logf("watch %s: SID %d", w.Contract().Hex(), w.SID())
+		}
+		t.Errorf("recovered hub guards %d contracts, want its own session %d under its own watch", len(ws), resumed[0].ID)
+	}
+	if m := ht2.Metrics(); m.GuardsAdopted != 0 || m.GuardsExported != 1 {
+		t.Errorf("after the attach: adopted %d, exported %d guards, want 0 and 1", m.GuardsAdopted, m.GuardsExported)
+	}
+
+	if err := c.StartMining(500*time.Microsecond, 64); err != nil {
+		t.Fatal(err)
+	}
+	if rep := resumed[0].Report(); rep.Err != nil || rep.Stage != hub.StageSettled {
+		t.Errorf("resumed session: stage=%s err=%v, want settled", rep.Stage, rep.Err)
+	}
+	h2.Stop()
+	ht2.Stop()
+}
+
 // TestFederationPartition: the gossip network splits so the two surviving
-// towers each believe the other is dead — both believe they are the live
-// primary for the fraudulent contract. The full-member escalation slots
-// keep their filings time-staggered, and the chain's settled veto stops
-// the second filing: the dispute still lands exactly once.
+// towers cannot hear each other's intents. The full-member escalation
+// slots keep their filings time-staggered, and the chain's settled veto
+// stops the second filing: the dispute still lands exactly once.
 func TestFederationPartition(t *testing.T) {
 	c, net, faucetKey := fedWorld(t, "auto")
 	keys, members := memberKeys(t, 3)
@@ -581,12 +668,6 @@ func TestFederationPartition(t *testing.T) {
 	})
 	defer net.SetLinkFilter(nil)
 
-	// Heartbeats lapse: each survivor must come to believe it is the
-	// contract's primary.
-	waitUntil(t, 10*time.Second, "both towers believing they are primary", func() bool {
-		return s1.Primary(contract) == a1 && s2.Primary(contract) == a2
-	})
-
 	waitUntil(t, 30*time.Second, "the dispute", func() bool {
 		return len(c.FilterLogs(chain.FilterQuery{Address: &contract, Topic: &hybrid.TopicDisputeResolved})) > 0
 	})
@@ -612,8 +693,8 @@ func TestFederationPartition(t *testing.T) {
 }
 
 // TestFederationDropWarning: a subscriber that stops draining makes the
-// whisper network drop envelopes; the heartbeat loop must notice and log
-// a warning (lost heartbeats are otherwise undiagnosable).
+// whisper network drop envelopes; the regossip loop must notice and log
+// a warning (lost gossip is otherwise undiagnosable).
 func TestFederationDropWarning(t *testing.T) {
 	c, net, faucetKey := fedWorld(t, "auto")
 	_ = faucetKey
@@ -622,7 +703,6 @@ func TestFederationDropWarning(t *testing.T) {
 	var mu sync.Mutex
 	var warnings []string
 	cfg := fedConfig(c, net, keys[0], members)
-	cfg.HeartbeatEvery = 2 * time.Millisecond
 	cfg.Logf = func(format string, args ...interface{}) {
 		mu.Lock()
 		warnings = append(warnings, fmt.Sprintf(format, args...))
@@ -634,9 +714,16 @@ func TestFederationDropWarning(t *testing.T) {
 	}
 	defer s1.Stop()
 
-	// A stuck peer: subscribed to the federation topic, never draining.
+	// A stuck peer: subscribed to the federation topic, never draining,
+	// and flooded past its subscription buffer.
+	topic := whisper.TopicFromString(fleetLabel)
 	stuck := net.NewNode(keys[1])
-	_ = stuck.Subscribe(whisper.TopicFromString("federation/guard"))
+	_ = stuck.Subscribe(topic)
+	for i := 0; i < 300; i++ {
+		if _, err := stuck.Post(topic, []byte("flood"), whisper.PostOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	waitUntil(t, 20*time.Second, "a gossip drop warning", func() bool {
 		return s1.Metrics().DropWarnings > 0
@@ -655,10 +742,9 @@ func TestFederationDropWarning(t *testing.T) {
 }
 
 // TestSignedGossip: with Config.SignGossip the fleet signs every envelope
-// and still functions (heartbeats authenticate per-sender), while a
-// member that skips the signing discipline — an impersonation stand-in,
-// since only per-envelope signatures bind gossip to the claimed sender —
-// is dropped and counted.
+// and a member's signed record is accepted, while a member that skips the
+// signing discipline — an impersonation stand-in, since only per-envelope
+// signatures bind gossip to the claimed sender — is dropped and counted.
 func TestSignedGossip(t *testing.T) {
 	c, net, _ := fedWorld(t, "auto")
 	keys, members := memberKeys(t, 3)
@@ -679,27 +765,33 @@ func TestSignedGossip(t *testing.T) {
 	}
 	defer s1.Stop()
 
-	// Signed heartbeats flow and authenticate: both towers see each other.
-	waitUntil(t, 5*time.Second, "signed heartbeats exchanged", func() bool {
-		return s0.Metrics().HeartbeatsSeen > 0 && s1.Metrics().HeartbeatsSeen > 0
+	// Each tower gossips a signed intent; the other authenticates it.
+	contract := addrN(0xC1)
+	s0.postIntent(contract)
+	s1.postIntent(contract)
+	waitUntil(t, 5*time.Second, "signed intents exchanged", func() bool {
+		return s0.Metrics().IntentsSeen == 1 && s1.Metrics().IntentsSeen == 1
 	})
 	if s0.Metrics().SigRejected != 0 || s1.Metrics().SigRejected != 0 {
 		t.Fatalf("well-signed fleet rejected envelopes: %d/%d",
 			s0.Metrics().SigRejected, s1.Metrics().SigRejected)
 	}
 
-	// A third member posts UNSIGNED gossip under the (valid) group key:
-	// group-key possession alone must no longer pass.
+	// A third member posts the same record UNSIGNED under the (valid) group
+	// key: group-key possession alone must no longer pass.
 	rogue := net.NewNode(keys[2])
-	topic := whisper.TopicFromString("federation/guard")
-	symKey := whisper.SharedTopicKey("federation/guard", members)
-	beat := &store.Record{Kind: store.KindFedMember, Blob: members[2][:]}
-	if _, err := rogue.Post(topic, beat.Encode(), whisper.PostOptions{Key: symKey, Unsigned: true}); err != nil {
+	intent := &store.Record{Kind: store.KindFedIntent, Blob: contract[:]}
+	if _, err := rogue.Post(whisper.TopicFromString(fleetLabel), intent.Encode(), whisper.PostOptions{
+		Key: whisper.SharedTopicKey(fleetLabel, members), Unsigned: true,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, "unsigned envelope rejected", func() bool {
 		return s0.Metrics().SigRejected > 0 && s1.Metrics().SigRejected > 0
 	})
+	if s0.Metrics().IntentsSeen != 1 || s1.Metrics().IntentsSeen != 1 {
+		t.Errorf("unsigned intent was counted: %d/%d", s0.Metrics().IntentsSeen, s1.Metrics().IntentsSeen)
+	}
 }
 
 // TestFederationRollupFleet runs batched settlement under federation
@@ -827,7 +919,7 @@ func fedRollupRun(t *testing.T, mode string) {
 // TestHostileGossip: a holder of the group key posts bytes no member would.
 // Every record is dropped at the decoder that owns its kind — no panic, no
 // guard adopted, no window or intent recorded — and the receiver goes on
-// reading: the rogue's well-formed heartbeats keep arriving throughout.
+// reading: the rogue's well-formed intents keep arriving throughout.
 func TestHostileGossip(t *testing.T) {
 	c, net, _ := fedWorld(t, "auto")
 	keys, members := memberKeys(t, 2)
@@ -854,13 +946,15 @@ func TestHostileGossip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	beat := (&store.Record{Kind: store.KindFedMember, Blob: members[1][:]}).Encode()
-	beatSeen := func() {
+	barrierContract := addrN(0xB0)
+	barrier := (&store.Record{Kind: store.KindFedIntent, Blob: barrierContract[:]}).Encode()
+	barriers := uint64(0)
+	barrierSeen := func() {
 		t.Helper()
-		before := s0.Metrics().HeartbeatsSeen
-		post(beat)
-		waitUntil(t, 5*time.Second, "the heartbeat behind the hostile record", func() bool {
-			return s0.Metrics().HeartbeatsSeen > before
+		post(barrier)
+		barriers++
+		waitUntil(t, 5*time.Second, "the intent behind the hostile record", func() bool {
+			return s0.Metrics().IntentsSeen >= barriers
 		})
 	}
 
@@ -893,10 +987,10 @@ func TestHostileGossip(t *testing.T) {
 		"window, short submitter": shortSubmitter.Encode(),
 		"intent, 3-byte blob":     (&store.Record{Kind: store.KindFedIntent, Blob: []byte{1, 2, 3}}).Encode(),
 	}
-	beatSeen()
+	barrierSeen()
 	for _, payload := range hostile {
 		post(payload)
-		beatSeen() // delivery is ordered: the hostile record has been handled
+		barrierSeen() // delivery is ordered: the hostile record has been handled
 	}
 	// The one guard that decodes (bad scalar) is refused on the adopter's
 	// own goroutine, by the session rebuild.
@@ -914,8 +1008,8 @@ func TestHostileGossip(t *testing.T) {
 	if m.GuardsAdopted != 0 || m.Guards != 0 {
 		t.Errorf("hostile gossip adopted a guard: adopted=%d guards=%d", m.GuardsAdopted, m.Guards)
 	}
-	if m.WindowsMirror != 0 || m.IntentsSeen != 0 {
-		t.Errorf("hostile gossip was recorded: windows=%d intents=%d", m.WindowsMirror, m.IntentsSeen)
+	if m.WindowsMirror != 0 || m.IntentsSeen != barriers {
+		t.Errorf("hostile gossip was recorded: windows=%d intents=%d (%d barriers)", m.WindowsMirror, m.IntentsSeen, barriers)
 	}
 	if got := s0.Watchtower().Watches(); len(got) != 0 {
 		t.Errorf("tower guards %d contracts after hostile gossip, want none", len(got))

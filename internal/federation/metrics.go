@@ -8,8 +8,6 @@ import "onoffchain/internal/telemetry"
 // registry the tower keeps a private one — Snapshot always works, only
 // the exposition surface is opt-in.
 type metrics struct {
-	heartbeatsSent *telemetry.Counter
-	heartbeatsSeen *telemetry.Counter
 	guardsExported *telemetry.Counter // own sessions gossiped to the fleet
 	guardsAdopted  *telemetry.Counter // peers' sessions taken under guard
 	windowsMirror  *telemetry.Counter // remote window records observed
@@ -30,8 +28,6 @@ func newMetrics(reg *telemetry.Registry, tower string) *metrics {
 		return reg.Counter(name, "tower", tower)
 	}
 	return &metrics{
-		heartbeatsSent: c("federation_heartbeats_sent_total"),
-		heartbeatsSeen: c("federation_heartbeats_seen_total"),
 		guardsExported: c("federation_guards_exported_total"),
 		guardsAdopted:  c("federation_guards_adopted_total"),
 		windowsMirror:  c("federation_windows_mirrored_total"),
@@ -47,8 +43,9 @@ func newMetrics(reg *telemetry.Registry, tower string) *metrics {
 
 // Snapshot is a point-in-time copy of one federation tower's counters.
 type Snapshot struct {
+	// HeartbeatsSent is always 0 (towers post no heartbeats); it stays
+	// because the benchmark's federation.heartbeats_sent column reads it.
 	HeartbeatsSent uint64
-	HeartbeatsSeen uint64
 	GuardsExported uint64
 	GuardsAdopted  uint64
 	WindowsMirror  uint64
@@ -61,16 +58,12 @@ type Snapshot struct {
 	// SigRejected counts envelopes dropped by signed-gossip verification
 	// (always 0 when Config.SignGossip is off).
 	SigRejected uint64
-	// LiveMembers is the heartbeat view at snapshot time (self included).
-	LiveMembers int
 	// Guards counts contracts currently under this tower's guard.
 	Guards int
 }
 
 func (m *metrics) snapshot() Snapshot {
 	return Snapshot{
-		HeartbeatsSent: m.heartbeatsSent.Value(),
-		HeartbeatsSeen: m.heartbeatsSeen.Value(),
 		GuardsExported: m.guardsExported.Value(),
 		GuardsAdopted:  m.guardsAdopted.Value(),
 		WindowsMirror:  m.windowsMirror.Value(),

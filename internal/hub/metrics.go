@@ -104,7 +104,7 @@ type Snapshot struct {
 	SubmissionsSeen  uint64
 	// WhisperDrops is the whisper network's envelope-loss counter (expiry
 	// + backpressure) at snapshot time; growth means gossip — federation
-	// heartbeats included — is being dropped. Both this field and the
+	// records included — is being dropped. Both this field and the
 	// federation's drop warnings read the same whisper-owned telemetry
 	// counters, so the two views cannot disagree.
 	WhisperDrops int

@@ -78,9 +78,9 @@ const (
 	// other and journal (a separate store from any hub's WAL; hub recovery
 	// ignores these). Wire and disk share the one encoding.
 
-	// KindFedMember: a member's heartbeat. Blob = 20-byte member address.
-	// Gossiped, not journaled and never folded; the kind stays decodable
-	// from journals that recorded membership.
+	// KindFedMember: a member heartbeat (Blob = 20-byte member address).
+	// No longer written or gossiped; the kind stays decodable from journals
+	// that recorded membership, and folds to nothing.
 	KindFedMember
 	// KindFedGuard: guard state for one contract this tower shares duty
 	// for — enough to rebuild the session and dispute as the honest party.

@@ -160,7 +160,7 @@ func (n *Network) RegisterMetrics(reg *telemetry.Registry) {
 
 // Drops reports how many envelopes were lost before delivery, for any
 // reason: TTL expiry or a full subscriber buffer. A consumer that cares
-// about gossip health (the federation's heartbeat loop) should watch this
+// about gossip health (the federation's regossip loop) should watch this
 // counter grow; DropStats breaks it down.
 func (n *Network) Drops() int {
 	return int(n.drops.Value() + n.backpressure.Value())
@@ -241,7 +241,7 @@ type PostOptions struct {
 	// Unsigned skips the sender signature. Only sensible together with
 	// Key: AES-GCM under a shared group key already authenticates the
 	// envelope as coming from SOME key holder, and for traffic where that
-	// suffices (a replica fleet talking to itself at heartbeat rates) the
+	// suffices (a replica fleet gossiping guard state to itself) the
 	// per-envelope secp256k1 signature is pure overhead. Envelope.Verify
 	// reports false for such envelopes; receivers that need per-sender
 	// authenticity must not set this.

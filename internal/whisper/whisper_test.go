@@ -201,33 +201,6 @@ func TestMultipleSubscribers(t *testing.T) {
 	}
 }
 
-func TestPresence(t *testing.T) {
-	now := uint64(1000)
-	p := NewPresence(50, func() uint64 { return now })
-	a := types.BytesToAddress([]byte{1})
-	b := types.BytesToAddress([]byte{2})
-	if p.Alive(a) {
-		t.Fatal("unmarked member alive")
-	}
-	p.Mark(a)
-	p.Mark(b)
-	if !p.Alive(a) || !p.Alive(b) {
-		t.Fatal("marked members not alive")
-	}
-	now = 1050
-	if !p.Alive(a) {
-		t.Fatal("member dead at exactly ttl")
-	}
-	now = 1051
-	if p.Alive(a) {
-		t.Fatal("member alive past ttl")
-	}
-	p.Mark(b)
-	if !p.Alive(b) || p.Alive(a) {
-		t.Fatal("a fresh mark must revive b and only b")
-	}
-}
-
 // TestDropCounters pins the loss accounting: backpressure on a full
 // subscriber buffer and TTL expiry both surface through Drops, and a link
 // filter withholds without counting a loss.

@@ -436,7 +436,7 @@ func durabilityDemo(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.P
 	st.Close()
 
 	// "Restart the process": reopen the WAL, recover, and let the tower
-	// replay the chain events it missed from its durable cursor.
+	// replay its guarded contracts' chain history from the log index.
 	st2, err := store.Open(dir, store.Options{Telemetry: o.reg})
 	if err != nil {
 		log.Fatal(err)
@@ -446,7 +446,7 @@ func durabilityDemo(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.P
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  recovered: WAL cursor at block %d, chain events replayed through block %d\n", rec.Cursor, rec.ReplayedTo)
+	fmt.Printf("  recovered: chain events replayed through block %d\n", rec.ReplayedTo)
 	for _, s := range rec.Sessions {
 		fmt.Printf("  session %d (%s): %s from stage %s\n", s.ID, s.Scenario, s.Outcome, s.Stage)
 	}

@@ -28,10 +28,10 @@
 //
 // Wire = disk: the fleet gossips the store.Records it journals (guard,
 // window and intent kinds; see journal.go), so one codec serves both
-// directions. Each tower journals guard states, windows, closures and a
-// chain cursor to its own internal/store WAL; a restarted member re-arms
-// every guard from durable state and replays the chain events it slept
-// through with Watchtower.CatchUp. See DESIGN.md §7.
+// directions. Each tower journals guard states, its own sessions' windows
+// (for the verdict hint) and closures to its own internal/store WAL; a
+// restarted member re-arms every guard from durable state and replays each
+// guarded contract's chain history from the log index. See DESIGN.md §7.
 package federation
 
 import (
@@ -67,9 +67,9 @@ type Config struct {
 	// (logged loudly — an unguardable window is the failure this package
 	// exists to prevent).
 	Registry hub.SpecRegistry
-	// Store, when set, journals guards/windows/closures/cursor so a
-	// restarted member re-arms from durable state. Each tower owns its
-	// store exclusively; never share one with a hub WAL.
+	// Store, when set, journals guards/windows/closures so a restarted
+	// member re-arms from durable state. Each tower owns its store
+	// exclusively; never share one with a hub WAL.
 	Store *store.Store
 	// EscalateAfter is the escalation slot width: a backup in full-member
 	// slot k files no earlier than k*EscalateAfter after it first saw the
@@ -215,24 +215,16 @@ type Tower struct {
 	lastDrops int
 
 	inbox    <-chan *whisper.Envelope
-	adoptCh  chan adoptReq
+	adoptCh  chan *guardExport
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
 	teardown sync.Once
 }
 
-// adoptReq queues one guard adoption; fromBlock bounds the catch-up scan
-// for submissions that raced the gossip (no event for this contract can
-// predate the gossip's arrival, because owners guard before submitting).
-type adoptReq struct {
-	export    *guardExport
-	fromBlock uint64
-}
-
 // Join starts a standalone guard tower: a federation member with no hub
 // of its own that adopts guard duty for sessions its peers gossip. With a
 // Store carrying a previous incarnation's journal, the tower re-arms
-// every durable guard and replays the chain events it missed before it
+// every durable guard and replays its contract's chain history before it
 // starts gossiping.
 func Join(cfg Config) (*Tower, error) {
 	t, err := newTower(cfg)
@@ -240,7 +232,7 @@ func Join(cfg Config) (*Tower, error) {
 		return nil, err
 	}
 	t.ownTower = true
-	t.attach(hub.NewWatchtower(t.cfg.Chain, nil, t.cfg.Tracer, nil, t.cfg.Rollup))
+	t.attach(hub.NewWatchtower(t.cfg.Chain, nil, t.cfg.Tracer, t.cfg.Rollup))
 	return t, nil
 }
 
@@ -286,7 +278,7 @@ func newTower(c Config) (*Tower, error) {
 		myIntent:  make(map[types.Address]time.Time),
 		firstSeen: make(map[types.Address]time.Time),
 		closed:    make(map[types.Address]bool),
-		adoptCh:   make(chan adoptReq, 4096),
+		adoptCh:   make(chan *guardExport, 4096),
 		stopCh:    make(chan struct{}),
 	}
 	t.journal = &journal{st: cfg.Store, logf: cfg.Logf}
@@ -343,10 +335,12 @@ func (t *Tower) attach(w *hub.Watchtower) {
 	go t.regossipLoop()
 }
 
-// rearm rebuilds guard duty from the journal: fold the store, re-guard
-// every non-closed contract, restore its last observed window, then
-// replay chain events past the durable cursor — the exact
-// replay-before-act recipe hub.Recover uses, scoped to guard duty.
+// rearm rebuilds guard duty from the journal: fold the store, restore the
+// closed set and the owners' verdict hints, then re-guard every non-closed
+// contract. Each adoption replays its contract's whole chain history, so
+// every window reopens from the chain — the replay-before-act recipe
+// hub.Recover uses, scoped to guard duty. (A batch window opens from the
+// Source when the guard is taken; see Watchtower.Guard.)
 func (t *Tower) rearm() {
 	if t.cfg.Store == nil {
 		return
@@ -361,39 +355,20 @@ func (t *Tower) rearm() {
 	for c := range fs.closed {
 		t.closed[c] = true
 	}
+	for c, v := range fs.hints {
+		t.vouch[c] = v
+	}
 	t.mu.Unlock()
 	rearmed := 0
-	head := t.cfg.Chain.Height()
 	for contract, g := range fs.guards {
-		if err := t.adopt(g, head, false); err != nil {
+		if err := t.adopt(g, false); err != nil {
 			t.cfg.Logf("federation: re-arm %s: %v", contract.Hex(), err)
 			continue
 		}
 		rearmed++
 	}
-	// Restore the durable windows through the dispute pipeline, then close
-	// the outage gap: any submission mined while this tower was down is in
-	// blocks (cursor, head], and the guard set above makes its events land
-	// on armed watches.
-	for contract, rec := range fs.windows {
-		w, hint, err := decodeWindowRecord(rec)
-		if err != nil {
-			continue
-		}
-		t.mu.Lock()
-		gi := t.guards[contract]
-		if hint != nil {
-			t.vouch[contract] = *hint
-		}
-		t.mu.Unlock()
-		if gi != nil && !gi.own {
-			t.tower.RestoreWindow(gi.watch, w)
-		}
-	}
-	head = t.tower.CatchUp(fs.cursor)
-	t.journal.log(&store.Record{Kind: store.KindCursor, U1: head})
 	if rearmed > 0 {
-		t.cfg.Logf("federation: re-armed %d guards, replayed blocks %d..%d", rearmed, fs.cursor+1, head)
+		t.cfg.Logf("federation: re-armed %d guards from their chain history", rearmed)
 	}
 }
 
@@ -613,7 +588,7 @@ func (t *Tower) handleGuardGossip(from types.Address, rec *store.Record, tc tele
 	}
 	export.Trace = tc
 	select {
-	case t.adoptCh <- adoptReq{export: export, fromBlock: t.cfg.Chain.Height()}:
+	case t.adoptCh <- export:
 	default:
 		t.cfg.Logf("federation: adoption queue full, dropping guard %s (%s) from %s — the window will be UNGUARDED here",
 			export.Contract.Hex(), export.Scenario, from.Hex())
@@ -626,10 +601,10 @@ func (t *Tower) adopterLoop() {
 		select {
 		case <-t.stopCh:
 			return
-		case req := <-t.adoptCh:
-			if err := t.adopt(req.export, req.fromBlock, true); err != nil {
+		case g := <-t.adoptCh:
+			if err := t.adopt(g, true); err != nil {
 				t.cfg.Logf("federation: cannot adopt guard %s (%s): %v — the window will be UNGUARDED here",
-					req.export.Contract.Hex(), req.export.Scenario, err)
+					g.Contract.Hex(), g.Scenario, err)
 			}
 		}
 	}
@@ -637,9 +612,10 @@ func (t *Tower) adopterLoop() {
 
 // adopt takes a peer's session under this tower's guard: rebuild the
 // session from the registry spec + party scalars + signed copy (see
-// rebuild), register the watch, and sweep the contract's chain history
-// through the tower in case the submission beat the gossip here.
-func (t *Tower) adopt(g *guardExport, fromBlock uint64, journalIt bool) error {
+// rebuild), register the watch, and replay the contract's chain history
+// through the tower, which reopens a window whose submission beat the
+// gossip (or this tower's restart) here.
+func (t *Tower) adopt(g *guardExport, journalIt bool) error {
 	t.mu.Lock()
 	if t.closed[g.Contract] || t.guards[g.Contract] != nil {
 		t.mu.Unlock()
@@ -665,7 +641,7 @@ func (t *Tower) adopt(g *guardExport, fromBlock uint64, journalIt bool) error {
 		}
 		sess.Trace = adoptTC
 	}
-	watch, err := t.tower.Guard(sess, g.Honest, g.Scenario, adoptTC)
+	watch, err := t.tower.Guard(sess, g.Scenario, adoptTC)
 	if err != nil {
 		return err
 	}
@@ -685,15 +661,12 @@ func (t *Tower) adopt(g *guardExport, fromBlock uint64, journalIt bool) error {
 	}
 	t.metrics.guardsAdopted.Inc()
 	t.cfg.Tracer.RecordSpan(adoptTC, g.Trace.Span, g.SID, "federation", "adopt", adoptStart, time.Since(adoptStart), "tower="+t.self.Hex())
-	// The submission may already be on chain (the block raced the
-	// adoption queue): replay the contract's events since the gossip
-	// arrived through the same idempotent handlers as live delivery.
-	// (Re-arm passes the current height here — its own cursor replay
-	// covers the outage range.)
+	// The submission may already be on chain (the block raced the adoption
+	// queue, or landed while this tower was down): replay the contract's
+	// whole history, served from the log index, through the same idempotent
+	// handlers as live delivery.
 	addr := g.Contract
-	if logs := t.cfg.Chain.FilterLogs(chain.FilterQuery{Address: &addr, FromBlock: fromBlock}); len(logs) > 0 {
-		t.tower.ReplayLogs(logs)
-	}
+	t.tower.ReplayLogs(t.cfg.Chain.FilterLogs(chain.FilterQuery{Address: &addr}))
 	return nil
 }
 
@@ -724,7 +697,11 @@ func (t *Tower) rebuild(g *guardExport) (*hybrid.Session, error) {
 	// copy can only waste this tower's gas, never enforce anything — and
 	// adopt-time verification would charge every backup two ecrecovers per
 	// session on the hot path of a 1000-session fleet.
-	return hybrid.RebuildSession(split, g.Scalars, t.cfg.Chain, nil, t.ctx, g.Contract, g.CopyEnc)
+	keys, err := hybrid.PartyKeys(g.Scalars)
+	if err != nil {
+		return nil, err
+	}
+	return hybrid.RebuildSession(split, keys, t.cfg.Chain, nil, t.ctx, g.Contract, g.CopyEnc)
 }
 
 func (t *Tower) handleWindowGossip(from types.Address, rec *store.Record, tc telemetry.TraceContext) {
@@ -754,11 +731,9 @@ func (t *Tower) handleWindowGossip(from types.Address, rec *store.Record, tc tel
 			// without re-executing the bytecode.
 			adopted.SeedExpected(*hint)
 		}
-		// Re-arm the window through the pipeline (idempotent): the chain
-		// event may have been mined before this tower adopted the guard —
-		// e.g. the first guard gossip was dropped and only the re-gossip
-		// landed — in which case the adoption catch-up scan started past
-		// it and nothing else would ever drive this window.
+		// Arm the window through the pipeline (idempotent): the owner's
+		// gossip can arrive before this tower has examined the block that
+		// carries the submission, and the window must not wait for it.
 		t.tower.RestoreWindow(adopted, w)
 	}
 	if !tc.Valid() {
@@ -938,10 +913,7 @@ func (o *towerObserver) Guarded(e *hub.Watch, contract types.Address) {
 	}
 	export := &guardExport{
 		SID: e.SID(), Scenario: e.Scenario(), Contract: contract,
-		ChallengePeriod: sess.Split.Policy.ChallengePeriod,
-		Honest:          e.Honest(),
-		Scalars:         scalars,
-		CopyEnc:         sess.Copy.Encode(),
+		Scalars: scalars, CopyEnc: sess.Copy.Encode(),
 	}
 	// Export the session's ROOT trace context (not a child): adopters parent
 	// their own spans directly under the hub's root session span, so a
@@ -968,9 +940,10 @@ func ownWindowRecord(e *hub.Watch, w hub.Window) *store.Record {
 	return windowRecord(w, hint)
 }
 
-// WindowOpened journals the window and — for own sessions — gossips it
-// with the owner's verdict hint, so backups can vouch instead of
-// re-executing.
+// WindowOpened journals and gossips an own session's window with the
+// owner's verdict hint, so backups can vouch instead of re-executing. An
+// adopted guard's window carries no hint, so nothing is journaled for it:
+// a restart reopens it from the chain.
 func (o *towerObserver) WindowOpened(e *hub.Watch, w hub.Window) {
 	t := o.t()
 	t.mu.Lock()
@@ -979,7 +952,6 @@ func (o *towerObserver) WindowOpened(e *hub.Watch, w hub.Window) {
 	}
 	t.mu.Unlock()
 	if e.SID() == 0 {
-		t.journal.log(windowRecord(w, nil))
 		return
 	}
 	rec := ownWindowRecord(e, w)
@@ -1018,10 +990,4 @@ func (o *towerObserver) DisputeFiled(e *hub.Watch, contract types.Address, enfor
 	if enforced {
 		o.t().metrics.disputesWon.Inc()
 	}
-}
-
-// BlockProcessed advances the durable chain cursor: restart replays from
-// here.
-func (o *towerObserver) BlockProcessed(n uint64) {
-	o.t().journal.log(&store.Record{Kind: store.KindCursor, U1: n})
 }

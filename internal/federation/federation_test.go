@@ -402,9 +402,8 @@ func fedFailoverRun(t *testing.T, mode string) {
 // TestFederationStandaloneRecovery: a standalone tower crashes while
 // guarding; the hub is also dead; an adversary pushes a lie while NOBODY
 // is alive. A new tower incarnation re-arms from the journal, replays the
-// chain events it slept through (Watchtower.CatchUp), and disputes — the
-// fraud-while-hub-down property, carried by the federation's own
-// durability.
+// guarded contract's chain history, and disputes — the fraud-while-hub-down
+// property, carried by the federation's own durability.
 func TestFederationStandaloneRecovery(t *testing.T) {
 	c, net, faucetKey := fedWorld(t, "auto")
 	keys, members := memberKeys(t, 2)
@@ -464,7 +463,11 @@ func TestFederationStandaloneRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := hybrid.RebuildSession(split, g.Scalars, c, net, context.Background(), g.Contract, g.CopyEnc)
+	partyKeys, err := hybrid.PartyKeys(g.Scalars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := hybrid.RebuildSession(split, partyKeys, c, net, context.Background(), g.Contract, g.CopyEnc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +482,6 @@ func TestFederationStandaloneRecovery(t *testing.T) {
 	if r, err := sess.SubmitResult(len(sess.Parties)-1, lie); err != nil || !r.Succeeded() {
 		t.Fatalf("adversary's submission did not land: %v", err)
 	}
-	fraudBlock := c.Height()
 
 	// Restart the tower process on the same journal.
 	fedSt.Close()
@@ -488,9 +490,7 @@ func TestFederationStandaloneRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fedSt2.Close()
-	if fs.cursor >= fraudBlock {
-		t.Fatalf("durable cursor %d should predate the fraud block %d", fs.cursor, fraudBlock)
-	}
+	requireNoCursor(t, recs)
 	scfg2 := fedConfig(c, net, keys[1], members)
 	scfg2.Store = fedSt2
 	s1b, err := Join(scfg2)
@@ -963,15 +963,13 @@ func TestHostileGossip(t *testing.T) {
 	goodGuard := func() *store.Record {
 		return guardRecord(&guardExport{
 			SID: 1, Scenario: hub.BettingSpec(4, 600, true).Scenario, Contract: contract,
-			ChallengePeriod: 600, CopyEnc: []byte{0xc0}, Scalars: [][]byte{scalar(1), scalar(2)},
+			CopyEnc: []byte{0xc0}, Scalars: [][]byte{scalar(1), scalar(2)},
 		})
 	}
 	twoBlobs := goodGuard()
 	twoBlobs.Blobs = twoBlobs.Blobs[:2]
 	shortContract := goodGuard()
 	shortContract.Blobs[0] = contract[:19]
-	honestOutOfRange := goodGuard()
-	honestOutOfRange.U2 = 2
 	badScalar := goodGuard()
 	badScalar.Blobs[2] = bytes.Repeat([]byte{0xff}, 32) // ≥ the group order
 	shortSubmitter := windowRecord(hub.Window{Contract: contract, Result: 1, OpenedAt: 10, Deadline: 610}, nil)
@@ -982,7 +980,6 @@ func TestHostileGossip(t *testing.T) {
 		"hub-kind record":         (&store.Record{Kind: store.KindAccepted, SID: 7, Str: "betting/honest"}).Encode(),
 		"guard, two blobs":        twoBlobs.Encode(),
 		"guard, 19-byte address":  shortContract.Encode(),
-		"guard, honest index":     honestOutOfRange.Encode(),
 		"guard, scalar ≥ order":   badScalar.Encode(),
 		"window, short submitter": shortSubmitter.Encode(),
 		"intent, 3-byte blob":     (&store.Record{Kind: store.KindFedIntent, Blob: []byte{1, 2, 3}}).Encode(),
@@ -1016,30 +1013,48 @@ func TestHostileGossip(t *testing.T) {
 	}
 }
 
-// TestRearmReplaysFromTheIndex: a restarted tower catches up on the blocks
-// it slept through with the subscription's own query — served from the
-// chain's log index, not by walking every block's receipts — and its
-// journal may still carry the member and intent records older towers
-// wrote.
+// TestRearmReplaysFromTheIndex: a restarted member with one journaled guard
+// re-arms it and replays that contract's chain history with an index-served
+// query — the full-scan path, which walks every receipt of every block,
+// stays cold — and journals no block cursor. Its journal may still carry
+// the member and intent records older towers wrote.
 func TestRearmReplaysFromTheIndex(t *testing.T) {
 	c, net, faucetKey := fedWorld(t, "auto")
-	keys, members := memberKeys(t, 1)
+	keys, members := memberKeys(t, 2)
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fedConfig(c, net, keys[0], members)
+	var h *hub.Hub
+	h = hub.New(c, net, faucetKey, hub.Config{Workers: 1, StageHook: func(sid uint64, s hub.Stage) bool {
+		if s == hub.StageExecuted {
+			h.Kill()
+		}
+		return !h.Crashed()
+	}})
+	hubTower, err := AttachHub(h, fedConfig(c, net, keys[0], members))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fedConfig(c, net, keys[1], members)
 	cfg.Store = st
 	s, err := Join(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep := h.Submit(hub.BettingSpec(4, 600, false)).Report(); !errors.Is(rep.Err, hub.ErrCrashed) {
+		t.Fatalf("session should crash at executed, got stage=%s err=%v", rep.Stage, rep.Err)
+	}
+	waitUntil(t, 10*time.Second, "the member to adopt the guard", func() bool { return s.Metrics().Guards == 1 })
+	h.Stop()
+	hubTower.Kill()
+	hubTower.Stop()
 	s.Kill()
 	s.Stop()
 	to := addrN(0xEE)
 	for _, rec := range []*store.Record{
-		{Kind: store.KindFedMember, Blob: members[0][:]},
-		{Kind: store.KindFedIntent, U1: 1234, Blob: to[:], Blobs: [][]byte{members[0][:]}},
+		{Kind: store.KindFedMember, Blob: members[1][:]},
+		{Kind: store.KindFedIntent, U1: 1234, Blob: to[:], Blobs: [][]byte{members[1][:]}},
 	} {
 		if err := st.Append(rec); err != nil {
 			t.Fatal(err)
@@ -1047,11 +1062,10 @@ func TestRearmReplaysFromTheIndex(t *testing.T) {
 	}
 	st.Close()
 
-	// A block the dead tower never saw, so the outage range is not empty.
+	// A block the dead member never saw.
 	if r, err := hybrid.NewParticipant(faucetKey, c, nil).SendTx(&to, uint256.NewInt(1), 21_000, nil); err != nil || !r.Succeeded() {
 		t.Fatalf("transfer did not land: %v", err)
 	}
-	head := c.Height()
 
 	st2, err := store.Open(st.Dir(), store.Options{})
 	if err != nil {
@@ -1059,25 +1073,37 @@ func TestRearmReplaysFromTheIndex(t *testing.T) {
 	}
 	defer st2.Close()
 	scanned, indexed := c.LogScanStats()
-	cfg2 := fedConfig(c, net, keys[0], members)
+	cfg2 := fedConfig(c, net, keys[1], members)
 	cfg2.Store = st2
 	s2, err := Join(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Stop()
+	if m := s2.Metrics(); m.Guards != 1 {
+		t.Fatalf("re-armed %d guards, want the journaled one", m.Guards)
+	}
 	scanned2, indexed2 := c.LogScanStats()
 	if scanned2 != scanned {
 		t.Errorf("re-arm walked %d blocks in the full-scan path, want 0", scanned2-scanned)
 	}
 	if indexed2 == indexed {
-		t.Error("re-arm ran no indexed catch-up query")
+		t.Error("re-arm ran no indexed replay")
 	}
 	recs, err := st2.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := foldFederation(recs); fs.cursor != head {
-		t.Errorf("durable cursor %d after re-arm, want the replayed head %d", fs.cursor, head)
+	requireNoCursor(t, recs)
+}
+
+// requireNoCursor: a tower journals no block cursor; the chain is its only
+// record of what it has seen.
+func requireNoCursor(t *testing.T, recs []*store.Record) {
+	t.Helper()
+	for _, rec := range recs {
+		if rec.Kind == store.KindCursor {
+			t.Fatalf("journal holds a block cursor (%d)", rec.U1)
+		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // journal is the tower's durable state: the guard states it shares duty
-// for, the challenge windows it has observed (local or gossiped), which
-// contracts have closed, and a chain cursor — enough for a restarted member
-// to re-arm every guard and replay the chain events it slept through
-// (Watchtower.CatchUp). It reuses the hub's WAL store (internal/store) with
+// for, the owners' windows with their verdict hints (its own, and those
+// gossiped to it), and which contracts have closed — enough for a
+// restarted member to re-arm every guard and replay its contract's chain
+// history. It reuses the hub's WAL store (internal/store) with
 // the federation record kinds; the store is this tower's own, never shared
 // with a hub WAL.
 type journal struct {
@@ -44,16 +44,13 @@ func (j *journal) log(rec *store.Record) {
 // guardExport is the durable identity of one guarded session — exactly
 // what a federated backup tower needs to share guard duty: rebuild the
 // session from the registry spec and the party scalars, and (if it comes to
-// that) dispute as the honest party. It travels and rests as one
-// KindFedGuard record.
+// that) dispute as party 0. It travels and rests as one KindFedGuard record.
 type guardExport struct {
-	SID             uint64
-	Scenario        string
-	Contract        types.Address
-	ChallengePeriod uint64
-	Honest          int
-	Scalars         [][]byte
-	CopyEnc         []byte
+	SID      uint64
+	Scenario string
+	Contract types.Address
+	Scalars  [][]byte
+	CopyEnc  []byte
 	// Trace is the session's causal identity, so a backup tower's adoption
 	// (and any dispute it files) appears in the same trace as the hub's own
 	// spans. It rides the gossip envelope, not the record: zero when the hub
@@ -67,22 +64,17 @@ func guardRecord(g *guardExport) *store.Record {
 	blobs := make([][]byte, 0, len(g.Scalars)+2)
 	blobs = append(blobs, g.Contract[:], g.CopyEnc)
 	blobs = append(blobs, g.Scalars...)
-	return &store.Record{
-		Kind: store.KindFedGuard, SID: g.SID,
-		U1: g.ChallengePeriod, U2: uint64(g.Honest),
-		Str: g.Scenario, Blobs: blobs,
-	}
+	return &store.Record{Kind: store.KindFedGuard, SID: g.SID, Str: g.Scenario, Blobs: blobs}
 }
 
 func decodeGuardRecord(rec *store.Record) (*guardExport, error) {
-	if len(rec.Blobs) < 3 || len(rec.Blobs[0]) != 20 || rec.U2 >= uint64(len(rec.Blobs)-2) {
+	if len(rec.Blobs) < 3 || len(rec.Blobs[0]) != 20 {
 		return nil, fmt.Errorf("federation: malformed guard record")
 	}
 	return &guardExport{
 		SID: rec.SID, Scenario: rec.Str,
-		Contract:        types.BytesToAddress(rec.Blobs[0]),
-		ChallengePeriod: rec.U1, Honest: int(rec.U2),
-		CopyEnc: rec.Blobs[1], Scalars: rec.Blobs[2:],
+		Contract: types.BytesToAddress(rec.Blobs[0]),
+		CopyEnc:  rec.Blobs[1], Scalars: rec.Blobs[2:],
 	}, nil
 }
 
@@ -131,13 +123,14 @@ func decodeWindowRecord(rec *store.Record) (w hub.Window, hint *uint64, err erro
 }
 
 // foldState is what a federation store replays to: the latest guard and
-// window per contract (minus closed ones) and the durable chain cursor.
-// Member and intent records, which older journals carry, fold to nothing.
+// the owner's latest verdict hint per contract, minus closed ones. The
+// windows themselves are not kept — a re-armed guard reopens them from the
+// chain. Member, intent and cursor records, which older journals carry,
+// fold to nothing.
 type foldState struct {
-	guards  map[types.Address]*guardExport
-	windows map[types.Address]*store.Record // raw, decoded lazily at re-arm
-	closed  map[types.Address]bool
-	cursor  uint64
+	guards map[types.Address]*guardExport
+	hints  map[types.Address]uint64
+	closed map[types.Address]bool
 }
 
 // foldFederation replays a federation store's record stream. Malformed
@@ -146,9 +139,9 @@ type foldState struct {
 // gossip).
 func foldFederation(recs []*store.Record) *foldState {
 	fs := &foldState{
-		guards:  make(map[types.Address]*guardExport),
-		windows: make(map[types.Address]*store.Record),
-		closed:  make(map[types.Address]bool),
+		guards: make(map[types.Address]*guardExport),
+		hints:  make(map[types.Address]uint64),
+		closed: make(map[types.Address]bool),
 	}
 	for _, rec := range recs {
 		switch rec.Kind {
@@ -157,19 +150,15 @@ func foldFederation(recs []*store.Record) *foldState {
 				fs.guards[g.Contract] = g
 			}
 		case store.KindFedWindow:
-			if len(rec.Blob) == 20 {
-				fs.windows[types.BytesToAddress(rec.Blob)] = rec
+			if w, hint, err := decodeWindowRecord(rec); err == nil && hint != nil {
+				fs.hints[w.Contract] = *hint
 			}
 		case store.KindFedClosed:
 			if len(rec.Blob) == 20 {
 				c := types.BytesToAddress(rec.Blob)
 				fs.closed[c] = true
 				delete(fs.guards, c)
-				delete(fs.windows, c)
-			}
-		case store.KindCursor:
-			if rec.U1 > fs.cursor {
-				fs.cursor = rec.U1
+				delete(fs.hints, c)
 			}
 		}
 	}

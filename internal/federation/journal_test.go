@@ -9,16 +9,16 @@ import (
 )
 
 // TestFoldIgnoresIntentRecords: journals written while towers journaled
-// membership and dispute intents still carry KindFedMember and
-// KindFedIntent records. They must survive the store round trip (the kinds
-// still decode) and fold to exactly the state the same journal folds to
-// without them — which is all a re-arm reads.
+// membership, dispute intents and a block cursor still carry KindFedMember,
+// KindFedIntent and KindCursor records. They must survive the store round
+// trip (the kinds still decode) and fold to exactly the state the same
+// journal folds to without them — which is all a re-arm reads.
 func TestFoldIgnoresIntentRecords(t *testing.T) {
 	open, settled, member := addrN(1), addrN(2), addrN(3)
 	hint := uint64(7)
 	guard := func(sid uint64, c [20]byte) *store.Record {
 		return guardRecord(&guardExport{
-			SID: sid, Scenario: "betting/honest", Contract: c, ChallengePeriod: 600, Honest: 1,
+			SID: sid, Scenario: "betting/honest", Contract: c,
 			CopyEnc: []byte{0xc0}, Scalars: [][]byte{{1}, {2}},
 		})
 	}
@@ -26,15 +26,14 @@ func TestFoldIgnoresIntentRecords(t *testing.T) {
 		return &store.Record{Kind: store.KindFedIntent, U1: 1234, Blob: c[:], Blobs: [][]byte{member[:]}}
 	}
 	retired := func(c [20]byte) []*store.Record {
-		return []*store.Record{intent(c), {Kind: store.KindFedMember, Blob: member[:]}}
+		return []*store.Record{intent(c), {Kind: store.KindFedMember, Blob: member[:]}, {Kind: store.KindCursor, U1: 42}}
 	}
 	plain := []*store.Record{
 		guard(1, open),
 		guard(2, settled),
 		windowRecord(hub.Window{Contract: open, Submitter: member, Result: 9, OpenedAt: 100, Deadline: 700}, &hint),
-		{Kind: store.KindCursor, U1: 41},
+		windowRecord(hub.Window{Contract: settled, Submitter: member, Result: 3, OpenedAt: 100, Deadline: 700}, &hint),
 		{Kind: store.KindFedClosed, U1: 1, Blob: settled[:]},
-		{Kind: store.KindCursor, U1: 42},
 	}
 	var withIntents []*store.Record
 	for _, rec := range plain {
@@ -53,7 +52,7 @@ func TestFoldIgnoresIntentRecords(t *testing.T) {
 	}
 	replayed, err := st.Replay()
 	if err != nil {
-		t.Fatalf("journal with member and intent records no longer replays: %v", err)
+		t.Fatalf("journal with member, intent and cursor records no longer replays: %v", err)
 	}
 	if len(replayed) != len(withIntents) {
 		t.Fatalf("replayed %d records, wrote %d", len(replayed), len(withIntents))
@@ -61,12 +60,12 @@ func TestFoldIgnoresIntentRecords(t *testing.T) {
 
 	want, got := foldFederation(plain), foldFederation(replayed)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fold with member and intent records:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("fold with member, intent and cursor records:\n got %+v\nwant %+v", got, want)
 	}
-	if len(got.guards) != 1 || got.guards[open] == nil || got.cursor != 42 || !got.closed[settled] {
+	if len(got.guards) != 1 || got.guards[open] == nil || !got.closed[settled] {
 		t.Fatalf("fold lost state: %+v", got)
 	}
-	if w, h, err := decodeWindowRecord(got.windows[open]); err != nil || h == nil || *h != hint || w.Result != 9 {
-		t.Fatalf("window did not survive: %+v hint %v err %v", w, h, err)
+	if len(got.hints) != 1 || got.hints[open] != hint {
+		t.Fatalf("verdict hints %v, want %d for the open contract alone", got.hints, hint)
 	}
 }

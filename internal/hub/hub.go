@@ -60,9 +60,6 @@ type Spec struct {
 	// Setup optionally runs scenario on-chain interactions (deposits)
 	// after deploy+sign and before off-chain execution.
 	Setup func(sess *hybrid.Session) error
-	// Funding is the per-party balance granted by the faucet (default 5
-	// ether).
-	Funding *uint256.Int
 	// DeployGas bounds the on-chain deployment (default 3,000,000).
 	DeployGas uint64
 	// Adversarial makes the submitting representative flip the agreed
@@ -199,7 +196,7 @@ type Hub struct {
 // New creates a hub. faucetKey's account must hold enough balance to fund
 // every participant of every submitted session.
 func New(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, cfg Config) *Hub {
-	h := newHub(c, net, faucetKey, cfg, 0, false)
+	h := newHub(c, net, faucetKey, cfg, 0)
 	err := h.start(nil)
 	if err == nil && h.seq != nil {
 		err = h.seq.Start()
@@ -216,10 +213,8 @@ func New(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, 
 // newHub is the shared constructor of everything but the tower and the
 // workers (see start); Recover passes a non-zero floor so fresh session IDs
 // (and with them the party keys derived from them) never collide with the
-// ones the crashed generation minted, and holdCursor so the tower cannot
-// durably advance the block cursor before the recovery replay has caught
-// up.
-func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, cfg Config, sidFloor uint64, holdCursor bool) *Hub {
+// ones the crashed generation minted.
+func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, cfg Config, sidFloor uint64) *Hub {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -234,7 +229,7 @@ func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKe
 		cancel:  cancel,
 		metrics: m,
 		tracer:  cfg.Tracer,
-		journal: newJournal(cfg.Store, cfg.CompactEvery, holdCursor),
+		journal: newJournal(cfg.Store, cfg.CompactEvery),
 		splits:  make(map[types.Hash]*hybrid.SplitResult),
 		jobs:    make(chan *Ticket, 4*cfg.Workers),
 	}
@@ -289,7 +284,7 @@ func (h *Hub) start(f *rollup.Folded) error {
 		}
 		src = h.seq
 	}
-	h.tower = NewWatchtower(h.chain, h.metrics, h.tracer, h.journal, src)
+	h.tower = NewWatchtower(h.chain, h.metrics, h.tracer, src)
 	// SLO: open dispute decisions pile up when the sandbox slots stall or the
 	// chain stops confirming filings; a deep backlog risks missed windows.
 	h.cfg.Telemetry.RegisterHealth("tower_disputes", func() telemetry.ComponentHealth {
@@ -504,7 +499,7 @@ func awaitSuccess(sender *hybrid.Participant, hash types.Hash, what string) (*ty
 }
 
 // fundAndDeploy is the whole of StageDeployed on chain, in one block: one
-// sender sends the spec's funding to every party and, directly behind those
+// sender sends partyFunding to every party and, directly behind those
 // transfers, the on-chain contract's creation. One sender, consecutive nonces:
 // no block can carry the creation without the transfers, and nothing stops one
 // block carrying all of them — whereas a party could not deploy before a block
@@ -520,9 +515,9 @@ func awaitSuccess(sender *hybrid.Participant, hash types.Hash, what string) (*ty
 // run under faucetMu (which covers the sends and none of the waits): the
 // single-sender argument with the sender swapped, and no block for the refill
 // alone. The next session finds the shard funded.
-func (h *Hub) fundAndDeploy(t *Ticket, shard *hybrid.Participant, sess *hybrid.Session, amount *uint256.Int, gas uint64, ctorArgs []interface{}) error {
+func (h *Hub) fundAndDeploy(t *Ticket, shard *hybrid.Participant, sess *hybrid.Session, gas uint64, ctorArgs []interface{}) error {
 	addrs := sess.ParticipantAddrs()
-	need := new(uint256.Int).Mul(amount, uint256.NewInt(uint64(len(addrs))))
+	need := new(uint256.Int).Mul(partyFunding, uint256.NewInt(uint64(len(addrs))))
 	need.Add(need, eth(1)) // gas headroom, the creation's included
 	sender, label := shard, "shard"
 	cold := shard.Chain.BalanceAt(shard.Addr).Lt(need)
@@ -540,7 +535,7 @@ func (h *Hub) fundAndDeploy(t *Ticket, shard *hybrid.Participant, sess *hybrid.S
 			}
 		}
 		for i := range addrs {
-			if hashes[i], err = sender.SendTxAsync(&addrs[i], amount, 21_000, nil); err != nil {
+			if hashes[i], err = sender.SendTxAsync(&addrs[i], partyFunding, 21_000, nil); err != nil {
 				return fmt.Errorf("hub: fund %s: %w", addrs[i].Hex(), err)
 			}
 		}
@@ -577,7 +572,8 @@ func (h *Hub) fundAndDeploy(t *Ticket, shard *hybrid.Participant, sess *hybrid.S
 	return nil
 }
 
-var defaultFunding = new(uint256.Int).Mul(uint256.NewInt(5), uint256.NewInt(1e18))
+// partyFunding is the balance the faucet grants each party: 5 ether.
+var partyFunding = new(uint256.Int).Mul(uint256.NewInt(5), uint256.NewInt(1e18))
 
 // crashReport closes out a session the simulated crash tore away from its
 // worker. Only the in-memory ticket learns about it — the WAL stays
@@ -695,12 +691,14 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 		return h.crashReport(t, StageSplit)
 	}
 
-	// Fresh identities, funded by the faucet. Their scalars go to the WAL
-	// before any of them touches the chain: recovery must be able to act
-	// for these parties (file disputes, finalize) or they are lost.
+	// Fresh identities, funded by the faucet. The party record goes to the
+	// WAL before any of them touches the chain: recovery must be able to act
+	// for these parties (file disputes, finalize) or they are lost. It
+	// carries their addresses, never their keys, which recovery re-derives
+	// from the session ID.
 	parties := make([]*hybrid.Participant, split.Participants)
 	addrs := make([]types.Address, split.Participants)
-	scalars := make([][]byte, split.Participants)
+	addrBlobs := make([][]byte, split.Participants)
 	for i := range parties {
 		key, err := h.deriveKey(t.ID, i)
 		if err != nil {
@@ -715,17 +713,9 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 			}
 		}
 		addrs[i] = parties[i].Addr
-		scalars[i] = key.Bytes()
+		addrBlobs[i] = addrs[i][:]
 	}
-	h.journal.log(&store.Record{
-		Kind: store.KindParties, SID: t.ID,
-		U1: split.Policy.ChallengePeriod, U2: 0, // U2: the honest party's index
-		Blobs: scalars,
-	})
-	funding := spec.Funding
-	if funding == nil {
-		funding = defaultFunding
-	}
+	h.journal.log(&store.Record{Kind: store.KindParties, SID: t.ID, Blobs: addrBlobs})
 	if rep := h.gate(lc, StageDeployed); rep != nil {
 		return rep
 	}
@@ -744,7 +734,7 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 		gas = 3_000_000
 	}
 	ctorArgs := spec.CtorArgs(addrs, h.chain.Now())
-	if err := h.fundAndDeploy(t, shard, sess, funding, gas, ctorArgs); err != nil {
+	if err := h.fundAndDeploy(t, shard, sess, gas, ctorArgs); err != nil {
 		return fail(err)
 	}
 	rep.OnChainAddr = sess.OnChainAddr
@@ -782,7 +772,7 @@ func (h *Hub) runFromSigned(lc *lifecycle, sess *hybrid.Session, watch *Watch, s
 	// so no challenge window ever opens unobserved.
 	if watch == nil {
 		var err error
-		watch, err = h.tower.guard(sess, 0, t.ID, spec.Scenario, t.tc)
+		watch, err = h.tower.guard(sess, t.ID, spec.Scenario, t.tc)
 		if err != nil {
 			return fail(err)
 		}

@@ -23,9 +23,9 @@ type sessionState struct {
 	Terminal      bool
 	TerminalStage Stage
 
-	ChallengePeriod uint64
-	Honest          int
-	Scalars         [][]byte
+	// Parties is the session's party count. The keys themselves are never
+	// logged: recovery re-derives them from the session ID (Hub.deriveKey).
+	Parties int
 
 	Addr    types.Address
 	CopyEnc []byte
@@ -35,10 +35,6 @@ type sessionState struct {
 
 	Submitted    uint64
 	SubmittedSet bool
-
-	HasWindow                                    bool
-	WindowResult, WindowOpenedAt, WindowDeadline uint64
-	WindowSubmitter                              types.Address
 }
 
 // journal owns the WAL and its in-memory mirror. Every mutation goes
@@ -51,16 +47,10 @@ type journal struct {
 	mu           sync.Mutex
 	st           *store.Store // nil: in-memory hub, no durability
 	sessions     map[uint64]*sessionState
-	cursor       uint64
 	sidHigh      uint64 // highest session ID ever issued
 	terminals    int
 	compactEvery int
 	appendErr    error // sticky: first WAL failure poisons the journal
-	// holdCursor drops KindCursor records while Recover's chain-event
-	// replay is still pending: the live tower must not durably advance
-	// the cursor past blocks of the outage range it has not re-examined,
-	// or a second crash mid-recovery would skip them forever.
-	holdCursor bool
 	// tracer, when set, records one store-layer span per durable append
 	// (reserve through group-commit completion) under the record's SID.
 	tracer *telemetry.Tracer
@@ -72,11 +62,11 @@ type journal struct {
 	extra func() []*store.Record
 }
 
-func newJournal(st *store.Store, compactEvery int, holdCursor bool) *journal {
+func newJournal(st *store.Store, compactEvery int) *journal {
 	if compactEvery <= 0 {
 		compactEvery = 512
 	}
-	return &journal{st: st, sessions: make(map[uint64]*sessionState), compactEvery: compactEvery, holdCursor: holdCursor}
+	return &journal{st: st, sessions: make(map[uint64]*sessionState), compactEvery: compactEvery}
 }
 
 // log applies one record to the mirror and makes it durable. An append
@@ -104,10 +94,6 @@ func (j *journal) log(rec *store.Record) error {
 	if j.appendErr != nil {
 		j.mu.Unlock()
 		return j.appendErr
-	}
-	if rec.Kind == store.KindCursor && j.holdCursor {
-		j.mu.Unlock()
-		return nil
 	}
 	var wait func() error
 	var appendStart time.Time
@@ -161,10 +147,11 @@ func (j *journal) applyLocked(rec *store.Record) {
 		// a session record if the stores are ever mixed.
 		return
 	}
-	if rec.Kind == store.KindCursor {
-		if rec.U1 > j.cursor {
-			j.cursor = rec.U1
-		}
+	switch rec.Kind {
+	case store.KindCursor, store.KindWindow, store.KindDisputed:
+		// Chain facts older hubs copied into the WAL: the tower re-reads
+		// them from the chain, so old WALs still replay and these fold to
+		// nothing.
 		return
 	}
 	if rec.Kind == store.KindKeySeq {
@@ -181,16 +168,18 @@ func (j *journal) applyLocked(rec *store.Record) {
 	}
 	ss := j.sessions[rec.SID]
 	if ss == nil {
-		ss = &sessionState{ID: rec.SID, Honest: -1}
+		ss = &sessionState{ID: rec.SID}
 		j.sessions[rec.SID] = ss
 	}
 	switch rec.Kind {
 	case store.KindAccepted:
 		ss.Scenario = rec.Str
 	case store.KindParties:
-		ss.ChallengePeriod = rec.U1
-		ss.Honest = int(rec.U2)
-		ss.Scalars = rec.Blobs
+		// One blob per party: its address, or its private scalar in WALs
+		// written before keys were re-derived. Either way only the count is
+		// read (U1 and U2 carried the challenge period and the disputing
+		// party's index then; neither is read).
+		ss.Parties = len(rec.Blobs)
 	case store.KindStage:
 		ss.Stage = Stage(rec.U1)
 	case store.KindDeployed:
@@ -204,10 +193,6 @@ func (j *journal) applyLocked(rec *store.Record) {
 	case store.KindSubmitted:
 		ss.Submitted = rec.U1
 		ss.SubmittedSet = true
-	case store.KindWindow:
-		ss.HasWindow = true
-		ss.WindowResult, ss.WindowOpenedAt, ss.WindowDeadline = rec.U1, rec.U2, rec.U3
-		ss.WindowSubmitter = types.BytesToAddress(rec.Blob)
 	case store.KindTerminal:
 		ss.Terminal = true
 		ss.TerminalStage = Stage(rec.U1)
@@ -225,10 +210,7 @@ func (j *journal) stateRecordsLocked() []*store.Record {
 	if j.extra != nil {
 		out = append(out, j.extra()...)
 	}
-	out = append(out,
-		&store.Record{Kind: store.KindCursor, U1: j.cursor},
-		&store.Record{Kind: store.KindKeySeq, U2: j.sidHigh})
-	return out
+	return append(out, &store.Record{Kind: store.KindKeySeq, U2: j.sidHigh})
 }
 
 // encodeSessionState is the inverse of applyLocked for one session.
@@ -236,12 +218,10 @@ func encodeSessionState(ss *sessionState) []*store.Record {
 	recs := []*store.Record{
 		{Kind: store.KindAccepted, SID: ss.ID, Str: ss.Scenario},
 	}
-	if ss.Scalars != nil {
-		recs = append(recs, &store.Record{
-			Kind: store.KindParties, SID: ss.ID,
-			U1: ss.ChallengePeriod, U2: uint64(ss.Honest),
-			Blobs: ss.Scalars,
-		})
+	if ss.Parties > 0 {
+		// The fold reads the party count alone, so a snapshot keeps the
+		// count and not the addresses.
+		recs = append(recs, &store.Record{Kind: store.KindParties, SID: ss.ID, Blobs: make([][]byte, ss.Parties)})
 	}
 	if !ss.Addr.IsZero() {
 		recs = append(recs, &store.Record{Kind: store.KindDeployed, SID: ss.ID, Blob: ss.Addr[:]})
@@ -258,13 +238,6 @@ func encodeSessionState(ss *sessionState) []*store.Record {
 	if ss.SubmittedSet {
 		recs = append(recs, &store.Record{Kind: store.KindSubmitted, SID: ss.ID, U1: ss.Submitted})
 	}
-	if ss.HasWindow {
-		recs = append(recs, &store.Record{
-			Kind: store.KindWindow, SID: ss.ID,
-			U1: ss.WindowResult, U2: ss.WindowOpenedAt, U3: ss.WindowDeadline,
-			Blob: ss.WindowSubmitter[:],
-		})
-	}
 	recs = append(recs, &store.Record{Kind: store.KindStage, SID: ss.ID, U1: uint64(ss.Stage)})
 	return recs
 }
@@ -275,8 +248,8 @@ func encodeSessionState(ss *sessionState) []*store.Record {
 // generation's session IDs — terminal sessions included — so recovery can
 // floor its allocator (and with it the derived party keys) above all of
 // them.
-func foldRecords(recs []*store.Record) (live map[uint64]*sessionState, terminal map[uint64]Stage, cursor, sidHigh uint64) {
-	j := newJournal(nil, 0, false)
+func foldRecords(recs []*store.Record) (live map[uint64]*sessionState, terminal map[uint64]Stage, sidHigh uint64) {
+	j := newJournal(nil, 0)
 	terminal = make(map[uint64]Stage)
 	for _, rec := range recs {
 		if rec.Kind == store.KindTerminal {
@@ -284,7 +257,7 @@ func foldRecords(recs []*store.Record) (live map[uint64]*sessionState, terminal 
 		}
 		j.applyLocked(rec)
 	}
-	return j.sessions, terminal, j.cursor, j.sidHigh
+	return j.sessions, terminal, j.sidHigh
 }
 
 // live returns the number of live (non-terminal) sessions in the mirror.
@@ -304,16 +277,6 @@ func (j *journal) seed(ss *sessionState) {
 	j.sessions[ss.ID] = &cp
 }
 
-// seedCursor raises the mirror's durable block cursor (Recover installs
-// the folded cursor so a compaction snapshot never regresses it to 0).
-func (j *journal) seedCursor(v uint64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if v > j.cursor {
-		j.cursor = v
-	}
-}
-
 // seedSIDHigh raises the durable session-ID high mark. Recover calls it with
 // the allocator floor so a post-recovery compaction can never snapshot a
 // mark below IDs any generation ever issued.
@@ -323,12 +286,4 @@ func (j *journal) seedSIDHigh(v uint64) {
 	if v > j.sidHigh {
 		j.sidHigh = v
 	}
-}
-
-// releaseCursor ends the recovery cursor hold; Recover calls it after the
-// chain-event replay has covered the outage range.
-func (j *journal) releaseCursor() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.holdCursor = false
 }

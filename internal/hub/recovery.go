@@ -81,9 +81,8 @@ type RecoveredSession struct {
 // RecoverReport summarizes one Recover run.
 type RecoverReport struct {
 	Sessions []*RecoveredSession
-	// Cursor is the durable block cursor the chain-event replay started
-	// after; ReplayedTo is the head it replayed through.
-	Cursor     uint64
+	// ReplayedTo is the head the chain-event replay ran through: the
+	// guarded contracts' history is replayed from block 0 up to here.
 	ReplayedTo uint64
 }
 
@@ -107,17 +106,16 @@ func (r *RecoverReport) Resumed() []*Ticket {
 //     the WAL, not yet started) with a session-ID floor above the WAL's
 //     high mark — party keys derive from session IDs, so no dead session's
 //     keys are ever re-minted.
-//  3. Rebuild every resumable session (participants from their logged
-//     scalars, signed copy decoded and re-verified, on-chain address) and
-//     re-arm the watchtower over it, restoring its challenge window from
-//     the WAL.
-//  4. Re-examine every restored window (in rollup mode, start the
-//     sequencer, which re-posts torn epochs), then replay chain events
-//     after the durable cursor (Watchtower.CatchUp). Any fraudulent submission
-//     whose contract is not yet settled is disputed immediately — exactly
-//     once, because examinations claim the dispute per-watch and the
-//     chain's settled flag vetoes re-filing lies whose dispute already
-//     landed.
+//  3. Rebuild every resumable session (participants from keys re-derived
+//     from the session ID, signed copy decoded and re-verified, on-chain
+//     address) and re-arm the watchtower over it.
+//  4. In rollup mode, start the sequencer, which re-posts torn epochs. Then
+//     replay the guarded contracts' whole history from the chain's log
+//     index (Watchtower.CatchUp), which reopens every window in chain
+//     order. Any fraudulent submission whose contract is not yet settled is
+//     disputed immediately — exactly once, because examinations claim the
+//     dispute per-watch and the chain's settled flag vetoes re-filing lies
+//     whose dispute already landed.
 //  5. Enqueue a resume job per session so workers drive it to a terminal
 //     stage (finalizing honest submissions once their window elapses).
 //  6. Await the receipts of the abandoned sessions' sweeps, pooled back in
@@ -140,7 +138,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 	if err != nil {
 		return nil, nil, fmt.Errorf("hub: recover: %w", err)
 	}
-	live, terminal, cursor, sidFloor := foldRecords(recs)
+	live, terminal, sidFloor := foldRecords(recs)
 
 	// Refuse to start at all if the registry cannot cover a session that
 	// may still need guarding: silently abandoning a mid-challenge
@@ -148,7 +146,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 	// submission undisputed. (Sessions that are unresumable for WAL-state
 	// reasons are handled below — this gate is only about configuration.)
 	for _, ss := range live {
-		if ss.CopyEnc == nil || ss.Addr.IsZero() || ss.Scalars == nil {
+		if ss.CopyEnc == nil || ss.Addr.IsZero() || ss.Parties == 0 {
 			continue
 		}
 		if _, ok := registry[ss.Scenario]; !ok {
@@ -156,23 +154,18 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 		}
 	}
 	cfg.Store = st
-	// holdCursor: until the replay below has re-examined everything after
-	// the durable cursor, the live tower must not journal cursor advances
-	// for fresh blocks — a second crash mid-recovery would otherwise
-	// resume past outage-range events nobody ever examined.
-	h := newHub(c, net, faucetKey, cfg, sidFloor, true)
+	h := newHub(c, net, faucetKey, cfg, sidFloor)
 	// Seed the new journal with the ENTIRE folded state before the first
 	// record is logged: abandoning sessions writes terminal records, and
 	// enough of those can trigger compaction mid-recovery — which deletes
 	// the old generation's segments. At that moment the snapshot must
-	// already carry every live session and the durable cursor, or
-	// sessions not yet classified would lose their identity records (and
-	// with them, any chance of surviving a second crash). The session-ID
-	// mark likewise must never snapshot below the allocator floor.
+	// already carry every live session, or sessions not yet classified
+	// would lose their identity records (and with them, any chance of
+	// surviving a second crash). The session-ID mark likewise must never
+	// snapshot below the allocator floor.
 	for _, ss := range live {
 		h.journal.seed(ss)
 	}
-	h.journal.seedCursor(cursor)
 	h.journal.seedSIDHigh(sidFloor)
 	// Rebuild the sequencer from the WAL's rollup records now — the tower is
 	// armed with it and resumed sessions route through it — but do NOT
@@ -183,7 +176,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 		h.Stop()
 		return nil, nil, fmt.Errorf("hub: recover: rollup: %w", err)
 	}
-	report := &RecoverReport{Cursor: cursor}
+	report := &RecoverReport{}
 
 	for sid, stage := range terminal {
 		report.Sessions = append(report.Sessions, &RecoveredSession{
@@ -198,9 +191,10 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 		spec  *Spec
 	}
 	var resumables []*resumable
-	// Abandoned sessions: the WAL still holds the parties' keys, so whatever
-	// faucet funding is left in their accounts goes back before the session
-	// is closed out. (Partial deposits inside a contract are beyond reach.)
+	// Abandoned sessions: the parties' keys re-derive from the session ID,
+	// so whatever faucet funding is left in their accounts goes back before
+	// the session is closed out. (Partial deposits inside a contract are
+	// beyond reach.)
 	// The sweeps of ALL abandoned sessions are pooled here and awaited
 	// together at the end of Recover, so the block that carries them also
 	// carries the replay's disputes and the resumed sessions' next steps.
@@ -224,7 +218,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 	}
 
 	for _, ss := range sortedSessions(live) {
-		if ss.CopyEnc == nil || ss.Addr.IsZero() || ss.Scalars == nil {
+		if ss.CopyEnc == nil || ss.Addr.IsZero() || ss.Parties == 0 {
 			abandon(ss, "died before deploy/sign completed; no signed copy to act on")
 			continue
 		}
@@ -235,10 +229,6 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 		spec := registry[ss.Scenario] // presence pre-validated above
 		sess, err := h.rebuildSession(ss, spec)
 		if err == nil {
-			honest := ss.Honest
-			if honest < 0 {
-				honest = 0
-			}
 			// A recovered session starts a fresh trace: the dead process's
 			// trace ring died with it, and the WAL doesn't carry span state.
 			var rtc telemetry.TraceContext
@@ -248,67 +238,40 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 				sess.Trace = rtc
 			}
 			var watch *Watch
-			if watch, err = h.tower.guard(sess, honest, ss.ID, ss.Scenario, rtc); err == nil {
-				if ss.HasWindow {
-					watch.mu.Lock()
-					watch.window = &Window{
-						Contract:  sess.OnChainAddr,
-						Submitter: ss.WindowSubmitter,
-						Result:    ss.WindowResult,
-						OpenedAt:  ss.WindowOpenedAt,
-						Deadline:  ss.WindowDeadline,
-					}
-					watch.mu.Unlock()
-				}
+			if watch, err = h.tower.guard(sess, ss.ID, ss.Scenario, rtc); err == nil {
 				resumables = append(resumables, &resumable{ss: ss, sess: sess, watch: watch, spec: spec})
 				continue
 			}
 		}
 		// Rebuild or guard failed. If the session may have an open
-		// challenge window (a submission intent or an observed window in
-		// the WAL), abandoning it — terminal record, funds swept — would
-		// permanently unguard a possibly-fraudulent submission. That is an
+		// challenge window (a submission intent in the WAL, which always
+		// precedes the transaction), abandoning it — terminal record, funds
+		// swept — would permanently unguard a possibly-fraudulent submission. That is an
 		// operator/configuration problem (e.g. a same-named spec with a
 		// different participant set), so fail the whole recovery loudly
 		// and leave the WAL untouched for a corrected retry.
-		if ss.SubmittedSet || ss.HasWindow {
+		if ss.SubmittedSet {
 			h.Stop()
 			return nil, nil, fmt.Errorf("hub: recover: session %d (%s) may have an open challenge window but cannot be rebuilt: %v", ss.ID, ss.Scenario, err)
 		}
 		abandon(ss, err.Error())
 	}
-	// Replay-before-act, step 4: first the WAL's restored windows (events
-	// at or before the cursor the dead tower had already examined), then
-	// the chain events the dead tower never saw. The tower's live
-	// subscription has been running since newHub, so events mined from
-	// here on are handled twice at most — idempotently.
+	// Replay-before-act, step 4. In batch mode the guard loop above already
+	// re-opened every batch window whose post had landed, from the Source at
+	// the registry's postedAt; Start reconciles torn epochs against the
+	// chain, re-posting exactly the ones that never landed, and with the
+	// guard set armed each re-post — and any pooled post of the dead
+	// generation that mines meanwhile — opens its windows through its
+	// EpochPosted log. Then the replay: every guarded contract's history from
+	// block 0. The tower's live subscription has been running since newHub,
+	// so events mined from here on are handled twice at most — idempotently.
 	if h.seq != nil {
-		// Batch mode: a WAL window carries no Merkle context, so the guard
-		// loop above re-opened every batch window whose post had landed,
-		// from the Source at the registry's postedAt. Start reconciles torn
-		// epochs against the chain, re-posting exactly the ones that never
-		// landed; with the guard set armed, each re-post — and any pooled
-		// post of the dead generation that mines meanwhile — opens its
-		// windows through its EpochPosted log.
 		if err := h.seq.Start(); err != nil {
 			h.Stop()
 			return nil, nil, fmt.Errorf("hub: recover: rollup: %w", err)
 		}
-	} else {
-		for _, r := range resumables {
-			if w := r.watch.OpenWindow(); w != nil {
-				h.tower.RestoreWindow(r.watch, *w)
-			}
-		}
 	}
-	head := h.tower.CatchUp(cursor)
-	// The outage range is covered: release the cursor hold, then journal
-	// the replayed head. (Order is safe — any cursor the live loop logs
-	// in between is for a block it fully examined, and the fold takes the
-	// max.)
-	h.journal.releaseCursor()
-	h.journal.log(&store.Record{Kind: store.KindCursor, U1: head})
-	report.ReplayedTo = head
+	report.ReplayedTo = h.tower.CatchUp()
 
 	// Step 5: hand every survivor to the worker pool to finish.
 	for _, r := range resumables {
@@ -374,7 +337,7 @@ func sortedSessions(live map[uint64]*sessionState) []*sessionState {
 func (h *Hub) sendSweeps(ss *sessionState) []types.Hash {
 	gasCost := uint256.NewInt(21_000) // transfer gas at gas price 1
 	var hashes []types.Hash
-	for i := range ss.Scalars {
+	for i := 0; i < ss.Parties; i++ {
 		key, err := h.deriveKey(ss.ID, i)
 		if err != nil {
 			continue
@@ -392,16 +355,21 @@ func (h *Hub) sendSweeps(ss *sessionState) []types.Hash {
 	return hashes
 }
 
-// rebuildSession reconstructs a hybrid.Session from its durable state
-// (hybrid.RebuildSession) and re-verifies the signed copy against the
-// rebuilt participants: the hub resumes the protocol from this copy, so it
-// must be the one all parties signed.
+// rebuildSession reconstructs a hybrid.Session from its durable state and
+// the party keys re-derived from its ID (hybrid.RebuildSession), and
+// re-verifies the signed copy against the rebuilt participants: the hub
+// resumes the protocol from this copy, so it must be the one all parties
+// signed.
 func (h *Hub) rebuildSession(ss *sessionState, spec *Spec) (*hybrid.Session, error) {
 	split, err := h.split(spec)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := hybrid.RebuildSession(split, ss.Scalars, h.chain, h.net, h.ctx, ss.Addr, ss.CopyEnc)
+	keys, err := h.partyKeys(ss)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := hybrid.RebuildSession(split, keys, h.chain, h.net, h.ctx, ss.Addr, ss.CopyEnc)
 	if err != nil {
 		return nil, err
 	}
@@ -409,6 +377,20 @@ func (h *Hub) rebuildSession(ss *sessionState, spec *Spec) (*hybrid.Session, err
 		return nil, fmt.Errorf("signed copy: %v", err)
 	}
 	return sess, nil
+}
+
+// partyKeys re-derives a WAL session's party keys (see deriveKey); the WAL
+// holds only their count.
+func (h *Hub) partyKeys(ss *sessionState) ([]*secp256k1.PrivateKey, error) {
+	keys := make([]*secp256k1.PrivateKey, ss.Parties)
+	for i := range keys {
+		key, err := h.deriveKey(ss.ID, i)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = key
+	}
+	return keys, nil
 }
 
 // resumeSession drives a recovered session to a terminal stage. Where it
@@ -440,14 +422,10 @@ func (h *Hub) resumeSession(t *Ticket, ss *sessionState, sess *hybrid.Session, w
 		return fail(err)
 	}
 	if settled {
-		// Settled during the outage or by the recovery replay's dispute.
-		// Close the restored watch from chain truth: the settle event can
-		// predate the durable cursor (the dying tower examined its block
-		// and advanced the cursor before the crash), in which case neither
-		// the replay nor live delivery will ever close the window — left
-		// alone it would sit "open" in the tower forever.
+		// Settled before the crash, during the outage, or by the recovery
+		// replay's dispute. The replay delivered the settle event, so the
+		// watch is already closed; the label comes from the chain's log.
 		byDispute := settledByDispute(h.chain, sess.OnChainAddr)
-		h.tower.onSettled(watch, sess.OnChainAddr, byDispute)
 		raised, won := watch.Disputed()
 		rep.Disputed = raised
 		final := StageSettled

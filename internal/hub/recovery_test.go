@@ -1,9 +1,11 @@
 package hub
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -342,21 +344,35 @@ func addrOf(t *testing.T, gen1 []*Report, rec *RecoverReport, id uint64) types.A
 // TestFraudWhileHubDown is the deterministic liveness headline: the hub
 // dies BEFORE any result is submitted, the adversary (a counterparty —
 // crashes don't stop it) pushes a lie on-chain while no tower is alive,
-// and the recovered hub must catch it purely from the FilterLogs replay
-// after its durable cursor — the window is still open because nobody
-// could finalize during the outage. Runs under both mining policies: in
-// batch mode the fraud lands in a driver-sealed block nobody was waiting
-// on, the exact shape a real outage produces.
+// and the recovered hub must catch it purely from the replay of the
+// guarded contract's chain history — the window is still open because
+// nobody could finalize during the outage. Runs under both mining
+// policies: in batch mode the fraud lands in a driver-sealed block nobody
+// was waiting on, the exact shape a real outage produces.
 func TestFraudWhileHubDown(t *testing.T) {
 	for _, mode := range miningModes {
 		mode := mode
 		t.Run("mining="+mode, func(t *testing.T) {
-			fraudWhileHubDownRun(t, mode)
+			fraudWhileHubDownRun(t, mode, false)
 		})
 	}
 }
 
-func fraudWhileHubDownRun(t *testing.T, mode string) {
+// TestRecoverIgnoresACursorPastTheLie: the same outage, but the WAL ends
+// with a block cursor past the lie — the record older hubs wrote after
+// every block their tower examined, here stale or hostile. Recover reads
+// no cursor: it replays the guarded contract's whole history, so the lie
+// is disputed all the same.
+func TestRecoverIgnoresACursorPastTheLie(t *testing.T) {
+	for _, mode := range miningModes {
+		mode := mode
+		t.Run("mining="+mode, func(t *testing.T) {
+			fraudWhileHubDownRun(t, mode, true)
+		})
+	}
+}
+
+func fraudWhileHubDownRun(t *testing.T, mode string, cursorPastTheLie bool) {
 	c, net, faucetKey := miningWorld(t, mode)
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -379,10 +395,10 @@ func fraudWhileHubDownRun(t *testing.T, mode string) {
 		t.Fatalf("setup: session should crash at executed, got stage=%s err=%v", rep.Stage, rep.Err)
 	}
 
-	// The hub is dead. Rebuild the adversary's view straight from the WAL
-	// (its keys were circulated to every party during the protocol) and
-	// submit the flipped result with no watchtower alive.
-	live, _, _, _ := foldRecords(mustReplay(t, st))
+	// The hub is dead. Rebuild the adversary's view from the WAL and the
+	// parties' keys (the adversary holds its own) and submit the flipped
+	// result with no watchtower alive.
+	live, _, _ := foldRecords(mustReplay(t, st))
 	ss := live[tk.ID]
 	if ss == nil || ss.CopyEnc == nil {
 		t.Fatal("WAL does not carry the crashed session")
@@ -391,7 +407,11 @@ func fraudWhileHubDownRun(t *testing.T, mode string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := hybrid.RebuildSession(split, ss.Scalars, c, net, context.Background(), ss.Addr, ss.CopyEnc)
+	keys, err := h1.partyKeys(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := hybrid.RebuildSession(split, keys, c, net, context.Background(), ss.Addr, ss.CopyEnc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,8 +428,13 @@ func fraudWhileHubDownRun(t *testing.T, mode string) {
 		t.Fatalf("adversary's submission did not land: %v", err)
 	}
 	fraudBlock := c.Height()
+	if cursorPastTheLie {
+		if err := st.Append(&store.Record{Kind: store.KindCursor, U1: fraudBlock}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// Restart. The recovered tower must replay past its durable cursor,
+	// Restart. The recovered tower must replay the contract's history,
 	// find the lie, and dispute it inside the still-open window.
 	st.Close()
 	st2, err := store.Open(st.Dir(), store.Options{})
@@ -423,9 +448,6 @@ func fraudWhileHubDownRun(t *testing.T, mode string) {
 	}
 	defer h2.Stop()
 
-	if rec.Cursor >= fraudBlock {
-		t.Fatalf("durable cursor %d should be before the fraud block %d (the dead tower never saw it)", rec.Cursor, fraudBlock)
-	}
 	if rec.ReplayedTo < fraudBlock {
 		t.Fatalf("replay stopped at %d, before the fraud block %d", rec.ReplayedTo, fraudBlock)
 	}
@@ -455,10 +477,106 @@ func fraudWhileHubDownRun(t *testing.T, mode string) {
 	}
 }
 
+// TestWALHoldsNoPartyKey: the WAL carries the parties' addresses, never
+// their private keys — recovery re-derives them from the session ID. Neither
+// a crashed generation's segments nor, after its recovery and a settled and
+// a resolved session on the recovered hub, any segment or snapshot file
+// holds a party's 32-byte scalar.
+func TestWALHoldsNoPartyKey(t *testing.T) {
+	c, net, faucetKey := durableWorld(t)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h1 *Hub
+	h1 = New(c, net, faucetKey, Config{Workers: 2, Store: st, StageHook: func(sid uint64, s Stage) bool {
+		if s == StageSubmitted {
+			h1.Kill()
+		}
+		return !h1.Crashed()
+	}})
+	tickets := []*Ticket{h1.Submit(BettingSpec(4, 600, true)), h1.Submit(BettingSpec(4, 600, false))}
+	for _, tk := range tickets {
+		tk.Report()
+	}
+	h1.Stop()
+	st.Close()
+	// Every key a session of either generation derives: two parties each.
+	keys := func(h *Hub) [][]byte {
+		var out [][]byte
+		for sid := uint64(1); sid <= h.sid.Load(); sid++ {
+			for i := 0; i < 2; i++ {
+				key, err := h.deriveKey(sid, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, key.Bytes())
+			}
+		}
+		return out
+	}
+	requireNoKey(t, st.Dir(), keys(h1))
+
+	st2, err := store.Open(st.Dir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	// CompactEvery 1: every terminal writes a snapshot, and the two fresh
+	// sessions overlap, so a snapshot is written while one of them is live.
+	h2, rec, err := Recover(st2, c, net, faucetKey, Config{Workers: 2, CompactEvery: 1}, testRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Stop()
+	for _, tk := range rec.Resumed() {
+		if rep := tk.Report(); rep.Err != nil {
+			t.Fatalf("resumed session %d failed: %v", rep.ID, rep.Err)
+		}
+	}
+	for i, rep := range h2.Run([]*Spec{BettingSpec(4, 600, false), BettingSpec(4, 600, true)}) {
+		want := []Stage{StageSettled, StageResolved}[i]
+		if rep.Err != nil || rep.Stage != want {
+			t.Fatalf("fresh session %d: stage=%s err=%v, want %s", rep.ID, rep.Stage, rep.Err, want)
+		}
+	}
+	if snaps := requireNoKey(t, st2.Dir(), keys(h2)); snaps == 0 {
+		t.Error("no snapshot on disk: compaction never ran")
+	}
+}
+
+// requireNoKey scans every file of a store directory for the given scalars
+// and returns how many of the files were snapshots.
+func requireNoKey(t *testing.T, dir string, keys [][]byte) (snapshots int) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Fatal("no WAL file to scan")
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasPrefix(e.Name(), "snap-") {
+			snapshots++
+		}
+		for _, k := range keys {
+			if bytes.Contains(b, k) {
+				t.Fatalf("%s holds a party's private key", e.Name())
+			}
+		}
+	}
+	return snapshots
+}
+
 // TestRecoverReplaysFromTheIndex: Recover's chain-event replay asks the
 // chain what the live subscription asks — the guarded set and the tower's
-// topics — so it is served from the log index; the full-scan path, which
-// walks every receipt of every block in the outage range, stays cold.
+// topics, from block 0 to the head — so it is served from the log index;
+// the full-scan path, which walks every receipt of every block, stays cold.
 func TestRecoverReplaysFromTheIndex(t *testing.T) {
 	c, net, faucetKey := miningWorld(t, "auto")
 	st, err := store.Open(t.TempDir(), store.Options{})
@@ -489,14 +607,15 @@ func TestRecoverReplaysFromTheIndex(t *testing.T) {
 	}
 	defer st2.Close()
 
+	head := c.Height()
 	scanned, indexed := c.LogScanStats()
 	h2, rec, err := Recover(st2, c, net, faucetKey, Config{Workers: 1}, testRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h2.Stop()
-	if rec.ReplayedTo <= rec.Cursor {
-		t.Fatalf("replayed (%d, %d]: the outage range is empty, the test proves nothing", rec.Cursor, rec.ReplayedTo)
+	if rec.ReplayedTo < head {
+		t.Fatalf("replayed through block %d, short of the head %d at recovery", rec.ReplayedTo, head)
 	}
 	resumed := rec.Resumed()
 	if len(resumed) != 1 {
@@ -516,7 +635,8 @@ func TestRecoverReplaysFromTheIndex(t *testing.T) {
 
 // TestDurableHappyPath: with the WAL on and nothing crashing, the hub
 // behaves exactly like the in-memory one, compaction keeps the log
-// bounded, and a recovery of the quiesced store finds only terminal
+// bounded, the WAL holds no copy of a chain fact (no block cursor, no
+// window), and a recovery of the quiesced store finds only terminal
 // sessions. The recovered hub is a fully working hub: fresh sessions run
 // on it without key or ID collisions.
 func TestDurableHappyPath(t *testing.T) {
@@ -553,7 +673,13 @@ func TestDurableHappyPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	live, _, _, _ := foldRecords(mustReplay(t, st2))
+	recs := mustReplay(t, st2)
+	for _, rec := range recs {
+		if rec.Kind == store.KindCursor || rec.Kind == store.KindWindow {
+			t.Fatalf("WAL holds a %s record: the tower journals nothing", rec.Kind)
+		}
+	}
+	live, _, _ := foldRecords(recs)
 	if len(live) != 0 {
 		t.Errorf("quiesced WAL still folds to %d live sessions", len(live))
 	}
@@ -594,23 +720,21 @@ func TestDurableHappyPath(t *testing.T) {
 // (every abandoned session writes a terminal record, and a small
 // CompactEvery fires mid-loop) deletes the old generation's segments —
 // so the snapshot it writes must already carry every seeded live
-// session, the durable cursor, and the session-ID high mark, or a
-// second crash would lose them forever.
+// session and the session-ID high mark, or a second crash would lose them
+// forever.
 func TestSeededStateSurvivesCompaction(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJournal(st, 1, false) // compact on every terminal
+	j := newJournal(st, 1) // compact on every terminal
 	kept := &sessionState{
 		ID: 5, Scenario: "betting", Stage: StageSubmitted,
-		ChallengePeriod: 600, Honest: 0,
-		Scalars: [][]byte{make([]byte, 32)},
+		Parties: 2,
 		Addr:    types.BytesToAddress([]byte{0xAA}),
 		CopyEnc: []byte{0xC0},
 	}
 	j.seed(kept)
-	j.seedCursor(42)
 	j.seedSIDHigh(77)
 	// An "abandon": terminal for some other session triggers compaction,
 	// which rewrites all durable history from the mirror.
@@ -624,16 +748,13 @@ func TestSeededStateSurvivesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	live, _, cursor, sidHigh := foldRecords(mustReplay(t, st2))
+	live, _, sidHigh := foldRecords(mustReplay(t, st2))
 	got := live[kept.ID]
 	if got == nil {
 		t.Fatal("seeded session lost by mid-recovery compaction")
 	}
-	if got.Scalars == nil || got.CopyEnc == nil || got.Addr.IsZero() {
+	if got.Parties != kept.Parties || got.CopyEnc == nil || got.Addr.IsZero() {
 		t.Errorf("seeded session lost its identity records: %+v", got)
-	}
-	if cursor != 42 {
-		t.Errorf("durable cursor %d after compaction, want 42", cursor)
 	}
 	if sidHigh != 77 {
 		t.Errorf("session-ID mark %d after compaction, want 77", sidHigh)
@@ -642,26 +763,20 @@ func TestSeededStateSurvivesCompaction(t *testing.T) {
 
 // snapshotFixture is a mid-challenge session with every durable field set.
 func snapshotFixture() *sessionState {
-	ss := &sessionState{
+	return &sessionState{
 		ID: 9, Scenario: "betting/adversarial", Stage: StageSubmitted,
-		ChallengePeriod: 600, Honest: 0,
-		Scalars: [][]byte{make([]byte, 32), make([]byte, 32)},
+		Parties: 2,
 		Addr:    types.BytesToAddress([]byte{1, 2, 3}),
 		CopyEnc: []byte{0xc0}, SetupStarted: true, SetupDone: true,
 		Submitted: 1, SubmittedSet: true,
-		HasWindow: true, WindowResult: 1, WindowOpenedAt: 100, WindowDeadline: 700,
-		WindowSubmitter: types.BytesToAddress([]byte{9, 9}),
 	}
-	ss.Scalars[0][31] = 5
-	ss.Scalars[1][31] = 6
-	return ss
 }
 
 // TestSessionStateSnapshotRoundTrip pins the snapshot codec: encoding a
 // session state and folding it back must reproduce the state.
 func TestSessionStateSnapshotRoundTrip(t *testing.T) {
 	in := snapshotFixture()
-	j := newJournal(nil, 0, false)
+	j := newJournal(nil, 0)
 	for _, rec := range encodeSessionState(in) {
 		// Round-trip each record through its wire encoding too.
 		dec, err := store.DecodeRecord(rec.Encode())
@@ -679,25 +794,34 @@ func TestSessionStateSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFoldIgnoresRetiredRecords: WALs written while the tower journaled a
-// KindDisputed before filing, and while KindDeployed carried the deploy
-// block in U1, must still replay — and fold to exactly the state the same
-// WAL folds to without them, which is all Recover reads.
+// TestFoldIgnoresRetiredRecords: WALs written while the tower journaled
+// its windows, a block cursor and a KindDisputed before filing, while
+// KindDeployed carried the deploy block in U1, and while KindParties
+// carried the challenge period, the disputing party and the parties'
+// private scalars, must still replay — and fold to exactly the state the
+// same WAL folds to without them, which is all Recover reads.
 func TestFoldIgnoresRetiredRecords(t *testing.T) {
-	plain := append(encodeSessionState(snapshotFixture()), &store.Record{Kind: store.KindCursor, U1: 42})
+	plain := encodeSessionState(snapshotFixture())
 	var old []*store.Record
 	for _, rec := range plain {
 		cp := *rec
-		if cp.Kind == store.KindDeployed {
+		switch cp.Kind {
+		case store.KindDeployed:
 			cp.U1 = 17
+		case store.KindParties:
+			cp.U1, cp.U2 = 600, 0
+			cp.Blobs = [][]byte{bytes.Repeat([]byte{5}, 32), bytes.Repeat([]byte{6}, 32)}
+		case store.KindSubmitted:
+			old = append(old, &cp,
+				&store.Record{Kind: store.KindWindow, SID: cp.SID, U1: cp.U1, U2: 100, U3: 700, Blob: []byte{9, 9}},
+				&store.Record{Kind: store.KindDisputed, SID: cp.SID},
+				&store.Record{Kind: store.KindCursor, U1: 42})
+			continue
 		}
 		old = append(old, &cp)
-		if cp.Kind == store.KindWindow {
-			old = append(old, &store.Record{Kind: store.KindDisputed, SID: cp.SID})
-		}
 	}
-	if len(old) != len(plain)+1 {
-		t.Fatalf("fixture carries no window record to dispute")
+	if len(old) != len(plain)+3 {
+		t.Fatalf("fixture carries no submission to hang the retired records on")
 	}
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -709,11 +833,11 @@ func TestFoldIgnoresRetiredRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantLive, wantTerm, wantCursor, wantHigh := foldRecords(plain)
-	live, term, cursor, high := foldRecords(mustReplay(t, st))
-	if !reflect.DeepEqual(live, wantLive) || !reflect.DeepEqual(term, wantTerm) || cursor != wantCursor || high != wantHigh {
-		t.Fatalf("fold of the old WAL:\n got %+v cursor %d high %d\nwant %+v cursor %d high %d",
-			live[9], cursor, high, wantLive[9], wantCursor, wantHigh)
+	wantLive, wantTerm, wantHigh := foldRecords(plain)
+	live, term, high := foldRecords(mustReplay(t, st))
+	if !reflect.DeepEqual(live, wantLive) || !reflect.DeepEqual(term, wantTerm) || high != wantHigh {
+		t.Fatalf("fold of the old WAL:\n got %+v high %d\nwant %+v high %d",
+			live[9], high, wantLive[9], wantHigh)
 	}
 	if !reflect.DeepEqual(live[9], snapshotFixture()) {
 		t.Fatalf("fold lost state: %+v", live[9])

@@ -511,27 +511,10 @@ func TestRollupRecoveryHonest(t *testing.T) {
 	}
 }
 
-// windowRecords returns the WAL's KindWindow records per session.
-func windowRecords(t *testing.T, st *store.Store) map[uint64][]*store.Record {
-	t.Helper()
-	recs, err := st.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[uint64][]*store.Record{}
-	for _, r := range recs {
-		if r.Kind == store.KindWindow {
-			out[r.SID] = append(out[r.SID], r)
-		}
-	}
-	return out
-}
-
 // A recovered hub re-opens a resumed session's batch window at the time the
-// registry recorded for the post — in the tower and in the WAL — not at the
-// zero PostedAt of an epoch folded from the WAL. The hub dies at the
-// rolled-up hook: the epoch is posted and journaled, and the tower's cursor
-// is past its block, so no log replay reaches it.
+// registry recorded for the post, not at the zero PostedAt of an epoch
+// folded from the WAL. The hub dies at the rolled-up hook: the epoch is
+// posted and journaled.
 func TestRecoveredBatchWindowOpensAtThePostsBlockTime(t *testing.T) {
 	c, net, faucetKey := durableWorld(t)
 	c.AdvanceTime(1000)
@@ -574,19 +557,11 @@ func TestRecoveredBatchWindowOpensAtThePostsBlockTime(t *testing.T) {
 	if win := rep.Watch.OpenWindow(); win == nil || win.OpenedAt != opened || win.Deadline != deadline {
 		t.Errorf("recovered batch window %+v, want opened at %d closing at %d", win, opened, deadline)
 	}
-	wins := windowRecords(t, st)[rep.ID]
-	if len(wins) == 0 {
-		t.Fatal("no window journaled for the session")
-	}
-	if last := wins[len(wins)-1]; last.U2 != opened || last.U3 != deadline {
-		t.Errorf("last journaled window opened at %d closing at %d, want %d and %d", last.U2, last.U3, opened, deadline)
-	}
 }
 
 // Epochs folded from the WAL carry the posting time the registry recorded,
 // so a recovered sequencer evicts them like any other once their window has
-// closed — and the run that wrote the WAL journaled one window per
-// rolled-up session, not one per route the epoch reached the tower by.
+// closed.
 func TestRecoveredRollupEvictsFoldedEpochs(t *testing.T) {
 	c, net, faucetKey := durableWorld(t)
 	st, err := store.Open(t.TempDir(), store.Options{})
@@ -602,15 +577,6 @@ func TestRecoveredRollupEvictsFoldedEpochs(t *testing.T) {
 		}
 	}
 	h1.Stop()
-	wins := windowRecords(t, st)
-	if len(wins) != 2 {
-		t.Errorf("windows journaled for %d sessions, want 2", len(wins))
-	}
-	for sid, recs := range wins {
-		if len(recs) != 1 {
-			t.Errorf("session %d: %d windows journaled, want 1", sid, len(recs))
-		}
-	}
 
 	h2, _, err := Recover(st, c, net, faucetKey, cfg, testRegistry())
 	if err != nil {
@@ -640,11 +606,11 @@ func epochNumbers(eps []*rollup.Epoch) []uint64 {
 }
 
 // A lying leaf's post lands while the hub is dead, and the WAL holds the
-// seal and a tower cursor past the post's block but no landing: the tower
-// examined the block, the sequencer died before journaling the receipt. No
-// log replay reaches the post, so Recover must open the batch window from the
-// epoch the WAL sealed — and the leaf is opened and the lie enforced exactly
-// once.
+// seal but no landing — plus a block cursor past the post's block, as older
+// hubs journaled once their tower had examined a block. Recover reads no
+// cursor: it opens the batch window from the epoch the WAL sealed and
+// replays the post's log, and the leaf is opened and the lie enforced
+// exactly once.
 func TestRecoverOpensLeafWhoseLandingWasNeverJournaled(t *testing.T) {
 	c, net, faucetKey := manualWorld(t)
 	st, err := store.Open(t.TempDir(), store.Options{})
@@ -894,9 +860,9 @@ func TestBatchWindowOpensAtTheEpochsBlockTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tower := NewWatchtower(c, nil, nil, nil, inFlightSource{reg, &rollup.Epoch{Number: 0, Root: tree.Root(), Tree: tree, Leaves: leaves}})
+	tower := NewWatchtower(c, nil, nil, inFlightSource{reg, &rollup.Epoch{Number: 0, Root: tree.Root(), Tree: tree, Leaves: leaves}})
 	defer tower.Stop()
-	watch, err := tower.Guard(rep.Session, 0, "", telemetry.TraceContext{})
+	watch, err := tower.Guard(rep.Session, "", telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

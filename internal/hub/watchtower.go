@@ -8,7 +8,6 @@ import (
 	"onoffchain/internal/chain"
 	"onoffchain/internal/hybrid"
 	"onoffchain/internal/rollup"
-	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
 	"onoffchain/internal/types"
 )
@@ -33,16 +32,16 @@ import (
 // decision reached — is what it waits for before moving the shared clock,
 // so nobody can advance time past a window whose verdict is still pending.
 //
-// With a durable hub, the tower journals every window it opens and a
-// block cursor after each block it finishes, so a restarted tower knows
-// exactly which windows it was guarding and which blocks it never saw.
+// The tower keeps no durable state: the chain is its only memory. A
+// restarted tower re-guards its sessions and replays their whole history
+// from the chain's log index (CatchUp), which reopens every window in
+// chain order.
 type Watchtower struct {
 	chain   *chain.Chain
 	sub     *chain.BlockLogSubscription
 	filter  *chain.AddressSet // guarded contracts; gates log delivery chain-side
 	metrics *metrics
 	tracer  *telemetry.Tracer // nil: no spans
-	journal *journal          // the hub's WAL; nil for a standalone tower
 	wg      sync.WaitGroup
 
 	// The federation's two collaborators: Federate installs them on an
@@ -92,8 +91,6 @@ type TowerObserver interface {
 	// DisputeFiled: the dispute transactions completed; enforced reports
 	// whether the chain settled to the tower's verdict.
 	DisputeFiled(e *Watch, contract types.Address, enforced bool)
-	// BlockProcessed: the tower fully examined block n.
-	BlockProcessed(n uint64)
 }
 
 // GateDecision is a dispute gate's verdict for one open window.
@@ -120,7 +117,6 @@ type DisputeGate func(e *Watch, w Window) (GateDecision, time.Duration)
 // Watch is the watchtower's record of one guarded session.
 type Watch struct {
 	sess     *hybrid.Session
-	honest   int                    // party index the tower files disputes as
 	id       uint64                 // hub session ID (0 for sessions guarded standalone)
 	scenario string                 // spec label, for federated guard-state export
 	tc       telemetry.TraceContext // causal identity; zero when untraced
@@ -158,16 +154,20 @@ type Window struct {
 // or awaited, so any number of concurrent lies are enforced in one block.
 const sandboxSlots = 4
 
+// disputer is the party index the tower files disputes and opens leaves as:
+// party 0, which never lies (a lying representative is the last party).
+const disputer = 0
+
 // NewWatchtower starts a tower on the chain. Stop() must be called to
 // release the subscription and its goroutines. m is the hub's internal
-// metrics sink and j its WAL; external callers (the federation's standalone
-// towers) pass nil for both. tr records tower-layer spans (windows opened,
-// settlements, dispute filings); nil disables them. src, when set, arms the
+// metrics sink; external callers (the federation's standalone towers) pass
+// nil. tr records tower-layer spans (windows opened, settlements, dispute
+// filings); nil disables them. src, when set, arms the
 // tower for batch settlement: EpochPosted events on src's registry open a
 // batch window per guarded leaf, and disputes open that leaf against the
 // posted root first. Guarded sessions keep their per-session logs too, so
 // dispute resolutions still settle watches the normal way.
-func NewWatchtower(c *chain.Chain, m *metrics, tr *telemetry.Tracer, j *journal, src rollup.Source) *Watchtower {
+func NewWatchtower(c *chain.Chain, m *metrics, tr *telemetry.Tracer, src rollup.Source) *Watchtower {
 	if m == nil {
 		m = newMetrics(nil)
 	}
@@ -176,7 +176,7 @@ func NewWatchtower(c *chain.Chain, m *metrics, tr *telemetry.Tracer, j *journal,
 	// topics cross the channel, so N towers sharing a chain do not each
 	// pay to receive — and scan — every other tower's traffic. Block
 	// boundaries still arrive for every block (empty batches) to drive
-	// the durable cursor and the caught-up barrier.
+	// the caught-up barrier.
 	filter := chain.NewAddressSet()
 	w := &Watchtower{
 		chain: c,
@@ -187,7 +187,6 @@ func NewWatchtower(c *chain.Chain, m *metrics, tr *telemetry.Tracer, j *journal,
 		filter:  filter,
 		metrics: m,
 		tracer:  tr,
-		journal: j,
 		entries: make(map[types.Address]*Watch),
 		sem:     make(chan struct{}, sandboxSlots),
 		stopCh:  make(chan struct{}),
@@ -223,27 +222,27 @@ func (w *Watchtower) federated() (TowerObserver, DisputeGate) {
 func (w *Watchtower) Metrics() Snapshot { return w.metrics.snapshot() }
 
 // Guard registers a session whose on-chain contract the tower should
-// monitor. honest is the party index the tower uses to file disputes;
-// scenario labels the session's spec (federated towers gossip it so peers
-// can rebuild the guard from their SpecRegistry — pass "" when unused).
+// monitor; the tower files disputes as party 0 (see disputer). scenario
+// labels the session's spec (federated towers gossip it so peers can
+// rebuild the guard from their SpecRegistry — pass "" when unused).
 // tc is the session's causal trace context (zero when untraced), so the
 // spans a standalone tower records for it (window openings, disputes) join
 // the trace that produced the session — the federation passes the context
 // it re-hydrated from gossip. Must be called after DeployOnChain and
 // SignAndExchange (the tower needs the address and the signed copy) and
 // before any result is submitted.
-func (w *Watchtower) Guard(sess *hybrid.Session, honest int, scenario string, tc telemetry.TraceContext) (*Watch, error) {
-	return w.guard(sess, honest, 0, scenario, tc)
+func (w *Watchtower) Guard(sess *hybrid.Session, scenario string, tc telemetry.TraceContext) (*Watch, error) {
+	return w.guard(sess, 0, scenario, tc)
 }
 
-func (w *Watchtower) guard(sess *hybrid.Session, honest int, sid uint64, scenario string, tc telemetry.TraceContext) (*Watch, error) {
+func (w *Watchtower) guard(sess *hybrid.Session, sid uint64, scenario string, tc telemetry.TraceContext) (*Watch, error) {
 	if sess.OnChainAddr.IsZero() || sess.Copy == nil {
 		return nil, fmt.Errorf("hub: session not ready to guard (deploy and sign first)")
 	}
 	if !sess.Split.Policy.LifecycleEvents {
 		return nil, fmt.Errorf("hub: session's split policy has LifecycleEvents off; the watchtower cannot see its challenge windows")
 	}
-	e := &Watch{sess: sess, honest: honest, id: sid, scenario: scenario, tc: tc, settledCh: make(chan struct{})}
+	e := &Watch{sess: sess, id: sid, scenario: scenario, tc: tc, settledCh: make(chan struct{})}
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
@@ -276,9 +275,6 @@ func (e *Watch) Contract() types.Address { return e.sess.OnChainAddr }
 // Scenario returns the spec label the session was guarded under.
 func (e *Watch) Scenario() string { return e.scenario }
 
-// Honest returns the party index the tower disputes as.
-func (e *Watch) Honest() int { return e.honest }
-
 // Session exposes the guarded session. Federated towers read it to export
 // guard state (party scalars, signed copy) to their peers; treat it as
 // read-only.
@@ -295,12 +291,18 @@ func (e *Watch) Expected() (uint64, error) {
 			e.expectErr = err
 			return
 		}
-		e.expected = out.Result
-		e.mu.Lock()
-		e.expectSet = true
-		e.mu.Unlock()
+		e.setExpected(out.Result)
 	})
 	return e.expected, e.expectErr
+}
+
+// setExpected publishes the verdict. ExpectedCached reads it under e.mu, so
+// both fields are written under it too; Expected's own unlocked read is
+// ordered after this write by expectOnce.
+func (e *Watch) setExpected(v uint64) {
+	e.mu.Lock()
+	e.expected, e.expectSet = v, true
+	e.mu.Unlock()
 }
 
 // ExpectedCached returns the verdict only if it has already been computed
@@ -320,12 +322,7 @@ func (e *Watch) ExpectedCached() (uint64, bool) {
 // merely settles the contract to the same (true) outcome and costs gas —
 // it can never enforce a lie.
 func (e *Watch) SeedExpected(v uint64) {
-	e.expectOnce.Do(func() {
-		e.expected = v
-		e.mu.Lock()
-		e.expectSet = true
-		e.mu.Unlock()
-	})
+	e.expectOnce.Do(func() { e.setExpected(v) })
 }
 
 // Disputed reports whether the tower filed a dispute, and whether the
@@ -463,8 +460,8 @@ func (w *Watchtower) Watches() []*Watch {
 
 // Halt simulates the tower process dying right now (Hub.Kill, and the
 // crash-harness seam for standalone towers): block delivery keeps draining
-// but nothing is examined, journaled, or disputed, and barrier waiters are
-// released so their workers can observe the crash.
+// but nothing is examined or disputed, and barrier waiters are released so
+// their workers can observe the crash.
 func (w *Watchtower) Halt() {
 	w.mu.Lock()
 	alreadyHalted := w.halted
@@ -491,22 +488,6 @@ func (w *Watchtower) loop() {
 		for _, l := range b.Logs {
 			w.handleLog(l)
 		}
-		// The block is fully examined: durably advance the cursor, THEN
-		// publish the progress. Recovery replays from cursor+1, so a crash
-		// between examining and journaling re-examines the block — safe,
-		// because every handler is idempotent. Re-check the crash flag
-		// first: if Kill landed mid-processBlock, examine() refused to
-		// journal or dispute, so advancing the cursor would durably skip
-		// events the "dead" tower never acted on.
-		if w.isHalted() {
-			continue
-		}
-		if w.journal != nil {
-			w.journal.log(&store.Record{Kind: store.KindCursor, U1: b.Number})
-		}
-		if o, _ := w.federated(); o != nil {
-			o.BlockProcessed(b.Number)
-		}
 		w.mu.Lock()
 		if b.Number > w.processed {
 			w.processed = b.Number
@@ -525,16 +506,18 @@ func (w *Watchtower) ReplayLogs(logs []*types.Log) {
 	}
 }
 
-// CatchUp closes an outage gap: it replays blocks (after, head] with the
-// query the live subscription runs — the guarded set and towerTopics,
-// served from the chain's log index — raises the processed watermark to
-// head so the barriers see the replayed height, and returns head. A
-// restarted tower calls it once its guards are re-armed, with the durable
-// cursor; the caller journals the returned head.
-func (w *Watchtower) CatchUp(after uint64) uint64 {
+// CatchUp replays the guarded contracts' whole history, blocks [0, head],
+// with the query the live subscription runs — the guarded set and
+// towerTopics, served from the chain's log index, so it costs the guarded
+// contracts' handful of logs, not the chain's length. It raises the
+// processed watermark to head so the barriers see the replayed height, and
+// returns head. A restarted tower calls it once its guards are re-armed:
+// the replay reopens every window in chain order, and no durable record can
+// make it skip one.
+func (w *Watchtower) CatchUp() uint64 {
 	head := w.chain.Height()
 	w.ReplayLogs(w.chain.FilterLogs(chain.FilterQuery{
-		FromBlock: after + 1, ToBlock: head,
+		ToBlock:   head,
 		AddressIn: w.filter, Topics: towerTopics,
 	}))
 	w.mu.Lock()
@@ -546,10 +529,9 @@ func (w *Watchtower) CatchUp(after uint64) uint64 {
 	return head
 }
 
-// RestoreWindow re-arms a window from durable state (the WAL's or a
-// federation journal's window record) and re-examines it through the
-// dispute pipeline, exactly as if the submission had just been observed.
-// On a rollup-armed tower the restored window may be a batch window whose
+// RestoreWindow re-arms a window a federation peer gossiped and re-examines
+// it through the dispute pipeline, exactly as if the submission had just
+// been observed. On a rollup-armed tower the restored window may be a batch window whose
 // gossip outran this tower's own EpochPosted processing, so the batch
 // window and its Merkle leaf context are seeded first — otherwise the
 // dispute pipeline could file before the leaf-open context exists.
@@ -618,7 +600,7 @@ func (w *Watchtower) seedBatchWindow(e *Watch) {
 			if leaf.Contract != e.sess.OnChainAddr {
 				continue
 			}
-			if postedAt, err := w.rollupReg.PostedAt(e.sess.Parties[e.honest], ep.Number); err == nil && postedAt > 0 {
+			if postedAt, err := w.rollupReg.PostedAt(e.sess.Parties[disputer], ep.Number); err == nil && postedAt > 0 {
 				w.openBatchWindow(e, ep, i, postedAt)
 			}
 			return
@@ -678,7 +660,7 @@ func (w *Watchtower) release(addr types.Address) {
 // the dispute behind it enforces — at-most-once enforcement is arbitrated
 // by the contract's own settled flag.
 func (w *Watchtower) sendLeafOpen(e *Watch, rl *rollupLeaf) (observe func()) {
-	opener := e.sess.Parties[e.honest]
+	opener := e.sess.Parties[disputer]
 	start := time.Now()
 	hash, err := rl.reg.OpenLeafAsync(opener, rl.epoch, rl.leaf, rl.index, rl.proof, rollupLeafOpenGas)
 	return func() {
@@ -777,17 +759,17 @@ func (w *Watchtower) onSubmission(e *Watch, l *types.Log) {
 }
 
 // examine records one observed submission and ensures a dispute pipeline
-// job is driving the window. It is shared by the live path (onSubmission)
-// and recovery (RestoreWindow), and is idempotent: a submission that is
-// already settled, already disputed, or already being driven by a pending
-// job is left alone — that is what makes replay-after-restart unable to
-// double-dispute.
+// job is driving the window. It is shared by live delivery and replay
+// (onSubmission, openBatchWindow) and by gossip (RestoreWindow), and is
+// idempotent: a submission that is already settled, already disputed, or
+// already being driven by a pending job is left alone — that is what makes
+// replay-after-restart unable to double-dispute.
 func (w *Watchtower) examine(e *Watch, result, openedAt, deadline uint64, submitter types.Address) {
 	// Honor Kill at sub-block granularity too: a "dead" tower must not
-	// journal windows or file disputes for a block it was mid-way
-	// through. (A dispute transaction already sent when Kill lands is a
-	// tx-in-flight-at-crash — unavoidable, and recovery handles it via
-	// the chain's settled flag.)
+	// open windows or file disputes for a block it was mid-way through. (A
+	// dispute transaction already sent when Kill lands is a
+	// tx-in-flight-at-crash — unavoidable, and recovery handles it via the
+	// chain's settled flag.)
 	if w.isHalted() {
 		return
 	}
@@ -811,13 +793,6 @@ func (w *Watchtower) examine(e *Watch, result, openedAt, deadline uint64, submit
 	e.mu.Unlock()
 	if w.tracer != nil && (e.id != 0 || e.tc.Valid()) {
 		w.tracer.EventChild(e.tc, e.id, "tower", "window_open", fmt.Sprintf("result=%d deadline=%d", result, deadline))
-	}
-	if w.journal != nil && e.id != 0 {
-		w.journal.log(&store.Record{
-			Kind: store.KindWindow, SID: e.id,
-			U1: result, U2: openedAt, U3: deadline,
-			Blob: submitter[:],
-		})
 	}
 	if o, _ := w.federated(); o != nil {
 		o.WindowOpened(e, win)
@@ -974,7 +949,7 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 	if rl != nil {
 		observeLeafOpen = w.sendLeafOpen(e, rl)
 	}
-	_, _, err = e.sess.Dispute(e.honest)
+	_, _, err = e.sess.Dispute(disputer)
 	observeLeafOpen()
 	// Enforcement is read from the contract, never from the receipts.
 	enforced := false

@@ -708,7 +708,7 @@ func TestBindOnChainChecksDeployedCode(t *testing.T) {
 }
 
 // TestRebuildSessionHostileBytes: the durable bytes a session is rebuilt
-// from (a WAL, a gossiped guard) are untrusted — each malformation is an
+// from (a WAL, a gossiped guard's scalars) are untrusted — each malformation is an
 // error, never a panic — and the well-formed bytes rebuild a session that
 // carries the original's participants, address and signed copy.
 func TestRebuildSessionHostileBytes(t *testing.T) {
@@ -723,7 +723,15 @@ func TestRebuildSessionHostileBytes(t *testing.T) {
 	}
 	orderBytes := order.Bytes32()
 
-	sess, err := RebuildSession(orig.Split, good, fx.chain, fx.net, context.Background(), orig.OnChainAddr, enc)
+	rebuild := func(scalars [][]byte, contract types.Address, copyEnc []byte) (*Session, error) {
+		keys, err := PartyKeys(scalars)
+		if err != nil {
+			return nil, err
+		}
+		return RebuildSession(orig.Split, keys, fx.chain, fx.net, context.Background(), contract, copyEnc)
+	}
+
+	sess, err := rebuild(good, orig.OnChainAddr, enc)
 	if err != nil {
 		t.Fatalf("well-formed bytes: %v", err)
 	}
@@ -752,7 +760,7 @@ func TestRebuildSessionHostileBytes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sess, err := RebuildSession(orig.Split, tc.scalars, fx.chain, fx.net, context.Background(), tc.contract, tc.copyEnc)
+			sess, err := rebuild(tc.scalars, tc.contract, tc.copyEnc)
 			if err == nil || sess != nil {
 				t.Fatalf("got session %v, err %v; want an error", sess, err)
 			}

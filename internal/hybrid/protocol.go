@@ -69,21 +69,9 @@ func NewSession(split *SplitResult, parties []*Participant) (*Session, error) {
 	}, nil
 }
 
-// RebuildSession reconstructs a deployed, signed session from its durable
-// bytes — a hub's WAL or a federated tower's guard record: one participant
-// per logged key scalar on c (with a whisper node when net is set), every
-// receipt wait bounded by ctx, the on-chain address, and the decoded
-// signed copy. The bytes are untrusted: anything malformed is an error
-// before a participant is built. The copy's signatures are NOT verified
-// here — a caller that acts on the copy beyond disputing with it (Dispute
-// and the miners both re-check) calls Copy.Verify itself.
-func RebuildSession(split *SplitResult, scalars [][]byte, c *chain.Chain, net *whisper.Network, ctx context.Context, contract types.Address, copyEnc []byte) (*Session, error) {
-	if len(scalars) != split.Participants {
-		return nil, fmt.Errorf("hybrid: %d party scalars, split expects %d", len(scalars), split.Participants)
-	}
-	if contract.IsZero() {
-		return nil, errors.New("hybrid: rebuild: zero contract address")
-	}
+// PartyKeys parses party scalars from untrusted bytes (a federated tower's
+// guard record): each must be a 32-byte scalar in [1, n).
+func PartyKeys(scalars [][]byte) ([]*secp256k1.PrivateKey, error) {
 	keys := make([]*secp256k1.PrivateKey, len(scalars))
 	for i, sc := range scalars {
 		key, err := secp256k1.PrivateKeyFromBytes(sc)
@@ -91,6 +79,25 @@ func RebuildSession(split *SplitResult, scalars [][]byte, c *chain.Chain, net *w
 			return nil, fmt.Errorf("hybrid: party %d scalar: %w", i, err)
 		}
 		keys[i] = key
+	}
+	return keys, nil
+}
+
+// RebuildSession reconstructs a deployed, signed session from its party
+// keys — re-derived by a recovering hub, parsed from gossip by a federated
+// tower (PartyKeys) — and its durable bytes: one participant per key on c
+// (with a whisper node when net is set), every receipt wait bounded by ctx,
+// the on-chain address, and the decoded signed copy. The bytes are
+// untrusted: anything malformed is an error before a participant is built.
+// The copy's signatures are NOT verified here — a caller that acts on the
+// copy beyond disputing with it (Dispute and the miners both re-check)
+// calls Copy.Verify itself.
+func RebuildSession(split *SplitResult, keys []*secp256k1.PrivateKey, c *chain.Chain, net *whisper.Network, ctx context.Context, contract types.Address, copyEnc []byte) (*Session, error) {
+	if len(keys) != split.Participants {
+		return nil, fmt.Errorf("hybrid: %d party keys, split expects %d", len(keys), split.Participants)
+	}
+	if contract.IsZero() {
+		return nil, errors.New("hybrid: rebuild: zero contract address")
 	}
 	cp, err := DecodeSignedCopy(copyEnc)
 	if err != nil {

@@ -34,9 +34,6 @@ type Config struct {
 	// Window is the batch challenge period in chain seconds: leaves can
 	// be disputed (opened against the root) until postedAt + Window.
 	Window uint64
-	// DeployGas / PostGas bound the registry deployment and per-epoch
-	// post transactions. Defaults 3_000_000 / 2_000_000.
-	DeployGas, PostGas uint64
 	// Journal, when set, makes epoch state durable: it receives every
 	// rollup record BEFORE the action it describes (the hub passes its
 	// WAL journal here, so epochs ride the session log).
@@ -120,6 +117,12 @@ type seqMetrics struct {
 // sealed and not yet sent).
 const postWindow = 8
 
+// Gas limits of the registry's deployment and of one epoch post.
+const (
+	registryDeployGas = 3_000_000
+	epochPostGas      = 2_000_000
+)
+
 // Sequencer batches finished-session outcomes into epochs and posts one
 // rollup transaction per epoch. Two goroutines split the cycle. The seal loop
 // cuts a batch when the cap fills or the age deadline passes, journals it,
@@ -182,12 +185,6 @@ func New(cfg Config) (*Sequencer, error) {
 	}
 	if cfg.EpochAge <= 0 {
 		cfg.EpochAge = 250 * time.Millisecond
-	}
-	if cfg.DeployGas == 0 {
-		cfg.DeployGas = 3_000_000
-	}
-	if cfg.PostGas == 0 {
-		cfg.PostGas = 2_000_000
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = telemetry.Default().Layer("rollup").Logf
@@ -328,7 +325,7 @@ func (s *Sequencer) Seed(f *Folded) error {
 // the receipt, journals the registry and installs it. A registry comes
 // from here or from Seed; Start refuses to run without one.
 func (s *Sequencer) DeployRegistryAsync(deployer *hybrid.Participant) (bind func() error, err error) {
-	wait, err := DeployRegistryAsync(deployer, s.cfg.Depth, s.cfg.Party.Addr, s.cfg.Window, s.cfg.DeployGas)
+	wait, err := DeployRegistryAsync(deployer, s.cfg.Depth, s.cfg.Party.Addr, s.cfg.Window, registryDeployGas)
 	if err != nil {
 		return nil, err
 	}
@@ -646,7 +643,7 @@ func (s *Sequencer) sealAndSend() (*sentEpoch, error) {
 // the loop exists) calls it, so posts leave in seal order.
 func (s *Sequencer) send(e *Epoch, first time.Time) (*sentEpoch, error) {
 	sent := time.Now()
-	hash, err := s.registry.PostEpochAsync(s.cfg.Party, e.Root, uint64(len(e.Leaves)), s.cfg.PostGas)
+	hash, err := s.registry.PostEpochAsync(s.cfg.Party, e.Root, uint64(len(e.Leaves)), epochPostGas)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,8 @@
 // RLP-encoded write-ahead log with CRC-framed records, size-based segment
 // rotation, and snapshot compaction. The hub logs every session lifecycle
 // transition BEFORE acting on it; after a crash, hub.Recover replays the
-// log to rebuild the session table and re-arm the watchtower over every
-// challenge window that was open when the process died.
+// log to rebuild the session table and re-guard every session the chain
+// may still hold a challenge window open for.
 //
 // The store itself is deliberately dumb: it persists and replays opaque
 // Records in order. What a record MEANS — how a stream of records folds
@@ -28,10 +28,12 @@ const (
 	// Logged at Submit time, before any worker touches the session, so a
 	// crash can never silently lose a queued session.
 	KindAccepted Kind = iota + 1
-	// KindParties: the session's identity material — U1 = challenge
-	// period (seconds), U2 = honest party index, Blobs = the parties'
-	// 32-byte private scalars in participant order. (U3 carried a
-	// key-sequence mark in older WALs; it is no longer written or read.)
+	// KindParties: the session's parties — Blobs = their 20-byte addresses
+	// in participant order; only the count is read, because recovery
+	// re-derives the keys from the session ID. (Older WALs carry the
+	// parties' 32-byte private scalars in Blobs, the challenge period in
+	// U1, the disputing party's index in U2 and a key-sequence mark in U3;
+	// they still decode, and fold to the same count.)
 	KindParties
 	// KindStage: write-ahead intent — the session is ABOUT to run the
 	// stage in U1. Logged before the stage's first side effect.
@@ -58,13 +60,17 @@ const (
 	// dispute necessity from the chain (a landed dispute settles the
 	// contract); the kind stays so WALs that carry it still decode.
 	KindDisputed
-	// KindWindow: the watchtower observed an open challenge window.
-	// U1 = submitted result, U2 = opened-at (chain time), U3 = deadline.
+	// KindWindow: the watchtower observed an open challenge window
+	// (U1 = submitted result, U2 = opened-at, U3 = deadline). No longer
+	// written by hubs or towers — a restarted tower reopens windows from
+	// the chain; the kind still decodes and folds to nothing.
 	KindWindow
 	// KindTerminal: the session reached the terminal stage in U1.
 	KindTerminal
-	// KindCursor: the watchtower has durably processed every block up to
-	// and including U1. Recovery replays chain events from U1+1.
+	// KindCursor: the watchtower had processed every block up to and
+	// including U1. No longer written by hubs or towers — every catch-up
+	// replays the guarded contracts' history from block 0, so no record can
+	// make it skip an event; the kind still decodes and folds to nothing.
 	KindCursor
 	// KindKeySeq: U2 is the highest session ID ever issued. Kept as its own
 	// record so compaction (which drops terminal sessions) cannot lose the
@@ -83,11 +89,12 @@ const (
 	// that recorded membership, and folds to nothing.
 	KindFedMember
 	// KindFedGuard: guard state for one contract this tower shares duty
-	// for — enough to rebuild the session and dispute as the honest party.
-	// SID = owning hub's session ID (0 if unknown), U1 = challenge period,
-	// U2 = honest party index, Str = scenario (SpecRegistry key),
-	// Blobs[0] = 20-byte contract address, Blobs[1] = signed-copy
-	// encoding, Blobs[2:] = the parties' 32-byte private scalars.
+	// for — enough to rebuild the session and dispute as party 0.
+	// SID = owning hub's session ID (0 if unknown), Str = scenario
+	// (SpecRegistry key), Blobs[0] = 20-byte contract address, Blobs[1] =
+	// signed-copy encoding, Blobs[2:] = the parties' 32-byte private
+	// scalars. (Older records carry the challenge period in U1 and the
+	// disputing party's index in U2; neither is read.)
 	KindFedGuard
 	// KindFedWindow: a challenge window observed (locally or via gossip).
 	// U1 = submitted result, U2 = opened-at, U3 = deadline,
@@ -188,7 +195,7 @@ func (k Kind) String() string {
 // one byte each and keep the decoder schema-free.
 type Record struct {
 	Kind       Kind
-	SID        uint64 // session ID (0 for hub-wide records like cursors)
+	SID        uint64 // session ID (0 for hub-wide records like the key-seq mark)
 	U1, U2, U3 uint64
 	Blob       []byte
 	Str        string

@@ -443,8 +443,8 @@ func readFrames(path string, tolerateTail bool) ([]*Record, error) {
 // records: it seals the active segment, writes the records to a snapshot
 // covering everything up to that segment, then deletes the superseded
 // segments and older snapshots. The caller provides the folded state (the
-// store does not interpret records); the hub synthesizes one record per
-// live session plus the watchtower cursor.
+// store does not interpret records); the hub synthesizes the records of
+// every live session plus its session-ID high mark.
 func (s *Store) Compact(state []*Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -17,8 +17,7 @@ import (
 // The ranking is always taken over the FULL configured member set, and a
 // tower's rank in it is its SLOT for the contract:
 //
-//   - Slot 0 files at once (after VouchWait when the window is not its own
-//     hub's, giving the owner's verdict hint a beat to arrive).
+//   - Slot 0 files at once.
 //   - Slot k waits k*EscalateAfter after first sight of the window, then
 //     enters the filing election.
 //

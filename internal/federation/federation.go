@@ -5,20 +5,21 @@
 // undisputed — the delegated-guardian design of Celer's State Guardian
 // Network and POSE's standby watchdogs, built on this repo's own pieces.
 //
-// Each federated tower wraps a hub.Watchtower. Members gossip signed
-// whisper envelopes on a dedicated AES-GCM-encrypted topic (key derived
-// from the member set via whisper.SharedTopicKey): guard state for every
-// session a hub takes under guard (enough for a peer to rebuild the
-// session and dispute as the honest party — the fleet is one operator's
-// replicas, which is the trust model), challenge windows with the owner's
-// verdict hint, and dispute intents.
+// Each federated tower wraps a hub.Watchtower. Members gossip whisper
+// envelopes on a dedicated AES-GCM-encrypted topic (key derived from the
+// member set via whisper.SharedTopicKey): guard state for every session a
+// hub takes under guard (enough for a peer to rebuild the session and
+// dispute as the honest party — the fleet is one operator's replicas, which
+// is the trust model), and dispute intents. Windows are not gossiped: every
+// tower reads them from the chain and checks each one in its own sandbox,
+// so no peer's word can stand a tower down.
 //
 // Dispute duty is assigned per contract by rendezvous hashing over the
-// FULL member set (see assign.go): slot 0 files at once (after VouchWait
-// for a window it did not open itself), and slot k waits k*EscalateAfter
-// after first sight before it enters the filing election. No view of who
-// is alive enters the decision. Exactly-once filing stacks four
-// mechanisms: the per-watch dispute claim, the gossiped intent (a fresh
+// FULL member set (see assign.go): the gate is asked only about a window
+// the tower has verified to be a lie; slot 0 files at once, and slot k
+// waits k*EscalateAfter after first sight before it enters the filing
+// election. No view of who is alive enters the decision. Exactly-once
+// filing stacks four mechanisms: the per-watch dispute claim, the gossiped intent (a fresh
 // intent from a peer postpones escalation past the in-flight filing), the
 // staggered slots (partition-proof: towers that cannot hear each other
 // still never act at the same instant), and — the unconditional backstop —
@@ -26,12 +27,12 @@
 // Enforcement is exactly-once no matter what: the generated contract's
 // settled flag and deployedAddr guard admit a single enforcement.
 //
-// Wire = disk: the fleet gossips the store.Records it journals (guard,
-// window and intent kinds; see journal.go), so one codec serves both
-// directions. Each tower journals guard states, its own sessions' windows
-// (for the verdict hint) and closures to its own internal/store WAL; a
-// restarted member re-arms every guard from durable state and replays each
-// guarded contract's chain history from the log index. See DESIGN.md §7.
+// Wire = disk: the fleet gossips store.Records (guard and intent kinds; see
+// journal.go), the encoding its journal holds, so one codec serves both
+// directions. Each tower journals guard states and closures to its own
+// internal/store WAL; a restarted member re-arms every guard from durable
+// state and replays each guarded contract's chain history from the log
+// index. See DESIGN.md §7.
 package federation
 
 import (
@@ -67,25 +68,20 @@ type Config struct {
 	// (logged loudly — an unguardable window is the failure this package
 	// exists to prevent).
 	Registry hub.SpecRegistry
-	// Store, when set, journals guards/windows/closures so a restarted
-	// member re-arms from durable state. Each tower owns its store
-	// exclusively; never share one with a hub WAL.
+	// Store, when set, journals guards and closures so a restarted member
+	// re-arms from durable state. Each tower owns its store exclusively;
+	// never share one with a hub WAL.
 	Store *store.Store
 	// EscalateAfter is the escalation slot width: a backup in full-member
 	// slot k files no earlier than k*EscalateAfter after it first saw the
 	// window (default 750ms). Must exceed the fleet's worst-case dispute
 	// in-flight time (~2 block intervals under batch mining) or a backup
-	// can race a primary's unconfirmed filing.
+	// can race slot 0's unconfirmed filing.
 	EscalateAfter time.Duration
 	// IntentGrace extends a backup's deferral after a peer gossips a
 	// dispute intent (default 2*EscalateAfter): the peer's transactions
 	// are in flight, give them time to land before escalating past it.
 	IntentGrace time.Duration
-	// VouchWait is how long slot 0 holds an unvouched remote window
-	// before verifying it in its own sandbox (default 50ms) — the owner's
-	// verdict hint usually arrives a beat after the chain event, and
-	// honoring it saves the fleet a redundant off-chain execution.
-	VouchWait time.Duration
 	// SignGossip additionally signs every gossip envelope with the
 	// tower's secp256k1 key (whisper.PostOptions.Unsigned = false) and
 	// requires a valid per-sender signature on receive. The shared group
@@ -160,9 +156,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.IntentGrace <= 0 {
 		cfg.IntentGrace = 2 * cfg.EscalateAfter
 	}
-	if cfg.VouchWait <= 0 {
-		cfg.VouchWait = 50 * time.Millisecond
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = telemetry.Default().Layer("federation").Logf
 	}
@@ -206,7 +199,6 @@ type Tower struct {
 	mu        sync.Mutex
 	splits    map[string]*hybrid.SplitResult
 	guards    map[types.Address]*guardInfo
-	vouch     map[types.Address]uint64 // owner's verdict hint per contract
 	intents   map[types.Address]map[types.Address]*rivalIntent
 	myIntent  map[types.Address]time.Time // when THIS tower announced
 	firstSeen map[types.Address]time.Time
@@ -273,7 +265,6 @@ func newTower(c Config) (*Tower, error) {
 		cancel:    cancel,
 		splits:    make(map[string]*hybrid.SplitResult),
 		guards:    make(map[types.Address]*guardInfo),
-		vouch:     make(map[types.Address]uint64),
 		intents:   make(map[types.Address]map[types.Address]*rivalIntent),
 		myIntent:  make(map[types.Address]time.Time),
 		firstSeen: make(map[types.Address]time.Time),
@@ -323,9 +314,6 @@ func (t *Tower) attach(w *hub.Watchtower) {
 			continue
 		}
 		obs.Guarded(e, e.Contract())
-		if win := e.OpenWindow(); win != nil {
-			obs.WindowOpened(e, *win)
-		}
 	}
 	t.rearm()
 	t.inbox = t.node.Subscribe(t.topic)
@@ -336,10 +324,10 @@ func (t *Tower) attach(w *hub.Watchtower) {
 }
 
 // rearm rebuilds guard duty from the journal: fold the store, restore the
-// closed set and the owners' verdict hints, then re-guard every non-closed
-// contract. Each adoption replays its contract's whole chain history, so
-// every window reopens from the chain — the replay-before-act recipe
-// hub.Recover uses, scoped to guard duty. (A batch window opens from the
+// closed set, then re-guard every non-closed contract. Each adoption
+// replays its contract's whole chain history, so every window reopens from
+// the chain — the replay-before-act recipe hub.Recover uses, scoped to
+// guard duty. (A batch window opens from the
 // Source when the guard is taken; see Watchtower.Guard.)
 func (t *Tower) rearm() {
 	if t.cfg.Store == nil {
@@ -354,9 +342,6 @@ func (t *Tower) rearm() {
 	t.mu.Lock()
 	for c := range fs.closed {
 		t.closed[c] = true
-	}
-	for c, v := range fs.hints {
-		t.vouch[c] = v
 	}
 	t.mu.Unlock()
 	rearmed := 0
@@ -466,10 +451,10 @@ func (t *Tower) regossipLoop() {
 // whisper overlay is lossy (full subscriber buffers drop envelopes), and
 // a one-shot announcement that never arrives would silently unguard a
 // window or derail the filing election. Intents are re-posted until their
-// window settles; an owner re-posts guard state and the window record
-// (with its verdict hint) while one of its own windows is open. Receivers
-// dedup everything, so repetition costs only bandwidth — and only during
-// the handful of seconds a window is actually open.
+// window settles; an owner re-posts guard state while one of its own
+// windows is open. Receivers dedup everything, so repetition costs only
+// bandwidth — and only during the handful of seconds a window is actually
+// open.
 func (t *Tower) regossip() {
 	t.mu.Lock()
 	intents := make([]types.Address, 0, len(t.myIntent))
@@ -491,19 +476,17 @@ func (t *Tower) regossip() {
 		t.postIntent(c)
 	}
 	for _, og := range open {
-		w := og.watch.OpenWindow()
-		if w == nil {
+		if og.watch.OpenWindow() == nil {
 			continue // nothing at stake right now
 		}
 		t.post(guardRecord(og.export), og.export.Trace)
-		t.post(ownWindowRecord(og.watch, *w), og.watch.TraceCtx())
 	}
 }
 
-// checkDrops surfaces whisper envelope loss: guard, window and intent
-// gossip ride the same network as every session's traffic, so growth here
-// is the first sign a record the fleet relies on may be missing until its
-// next regossip. Only backpressure counts — TTL expiry is unrelated
+// checkDrops surfaces whisper envelope loss: guard and intent gossip ride
+// the same network as every session's traffic, so growth here is the first
+// sign a record the fleet relies on may be missing until its next
+// regossip. Only backpressure counts — TTL expiry is unrelated
 // traffic (federation gossip never carries a TTL), and warning on it
 // would spam every tower for every expired session envelope.
 func (t *Tower) checkDrops() {
@@ -515,7 +498,7 @@ func (t *Tower) checkDrops() {
 	t.mu.Unlock()
 	if grew {
 		t.metrics.dropWarnings.Inc()
-		t.cfg.Logf("federation: whisper dropped %d envelope(s) since last check (%d total) — gossip is lossy, guards/windows/intents may be missing", delta, d)
+		t.cfg.Logf("federation: whisper dropped %d envelope(s) since last check (%d total) — gossip is lossy, guards/intents may be missing", delta, d)
 	}
 }
 
@@ -558,11 +541,11 @@ func (t *Tower) handleEnvelope(env *whisper.Envelope) {
 		t.cfg.Logf("federation: malformed gossip from %s: %v", env.From.Hex(), err)
 		return
 	}
+	// Any other kind — KindFedWindow, which older members posted, among
+	// them — is ignored: windows come only from the chain.
 	switch rec.Kind {
 	case store.KindFedGuard:
 		t.handleGuardGossip(env.From, rec, env.TraceCtx())
-	case store.KindFedWindow:
-		t.handleWindowGossip(env.From, rec, env.TraceCtx())
 	case store.KindFedIntent:
 		t.handleIntentGossip(env.From, rec)
 	}
@@ -651,11 +634,7 @@ func (t *Tower) adopt(g *guardExport, journalIt bool) error {
 		return nil
 	}
 	t.guards[g.Contract] = &guardInfo{export: g, watch: watch}
-	vouched, hasVouch := t.vouch[g.Contract]
 	t.mu.Unlock()
-	if hasVouch {
-		watch.SeedExpected(vouched)
-	}
 	if journalIt {
 		t.journal.log(guardRecord(g))
 	}
@@ -704,47 +683,6 @@ func (t *Tower) rebuild(g *guardExport) (*hybrid.Session, error) {
 	return hybrid.RebuildSession(split, keys, t.cfg.Chain, nil, t.ctx, g.Contract, g.CopyEnc)
 }
 
-func (t *Tower) handleWindowGossip(from types.Address, rec *store.Record, tc telemetry.TraceContext) {
-	w, hint, err := decodeWindowRecord(rec)
-	if err != nil {
-		t.cfg.Logf("federation: window gossip from %s: %v", from.Hex(), err)
-		return
-	}
-	t.metrics.windowsMirror.Inc()
-	t.mu.Lock()
-	if _, ok := t.firstSeen[w.Contract]; !ok {
-		t.firstSeen[w.Contract] = time.Now()
-	}
-	if hint != nil {
-		t.vouch[w.Contract] = *hint
-	}
-	var adopted *hub.Watch
-	if gi := t.guards[w.Contract]; gi != nil && !gi.own {
-		adopted = gi.watch
-	}
-	t.mu.Unlock()
-	if adopted != nil {
-		if hint != nil {
-			// The owner's verdict makes this tower's own sandbox run
-			// unnecessary (see Watch.SeedExpected for why a wrong hint is
-			// enforcement-safe): an adopted guard that must file does so
-			// without re-executing the bytecode.
-			adopted.SeedExpected(*hint)
-		}
-		// Arm the window through the pipeline (idempotent): the owner's
-		// gossip can arrive before this tower has examined the block that
-		// carries the submission, and the window must not wait for it.
-		t.tower.RestoreWindow(adopted, w)
-	}
-	if !tc.Valid() {
-		tc = t.ctxOf(w.Contract)
-	}
-	if tc.Valid() {
-		t.cfg.Tracer.EventChild(tc, t.sidOf(w.Contract), "federation", "window_mirror", "from="+from.Hex())
-	}
-	t.journal.log(rec)
-}
-
 func (t *Tower) handleIntentGossip(from types.Address, rec *store.Record) {
 	if len(rec.Blob) != 20 {
 		t.cfg.Logf("federation: malformed intent gossip from %s", from.Hex())
@@ -766,9 +704,10 @@ func (t *Tower) handleIntentGossip(from types.Address, rec *store.Record) {
 }
 
 // decide is the dispute gate installed on the wrapped watchtower: it
-// answers "should THIS tower verify-and-file for this window right now".
-// See the package comment for the exactly-once argument.
-func (t *Tower) decide(e *hub.Watch, w hub.Window) (hub.GateDecision, time.Duration) {
+// times THIS tower's filing against a window its own sandbox found to be a
+// lie (0 = file now). First sight is stamped on the first call. See the
+// package comment for the exactly-once argument.
+func (t *Tower) decide(_ *hub.Watch, w hub.Window) time.Duration {
 	now := time.Now()
 	contract := w.Contract
 	t.mu.Lock()
@@ -777,36 +716,10 @@ func (t *Tower) decide(e *hub.Watch, w hub.Window) (hub.GateDecision, time.Durat
 		fs = now
 		t.firstSeen[contract] = now
 	}
-	vouched, hasVouch := t.vouch[contract]
 	t.mu.Unlock()
-
-	if e.SID() != 0 {
-		// Our own hub's session: the session worker pre-computed the
-		// verdict, so vouching costs nothing — an honest own submission
-		// needs no guard beyond the finalize the owner will run anyway.
-		if exp, ok := e.ExpectedCached(); ok && exp == w.Result {
-			return hub.GateStandDown, 0
-		}
-	} else if hasVouch && vouched == w.Result {
-		// The owner's tower vouches the submission matches its verdict.
-		// Trusting it saves a redundant sandbox execution per session per
-		// backup; the fleet is one operator's replicas, and a LYING vouch
-		// would mean the owner defrauding its own session. A fraudulent
-		// PARTICIPANT never benefits: the owner's verdict differs from the
-		// lie, so no vouch matches and every backup verifies for itself.
-		t.metrics.vouchesHonored.Inc()
-		return hub.GateStandDown, 0
-	}
 
 	slot := t.Slot(contract)
 	if slot == 0 {
-		if e.SID() == 0 && !hasVouch {
-			// Give the owner's vouch a beat before paying for a sandbox
-			// run.
-			if wait := t.cfg.VouchWait - now.Sub(fs); wait > 0 {
-				return hub.GateDefer, wait
-			}
-		}
 		// Slot 0 skips the election wait: the stagger already orders every
 		// backup k*EscalateAfter behind it, so the only theoretical rival
 		// is a backup whose first sight came that much earlier than ours —
@@ -814,13 +727,13 @@ func (t *Tower) decide(e *hub.Watch, w hub.Window) (hub.GateDecision, time.Durat
 		// race enforcement-safe. The announcement still goes out so backups
 		// extend their deferrals.
 		t.announceIntent(contract)
-		return hub.GateFile, 0
+		return 0
 	}
 	// Staggered escalation: slot k enters the election only k*EscalateAfter
 	// after first sight. The slot is a rank in the full member set, which
 	// every tower computes alike whatever gossip it can or cannot hear.
 	if wait := fs.Add(time.Duration(slot) * t.cfg.EscalateAfter).Sub(now); wait > 0 {
-		return hub.GateDefer, wait
+		return wait
 	}
 	return t.electFile(contract, slot, now)
 }
@@ -834,7 +747,7 @@ func (t *Tower) decide(e *hub.Watch, w hub.Window) (hub.GateDecision, time.Durat
 // slot (the deterministic tie-break). Deferrals re-enter here and
 // re-evaluate; a rival whose intent goes stale past IntentGrace without a
 // settlement is presumed dead mid-filing and loses its claim.
-func (t *Tower) electFile(contract types.Address, mySlot int, now time.Time) (hub.GateDecision, time.Duration) {
+func (t *Tower) electFile(contract types.Address, mySlot int, now time.Time) time.Duration {
 	t.mu.Lock()
 	myAt, announced := t.myIntent[contract]
 	if !announced {
@@ -861,25 +774,25 @@ func (t *Tower) electFile(contract types.Address, mySlot int, now time.Time) (hu
 		}
 		t.announceIntent(contract)
 		t.cfg.Tracer.EventChild(t.ctxOf(contract), t.sidOf(contract), "federation", "intent_announced", "tower="+t.self.Hex())
-		return hub.GateDefer, electionDelay
+		return electionDelay
 	}
 	if d := electionDelay - now.Sub(myAt); d > 0 {
-		return hub.GateDefer, d
+		return d
 	}
 	if rivalAhead || rivalWins {
 		// The rival files; re-check after half a grace — usually the
 		// settlement releases this job first.
-		return hub.GateDefer, t.cfg.IntentGrace / 2
+		return t.cfg.IntentGrace / 2
 	}
-	return hub.GateFile, 0
+	return 0
 }
 
 // announceIntent broadcasts that this tower has authorized a filing for
-// the contract, BEFORE the (slow) verification pass: a peer whose own
-// escalation timer expires while we are still re-executing the bytecode
-// must see a fresh intent and yield, or it would race our in-flight
-// filing. The claim path re-announces once the transactions are about to
-// go out (receivers keep the first arrival for election ordering).
+// the contract, BEFORE the filing's chain reads and transactions: a peer
+// whose own escalation timer expires meanwhile must see a fresh intent and
+// yield, or it would race our in-flight filing. The claim path
+// re-announces once the transactions are about to go out (receivers keep
+// the first arrival for election ordering).
 func (t *Tower) announceIntent(contract types.Address) {
 	t.mu.Lock()
 	if _, ok := t.myIntent[contract]; !ok {
@@ -930,35 +843,6 @@ func (o *towerObserver) Guarded(e *hub.Watch, contract types.Address) {
 	t.metrics.guardsExported.Inc()
 }
 
-// ownWindowRecord is an own session's open window with the owner's verdict
-// hint (when the session worker has computed it), as journaled and gossiped.
-func ownWindowRecord(e *hub.Watch, w hub.Window) *store.Record {
-	var hint *uint64
-	if exp, ok := e.ExpectedCached(); ok {
-		hint = &exp
-	}
-	return windowRecord(w, hint)
-}
-
-// WindowOpened journals and gossips an own session's window with the
-// owner's verdict hint, so backups can vouch instead of re-executing. An
-// adopted guard's window carries no hint, so nothing is journaled for it:
-// a restart reopens it from the chain.
-func (o *towerObserver) WindowOpened(e *hub.Watch, w hub.Window) {
-	t := o.t()
-	t.mu.Lock()
-	if _, ok := t.firstSeen[w.Contract]; !ok {
-		t.firstSeen[w.Contract] = time.Now()
-	}
-	t.mu.Unlock()
-	if e.SID() == 0 {
-		return
-	}
-	rec := ownWindowRecord(e, w)
-	t.journal.log(rec)
-	t.post(rec, e.TraceCtx())
-}
-
 // WindowClosed retires the contract everywhere: journal, mirrors, maps.
 // Settlement is chain-visible, so peers observe it themselves — no gossip.
 func (o *towerObserver) WindowClosed(contract types.Address, byDispute bool) {
@@ -971,7 +855,6 @@ func (o *towerObserver) WindowClosed(contract types.Address, byDispute bool) {
 	t.mu.Lock()
 	t.closed[contract] = true
 	delete(t.guards, contract)
-	delete(t.vouch, contract)
 	delete(t.intents, contract)
 	delete(t.myIntent, contract)
 	delete(t.firstSeen, contract)

@@ -3,6 +3,7 @@ package federation
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -92,7 +93,6 @@ func fedConfig(c *chain.Chain, net *whisper.Network, key *secp256k1.PrivateKey, 
 		// slow, and a backup must keep deferring on the fresh intent
 		// rather than racing the in-flight transactions.
 		IntentGrace: 3 * time.Second,
-		VouchWait:   30 * time.Millisecond,
 		Logf:        func(string, ...interface{}) {},
 	}
 }
@@ -141,8 +141,8 @@ func countEvents(c *chain.Chain) *eventCounts {
 // standalone towers share guard duty over a mixed honest/adversarial
 // fleet. Every session terminates correctly, every lie is disputed
 // EXACTLY once fleet-wide (one DisputeOpened per adversarial contract),
-// honest windows ride the owner's vouch (no redundant filing), and the
-// sum of per-tower filings equals the adversary count.
+// honest windows draw no filing from any tower, and the sum of per-tower
+// filings equals the adversary count.
 func TestFederationFleet(t *testing.T) {
 	for _, mode := range miningModes {
 		mode := mode
@@ -154,34 +154,17 @@ func fedFleetRun(t *testing.T, mode string) {
 	c, net, faucetKey := fedWorld(t, mode)
 	keys, members := memberKeys(t, 3)
 
-	// A backup honors the owner's vouch when it decides on a window it
-	// already holds the owner's gossip for. An honest window is open only
-	// for the few milliseconds until its owner finalizes, and a backup that
-	// heard the chain before the gossip looks again only after VouchWait (or
-	// its escalation slot) — so whether ANY vouch is honored used to be a
-	// race the test usually won. The first honest sessions to submit now
-	// hold their windows open until some backup has honored one (bounded, so
-	// a fleet that never vouches still fails the assertion below, not here).
-	var s1, s2 *Tower
-	honest := func(sid uint64) bool { return sid != 2 && sid != 5 && sid != 6 } // Run issues IDs in spec order
-	h := hub.New(c, net, faucetKey, hub.Config{Workers: 4, StageHook: func(sid uint64, s hub.Stage) bool {
-		if s == hub.StageSubmitted && honest(sid) {
-			for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-				if s1.Metrics().VouchesHonored+s2.Metrics().VouchesHonored > 0 {
-					break
-				}
-			}
-		}
-		return true
-	}})
+	h := hub.New(c, net, faucetKey, hub.Config{Workers: 4})
 	hubTower, err := AttachHub(h, fedConfig(c, net, keys[0], members))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1, err = Join(fedConfig(c, net, keys[1], members)); err != nil {
+	s1, err := Join(fedConfig(c, net, keys[1], members))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s2, err = Join(fedConfig(c, net, keys[2], members)); err != nil {
+	s2, err := Join(fedConfig(c, net, keys[2], members))
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -251,15 +234,11 @@ func fedFleetRun(t *testing.T, mode string) {
 	if int(m1.GuardsAdopted) != len(specs) || int(m2.GuardsAdopted) != len(specs) {
 		t.Errorf("standalone towers adopted %d/%d guards, want %d each", m1.GuardsAdopted, m2.GuardsAdopted, len(specs))
 	}
-	if m1.VouchesHonored+m2.VouchesHonored == 0 {
-		t.Error("no vouches honored: backups re-verified every honest window")
-	}
 	if hm.IllegalTransitions != 0 {
 		t.Errorf("hub took %d illegal transitions", hm.IllegalTransitions)
 	}
-	t.Logf("fleet: %d sessions (%d adversarial), filings hub=%d s1=%d s2=%d, vouches=%d/%d, deferrals=%d",
-		len(specs), adversarial, m0.DisputesFiled, m1.DisputesFiled, m2.DisputesFiled,
-		m1.VouchesHonored, m2.VouchesHonored, hm.DisputesDeferred)
+	t.Logf("fleet: %d sessions (%d adversarial), filings hub=%d s1=%d s2=%d, deferrals=%d",
+		len(specs), adversarial, m0.DisputesFiled, m1.DisputesFiled, m2.DisputesFiled, hm.DisputesDeferred)
 }
 
 // submittedContract finds the (single) contract with a ResultSubmitted
@@ -359,9 +338,9 @@ func fedFailoverRun(t *testing.T, mode string) {
 	// Whether the filing was an escalation depends on who the contract
 	// hashed to: if the DEAD hub holds slot 0, the filing backup must have
 	// waited out its stagger; if a standalone tower is slot 0 itself, it
-	// files as primary with no escalation.
+	// files at once with no escalation.
 	if slotOf(members, contract, members[0]) == 0 && m1.Escalations+m2.Escalations == 0 {
-		t.Error("the dead hub was the primary; the filing backup should have recorded an escalation")
+		t.Error("the dead hub held slot 0; the filing backup should have recorded an escalation")
 	}
 	ec := countEvents(c)
 	if ec.opened[contract] != 1 || ec.resolved[contract] != 1 || ec.finalized[contract] != 0 {
@@ -396,6 +375,100 @@ func fedFailoverRun(t *testing.T, mode string) {
 	ec = countEvents(c)
 	if ec.opened[contract] != 1 {
 		t.Errorf("recovery re-filed: contract %s opened %d times", contract.Hex(), ec.opened[contract])
+	}
+}
+
+// TestForgedVerdictCannotSilenceBackups: the hub's tower is dead when a lie
+// lands, and a group-key holder speaking as the hub's member has gossiped a
+// window record whose verdict hint IS the lie. A backup must not take that
+// word for the truth: every tower checks each window in its own sandbox, so
+// one backup disputes the lie — exactly once.
+func TestForgedVerdictCannotSilenceBackups(t *testing.T) {
+	for _, mode := range miningModes {
+		mode := mode
+		t.Run("mining="+mode, func(t *testing.T) { forgedVerdictRun(t, mode) })
+	}
+}
+
+func forgedVerdictRun(t *testing.T, mode string) {
+	c, net, faucetKey := fedWorld(t, mode)
+	keys, members := memberKeys(t, 3)
+
+	// The forger holds the hub member's key and the fleet key. Its record is
+	// built from raw bytes: no member writes one any more.
+	forger := net.NewNode(keys[0])
+	forge := func(e *hub.Watch) {
+		truth, err := e.Expected()
+		if err != nil {
+			t.Errorf("hub's verdict: %v", err)
+			return
+		}
+		lie := uint64(0) // the adversarial spec's flip (hub.runSession)
+		if truth == 0 {
+			lie = 1
+		}
+		parties := e.Session().Parties
+		contract, submitter, now := e.Contract(), parties[len(parties)-1].Addr, c.Now()
+		rec := &store.Record{Kind: store.KindFedWindow, U1: lie, U2: now, U3: now + 600, Blob: contract[:],
+			Blobs: [][]byte{submitter[:], binary.BigEndian.AppendUint64(nil, lie)}}
+		if _, err := forger.Post(whisper.TopicFromString(fleetLabel), rec.Encode(), whisper.PostOptions{
+			Key: whisper.SharedTopicKey(fleetLabel, members), Unsigned: true,
+		}); err != nil {
+			t.Errorf("forged post: %v", err)
+		}
+	}
+
+	var h *hub.Hub
+	var killOnce sync.Once
+	h = hub.New(c, net, faucetKey, hub.Config{Workers: 2, StageHook: func(sid uint64, s hub.Stage) bool {
+		switch s {
+		case hub.StageExecuted:
+			h.Watchtower().Halt()
+			for _, e := range h.Watchtower().Watches() {
+				forge(e)
+			}
+		case hub.StageSubmitted:
+			killOnce.Do(h.Kill)
+		}
+		return !h.Crashed()
+	}})
+	hubTower, err := AttachHub(h, fedConfig(c, net, keys[0], members))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := Join(fedConfig(c, net, keys[1], members))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s1.Stop()
+	s2, err := Join(fedConfig(c, net, keys[2], members))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Stop()
+
+	rep := h.Submit(hub.BettingSpec(4, 600, true)).Report()
+	if !errors.Is(rep.Err, hub.ErrCrashed) {
+		t.Fatalf("session should have crashed at submitted, got stage=%s err=%v", rep.Stage, rep.Err)
+	}
+	h.Stop()
+	hubTower.Kill()
+	hubTower.Stop()
+
+	contract := submittedContract(t, c)
+	waitUntil(t, 20*time.Second, "a backup's dispute of the lie the forged record vouched for", func() bool {
+		return len(c.FilterLogs(chain.FilterQuery{Address: &contract, Topic: &hybrid.TopicDisputeResolved})) > 0
+	})
+	waitUntil(t, 10*time.Second, "the filing backup's bookkeeping", func() bool {
+		return s1.Metrics().DisputesWon+s2.Metrics().DisputesWon == 1
+	})
+	if m1, m2 := s1.Metrics(), s2.Metrics(); m1.DisputesFiled+m2.DisputesFiled != 1 {
+		t.Errorf("backups filed %d+%d disputes, want exactly one", m1.DisputesFiled, m2.DisputesFiled)
+	}
+	ec := countEvents(c)
+	if ec.opened[contract] != 1 || ec.resolved[contract] != 1 || ec.finalized[contract] != 0 {
+		t.Fatalf("contract %s: opened=%d resolved=%d finalized=%d, want exactly one enforced dispute",
+			contract.Hex(), ec.opened[contract], ec.resolved[contract], ec.finalized[contract])
 	}
 }
 
@@ -918,14 +991,22 @@ func fedRollupRun(t *testing.T, mode string) {
 
 // TestHostileGossip: a holder of the group key posts bytes no member would.
 // Every record is dropped at the decoder that owns its kind — no panic, no
-// guard adopted, no window or intent recorded — and the receiver goes on
-// reading: the rogue's well-formed intents keep arriving throughout.
+// guard adopted, no intent recorded, nothing journaled — and the receiver
+// goes on reading: the rogue's well-formed intents keep arriving
+// throughout. A well-formed window record is ignored too: windows come only
+// from the chain, so it opens nothing.
 func TestHostileGossip(t *testing.T) {
 	c, net, _ := fedWorld(t, "auto")
 	keys, members := memberKeys(t, 2)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	var mu sync.Mutex
 	var logged []string
 	cfg := fedConfig(c, net, keys[0], members)
+	cfg.Store = st
 	cfg.Logf = func(format string, args ...interface{}) {
 		mu.Lock()
 		logged = append(logged, fmt.Sprintf(format, args...))
@@ -972,17 +1053,17 @@ func TestHostileGossip(t *testing.T) {
 	shortContract.Blobs[0] = contract[:19]
 	badScalar := goodGuard()
 	badScalar.Blobs[2] = bytes.Repeat([]byte{0xff}, 32) // ≥ the group order
-	shortSubmitter := windowRecord(hub.Window{Contract: contract, Result: 1, OpenedAt: 10, Deadline: 610}, nil)
-	shortSubmitter.Blobs[0] = shortSubmitter.Blobs[0][:7]
+	window := &store.Record{Kind: store.KindFedWindow, U1: 1, U2: 10, U3: 610, Blob: contract[:],
+		Blobs: [][]byte{contract[:], binary.BigEndian.AppendUint64(nil, 1)}}
 
 	hostile := map[string][]byte{
-		"random bytes":            {0xde, 0xad, 0xbe, 0xef, 0x00, 0xc1},
-		"hub-kind record":         (&store.Record{Kind: store.KindAccepted, SID: 7, Str: "betting/honest"}).Encode(),
-		"guard, two blobs":        twoBlobs.Encode(),
-		"guard, 19-byte address":  shortContract.Encode(),
-		"guard, scalar ≥ order":   badScalar.Encode(),
-		"window, short submitter": shortSubmitter.Encode(),
-		"intent, 3-byte blob":     (&store.Record{Kind: store.KindFedIntent, Blob: []byte{1, 2, 3}}).Encode(),
+		"random bytes":           {0xde, 0xad, 0xbe, 0xef, 0x00, 0xc1},
+		"hub-kind record":        (&store.Record{Kind: store.KindAccepted, SID: 7, Str: "betting/honest"}).Encode(),
+		"guard, two blobs":       twoBlobs.Encode(),
+		"guard, 19-byte address": shortContract.Encode(),
+		"guard, scalar ≥ order":  badScalar.Encode(),
+		"window, with a verdict": window.Encode(),
+		"intent, 3-byte blob":    (&store.Record{Kind: store.KindFedIntent, Blob: []byte{1, 2, 3}}).Encode(),
 	}
 	barrierSeen()
 	for _, payload := range hostile {
@@ -1005,11 +1086,22 @@ func TestHostileGossip(t *testing.T) {
 	if m.GuardsAdopted != 0 || m.Guards != 0 {
 		t.Errorf("hostile gossip adopted a guard: adopted=%d guards=%d", m.GuardsAdopted, m.Guards)
 	}
-	if m.WindowsMirror != 0 || m.IntentsSeen != barriers {
-		t.Errorf("hostile gossip was recorded: windows=%d intents=%d (%d barriers)", m.WindowsMirror, m.IntentsSeen, barriers)
+	if m.IntentsSeen != barriers {
+		t.Errorf("hostile gossip was recorded: intents=%d (%d barriers)", m.IntentsSeen, barriers)
 	}
-	if got := s0.Watchtower().Watches(); len(got) != 0 {
+	w := s0.Watchtower()
+	if got := w.Watches(); len(got) != 0 {
 		t.Errorf("tower guards %d contracts after hostile gossip, want none", len(got))
+	}
+	if open, pending := w.OpenWindows(), w.PendingDisputes(); open != 0 || pending != 0 {
+		t.Errorf("hostile gossip opened %d windows (%d pending), want none", open, pending)
+	}
+	recs, err := st.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		t.Errorf("hostile gossip was journaled: %s record", rec.Kind)
 	}
 }
 

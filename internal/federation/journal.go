@@ -1,21 +1,17 @@
 package federation
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
-	"onoffchain/internal/hub"
 	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
 	"onoffchain/internal/types"
 )
 
 // journal is the tower's durable state: the guard states it shares duty
-// for, the owners' windows with their verdict hints (its own, and those
-// gossiped to it), and which contracts have closed — enough for a
-// restarted member to re-arm every guard and replay its contract's chain
-// history. It reuses the hub's WAL store (internal/store) with
+// for and which contracts have closed — enough for a restarted member to
+// re-arm every guard and replay its contract's chain history. It reuses the hub's WAL store (internal/store) with
 // the federation record kinds; the store is this tower's own, never shared
 // with a hub WAL.
 type journal struct {
@@ -78,58 +74,13 @@ func decodeGuardRecord(rec *store.Record) (*guardExport, error) {
 	}, nil
 }
 
-// encodeHint and decodeHint are the form of the owner's verdict hint in a
-// window record: 8 bytes big-endian.
-func encodeHint(v uint64) []byte {
-	return binary.BigEndian.AppendUint64(nil, v)
-}
-
-// decodeHint returns nil for anything but a well-formed hint.
-func decodeHint(b []byte) *uint64 {
-	if len(b) != 8 {
-		return nil
-	}
-	v := binary.BigEndian.Uint64(b)
-	return &v
-}
-
-// windowRecord encodes an observed challenge window; hint, when non-nil,
-// is the owner's verdict (Blobs[1]).
-func windowRecord(w hub.Window, hint *uint64) *store.Record {
-	blobs := [][]byte{w.Submitter[:]}
-	if hint != nil {
-		blobs = append(blobs, encodeHint(*hint))
-	}
-	return &store.Record{
-		Kind: store.KindFedWindow,
-		U1:   w.Result, U2: w.OpenedAt, U3: w.Deadline,
-		Blob: w.Contract[:], Blobs: blobs,
-	}
-}
-
-func decodeWindowRecord(rec *store.Record) (w hub.Window, hint *uint64, err error) {
-	if len(rec.Blob) != 20 || len(rec.Blobs) < 1 || len(rec.Blobs[0]) != 20 {
-		return w, nil, fmt.Errorf("federation: malformed window record")
-	}
-	w = hub.Window{
-		Contract:  types.BytesToAddress(rec.Blob),
-		Submitter: types.BytesToAddress(rec.Blobs[0]),
-		Result:    rec.U1, OpenedAt: rec.U2, Deadline: rec.U3,
-	}
-	if len(rec.Blobs) > 1 {
-		hint = decodeHint(rec.Blobs[1])
-	}
-	return w, hint, nil
-}
-
-// foldState is what a federation store replays to: the latest guard and
-// the owner's latest verdict hint per contract, minus closed ones. The
-// windows themselves are not kept — a re-armed guard reopens them from the
-// chain. Member, intent and cursor records, which older journals carry,
-// fold to nothing.
+// foldState is what a federation store replays to: the latest guard per
+// contract, minus closed ones. Windows are not kept — a re-armed guard
+// reopens them from the chain. Member, intent, window and cursor records,
+// which older journals carry, fold to nothing (a window record's verdict
+// hint included).
 type foldState struct {
 	guards map[types.Address]*guardExport
-	hints  map[types.Address]uint64
 	closed map[types.Address]bool
 }
 
@@ -140,7 +91,6 @@ type foldState struct {
 func foldFederation(recs []*store.Record) *foldState {
 	fs := &foldState{
 		guards: make(map[types.Address]*guardExport),
-		hints:  make(map[types.Address]uint64),
 		closed: make(map[types.Address]bool),
 	}
 	for _, rec := range recs {
@@ -149,16 +99,11 @@ func foldFederation(recs []*store.Record) *foldState {
 			if g, err := decodeGuardRecord(rec); err == nil {
 				fs.guards[g.Contract] = g
 			}
-		case store.KindFedWindow:
-			if w, hint, err := decodeWindowRecord(rec); err == nil && hint != nil {
-				fs.hints[w.Contract] = *hint
-			}
 		case store.KindFedClosed:
 			if len(rec.Blob) == 20 {
 				c := types.BytesToAddress(rec.Blob)
 				fs.closed[c] = true
 				delete(fs.guards, c)
-				delete(fs.hints, c)
 			}
 		}
 	}

@@ -1,21 +1,22 @@
 package federation
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
-	"onoffchain/internal/hub"
 	"onoffchain/internal/store"
 )
 
 // TestFoldIgnoresIntentRecords: journals written while towers journaled
-// membership, dispute intents and a block cursor still carry KindFedMember,
-// KindFedIntent and KindCursor records. They must survive the store round
-// trip (the kinds still decode) and fold to exactly the state the same
-// journal folds to without them — which is all a re-arm reads.
+// membership, dispute intents, a block cursor and windows with the owner's
+// verdict hint still carry KindFedMember, KindFedIntent, KindCursor and
+// KindFedWindow records. They must survive the store round trip (the kinds
+// still decode) and fold to exactly the state the same journal folds to
+// without them — which is all a re-arm reads. A window folds to nothing
+// with its hint or without.
 func TestFoldIgnoresIntentRecords(t *testing.T) {
 	open, settled, member := addrN(1), addrN(2), addrN(3)
-	hint := uint64(7)
 	guard := func(sid uint64, c [20]byte) *store.Record {
 		return guardRecord(&guardExport{
 			SID: sid, Scenario: "betting/honest", Contract: c,
@@ -25,14 +26,22 @@ func TestFoldIgnoresIntentRecords(t *testing.T) {
 	intent := func(c [20]byte) *store.Record {
 		return &store.Record{Kind: store.KindFedIntent, U1: 1234, Blob: c[:], Blobs: [][]byte{member[:]}}
 	}
+	window := func(c [20]byte, hint ...byte) *store.Record {
+		blobs := [][]byte{member[:]}
+		if hint != nil {
+			blobs = append(blobs, hint)
+		}
+		return &store.Record{Kind: store.KindFedWindow, U1: 9, U2: 100, U3: 700, Blob: c[:], Blobs: blobs}
+	}
 	retired := func(c [20]byte) []*store.Record {
-		return []*store.Record{intent(c), {Kind: store.KindFedMember, Blob: member[:]}, {Kind: store.KindCursor, U1: 42}}
+		return []*store.Record{
+			intent(c), {Kind: store.KindFedMember, Blob: member[:]}, {Kind: store.KindCursor, U1: 42},
+			window(c), window(c, binary.BigEndian.AppendUint64(nil, 7)...),
+		}
 	}
 	plain := []*store.Record{
 		guard(1, open),
 		guard(2, settled),
-		windowRecord(hub.Window{Contract: open, Submitter: member, Result: 9, OpenedAt: 100, Deadline: 700}, &hint),
-		windowRecord(hub.Window{Contract: settled, Submitter: member, Result: 3, OpenedAt: 100, Deadline: 700}, &hint),
 		{Kind: store.KindFedClosed, U1: 1, Blob: settled[:]},
 	}
 	var withIntents []*store.Record
@@ -52,7 +61,7 @@ func TestFoldIgnoresIntentRecords(t *testing.T) {
 	}
 	replayed, err := st.Replay()
 	if err != nil {
-		t.Fatalf("journal with member, intent and cursor records no longer replays: %v", err)
+		t.Fatalf("journal with member, intent, cursor and window records no longer replays: %v", err)
 	}
 	if len(replayed) != len(withIntents) {
 		t.Fatalf("replayed %d records, wrote %d", len(replayed), len(withIntents))
@@ -60,12 +69,9 @@ func TestFoldIgnoresIntentRecords(t *testing.T) {
 
 	want, got := foldFederation(plain), foldFederation(replayed)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fold with member, intent and cursor records:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("fold with member, intent, cursor and window records:\n got %+v\nwant %+v", got, want)
 	}
 	if len(got.guards) != 1 || got.guards[open] == nil || !got.closed[settled] {
 		t.Fatalf("fold lost state: %+v", got)
-	}
-	if len(got.hints) != 1 || got.hints[open] != hint {
-		t.Fatalf("verdict hints %v, want %d for the open contract alone", got.hints, hint)
 	}
 }

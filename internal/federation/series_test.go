@@ -21,53 +21,51 @@ import (
 // printout. DESIGN.md §10 prints the same table. A series with no reader
 // is deleted, not listed.
 var seriesReaders = map[string]string{
-	"chain_blocks_mined_total":          "CI telemetry smoke grep",
-	"chain_txs_dropped_total":           "benchmark chain.txs_dropped",
-	"chain_mine_seconds":                "benchmark chain.mine_ms_p50; CI grep",
-	"chain_exec_seconds":                "benchmark chain.exec_ms_p50; CI grep",
-	"chain_parallel_txs_total":          "TestParallelSameSenderSequence; CI grep",
-	"chain_parallel_reexec_total":       "TestParallelSameSenderSequence",
-	"keccak_permutes_total":             "CI grep (benchmark keccak.permutes_per_session reads the same counter)",
-	"secp_glv_splits_total":             "CI grep (benchmark secp256k1.glv_splits_per_session reads the same counter)",
-	"store_append_seconds":              "benchmark store.append_ms_p50; wal_append health check; CI grep",
-	"store_fsync_seconds":               "benchmark store.fsync_ms_p50, store.fsyncs_per_session",
-	"store_batch_frames":                "benchmark store.appends_per_session, store.frames_per_commit_mean",
-	"store_bytes_total":                 "benchmark store.bytes_per_session",
-	"hub_sessions_started_total":        "TestLifecycleProperties (Hub.Metrics)",
-	"hub_sessions_completed_total":      "examples/hub printout; CI grep; benchmark verify",
-	"hub_sessions_failed_total":         "TestHubHonestLifecycle, TestLifecycleProperties",
-	"hub_disputes_raised_total":         "benchmark hub.disputes_raised; examples/hub printout",
-	"hub_disputes_won_total":            "benchmark hub.disputes_won; examples/hub printout",
-	"hub_disputes_deferred_total":       "benchmark hub.disputes_deferred",
-	"hub_submissions_seen_total":        "examples/hub printout; TestHubHonestLifecycle",
-	"hub_sessions_recovered_total":      "examples/hub printout; TestCrashRecoveryAtEveryStage",
-	"hub_sessions_abandoned_total":      "TestCrashRecoveryAtEveryStage",
-	"hub_illegal_transitions_total":     "benchmark verify (must stay 0)",
-	"hub_settle_txs_total":              "examples/hub printout; CI rollup smoke grep",
-	"hub_settle_gas_total":              "examples/hub printout; CI rollup smoke grep",
-	"hub_rollup_leaves_opened_total":    "benchmark rollup.leaves_opened; CI rollup smoke grep",
-	"hub_stage_seconds":                 "examples/hub printout; CI grep",
-	"whisper_posts_total":               "benchmark whisper.posts_per_session; whisper_drops health check; CI grep",
-	"whisper_dropped_total":             "benchmark whisper.dropped; whisper_drops health check",
-	"rollup_epochs_total":               "benchmark rollup.epochs; TestRollupHonestBatch; CI grep",
-	"rollup_leaves_total":               "benchmark rollup.leaves_per_epoch_mean; TestRollupHonestBatch; CI grep",
-	"rollup_post_gas_total":             "benchmark rollup.post_gas_per_session; CI grep",
-	"rollup_epoch_seconds":              "benchmark rollup.epoch_ms_p50",
-	"federation_guards_exported_total":  "TestFederationFleet",
-	"federation_guards_adopted_total":   "benchmark federation.guards_adopted",
-	"federation_windows_mirrored_total": "TestHostileGossip",
-	"federation_vouches_honored_total":  "benchmark federation.vouches_honored",
-	"federation_intents_seen_total":     "benchmark federation.intents_seen",
-	"federation_escalations_total":      "benchmark federation.escalations",
-	"federation_disputes_filed_total":   "benchmark federation.disputes_filed",
-	"federation_disputes_won_total":     "benchmark federation.disputes_won",
-	"federation_drop_warnings_total":    "TestFederationDropWarning",
-	"federation_sig_rejected_total":     "TestSignedGossip",
-	"go_goroutines":                     "CI grep",
-	"go_heap_alloc_bytes":               "TestRegisterRuntimeMetrics",
-	"telemetry_flight_written_total":    "TestFlightRecorderMetricsAndTee; CI grep",
-	"telemetry_flight_dropped_total":    "TestFlightRecorderMetricsAndTee",
-	"telemetry_slo_breaches_total":      "TestHealthBreachCounter",
+	"chain_blocks_mined_total":         "CI telemetry smoke grep",
+	"chain_txs_dropped_total":          "benchmark chain.txs_dropped",
+	"chain_mine_seconds":               "benchmark chain.mine_ms_p50; CI grep",
+	"chain_exec_seconds":               "benchmark chain.exec_ms_p50; CI grep",
+	"chain_parallel_txs_total":         "TestParallelSameSenderSequence; CI grep",
+	"chain_parallel_reexec_total":      "TestParallelSameSenderSequence",
+	"keccak_permutes_total":            "CI grep (benchmark keccak.permutes_per_session reads the same counter)",
+	"secp_glv_splits_total":            "CI grep (benchmark secp256k1.glv_splits_per_session reads the same counter)",
+	"store_append_seconds":             "benchmark store.append_ms_p50; wal_append health check; CI grep",
+	"store_fsync_seconds":              "benchmark store.fsync_ms_p50, store.fsyncs_per_session",
+	"store_batch_frames":               "benchmark store.appends_per_session, store.frames_per_commit_mean",
+	"store_bytes_total":                "benchmark store.bytes_per_session",
+	"hub_sessions_started_total":       "TestLifecycleProperties (Hub.Metrics)",
+	"hub_sessions_completed_total":     "examples/hub printout; CI grep; benchmark verify",
+	"hub_sessions_failed_total":        "TestHubHonestLifecycle, TestLifecycleProperties",
+	"hub_disputes_raised_total":        "benchmark hub.disputes_raised; examples/hub printout",
+	"hub_disputes_won_total":           "benchmark hub.disputes_won; examples/hub printout",
+	"hub_disputes_deferred_total":      "benchmark hub.disputes_deferred",
+	"hub_submissions_seen_total":       "examples/hub printout; TestHubHonestLifecycle",
+	"hub_sessions_recovered_total":     "examples/hub printout; TestCrashRecoveryAtEveryStage",
+	"hub_sessions_abandoned_total":     "TestCrashRecoveryAtEveryStage",
+	"hub_illegal_transitions_total":    "benchmark verify (must stay 0)",
+	"hub_settle_txs_total":             "examples/hub printout; CI rollup smoke grep",
+	"hub_settle_gas_total":             "examples/hub printout; CI rollup smoke grep",
+	"hub_rollup_leaves_opened_total":   "benchmark rollup.leaves_opened; CI rollup smoke grep",
+	"hub_stage_seconds":                "examples/hub printout; CI grep",
+	"whisper_posts_total":              "benchmark whisper.posts_per_session; whisper_drops health check; CI grep",
+	"whisper_dropped_total":            "benchmark whisper.dropped; whisper_drops health check",
+	"rollup_epochs_total":              "benchmark rollup.epochs; TestRollupHonestBatch; CI grep",
+	"rollup_leaves_total":              "benchmark rollup.leaves_per_epoch_mean; TestRollupHonestBatch; CI grep",
+	"rollup_post_gas_total":            "benchmark rollup.post_gas_per_session; CI grep",
+	"rollup_epoch_seconds":             "benchmark rollup.epoch_ms_p50",
+	"federation_guards_exported_total": "TestFederationFleet",
+	"federation_guards_adopted_total":  "benchmark federation.guards_adopted",
+	"federation_intents_seen_total":    "benchmark federation.intents_seen",
+	"federation_escalations_total":     "benchmark federation.escalations",
+	"federation_disputes_filed_total":  "benchmark federation.disputes_filed",
+	"federation_disputes_won_total":    "benchmark federation.disputes_won",
+	"federation_drop_warnings_total":   "TestFederationDropWarning",
+	"federation_sig_rejected_total":    "TestSignedGossip",
+	"go_goroutines":                    "CI grep",
+	"go_heap_alloc_bytes":              "TestRegisterRuntimeMetrics",
+	"telemetry_flight_written_total":   "TestFlightRecorderMetricsAndTee; CI grep",
+	"telemetry_flight_dropped_total":   "TestFlightRecorderMetricsAndTee",
+	"telemetry_slo_breaches_total":     "TestHealthBreachCounter",
 }
 
 // TestSeriesHaveReaders builds the whole fleet on one registry — chain,

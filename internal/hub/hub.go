@@ -131,7 +131,7 @@ type Config struct {
 	// harness is built on this hook (typically combined with Kill).
 	StageHook func(sid uint64, s Stage) bool
 	// Telemetry, when set, is the registry the hub publishes its series
-	// into (hub_sessions_*, hub_stage_seconds, hub_queue_depth, ...), so
+	// into (hub_sessions_*, hub_stage_seconds, hub_disputes_*, ...), so
 	// one /metrics scrape covers every component sharing the registry.
 	// When nil the hub keeps a private registry: Metrics()/Snapshot keep
 	// working, nothing is exported, and no goroutine or listener starts.

@@ -1,7 +1,6 @@
 package hub
 
 import (
-	"runtime"
 	"testing"
 
 	"onoffchain/internal/chain"
@@ -110,38 +109,6 @@ func TestWatchtowerAutoDispute(t *testing.T) {
 	m := h.Metrics()
 	if m.DisputesRaised != 1 || m.DisputesWon != 1 {
 		t.Errorf("disputes raised=%d won=%d, want 1/1", m.DisputesRaised, m.DisputesWon)
-	}
-}
-
-// TestWatchExpectedRacesExpectedCached: a verdict is published — computed by
-// Expected or seeded by SeedExpected — while another goroutine polls
-// ExpectedCached, as the federation's gate does for the hub's own sessions.
-// Run under -race: the publication must happen under the watch's lock.
-func TestWatchExpectedRacesExpectedCached(t *testing.T) {
-	h, _ := newTestHub(t, 1)
-	rep := h.Submit(BettingSpec(4, 600, false)).Report()
-	if rep.Err != nil {
-		t.Fatalf("session failed: %v", rep.Err)
-	}
-	for name, publish := range map[string]func(e *Watch){
-		"Expected":     func(e *Watch) { e.Expected() },
-		"SeedExpected": func(e *Watch) { e.SeedExpected(rep.Result) },
-	} {
-		e := &Watch{sess: rep.Session}
-		got := make(chan uint64)
-		go func() {
-			for {
-				if v, ok := e.ExpectedCached(); ok {
-					got <- v
-					return
-				}
-				runtime.Gosched()
-			}
-		}()
-		publish(e)
-		if v := <-got; v != rep.Result {
-			t.Errorf("%s: ExpectedCached read %d, want %d", name, v, rep.Result)
-		}
 	}
 }
 

@@ -20,7 +20,7 @@ type metrics struct {
 	sessionsFailed    *telemetry.Counter
 	disputesRaised    *telemetry.Counter
 	disputesWon       *telemetry.Counter
-	disputesDeferred  *telemetry.Counter // gate deferrals (another tower is primary)
+	disputesDeferred  *telemetry.Counter // gate deferrals (slot 0 or a rival filer goes first)
 	submissionsSeen   *telemetry.Counter // submissions the watchtower examined
 
 	sessionsRecovered  *telemetry.Counter // sessions resumed from the WAL by Recover

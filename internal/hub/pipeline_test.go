@@ -10,25 +10,23 @@ import (
 )
 
 // TestDisputeGateHoldsBarrier pins the async pipeline's safety seam: a
-// window whose dispute decision is deferred by the gate keeps the
-// caught-up barrier held (nobody may advance the clock past an undecided
-// window), and releasing the gate lets the dispute file and the barrier
-// fall.
+// lie whose filing the gate defers keeps the caught-up barrier held (nobody
+// may advance the clock past an undecided window), and releasing the gate
+// lets the dispute file and the barrier fall. The gate sees lies only: the
+// tower verifies first, so a clean window never reaches it.
 func TestDisputeGateHoldsBarrier(t *testing.T) {
 	c, net, faucetKey := miningWorld(t, "auto")
 	var release atomic.Bool
-	var deferred atomic.Int64
-	gate := func(e *Watch, w Window) (GateDecision, time.Duration) {
-		if e.SID() != 0 {
-			if exp, ok := e.ExpectedCached(); ok && exp == w.Result {
-				return GateStandDown, 0 // honest windows don't hold the barrier
-			}
+	var deferred, clean atomic.Int64
+	gate := func(e *Watch, w Window) time.Duration {
+		if exp, err := e.Expected(); err != nil || exp == w.Result {
+			clean.Add(1)
 		}
 		if release.Load() {
-			return GateFile, 0
+			return 0
 		}
 		deferred.Add(1)
-		return GateDefer, 5 * time.Millisecond
+		return 5 * time.Millisecond
 	}
 	h := New(c, net, faucetKey, Config{Workers: 2})
 	defer h.Stop()
@@ -58,6 +56,9 @@ func TestDisputeGateHoldsBarrier(t *testing.T) {
 	}
 	if m.DisputesRaised != 1 || m.DisputesWon != 1 {
 		t.Errorf("disputes raised/won = %d/%d, want 1/1", m.DisputesRaised, m.DisputesWon)
+	}
+	if n := clean.Load(); n != 0 {
+		t.Errorf("the gate was asked %d times about a window the tower's own verdict matches", n)
 	}
 }
 

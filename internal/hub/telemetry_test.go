@@ -146,11 +146,11 @@ func TestTowerDisputesHealth(t *testing.T) {
 	h := New(c, net, faucetKey, Config{Workers: held, Telemetry: reg})
 	defer h.Stop()
 	var release atomic.Bool
-	h.tower.Federate(nil, func(*Watch, Window) (GateDecision, time.Duration) {
+	h.tower.Federate(nil, func(*Watch, Window) time.Duration {
 		if release.Load() {
-			return GateFile, 0
+			return 0
 		}
-		return GateDefer, 5 * time.Millisecond
+		return 5 * time.Millisecond
 	})
 	status := func() telemetry.HealthStatus {
 		return reg.HealthReport().Components["tower_disputes"].Status

@@ -22,9 +22,10 @@ import (
 //
 // Dispute filing is asynchronous: the event loop never transacts. Every
 // open window is handed to the dispute pipeline — a pacer goroutine per
-// undecided window that consults the dispute gate (federation arbitration;
-// absent a gate the answer is always "file now"), verifies on one of a
-// bounded set of sandbox slots, and files with the slot already released.
+// undecided window that verifies first, on one of a bounded set of sandbox
+// slots, and only when the submission disagrees with that verdict consults
+// the dispute gate (federation arbitration; absent a gate the answer is
+// always "file now") and files with the slot already released.
 // Two barriers read the pipeline, one per
 // invariant (DESIGN.md §4): WaitVerdict(e, h) — block ≤ h examined and
 // THIS watch's decision reached — is what a session owner waits for
@@ -80,8 +81,6 @@ type Watchtower struct {
 type TowerObserver interface {
 	// Guarded: the tower took a session's contract under guard.
 	Guarded(e *Watch, contract types.Address)
-	// WindowOpened: a submission opened (or refreshed) a challenge window.
-	WindowOpened(e *Watch, w Window)
 	// WindowClosed: the contract settled — by dispute resolution when
 	// byDispute, by unchallenged finalization otherwise.
 	WindowClosed(contract types.Address, byDispute bool)
@@ -93,26 +92,14 @@ type TowerObserver interface {
 	DisputeFiled(e *Watch, contract types.Address, enforced bool)
 }
 
-// GateDecision is a dispute gate's verdict for one open window.
-type GateDecision int
-
-const (
-	// GateFile: verify the submission now and file on a mismatch.
-	GateFile GateDecision = iota
-	// GateDefer: another guard is responsible right now; ask again after
-	// the returned delay. The window stays pending (the caught-up barrier
-	// stays held) until a later decision files or the contract settles.
-	GateDefer
-	// GateStandDown: this tower is permanently not responsible for the
-	// window (e.g. its owner vouched for the submission); release it.
-	GateStandDown
-)
-
-// DisputeGate arbitrates whether THIS tower should act on an open window
-// right now. A nil gate means always GateFile — the single-tower hub's
-// behavior. The federation installs a gate that defers to the window's
-// assigned primary and escalates on staggered timeouts.
-type DisputeGate func(e *Watch, w Window) (GateDecision, time.Duration)
+// DisputeGate times the filing against a window this tower has already
+// verified to be a lie: 0 means file now, a positive delay means another
+// guard is responsible right now — ask again after it. The window stays
+// pending (the caught-up barrier stays held) until a later answer files or
+// the contract settles. A nil gate always answers 0 — the single-tower
+// hub's behavior. The federation installs a gate that defers to the
+// window's slot 0 and escalates on staggered timeouts.
+type DisputeGate func(e *Watch, w Window) time.Duration
 
 // Watch is the watchtower's record of one guarded session.
 type Watch struct {
@@ -124,7 +111,6 @@ type Watch struct {
 	expectOnce sync.Once
 	expected   uint64
 	expectErr  error
-	expectSet  bool
 
 	mu               sync.Mutex
 	window           *Window
@@ -141,11 +127,10 @@ type Watch struct {
 
 // Window is an open challenge window: a submission awaiting finalization.
 type Window struct {
-	Contract  types.Address
-	Submitter types.Address
-	Result    uint64
-	OpenedAt  uint64 // submission block timestamp
-	Deadline  uint64 // OpenedAt + challenge period
+	Contract types.Address
+	Result   uint64
+	OpenedAt uint64 // submission block timestamp
+	Deadline uint64 // OpenedAt + challenge period
 }
 
 // sandboxSlots bounds the tower's concurrent sandbox runs — the private
@@ -291,38 +276,9 @@ func (e *Watch) Expected() (uint64, error) {
 			e.expectErr = err
 			return
 		}
-		e.setExpected(out.Result)
+		e.expected = out.Result
 	})
 	return e.expected, e.expectErr
-}
-
-// setExpected publishes the verdict. ExpectedCached reads it under e.mu, so
-// both fields are written under it too; Expected's own unlocked read is
-// ordered after this write by expectOnce.
-func (e *Watch) setExpected(v uint64) {
-	e.mu.Lock()
-	e.expected, e.expectSet = v, true
-	e.mu.Unlock()
-}
-
-// ExpectedCached returns the verdict only if it has already been computed
-// — it never runs the sandbox. The federation's gate uses it to vouch for
-// the hub's own sessions without charging backups a re-execution.
-func (e *Watch) ExpectedCached() (uint64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.expected, e.expectSet
-}
-
-// SeedExpected installs a verdict obtained out-of-band (the session
-// owner's gossiped hint) so a later Expected() never runs the sandbox.
-// No-op once a verdict exists. Seeding an untrusted value is SAFE for
-// enforcement: a dispute's resolution makes the miners recompute the
-// result from the signed bytecode, so a dispute filed on a wrong hint
-// merely settles the contract to the same (true) outcome and costs gas —
-// it can never enforce a lie.
-func (e *Watch) SeedExpected(v uint64) {
-	e.expectOnce.Do(func() { e.setExpected(v) })
 }
 
 // Disputed reports whether the tower filed a dispute, and whether the
@@ -363,7 +319,7 @@ func (e *Watch) OpenWindow() *Window {
 
 // WaitVerdict blocks until the tower has fully processed every block up to
 // and including height h AND reached its dispute decision for this one
-// watch — filed-and-enforced, verified clean, stood down, or settled by
+// watch — filed-and-enforced, verified clean or unverifiable, or settled by
 // someone else. It is the barrier a session owner needs before REPORTING:
 // once it returns for h ≥ the submission's block, a lie in that submission
 // has already been enforced against, whatever other sessions' disputes are
@@ -429,8 +385,8 @@ func (w *Watchtower) OpenWindows() int {
 }
 
 // Stop unsubscribes, drains the event loop, winds down undecided dispute
-// pacers (a deferred window is abandoned — durable state lets a restart
-// re-arm it) and waits for in-flight dispute filings to complete.
+// pacers (a deferred window is abandoned — a restart re-arms it from the
+// chain, see CatchUp) and waits for in-flight dispute filings to complete.
 func (w *Watchtower) Stop() {
 	w.sub.Unsubscribe()
 	w.wg.Wait()
@@ -529,17 +485,6 @@ func (w *Watchtower) CatchUp() uint64 {
 	return head
 }
 
-// RestoreWindow re-arms a window a federation peer gossiped and re-examines
-// it through the dispute pipeline, exactly as if the submission had just
-// been observed. On a rollup-armed tower the restored window may be a batch window whose
-// gossip outran this tower's own EpochPosted processing, so the batch
-// window and its Merkle leaf context are seeded first — otherwise the
-// dispute pipeline could file before the leaf-open context exists.
-func (w *Watchtower) RestoreWindow(e *Watch, win Window) {
-	w.seedBatchWindow(e)
-	w.examine(e, win.Result, win.OpenedAt, win.Deadline, win.Submitter)
-}
-
 // rollupLeafOpenGas bounds one openLeaf transaction: a fixed number of
 // keccak folds (the tree depth) plus one storage write.
 const rollupLeafOpenGas = 1_000_000
@@ -586,11 +531,11 @@ func (w *Watchtower) onEpochPosted(l *types.Log) {
 	}
 }
 
-// seedBatchWindow opens the batch window of a watch guarded, or restored,
-// after its epoch's log went by: a recovered hub's guards, and a federated
-// backup whose guard or window gossip trails the chain. postedAt 0 means the
-// post has not landed yet; its log is still to come, and onEpochPosted
-// opens the window then. A failed probe reads as 0.
+// seedBatchWindow opens the batch window of a watch guarded after its
+// epoch's log went by: a recovered hub's guards, and a federated backup
+// whose guard gossip trails the chain. postedAt 0 means the post has not
+// landed yet; its log is still to come, and onEpochPosted opens the window
+// then. A failed probe reads as 0.
 func (w *Watchtower) seedBatchWindow(e *Watch) {
 	if w.rollupSrc == nil {
 		return
@@ -614,8 +559,7 @@ func (w *Watchtower) seedBatchWindow(e *Watch) {
 // through a leaf-open against the posted root first. Its two callers are
 // the only routes that open a batch window, and both pass the time the
 // registry recorded, which is what openLeaf enforces, never an epoch copy's
-// PostedAt. No submitter address exists — the sequencer spoke for the
-// session — so the window records the zero address.
+// PostedAt.
 func (w *Watchtower) openBatchWindow(e *Watch, ep *rollup.Epoch, i int, postedAt uint64) {
 	proof, err := ep.Tree.Proof(i)
 	if err != nil {
@@ -627,7 +571,7 @@ func (w *Watchtower) openBatchWindow(e *Watch, ep *rollup.Epoch, i int, postedAt
 		e.rollup = &rollupLeaf{reg: w.rollupReg, epoch: ep.Number, index: i, leaf: leaf, proof: proof}
 	}
 	e.mu.Unlock()
-	w.examine(e, leaf.Outcome, postedAt, postedAt+w.rollupReg.Window, types.Address{})
+	w.examine(e, leaf.Outcome, postedAt, postedAt+w.rollupReg.Window)
 }
 
 // release drops a guarded contract whose session reached a clean batch
@@ -755,16 +699,16 @@ func (w *Watchtower) onSubmission(e *Watch, l *types.Log) {
 	}
 	w.metrics.submissionsSeen.Inc()
 	period := e.sess.Split.Policy.ChallengePeriod
-	w.examine(e, ev.Result, ev.At, ev.At+period, ev.Submitter)
+	w.examine(e, ev.Result, ev.At, ev.At+period)
 }
 
 // examine records one observed submission and ensures a dispute pipeline
 // job is driving the window. It is shared by live delivery and replay
-// (onSubmission, openBatchWindow) and by gossip (RestoreWindow), and is
-// idempotent: a submission that is already settled, already disputed, or
+// (onSubmission, openBatchWindow) — windows come only from the chain — and
+// is idempotent: a submission that is already settled, already disputed, or
 // already being driven by a pending job is left alone — that is what makes
 // replay-after-restart unable to double-dispute.
-func (w *Watchtower) examine(e *Watch, result, openedAt, deadline uint64, submitter types.Address) {
+func (w *Watchtower) examine(e *Watch, result, openedAt, deadline uint64) {
 	// Honor Kill at sub-block granularity too: a "dead" tower must not
 	// open windows or file disputes for a block it was mid-way through. (A
 	// dispute transaction already sent when Kill lands is a
@@ -779,13 +723,11 @@ func (w *Watchtower) examine(e *Watch, result, openedAt, deadline uint64, submit
 		return
 	}
 	e.window = &Window{
-		Contract:  e.sess.OnChainAddr,
-		Submitter: submitter,
-		Result:    result,
-		OpenedAt:  openedAt,
-		Deadline:  deadline,
+		Contract: e.sess.OnChainAddr,
+		Result:   result,
+		OpenedAt: openedAt,
+		Deadline: deadline,
 	}
-	win := *e.window
 	driven := e.disputed || e.pending
 	if !driven {
 		e.pending = true
@@ -793,9 +735,6 @@ func (w *Watchtower) examine(e *Watch, result, openedAt, deadline uint64, submit
 	e.mu.Unlock()
 	if w.tracer != nil && (e.id != 0 || e.tc.Valid()) {
 		w.tracer.EventChild(e.tc, e.id, "tower", "window_open", fmt.Sprintf("result=%d deadline=%d", result, deadline))
-	}
-	if o, _ := w.federated(); o != nil {
-		o.WindowOpened(e, win)
 	}
 	if driven {
 		return
@@ -827,12 +766,22 @@ func (w *Watchtower) releaseJob(e *Watch) {
 	w.mu.Unlock()
 }
 
-// driveDispute is the pacer for one open window: it consults the gate
-// until a final decision is reached, then verifies and files. The job ends
-// when the window settles, the gate stands down, or a filing completes.
+// driveDispute is the pacer for one open window. It verifies first: the
+// tower's own sandbox verdict, on one of the sandbox slots, released before
+// anything else happens. The job ends there on an unverifiable window, and
+// on every pass that finds the open window clean — a re-submission can
+// change it, so each pass re-reads it. Only a window that disagrees with
+// the verdict reaches the gate, which times the filing; the job ends when
+// the contract settles or a filing completes.
 func (w *Watchtower) driveDispute(e *Watch) {
 	defer w.pacerWG.Done()
 	defer w.releaseJob(e)
+	w.sem <- struct{}{}
+	expected, err := e.Expected()
+	<-w.sem
+	if err != nil {
+		return // cannot verify: nothing to file
+	}
 	for {
 		select {
 		case <-w.haltCh:
@@ -842,36 +791,28 @@ func (w *Watchtower) driveDispute(e *Watch) {
 		default:
 		}
 		win := e.OpenWindow()
-		if win == nil {
-			return // settled (or re-guarded) while we deliberated
+		if win == nil || win.Result == expected {
+			return // settled (or re-guarded) while we deliberated, or clean
 		}
-		decision, retry := GateFile, time.Duration(0)
+		var retry time.Duration
 		if _, g := w.federated(); g != nil {
-			decision, retry = g(e, *win)
+			retry = g(e, *win)
 		}
-		switch decision {
-		case GateStandDown:
-			return
-		case GateDefer:
-			w.metrics.disputesDeferred.Inc()
-			if retry <= 0 {
-				retry = 10 * time.Millisecond
-			}
-			t := time.NewTimer(retry)
-			select {
-			case <-t.C:
-			case <-e.settledChRef():
-				t.Stop()
-			case <-w.haltCh:
-				t.Stop()
-				return
-			case <-w.stopCh:
-				t.Stop()
-				return
-			}
-			continue
-		case GateFile:
+		if retry <= 0 {
 			w.fileDispute(e, *win)
+			return
+		}
+		w.metrics.disputesDeferred.Inc()
+		t := time.NewTimer(retry)
+		select {
+		case <-t.C:
+		case <-e.settledChRef():
+			t.Stop()
+		case <-w.haltCh:
+			t.Stop()
+			return
+		case <-w.stopCh:
+			t.Stop()
 			return
 		}
 	}
@@ -890,21 +831,14 @@ func settledByDispute(c *chain.Chain, contract types.Address) bool {
 	return len(c.FilterLogs(chain.FilterQuery{Address: &contract, Topic: &hybrid.TopicDisputeResolved})) > 0
 }
 
-// fileDispute is the decision point: verify the submission in the tower's
-// own sandbox, veto against chain truth, claim, and file. Only the sandbox
-// run holds a slot: the slot is back before any transaction
-// is sent or awaited, so a filing's block wait never makes another window's
-// verdict — clean or not — wait a block for a free slot.
+// fileDispute files against a window driveDispute verified to be a lie:
+// veto against chain truth, claim, and file. It runs with no sandbox slot
+// held, so a filing's block wait never makes another window's verdict —
+// clean or not — wait a block for a free slot.
 func (w *Watchtower) fileDispute(e *Watch, win Window) {
-	w.sem <- struct{}{}
-	expected, err := e.Expected()
-	<-w.sem
-	if err != nil || win.Result == expected {
-		return // cannot verify, or verified clean: nothing to file
-	}
 	// The chain, not the WAL, decides whether a dispute is still needed: a
 	// dispute that landed has settled the contract, so a tower (restarted,
-	// or a federation backup escalating behind a primary's in-flight
+	// or a federation backup escalating behind slot 0's in-flight
 	// filing) re-examining the same lie stops here instead of
 	// double-disputing. On a query error, fall through and file anyway — a
 	// dispute against an already-settled contract merely reverts, while
@@ -949,7 +883,7 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 	if rl != nil {
 		observeLeafOpen = w.sendLeafOpen(e, rl)
 	}
-	_, _, err = e.sess.Dispute(disputer)
+	_, _, err := e.sess.Dispute(disputer)
 	observeLeafOpen()
 	// Enforcement is read from the contract, never from the receipts.
 	enforced := false

@@ -814,9 +814,9 @@ func (s *Sequencer) StateRecords() []*store.Record {
 
 // CachedEpochs implements Source: every posted epoch still in the proof
 // cache and every sealed one whose post receipt is still pending, in epoch
-// order. A tower that guards a session — or restores its window — after the
-// epoch's EpochPosted log went by finds the leaf here: a recovered hub's
-// guards, and a backup whose guard or window gossip trails the chain.
+// order. A tower that guards a session after the epoch's EpochPosted log
+// went by finds the leaf here: a recovered hub's guards, and a backup whose
+// guard gossip trails the chain.
 func (s *Sequencer) CachedEpochs() []*Epoch {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -96,10 +96,12 @@ const (
 	// scalars. (Older records carry the challenge period in U1 and the
 	// disputing party's index in U2; neither is read.)
 	KindFedGuard
-	// KindFedWindow: a challenge window observed (locally or via gossip).
-	// U1 = submitted result, U2 = opened-at, U3 = deadline,
-	// Blob = 20-byte contract address, Blobs[0] = submitter,
-	// Blobs[1] (optional, 8 bytes big-endian) = the owner's verdict hint.
+	// KindFedWindow: a challenge window an owner observed, with its verdict
+	// hint. No longer posted or journaled: every tower reads windows from
+	// the chain and verifies them itself. The kind stays decodable from
+	// journals that carry it (U1 = submitted result, U2 = opened-at, U3 =
+	// deadline, Blob = contract, Blobs[0] = submitter, Blobs[1] = the
+	// optional 8-byte hint); it folds to nothing and receivers ignore it.
 	KindFedWindow
 	// KindFedIntent: the sending member intends to dispute the contract in
 	// Blob. Gossiped, not journaled and never folded (intents are

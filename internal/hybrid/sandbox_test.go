@@ -89,6 +89,25 @@ func returnLow64(ops ...vm.OpCode) []byte {
 		byte(vm.PUSH1), 32, byte(vm.PUSH1), 0, byte(vm.RETURN))
 }
 
+// offChainBytecode is spec's signed off-chain bytecode, constructor
+// arguments included, for a fixed participant set.
+func offChainBytecode(tb testing.TB, spec *hub.Spec) []byte {
+	tb.Helper()
+	split, err := hybrid.Split(spec.Source, spec.Contract, spec.Policy)
+	if err != nil {
+		tb.Fatalf("%s: split: %v", spec.Scenario, err)
+	}
+	addrs := make([]types.Address, split.Participants)
+	for i := range addrs {
+		addrs[i] = types.BytesToAddress([]byte{0xA0, byte(i + 1)})
+	}
+	bytecode, err := split.OffChain.DeployWithArgs(spec.CtorArgs(addrs, 1_500_000_000)...)
+	if err != nil {
+		tb.Fatalf("%s: off-chain bytecode: %v", spec.Scenario, err)
+	}
+	return bytecode
+}
+
 // TestSandboxMatchesChain: the bare-EVM sandbox charges and answers exactly
 // what the throw-away chain it replaced did — for every canonical spec's
 // signed bytecode, for bytecode that reads each piece of its environment,
@@ -102,19 +121,7 @@ func TestSandboxMatchesChain(t *testing.T) {
 		hub.LotterySpec(6, 64, 600, false),
 		hub.AuctionSpec(600, false),
 	} {
-		split, err := hybrid.Split(spec.Source, spec.Contract, spec.Policy)
-		if err != nil {
-			t.Fatalf("%s: split: %v", spec.Scenario, err)
-		}
-		addrs := make([]types.Address, split.Participants)
-		for i := range addrs {
-			addrs[i] = types.BytesToAddress([]byte{0xA0, byte(i + 1)})
-		}
-		bytecode, err := split.OffChain.DeployWithArgs(spec.CtorArgs(addrs, 1_500_000_000)...)
-		if err != nil {
-			t.Fatalf("%s: off-chain bytecode: %v", spec.Scenario, err)
-		}
-		cases["spec "+spec.Scenario] = bytecode
+		cases["spec "+spec.Scenario] = offChainBytecode(t, spec)
 	}
 
 	// The environment a private run can observe: block context, transaction
@@ -205,6 +212,19 @@ func TestSandboxMatchesChain(t *testing.T) {
 	for _, err := range []error{wantErr, gotErr} {
 		if err == nil || !strings.HasPrefix(err.Error(), "hybrid: sandbox deploy: ") || !strings.HasSuffix(err.Error(), "intrinsic gas too low") {
 			t.Errorf("oversized bytecode: sandbox error %v, chain error %v, want intrinsic gas too low from both", gotErr, wantErr)
+		}
+	}
+}
+
+// BenchmarkExecuteOffChainLottery is one private run of offchain_heavy's
+// session: the 6-party lottery's 8,000-round draw, deployed and called in
+// the sandbox. Each session runs it once per party and once in the tower.
+func BenchmarkExecuteOffChainLottery(b *testing.B) {
+	bytecode := offChainBytecode(b, hub.LotterySpec(6, 8000, 600, false))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := hybrid.ExecuteOffChain(bytecode); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

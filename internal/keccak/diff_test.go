@@ -34,7 +34,9 @@ func TestPermuteMatchesReference(t *testing.T) {
 
 // Differential sweep over every length crossing the first few rate
 // boundaries for both rates and both padding bytes — the zone where the
-// buffered-write and padding rewrites could diverge from the oracle.
+// buffered-write and padding rewrites could diverge from the oracle. Sum256
+// is swept too: below the rate it takes the one-block path, from the rate
+// up the streaming one.
 func TestDigestMatchesOracleBoundaries(t *testing.T) {
 	data := make([]byte, 3*rate256+2)
 	for i := range data {
@@ -58,6 +60,11 @@ func TestDigestMatchesOracleBoundaries(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("rate=%d ds=%#x len=%d: got %x want %x",
 					c.rate, c.dsbyte, n, got, want)
+			}
+			if c.rate == rate256 && c.dsbyte == dsKeccak {
+				if sum := Sum256(data[:n]); !bytes.Equal(sum[:], want) {
+					t.Fatalf("Sum256 len=%d: got %x want %x", n, sum, want)
+				}
 			}
 		}
 	}
@@ -187,6 +194,9 @@ func TestZeroAllocHashing(t *testing.T) {
 	var sink [32]byte
 	if n := testing.AllocsPerRun(100, func() { sink = Sum256(data) }); n != 0 {
 		t.Errorf("Sum256 allocs/op = %v, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = Sum256(data[:32]) }); n != 0 {
+		t.Errorf("one-block Sum256 allocs/op = %v, want 0", n)
 	}
 	var sink512 [64]byte
 	if n := testing.AllocsPerRun(100, func() { sink512 = Sum512(data) }); n != 0 {

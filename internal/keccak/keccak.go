@@ -47,12 +47,37 @@ func NewSHA3256() hash.Hash { return &digest{rate: rate256, size: 32, dsbyte: ds
 
 // Sum256 returns the Keccak-256 digest of data.
 func Sum256(data ...[]byte) [32]byte {
+	if len(data) == 1 && len(data[0]) < rate256 {
+		return sum256Block(data[0])
+	}
 	d := digest{rate: rate256, size: 32, dsbyte: dsKeccak}
 	for _, b := range data {
 		d.Write(b)
 	}
 	var out [32]byte
 	d.finalize(out[:])
+	return out
+}
+
+// sum256Block is Sum256 of one input shorter than the rate: the input and
+// its padding XOR straight into a zero state, one permutation, and the
+// first four lanes are the digest. No digest, buffer or state copy.
+func sum256Block(p []byte) [32]byte {
+	var a [25]uint64
+	full := len(p) / 8
+	for i := 0; i < full; i++ {
+		a[i] = binary.LittleEndian.Uint64(p[i*8:])
+	}
+	var last [8]byte
+	copy(last[:], p[full*8:])
+	last[len(p)%8] = dsKeccak
+	a[full] = binary.LittleEndian.Uint64(last[:])
+	a[rate256/8-1] ^= 0x80 << 56
+	permute(&a)
+	var out [32]byte
+	for i := 0; i < 4; i++ {
+		binary.LittleEndian.PutUint64(out[i*8:], a[i])
+	}
 	return out
 }
 

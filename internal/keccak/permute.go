@@ -35,97 +35,289 @@ func Permutes() uint64 { return permuteCount.Load() }
 // a[5*y+x] — the same order the sponge absorbs little-endian lanes, so
 // lane i of a block XORs straight into a[i].
 //
-// The round body is fully unrolled: theta's parities and the rho/pi
-// schedule are spelled out lane by lane (the b locals below ARE the pi
-// permutation — b[dst] is the rotated source lane, so no temp state array
-// and no %5 indexing survives), chi and iota are fused into the
-// write-back, and every rotation is a bits.RotateLeft64 the compiler
-// lowers to a single instruction. The whole state lives in registers and
-// spill slots for all 24 rounds; the reference nested-loop implementation
-// this replaces is kept verbatim in oracle_test.go and pins every digest
-// bit-for-bit.
+// The rounds follow the in-place form of the Keccak team's
+// Keccak-inplace.c. Theta's five column parities go into c0..c4, and its
+// twists into d0..d4. Then rho, pi, chi and iota run one output row at a
+// time: the row's five source lanes are read into c0..c4 and the five
+// results are written back over those same slots. So a round moves no
+// lane, and instead the lanes' positions are renamed. That renaming has
+// period 4, so the loop body spells out 4 rounds and the state is back in
+// standard order at every iteration's start. Every rotation is a
+// bits.RotateLeft64 the compiler lowers to a single instruction. The
+// reference nested-loop implementation is kept verbatim in oracle_test.go
+// and pins every digest bit for bit.
 func permute(a *[25]uint64) {
 	if permuteMetrics.Load() {
 		permuteCount.Add(1)
 	}
-	a0, a1, a2, a3, a4 := a[0], a[1], a[2], a[3], a[4]
-	a5, a6, a7, a8, a9 := a[5], a[6], a[7], a[8], a[9]
-	a10, a11, a12, a13, a14 := a[10], a[11], a[12], a[13], a[14]
-	a15, a16, a17, a18, a19 := a[15], a[16], a[17], a[18], a[19]
-	a20, a21, a22, a23, a24 := a[20], a[21], a[22], a[23], a[24]
+	var c0, c1, c2, c3, c4, d0, d1, d2, d3, d4 uint64
+	for round := 0; round < 24; round += 4 {
+		// Round 1.
+		c0 = a[0] ^ a[5] ^ a[10] ^ a[15] ^ a[20]
+		c1 = a[1] ^ a[6] ^ a[11] ^ a[16] ^ a[21]
+		c2 = a[2] ^ a[7] ^ a[12] ^ a[17] ^ a[22]
+		c3 = a[3] ^ a[8] ^ a[13] ^ a[18] ^ a[23]
+		c4 = a[4] ^ a[9] ^ a[14] ^ a[19] ^ a[24]
+		d0 = c4 ^ bits.RotateLeft64(c1, 1)
+		d1 = c0 ^ bits.RotateLeft64(c2, 1)
+		d2 = c1 ^ bits.RotateLeft64(c3, 1)
+		d3 = c2 ^ bits.RotateLeft64(c4, 1)
+		d4 = c3 ^ bits.RotateLeft64(c0, 1)
 
-	for round := 0; round < 24; round++ {
-		// theta: column parities and the per-column twist.
-		c0 := a0 ^ a5 ^ a10 ^ a15 ^ a20
-		c1 := a1 ^ a6 ^ a11 ^ a16 ^ a21
-		c2 := a2 ^ a7 ^ a12 ^ a17 ^ a22
-		c3 := a3 ^ a8 ^ a13 ^ a18 ^ a23
-		c4 := a4 ^ a9 ^ a14 ^ a19 ^ a24
-		d0 := c4 ^ bits.RotateLeft64(c1, 1)
-		d1 := c0 ^ bits.RotateLeft64(c2, 1)
-		d2 := c1 ^ bits.RotateLeft64(c3, 1)
-		d3 := c2 ^ bits.RotateLeft64(c4, 1)
-		d4 := c3 ^ bits.RotateLeft64(c0, 1)
+		c0 = a[0] ^ d0
+		c1 = bits.RotateLeft64(a[6]^d1, 44)
+		c2 = bits.RotateLeft64(a[12]^d2, 43)
+		c3 = bits.RotateLeft64(a[18]^d3, 21)
+		c4 = bits.RotateLeft64(a[24]^d4, 14)
+		a[0] = c0 ^ (c2 &^ c1) ^ roundConstants[round]
+		a[6] = c1 ^ (c3 &^ c2)
+		a[12] = c2 ^ (c4 &^ c3)
+		a[18] = c3 ^ (c0 &^ c4)
+		a[24] = c4 ^ (c1 &^ c0)
 
-		// rho + pi, fused with theta's d: b[5*((2x+3y)%5)+y] =
-		// rotl(a[5y+x] ^ d[x], rho[x][y]), spelled out.
-		b0 := a0 ^ d0
-		b16 := bits.RotateLeft64(a5^d0, 36)
-		b7 := bits.RotateLeft64(a10^d0, 3)
-		b23 := bits.RotateLeft64(a15^d0, 41)
-		b14 := bits.RotateLeft64(a20^d0, 18)
-		b10 := bits.RotateLeft64(a1^d1, 1)
-		b1 := bits.RotateLeft64(a6^d1, 44)
-		b17 := bits.RotateLeft64(a11^d1, 10)
-		b8 := bits.RotateLeft64(a16^d1, 45)
-		b24 := bits.RotateLeft64(a21^d1, 2)
-		b20 := bits.RotateLeft64(a2^d2, 62)
-		b11 := bits.RotateLeft64(a7^d2, 6)
-		b2 := bits.RotateLeft64(a12^d2, 43)
-		b18 := bits.RotateLeft64(a17^d2, 15)
-		b9 := bits.RotateLeft64(a22^d2, 61)
-		b5 := bits.RotateLeft64(a3^d3, 28)
-		b21 := bits.RotateLeft64(a8^d3, 55)
-		b12 := bits.RotateLeft64(a13^d3, 25)
-		b3 := bits.RotateLeft64(a18^d3, 21)
-		b19 := bits.RotateLeft64(a23^d3, 56)
-		b15 := bits.RotateLeft64(a4^d4, 27)
-		b6 := bits.RotateLeft64(a9^d4, 20)
-		b22 := bits.RotateLeft64(a14^d4, 39)
-		b13 := bits.RotateLeft64(a19^d4, 8)
-		b4 := bits.RotateLeft64(a24^d4, 14)
+		c0 = bits.RotateLeft64(a[3]^d3, 28)
+		c1 = bits.RotateLeft64(a[9]^d4, 20)
+		c2 = bits.RotateLeft64(a[10]^d0, 3)
+		c3 = bits.RotateLeft64(a[16]^d1, 45)
+		c4 = bits.RotateLeft64(a[22]^d2, 61)
+		a[10] = c0 ^ (c2 &^ c1)
+		a[16] = c1 ^ (c3 &^ c2)
+		a[22] = c2 ^ (c4 &^ c3)
+		a[3] = c3 ^ (c0 &^ c4)
+		a[9] = c4 ^ (c1 &^ c0)
 
-		// chi row by row, iota folded into lane 0.
-		a0 = b0 ^ (^b1 & b2) ^ roundConstants[round]
-		a1 = b1 ^ (^b2 & b3)
-		a2 = b2 ^ (^b3 & b4)
-		a3 = b3 ^ (^b4 & b0)
-		a4 = b4 ^ (^b0 & b1)
-		a5 = b5 ^ (^b6 & b7)
-		a6 = b6 ^ (^b7 & b8)
-		a7 = b7 ^ (^b8 & b9)
-		a8 = b8 ^ (^b9 & b5)
-		a9 = b9 ^ (^b5 & b6)
-		a10 = b10 ^ (^b11 & b12)
-		a11 = b11 ^ (^b12 & b13)
-		a12 = b12 ^ (^b13 & b14)
-		a13 = b13 ^ (^b14 & b10)
-		a14 = b14 ^ (^b10 & b11)
-		a15 = b15 ^ (^b16 & b17)
-		a16 = b16 ^ (^b17 & b18)
-		a17 = b17 ^ (^b18 & b19)
-		a18 = b18 ^ (^b19 & b15)
-		a19 = b19 ^ (^b15 & b16)
-		a20 = b20 ^ (^b21 & b22)
-		a21 = b21 ^ (^b22 & b23)
-		a22 = b22 ^ (^b23 & b24)
-		a23 = b23 ^ (^b24 & b20)
-		a24 = b24 ^ (^b20 & b21)
+		c0 = bits.RotateLeft64(a[1]^d1, 1)
+		c1 = bits.RotateLeft64(a[7]^d2, 6)
+		c2 = bits.RotateLeft64(a[13]^d3, 25)
+		c3 = bits.RotateLeft64(a[19]^d4, 8)
+		c4 = bits.RotateLeft64(a[20]^d0, 18)
+		a[20] = c0 ^ (c2 &^ c1)
+		a[1] = c1 ^ (c3 &^ c2)
+		a[7] = c2 ^ (c4 &^ c3)
+		a[13] = c3 ^ (c0 &^ c4)
+		a[19] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[4]^d4, 27)
+		c1 = bits.RotateLeft64(a[5]^d0, 36)
+		c2 = bits.RotateLeft64(a[11]^d1, 10)
+		c3 = bits.RotateLeft64(a[17]^d2, 15)
+		c4 = bits.RotateLeft64(a[23]^d3, 56)
+		a[5] = c0 ^ (c2 &^ c1)
+		a[11] = c1 ^ (c3 &^ c2)
+		a[17] = c2 ^ (c4 &^ c3)
+		a[23] = c3 ^ (c0 &^ c4)
+		a[4] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[2]^d2, 62)
+		c1 = bits.RotateLeft64(a[8]^d3, 55)
+		c2 = bits.RotateLeft64(a[14]^d4, 39)
+		c3 = bits.RotateLeft64(a[15]^d0, 41)
+		c4 = bits.RotateLeft64(a[21]^d1, 2)
+		a[15] = c0 ^ (c2 &^ c1)
+		a[21] = c1 ^ (c3 &^ c2)
+		a[2] = c2 ^ (c4 &^ c3)
+		a[8] = c3 ^ (c0 &^ c4)
+		a[14] = c4 ^ (c1 &^ c0)
+
+		// Round 2.
+		c0 = a[0] ^ a[10] ^ a[20] ^ a[5] ^ a[15]
+		c1 = a[6] ^ a[16] ^ a[1] ^ a[11] ^ a[21]
+		c2 = a[12] ^ a[22] ^ a[7] ^ a[17] ^ a[2]
+		c3 = a[18] ^ a[3] ^ a[13] ^ a[23] ^ a[8]
+		c4 = a[24] ^ a[9] ^ a[19] ^ a[4] ^ a[14]
+		d0 = c4 ^ bits.RotateLeft64(c1, 1)
+		d1 = c0 ^ bits.RotateLeft64(c2, 1)
+		d2 = c1 ^ bits.RotateLeft64(c3, 1)
+		d3 = c2 ^ bits.RotateLeft64(c4, 1)
+		d4 = c3 ^ bits.RotateLeft64(c0, 1)
+
+		c0 = a[0] ^ d0
+		c1 = bits.RotateLeft64(a[16]^d1, 44)
+		c2 = bits.RotateLeft64(a[7]^d2, 43)
+		c3 = bits.RotateLeft64(a[23]^d3, 21)
+		c4 = bits.RotateLeft64(a[14]^d4, 14)
+		a[0] = c0 ^ (c2 &^ c1) ^ roundConstants[round+1]
+		a[16] = c1 ^ (c3 &^ c2)
+		a[7] = c2 ^ (c4 &^ c3)
+		a[23] = c3 ^ (c0 &^ c4)
+		a[14] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[18]^d3, 28)
+		c1 = bits.RotateLeft64(a[9]^d4, 20)
+		c2 = bits.RotateLeft64(a[20]^d0, 3)
+		c3 = bits.RotateLeft64(a[11]^d1, 45)
+		c4 = bits.RotateLeft64(a[2]^d2, 61)
+		a[20] = c0 ^ (c2 &^ c1)
+		a[11] = c1 ^ (c3 &^ c2)
+		a[2] = c2 ^ (c4 &^ c3)
+		a[18] = c3 ^ (c0 &^ c4)
+		a[9] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[6]^d1, 1)
+		c1 = bits.RotateLeft64(a[22]^d2, 6)
+		c2 = bits.RotateLeft64(a[13]^d3, 25)
+		c3 = bits.RotateLeft64(a[4]^d4, 8)
+		c4 = bits.RotateLeft64(a[15]^d0, 18)
+		a[15] = c0 ^ (c2 &^ c1)
+		a[6] = c1 ^ (c3 &^ c2)
+		a[22] = c2 ^ (c4 &^ c3)
+		a[13] = c3 ^ (c0 &^ c4)
+		a[4] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[24]^d4, 27)
+		c1 = bits.RotateLeft64(a[10]^d0, 36)
+		c2 = bits.RotateLeft64(a[1]^d1, 10)
+		c3 = bits.RotateLeft64(a[17]^d2, 15)
+		c4 = bits.RotateLeft64(a[8]^d3, 56)
+		a[10] = c0 ^ (c2 &^ c1)
+		a[1] = c1 ^ (c3 &^ c2)
+		a[17] = c2 ^ (c4 &^ c3)
+		a[8] = c3 ^ (c0 &^ c4)
+		a[24] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[12]^d2, 62)
+		c1 = bits.RotateLeft64(a[3]^d3, 55)
+		c2 = bits.RotateLeft64(a[19]^d4, 39)
+		c3 = bits.RotateLeft64(a[5]^d0, 41)
+		c4 = bits.RotateLeft64(a[21]^d1, 2)
+		a[5] = c0 ^ (c2 &^ c1)
+		a[21] = c1 ^ (c3 &^ c2)
+		a[12] = c2 ^ (c4 &^ c3)
+		a[3] = c3 ^ (c0 &^ c4)
+		a[19] = c4 ^ (c1 &^ c0)
+
+		// Round 3.
+		c0 = a[0] ^ a[20] ^ a[15] ^ a[10] ^ a[5]
+		c1 = a[16] ^ a[11] ^ a[6] ^ a[1] ^ a[21]
+		c2 = a[7] ^ a[2] ^ a[22] ^ a[17] ^ a[12]
+		c3 = a[23] ^ a[18] ^ a[13] ^ a[8] ^ a[3]
+		c4 = a[14] ^ a[9] ^ a[4] ^ a[24] ^ a[19]
+		d0 = c4 ^ bits.RotateLeft64(c1, 1)
+		d1 = c0 ^ bits.RotateLeft64(c2, 1)
+		d2 = c1 ^ bits.RotateLeft64(c3, 1)
+		d3 = c2 ^ bits.RotateLeft64(c4, 1)
+		d4 = c3 ^ bits.RotateLeft64(c0, 1)
+
+		c0 = a[0] ^ d0
+		c1 = bits.RotateLeft64(a[11]^d1, 44)
+		c2 = bits.RotateLeft64(a[22]^d2, 43)
+		c3 = bits.RotateLeft64(a[8]^d3, 21)
+		c4 = bits.RotateLeft64(a[19]^d4, 14)
+		a[0] = c0 ^ (c2 &^ c1) ^ roundConstants[round+2]
+		a[11] = c1 ^ (c3 &^ c2)
+		a[22] = c2 ^ (c4 &^ c3)
+		a[8] = c3 ^ (c0 &^ c4)
+		a[19] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[23]^d3, 28)
+		c1 = bits.RotateLeft64(a[9]^d4, 20)
+		c2 = bits.RotateLeft64(a[15]^d0, 3)
+		c3 = bits.RotateLeft64(a[1]^d1, 45)
+		c4 = bits.RotateLeft64(a[12]^d2, 61)
+		a[15] = c0 ^ (c2 &^ c1)
+		a[1] = c1 ^ (c3 &^ c2)
+		a[12] = c2 ^ (c4 &^ c3)
+		a[23] = c3 ^ (c0 &^ c4)
+		a[9] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[16]^d1, 1)
+		c1 = bits.RotateLeft64(a[2]^d2, 6)
+		c2 = bits.RotateLeft64(a[13]^d3, 25)
+		c3 = bits.RotateLeft64(a[24]^d4, 8)
+		c4 = bits.RotateLeft64(a[5]^d0, 18)
+		a[5] = c0 ^ (c2 &^ c1)
+		a[16] = c1 ^ (c3 &^ c2)
+		a[2] = c2 ^ (c4 &^ c3)
+		a[13] = c3 ^ (c0 &^ c4)
+		a[24] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[14]^d4, 27)
+		c1 = bits.RotateLeft64(a[20]^d0, 36)
+		c2 = bits.RotateLeft64(a[6]^d1, 10)
+		c3 = bits.RotateLeft64(a[17]^d2, 15)
+		c4 = bits.RotateLeft64(a[3]^d3, 56)
+		a[20] = c0 ^ (c2 &^ c1)
+		a[6] = c1 ^ (c3 &^ c2)
+		a[17] = c2 ^ (c4 &^ c3)
+		a[3] = c3 ^ (c0 &^ c4)
+		a[14] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[7]^d2, 62)
+		c1 = bits.RotateLeft64(a[18]^d3, 55)
+		c2 = bits.RotateLeft64(a[4]^d4, 39)
+		c3 = bits.RotateLeft64(a[10]^d0, 41)
+		c4 = bits.RotateLeft64(a[21]^d1, 2)
+		a[10] = c0 ^ (c2 &^ c1)
+		a[21] = c1 ^ (c3 &^ c2)
+		a[7] = c2 ^ (c4 &^ c3)
+		a[18] = c3 ^ (c0 &^ c4)
+		a[4] = c4 ^ (c1 &^ c0)
+
+		// Round 4.
+		c0 = a[0] ^ a[15] ^ a[5] ^ a[20] ^ a[10]
+		c1 = a[11] ^ a[1] ^ a[16] ^ a[6] ^ a[21]
+		c2 = a[22] ^ a[12] ^ a[2] ^ a[17] ^ a[7]
+		c3 = a[8] ^ a[23] ^ a[13] ^ a[3] ^ a[18]
+		c4 = a[19] ^ a[9] ^ a[24] ^ a[14] ^ a[4]
+		d0 = c4 ^ bits.RotateLeft64(c1, 1)
+		d1 = c0 ^ bits.RotateLeft64(c2, 1)
+		d2 = c1 ^ bits.RotateLeft64(c3, 1)
+		d3 = c2 ^ bits.RotateLeft64(c4, 1)
+		d4 = c3 ^ bits.RotateLeft64(c0, 1)
+
+		c0 = a[0] ^ d0
+		c1 = bits.RotateLeft64(a[1]^d1, 44)
+		c2 = bits.RotateLeft64(a[2]^d2, 43)
+		c3 = bits.RotateLeft64(a[3]^d3, 21)
+		c4 = bits.RotateLeft64(a[4]^d4, 14)
+		a[0] = c0 ^ (c2 &^ c1) ^ roundConstants[round+3]
+		a[1] = c1 ^ (c3 &^ c2)
+		a[2] = c2 ^ (c4 &^ c3)
+		a[3] = c3 ^ (c0 &^ c4)
+		a[4] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[8]^d3, 28)
+		c1 = bits.RotateLeft64(a[9]^d4, 20)
+		c2 = bits.RotateLeft64(a[5]^d0, 3)
+		c3 = bits.RotateLeft64(a[6]^d1, 45)
+		c4 = bits.RotateLeft64(a[7]^d2, 61)
+		a[5] = c0 ^ (c2 &^ c1)
+		a[6] = c1 ^ (c3 &^ c2)
+		a[7] = c2 ^ (c4 &^ c3)
+		a[8] = c3 ^ (c0 &^ c4)
+		a[9] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[11]^d1, 1)
+		c1 = bits.RotateLeft64(a[12]^d2, 6)
+		c2 = bits.RotateLeft64(a[13]^d3, 25)
+		c3 = bits.RotateLeft64(a[14]^d4, 8)
+		c4 = bits.RotateLeft64(a[10]^d0, 18)
+		a[10] = c0 ^ (c2 &^ c1)
+		a[11] = c1 ^ (c3 &^ c2)
+		a[12] = c2 ^ (c4 &^ c3)
+		a[13] = c3 ^ (c0 &^ c4)
+		a[14] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[19]^d4, 27)
+		c1 = bits.RotateLeft64(a[15]^d0, 36)
+		c2 = bits.RotateLeft64(a[16]^d1, 10)
+		c3 = bits.RotateLeft64(a[17]^d2, 15)
+		c4 = bits.RotateLeft64(a[18]^d3, 56)
+		a[15] = c0 ^ (c2 &^ c1)
+		a[16] = c1 ^ (c3 &^ c2)
+		a[17] = c2 ^ (c4 &^ c3)
+		a[18] = c3 ^ (c0 &^ c4)
+		a[19] = c4 ^ (c1 &^ c0)
+
+		c0 = bits.RotateLeft64(a[22]^d2, 62)
+		c1 = bits.RotateLeft64(a[23]^d3, 55)
+		c2 = bits.RotateLeft64(a[24]^d4, 39)
+		c3 = bits.RotateLeft64(a[20]^d0, 41)
+		c4 = bits.RotateLeft64(a[21]^d1, 2)
+		a[20] = c0 ^ (c2 &^ c1)
+		a[21] = c1 ^ (c3 &^ c2)
+		a[22] = c2 ^ (c4 &^ c3)
+		a[23] = c3 ^ (c0 &^ c4)
+		a[24] = c4 ^ (c1 &^ c0)
 	}
-
-	a[0], a[1], a[2], a[3], a[4] = a0, a1, a2, a3, a4
-	a[5], a[6], a[7], a[8], a[9] = a5, a6, a7, a8, a9
-	a[10], a[11], a[12], a[13], a[14] = a10, a11, a12, a13, a14
-	a[15], a[16], a[17], a[18], a[19] = a15, a16, a17, a18, a19
-	a[20], a[21], a[22], a[23], a[24] = a20, a21, a22, a23, a24
 }

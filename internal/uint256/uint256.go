@@ -671,11 +671,28 @@ func (z *Int) ByteLen() int {
 // SetBytes interprets buf as a big-endian unsigned integer (at most 32
 // bytes; longer input uses the trailing 32 bytes, matching EVM semantics
 // for oversized operands) and sets z to that value.
+//
+// A full 32-byte word (PUSH32, a keccak digest, a storage slot) and a word
+// of at most 8 bytes (most PUSHes) decode without the padded copy.
 func (z *Int) SetBytes(buf []byte) *Int {
 	if len(buf) > 32 {
 		buf = buf[len(buf)-32:]
 	}
-	z.Clear()
+	if len(buf) == 32 {
+		z[3] = binary.BigEndian.Uint64(buf[0:8])
+		z[2] = binary.BigEndian.Uint64(buf[8:16])
+		z[1] = binary.BigEndian.Uint64(buf[16:24])
+		z[0] = binary.BigEndian.Uint64(buf[24:32])
+		return z
+	}
+	if len(buf) <= 8 {
+		var x uint64
+		for _, b := range buf {
+			x = x<<8 | uint64(b)
+		}
+		z[3], z[2], z[1], z[0] = 0, 0, 0, x
+		return z
+	}
 	var tmp [32]byte
 	copy(tmp[32-len(buf):], buf)
 	z[3] = binary.BigEndian.Uint64(tmp[0:8])

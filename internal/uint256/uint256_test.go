@@ -202,6 +202,34 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// SetBytes against big.Int at every input length, including over-long
+// input (which keeps its low 32 bytes), into a receiver holding all ones so
+// a limb the decode forgot to write shows.
+func TestSetBytesEveryLength(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for n := 0; n <= 40; n++ {
+		for iter := 0; iter < 20; iter++ {
+			buf := make([]byte, n)
+			r.Read(buf)
+			if iter == 0 {
+				for i := range buf {
+					buf[i] = 0xff
+				}
+			}
+			low := buf
+			if len(low) > 32 {
+				low = low[len(low)-32:]
+			}
+			want := new(big.Int).SetBytes(low)
+			var z Int
+			z.Not(&z)
+			if got := z.SetBytes(buf).ToBig(); got.Cmp(want) != 0 {
+				t.Fatalf("len %d: SetBytes(%x) = %#x, want %#x", n, buf, got, want)
+			}
+		}
+	}
+}
+
 func TestByteOp(t *testing.T) {
 	x := MustFromHex("0x0102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20")
 	for i := 0; i < 32; i++ {

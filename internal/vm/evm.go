@@ -70,7 +70,7 @@ type Contract struct {
 	Input         []byte
 	Gas           uint64
 
-	jumpdests map[uint64]bool
+	jumpdests []bool // jumpdests[pc]: a JUMPDEST on an instruction boundary
 }
 
 func newContract(caller, addr types.Address, value *uint256.Int, code, input []byte, gas uint64) *Contract {
@@ -110,9 +110,10 @@ func (c *Contract) validJumpdest(dest *uint256.Int) bool {
 }
 
 // analyzeJumpdests marks the code offsets holding reachable JUMPDEST
-// opcodes, skipping PUSH immediate data.
-func analyzeJumpdests(code []byte) map[uint64]bool {
-	dests := make(map[uint64]bool)
+// opcodes, skipping PUSH immediate data. It is indexed by pc, so a jump
+// checks its destination with one load rather than a map lookup.
+func analyzeJumpdests(code []byte) []bool {
+	dests := make([]bool, len(code))
 	for pc := uint64(0); pc < uint64(len(code)); pc++ {
 		op := OpCode(code[pc])
 		if op == JUMPDEST {

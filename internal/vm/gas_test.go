@@ -125,3 +125,43 @@ func TestExactCallValueGas(t *testing.T) {
 		t.Errorf("gas used = %d, want %d", used, want)
 	}
 }
+
+// A call's input and output regions are one memory expansion, to the
+// further end, whichever region reaches it; and a region too large to pay
+// for is refused before memory grows, so the frame fails with out-of-gas
+// rather than allocating it.
+func TestCallMemoryExpansionGas(t *testing.T) {
+	// STATICCALL(gas 0, identity, in [inOff, +inSize), out [outOff, +outSize))
+	call := func(inOff, inSize, outOff, outSize []byte) []byte {
+		return asm(outSize, outOff, inSize, inOff, push1(4), push1(0), STATICCALL, POP, STOP)
+	}
+	// 6 pushes (18) + STATICCALL 700 + POP 2, and memory: four words in
+	// every case. The precompile gets no gas, fails, and hands none back.
+	words := func(n uint64) uint64 { return 3*n + n*n/512 }
+	for _, c := range []struct {
+		name string
+		code []byte
+		want uint64
+	}{
+		{"input reaches further", call(push1(0), push1(0x80), push1(0), push1(0x20)), 720 + words(4)},
+		{"output reaches further", call(push1(0), push1(0x20), push1(0x40), push1(0x40)), 720 + words(4)},
+		{"disjoint regions", call(push1(0x60), push1(0x20), push1(0), push1(0x20)), 720 + words(4)},
+	} {
+		evm, st := testEVM()
+		target := deploy(st, 0x93, c.code)
+		const budget = 1_000_000
+		_, left, err := evm.Call(caller, target, nil, budget, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if used := budget - left; used != c.want {
+			t.Errorf("%s: gas used = %d, want %d", c.name, used, c.want)
+		}
+	}
+	evm, st := testEVM()
+	huge := []byte{byte(PUSH1 + 4), 0x20, 0x60, 0x20, 0x60, 0x20} // ~139 GB
+	target := deploy(st, 0x94, call(push1(0), huge, push1(0), push1(0)))
+	if _, _, err := evm.Call(caller, target, nil, 1_000_000, nil); err != ErrOutOfGas {
+		t.Errorf("huge input region: err = %v, want out of gas", err)
+	}
+}

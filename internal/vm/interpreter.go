@@ -66,13 +66,12 @@ func init() {
 }
 
 // memExpansion computes the gas to grow memory so [offset, offset+size) is
-// addressable, returning the concrete offset/size as uint64.
+// addressable, returning the concrete offset/size as uint64. A zero-size
+// reference touches no memory whatever its offset, so it comes back as
+// [0, 0): the caller's resize to off+sz must not grow memory for free.
 func memExpansion(mem *Memory, offset, size *uint256.Int) (cost, off, sz uint64, err error) {
 	if size.IsZero() {
-		if !offset.IsUint64() {
-			return 0, 0, 0, nil // zero-size reference may be out of range
-		}
-		return 0, offset.Uint64(), 0, nil
+		return 0, 0, 0, nil
 	}
 	if !offset.IsUint64() || !size.IsUint64() {
 		return 0, 0, 0, ErrGasUintOverflow
@@ -130,14 +129,15 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			return nil, ErrOutOfGas
 		}
 
-		switch {
-		case op == STOP:
+		// A switch on op's value with a case for every byte value compiles
+		// to a jump table: every opcode costs one indexed branch, not a
+		// compare per case listed above it.
+		switch op {
+		case STOP:
 			return nil, nil
 
-		case op == ADD, op == MUL, op == SUB, op == DIV, op == SDIV, op == MOD,
-			op == SMOD, op == EXP, op == SIGNEXTEND, op == LT, op == GT,
-			op == SLT, op == SGT, op == EQ, op == AND, op == OR, op == XOR,
-			op == BYTE, op == SHL, op == SHR, op == SAR:
+		case ADD, MUL, SUB, DIV, SDIV, MOD, SMOD, EXP, SIGNEXTEND, LT, GT,
+			SLT, SGT, EQ, AND, OR, XOR, BYTE, SHL, SHR, SAR:
 			x := st.pop()
 			y := st.peek(0)
 			var z uint256.Int
@@ -208,7 +208,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			}
 			*y = z
 
-		case op == ADDMOD, op == MULMOD:
+		case ADDMOD, MULMOD:
 			x := st.pop()
 			y := st.pop()
 			m := st.peek(0)
@@ -220,7 +220,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			}
 			*m = z
 
-		case op == ISZERO:
+		case ISZERO:
 			v := st.peek(0)
 			if v.IsZero() {
 				v.SetOne()
@@ -228,11 +228,11 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 				v.Clear()
 			}
 
-		case op == NOT:
+		case NOT:
 			v := st.peek(0)
 			v.Not(v)
 
-		case op == SHA3:
+		case SHA3:
 			offset := st.pop()
 			size := st.pop()
 			cost, off, sz, err := memExpansion(mem, &offset, &size)
@@ -249,31 +249,31 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			z.SetBytes(h[:])
 			st.push(&z)
 
-		case op == ADDRESS:
+		case ADDRESS:
 			pushAddress(st, c.Address)
-		case op == BALANCE:
+		case BALANCE:
 			a := st.peek(0)
 			addr := wordToAddress(a)
 			*a = *evm.State.GetBalance(addr)
-		case op == ORIGIN:
+		case ORIGIN:
 			pushAddress(st, evm.Tx.Origin)
-		case op == CALLER:
+		case CALLER:
 			pushAddress(st, c.CallerAddress)
-		case op == CALLVALUE:
+		case CALLVALUE:
 			st.push(c.Value)
-		case op == CALLDATALOAD:
+		case CALLDATALOAD:
 			v := st.peek(0)
 			v.SetBytes(readSlice(c.Input, v, 32))
-		case op == CALLDATASIZE:
+		case CALLDATASIZE:
 			st.pushUint64(uint64(len(c.Input)))
-		case op == CODESIZE:
+		case CODESIZE:
 			st.pushUint64(uint64(len(c.Code)))
-		case op == GASPRICE:
+		case GASPRICE:
 			st.push(evm.Tx.GasPrice)
-		case op == RETURNDATASIZE:
+		case RETURNDATASIZE:
 			st.pushUint64(uint64(len(evm.returnData)))
 
-		case op == CALLDATACOPY, op == CODECOPY, op == RETURNDATACOPY:
+		case CALLDATACOPY, CODECOPY, RETURNDATACOPY:
 			memOff := st.pop()
 			dataOff := st.pop()
 			size := st.pop()
@@ -301,12 +301,12 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			}
 			mem.set(off, readSlice(src, &dataOff, sz))
 
-		case op == EXTCODESIZE:
+		case EXTCODESIZE:
 			a := st.peek(0)
 			addr := wordToAddress(a)
 			a.SetUint64(uint64(evm.State.GetCodeSize(addr)))
 
-		case op == EXTCODECOPY:
+		case EXTCODECOPY:
 			target := st.pop()
 			memOff := st.pop()
 			codeOff := st.pop()
@@ -322,7 +322,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			extCode := evm.State.GetCode(wordToAddress(&target))
 			mem.set(off, readSlice(extCode, &codeOff, sz))
 
-		case op == EXTCODEHASH:
+		case EXTCODEHASH:
 			a := st.peek(0)
 			addr := wordToAddress(a)
 			if evm.State.Empty(addr) {
@@ -331,7 +331,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 				a.SetBytes(evm.State.GetCodeHash(addr).Bytes())
 			}
 
-		case op == BLOCKHASH:
+		case BLOCKHASH:
 			v := st.peek(0)
 			if v.IsUint64() && v.Uint64() < evm.Block.Number && evm.Block.Number-v.Uint64() <= 256 {
 				h := evm.Block.BlockHash(v.Uint64())
@@ -339,21 +339,21 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			} else {
 				v.Clear()
 			}
-		case op == COINBASE:
+		case COINBASE:
 			pushAddress(st, evm.Block.Coinbase)
-		case op == TIMESTAMP:
+		case TIMESTAMP:
 			st.pushUint64(evm.Block.Time)
-		case op == NUMBER:
+		case NUMBER:
 			st.pushUint64(evm.Block.Number)
-		case op == DIFFICULTY:
+		case DIFFICULTY:
 			st.push(evm.Block.Difficulty)
-		case op == GASLIMIT:
+		case GASLIMIT:
 			st.pushUint64(evm.Block.GasLimit)
 
-		case op == POP:
+		case POP:
 			st.pop()
 
-		case op == MLOAD:
+		case MLOAD:
 			offset := st.peek(0)
 			cost, off, _, err := memExpansion(mem, offset, uint256.NewInt(32))
 			if err != nil {
@@ -365,7 +365,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			mem.resize(off + 32)
 			offset.SetBytes(mem.view(off, 32))
 
-		case op == MSTORE:
+		case MSTORE:
 			offset := st.pop()
 			value := st.pop()
 			cost, off, _, err := memExpansion(mem, &offset, uint256.NewInt(32))
@@ -379,7 +379,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			word := value.Bytes32()
 			mem.set(off, word[:])
 
-		case op == MSTORE8:
+		case MSTORE8:
 			offset := st.pop()
 			value := st.pop()
 			cost, off, _, err := memExpansion(mem, &offset, uint256.NewInt(1))
@@ -392,20 +392,19 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			mem.resize(off + 1)
 			mem.setByte(off, byte(value.Uint64()))
 
-		case op == SLOAD:
+		case SLOAD:
 			k := st.peek(0)
-			key := types.BytesToHash(kBytes(k))
-			val := evm.State.GetState(c.Address, key)
-			k.SetBytes(val.Bytes())
+			val := evm.State.GetState(c.Address, types.Hash(k.Bytes32()))
+			k.SetBytes(val[:])
 
-		case op == SSTORE:
+		case SSTORE:
 			if readOnly {
 				return nil, ErrWriteProtection
 			}
 			key := st.pop()
 			val := st.pop()
-			kh := types.BytesToHash(kBytes(&key))
-			vh := types.BytesToHash(kBytes(&val))
+			kh := types.Hash(key.Bytes32())
+			vh := types.Hash(val.Bytes32())
 			current := evm.State.GetState(c.Address, kh)
 			// Pre-EIP-1283 rule (the schedule Solidity-era gas intuition and
 			// the paper's Table II numbers are based on).
@@ -424,7 +423,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			}
 			evm.State.SetState(c.Address, kh, vh)
 
-		case op == JUMP:
+		case JUMP:
 			dest := st.pop()
 			if !c.validJumpdest(&dest) {
 				return nil, ErrInvalidJump
@@ -432,7 +431,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			pc = dest.Uint64()
 			continue
 
-		case op == JUMPI:
+		case JUMPI:
 			dest := st.pop()
 			cond := st.pop()
 			if !cond.IsZero() {
@@ -443,42 +442,43 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 				continue
 			}
 
-		case op == PC:
+		case PC:
 			st.pushUint64(pc)
-		case op == MSIZE:
+		case MSIZE:
 			st.pushUint64(mem.size())
-		case op == GAS:
+		case GAS:
 			st.pushUint64(c.Gas)
-		case op == JUMPDEST:
+		case JUMPDEST:
 			// no-op
 
-		case op.IsPush():
+		case PUSH1, PUSH1 + 1, PUSH1 + 2, PUSH1 + 3, PUSH1 + 4, PUSH1 + 5,
+			PUSH1 + 6, PUSH1 + 7, PUSH1 + 8, PUSH1 + 9, PUSH1 + 10, PUSH1 + 11,
+			PUSH1 + 12, PUSH1 + 13, PUSH1 + 14, PUSH1 + 15, PUSH1 + 16, PUSH1 + 17,
+			PUSH1 + 18, PUSH1 + 19, PUSH1 + 20, PUSH1 + 21, PUSH1 + 22, PUSH1 + 23,
+			PUSH1 + 24, PUSH1 + 25, PUSH1 + 26, PUSH1 + 27, PUSH1 + 28, PUSH1 + 29,
+			PUSH1 + 30, PUSH1 + 31:
 			n := uint64(op-PUSH1) + 1
 			var v uint256.Int
-			start := pc + 1
-			end := start + n
-			if start > uint64(len(code)) {
-				start = uint64(len(code))
-			}
-			if end > uint64(len(code)) {
-				// Zero-fill past end of code.
-				buf := make([]byte, n)
-				copy(buf, code[start:])
-				v.SetBytes(buf)
+			if end := pc + 1 + n; end <= uint64(len(code)) {
+				v.SetBytes(code[pc+1 : end])
 			} else {
-				v.SetBytes(code[start:end])
+				v = truncatedPush(code[pc+1:], n)
 			}
 			st.push(&v)
 			pc += n + 1
 			continue
 
-		case op >= DUP1 && op <= DUP16:
+		case DUP1, DUP1 + 1, DUP1 + 2, DUP1 + 3, DUP1 + 4, DUP1 + 5, DUP1 + 6,
+			DUP1 + 7, DUP1 + 8, DUP1 + 9, DUP1 + 10, DUP1 + 11, DUP1 + 12, DUP1 + 13,
+			DUP1 + 14, DUP1 + 15:
 			st.dup(int(op-DUP1) + 1)
 
-		case op >= SWAP1 && op <= SWAP16:
+		case SWAP1, SWAP1 + 1, SWAP1 + 2, SWAP1 + 3, SWAP1 + 4, SWAP1 + 5,
+			SWAP1 + 6, SWAP1 + 7, SWAP1 + 8, SWAP1 + 9, SWAP1 + 10, SWAP1 + 11,
+			SWAP1 + 12, SWAP1 + 13, SWAP1 + 14, SWAP1 + 15:
 			st.swap(int(op-SWAP1) + 1)
 
-		case op >= LOG0 && op <= LOG4:
+		case LOG0, LOG1, LOG2, LOG3, LOG4:
 			if readOnly {
 				return nil, ErrWriteProtection
 			}
@@ -488,7 +488,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			topics := make([]types.Hash, nTopics)
 			for i := 0; i < nTopics; i++ {
 				t := st.pop()
-				topics[i] = types.BytesToHash(kBytes(&t))
+				topics[i] = types.Hash(t.Bytes32())
 			}
 			cost, off, sz, err := memExpansion(mem, &offset, &size)
 			if err != nil {
@@ -504,7 +504,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 				Data:    mem.get(off, sz),
 			})
 
-		case op == CREATE, op == CREATE2:
+		case CREATE, CREATE2:
 			if readOnly {
 				return nil, ErrWriteProtection
 			}
@@ -536,7 +536,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			if op == CREATE {
 				ret, addr, leftGas, err = evm.Create(c.Address, initCode, forward, &value)
 			} else {
-				ret, addr, leftGas, err = evm.Create2(c.Address, initCode, forward, &value, types.BytesToHash(kBytes(&salt)))
+				ret, addr, leftGas, err = evm.Create2(c.Address, initCode, forward, &value, types.Hash(salt.Bytes32()))
 			}
 			c.Gas += leftGas
 			var res uint256.Int
@@ -550,7 +550,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			}
 			st.push(&res)
 
-		case op == CALL, op == CALLCODE, op == DELEGATECALL, op == STATICCALL:
+		case CALL, CALLCODE, DELEGATECALL, STATICCALL:
 			gasReq := st.pop()
 			target := st.pop()
 			var value uint256.Int
@@ -570,12 +570,14 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			mem.resize(inO + inS)
 			costOut, outO, outS, err := memExpansion(mem, &outOff, &outSize)
 			if err != nil {
 				return nil, err
 			}
-			extra := costIn + costOut
+			// Both regions are priced from the same memory size, so the
+			// larger is the cost of growing to the further end; memory
+			// grows only once the gas is paid.
+			extra := max(costIn, costOut)
 			if !value.IsZero() {
 				extra += GasCallValue
 				if op == CALL && !evm.State.Exist(wordToAddress(&target)) {
@@ -585,6 +587,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			if !c.useGas(extra) {
 				return nil, ErrOutOfGas
 			}
+			mem.resize(inO + inS)
 			mem.resize(outO + outS)
 
 			// EIP-150 forwarding cap.
@@ -627,7 +630,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			}
 			st.push(&res)
 
-		case op == RETURN:
+		case RETURN:
 			offset := st.pop()
 			size := st.pop()
 			cost, off, sz, err := memExpansion(mem, &offset, &size)
@@ -640,7 +643,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			mem.resize(off + sz)
 			return mem.get(off, sz), nil
 
-		case op == REVERT:
+		case REVERT:
 			offset := st.pop()
 			size := st.pop()
 			cost, off, sz, err := memExpansion(mem, &offset, &size)
@@ -653,10 +656,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			mem.resize(off + sz)
 			return mem.get(off, sz), ErrExecutionReverted
 
-		case op == INVALID:
-			return nil, ErrInvalidOpcode
-
-		case op == SELFDESTRUCT:
+		case SELFDESTRUCT:
 			if readOnly {
 				return nil, ErrWriteProtection
 			}
@@ -675,11 +675,39 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			evm.State.SelfDestruct(c.Address)
 			return nil, nil
 
-		default:
+		// INVALID and the undefined opcodes never get here: none has a
+		// stack spec. Listing them gives every byte value a case, which the
+		// compiler needs before it emits a jump table (a case range for at
+		// least every fourth value) rather than a binary search.
+		case INVALID,
+			0x0c, 0x0d, 0x0e, 0x0f,
+			0x1e, 0x1f,
+			0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x28, 0x29, 0x2a, 0x2b, 0x2c,
+			0x2d, 0x2e, 0x2f,
+			0x46, 0x47, 0x48, 0x49, 0x4a, 0x4b, 0x4c, 0x4d, 0x4e, 0x4f,
+			0x5c, 0x5d, 0x5e, 0x5f,
+			0xa5, 0xa6, 0xa7, 0xa8, 0xa9, 0xaa, 0xab, 0xac, 0xad, 0xae, 0xaf, 0xb0,
+			0xb1, 0xb2, 0xb3, 0xb4, 0xb5, 0xb6, 0xb7, 0xb8, 0xb9, 0xba, 0xbb, 0xbc,
+			0xbd, 0xbe, 0xbf, 0xc0, 0xc1, 0xc2, 0xc3, 0xc4, 0xc5, 0xc6, 0xc7, 0xc8,
+			0xc9, 0xca, 0xcb, 0xcc, 0xcd, 0xce, 0xcf, 0xd0, 0xd1, 0xd2, 0xd3, 0xd4,
+			0xd5, 0xd6, 0xd7, 0xd8, 0xd9, 0xda, 0xdb, 0xdc, 0xdd, 0xde, 0xdf, 0xe0,
+			0xe1, 0xe2, 0xe3, 0xe4, 0xe5, 0xe6, 0xe7, 0xe8, 0xe9, 0xea, 0xeb, 0xec,
+			0xed, 0xee, 0xef,
+			0xf6, 0xf7, 0xf8, 0xf9,
+			0xfb, 0xfc:
 			return nil, ErrInvalidOpcode
 		}
 		pc++
 	}
+}
+
+// truncatedPush is the value of an n-byte PUSH whose immediate the code
+// cuts short after tail: the missing bytes read as zeros on the right.
+func truncatedPush(tail []byte, n uint64) (v uint256.Int) {
+	var buf [32]byte
+	copy(buf[:n], tail)
+	v.SetBytes(buf[:n])
+	return v
 }
 
 // readSlice reads size bytes from data at a 256-bit offset with zero fill.
@@ -705,9 +733,4 @@ func pushAddress(st *Stack, addr types.Address) {
 func wordToAddress(v *uint256.Int) types.Address {
 	b := v.Bytes32()
 	return types.BytesToAddress(b[12:])
-}
-
-func kBytes(v *uint256.Int) []byte {
-	b := v.Bytes32()
-	return b[:]
 }

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"crypto/sha256"
+	"strings"
 	"testing"
 
 	"onoffchain/internal/keccak"
@@ -148,6 +149,98 @@ func TestInvalidJumpAndStackErrors(t *testing.T) {
 	target3 := deploy(st, 0x26, asm(ADD, STOP))
 	if _, _, err := evm.Call(caller, target3, nil, 100000, nil); err != ErrStackUnderflow {
 		t.Errorf("underflow err = %v", err)
+	}
+}
+
+// Jumps at the edge of the code: a JUMPDEST in the last byte is a valid
+// target (execution then runs off the end, an implicit STOP); the last
+// byte as PUSH data, a destination equal to the code size and one far past
+// it are not.
+func TestJumpAtCodeEdges(t *testing.T) {
+	cases := []struct {
+		name string
+		code []byte
+		err  error
+	}{
+		{"to a JUMPDEST in the last byte", asm(push1(3), JUMP, JUMPDEST), nil},
+		{"JUMPI to a JUMPDEST in the last byte", asm(push1(1), push1(5), JUMPI, JUMPDEST), nil},
+		{"to a non-JUMPDEST last byte", asm(push1(3), JUMP, STOP), ErrInvalidJump},
+		{"to a last byte that is PUSH data", asm(push1(3), JUMP, byte(PUSH1), byte(JUMPDEST)), ErrInvalidJump},
+		{"to the code size", asm(push1(4), JUMP, JUMPDEST), ErrInvalidJump},
+		{"past the end of code", asm(byte(PUSH2), 0x10, 0x00, JUMP, JUMPDEST), ErrInvalidJump},
+		{"JUMPI past the end of code", asm(push1(1), byte(PUSH1+7), 0xff, 0, 0, 0, 0, 0, 0, 0, JUMPI), ErrInvalidJump},
+	}
+	for i, c := range cases {
+		evm, st := testEVM()
+		target := deploy(st, byte(0x40+i), c.code)
+		if _, _, err := evm.Call(caller, target, nil, 100000, nil); err != c.err {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.err)
+		}
+		CheckAgainstOracle(t, c.code, nil)
+	}
+}
+
+// A PUSH cut short by the end of the code pushes its bytes padded with
+// zeros on the right (0x60AB cut to PUSH2 0xAB pushes 0xAB00), costs
+// PUSH's gas and ends the frame cleanly.
+func TestTruncatedPush(t *testing.T) {
+	for _, c := range []struct {
+		tail []byte
+		n    uint64
+		want string
+	}{
+		{[]byte{0xab}, 2, "0xab00"},
+		{[]byte{0x01, 0x02}, 4, "0x1020000"},
+		{nil, 32, "0x0"},
+		{[]byte{0xff}, 32, "0xff" + strings.Repeat("00", 31)},
+	} {
+		v := truncatedPush(c.tail, c.n)
+		if got := v.Hex(); got != c.want {
+			t.Errorf("PUSH%d %x: pushed %s, want %s", c.n, c.tail, got, c.want)
+		}
+	}
+	for _, code := range [][]byte{
+		{byte(PUSH2), 0xab},
+		{byte(PUSH32)},
+		{byte(PUSH32), 1, 2, 3},
+	} {
+		evm, st := testEVM()
+		target := deploy(st, 0x4f, code)
+		_, left, err := evm.Call(caller, target, nil, 100000, nil)
+		if err != nil || left != 100000-GasFastestStep {
+			t.Errorf("code %x: err %v, gas used %d; want nil, %d", code, err, 100000-left, GasFastestStep)
+		}
+		CheckAgainstOracle(t, code, nil)
+	}
+}
+
+// A zero-size memory reference touches no memory, whatever its offset: it
+// neither grows memory for free (MSIZE stays 0) nor, at an offset past any
+// allocatable size, panics.
+func TestZeroSizeMemoryReference(t *testing.T) {
+	huge := []byte{byte(PUSH1 + 7), 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30}
+	cases := map[string][]byte{
+		"SHA3 then MSIZE": asm(push1(0), byte(PUSH2), 0x10, 0x00, SHA3, POP,
+			MSIZE, push1(0), MSTORE, push1(32), push1(0), RETURN),
+		"SHA3 at a huge offset":         asm(push1(0), huge, SHA3, STOP),
+		"CALLDATACOPY at a huge offset": asm(push1(0), push1(0), huge, CALLDATACOPY, STOP),
+		"LOG0 at a huge offset":         asm(push1(0), huge, LOG0, STOP),
+		"RETURN at a huge offset":       asm(push1(0), huge, RETURN),
+	}
+	for name, code := range cases {
+		evm, st := testEVM()
+		target := deploy(st, 0x4e, code)
+		ret, _, err := evm.Call(caller, target, nil, 100000, nil)
+		if err != nil {
+			t.Errorf("%s: err = %v", name, err)
+		}
+		if name == "SHA3 then MSIZE" {
+			if got := new(uint256.Int).SetBytes(ret); !got.IsZero() {
+				t.Errorf("%s: MSIZE = %s, want 0", name, got)
+			}
+		} else if len(ret) != 0 {
+			t.Errorf("%s: returned %x", name, ret)
+		}
 	}
 }
 

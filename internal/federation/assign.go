@@ -18,8 +18,7 @@ import (
 // tower's rank in it is its SLOT for the contract:
 //
 //   - Slot 0 files at once.
-//   - Slot k waits k*EscalateAfter after first sight of the window, then
-//     enters the filing election.
+//   - Slot k files k*EscalateAfter after first sight of the window.
 //
 // No view of who is alive enters the decision. Slots are
 // partition-independent: two towers whose gossip is severed still hold

@@ -10,24 +10,25 @@
 // member set via whisper.SharedTopicKey): guard state for every session a
 // hub takes under guard (enough for a peer to rebuild the session and
 // dispute as the honest party — the fleet is one operator's replicas, which
-// is the trust model), and dispute intents. Windows are not gossiped: every
-// tower reads them from the chain and checks each one in its own sandbox,
-// so no peer's word can stand a tower down.
+// is the trust model). Nothing else is gossiped: every tower reads windows
+// from the chain and checks each one in its own sandbox, so no peer's word
+// can stand a tower down, and no peer's word times a filing either.
 //
 // Dispute duty is assigned per contract by rendezvous hashing over the
 // FULL member set (see assign.go): the gate is asked only about a window
 // the tower has verified to be a lie; slot 0 files at once, and slot k
-// waits k*EscalateAfter after first sight before it enters the filing
-// election. No view of who is alive enters the decision. Exactly-once
-// filing stacks four mechanisms: the per-watch dispute claim, the gossiped intent (a fresh
-// intent from a peer postpones escalation past the in-flight filing), the
-// staggered slots (partition-proof: towers that cannot hear each other
-// still never act at the same instant), and — the unconditional backstop —
-// the on-chain settled veto, re-checked immediately before any filing.
-// Enforcement is exactly-once no matter what: the generated contract's
-// settled flag and deployedAddr guard admit a single enforcement.
+// files k*EscalateAfter after its first sight. No view of who is alive and
+// no word from a peer enters the decision. Exactly-once rests on two
+// layers: the staggered slots (partition-proof: towers that cannot hear
+// each other still never act at the same instant, so a later slot usually
+// finds the contract settled), and the chain — the settled veto, re-checked
+// immediately before any filing, and the generated contract's settled flag
+// and deployedAddr guard, which admit a single enforcement. A backup whose
+// stagger expires while slot 0's filing is still unmined files too; its
+// transactions revert against the settled flag, costing gas, never a
+// second enforcement.
 //
-// Wire = disk: the fleet gossips store.Records (guard and intent kinds; see
+// Wire = disk: the fleet gossips store.Records (the guard kind; see
 // journal.go), the encoding its journal holds, so one codec serves both
 // directions. Each tower journals guard states and closures to its own
 // internal/store WAL; a restarted member re-arms every guard from durable
@@ -74,14 +75,12 @@ type Config struct {
 	Store *store.Store
 	// EscalateAfter is the escalation slot width: a backup in full-member
 	// slot k files no earlier than k*EscalateAfter after it first saw the
-	// window (default 750ms). Must exceed the fleet's worst-case dispute
-	// in-flight time (~2 block intervals under batch mining) or a backup
-	// can race slot 0's unconfirmed filing.
+	// window (default 750ms). It should exceed the fleet's worst-case
+	// dispute in-flight time (~2 block intervals under batch mining): a
+	// backup whose slot comes up while slot 0's filing is unmined files as
+	// well, and its transactions revert against the settled flag — wasted
+	// gas, never a second enforcement.
 	EscalateAfter time.Duration
-	// IntentGrace extends a backup's deferral after a peer gossips a
-	// dispute intent (default 2*EscalateAfter): the peer's transactions
-	// are in flight, give them time to land before escalating past it.
-	IntentGrace time.Duration
 	// SignGossip additionally signs every gossip envelope with the
 	// tower's secp256k1 key (whisper.PostOptions.Unsigned = false) and
 	// requires a valid per-sender signature on receive. The shared group
@@ -102,8 +101,8 @@ type Config struct {
 	// nothing is exported.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, records federation-layer spans (guard adoptions,
-	// dispute intents, escalations) under the gossiped session IDs, so a
-	// session's cross-layer timeline shows fleet activity too.
+	// escalations) under the gossiped session IDs, so a session's
+	// cross-layer timeline shows fleet activity too.
 	Tracer *telemetry.Tracer
 	// Rollup, when set, arms a Join member's tower for Merkle-batched
 	// settlement: EpochPosted events on the Source's registry open batch
@@ -113,8 +112,8 @@ type Config struct {
 	// hub.Hub.RollupHandles. AttachHub refuses it: the hub's tower is
 	// already armed with the hub's own sequencer. Exactly-once leaf
 	// disputes across members come from the same machinery as per-session
-	// mode — the gate's slots and intent election, the registry's on-chain
-	// opened-leaf veto, and the session contract's settled flag.
+	// mode — the gate's slots, the registry's on-chain opened-leaf veto,
+	// and the session contract's settled flag.
 	Rollup rollup.Source
 }
 
@@ -122,14 +121,7 @@ const (
 	// fleetLabel names the federation: the gossip topic and the shared
 	// topic key both derive from it.
 	fleetLabel = "federation/guard"
-	// electionDelay is the pause between announcing a dispute intent and
-	// actually filing: long enough for a rival's intent to arrive, so
-	// concurrent would-be filers deterministically yield to whoever
-	// announced first (or, on a tie, to the lower rendezvous slot). It buys
-	// exactly-once filing at the cost of one gossip round-trip of dispute
-	// latency — only when federated; a gateless hub pays nothing.
-	electionDelay = 150 * time.Millisecond
-	// regossipEvery paces the regossip loop: re-posting live records only
+	// regossipEvery paces the regossip loop: re-posting live guards only
 	// needs to beat the escalation stagger, and checking whisper's loss
 	// counter on the same beat is cheap.
 	regossipEvery = 400 * time.Millisecond
@@ -153,21 +145,10 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.EscalateAfter <= 0 {
 		cfg.EscalateAfter = 750 * time.Millisecond
 	}
-	if cfg.IntentGrace <= 0 {
-		cfg.IntentGrace = 2 * cfg.EscalateAfter
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = telemetry.Default().Layer("federation").Logf
 	}
 	return cfg, nil
-}
-
-// rivalIntent tracks one peer's dispute intent for one contract: the
-// FIRST arrival orders elections (who was in the pipeline earlier), the
-// LAST arrival measures freshness (a live filer keeps re-posting while
-// its transactions are in flight, and must not "go stale" mid-filing).
-type rivalIntent struct {
-	first, last time.Time
 }
 
 // guardInfo is one contract this tower shares guard duty for.
@@ -199,8 +180,6 @@ type Tower struct {
 	mu        sync.Mutex
 	splits    map[string]*hybrid.SplitResult
 	guards    map[types.Address]*guardInfo
-	intents   map[types.Address]map[types.Address]*rivalIntent
-	myIntent  map[types.Address]time.Time // when THIS tower announced
 	firstSeen map[types.Address]time.Time
 	closed    map[types.Address]bool
 	killed    bool
@@ -265,8 +244,6 @@ func newTower(c Config) (*Tower, error) {
 		cancel:    cancel,
 		splits:    make(map[string]*hybrid.SplitResult),
 		guards:    make(map[types.Address]*guardInfo),
-		intents:   make(map[types.Address]map[types.Address]*rivalIntent),
-		myIntent:  make(map[types.Address]time.Time),
 		firstSeen: make(map[types.Address]time.Time),
 		closed:    make(map[types.Address]bool),
 		adoptCh:   make(chan *guardExport, 4096),
@@ -447,43 +424,30 @@ func (t *Tower) regossipLoop() {
 	}
 }
 
-// regossip re-posts dispute-critical records while they are live: the
-// whisper overlay is lossy (full subscriber buffers drop envelopes), and
-// a one-shot announcement that never arrives would silently unguard a
-// window or derail the filing election. Intents are re-posted until their
-// window settles; an owner re-posts guard state while one of its own
-// windows is open. Receivers dedup everything, so repetition costs only
-// bandwidth — and only during the handful of seconds a window is actually
-// open.
+// regossip re-posts an owner's guard state while one of its windows is
+// open: the whisper overlay is lossy (full subscriber buffers drop
+// envelopes), and a one-shot export that never arrived would silently
+// leave that window unguarded on the peer. Receivers dedup, so repetition
+// costs only bandwidth — and only during the handful of seconds a window
+// is actually open.
 func (t *Tower) regossip() {
 	t.mu.Lock()
-	intents := make([]types.Address, 0, len(t.myIntent))
-	for c := range t.myIntent {
-		intents = append(intents, c)
-	}
-	type openGuard struct {
-		export *guardExport
-		watch  *hub.Watch
-	}
-	var open []openGuard
+	var own []*guardInfo
 	for _, gi := range t.guards {
 		if gi.own {
-			open = append(open, openGuard{export: gi.export, watch: gi.watch})
+			own = append(own, gi)
 		}
 	}
 	t.mu.Unlock()
-	for _, c := range intents {
-		t.postIntent(c)
-	}
-	for _, og := range open {
-		if og.watch.OpenWindow() == nil {
+	for _, gi := range own {
+		if gi.watch.OpenWindow() == nil {
 			continue // nothing at stake right now
 		}
-		t.post(guardRecord(og.export), og.export.Trace)
+		t.post(guardRecord(gi.export), gi.export.Trace)
 	}
 }
 
-// checkDrops surfaces whisper envelope loss: guard and intent gossip ride
+// checkDrops surfaces whisper envelope loss: guard gossip rides
 // the same network as every session's traffic, so growth here is the first
 // sign a record the fleet relies on may be missing until its next
 // regossip. Only backpressure counts — TTL expiry is unrelated
@@ -498,7 +462,7 @@ func (t *Tower) checkDrops() {
 	t.mu.Unlock()
 	if grew {
 		t.metrics.dropWarnings.Inc()
-		t.cfg.Logf("federation: whisper dropped %d envelope(s) since last check (%d total) — gossip is lossy, guards/intents may be missing", delta, d)
+		t.cfg.Logf("federation: whisper dropped %d envelope(s) since last check (%d total) — gossip is lossy, guards may be missing", delta, d)
 	}
 }
 
@@ -541,13 +505,11 @@ func (t *Tower) handleEnvelope(env *whisper.Envelope) {
 		t.cfg.Logf("federation: malformed gossip from %s: %v", env.From.Hex(), err)
 		return
 	}
-	// Any other kind — KindFedWindow, which older members posted, among
-	// them — is ignored: windows come only from the chain.
-	switch rec.Kind {
-	case store.KindFedGuard:
+	// Any other kind — KindFedWindow and KindFedIntent, which older members
+	// posted, among them — is ignored: windows come only from the chain, and
+	// the slot stagger alone times a filing.
+	if rec.Kind == store.KindFedGuard {
 		t.handleGuardGossip(env.From, rec, env.TraceCtx())
-	case store.KindFedIntent:
-		t.handleIntentGossip(env.From, rec)
 	}
 }
 
@@ -683,29 +645,11 @@ func (t *Tower) rebuild(g *guardExport) (*hybrid.Session, error) {
 	return hybrid.RebuildSession(split, keys, t.cfg.Chain, nil, t.ctx, g.Contract, g.CopyEnc)
 }
 
-func (t *Tower) handleIntentGossip(from types.Address, rec *store.Record) {
-	if len(rec.Blob) != 20 {
-		t.cfg.Logf("federation: malformed intent gossip from %s", from.Hex())
-		return
-	}
-	contract := types.BytesToAddress(rec.Blob)
-	t.metrics.intentsSeen.Inc()
-	now := time.Now()
-	t.mu.Lock()
-	if t.intents[contract] == nil {
-		t.intents[contract] = make(map[types.Address]*rivalIntent)
-	}
-	if ri := t.intents[contract][from]; ri == nil {
-		t.intents[contract][from] = &rivalIntent{first: now, last: now}
-	} else {
-		ri.last = now
-	}
-	t.mu.Unlock()
-}
-
 // decide is the dispute gate installed on the wrapped watchtower: it
 // times THIS tower's filing against a window its own sandbox found to be a
-// lie (0 = file now). First sight is stamped on the first call. See the
+// lie (0 = file now). First sight is stamped on the first call; slot k files
+// k*EscalateAfter after it. The slot is a rank in the full member set, which
+// every tower computes alike whatever gossip it can or cannot hear. See the
 // package comment for the exactly-once argument.
 func (t *Tower) decide(_ *hub.Watch, w hub.Window) time.Duration {
 	now := time.Now()
@@ -719,91 +663,14 @@ func (t *Tower) decide(_ *hub.Watch, w hub.Window) time.Duration {
 	t.mu.Unlock()
 
 	slot := t.Slot(contract)
-	if slot == 0 {
-		// Slot 0 skips the election wait: the stagger already orders every
-		// backup k*EscalateAfter behind it, so the only theoretical rival
-		// is a backup whose first sight came that much earlier than ours —
-		// the settled veto and the contract's own guards keep even that
-		// race enforcement-safe. The announcement still goes out so backups
-		// extend their deferrals.
-		t.announceIntent(contract)
-		return 0
-	}
-	// Staggered escalation: slot k enters the election only k*EscalateAfter
-	// after first sight. The slot is a rank in the full member set, which
-	// every tower computes alike whatever gossip it can or cannot hear.
 	if wait := fs.Add(time.Duration(slot) * t.cfg.EscalateAfter).Sub(now); wait > 0 {
 		return wait
 	}
-	return t.electFile(contract, slot, now)
-}
-
-// electFile is the filing election: announce intent, wait electionDelay
-// for rival announcements, then file only if no rival is ahead. A rival
-// is ahead when its intent arrived before ours was announced (it is
-// already in the filing pipeline — towers' first-sight clocks skew, so a
-// higher-slot tower can legitimately get there first), or when the
-// announcements were concurrent and the rival holds the lower rendezvous
-// slot (the deterministic tie-break). Deferrals re-enter here and
-// re-evaluate; a rival whose intent goes stale past IntentGrace without a
-// settlement is presumed dead mid-filing and loses its claim.
-func (t *Tower) electFile(contract types.Address, mySlot int, now time.Time) time.Duration {
-	t.mu.Lock()
-	myAt, announced := t.myIntent[contract]
-	if !announced {
-		myAt = now
-		t.myIntent[contract] = now
-	}
-	rivalAhead := false
-	rivalWins := false
-	for m, ri := range t.intents[contract] {
-		if m == t.self || now.Sub(ri.last) > t.cfg.IntentGrace {
-			continue
-		}
-		if ri.first.Before(myAt) {
-			rivalAhead = true
-		} else if slotOf(t.cfg.Members, contract, m) < mySlot {
-			rivalWins = true
-		}
-	}
-	t.mu.Unlock()
-	if !announced {
-		if mySlot > 0 {
-			t.metrics.escalations.Inc()
-			t.cfg.Tracer.EventChild(t.ctxOf(contract), t.sidOf(contract), "federation", "escalate", fmt.Sprintf("slot=%d tower=%s", mySlot, t.self.Hex()))
-		}
-		t.announceIntent(contract)
-		t.cfg.Tracer.EventChild(t.ctxOf(contract), t.sidOf(contract), "federation", "intent_announced", "tower="+t.self.Hex())
-		return electionDelay
-	}
-	if d := electionDelay - now.Sub(myAt); d > 0 {
-		return d
-	}
-	if rivalAhead || rivalWins {
-		// The rival files; re-check after half a grace — usually the
-		// settlement releases this job first.
-		return t.cfg.IntentGrace / 2
+	if slot > 0 {
+		t.metrics.escalations.Inc()
+		t.cfg.Tracer.EventChild(t.ctxOf(contract), t.sidOf(contract), "federation", "escalate", fmt.Sprintf("slot=%d tower=%s", slot, t.self.Hex()))
 	}
 	return 0
-}
-
-// announceIntent broadcasts that this tower has authorized a filing for
-// the contract, BEFORE the filing's chain reads and transactions: a peer
-// whose own escalation timer expires meanwhile must see a fresh intent and
-// yield, or it would race our in-flight filing. The claim path
-// re-announces once the transactions are about to go out (receivers keep
-// the first arrival for election ordering).
-func (t *Tower) announceIntent(contract types.Address) {
-	t.mu.Lock()
-	if _, ok := t.myIntent[contract]; !ok {
-		t.myIntent[contract] = time.Now()
-	}
-	t.mu.Unlock()
-	t.postIntent(contract)
-}
-
-func (t *Tower) postIntent(contract types.Address) {
-	t.post(&store.Record{Kind: store.KindFedIntent, Blob: contract[:]}, t.ctxOf(contract))
 }
 
 // towerObserver adapts Tower to hub.TowerObserver (a distinct type so the
@@ -819,15 +686,7 @@ func (o *towerObserver) Guarded(e *hub.Watch, contract types.Address) {
 	if e.SID() == 0 {
 		return // an adopted guard echoing back; already recorded
 	}
-	sess := e.Session()
-	scalars := make([][]byte, len(sess.Parties))
-	for i, p := range sess.Parties {
-		scalars[i] = p.Key.Bytes()
-	}
-	export := &guardExport{
-		SID: e.SID(), Scenario: e.Scenario(), Contract: contract,
-		Scalars: scalars, CopyEnc: sess.Copy.Encode(),
-	}
+	export := exportOf(e)
 	// Export the session's ROOT trace context (not a child): adopters parent
 	// their own spans directly under the hub's root session span, so a
 	// dropped/re-gossiped export never leaves a dangling intermediate node.
@@ -843,6 +702,20 @@ func (o *towerObserver) Guarded(e *hub.Watch, contract types.Address) {
 	t.metrics.guardsExported.Inc()
 }
 
+// exportOf is the guard state a peer needs to rebuild e's session and
+// dispute as its honest party.
+func exportOf(e *hub.Watch) *guardExport {
+	sess := e.Session()
+	scalars := make([][]byte, len(sess.Parties))
+	for i, p := range sess.Parties {
+		scalars[i] = p.Key.Bytes()
+	}
+	return &guardExport{
+		SID: e.SID(), Scenario: e.Scenario(), Contract: e.Contract(),
+		Scalars: scalars, CopyEnc: sess.Copy.Encode(),
+	}
+}
+
 // WindowClosed retires the contract everywhere: journal, mirrors, maps.
 // Settlement is chain-visible, so peers observe it themselves — no gossip.
 func (o *towerObserver) WindowClosed(contract types.Address, byDispute bool) {
@@ -855,22 +728,16 @@ func (o *towerObserver) WindowClosed(contract types.Address, byDispute bool) {
 	t.mu.Lock()
 	t.closed[contract] = true
 	delete(t.guards, contract)
-	delete(t.intents, contract)
-	delete(t.myIntent, contract)
 	delete(t.firstSeen, contract)
 	t.mu.Unlock()
 }
 
-// DisputeClaimed broadcasts the intent BEFORE the transactions exist:
-// backups whose escalation timer is running extend their deferral.
-func (o *towerObserver) DisputeClaimed(e *hub.Watch, contract types.Address) {
-	t := o.t()
-	t.announceIntent(contract)
-	t.metrics.disputesFiled.Inc()
-}
-
+// DisputeFiled counts a completed filing, and a win when the chain settled
+// to this tower's verdict.
 func (o *towerObserver) DisputeFiled(e *hub.Watch, contract types.Address, enforced bool) {
+	t := o.t()
+	t.metrics.disputesFiled.Inc()
 	if enforced {
-		o.t().metrics.disputesWon.Inc()
+		t.metrics.disputesWon.Inc()
 	}
 }

@@ -89,11 +89,7 @@ func fedConfig(c *chain.Chain, net *whisper.Network, key *secp256k1.PrivateKey, 
 		Chain: c, Net: net, Key: key, Members: members,
 		Registry:      fedRegistry(),
 		EscalateAfter: 250 * time.Millisecond,
-		// Generous intent grace: under -race a filer's verify+file can be
-		// slow, and a backup must keep deferring on the fresh intent
-		// rather than racing the in-flight transactions.
-		IntentGrace: 3 * time.Second,
-		Logf:        func(string, ...interface{}) {},
+		Logf:          func(string, ...interface{}) {},
 	}
 }
 
@@ -681,9 +677,9 @@ func TestAttachHubAfterRecoverKeepsOwnWatches(t *testing.T) {
 }
 
 // TestFederationPartition: the gossip network splits so the two surviving
-// towers cannot hear each other's intents. The full-member escalation
-// slots keep their filings time-staggered, and the chain's settled veto
-// stops the second filing: the dispute still lands exactly once.
+// towers cannot hear each other. The full-member escalation slots keep
+// their filings time-staggered, and the chain's settled veto stops the
+// second filing: the dispute still lands exactly once.
 func TestFederationPartition(t *testing.T) {
 	c, net, faucetKey := fedWorld(t, "auto")
 	keys, members := memberKeys(t, 3)
@@ -744,15 +740,14 @@ func TestFederationPartition(t *testing.T) {
 	waitUntil(t, 30*time.Second, "the dispute", func() bool {
 		return len(c.FilterLogs(chain.FilterQuery{Address: &contract, Topic: &hybrid.TopicDisputeResolved})) > 0
 	})
-	// Give the slower slot time to run into the settled veto, then check
-	// exactly-once. Both towers' slots are distinct members of the full
-	// ranking, so the later one must observe the earlier one's settlement.
-	slots := []int{s1.Slot(contract), s2.Slot(contract)}
-	maxSlot := slots[0]
-	if slots[1] > maxSlot {
-		maxSlot = slots[1]
+	// Both towers' slots are distinct members of the full ranking, so the
+	// later one must observe the earlier one's settlement. Once each tower
+	// has processed the dispute's block and decided every window it opened,
+	// the later slot has stood down.
+	for _, tw := range []*Tower{s1, s2} {
+		tw.Watchtower().WaitCaughtUp(c.Height())
 	}
-	time.Sleep(time.Duration(maxSlot)*1500*time.Millisecond + 500*time.Millisecond)
+	slots := []int{s1.Slot(contract), s2.Slot(contract)}
 	ec := countEvents(c)
 	if ec.opened[contract] != 1 || ec.resolved[contract] != 1 {
 		t.Fatalf("partitioned fleet: opened=%d resolved=%d, want exactly one dispute", ec.opened[contract], ec.resolved[contract])
@@ -763,6 +758,83 @@ func TestFederationPartition(t *testing.T) {
 	}
 	t.Logf("partition: slots s1=%d s2=%d, filings s1=%d s2=%d, escalations s1=%d s2=%d",
 		slots[0], slots[1], m1.DisputesFiled, m2.DisputesFiled, m1.Escalations, m2.Escalations)
+}
+
+// TestFederationSlowBlockEnforcesOnce pins the backstop behind the slot
+// stagger: blocks come far slower than the stagger, so every tower's slot
+// comes up before slot 0's filing is mined, and any tower may file behind it.
+// The chain still enforces exactly once — one DisputeResolved, no
+// finalization, one win fleet-wide — and every other filing reports that it
+// enforced nothing: its transactions revert against the settled flag.
+func TestFederationSlowBlockEnforcesOnce(t *testing.T) {
+	c, net, faucetKey := fedWorld(t, "batch")
+	keys, members := memberKeys(t, 3)
+	const escalateAfter, blockEvery = 100 * time.Millisecond, time.Second
+
+	var h *hub.Hub
+	var slowed sync.Once
+	h = hub.New(c, net, faucetKey, hub.Config{Workers: 1, StageHook: func(sid uint64, s hub.Stage) bool {
+		if s == hub.StageExecuted {
+			// From the submission on, a block takes ten slot widths.
+			slowed.Do(func() {
+				c.StopMining()
+				if err := c.StartMining(blockEvery, 64); err != nil {
+					t.Errorf("slow mining: %v", err)
+				}
+			})
+		}
+		return true
+	}})
+	mk := func(key *secp256k1.PrivateKey) Config {
+		cfg := fedConfig(c, net, key, members)
+		cfg.EscalateAfter = escalateAfter
+		return cfg
+	}
+	towers := make([]*Tower, len(keys))
+	var err error
+	if towers[0], err = AttachHub(h, mk(keys[0])); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(keys); i++ {
+		if towers[i], err = Join(mk(keys[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rep := h.Submit(hub.BettingSpec(4, 600, true)).Report()
+	if rep.Err != nil {
+		t.Fatalf("session failed: %v", rep.Err)
+	}
+	if rep.Stage != hub.StageResolved || !rep.Disputed {
+		t.Errorf("stage=%s disputed=%v, want a resolved dispute", rep.Stage, rep.Disputed)
+	}
+	contract := rep.OnChainAddr
+	waitUntil(t, 10*time.Second, "every tower to adopt the guard", func() bool {
+		return towers[1].Metrics().GuardsAdopted == 1 && towers[2].Metrics().GuardsAdopted == 1
+	})
+	// A filing stays pending until its receipts are read, so once every
+	// tower has decided every window it opened, every filing is counted.
+	for _, tw := range towers {
+		tw.Watchtower().WaitCaughtUp(c.Height())
+	}
+	h.Stop()
+	var filed, won uint64
+	for _, tw := range towers {
+		m := tw.Metrics()
+		filed += m.DisputesFiled
+		won += m.DisputesWon
+		tw.Stop()
+	}
+
+	ec := countEvents(c)
+	if ec.opened[contract] != 1 || ec.resolved[contract] != 1 || ec.finalized[contract] != 0 {
+		t.Errorf("contract %s: opened=%d resolved=%d finalized=%d, want exactly one enforced dispute",
+			contract.Hex(), ec.opened[contract], ec.resolved[contract], ec.finalized[contract])
+	}
+	if won != 1 || filed < 1 {
+		t.Errorf("fleet filed %d disputes and won %d, want one win; every other filing enforces nothing", filed, won)
+	}
+	t.Logf("slow blocks: %d filings, %d won", filed, won)
 }
 
 // TestFederationDropWarning: a subscriber that stops draining makes the
@@ -814,13 +886,38 @@ func TestFederationDropWarning(t *testing.T) {
 	}
 }
 
-// TestSignedGossip: with Config.SignGossip the fleet signs every envelope
-// and a member's signed record is accepted, while a member that skips the
-// signing discipline — an impersonation stand-in, since only per-envelope
+// stalledGuard runs one honest session on a hub outside the fleet, killed
+// once the signed copy exists and before anything is submitted, and returns
+// the session's guard state: a record any member can adopt, whose contract
+// opens no window.
+func stalledGuard(t *testing.T, c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey) *guardExport {
+	t.Helper()
+	var h *hub.Hub
+	h = hub.New(c, net, faucetKey, hub.Config{Workers: 1, StageHook: func(sid uint64, s hub.Stage) bool {
+		if s == hub.StageExecuted {
+			h.Kill()
+		}
+		return !h.Crashed()
+	}})
+	defer h.Stop()
+	if rep := h.Submit(hub.BettingSpec(4, 600, false)).Report(); !errors.Is(rep.Err, hub.ErrCrashed) {
+		t.Fatalf("session should crash at executed, got stage=%s err=%v", rep.Stage, rep.Err)
+	}
+	ws := h.Watchtower().Watches()
+	if len(ws) != 1 {
+		t.Fatalf("hub guards %d contracts, want 1", len(ws))
+	}
+	return exportOf(ws[0])
+}
+
+// TestSignedGossip: with Config.SignGossip a member's signed guard export is
+// adopted, while the same record posted by a member that skips the signing
+// discipline — an impersonation stand-in, since only per-envelope
 // signatures bind gossip to the claimed sender — is dropped and counted.
 func TestSignedGossip(t *testing.T) {
-	c, net, _ := fedWorld(t, "auto")
+	c, net, faucetKey := fedWorld(t, "auto")
 	keys, members := memberKeys(t, 3)
+	g := stalledGuard(t, c, net, faucetKey)
 
 	mk := func(key *secp256k1.PrivateKey) Config {
 		cfg := fedConfig(c, net, key, members)
@@ -838,32 +935,30 @@ func TestSignedGossip(t *testing.T) {
 	}
 	defer s1.Stop()
 
-	// Each tower gossips a signed intent; the other authenticates it.
-	contract := addrN(0xC1)
-	s0.postIntent(contract)
-	s1.postIntent(contract)
-	waitUntil(t, 5*time.Second, "signed intents exchanged", func() bool {
-		return s0.Metrics().IntentsSeen == 1 && s1.Metrics().IntentsSeen == 1
-	})
-	if s0.Metrics().SigRejected != 0 || s1.Metrics().SigRejected != 0 {
-		t.Fatalf("well-signed fleet rejected envelopes: %d/%d",
-			s0.Metrics().SigRejected, s1.Metrics().SigRejected)
-	}
-
-	// A third member posts the same record UNSIGNED under the (valid) group
-	// key: group-key possession alone must no longer pass.
+	// A third member posts the guard UNSIGNED under the (valid) group key:
+	// group-key possession alone must no longer pass.
 	rogue := net.NewNode(keys[2])
-	intent := &store.Record{Kind: store.KindFedIntent, Blob: contract[:]}
-	if _, err := rogue.Post(whisper.TopicFromString(fleetLabel), intent.Encode(), whisper.PostOptions{
+	if _, err := rogue.Post(whisper.TopicFromString(fleetLabel), guardRecord(g).Encode(), whisper.PostOptions{
 		Key: whisper.SharedTopicKey(fleetLabel, members), Unsigned: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, "unsigned envelope rejected", func() bool {
-		return s0.Metrics().SigRejected > 0 && s1.Metrics().SigRejected > 0
+		return s0.Metrics().SigRejected == 1 && s1.Metrics().SigRejected == 1
 	})
-	if s0.Metrics().IntentsSeen != 1 || s1.Metrics().IntentsSeen != 1 {
-		t.Errorf("unsigned intent was counted: %d/%d", s0.Metrics().IntentsSeen, s1.Metrics().IntentsSeen)
+
+	// s0 gossips the same guard signed; s1 authenticates and adopts it.
+	s0.post(guardRecord(g), g.Trace)
+	waitUntil(t, 10*time.Second, "the signed guard adopted", func() bool {
+		return s1.Metrics().GuardsAdopted == 1
+	})
+	m0, m1 := s0.Metrics(), s1.Metrics()
+	if m0.GuardsAdopted != 0 {
+		t.Errorf("the unsigned guard was adopted by s0")
+	}
+	if m0.SigRejected != 1 || m1.SigRejected != 1 {
+		t.Errorf("well-signed gossip rejected: %d/%d envelopes dropped, want only the rogue's",
+			m0.SigRejected, m1.SigRejected)
 	}
 }
 
@@ -991,13 +1086,14 @@ func fedRollupRun(t *testing.T, mode string) {
 
 // TestHostileGossip: a holder of the group key posts bytes no member would.
 // Every record is dropped at the decoder that owns its kind — no panic, no
-// guard adopted, no intent recorded, nothing journaled — and the receiver
-// goes on reading: the rogue's well-formed intents keep arriving
-// throughout. A well-formed window record is ignored too: windows come only
-// from the chain, so it opens nothing.
+// guard adopted, nothing journaled — and the receiver goes on reading: a
+// real session's guard posted after them all is adopted. A well-formed
+// window or intent record is ignored too: windows come only from the chain,
+// and no peer's word times a filing, so either opens nothing.
 func TestHostileGossip(t *testing.T) {
-	c, net, _ := fedWorld(t, "auto")
+	c, net, faucetKey := fedWorld(t, "auto")
 	keys, members := memberKeys(t, 2)
+	barrier := stalledGuard(t, c, net, faucetKey)
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -1027,17 +1123,6 @@ func TestHostileGossip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	barrierContract := addrN(0xB0)
-	barrier := (&store.Record{Kind: store.KindFedIntent, Blob: barrierContract[:]}).Encode()
-	barriers := uint64(0)
-	barrierSeen := func() {
-		t.Helper()
-		post(barrier)
-		barriers++
-		waitUntil(t, 5*time.Second, "the intent behind the hostile record", func() bool {
-			return s0.Metrics().IntentsSeen >= barriers
-		})
-	}
 
 	contract := addrN(0xC0)
 	scalar := func(b byte) []byte { s := make([]byte, 32); s[31] = b; return s }
@@ -1063,35 +1148,36 @@ func TestHostileGossip(t *testing.T) {
 		"guard, 19-byte address": shortContract.Encode(),
 		"guard, scalar ≥ order":  badScalar.Encode(),
 		"window, with a verdict": window.Encode(),
-		"intent, 3-byte blob":    (&store.Record{Kind: store.KindFedIntent, Blob: []byte{1, 2, 3}}).Encode(),
+		"intent":                 (&store.Record{Kind: store.KindFedIntent, Blob: contract[:]}).Encode(),
 	}
-	barrierSeen()
 	for _, payload := range hostile {
 		post(payload)
-		barrierSeen() // delivery is ordered: the hostile record has been handled
 	}
-	// The one guard that decodes (bad scalar) is refused on the adopter's
-	// own goroutine, by the session rebuild.
-	waitUntil(t, 5*time.Second, "the adopter to refuse the bad scalar", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, l := range logged {
-			if strings.Contains(l, "cannot adopt guard") && strings.Contains(l, "scalar") {
-				return true
-			}
-		}
-		return false
+	// Delivery is ordered and so is adoption: once the barrier's guard is
+	// adopted, every hostile record before it has been handled.
+	post(guardRecord(barrier).Encode())
+	waitUntil(t, 10*time.Second, "the guard behind the hostile records", func() bool {
+		return s0.Metrics().GuardsAdopted == 1
 	})
-	m := s0.Metrics()
-	if m.GuardsAdopted != 0 || m.Guards != 0 {
-		t.Errorf("hostile gossip adopted a guard: adopted=%d guards=%d", m.GuardsAdopted, m.Guards)
+	// The one hostile guard that decodes (bad scalar) is refused on the
+	// adopter's own goroutine, by the session rebuild.
+	mu.Lock()
+	refused := false
+	for _, l := range logged {
+		if strings.Contains(l, "cannot adopt guard") && strings.Contains(l, "scalar") {
+			refused = true
+		}
 	}
-	if m.IntentsSeen != barriers {
-		t.Errorf("hostile gossip was recorded: intents=%d (%d barriers)", m.IntentsSeen, barriers)
+	mu.Unlock()
+	if !refused {
+		t.Error("the adopter did not refuse the bad scalar")
+	}
+	if m := s0.Metrics(); m.GuardsAdopted != 1 || m.Guards != 1 {
+		t.Errorf("hostile gossip adopted a guard: adopted=%d guards=%d, want only the barrier's", m.GuardsAdopted, m.Guards)
 	}
 	w := s0.Watchtower()
-	if got := w.Watches(); len(got) != 0 {
-		t.Errorf("tower guards %d contracts after hostile gossip, want none", len(got))
+	if got := w.Watches(); len(got) != 1 || got[0].Contract() != barrier.Contract {
+		t.Errorf("tower guards %d contracts after hostile gossip, want only the barrier's", len(got))
 	}
 	if open, pending := w.OpenWindows(), w.PendingDisputes(); open != 0 || pending != 0 {
 		t.Errorf("hostile gossip opened %d windows (%d pending), want none", open, pending)
@@ -1101,7 +1187,9 @@ func TestHostileGossip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range recs {
-		t.Errorf("hostile gossip was journaled: %s record", rec.Kind)
+		if g, err := decodeGuardRecord(rec); err != nil || g.Contract != barrier.Contract {
+			t.Errorf("hostile gossip was journaled: %s record", rec.Kind)
+		}
 	}
 }
 

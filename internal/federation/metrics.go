@@ -10,9 +10,8 @@ import "onoffchain/internal/telemetry"
 type metrics struct {
 	guardsExported *telemetry.Counter // own sessions gossiped to the fleet
 	guardsAdopted  *telemetry.Counter // peers' sessions taken under guard
-	intentsSeen    *telemetry.Counter // peers' dispute intents received
 	escalations    *telemetry.Counter // backup filings after the staggered wait
-	disputesFiled  *telemetry.Counter // disputes this tower claimed and filed
+	disputesFiled  *telemetry.Counter // disputes this tower filed
 	disputesWon    *telemetry.Counter // ... that the chain enforced
 	dropWarnings   *telemetry.Counter // gossip-loss warnings logged
 	sigRejected    *telemetry.Counter // signed-gossip mode: envelopes dropped for bad/missing sender signature
@@ -28,7 +27,6 @@ func newMetrics(reg *telemetry.Registry, tower string) *metrics {
 	return &metrics{
 		guardsExported: c("federation_guards_exported_total"),
 		guardsAdopted:  c("federation_guards_adopted_total"),
-		intentsSeen:    c("federation_intents_seen_total"),
 		escalations:    c("federation_escalations_total"),
 		disputesFiled:  c("federation_disputes_filed_total"),
 		disputesWon:    c("federation_disputes_won_total"),
@@ -48,11 +46,13 @@ type Snapshot struct {
 	// itself); it stays because the benchmark's federation.vouches_honored
 	// column reads it.
 	VouchesHonored uint64
-	IntentsSeen    uint64
-	Escalations    uint64
-	DisputesFiled  uint64
-	DisputesWon    uint64
-	DropWarnings   uint64
+	// IntentsSeen is always 0 (towers gossip no dispute intents); it stays
+	// because the benchmark's federation.intents_seen column reads it.
+	IntentsSeen   uint64
+	Escalations   uint64
+	DisputesFiled uint64
+	DisputesWon   uint64
+	DropWarnings  uint64
 	// SigRejected counts envelopes dropped by signed-gossip verification
 	// (always 0 when Config.SignGossip is off).
 	SigRejected uint64
@@ -64,7 +64,6 @@ func (m *metrics) snapshot() Snapshot {
 	return Snapshot{
 		GuardsExported: m.guardsExported.Value(),
 		GuardsAdopted:  m.guardsAdopted.Value(),
-		IntentsSeen:    m.intentsSeen.Value(),
 		Escalations:    m.escalations.Value(),
 		DisputesFiled:  m.disputesFiled.Value(),
 		DisputesWon:    m.disputesWon.Value(),

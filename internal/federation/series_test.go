@@ -55,7 +55,6 @@ var seriesReaders = map[string]string{
 	"rollup_epoch_seconds":             "benchmark rollup.epoch_ms_p50",
 	"federation_guards_exported_total": "TestFederationFleet",
 	"federation_guards_adopted_total":  "benchmark federation.guards_adopted",
-	"federation_intents_seen_total":    "benchmark federation.intents_seen",
 	"federation_escalations_total":     "benchmark federation.escalations",
 	"federation_disputes_filed_total":  "benchmark federation.disputes_filed",
 	"federation_disputes_won_total":    "benchmark federation.disputes_won",

@@ -310,8 +310,8 @@ func (h *Hub) Watchtower() *Watchtower { return h.tower }
 
 // Metrics returns a consistent snapshot of the hub's counters, including
 // the whisper network's envelope-loss counter, so gossip (signed-copy
-// exchanges, federation guard, window and intent records) dropped under
-// backpressure shows up next to the sessions it can stall.
+// exchanges, federation guard records) dropped under backpressure shows
+// up next to the sessions it can stall.
 func (h *Hub) Metrics() Snapshot {
 	snap := h.metrics.snapshot()
 	if h.net != nil {

@@ -84,9 +84,6 @@ type TowerObserver interface {
 	// WindowClosed: the contract settled — by dispute resolution when
 	// byDispute, by unchallenged finalization otherwise.
 	WindowClosed(contract types.Address, byDispute bool)
-	// DisputeClaimed: this tower claimed the dispute and is about to file
-	// (the intent exists before the transaction does).
-	DisputeClaimed(e *Watch, contract types.Address)
 	// DisputeFiled: the dispute transactions completed; enforced reports
 	// whether the chain settled to the tower's verdict.
 	DisputeFiled(e *Watch, contract types.Address, enforced bool)
@@ -870,9 +867,6 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 	// recompute and enforce the true result.
 	w.metrics.disputesRaised.Inc()
 	disputeStart := time.Now()
-	if o, _ := w.federated(); o != nil {
-		o.DisputeClaimed(e, e.sess.OnChainAddr)
-	}
 	// Batch settlement: pin WHICH leaf of WHICH epoch this dispute refutes
 	// by opening it against the posted root, queued ahead of the dispute
 	// pair so the three transactions share a block.

@@ -103,11 +103,12 @@ const (
 	// deadline, Blob = contract, Blobs[0] = submitter, Blobs[1] = the
 	// optional 8-byte hint); it folds to nothing and receivers ignore it.
 	KindFedWindow
-	// KindFedIntent: the sending member intends to dispute the contract in
-	// Blob. Gossiped, not journaled and never folded (intents are
-	// re-gossiped while live, so a restart relearns them). Journals that
-	// carry it (then with U1 = wall-clock milliseconds, Blobs[0] = the
-	// declaring member) still decode.
+	// KindFedIntent: the sending member intended to dispute the contract in
+	// Blob. No longer posted or journaled: the slot stagger and the chain's
+	// settled veto alone time a filing. The kind stays decodable from
+	// journals that carry it (then with U1 = wall-clock milliseconds,
+	// Blobs[0] = the declaring member); it folds to nothing and receivers
+	// ignore it.
 	KindFedIntent
 	// KindFedClosed: the contract in Blob settled (U1 = 1 when settled by
 	// dispute resolution); its guard state is dead and a restarted member

@@ -264,7 +264,6 @@ func main() {
 	if *telemetryAddr != "" || *flightDir != "" {
 		reg = telemetry.NewRegistry()
 		reg.RegisterRuntimeMetrics()
-		reg.PublishExpvar("chaind")
 		tr = telemetry.NewTracer(0)
 		ccfg.Telemetry = reg
 		ccfg.Tracer = tr

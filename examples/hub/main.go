@@ -106,7 +106,6 @@ func main() {
 		o.reg = telemetry.NewRegistry()
 		o.tr = telemetry.NewTracer(0)
 		o.reg.RegisterRuntimeMetrics()
-		o.reg.PublishExpvar("hub")
 	}
 	if *telemetryAddr != "" {
 		tsrv, err := telemetry.Serve(*telemetryAddr, o.reg, o.tr)

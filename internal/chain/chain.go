@@ -771,16 +771,6 @@ func (c *Chain) Call(msg CallMsg) ([]byte, uint64, error) {
 	return ret, msg.Gas - leftover, err
 }
 
-// EstimateGas runs the message and reports total gas including intrinsic
-// cost, padded the way wallets do (exact execution cost, no search).
-func (c *Chain) EstimateGas(msg CallMsg) (uint64, error) {
-	_, used, err := c.Call(msg)
-	if err != nil {
-		return 0, err
-	}
-	return used + vm.IntrinsicGas(msg.Data, false), nil
-}
-
 // FilterQuery selects logs.
 type FilterQuery struct {
 	FromBlock uint64

@@ -401,15 +401,3 @@ func TestRefundAppliedToGasAccounting(t *testing.T) {
 		t.Errorf("unexpected gas %d for zero-to-zero store", r2.GasUsed)
 	}
 }
-
-func TestEstimateGas(t *testing.T) {
-	alice, bob := newAccount(117), newAccount(118)
-	c := testChain(alice, bob)
-	est, err := c.EstimateGas(CallMsg{From: alice.addr, To: bob.addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est != 21000 {
-		t.Errorf("estimate = %d, want 21000", est)
-	}
-}

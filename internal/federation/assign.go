@@ -18,7 +18,7 @@ import (
 // tower's rank in it is its SLOT for the contract:
 //
 //   - Slot 0 files at once.
-//   - Slot k files k*EscalateAfter after first sight of the window.
+//   - Slot k files k*EscalateAfter after its own pacer first found the lie.
 //
 // No view of who is alive enters the decision. Slots are
 // partition-independent: two towers whose gossip is severed still hold

@@ -7,21 +7,22 @@
 //
 // Each federated tower wraps a hub.Watchtower. Members gossip whisper
 // envelopes on a dedicated AES-GCM-encrypted topic (key derived from the
-// member set via whisper.SharedTopicKey): guard state for every session a
-// hub takes under guard (enough for a peer to rebuild the session and
-// dispute as the honest party — the fleet is one operator's replicas, which
-// is the trust model). Nothing else is gossiped: every tower reads windows
+// member set via whisper.SharedTopicKey), each signed by its sender and
+// verified on receipt: guard state for every session a hub takes under
+// guard (enough for a peer to rebuild the session and dispute as the
+// honest party — the fleet is one operator's replicas, which is the trust
+// model). Nothing else is gossiped: every tower reads windows
 // from the chain and checks each one in its own sandbox, so no peer's word
 // can stand a tower down, and no peer's word times a filing either.
 //
 // Dispute duty is assigned per contract by rendezvous hashing over the
 // FULL member set (see assign.go): the gate is asked only about a window
 // the tower has verified to be a lie; slot 0 files at once, and slot k
-// files k*EscalateAfter after its first sight. No view of who is alive and
-// no word from a peer enters the decision. Exactly-once rests on two
-// layers: the staggered slots (partition-proof: towers that cannot hear
-// each other still never act at the same instant, so a later slot usually
-// finds the contract settled), and the chain — the settled veto, re-checked
+// files k*EscalateAfter after the tower's pacer first found the lie. No
+// view of who is alive and no word from a peer enters the decision.
+// Exactly-once rests on two layers: the staggered slots (partition-proof:
+// towers that cannot hear each other still never act at the same instant,
+// so a later slot usually finds the contract settled), and the chain — the settled veto, re-checked
 // immediately before any filing, and the generated contract's settled flag
 // and deployedAddr guard, which admit a single enforcement. A backup whose
 // stagger expires while slot 0's filing is still unmined files too; its
@@ -60,6 +61,9 @@ type Config struct {
 	// Net is the whisper overlay the fleet gossips on.
 	Net *whisper.Network
 	// Key is the tower's identity: its whisper node and gossip signatures.
+	// Every envelope the tower posts is signed with it, and every envelope
+	// it receives must carry a valid signature from the member it claims
+	// to be, so a group-key holder cannot impersonate another member.
 	Key *secp256k1.PrivateKey
 	// Members is the full configured tower-identity set, self included.
 	// All members must agree on it (it keys the shared topic secret).
@@ -81,17 +85,6 @@ type Config struct {
 	// well, and its transactions revert against the settled flag — wasted
 	// gas, never a second enforcement.
 	EscalateAfter time.Duration
-	// SignGossip additionally signs every gossip envelope with the
-	// tower's secp256k1 key (whisper.PostOptions.Unsigned = false) and
-	// requires a valid per-sender signature on receive. The shared group
-	// key already authenticates traffic as coming from SOME member;
-	// per-envelope signatures bind each record to the member that claims
-	// to have sent it, so one leaked group key (or a misbehaving member)
-	// cannot impersonate the rest of the fleet. Off by default: replicas
-	// of one operator get authentication from the group key alone, and
-	// signing costs one Sign per envelope sent and one recovery per
-	// envelope received (DESIGN.md §9).
-	SignGossip bool
 	// Logf sinks diagnostics (default: the structured telemetry logger's
 	// "federation" layer at Info level).
 	Logf func(string, ...interface{})
@@ -100,8 +93,8 @@ type Config struct {
 	// registry). Nil keeps a private registry: Metrics() still works,
 	// nothing is exported.
 	Telemetry *telemetry.Registry
-	// Tracer, when set, records federation-layer spans (guard adoptions,
-	// escalations) under the gossiped session IDs, so a session's
+	// Tracer, when set, records federation-layer spans (guard exports and
+	// adoptions) under the gossiped session IDs, so a session's
 	// cross-layer timeline shows fleet activity too.
 	Tracer *telemetry.Tracer
 	// Rollup, when set, arms a Join member's tower for Merkle-batched
@@ -122,8 +115,7 @@ const (
 	// topic key both derive from it.
 	fleetLabel = "federation/guard"
 	// regossipEvery paces the regossip loop: re-posting live guards only
-	// needs to beat the escalation stagger, and checking whisper's loss
-	// counter on the same beat is cheap.
+	// needs to beat the escalation stagger.
 	regossipEvery = 400 * time.Millisecond
 )
 
@@ -177,13 +169,11 @@ type Tower struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu        sync.Mutex
-	splits    map[string]*hybrid.SplitResult
-	guards    map[types.Address]*guardInfo
-	firstSeen map[types.Address]time.Time
-	closed    map[types.Address]bool
-	killed    bool
-	lastDrops int
+	mu     sync.Mutex
+	splits map[string]*hybrid.SplitResult
+	guards map[types.Address]*guardInfo
+	closed map[types.Address]bool
+	killed bool
 
 	inbox    <-chan *whisper.Envelope
 	adoptCh  chan *guardExport
@@ -234,46 +224,23 @@ func newTower(c Config) (*Tower, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	self := types.Address(cfg.Key.EthereumAddress())
 	t := &Tower{
-		cfg:       cfg,
-		self:      self,
-		node:      cfg.Net.NewNode(cfg.Key),
-		topic:     whisper.TopicFromString(fleetLabel),
-		symKey:    whisper.SharedTopicKey(fleetLabel, cfg.Members),
-		metrics:   newMetrics(cfg.Telemetry, self.Hex()),
-		ctx:       ctx,
-		cancel:    cancel,
-		splits:    make(map[string]*hybrid.SplitResult),
-		guards:    make(map[types.Address]*guardInfo),
-		firstSeen: make(map[types.Address]time.Time),
-		closed:    make(map[types.Address]bool),
-		adoptCh:   make(chan *guardExport, 4096),
-		stopCh:    make(chan struct{}),
+		cfg:     cfg,
+		self:    self,
+		node:    cfg.Net.NewNode(cfg.Key),
+		topic:   whisper.TopicFromString(fleetLabel),
+		symKey:  whisper.SharedTopicKey(fleetLabel, cfg.Members),
+		metrics: newMetrics(cfg.Telemetry, self.Hex()),
+		ctx:     ctx,
+		cancel:  cancel,
+		splits:  make(map[string]*hybrid.SplitResult),
+		guards:  make(map[types.Address]*guardInfo),
+		closed:  make(map[types.Address]bool),
+		adoptCh: make(chan *guardExport, 4096),
+		stopCh:  make(chan struct{}),
 	}
 	t.journal = &journal{st: cfg.Store, logf: cfg.Logf}
 	cfg.Net.RegisterMetrics(cfg.Telemetry)
 	return t, nil
-}
-
-// sidOf returns the gossiped session ID guarding contract (0 if this
-// tower holds no guard for it), for span attribution.
-func (t *Tower) sidOf(contract types.Address) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if gi := t.guards[contract]; gi != nil && gi.export != nil {
-		return gi.export.SID
-	}
-	return 0
-}
-
-// ctxOf returns the causal trace context of the guard on contract (zero
-// when unguarded or untraced), for parenting federation spans.
-func (t *Tower) ctxOf(contract types.Address) telemetry.TraceContext {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if gi := t.guards[contract]; gi != nil && gi.watch != nil {
-		return gi.watch.TraceCtx()
-	}
-	return telemetry.TraceContext{}
 }
 
 // attach makes w this member's tower: the federation's observer and gate
@@ -341,8 +308,11 @@ func (t *Tower) Self() types.Address { return t.self }
 func (t *Tower) Watchtower() *hub.Watchtower { return t.tower }
 
 // Metrics returns the tower's federation counters plus its guard count.
+// Filings are the wrapped tower's own counts, read where they are kept.
 func (t *Tower) Metrics() Snapshot {
 	snap := t.metrics.snapshot()
+	tm := t.tower.Metrics()
+	snap.Escalations, snap.DisputesFiled, snap.DisputesWon = tm.DisputesEscalated, tm.DisputesRaised, tm.DisputesWon
 	t.mu.Lock()
 	snap.Guards = len(t.guards)
 	t.mu.Unlock()
@@ -397,14 +367,11 @@ func (t *Tower) Kill() {
 	t.tower.Halt()
 }
 
-// post gossips one record — the bytes a journal would hold — under the
-// fleet key; tc, the trace context of the session the record concerns,
-// rides the envelope.
+// post gossips one record — the bytes a journal would hold — signed by
+// this tower and sealed under the fleet key; tc, the trace context of the
+// session the record concerns, rides the envelope.
 func (t *Tower) post(rec *store.Record, tc telemetry.TraceContext) {
-	// Default unsigned: the group key authenticates fleet traffic (see
-	// handleEnvelope). SignGossip opts into per-sender envelope
-	// signatures, affordable since the fixed-limb secp256k1 rewrite.
-	if _, err := t.node.Post(t.topic, rec.Encode(), whisper.PostOptions{Key: t.symKey, Unsigned: !t.cfg.SignGossip, Trace: tc}); err != nil {
+	if _, err := t.node.Post(t.topic, rec.Encode(), whisper.PostOptions{Key: t.symKey, Trace: tc}); err != nil {
 		t.cfg.Logf("federation: gossip post failed: %v", err)
 	}
 }
@@ -419,7 +386,6 @@ func (t *Tower) regossipLoop() {
 			return
 		case <-tick.C:
 			t.regossip()
-			t.checkDrops()
 		}
 	}
 }
@@ -447,25 +413,6 @@ func (t *Tower) regossip() {
 	}
 }
 
-// checkDrops surfaces whisper envelope loss: guard gossip rides
-// the same network as every session's traffic, so growth here is the first
-// sign a record the fleet relies on may be missing until its next
-// regossip. Only backpressure counts — TTL expiry is unrelated
-// traffic (federation gossip never carries a TTL), and warning on it
-// would spam every tower for every expired session envelope.
-func (t *Tower) checkDrops() {
-	_, d := t.cfg.Net.DropStats()
-	t.mu.Lock()
-	grew := d > t.lastDrops
-	delta := d - t.lastDrops
-	t.lastDrops = d
-	t.mu.Unlock()
-	if grew {
-		t.metrics.dropWarnings.Inc()
-		t.cfg.Logf("federation: whisper dropped %d envelope(s) since last check (%d total) — gossip is lossy, guards may be missing", delta, d)
-	}
-}
-
 func (t *Tower) receiverLoop() {
 	defer t.wg.Done()
 	for {
@@ -482,16 +429,12 @@ func (t *Tower) handleEnvelope(env *whisper.Envelope) {
 	if env.From == t.self || !t.isMember(env.From) {
 		return
 	}
-	// AES-GCM under the fleet's shared key is the authentication gate:
-	// only members hold the key, so a successful open proves the envelope
-	// is federation traffic (anything else — topic collisions, outsiders —
-	// fails here). Without SignGossip the per-envelope ecrecover of
-	// Envelope.Verify is skipped: it authenticates the individual sender,
-	// which the replica trust model doesn't strictly need. With
-	// SignGossip every envelope must also carry a valid signature from
-	// the member it claims to be — a forged From (group-key holder
-	// impersonating a peer) is dropped here.
-	if t.cfg.SignGossip && !env.Verify() {
+	// Two gates. The sender's signature binds the envelope to the member it
+	// claims to be, so a forged From — a group-key holder impersonating a
+	// peer, or an unsigned envelope — is dropped here. AES-GCM under the
+	// fleet's shared key then proves it is federation traffic (anything
+	// else — topic collisions, outsiders — fails to open).
+	if !env.Verify() {
 		t.metrics.sigRejected.Inc()
 		t.cfg.Logf("federation: dropped gossip with missing/invalid sender signature claiming %s", env.From.Hex())
 		return
@@ -522,9 +465,10 @@ func (t *Tower) isMember(a types.Address) bool {
 	return false
 }
 
-// handleGuardGossip queues the adoption: rebuilding a session (n-of-n
-// signature verification) is too heavy for the receiver loop — stalling
-// it under a burst of session starts would back up every other record.
+// handleGuardGossip queues the adoption: rebuilding a session (n party-key
+// derivations, then a replay of the contract's history from the log index)
+// is too heavy for the receiver loop — stalling it under a burst of session
+// starts would back up every other record.
 func (t *Tower) handleGuardGossip(from types.Address, rec *store.Record, tc telemetry.TraceContext) {
 	export, err := decodeGuardRecord(rec)
 	if err != nil {
@@ -647,30 +591,12 @@ func (t *Tower) rebuild(g *guardExport) (*hybrid.Session, error) {
 
 // decide is the dispute gate installed on the wrapped watchtower: it
 // times THIS tower's filing against a window its own sandbox found to be a
-// lie (0 = file now). First sight is stamped on the first call; slot k files
-// k*EscalateAfter after it. The slot is a rank in the full member set, which
-// every tower computes alike whatever gossip it can or cannot hear. See the
-// package comment for the exactly-once argument.
-func (t *Tower) decide(_ *hub.Watch, w hub.Window) time.Duration {
-	now := time.Now()
-	contract := w.Contract
-	t.mu.Lock()
-	fs, ok := t.firstSeen[contract]
-	if !ok {
-		fs = now
-		t.firstSeen[contract] = now
-	}
-	t.mu.Unlock()
-
-	slot := t.Slot(contract)
-	if wait := fs.Add(time.Duration(slot) * t.cfg.EscalateAfter).Sub(now); wait > 0 {
-		return wait
-	}
-	if slot > 0 {
-		t.metrics.escalations.Inc()
-		t.cfg.Tracer.EventChild(t.ctxOf(contract), t.sidOf(contract), "federation", "escalate", fmt.Sprintf("slot=%d tower=%s", slot, t.self.Hex()))
-	}
-	return 0
+// lie since ago (≤ 0 = file now): slot k files k*EscalateAfter after the
+// tower's pacer first found it. The slot is a rank in the full member set,
+// which every tower computes alike whatever gossip it can or cannot hear.
+// See the package comment for the exactly-once argument.
+func (t *Tower) decide(contract types.Address, since time.Duration) time.Duration {
+	return time.Duration(t.Slot(contract))*t.cfg.EscalateAfter - since
 }
 
 // towerObserver adapts Tower to hub.TowerObserver (a distinct type so the
@@ -728,16 +654,5 @@ func (o *towerObserver) WindowClosed(contract types.Address, byDispute bool) {
 	t.mu.Lock()
 	t.closed[contract] = true
 	delete(t.guards, contract)
-	delete(t.firstSeen, contract)
 	t.mu.Unlock()
-}
-
-// DisputeFiled counts a completed filing, and a win when the chain settled
-// to this tower's verdict.
-func (o *towerObserver) DisputeFiled(e *hub.Watch, contract types.Address, enforced bool) {
-	t := o.t()
-	t.metrics.disputesFiled.Inc()
-	if enforced {
-		t.metrics.disputesWon.Inc()
-	}
 }

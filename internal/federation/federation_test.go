@@ -408,7 +408,7 @@ func forgedVerdictRun(t *testing.T, mode string) {
 		rec := &store.Record{Kind: store.KindFedWindow, U1: lie, U2: now, U3: now + 600, Blob: contract[:],
 			Blobs: [][]byte{submitter[:], binary.BigEndian.AppendUint64(nil, lie)}}
 		if _, err := forger.Post(whisper.TopicFromString(fleetLabel), rec.Encode(), whisper.PostOptions{
-			Key: whisper.SharedTopicKey(fleetLabel, members), Unsigned: true,
+			Key: whisper.SharedTopicKey(fleetLabel, members),
 		}); err != nil {
 			t.Errorf("forged post: %v", err)
 		}
@@ -837,55 +837,6 @@ func TestFederationSlowBlockEnforcesOnce(t *testing.T) {
 	t.Logf("slow blocks: %d filings, %d won", filed, won)
 }
 
-// TestFederationDropWarning: a subscriber that stops draining makes the
-// whisper network drop envelopes; the regossip loop must notice and log
-// a warning (lost gossip is otherwise undiagnosable).
-func TestFederationDropWarning(t *testing.T) {
-	c, net, faucetKey := fedWorld(t, "auto")
-	_ = faucetKey
-	keys, members := memberKeys(t, 2)
-
-	var mu sync.Mutex
-	var warnings []string
-	cfg := fedConfig(c, net, keys[0], members)
-	cfg.Logf = func(format string, args ...interface{}) {
-		mu.Lock()
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-	s1, err := Join(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s1.Stop()
-
-	// A stuck peer: subscribed to the federation topic, never draining,
-	// and flooded past its subscription buffer.
-	topic := whisper.TopicFromString(fleetLabel)
-	stuck := net.NewNode(keys[1])
-	_ = stuck.Subscribe(topic)
-	for i := 0; i < 300; i++ {
-		if _, err := stuck.Post(topic, []byte("flood"), whisper.PostOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	waitUntil(t, 20*time.Second, "a gossip drop warning", func() bool {
-		return s1.Metrics().DropWarnings > 0
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, w := range warnings {
-		if strings.Contains(w, "dropped") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no drop warning logged; got %q", warnings)
-	}
-}
-
 // stalledGuard runs one honest session on a hub outside the fleet, killed
 // once the signed copy exists and before anything is submitted, and returns
 // the session's guard state: a record any member can adopt, whose contract
@@ -910,42 +861,50 @@ func stalledGuard(t *testing.T, c *chain.Chain, net *whisper.Network, faucetKey 
 	return exportOf(ws[0])
 }
 
-// TestSignedGossip: with Config.SignGossip a member's signed guard export is
-// adopted, while the same record posted by a member that skips the signing
-// discipline — an impersonation stand-in, since only per-envelope
-// signatures bind gossip to the claimed sender — is dropped and counted.
+// TestSignedGossip: every envelope is signed, and a tower drops one whose
+// signature does not bind it to the member it claims to be. Two envelopes
+// claiming member 2 — one unsigned, one signed by an outsider who holds the
+// group key — are dropped and counted on both towers; a guard a member posts
+// signed is then adopted.
 func TestSignedGossip(t *testing.T) {
 	c, net, faucetKey := fedWorld(t, "auto")
 	keys, members := memberKeys(t, 3)
 	g := stalledGuard(t, c, net, faucetKey)
-
-	mk := func(key *secp256k1.PrivateKey) Config {
-		cfg := fedConfig(c, net, key, members)
-		cfg.SignGossip = true
-		return cfg
-	}
-	s0, err := Join(mk(keys[0]))
+	s0, err := Join(fedConfig(c, net, keys[0], members))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s0.Stop()
-	s1, err := Join(mk(keys[1]))
+	s1, err := Join(fedConfig(c, net, keys[1], members))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Stop()
 
-	// A third member posts the guard UNSIGNED under the (valid) group key:
-	// group-key possession alone must no longer pass.
-	rogue := net.NewNode(keys[2])
-	if _, err := rogue.Post(whisper.TopicFromString(fleetLabel), guardRecord(g).Encode(), whisper.PostOptions{
-		Key: whisper.SharedTopicKey(fleetLabel, members), Unsigned: true,
-	}); err != nil {
+	topic := whisper.TopicFromString(fleetLabel)
+	symKey := whisper.SharedTopicKey(fleetLabel, members)
+	sealed, err := whisper.Encrypt(symKey, guardRecord(g).Encode())
+	if err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, "unsigned envelope rejected", func() bool {
-		return s0.Metrics().SigRejected == 1 && s1.Metrics().SigRejected == 1
-	})
+	unsigned := &whisper.Envelope{Topic: topic, Payload: sealed, From: members[2]}
+	outsiderKey, err := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0x0075_1DE7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Posted on a network of its own, so only the handlers below see it.
+	forged, err := whisper.NewNetwork(nil).NewNode(outsiderKey).Post(topic, guardRecord(g).Encode(), whisper.PostOptions{Key: symKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged.From = members[2]
+	for _, s := range []*Tower{s0, s1} {
+		s.handleEnvelope(unsigned)
+		s.handleEnvelope(forged)
+	}
+	if m0, m1 := s0.Metrics(), s1.Metrics(); m0.SigRejected != 2 || m1.SigRejected != 2 {
+		t.Fatalf("towers dropped %d/%d envelopes for their signatures, want 2/2", m0.SigRejected, m1.SigRejected)
+	}
 
 	// s0 gossips the same guard signed; s1 authenticates and adopts it.
 	s0.post(guardRecord(g), g.Trace)
@@ -954,10 +913,10 @@ func TestSignedGossip(t *testing.T) {
 	})
 	m0, m1 := s0.Metrics(), s1.Metrics()
 	if m0.GuardsAdopted != 0 {
-		t.Errorf("the unsigned guard was adopted by s0")
+		t.Errorf("a rejected guard was adopted by s0")
 	}
-	if m0.SigRejected != 1 || m1.SigRejected != 1 {
-		t.Errorf("well-signed gossip rejected: %d/%d envelopes dropped, want only the rogue's",
+	if m0.SigRejected != 2 || m1.SigRejected != 2 {
+		t.Errorf("well-signed gossip rejected: %d/%d envelopes dropped, want only the two forgeries",
 			m0.SigRejected, m1.SigRejected)
 	}
 }
@@ -1119,7 +1078,7 @@ func TestHostileGossip(t *testing.T) {
 	symKey := whisper.SharedTopicKey(fleetLabel, members)
 	post := func(payload []byte) {
 		t.Helper()
-		if _, err := rogue.Post(topic, payload, whisper.PostOptions{Key: symKey, Unsigned: true}); err != nil {
+		if _, err := rogue.Post(topic, payload, whisper.PostOptions{Key: symKey}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,11 +10,7 @@ import "onoffchain/internal/telemetry"
 type metrics struct {
 	guardsExported *telemetry.Counter // own sessions gossiped to the fleet
 	guardsAdopted  *telemetry.Counter // peers' sessions taken under guard
-	escalations    *telemetry.Counter // backup filings after the staggered wait
-	disputesFiled  *telemetry.Counter // disputes this tower filed
-	disputesWon    *telemetry.Counter // ... that the chain enforced
-	dropWarnings   *telemetry.Counter // gossip-loss warnings logged
-	sigRejected    *telemetry.Counter // signed-gossip mode: envelopes dropped for bad/missing sender signature
+	sigRejected    *telemetry.Counter // envelopes dropped for a bad or missing sender signature
 }
 
 func newMetrics(reg *telemetry.Registry, tower string) *metrics {
@@ -27,10 +23,6 @@ func newMetrics(reg *telemetry.Registry, tower string) *metrics {
 	return &metrics{
 		guardsExported: c("federation_guards_exported_total"),
 		guardsAdopted:  c("federation_guards_adopted_total"),
-		escalations:    c("federation_escalations_total"),
-		disputesFiled:  c("federation_disputes_filed_total"),
-		disputesWon:    c("federation_disputes_won_total"),
-		dropWarnings:   c("federation_drop_warnings_total"),
 		sigRejected:    c("federation_sig_rejected_total"),
 	}
 }
@@ -48,13 +40,15 @@ type Snapshot struct {
 	VouchesHonored uint64
 	// IntentsSeen is always 0 (towers gossip no dispute intents); it stays
 	// because the benchmark's federation.intents_seen column reads it.
-	IntentsSeen   uint64
+	IntentsSeen uint64
+	// Escalations, DisputesFiled and DisputesWon are the wrapped tower's
+	// hub.Snapshot DisputesEscalated, DisputesRaised and DisputesWon: the
+	// tower counts its own filings, and Tower.Metrics reads them there.
 	Escalations   uint64
 	DisputesFiled uint64
 	DisputesWon   uint64
-	DropWarnings  uint64
-	// SigRejected counts envelopes dropped by signed-gossip verification
-	// (always 0 when Config.SignGossip is off).
+	// SigRejected counts envelopes dropped for a missing or invalid sender
+	// signature.
 	SigRejected uint64
 	// Guards counts contracts currently under this tower's guard.
 	Guards int
@@ -64,10 +58,6 @@ func (m *metrics) snapshot() Snapshot {
 	return Snapshot{
 		GuardsExported: m.guardsExported.Value(),
 		GuardsAdopted:  m.guardsAdopted.Value(),
-		Escalations:    m.escalations.Value(),
-		DisputesFiled:  m.disputesFiled.Value(),
-		DisputesWon:    m.disputesWon.Value(),
-		DropWarnings:   m.dropWarnings.Value(),
 		SigRejected:    m.sigRejected.Value(),
 	}
 }

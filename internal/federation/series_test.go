@@ -36,9 +36,10 @@ var seriesReaders = map[string]string{
 	"hub_sessions_started_total":       "TestLifecycleProperties (Hub.Metrics)",
 	"hub_sessions_completed_total":     "examples/hub printout; CI grep; benchmark verify",
 	"hub_sessions_failed_total":        "TestHubHonestLifecycle, TestLifecycleProperties",
-	"hub_disputes_raised_total":        "benchmark hub.disputes_raised; examples/hub printout",
-	"hub_disputes_won_total":           "benchmark hub.disputes_won; examples/hub printout",
+	"hub_disputes_raised_total":        "benchmark hub.disputes_raised, federation.disputes_filed; examples/hub printout",
+	"hub_disputes_won_total":           "benchmark hub.disputes_won, federation.disputes_won; examples/hub printout",
 	"hub_disputes_deferred_total":      "benchmark hub.disputes_deferred",
+	"hub_disputes_escalated_total":     "benchmark federation.escalations",
 	"hub_submissions_seen_total":       "examples/hub printout; TestHubHonestLifecycle",
 	"hub_sessions_recovered_total":     "examples/hub printout; TestCrashRecoveryAtEveryStage",
 	"hub_sessions_abandoned_total":     "TestCrashRecoveryAtEveryStage",
@@ -55,10 +56,6 @@ var seriesReaders = map[string]string{
 	"rollup_epoch_seconds":             "benchmark rollup.epoch_ms_p50",
 	"federation_guards_exported_total": "TestFederationFleet",
 	"federation_guards_adopted_total":  "benchmark federation.guards_adopted",
-	"federation_escalations_total":     "benchmark federation.escalations",
-	"federation_disputes_filed_total":  "benchmark federation.disputes_filed",
-	"federation_disputes_won_total":    "benchmark federation.disputes_won",
-	"federation_drop_warnings_total":   "TestFederationDropWarning",
 	"federation_sig_rejected_total":    "TestSignedGossip",
 	"go_goroutines":                    "CI grep",
 	"go_heap_alloc_bytes":              "TestRegisterRuntimeMetrics",

@@ -182,8 +182,8 @@ func TestLoneDisputeEnforcedNextBlock(t *testing.T) {
 		t.Errorf("%d transactions pooled after the dispute resolved (a needless fallback?)", c.PendingCount())
 	}
 	requireWinnerPaid(t, rep)
-	if attrs := spanAttrs(t, tr, rep.ID, "tower", "dispute"); attrs != "enforced=true fallback=false" {
-		t.Errorf("tower/dispute span attrs = %q, want enforced=true fallback=false", attrs)
+	if attrs := spanAttrs(t, tr, rep.ID, "tower", "dispute"); attrs != "enforced=true fallback=false escalated=false" {
+		t.Errorf("tower/dispute span attrs = %q, want enforced=true fallback=false escalated=false", attrs)
 	}
 }
 

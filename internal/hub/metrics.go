@@ -21,6 +21,7 @@ type metrics struct {
 	disputesRaised    *telemetry.Counter
 	disputesWon       *telemetry.Counter
 	disputesDeferred  *telemetry.Counter // gate deferrals (slot 0 or a rival filer goes first)
+	disputesEscalated *telemetry.Counter // filings sent after at least one deferral
 	submissionsSeen   *telemetry.Counter // submissions the watchtower examined
 
 	sessionsRecovered  *telemetry.Counter // sessions resumed from the WAL by Recover
@@ -52,6 +53,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		disputesRaised:     reg.Counter("hub_disputes_raised_total"),
 		disputesWon:        reg.Counter("hub_disputes_won_total"),
 		disputesDeferred:   reg.Counter("hub_disputes_deferred_total"),
+		disputesEscalated:  reg.Counter("hub_disputes_escalated_total"),
 		submissionsSeen:    reg.Counter("hub_submissions_seen_total"),
 		sessionsRecovered:  reg.Counter("hub_sessions_recovered_total"),
 		sessionsAbandoned:  reg.Counter("hub_sessions_abandoned_total"),
@@ -101,12 +103,14 @@ type Snapshot struct {
 	// DisputesDeferred counts dispute-gate deferrals: windows this tower
 	// left to a federated peer (at least for one arbitration round).
 	DisputesDeferred uint64
-	SubmissionsSeen  uint64
+	// DisputesEscalated counts filings sent after at least one gate
+	// deferral: a federated backup filing once its slot's stagger ran out.
+	DisputesEscalated uint64
+	SubmissionsSeen   uint64
 	// WhisperDrops is the whisper network's envelope-loss counter (expiry
 	// + backpressure) at snapshot time; growth means gossip — federation
-	// records included — is being dropped. Both this field and the
-	// federation's drop warnings read the same whisper-owned telemetry
-	// counters, so the two views cannot disagree.
+	// records included — is being dropped. It reads the whisper-owned
+	// telemetry counters that whisper_dropped_total exports.
 	WhisperDrops int
 	// SessionsRecovered / SessionsAbandoned count hub.Recover outcomes.
 	SessionsRecovered uint64
@@ -135,6 +139,7 @@ func (m *metrics) snapshot() Snapshot {
 		DisputesRaised:     m.disputesRaised.Value(),
 		DisputesWon:        m.disputesWon.Value(),
 		DisputesDeferred:   m.disputesDeferred.Value(),
+		DisputesEscalated:  m.disputesEscalated.Value(),
 		SubmissionsSeen:    m.submissionsSeen.Value(),
 		SessionsRecovered:  m.sessionsRecovered.Value(),
 		SessionsAbandoned:  m.sessionsAbandoned.Value(),

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"onoffchain/internal/secp256k1"
+	"onoffchain/internal/types"
 	"onoffchain/internal/whisper"
 )
 
@@ -13,14 +14,27 @@ import (
 // lie whose filing the gate defers keeps the caught-up barrier held (nobody
 // may advance the clock past an undecided window), and releasing the gate
 // lets the dispute file and the barrier fall. The gate sees lies only: the
-// tower verifies first, so a clean window never reaches it.
+// tower verifies first, so a clean window never reaches it. The pacer owns
+// first sight: the gate's since never runs backwards, and the filing that
+// follows a deferral counts as an escalation.
 func TestDisputeGateHoldsBarrier(t *testing.T) {
 	c, net, faucetKey := miningWorld(t, "auto")
+	var h *Hub
 	var release atomic.Bool
-	var deferred, clean atomic.Int64
-	gate := func(e *Watch, w Window) time.Duration {
-		if exp, err := e.Expected(); err != nil || exp == w.Result {
-			clean.Add(1)
+	var deferred, clean, backwards atomic.Int64
+	var lastSince atomic.Int64
+	gate := func(contract types.Address, since time.Duration) time.Duration {
+		for _, e := range h.tower.Watches() {
+			win := e.OpenWindow()
+			if e.Contract() != contract || win == nil {
+				continue
+			}
+			if exp, err := e.Expected(); err != nil || exp == win.Result {
+				clean.Add(1)
+			}
+		}
+		if prev := time.Duration(lastSince.Swap(int64(since))); since < prev {
+			backwards.Add(1)
 		}
 		if release.Load() {
 			return 0
@@ -28,7 +42,7 @@ func TestDisputeGateHoldsBarrier(t *testing.T) {
 		deferred.Add(1)
 		return 5 * time.Millisecond
 	}
-	h := New(c, net, faucetKey, Config{Workers: 2})
+	h = New(c, net, faucetKey, Config{Workers: 2})
 	defer h.Stop()
 	h.tower.Federate(nil, gate) // on a live hub, as federation.AttachHub does
 
@@ -57,8 +71,14 @@ func TestDisputeGateHoldsBarrier(t *testing.T) {
 	if m.DisputesRaised != 1 || m.DisputesWon != 1 {
 		t.Errorf("disputes raised/won = %d/%d, want 1/1", m.DisputesRaised, m.DisputesWon)
 	}
+	if m.DisputesEscalated != 1 {
+		t.Errorf("disputes escalated = %d, want 1: the filing followed deferrals", m.DisputesEscalated)
+	}
 	if n := clean.Load(); n != 0 {
 		t.Errorf("the gate was asked %d times about a window the tower's own verdict matches", n)
+	}
+	if n := backwards.Load(); n != 0 {
+		t.Errorf("the gate's since ran backwards %d times", n)
 	}
 }
 

@@ -32,11 +32,12 @@ type RollupConfig struct {
 	// arrived (default 250ms) — the liveness bound for a trickle of
 	// sessions.
 	EpochAge time.Duration
-	// Window is the batch challenge period in chain seconds; leaves can
-	// be disputed until postedAt + Window. Default 600, matching the
-	// default per-session challenge period.
-	Window uint64
 }
+
+// rollupWindow is the batch challenge period in chain seconds: leaves can be
+// disputed until postedAt + rollupWindow. It matches the default
+// per-session challenge period.
+const rollupWindow = 600
 
 // sequencerIndex is the sequencer's place among the hub's own keys, which
 // live under session ID 0: the faucet shards count up from 0, so no worker
@@ -57,16 +58,12 @@ func (h *Hub) initRollup(f *rollup.Folded) error {
 	}
 	party := hybrid.NewParticipant(key, h.chain, nil)
 	party.Ctx = h.ctx
-	window := rc.Window
-	if window == 0 {
-		window = 600
-	}
 	seq, err := rollup.New(rollup.Config{
 		Party:     party,
 		Depth:     rc.Depth,
 		EpochCap:  rc.EpochCap,
 		EpochAge:  rc.EpochAge,
-		Window:    window,
+		Window:    rollupWindow,
 		Journal:   h.journal.log,
 		OnEpoch:   h.onEpoch,
 		Telemetry: h.cfg.Telemetry,

@@ -146,7 +146,7 @@ func TestTowerDisputesHealth(t *testing.T) {
 	h := New(c, net, faucetKey, Config{Workers: held, Telemetry: reg})
 	defer h.Stop()
 	var release atomic.Bool
-	h.tower.Federate(nil, func(*Watch, Window) time.Duration {
+	h.tower.Federate(nil, func(types.Address, time.Duration) time.Duration {
 		if release.Load() {
 			return 0
 		}

@@ -77,26 +77,26 @@ type Watchtower struct {
 // the federation layer — without handing it ownership of sessions.
 // Callbacks run outside the tower's locks, on the event loop and dispute
 // pipeline goroutines; implementations must be concurrency-safe and must
-// not block for long (they stall block examination).
+// not block for long (they stall block examination). Filings are not
+// mirrored: the tower counts its own (Snapshot.DisputesRaised and kin).
 type TowerObserver interface {
 	// Guarded: the tower took a session's contract under guard.
 	Guarded(e *Watch, contract types.Address)
 	// WindowClosed: the contract settled — by dispute resolution when
 	// byDispute, by unchallenged finalization otherwise.
 	WindowClosed(contract types.Address, byDispute bool)
-	// DisputeFiled: the dispute transactions completed; enforced reports
-	// whether the chain settled to the tower's verdict.
-	DisputeFiled(e *Watch, contract types.Address, enforced bool)
 }
 
 // DisputeGate times the filing against a window this tower has already
-// verified to be a lie: 0 means file now, a positive delay means another
-// guard is responsible right now — ask again after it. The window stays
-// pending (the caught-up barrier stays held) until a later answer files or
-// the contract settles. A nil gate always answers 0 — the single-tower
-// hub's behavior. The federation installs a gate that defers to the
-// window's slot 0 and escalates on staggered timeouts.
-type DisputeGate func(e *Watch, w Window) time.Duration
+// verified to be a lie on contract: 0 (or less) means file now, a positive
+// delay means another guard is responsible right now — ask again after it.
+// since is how long ago this tower's own sandbox first found the lie; the
+// pacer that asks owns that clock, so the gate keeps no state. The window
+// stays pending (the caught-up barrier stays held) until a later answer
+// files or the contract settles. A nil gate always answers 0 — the
+// single-tower hub's behavior. The federation installs a gate that defers
+// to the window's slot 0 and escalates on staggered timeouts.
+type DisputeGate func(contract types.Address, since time.Duration) time.Duration
 
 // Watch is the watchtower's record of one guarded session.
 type Watch struct {
@@ -768,8 +768,9 @@ func (w *Watchtower) releaseJob(e *Watch) {
 // anything else happens. The job ends there on an unverifiable window, and
 // on every pass that finds the open window clean — a re-submission can
 // change it, so each pass re-reads it. Only a window that disagrees with
-// the verdict reaches the gate, which times the filing; the job ends when
-// the contract settles or a filing completes.
+// the verdict reaches the gate, which times the filing from the moment this
+// pacer first found the lie; the job ends when the contract settles or a
+// filing completes.
 func (w *Watchtower) driveDispute(e *Watch) {
 	defer w.pacerWG.Done()
 	defer w.releaseJob(e)
@@ -779,6 +780,8 @@ func (w *Watchtower) driveDispute(e *Watch) {
 	if err != nil {
 		return // cannot verify: nothing to file
 	}
+	var first time.Time // when the sandbox's verdict first disagreed
+	escalated := false  // the gate deferred at least once
 	for {
 		select {
 		case <-w.haltCh:
@@ -791,14 +794,18 @@ func (w *Watchtower) driveDispute(e *Watch) {
 		if win == nil || win.Result == expected {
 			return // settled (or re-guarded) while we deliberated, or clean
 		}
+		if first.IsZero() {
+			first = time.Now()
+		}
 		var retry time.Duration
 		if _, g := w.federated(); g != nil {
-			retry = g(e, *win)
+			retry = g(win.Contract, time.Since(first))
 		}
 		if retry <= 0 {
-			w.fileDispute(e, *win)
+			w.fileDispute(e, *win, escalated)
 			return
 		}
+		escalated = true
 		w.metrics.disputesDeferred.Inc()
 		t := time.NewTimer(retry)
 		select {
@@ -831,8 +838,9 @@ func settledByDispute(c *chain.Chain, contract types.Address) bool {
 // fileDispute files against a window driveDispute verified to be a lie:
 // veto against chain truth, claim, and file. It runs with no sandbox slot
 // held, so a filing's block wait never makes another window's verdict —
-// clean or not — wait a block for a free slot.
-func (w *Watchtower) fileDispute(e *Watch, win Window) {
+// clean or not — wait a block for a free slot. escalated marks a filing the
+// gate deferred at least once: a backup's, sent after its slot's stagger.
+func (w *Watchtower) fileDispute(e *Watch, win Window, escalated bool) {
 	// The chain, not the WAL, decides whether a dispute is still needed: a
 	// dispute that landed has settled the contract, so a tower (restarted,
 	// or a federation backup escalating behind slot 0's in-flight
@@ -866,6 +874,9 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 	// the verified instance from the signed copy and has the miners
 	// recompute and enforce the true result.
 	w.metrics.disputesRaised.Inc()
+	if escalated {
+		w.metrics.disputesEscalated.Inc()
+	}
 	disputeStart := time.Now()
 	// Batch settlement: pin WHICH leaf of WHICH epoch this dispute refutes
 	// by opening it against the posted root, queued ahead of the dispute
@@ -894,9 +905,6 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 	}
 	if w.tracer != nil && (e.id != 0 || e.tc.Valid()) {
 		w.tracer.RecordChild(e.tc, e.id, "tower", "dispute", disputeStart, time.Since(disputeStart),
-			fmt.Sprintf("enforced=%t fallback=%t", enforced, e.sess.DisputeFellBack))
-	}
-	if o, _ := w.federated(); o != nil {
-		o.DisputeFiled(e, e.sess.OnChainAddr, enforced)
+			fmt.Sprintf("enforced=%t fallback=%t escalated=%t", enforced, e.sess.DisputeFellBack, escalated))
 	}
 }

@@ -124,19 +124,6 @@ func (sc *SignedCopy) AddSignature(index int, sig SigTuple) {
 	sc.Sigs[index] = sig
 }
 
-// Complete reports whether all n slots hold plausible signatures.
-func (sc *SignedCopy) Complete(n int) bool {
-	if len(sc.Sigs) < n {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if sc.Sigs[i].V != 27 && sc.Sigs[i].V != 28 {
-			return false
-		}
-	}
-	return true
-}
-
 // Encode serializes the signed copy with RLP for transport over the
 // off-chain channel.
 func (sc *SignedCopy) Encode() []byte {

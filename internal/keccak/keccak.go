@@ -1,8 +1,7 @@
-// Package keccak implements the Keccak-f[1600] sponge and the Keccak-256 /
-// Keccak-512 hash functions with the ORIGINAL Keccak padding (domain byte
-// 0x01) as used by Ethereum, plus the NIST SHA3 variants (domain byte 0x06)
-// for completeness. Ethereum's keccak256 predates the final SHA-3 standard,
-// which is why the padding differs from crypto/sha3-style functions.
+// Package keccak implements the Keccak-f[1600] sponge and the Keccak-256
+// hash function with the ORIGINAL Keccak padding (domain byte 0x01) as used
+// by Ethereum. Ethereum's keccak256 predates the final SHA-3 standard, which
+// is why the padding differs from crypto/sha3-style functions.
 //
 // The hashing path is allocation-free: full blocks are absorbed directly
 // from the caller's input, the partial-block buffer is a fixed array inside
@@ -17,45 +16,33 @@ import (
 )
 
 const (
-	rate256 = 136 // rate in bytes for 256-bit output
-	rate512 = 72  // rate in bytes for 512-bit output
-
+	rate256  = 136  // rate in bytes for 256-bit output
 	dsKeccak = 0x01 // original Keccak padding (Ethereum)
-	dsSHA3   = 0x06 // NIST SHA-3 padding
 )
 
-// digest is a sponge-based hash.Hash implementation. The state is a flat
+// digest is a sponge-based Keccak-256 hash.Hash. The state is a flat
 // [25]uint64 (lane i of a block XORs into a[i]); pending input lives in the
 // fixed buf array, so a digest never allocates after construction.
 type digest struct {
-	a      [25]uint64
-	buf    [rate256]byte // pending input, less than rate bytes
-	n      int           // number of buffered bytes
-	rate   int           // rate in bytes (136 for 256-bit, 72 for 512-bit)
-	size   int           // output size in bytes
-	dsbyte byte          // domain-separation/padding byte (0x01 Keccak, 0x06 SHA3)
+	a   [25]uint64
+	buf [rate256]byte // pending input, less than rate256 bytes
+	n   int           // number of buffered bytes
 }
 
 // New256 returns a hash.Hash computing Keccak-256 (Ethereum padding).
-func New256() hash.Hash { return &digest{rate: rate256, size: 32, dsbyte: dsKeccak} }
-
-// New512 returns a hash.Hash computing Keccak-512 (Ethereum padding).
-func New512() hash.Hash { return &digest{rate: rate512, size: 64, dsbyte: dsKeccak} }
-
-// NewSHA3256 returns a hash.Hash computing NIST SHA3-256.
-func NewSHA3256() hash.Hash { return &digest{rate: rate256, size: 32, dsbyte: dsSHA3} }
+func New256() hash.Hash { return &digest{} }
 
 // Sum256 returns the Keccak-256 digest of data.
 func Sum256(data ...[]byte) [32]byte {
 	if len(data) == 1 && len(data[0]) < rate256 {
 		return sum256Block(data[0])
 	}
-	d := digest{rate: rate256, size: 32, dsbyte: dsKeccak}
+	var d digest
 	for _, b := range data {
 		d.Write(b)
 	}
 	var out [32]byte
-	d.finalize(out[:])
+	d.finalize(&out)
 	return out
 }
 
@@ -88,17 +75,8 @@ func Sum256Bytes(data ...[]byte) []byte {
 	return h[:]
 }
 
-// Sum512 returns the Keccak-512 digest of data.
-func Sum512(data []byte) [64]byte {
-	d := digest{rate: rate512, size: 64, dsbyte: dsKeccak}
-	d.Write(data)
-	var out [64]byte
-	d.finalize(out[:])
-	return out
-}
-
-func (d *digest) Size() int      { return d.size }
-func (d *digest) BlockSize() int { return d.rate }
+func (d *digest) Size() int      { return 32 }
+func (d *digest) BlockSize() int { return rate256 }
 
 func (d *digest) Reset() {
 	d.a = [25]uint64{}
@@ -109,18 +87,18 @@ func (d *digest) Write(p []byte) (int, error) {
 	n := len(p)
 	// Top up a partial block first.
 	if d.n > 0 {
-		c := copy(d.buf[d.n:d.rate], p)
+		c := copy(d.buf[d.n:], p)
 		d.n += c
 		p = p[c:]
-		if d.n == d.rate {
-			d.absorb(d.buf[:d.rate])
+		if d.n == rate256 {
+			d.absorb(d.buf[:])
 			d.n = 0
 		}
 	}
 	// Absorb full blocks straight from the caller's input.
-	for len(p) >= d.rate {
-		d.absorb(p[:d.rate])
-		p = p[d.rate:]
+	for len(p) >= rate256 {
+		d.absorb(p[:rate256])
+		p = p[rate256:]
 	}
 	// Buffer the tail.
 	if len(p) > 0 {
@@ -132,51 +110,34 @@ func (d *digest) Write(p []byte) (int, error) {
 // absorb XORs one full rate-sized block into the state and permutes. Lane i
 // of the block maps to flat state index i (little-endian lanes).
 func (d *digest) absorb(block []byte) {
-	for i := 0; i < d.rate/8; i++ {
+	for i := 0; i < rate256/8; i++ {
 		d.a[i] ^= binary.LittleEndian.Uint64(block[i*8:])
 	}
 	permute(&d.a)
 }
 
-// finalize pads, absorbs the last block and squeezes into out. It operates
-// on a copy of the state so the digest remains usable for further writes
-// (matching hash.Hash Sum semantics). Everything lives on the stack.
-func (d *digest) finalize(out []byte) {
+// finalize pads, absorbs the last block and squeezes the 32-byte digest
+// into out. It operates on a copy of the state so the digest remains usable
+// for further writes (matching hash.Hash Sum semantics). Everything lives on
+// the stack.
+func (d *digest) finalize(out *[32]byte) {
 	a := d.a
-	// Pad the buffered tail: dsbyte, zeros, final 0x80 (multi-rate padding).
+	// Pad the buffered tail: dsKeccak, zeros, final 0x80 (multi-rate padding).
 	var block [rate256]byte
 	copy(block[:], d.buf[:d.n])
-	block[d.n] = d.dsbyte
-	block[d.rate-1] |= 0x80
-	for i := 0; i < d.rate/8; i++ {
+	block[d.n] = dsKeccak
+	block[rate256-1] |= 0x80
+	for i := 0; i < rate256/8; i++ {
 		a[i] ^= binary.LittleEndian.Uint64(block[i*8:])
 	}
 	permute(&a)
-	// Squeeze.
-	off := 0
-	for {
-		n := len(out) - off
-		if n > d.rate {
-			n = d.rate
-		}
-		for i := 0; i < n/8; i++ {
-			binary.LittleEndian.PutUint64(out[off+i*8:], a[i])
-		}
-		if rem := n % 8; rem != 0 {
-			var lane [8]byte
-			binary.LittleEndian.PutUint64(lane[:], a[n/8])
-			copy(out[off+n-rem:], lane[:rem])
-		}
-		off += n
-		if off >= len(out) {
-			return
-		}
-		permute(&a)
+	for i := 0; i < 4; i++ {
+		binary.LittleEndian.PutUint64(out[i*8:], a[i])
 	}
 }
 
 func (d *digest) Sum(b []byte) []byte {
-	var out [64]byte
-	d.finalize(out[:d.size])
-	return append(b, out[:d.size]...)
+	var out [32]byte
+	d.finalize(&out)
+	return append(b, out[:]...)
 }

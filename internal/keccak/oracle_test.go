@@ -8,6 +8,14 @@ package keccak
 
 import "encoding/binary"
 
+// The oracle's other parameterizations: the package hashes Keccak-256 only,
+// but the NIST SHA3-256 and Keccak-512 known-answer vectors run through
+// refSum, which keeps the oracle anchored to the spec.
+const (
+	rate512 = 72   // rate in bytes for 512-bit output
+	dsSHA3  = 0x06 // NIST SHA-3 padding
+)
+
 // refRotc[x][y] is the rho-step rotation offset for lane (x, y).
 var refRotc = [5][5]uint{
 	{0, 36, 3, 41, 18},

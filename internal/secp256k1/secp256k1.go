@@ -121,40 +121,12 @@ func (k *PrivateKey) Bytes() []byte {
 	return b[:]
 }
 
-// SerializeUncompressed returns the 65-byte 0x04-prefixed public key.
-func (pub *PublicKey) SerializeUncompressed() []byte {
-	out := make([]byte, 65)
-	pub.serializeInto((*[65]byte)(out))
-	return out
-}
-
 func (pub *PublicKey) serializeInto(out *[65]byte) {
 	out[0] = 0x04
 	x := pub.X.Bytes32()
 	y := pub.Y.Bytes32()
 	copy(out[1:33], x[:])
 	copy(out[33:65], y[:])
-}
-
-// ParsePublicKey parses a 65-byte uncompressed public key.
-func ParsePublicKey(b []byte) (*PublicKey, error) {
-	if len(b) != 65 || b[0] != 0x04 {
-		return nil, errors.New("secp256k1: invalid uncompressed public key")
-	}
-	var xb, yb [32]byte
-	copy(xb[:], b[1:33])
-	copy(yb[:], b[33:65])
-	var pub PublicKey
-	if ok := pub.X.SetBytes32(&xb); !ok {
-		return nil, errors.New("secp256k1: point not on curve")
-	}
-	if ok := pub.Y.SetBytes32(&yb); !ok {
-		return nil, errors.New("secp256k1: point not on curve")
-	}
-	if !pub.IsOnCurve() {
-		return nil, errors.New("secp256k1: point not on curve")
-	}
-	return &pub, nil
 }
 
 // EthereumAddress returns the 20-byte Ethereum address of the public key:

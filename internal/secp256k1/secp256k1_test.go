@@ -247,27 +247,6 @@ func TestVerifyRejectsBadInputs(t *testing.T) {
 	}
 }
 
-func TestPublicKeySerializeParseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	key, _ := GenerateKey(rng)
-	raw := key.SerializeUncompressed()
-	if len(raw) != 65 || raw[0] != 0x04 {
-		t.Fatalf("bad serialization: %x", raw[:2])
-	}
-	pub, err := ParsePublicKey(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pub.Equal(&key.PublicKey) {
-		t.Error("round trip mismatch")
-	}
-	// Corrupt a byte: must fail the on-curve check.
-	raw[10] ^= 0xff
-	if _, err := ParsePublicKey(raw); err == nil {
-		t.Error("corrupted key parsed successfully")
-	}
-}
-
 func TestPrivateKeyFromScalarBounds(t *testing.T) {
 	var zero Scalar
 	if _, err := PrivateKeyFromScalar(zero); err == nil {

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -27,7 +26,6 @@ func writeIndentedJSON(w http.ResponseWriter, v any) {
 //	/debug/trace           traces index: one JSON TraceSummary per line (?layer= filters)
 //	/debug/trace/{sid}     the session's spans as flight-recorder lines (?layer= filters; 0 = all)
 //	/debug/pprof/*         the standard runtime profiles
-//	/debug/vars            expvar
 //
 // Both trace endpoints answer over Tracer.Spans() with the same Select,
 // SummarizeTraces and line format that cmd/trace applies to recorder
@@ -83,7 +81,6 @@ func newMux(reg *Registry, tr *Tracer) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
 }
 

@@ -66,9 +66,6 @@ func TestHTTPSurfaces(t *testing.T) {
 	if code, body := get("/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
 		t.Fatalf("/debug/pprof/ = %d", code)
 	}
-	if code, _ := get("/debug/vars"); code != 200 {
-		t.Fatalf("/debug/vars = %d", code)
-	}
 }
 
 // One format: a saved /debug/trace/{sid} response is a recorder file —

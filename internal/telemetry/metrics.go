@@ -1,7 +1,7 @@
 // Package telemetry is the observability substrate for the whole stack: a
 // zero-dependency metrics registry (counters, scrape-time gauges,
 // bounded-bucket histograms with labeled series, Prometheus text
-// exposition, expvar publishing), a ring-buffered span tracer with its two
+// exposition), a ring-buffered span tracer with its two
 // queries (SummarizeTraces, BuildTimeline), a flight recorder writing the
 // one span encoding, health checks, and opt-in HTTP surfaces (/metrics,
 // /healthz, /debug/pprof/*, /debug/trace).
@@ -13,7 +13,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -455,8 +454,8 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 }
 
 // Snapshot returns every series' current value keyed by rendered series
-// id. Histograms contribute _sum and _count pseudo-series. Used by expvar
-// publishing and tests.
+// id. Histograms contribute _sum and _count pseudo-series. Used by the
+// benchmark's per-layer columns and tests.
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
@@ -480,23 +479,4 @@ func (r *Registry) Snapshot() map[string]float64 {
 		}
 	}
 	return out
-}
-
-var expvarPublished sync.Map // name -> struct{}
-
-// PublishExpvar exposes the registry under the given expvar name
-// (typically "telemetry") on /debug/vars. Publishing the same name twice
-// is a no-op rather than the expvar panic, so tests and multiple
-// components can call it freely; the first registry wins.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil {
-		return
-	}
-	if _, loaded := expvarPublished.LoadOrStore(name, struct{}{}); loaded {
-		return
-	}
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

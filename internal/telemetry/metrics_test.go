@@ -45,7 +45,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	r.GaugeFunc("f", func() float64 { return 1 })
 	r.RegisterCounter(NewCounter(), "w")
 	r.WritePrometheus(&strings.Builder{})
-	r.PublishExpvar("nil-registry")
 	r.RegisterRuntimeMetrics()
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot must be nil")
@@ -199,8 +198,6 @@ func TestSnapshotAndExpvar(t *testing.T) {
 	if snap["b_seconds_count"] != 1 || snap["b_seconds_sum"] != 0.5 {
 		t.Fatalf("snapshot histogram views wrong: %v", snap)
 	}
-	r.PublishExpvar("telemetry_test_snapshot")
-	r.PublishExpvar("telemetry_test_snapshot") // second publish must not panic
 }
 
 func TestRegisterRuntimeMetrics(t *testing.T) {

@@ -4,8 +4,7 @@
 // standard commitment rule (nodes whose encoding is >= 32 bytes are
 // referenced by their keccak256 hash; smaller nodes embed inline).
 //
-// It backs the state and storage commitments of the chain and provides
-// Merkle proofs.
+// It backs the state and storage commitments of the chain.
 package trie
 
 import (
@@ -496,118 +495,6 @@ func FromRoot(db *Database, root types.Hash) (*Trie, error) {
 	}
 	t.root = hashNode(root.Bytes())
 	return t, nil
-}
-
-// Prove returns the Merkle proof for key: the ordered list of RLP node
-// encodings from the root towards the key.
-func (t *Trie) Prove(key []byte) [][]byte {
-	t.Hash() // ensure hashes are current and nodes persisted
-	var proof [][]byte
-	n := t.root
-	nibbles := keybytesToHex(key)
-	for {
-		switch cur := n.(type) {
-		case nil:
-			return proof
-		case valueNode:
-			return proof
-		case hashNode:
-			resolved, err := t.resolve(cur)
-			if err != nil {
-				return proof
-			}
-			n = resolved
-			continue
-		case *shortNode:
-			enc := rlp.Encode(t.encodeNode(cur))
-			if len(enc) >= 32 || len(proof) == 0 {
-				proof = append(proof, enc)
-			}
-			if len(nibbles) < len(cur.Key) || !bytes.Equal(cur.Key, nibbles[:len(cur.Key)]) {
-				return proof
-			}
-			nibbles = nibbles[len(cur.Key):]
-			n = cur.Val
-		case *fullNode:
-			enc := rlp.Encode(t.encodeNode(cur))
-			if len(enc) >= 32 || len(proof) == 0 {
-				proof = append(proof, enc)
-			}
-			if len(nibbles) == 0 {
-				n = cur.Children[16]
-			} else {
-				n = cur.Children[nibbles[0]]
-				nibbles = nibbles[1:]
-			}
-		default:
-			return proof
-		}
-	}
-}
-
-// VerifyProof checks a Merkle proof against a root and returns the proven
-// value (nil for a proven absence).
-func VerifyProof(root types.Hash, key []byte, proof [][]byte) ([]byte, error) {
-	if len(proof) == 0 {
-		if root == EmptyRoot {
-			return nil, nil
-		}
-		return nil, errors.New("trie: empty proof for non-empty root")
-	}
-	nibbles := keybytesToHex(key)
-	expected := root.Bytes()
-	idx := 0
-	var current node
-	for {
-		if idx >= len(proof) {
-			return nil, errors.New("trie: proof exhausted")
-		}
-		enc := proof[idx]
-		if !bytes.Equal(keccak.Sum256Bytes(enc), expected) {
-			return nil, errors.New("trie: proof node hash mismatch")
-		}
-		item, err := rlp.Decode(enc)
-		if err != nil {
-			return nil, err
-		}
-		current, err = decodeNode(item)
-		if err != nil {
-			return nil, err
-		}
-		idx++
-		// Walk within this (possibly inline-nested) node until we hit a
-		// hash reference or a conclusion.
-		for {
-			switch n := current.(type) {
-			case nil:
-				return nil, nil // proven absent
-			case valueNode:
-				if len(nibbles) == 0 || (len(nibbles) == 1 && nibbles[0] == 16) {
-					return []byte(n), nil
-				}
-				return nil, nil
-			case *shortNode:
-				if len(nibbles) < len(n.Key) || !bytes.Equal(n.Key, nibbles[:len(n.Key)]) {
-					return nil, nil // divergence proves absence
-				}
-				nibbles = nibbles[len(n.Key):]
-				current = n.Val
-			case *fullNode:
-				if len(nibbles) == 0 {
-					current = n.Children[16]
-				} else {
-					current = n.Children[nibbles[0]]
-					nibbles = nibbles[1:]
-				}
-			case hashNode:
-				expected = []byte(n)
-				goto nextProofNode
-			default:
-				return nil, fmt.Errorf("trie: unexpected node %T in proof", n)
-			}
-		}
-	nextProofNode:
-	}
 }
 
 // SecureTrie wraps Trie with keccak-hashed keys, preventing key-length

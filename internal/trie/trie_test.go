@@ -231,59 +231,6 @@ func TestFromRootReload(t *testing.T) {
 	}
 }
 
-func TestProofRoundTrip(t *testing.T) {
-	tr := New(nil)
-	for i := 0; i < 100; i++ {
-		tr.Update([]byte(fmt.Sprintf("account%03d", i)), bytes.Repeat([]byte{byte(i)}, 40))
-	}
-	root := tr.Hash()
-	for _, i := range []int{0, 1, 50, 99} {
-		key := []byte(fmt.Sprintf("account%03d", i))
-		proof := tr.Prove(key)
-		if len(proof) == 0 {
-			t.Fatalf("empty proof for %s", key)
-		}
-		val, err := VerifyProof(root, key, proof)
-		if err != nil {
-			t.Fatalf("VerifyProof(%s): %v", key, err)
-		}
-		if !bytes.Equal(val, bytes.Repeat([]byte{byte(i)}, 40)) {
-			t.Fatalf("proof value mismatch for %s", key)
-		}
-	}
-}
-
-func TestProofAbsence(t *testing.T) {
-	tr := New(nil)
-	tr.Update([]byte("exists"), []byte("yes"))
-	tr.Update([]byte("exile"), []byte("no"))
-	root := tr.Hash()
-	proof := tr.Prove([]byte("exit"))
-	val, err := VerifyProof(root, []byte("exit"), proof)
-	if err != nil {
-		t.Fatalf("absence proof error: %v", err)
-	}
-	if val != nil {
-		t.Fatalf("absent key proved value %q", val)
-	}
-}
-
-func TestProofTamperDetected(t *testing.T) {
-	tr := New(nil)
-	for i := 0; i < 50; i++ {
-		tr.Update([]byte(fmt.Sprintf("k%02d", i)), bytes.Repeat([]byte{byte(i + 1)}, 40))
-	}
-	root := tr.Hash()
-	proof := tr.Prove([]byte("k25"))
-	if len(proof) == 0 {
-		t.Fatal("no proof")
-	}
-	proof[0][5] ^= 0xFF
-	if _, err := VerifyProof(root, []byte("k25"), proof); err == nil {
-		t.Error("tampered proof verified")
-	}
-}
-
 func TestHexCompactRoundTrip(t *testing.T) {
 	f := func(raw []byte, term bool) bool {
 		hexKey := make([]byte, 0, len(raw)+1)

@@ -10,7 +10,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/big"
 	"sync"
 
 	"onoffchain/internal/keccak"
@@ -112,9 +111,6 @@ func (h Hash) String() string { return h.Hex() }
 
 // IsZero reports whether the hash is all zeros.
 func (h Hash) IsZero() bool { return h == Hash{} }
-
-// Big returns the hash interpreted as a big-endian integer.
-func (h Hash) Big() *big.Int { return new(big.Int).SetBytes(h[:]) }
 
 // EmptyCodeHash is keccak256 of the empty byte string — the code hash of
 // every externally-owned account.

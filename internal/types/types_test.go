@@ -38,7 +38,7 @@ func TestAddressConversions(t *testing.T) {
 
 func TestHashConversions(t *testing.T) {
 	h := BytesToHash([]byte{0xff})
-	if h[31] != 0xff || !h.Big().IsUint64() || h.Big().Uint64() != 255 {
+	if h[31] != 0xff || h != (Hash{31: 0xff}) {
 		t.Errorf("hash conversion wrong: %s", h.Hex())
 	}
 	parsed, err := HexToHash(h.Hex())

@@ -226,16 +226,6 @@ func (z *Int) Sub(x, y *Int) *Int {
 	return z
 }
 
-// SubOverflow sets z = x - y and reports whether the subtraction borrowed.
-func (z *Int) SubOverflow(x, y *Int) (*Int, bool) {
-	var b uint64
-	z[0], b = bits.Sub64(x[0], y[0], 0)
-	z[1], b = bits.Sub64(x[1], y[1], b)
-	z[2], b = bits.Sub64(x[2], y[2], b)
-	z[3], b = bits.Sub64(x[3], y[3], b)
-	return z, b != 0
-}
-
 // Neg sets z = -x (mod 2^256) and returns z.
 func (z *Int) Neg(x *Int) *Int {
 	return z.Sub(new(Int), x)

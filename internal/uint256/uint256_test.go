@@ -384,12 +384,6 @@ func TestOverflowFlags(t *testing.T) {
 	if _, ov := z.AddOverflow(NewInt(1), NewInt(2)); ov {
 		t.Error("AddOverflow(1, 2): unexpected overflow")
 	}
-	if _, ov := z.SubOverflow(NewInt(1), NewInt(2)); !ov {
-		t.Error("SubOverflow(1, 2): expected borrow")
-	}
-	if _, ov := z.SubOverflow(NewInt(2), NewInt(1)); ov {
-		t.Error("SubOverflow(2, 1): unexpected borrow")
-	}
 }
 
 func BenchmarkAdd(b *testing.B) {

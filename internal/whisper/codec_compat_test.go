@@ -228,11 +228,11 @@ func TestNetworkBackpressureDegradesHealth(t *testing.T) {
 	topic := TopicFromString("full")
 	node.Subscribe(topic) // never drained: 256-deep buffer then drops
 	for i := 0; i < 256+5; i++ {
-		if _, err := node.Post(topic, []byte{1}, PostOptions{Unsigned: true}); err != nil {
+		if _, err := node.Post(topic, []byte{1}, PostOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, backpressure := net.DropStats()
+	backpressure := net.backpressure.Value()
 	if backpressure != 5 {
 		t.Fatalf("backpressure=%d, want 5", backpressure)
 	}

@@ -86,7 +86,7 @@ func (e *Envelope) signingHash() []byte {
 // the key and verifies afresh.
 func (e *Envelope) Verify() bool {
 	if e.SigR.IsZero() || e.SigS.IsZero() {
-		return false // unsigned envelope (see PostOptions.Unsigned)
+		return false // no signature: hostile input, never a Post
 	}
 	key := verdictKey{from: e.From, v: e.SigV, r: e.SigR, s: e.SigS}
 	copy(key.signingHash[:], e.signingHash())
@@ -103,9 +103,9 @@ func (e *Envelope) Verify() bool {
 
 // Network is an in-process message hub connecting nodes, standing in for
 // the Whisper DHT/gossip overlay. Loss tallies are telemetry counters the
-// network owns outright: Drops(), DropStats(), the hub's Snapshot and any
-// registry they are registered into (RegisterMetrics) all read the same
-// atomics, so no two views of whisper loss can ever disagree.
+// network owns outright: Drops(), the hub's Snapshot and any registry they
+// are registered into (RegisterMetrics) all read the same atomics, so no
+// two views of whisper loss can ever disagree.
 type Network struct {
 	mu           sync.Mutex
 	subs         map[Topic][]*subscription
@@ -159,20 +159,12 @@ func (n *Network) RegisterMetrics(reg *telemetry.Registry) {
 }
 
 // Drops reports how many envelopes were lost before delivery, for any
-// reason: TTL expiry or a full subscriber buffer. A consumer that cares
-// about gossip health (the federation's regossip loop) should watch this
-// counter grow; DropStats breaks it down.
+// reason: TTL expiry or a full subscriber buffer (backpressure — the
+// subscriber is not draining). Envelopes withheld by a link filter
+// (simulated partitions) are NOT losses. The whisper_dropped_total series
+// breaks the count down by reason.
 func (n *Network) Drops() int {
 	return int(n.drops.Value() + n.backpressure.Value())
-}
-
-// DropStats breaks the loss counter down: envelopes dropped because they
-// expired before posting, and envelopes dropped because a subscriber's
-// buffer was full (backpressure — the subscriber is not draining).
-// Envelopes withheld by a link filter (simulated partitions) are NOT
-// losses.
-func (n *Network) DropStats() (expired, backpressure int) {
-	return int(n.drops.Value()), int(n.backpressure.Value())
 }
 
 // SetLinkFilter installs (or, with nil, removes) a delivery predicate:
@@ -238,14 +230,6 @@ type PostOptions struct {
 	TTL uint64
 	// Key enables AES-GCM encryption with a 32-byte shared symmetric key.
 	Key []byte
-	// Unsigned skips the sender signature. Only sensible together with
-	// Key: AES-GCM under a shared group key already authenticates the
-	// envelope as coming from SOME key holder, and for traffic where that
-	// suffices (a replica fleet gossiping guard state to itself) the
-	// per-envelope secp256k1 signature is pure overhead. Envelope.Verify
-	// reports false for such envelopes; receivers that need per-sender
-	// authenticity must not set this.
-	Unsigned bool
 	// Trace stamps the envelope with the poster's causal trace context so
 	// receivers can parent their handling spans under it. Zero is fine.
 	Trace telemetry.TraceContext
@@ -272,13 +256,11 @@ func (nd *Node) Post(topic Topic, payload []byte, opts PostOptions) (*Envelope, 
 	if opts.TTL > 0 {
 		env.Expiry = nd.network.now() + opts.TTL
 	}
-	if !opts.Unsigned {
-		sig, err := secp256k1.Sign(nd.key, env.signingHash())
-		if err != nil {
-			return nil, fmt.Errorf("whisper: sign envelope: %w", err)
-		}
-		env.SigV, env.SigR, env.SigS = sig.V, sig.R, sig.S
+	sig, err := secp256k1.Sign(nd.key, env.signingHash())
+	if err != nil {
+		return nil, fmt.Errorf("whisper: sign envelope: %w", err)
 	}
+	env.SigV, env.SigR, env.SigS = sig.V, sig.R, sig.S
 
 	nd.network.posts.Inc()
 	nd.network.mu.Lock()

@@ -226,8 +226,8 @@ func TestDropCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if exp, bp := n.DropStats(); exp != 0 || bp != 1 {
-		t.Fatalf("DropStats = %d,%d, want 0,1", exp, bp)
+	if exp, bp := n.drops.Value(), n.backpressure.Value(); exp != 0 || bp != 1 {
+		t.Fatalf("expired, backpressure drops = %d,%d, want 0,1", exp, bp)
 	}
 	// An envelope that expires between stamping and delivery (the clock
 	// jumps past the TTL while the post is in flight).
@@ -238,7 +238,7 @@ func TestDropCounters(t *testing.T) {
 	if _, err := s2.Post(topic, []byte("late"), PostOptions{TTL: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if exp, _ := n2.DropStats(); exp != 1 {
+	if exp := n2.drops.Value(); exp != 1 {
 		t.Fatalf("expired drops = %d, want 1", exp)
 	}
 	if n.Drops() != 1 {
@@ -246,12 +246,12 @@ func TestDropCounters(t *testing.T) {
 	}
 
 	// Partitioned delivery is withheld, not dropped.
-	_, bpBefore := n.DropStats()
+	bpBefore := n.backpressure.Value()
 	n.SetLinkFilter(func(from, to types.Address) bool { return false })
 	if _, err := sender.Post(topic, []byte("cut"), PostOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, bp := n.DropStats(); bp != bpBefore {
+	if bp := n.backpressure.Value(); bp != bpBefore {
 		t.Fatalf("partitioned delivery counted as backpressure drop")
 	}
 	n.SetLinkFilter(nil)

@@ -644,13 +644,9 @@ func exportOf(e *hub.Watch) *guardExport {
 
 // WindowClosed retires the contract everywhere: journal, mirrors, maps.
 // Settlement is chain-visible, so peers observe it themselves — no gossip.
-func (o *towerObserver) WindowClosed(contract types.Address, byDispute bool) {
+func (o *towerObserver) WindowClosed(contract types.Address) {
 	t := o.t()
-	u1 := uint64(0)
-	if byDispute {
-		u1 = 1
-	}
-	t.journal.log(&store.Record{Kind: store.KindFedClosed, U1: u1, Blob: contract[:]})
+	t.journal.log(&store.Record{Kind: store.KindFedClosed, Blob: contract[:]})
 	t.mu.Lock()
 	t.closed[contract] = true
 	delete(t.guards, contract)

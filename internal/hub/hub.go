@@ -4,9 +4,9 @@
 // deploy/sign, submit/challenge, dispute/resolve) at the same time, on one
 // chain, with an always-on watchtower that monitors chain events and
 // auto-disputes fraudulent result submissions within their challenge
-// windows. With a Config.Store attached, every lifecycle transition is
-// written ahead to a WAL (internal/store) so a crashed hub can be rebuilt
-// with Recover — see DESIGN.md for the lifecycle diagram, the two-barrier
+// windows. With a Config.Store attached, each session fact is written
+// ahead of the side effect that depends on it to a WAL (internal/store) so
+// a crashed hub can be rebuilt with Recover — see DESIGN.md for the lifecycle diagram, the two-barrier
 // safety argument, and the durability/recovery invariants.
 package hub
 
@@ -116,10 +116,10 @@ type Config struct {
 	// Workers is the session worker pool size (default GOMAXPROCS). The
 	// submission queue holds four tickets per worker.
 	Workers int
-	// Store, when set, makes the hub durable: every lifecycle transition
-	// is logged to the WAL before it is acted on, and hub.Recover can
-	// rebuild the session table from it after a crash. The caller owns
-	// the store (and closes it); the hub only appends.
+	// Store, when set, makes the hub durable: each session fact is logged
+	// to the WAL before the side effect that depends on it, and
+	// hub.Recover can rebuild the session table from it after a crash. The
+	// caller owns the store (and closes it); the hub only appends.
 	Store *store.Store
 	// CompactEvery triggers WAL snapshot compaction after that many
 	// terminal sessions (default 512).
@@ -390,7 +390,7 @@ func (h *Hub) Stop() {
 
 // Kill simulates the process dying right now: the watchtower stops
 // examining blocks, every worker abandons its session at the next
-// lifecycle checkpoint — including workers parked inside a receipt wait
+// lifecycle gate — including workers parked inside a receipt wait
 // on a batch-mined chain, whose contexts are canceled here — and nothing
 // further is written to the WAL. The chain (an external system in
 // reality) keeps running. Call Stop afterwards to reclaim the
@@ -594,20 +594,25 @@ type lifecycle struct {
 	began time.Time
 }
 
-// checkpoint is the write-ahead gate in front of a stage. It returns
-// ErrCrashed when the hub is simulating process death (the worker must
-// abandon the session on the spot, writing nothing), the journal's
-// append error when durability is lost (the session must FAIL with the
-// real cause — a hub that cannot write its WAL must not pretend its
-// sessions merely crashed), or nil to proceed.
-func (h *Hub) checkpoint(lc *lifecycle, s Stage) error {
+// gate starts a stage: a simulated crash abandons the session on the spot
+// at its CURRENT stage (lc.rep.Stage), writing nothing; otherwise the
+// stage's clock starts and gate returns nil.
+func (h *Hub) gate(lc *lifecycle) *Report {
 	if h.crashed.Load() {
-		return ErrCrashed
-	}
-	if err := h.journal.log(&store.Record{Kind: store.KindStage, SID: lc.t.ID, U1: uint64(s)}); err != nil {
-		return fmt.Errorf("hub: wal: %w", err)
+		return h.crashReport(lc.t, lc.rep.Stage)
 	}
 	lc.began = time.Now()
+	return nil
+}
+
+// record makes one of the session's facts durable before the side effect
+// that depends on it; nil means proceed. WAL loss fails the session with
+// the real cause: a hub that cannot write its WAL must not pretend its
+// sessions merely crashed.
+func (h *Hub) record(lc *lifecycle, rec *store.Record) *Report {
+	if err := h.journal.log(rec); err != nil {
+		return h.failSession(lc, fmt.Errorf("hub: wal: %w", err))
+	}
 	return nil
 }
 
@@ -654,21 +659,6 @@ func (h *Hub) failSession(lc *lifecycle, err error) *Report {
 	return lc.rep
 }
 
-// gate runs the write-ahead checkpoint for the stage about to start and
-// translates failures: a simulated crash abandons the session at its
-// CURRENT stage (lc.rep.Stage), WAL loss fails it with the real cause.
-// A nil return means proceed.
-func (h *Hub) gate(lc *lifecycle, next Stage) *Report {
-	err := h.checkpoint(lc, next)
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, ErrCrashed) {
-		return h.crashReport(lc.t, lc.rep.Stage)
-	}
-	return h.failSession(lc, err)
-}
-
 // runSession drives one session through the full lifecycle state machine.
 func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 	spec := t.Spec
@@ -680,7 +670,7 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 	}
 
 	// Stage 1: split/generate (cached per scenario).
-	if rep := h.gate(lc, StageSplit); rep != nil {
+	if rep := h.gate(lc); rep != nil {
 		return rep
 	}
 	split, err := h.split(spec)
@@ -693,12 +683,17 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 
 	// Fresh identities, funded by the faucet. The party record goes to the
 	// WAL before any of them touches the chain: recovery must be able to act
-	// for these parties (file disputes, finalize) or they are lost. It
-	// carries their addresses, never their keys, which recovery re-derives
-	// from the session ID.
+	// for these parties (file disputes, finalize, sweep) or they are lost. It
+	// carries their count alone; recovery re-derives the keys from the
+	// session ID.
+	if rep := h.gate(lc); rep != nil {
+		return rep
+	}
+	if rep := h.record(lc, partiesRecord(t.ID, split.Participants)); rep != nil {
+		return rep
+	}
 	parties := make([]*hybrid.Participant, split.Participants)
 	addrs := make([]types.Address, split.Participants)
-	addrBlobs := make([][]byte, split.Participants)
 	for i := range parties {
 		key, err := h.deriveKey(t.ID, i)
 		if err != nil {
@@ -713,11 +708,6 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 			}
 		}
 		addrs[i] = parties[i].Addr
-		addrBlobs[i] = addrs[i][:]
-	}
-	h.journal.log(&store.Record{Kind: store.KindParties, SID: t.ID, Blobs: addrBlobs})
-	if rep := h.gate(lc, StageDeployed); rep != nil {
-		return rep
 	}
 	sess, err := hybrid.NewSession(split, parties)
 	if err != nil {
@@ -738,13 +728,15 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 		return fail(err)
 	}
 	rep.OnChainAddr = sess.OnChainAddr
-	h.journal.log(&store.Record{Kind: store.KindDeployed, SID: t.ID, Blob: sess.OnChainAddr[:]})
+	if rep := h.record(lc, &store.Record{Kind: store.KindDeployed, SID: t.ID, Blob: sess.OnChainAddr[:]}); rep != nil {
+		return rep
+	}
 	if !h.advance(lc, StageDeployed) {
 		return h.crashReport(t, StageDeployed)
 	}
 
 	// Stage 2b: sign and exchange the off-chain copy.
-	if rep := h.gate(lc, StageSigned); rep != nil {
+	if rep := h.gate(lc); rep != nil {
 		return rep
 	}
 	exchangeStart := time.Now()
@@ -752,7 +744,9 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 		return fail(fmt.Errorf("hub: sign/exchange: %w", err))
 	}
 	h.tracer.RecordChild(t.tc, t.ID, "whisper", "sign_exchange", exchangeStart, time.Since(exchangeStart), "")
-	h.journal.log(&store.Record{Kind: store.KindSigned, SID: t.ID, Blob: sess.Copy.Encode()})
+	if rep := h.record(lc, &store.Record{Kind: store.KindSigned, SID: t.ID, Blob: sess.Copy.Encode()}); rep != nil {
+		return rep
+	}
 	if !h.advance(lc, StageSigned) {
 		return h.crashReport(t, StageSigned)
 	}
@@ -793,20 +787,22 @@ func (h *Hub) runFromSigned(lc *lifecycle, sess *hybrid.Session, watch *Watch, s
 	// not, a later recovery would re-run setup and double-deposit.
 	if spec.Setup != nil && !setupDone {
 		setupStart := time.Now()
-		if err := h.journal.log(&store.Record{Kind: store.KindSetupStart, SID: t.ID}); err != nil {
-			return fail(fmt.Errorf("hub: setup bracket: %w", err))
+		if rep := h.record(lc, &store.Record{Kind: store.KindSetupStart, SID: t.ID}); rep != nil {
+			return rep
 		}
 		if err := spec.Setup(sess); err != nil {
 			return fail(fmt.Errorf("hub: setup: %w", err))
 		}
-		h.journal.log(&store.Record{Kind: store.KindSetupDone, SID: t.ID})
+		if rep := h.record(lc, &store.Record{Kind: store.KindSetupDone, SID: t.ID}); rep != nil {
+			return rep
+		}
 		// No Report.Latency stage covers the deposits' block wait; this span
 		// is where it shows.
 		h.tracer.RecordChild(t.tc, t.ID, "hub", "setup", setupStart, time.Since(setupStart), "")
 	}
 
 	// Stage 3a: private unanimous execution.
-	if rep := h.gate(lc, StageExecuted); rep != nil {
+	if rep := h.gate(lc); rep != nil {
 		return rep
 	}
 	outcome, err := joinPrivateRun()
@@ -834,13 +830,13 @@ func (h *Hub) runFromSigned(lc *lifecycle, sess *hybrid.Session, watch *Watch, s
 	if h.seq != nil {
 		return h.settleRollup(lc, sess, watch, submitted)
 	}
-	if rep := h.gate(lc, StageSubmitted); rep != nil {
+	if rep := h.gate(lc); rep != nil {
 		return rep
 	}
-	// The one irreversible action of the lifecycle: the intent record must
+	// The one irreversible action of the lifecycle: the submit record must
 	// be durable BEFORE the result transaction exists.
-	if err := h.journal.log(&store.Record{Kind: store.KindSubmitted, SID: t.ID, U1: submitted}); err != nil {
-		return fail(fmt.Errorf("hub: wal: %w", err))
+	if rep := h.record(lc, &store.Record{Kind: store.KindSubmitted, SID: t.ID, U1: submitted}); rep != nil {
+		return rep
 	}
 	r, err := sess.SubmitResult(submitIdx, submitted)
 	if err != nil {
@@ -858,40 +854,19 @@ func (h *Hub) runFromSigned(lc *lifecycle, sess *hybrid.Session, watch *Watch, s
 	return h.awaitSettlement(lc, sess, watch)
 }
 
-// awaitSettlement is the tail of the lifecycle: wait for the tower's
-// verdict on this session's submission, then either acknowledge the
-// dispute the tower filed or — behind the all-verdicts barrier — finalize
-// the honest submission past its challenge window.
+// awaitSettlement is the tail of the lifecycle: take the verdict step,
+// then — behind the all-verdicts barrier — finalize the honest submission
+// past its challenge window.
 func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch) *Report {
-	t, rep := lc.t, lc.rep
+	rep := lc.rep
 	fail := func(err error) *Report { return h.failSession(lc, err) }
 
-	// Own verdict before reporting: wait for the tower to have examined
-	// every block up to the submission and decided THIS window. After this
-	// returns, a fraudulent submission has already been disputed and
-	// enforced — other sessions' disputes may still be in flight, and a
-	// disputed session does not wait for them.
 	lc.began = time.Now()
-	h.tower.WaitVerdict(watch, h.chain.Height())
-	own := time.Since(lc.began)
-	if h.crashed.Load() {
-		return h.crashReport(t, StageSubmitted)
-	}
-	settled, err := sess.IsSettled()
-	if err != nil {
-		return fail(err)
-	}
-	if settled {
+	own, done := h.verdict(lc, sess, watch)
+	if done != nil {
 		h.barrierSpan(lc, lc.began, own, 0)
-		return h.reportSettled(lc, sess, watch)
+		return done
 	}
-	// The verdict is in and the contract is still open: the submission was
-	// clean — unless the tower filed and could not enforce, in which case
-	// what stands in the contract is a lie, and it must not be finalized.
-	if raised, _ := watch.Disputed(); raised {
-		return fail(errors.New("hub: dispute filed but not enforced"))
-	}
-
 	// Honest path: advance past the challenge window and finalize. All
 	// verdicts before any clock jump: the clock is shared, so the jump must
 	// not overtake ANY window whose dispute is still undecided or in flight.
@@ -899,7 +874,7 @@ func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch)
 	h.tower.WaitCaughtUp(h.chain.Height())
 	h.barrierSpan(lc, lc.began, own, time.Since(clockStart))
 	if h.crashed.Load() {
-		return h.crashReport(t, StageSubmitted)
+		return h.crashReport(lc.t, StageSubmitted)
 	}
 	h.advancePast(sess)
 	fr, err := sess.FinalizeResult(0)
@@ -919,24 +894,53 @@ func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch)
 	h.metrics.settleTxs.Inc()
 	h.metrics.settleGas.Add(fr.GasUsed)
 	if !h.advance(lc, StageSettled) {
-		return h.crashReport(t, StageSettled)
+		return h.crashReport(lc.t, StageSettled)
 	}
 	h.terminal(lc, StageSettled)
 	return rep
 }
 
+// verdict is the step every tail takes once a submission may be on chain:
+// wait for the tower to have examined every block up to now and decided
+// THIS watch, then read the contract. own is how long the wait took. A
+// non-nil report ends the session — crashed, settled (reportSettled), or
+// left open by a dispute the tower filed and could not enforce, in which
+// case what stands in the contract is a lie and must not be finalized.
+// Otherwise the submission stands clean; other sessions' disputes may
+// still be in flight, and the caller decides whether to wait for them.
+func (h *Hub) verdict(lc *lifecycle, sess *hybrid.Session, watch *Watch) (own time.Duration, done *Report) {
+	start := time.Now()
+	h.tower.WaitVerdict(watch, h.chain.Height())
+	own = time.Since(start)
+	if h.crashed.Load() {
+		return own, h.crashReport(lc.t, lc.rep.Stage)
+	}
+	settled, err := sess.IsSettled()
+	if err != nil {
+		return own, h.failSession(lc, err)
+	}
+	if settled {
+		return own, h.reportSettled(lc, sess, watch)
+	}
+	if raised, _ := watch.Disputed(); raised {
+		return own, h.failSession(lc, errors.New("hub: dispute filed but not enforced"))
+	}
+	return own, nil
+}
+
 // reportSettled closes out a session whose owner found its contract
 // already settled, labelled from the chain's settlement log rather than
-// from how the owner got here. DisputeResolved means the tower intervened —
-// ours, or a federated peer whose dispute landed; the tower's view can
-// trail the chain by a block, so the log is the authority. ResultFinalized
+// from how the owner got here. DisputeResolved means a dispute was
+// enforced — our tower's, a federated peer's, or a dead generation's;
+// the chain indexes a block's logs before any subscriber hears of them, so
+// the log is there whenever the contract reads settled. ResultFinalized
 // alone means an unchallenged finalization this worker did not send (a
 // recovered session whose dead generation's finalize was still pooled at
 // the kill): that session is settled, not resolved.
 func (h *Hub) reportSettled(lc *lifecycle, sess *hybrid.Session, watch *Watch) *Report {
 	t, rep := lc.t, lc.rep
 	raised, won := watch.Disputed()
-	byDispute := watch.SettledByDispute() || settledByDispute(h.chain, sess.OnChainAddr)
+	byDispute := settledByDispute(h.chain, sess.OnChainAddr)
 	if raised && !won && !byDispute {
 		return h.failSession(lc, errors.New("hub: dispute filed but not enforced"))
 	}
@@ -956,6 +960,13 @@ func (h *Hub) reportSettled(lc *lifecycle, sess *hybrid.Session, watch *Watch) *
 	}
 	h.terminal(lc, StageResolved)
 	return rep
+}
+
+// settledByDispute reports whether the chain's settlement log for the
+// contract is a DisputeResolved — the authority on how a settled contract
+// got there, whoever filed.
+func settledByDispute(c *chain.Chain, contract types.Address) bool {
+	return len(c.FilterLogs(chain.FilterQuery{Address: &contract, Topic: &hybrid.TopicDisputeResolved})) > 0
 }
 
 // advancePast moves the shared clock beyond the session's challenge

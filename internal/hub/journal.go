@@ -17,11 +17,6 @@ import (
 type sessionState struct {
 	ID       uint64
 	Scenario string
-	// Stage is the latest write-ahead intent: the stage the session was
-	// executing (not necessarily finished) when the record was written.
-	Stage         Stage
-	Terminal      bool
-	TerminalStage Stage
 
 	// Parties is the session's party count. The keys themselves are never
 	// logged: recovery re-derives them from the session ID (Hub.deriveKey).
@@ -35,6 +30,24 @@ type sessionState struct {
 
 	Submitted    uint64
 	SubmittedSet bool
+}
+
+// stage is the last stage whose fact the WAL holds: the submit record
+// (KindSubmitted, or the rollup leaf), else the signed copy, else the
+// contract address, else the party record. It labels a recovered session;
+// recovery decides nothing from it.
+func (ss *sessionState) stage() Stage {
+	switch {
+	case ss.SubmittedSet:
+		return StageSubmitted
+	case ss.CopyEnc != nil:
+		return StageSigned
+	case !ss.Addr.IsZero():
+		return StageDeployed
+	case ss.Parties > 0:
+		return StageSplit
+	}
+	return StagePending
 }
 
 // journal owns the WAL and its in-memory mirror. Every mutation goes
@@ -71,7 +84,7 @@ func newJournal(st *store.Store, compactEvery int) *journal {
 
 // log applies one record to the mirror and makes it durable. An append
 // failure is sticky: a hub that can no longer write its WAL must stop
-// claiming durability, so every later log (and checkpoint) fails too.
+// claiming durability, so every later log fails too.
 //
 // The record's WAL position is reserved (AppendAsync) and the mirror
 // updated under j.mu, so mirror order and durable order can never
@@ -80,15 +93,16 @@ func newJournal(st *store.Store, compactEvery int) *journal {
 // store. The mirror may therefore briefly lead the WAL by records whose
 // flush is still in flight — and a compaction triggered by another
 // worker in that window snapshots them as if flushed. That direction of
-// divergence is the safe one: it is write-ahead intent, which recovery
-// is built to over-trust (the chain outranks the WAL for every on-chain
-// fact, and an intent without a matching chain event is simply redone or
-// closed out). What must never happen is the WAL UNDER-claiming versus
-// actions taken, and it cannot: the caller does not act (and no
-// terminal-triggered compaction runs) until its own wait returns, queue
-// order means a successful later flush implies every earlier reservation
-// flushed, and a failed flush is sticky at BOTH layers — this journal
-// stops logging and the store refuses further appends and compactions.
+// divergence is the safe one: it is written ahead of its side effect,
+// which recovery is built to over-trust (the chain outranks the WAL for
+// every on-chain fact, and a submit record without a matching chain
+// event is simply redone or closed out). What must never happen is the
+// WAL UNDER-claiming versus actions taken, and it cannot: the caller does
+// not act (and no terminal-triggered compaction runs) until its own wait
+// returns, queue order means a successful later flush implies every
+// earlier reservation flushed, and a failed flush is sticky at BOTH
+// layers — this journal stops logging and the store refuses further
+// appends and compactions.
 func (j *journal) log(rec *store.Record) error {
 	j.mu.Lock()
 	if j.appendErr != nil {
@@ -141,20 +155,26 @@ func (j *journal) log(rec *store.Record) error {
 // applyLocked is THE fold function: it gives a record its meaning. Both
 // the live mirror and crash recovery go through it.
 func (j *journal) applyLocked(rec *store.Record) {
-	if rec.Kind >= store.KindFedMember {
+	switch {
+	case rec.Kind == store.KindEpochLeaf:
+		// The rollup leaf is the submit record in batch settlement. Older
+		// WALs carry a KindSubmitted with the same outcome in front of it.
+	case rec.Kind >= store.KindFedMember:
+		// The rest of the rollup kinds are the sequencer's (rollup.Fold).
 		// Federation records belong to internal/federation's own journal;
 		// a hub WAL never carries them, but a fold must not misread one as
 		// a session record if the stores are ever mixed.
 		return
-	}
-	switch rec.Kind {
-	case store.KindCursor, store.KindWindow, store.KindDisputed:
+	case rec.Kind == store.KindCursor, rec.Kind == store.KindWindow, rec.Kind == store.KindDisputed:
 		// Chain facts older hubs copied into the WAL: the tower re-reads
 		// them from the chain, so old WALs still replay and these fold to
 		// nothing.
 		return
-	}
-	if rec.Kind == store.KindKeySeq {
+	case rec.Kind == store.KindStage:
+		// Stage intents older hubs wrote before every stage: the facts
+		// below say how far a session got (sessionState.stage).
+		return
+	case rec.Kind == store.KindKeySeq:
 		// U1 (and KindParties.U3 below) carried a key-sequence high mark
 		// while keys came from a counter; WALs written then still replay,
 		// the mark is just not read.
@@ -175,13 +195,11 @@ func (j *journal) applyLocked(rec *store.Record) {
 	case store.KindAccepted:
 		ss.Scenario = rec.Str
 	case store.KindParties:
-		// One blob per party: its address, or its private scalar in WALs
-		// written before keys were re-derived. Either way only the count is
-		// read (U1 and U2 carried the challenge period and the disputing
-		// party's index then; neither is read).
+		// One blob per party, empty: only the count is read. Older WALs
+		// carry each party's address, or its private scalar from before
+		// keys were re-derived, and the challenge period and disputing
+		// party's index in U1 and U2; none of it is read.
 		ss.Parties = len(rec.Blobs)
-	case store.KindStage:
-		ss.Stage = Stage(rec.U1)
 	case store.KindDeployed:
 		ss.Addr = types.BytesToAddress(rec.Blob)
 	case store.KindSigned:
@@ -190,12 +208,10 @@ func (j *journal) applyLocked(rec *store.Record) {
 		ss.SetupStarted = true
 	case store.KindSetupDone:
 		ss.SetupDone = true
-	case store.KindSubmitted:
+	case store.KindSubmitted, store.KindEpochLeaf:
 		ss.Submitted = rec.U1
 		ss.SubmittedSet = true
 	case store.KindTerminal:
-		ss.Terminal = true
-		ss.TerminalStage = Stage(rec.U1)
 		delete(j.sessions, rec.SID)
 	}
 }
@@ -219,9 +235,7 @@ func encodeSessionState(ss *sessionState) []*store.Record {
 		{Kind: store.KindAccepted, SID: ss.ID, Str: ss.Scenario},
 	}
 	if ss.Parties > 0 {
-		// The fold reads the party count alone, so a snapshot keeps the
-		// count and not the addresses.
-		recs = append(recs, &store.Record{Kind: store.KindParties, SID: ss.ID, Blobs: make([][]byte, ss.Parties)})
+		recs = append(recs, partiesRecord(ss.ID, ss.Parties))
 	}
 	if !ss.Addr.IsZero() {
 		recs = append(recs, &store.Record{Kind: store.KindDeployed, SID: ss.ID, Blob: ss.Addr[:]})
@@ -236,10 +250,18 @@ func encodeSessionState(ss *sessionState) []*store.Record {
 		recs = append(recs, &store.Record{Kind: store.KindSetupDone, SID: ss.ID})
 	}
 	if ss.SubmittedSet {
+		// KindSubmitted in either settlement mode: a rollup leaf in the
+		// snapshot would read to rollup.Fold as not yet sealed, and the
+		// sequencer snapshots its own leaves (journal.extra).
 		recs = append(recs, &store.Record{Kind: store.KindSubmitted, SID: ss.ID, U1: ss.Submitted})
 	}
-	recs = append(recs, &store.Record{Kind: store.KindStage, SID: ss.ID, U1: uint64(ss.Stage)})
 	return recs
+}
+
+// partiesRecord is the party record, live and in snapshots alike: n empty
+// blobs, because the fold reads only the count.
+func partiesRecord(sid uint64, n int) *store.Record {
+	return &store.Record{Kind: store.KindParties, SID: sid, Blobs: make([][]byte, n)}
 }
 
 // foldRecords replays a WAL record stream into per-session state. Used by

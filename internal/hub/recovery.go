@@ -2,7 +2,6 @@ package hub
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -67,9 +66,9 @@ func (o RecoveryOutcome) String() string {
 type RecoveredSession struct {
 	ID       uint64
 	Scenario string
-	// Stage is the last write-ahead intent the WAL carried (the stage the
-	// session was executing when the hub died), or the terminal stage for
-	// RecoveryTerminal sessions.
+	// Stage is the last stage whose fact the WAL carried (the submit
+	// record, the signed copy, the contract address, the party record), or
+	// the terminal stage for RecoveryTerminal sessions.
 	Stage   Stage
 	Outcome RecoveryOutcome
 	// Why explains an abandonment.
@@ -210,7 +209,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 		// resurrect it, then record why for the operator.
 		h.journal.log(&store.Record{Kind: store.KindTerminal, SID: ss.ID, U1: uint64(StageFailed)})
 		rs := &RecoveredSession{
-			ID: ss.ID, Scenario: ss.Scenario, Stage: ss.Stage,
+			ID: ss.ID, Scenario: ss.Scenario, Stage: ss.stage(),
 			Outcome: RecoveryAbandoned, Why: why,
 		}
 		report.Sessions = append(report.Sessions, rs)
@@ -244,7 +243,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 			}
 		}
 		// Rebuild or guard failed. If the session may have an open
-		// challenge window (a submission intent in the WAL, which always
+		// challenge window (a submit record in the WAL, which always
 		// precedes the transaction), abandoning it — terminal record, funds
 		// swept — would permanently unguard a possibly-fraudulent submission. That is an
 		// operator/configuration problem (e.g. a same-named spec with a
@@ -283,7 +282,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 			return h.resumeSession(t, r.ss, r.sess, r.watch)
 		}
 		report.Sessions = append(report.Sessions, &RecoveredSession{
-			ID: r.ss.ID, Scenario: r.ss.Scenario, Stage: r.ss.Stage,
+			ID: r.ss.ID, Scenario: r.ss.Scenario, Stage: r.ss.stage(),
 			Outcome: RecoveryResumed, Ticket: t,
 		})
 		h.jobs <- t
@@ -393,101 +392,52 @@ func (h *Hub) partyKeys(ss *sessionState) ([]*secp256k1.PrivateKey, error) {
 	return keys, nil
 }
 
-// resumeSession drives a recovered session to a terminal stage. Where it
-// re-enters the lifecycle depends on what the chain already knows:
-// settled contracts just need their terminal record; an open submission
-// re-enters at the settlement barrier (the tower replay has already
-// disputed it if fraudulent); anything earlier re-runs from the signed
-// copy — including an honest re-submission, since re-executing the
-// deterministic off-chain bytecode reproduces the agreed result.
+// resumeSession drives a recovered session to a terminal stage. It opens
+// with the verdict step every tail takes — the tower's replay has reached
+// its decision on whatever window it found, so a settled contract is
+// labelled from the chain and a standing lie is never finalized — and then
+// re-enters the lifecycle where the chain and the WAL say the session
+// stands: an open submission at its settlement barrier, a journaled rollup
+// leaf at the enqueue (idempotent), anything earlier at the signed copy —
+// including an honest re-submission, since re-executing the deterministic
+// off-chain bytecode reproduces the agreed result.
 func (h *Hub) resumeSession(t *Ticket, ss *sessionState, sess *hybrid.Session, watch *Watch) *Report {
 	rep := &Report{
-		ID: ss.ID, Scenario: ss.Scenario, Stage: ss.Stage, Recovered: true,
+		ID: ss.ID, Scenario: ss.Scenario, Stage: ss.stage(), Recovered: true,
 		OnChainAddr: sess.OnChainAddr, Session: sess, Watch: watch,
 		Latency: make(map[Stage]time.Duration),
 	}
+	exp, expErr := watch.Expected()
+	rep.Result = exp
 	lc := &lifecycle{t: t, rep: rep, began: time.Now()}
-	fail := func(err error) *Report { return h.failSession(lc, err) }
-
-	// Let the dispute pipeline reach its verdict on whatever window the
-	// recovery replay found for this session before reading chain state:
-	// filing is asynchronous, so "the replay has already disputed it" is
-	// only true past the own-verdict barrier.
-	h.tower.WaitVerdict(watch, h.chain.Height())
-	if h.crashed.Load() {
-		return h.crashReport(t, rep.Stage)
-	}
-	settled, err := sess.IsSettled()
-	if err != nil {
-		return fail(err)
-	}
-	if settled {
-		// Settled before the crash, during the outage, or by the recovery
-		// replay's dispute. The replay delivered the settle event, so the
-		// watch is already closed; the label comes from the chain's log.
-		byDispute := settledByDispute(h.chain, sess.OnChainAddr)
-		raised, won := watch.Disputed()
-		rep.Disputed = raised
-		final := StageSettled
-		if raised {
-			if !won && !byDispute {
-				return fail(fmt.Errorf("hub: recovered dispute filed but not enforced"))
-			}
-			final = StageResolved
-		} else if byDispute {
-			// The dead generation's tower (or a party) won the dispute
-			// before the crash; report the truth the chain remembers.
-			rep.Disputed = true
-			final = StageResolved
-		}
-		if exp, err := watch.Expected(); err == nil {
-			rep.Result = exp
-		}
-		rep.Stage = final
-		h.metrics.recordStage(final, time.Since(lc.began))
-		h.terminal(lc, final)
-		return rep
+	if _, done := h.verdict(lc, sess, watch); done != nil {
+		return done
 	}
 
 	if h.seq != nil {
 		// Rollup mode: no per-session settlement exists to wait for. A
-		// submitted session re-enqueues its leaf — idempotent: it adopts
-		// the live ticket if the crash left one pending, or resolves
-		// instantly if the leaf already rode a posted epoch — and rejoins
-		// at the epoch wait. Anything earlier re-runs from the signed copy.
-		if exp, err := watch.Expected(); err == nil {
-			rep.Result = exp
-		}
+		// journaled leaf re-enters at the enqueue and rejoins at the epoch
+		// wait; anything earlier re-runs from the signed copy.
 		if ss.SubmittedSet {
-			rep.Stage = StageSubmitted
+			rep.Stage = StageExecuted
 			rep.Submitted = ss.Submitted
-			fut, err := h.seq.Enqueue(rollup.Leaf{SID: ss.ID, Contract: sess.OnChainAddr, Outcome: ss.Submitted}, t.tc)
-			if err != nil {
-				if h.crashed.Load() || errors.Is(err, rollup.ErrHalted) {
-					return h.crashReport(t, rep.Stage)
-				}
-				return fail(fmt.Errorf("hub: rollup re-enqueue: %w", err))
-			}
-			return h.awaitRollup(lc, sess, watch, fut)
+			return h.settleRollup(lc, sess, watch, ss.Submitted)
 		}
 		rep.Stage = StageSigned
 		return h.runFromSigned(lc, sess, watch, ss.SetupDone)
 	}
 
 	if w := watch.OpenWindow(); w != nil {
-		// Mid-challenge: the submission is on-chain. The recovery replay
-		// has already examined it, so a mismatch still standing here means
-		// the dispute could not be enforced — never finalize it.
-		exp, err := watch.Expected()
-		if err != nil {
-			return fail(err)
+		// Mid-challenge: the submission is on-chain and the verdict step
+		// found it clean. Never finalize what the sandbox cannot vouch for.
+		if expErr != nil {
+			return h.failSession(lc, expErr)
 		}
 		if w.Result != exp {
-			return fail(fmt.Errorf("hub: recovered fraudulent submission (%d for %d) not disputed", w.Result, exp))
+			return h.failSession(lc, fmt.Errorf("hub: recovered fraudulent submission (%d for %d) not disputed", w.Result, exp))
 		}
 		rep.Stage = StageSubmitted
 		rep.Submitted = w.Result
-		rep.Result = exp
 		return h.awaitSettlement(lc, sess, watch)
 	}
 

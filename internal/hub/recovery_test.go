@@ -675,8 +675,11 @@ func TestDurableHappyPath(t *testing.T) {
 	defer st2.Close()
 	recs := mustReplay(t, st2)
 	for _, rec := range recs {
-		if rec.Kind == store.KindCursor || rec.Kind == store.KindWindow {
+		switch rec.Kind {
+		case store.KindCursor, store.KindWindow:
 			t.Fatalf("WAL holds a %s record: the tower journals nothing", rec.Kind)
+		case store.KindStage:
+			t.Fatalf("WAL holds a %s record: the hub journals facts, not intents", rec.Kind)
 		}
 	}
 	live, _, _ := foldRecords(recs)
@@ -729,7 +732,7 @@ func TestSeededStateSurvivesCompaction(t *testing.T) {
 	}
 	j := newJournal(st, 1) // compact on every terminal
 	kept := &sessionState{
-		ID: 5, Scenario: "betting", Stage: StageSubmitted,
+		ID: 5, Scenario: "betting",
 		Parties: 2,
 		Addr:    types.BytesToAddress([]byte{0xAA}),
 		CopyEnc: []byte{0xC0},
@@ -764,7 +767,7 @@ func TestSeededStateSurvivesCompaction(t *testing.T) {
 // snapshotFixture is a mid-challenge session with every durable field set.
 func snapshotFixture() *sessionState {
 	return &sessionState{
-		ID: 9, Scenario: "betting/adversarial", Stage: StageSubmitted,
+		ID: 9, Scenario: "betting/adversarial",
 		Parties: 2,
 		Addr:    types.BytesToAddress([]byte{1, 2, 3}),
 		CopyEnc: []byte{0xc0}, SetupStarted: true, SetupDone: true,
@@ -794,17 +797,21 @@ func TestSessionStateSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFoldIgnoresRetiredRecords: WALs written while the tower journaled
-// its windows, a block cursor and a KindDisputed before filing, while
-// KindDeployed carried the deploy block in U1, and while KindParties
-// carried the challenge period, the disputing party and the parties'
-// private scalars, must still replay — and fold to exactly the state the
-// same WAL folds to without them, which is all Recover reads.
+// TestFoldIgnoresRetiredRecords: WALs written while the hub logged a stage
+// intent before every stage, while the tower journaled its windows, a
+// block cursor and a KindDisputed before filing, while KindDeployed carried
+// the deploy block in U1, and while KindParties carried the challenge
+// period, the disputing party and the parties' addresses or private
+// scalars, must still replay — and fold to exactly the state the same WAL
+// folds to without them, which is all Recover reads.
 func TestFoldIgnoresRetiredRecords(t *testing.T) {
 	plain := encodeSessionState(snapshotFixture())
 	var old []*store.Record
-	for _, rec := range plain {
+	for i, rec := range plain {
 		cp := *rec
+		// A stage intent in front of each fact, naming an arbitrary stage:
+		// the fold must not read it.
+		old = append(old, &store.Record{Kind: store.KindStage, SID: cp.SID, U1: uint64(StageResolved - Stage(i))})
 		switch cp.Kind {
 		case store.KindDeployed:
 			cp.U1 = 17
@@ -820,7 +827,7 @@ func TestFoldIgnoresRetiredRecords(t *testing.T) {
 		}
 		old = append(old, &cp)
 	}
-	if len(old) != len(plain)+3 {
+	if len(old) != 2*len(plain)+3 {
 		t.Fatalf("fixture carries no submission to hang the retired records on")
 	}
 	st, err := store.Open(t.TempDir(), store.Options{})

@@ -7,7 +7,6 @@ import (
 
 	"onoffchain/internal/hybrid"
 	"onoffchain/internal/rollup"
-	"onoffchain/internal/store"
 	"onoffchain/internal/types"
 )
 
@@ -34,11 +33,6 @@ type RollupConfig struct {
 	EpochAge time.Duration
 }
 
-// rollupWindow is the batch challenge period in chain seconds: leaves can be
-// disputed until postedAt + rollupWindow. It matches the default
-// per-session challenge period.
-const rollupWindow = 600
-
 // sequencerIndex is the sequencer's place among the hub's own keys, which
 // live under session ID 0: the faucet shards count up from 0, so no worker
 // count reaches it. Generation-stable like every derived key, as it must be:
@@ -63,7 +57,6 @@ func (h *Hub) initRollup(f *rollup.Folded) error {
 		Depth:     rc.Depth,
 		EpochCap:  rc.EpochCap,
 		EpochAge:  rc.EpochAge,
-		Window:    rollupWindow,
 		Journal:   h.journal.log,
 		OnEpoch:   h.onEpoch,
 		Telemetry: h.cfg.Telemetry,
@@ -136,26 +129,25 @@ func (h *Hub) onEpoch(e *rollup.Epoch) {
 }
 
 // settleRollup replaces the per-session submit transaction with a leaf
-// enqueue. The durable intent (KindSubmitted) still precedes the
-// irreversible hand-off, and StageSubmitted now means "leaf enqueued with
-// the sequencer". An adversarial spec enqueues the flipped outcome — the
-// sequencer faithfully posts the lie, and the tower must catch it by
-// opening the leaf.
+// enqueue, and StageSubmitted now means "leaf enqueued with the
+// sequencer". The leaf's own record (KindEpochLeaf, which Enqueue makes
+// durable before the hand-off) is the session's submit record. An
+// adversarial spec enqueues the flipped outcome — the sequencer faithfully
+// posts the lie, and the tower must catch it by opening the leaf. A
+// recovered session re-enters here too: Enqueue is idempotent per SID, so
+// it adopts the live ticket if the crash left one pending, or resolves
+// instantly if the leaf already rode a posted epoch.
 func (h *Hub) settleRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, submitted uint64) *Report {
 	t := lc.t
-	fail := func(err error) *Report { return h.failSession(lc, err) }
-	if rep := h.gate(lc, StageSubmitted); rep != nil {
+	if rep := h.gate(lc); rep != nil {
 		return rep
-	}
-	if err := h.journal.log(&store.Record{Kind: store.KindSubmitted, SID: t.ID, U1: submitted}); err != nil {
-		return fail(fmt.Errorf("hub: wal: %w", err))
 	}
 	fut, err := h.seq.Enqueue(rollup.Leaf{SID: t.ID, Contract: sess.OnChainAddr, Outcome: submitted}, t.tc)
 	if err != nil {
 		if h.crashed.Load() || errors.Is(err, rollup.ErrHalted) {
 			return h.crashReport(t, lc.rep.Stage)
 		}
-		return fail(fmt.Errorf("hub: rollup enqueue: %w", err))
+		return h.failSession(lc, fmt.Errorf("hub: rollup enqueue: %w", err))
 	}
 	if !h.advance(lc, StageSubmitted) {
 		return h.crashReport(t, StageSubmitted)
@@ -164,51 +156,35 @@ func (h *Hub) settleRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, su
 }
 
 // awaitRollup is the rollup-mode tail of the lifecycle: wait for the
-// leaf's epoch to post, wait for the tower's verdict on this leaf, then
-// classify the outcome from chain truth — the shape of awaitSettlement,
-// with the finalize transaction (and the clock jump and all-verdicts
-// barrier in front of it) replaced by nothing at all: the epoch post IS
-// the settlement commit.
+// leaf's epoch to post, then take the verdict step — the shape of
+// awaitSettlement, with the finalize transaction (and the clock jump and
+// all-verdicts barrier in front of it) replaced by nothing at all: the
+// epoch post IS the settlement commit.
 func (h *Hub) awaitRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, fut *rollup.Future) *Report {
 	t, rep := lc.t, lc.rep
-	fail := func(err error) *Report { return h.failSession(lc, err) }
 
 	lc.began = time.Now()
-	_, _, err := fut.Wait(h.ctx)
-	if err != nil {
+	if _, _, err := fut.Wait(h.ctx); err != nil {
 		if h.crashed.Load() || h.ctx.Err() != nil || errors.Is(err, rollup.ErrHalted) {
 			return h.crashReport(t, StageSubmitted)
 		}
-		return fail(fmt.Errorf("hub: rollup post: %w", err))
+		return h.failSession(lc, fmt.Errorf("hub: rollup post: %w", err))
 	}
-	// Own verdict before reporting: the post receipt has landed, so the
-	// epoch's block is ≤ the height read here. After WaitVerdict the tower
-	// has examined the leaf window that post opened for THIS session and
-	// reached its decision — a fraudulent leaf has already been opened and
-	// enforced. Other leaves of the epoch may still be in dispute; nothing
-	// here moves the clock, so an honest leaf does not wait for them.
+	// The post receipt has landed, so the epoch's block is ≤ the height the
+	// verdict step waits for: the tower has examined the leaf window that
+	// post opened for THIS session. Other leaves of the epoch may still be
+	// in dispute; nothing here moves the clock, so an honest leaf does not
+	// wait for them.
 	verdictStart := time.Now()
-	h.tower.WaitVerdict(watch, h.chain.Height())
-	h.barrierSpan(lc, verdictStart, time.Since(verdictStart), 0)
-	if h.crashed.Load() {
-		return h.crashReport(t, StageSubmitted)
-	}
-	settled, err := sess.IsSettled()
-	if err != nil {
-		return fail(err)
-	}
-	if settled {
-		return h.reportSettled(lc, sess, watch)
-	}
-	// Not settled with the verdict in means the leaf was clean — unless the
-	// tower filed and could not enforce: that leaf is a lie, not a roll-up.
-	if raised, _ := watch.Disputed(); raised {
-		return fail(errors.New("hub: dispute filed but not enforced"))
+	own, done := h.verdict(lc, sess, watch)
+	h.barrierSpan(lc, verdictStart, own, 0)
+	if done != nil {
+		return done
 	}
 	// Honest leaf: the posted root commits the true outcome and no
 	// per-session transaction exists. The batch window may still be open,
-	// but the tower's dispute decision for this leaf is already final
-	// (that is what WaitVerdict waited for) — release the guard.
+	// but the tower's dispute decision for this leaf is already final —
+	// release the guard.
 	if !h.advance(lc, StageRolledUp) {
 		return h.crashReport(t, StageRolledUp)
 	}

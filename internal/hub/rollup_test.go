@@ -542,7 +542,7 @@ func TestRecoveredBatchWindowOpensAtThePostsBlockTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opened, deadline := post.Time(), post.Time()+reg.Window
+	opened, deadline := post.Time(), post.Time()+rollup.Window
 
 	h2, rr, err := Recover(st, c, net, faucetKey, Config{Workers: 1, Rollup: rc}, testRegistry())
 	if err != nil {
@@ -589,7 +589,7 @@ func TestRecoveredRollupEvictsFoldedEpochs(t *testing.T) {
 	if len(folded) == 0 {
 		t.Fatal("fixture: no posted epoch folded from the WAL")
 	}
-	c.AdvanceTime(h2.RollupHandles().Registry().Window + 1)
+	c.AdvanceTime(rollup.Window + 1)
 	if rep := h2.Submit(BettingSpec(4, 600, false)).Report(); rep.Err != nil || rep.Stage != StageRolledUp {
 		t.Fatalf("stage=%s err=%v, want rolled-up", rep.Stage, rep.Err)
 	}
@@ -853,7 +853,7 @@ func TestBatchWindowOpensAtTheEpochsBlockTime(t *testing.T) {
 		t.Fatal(rep.Err)
 	}
 	seq := hybrid.NewParticipant(faucetKey, c, nil)
-	reg, err := rollup.DeployRegistry(seq, 2, seq.Addr, 600, 3_000_000)
+	reg, err := rollup.DeployRegistry(seq, 2, seq.Addr, 3_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -878,7 +878,7 @@ func TestBatchWindowOpensAtTheEpochsBlockTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "the batch window", func() bool { return watch.OpenWindow() != nil })
-	if win := watch.OpenWindow(); win.OpenedAt != b.Time() || win.Deadline != b.Time()+reg.Window {
-		t.Fatalf("window opened at %d closing at %d, want the post's block time %d and %d", win.OpenedAt, win.Deadline, b.Time(), b.Time()+reg.Window)
+	if win := watch.OpenWindow(); win.OpenedAt != b.Time() || win.Deadline != b.Time()+rollup.Window {
+		t.Fatalf("window opened at %d closing at %d, want the post's block time %d and %d", win.OpenedAt, win.Deadline, b.Time(), b.Time()+rollup.Window)
 	}
 }

@@ -13,8 +13,8 @@ package hub
 //	                        Disputed → Resolved      Settled    RolledUp
 //
 // In rollup settlement, StageSubmitted means "leaf enqueued with the
-// sequencer" rather than "result transaction mined"; the submit intent is
-// the same durable fact either way. Any stage can fall into StageFailed
+// sequencer" rather than "result transaction mined"; the submit record
+// (the leaf's own, in rollup mode) is the same durable fact either way. Any stage can fall into StageFailed
 // on error.
 type Stage int
 

@@ -82,9 +82,9 @@ type Watchtower struct {
 type TowerObserver interface {
 	// Guarded: the tower took a session's contract under guard.
 	Guarded(e *Watch, contract types.Address)
-	// WindowClosed: the contract settled — by dispute resolution when
-	// byDispute, by unchallenged finalization otherwise.
-	WindowClosed(contract types.Address, byDispute bool)
+	// WindowClosed: the contract settled, or its rolled-up session was
+	// released. How it settled is the chain's to say (its settlement log).
+	WindowClosed(contract types.Address)
 }
 
 // DisputeGate times the filing against a window this tower has already
@@ -109,17 +109,16 @@ type Watch struct {
 	expected   uint64
 	expectErr  error
 
-	mu               sync.Mutex
-	window           *Window
-	rollup           *rollupLeaf // batch context; set when a posted epoch carries this session
-	pending          bool        // a dispute pipeline job is driving this watch
-	disputed         bool
-	disputeWon       bool
-	disputedAt       uint64 // chain time when the tower filed the dispute
-	deadline         uint64 // window deadline at dispute time
-	settled          bool
-	settledByDispute bool
-	settledCh        chan struct{} // closed when the contract settles
+	mu         sync.Mutex
+	window     *Window
+	rollup     *rollupLeaf // batch context; set when a posted epoch carries this session
+	pending    bool        // a dispute pipeline job is driving this watch
+	disputed   bool
+	disputeWon bool
+	disputedAt uint64 // chain time when the tower filed the dispute
+	deadline   uint64 // window deadline at dispute time
+	settled    bool
+	settledCh  chan struct{} // closed when the contract settles
 }
 
 // Window is an open challenge window: a submission awaiting finalization.
@@ -284,15 +283,6 @@ func (e *Watch) Disputed() (raised, won bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.disputed, e.disputeWon
-}
-
-// SettledByDispute reports whether the contract's settlement the tower
-// observed came from a dispute resolution (possibly filed by a peer
-// tower) rather than an unchallenged finalization.
-func (e *Watch) SettledByDispute() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.settled && e.settledByDispute
 }
 
 // DisputeTiming returns the chain time the dispute was filed at and the
@@ -568,7 +558,7 @@ func (w *Watchtower) openBatchWindow(e *Watch, ep *rollup.Epoch, i int, postedAt
 		e.rollup = &rollupLeaf{reg: w.rollupReg, epoch: ep.Number, index: i, leaf: leaf, proof: proof}
 	}
 	e.mu.Unlock()
-	w.examine(e, leaf.Outcome, postedAt, postedAt+w.rollupReg.Window)
+	w.examine(e, leaf.Outcome, postedAt, postedAt+rollup.Window)
 }
 
 // release drops a guarded contract whose session reached a clean batch
@@ -587,7 +577,7 @@ func (w *Watchtower) release(addr types.Address) {
 	}
 	w.filter.Remove(addr)
 	if o, _ := w.federated(); o != nil {
-		o.WindowClosed(addr, false)
+		o.WindowClosed(addr)
 	}
 }
 
@@ -651,20 +641,17 @@ func (w *Watchtower) handleLog(l *types.Log) {
 	switch l.Topics[0] {
 	case hybrid.TopicResultSubmitted:
 		w.onSubmission(e, l)
-	case hybrid.TopicResultFinalized:
-		w.onSettled(e, l.Address, false)
-	case hybrid.TopicDisputeResolved:
-		w.onSettled(e, l.Address, true)
+	case hybrid.TopicResultFinalized, hybrid.TopicDisputeResolved:
+		w.onSettled(e, l.Address)
 	}
 }
 
-func (w *Watchtower) onSettled(e *Watch, addr types.Address, byDispute bool) {
+// onSettled closes a watch whose contract settled, however it got there;
+// the chain's settlement log says which (see reportSettled).
+func (w *Watchtower) onSettled(e *Watch, addr types.Address) {
 	e.mu.Lock()
 	first := !e.settled
 	e.settled = true
-	if byDispute {
-		e.settledByDispute = true
-	}
 	e.window = nil
 	ch := e.settledCh
 	e.mu.Unlock()
@@ -680,10 +667,10 @@ func (w *Watchtower) onSettled(e *Watch, addr types.Address, byDispute bool) {
 	w.mu.Unlock()
 	w.filter.Remove(addr) // settled for good: stop receiving its logs
 	if first && w.tracer != nil && (e.id != 0 || e.tc.Valid()) {
-		w.tracer.EventChild(e.tc, e.id, "tower", "settled", fmt.Sprintf("by_dispute=%t", byDispute))
+		w.tracer.EventChild(e.tc, e.id, "tower", "settled", "")
 	}
 	if o, _ := w.federated(); first && o != nil {
-		o.WindowClosed(addr, byDispute)
+		o.WindowClosed(addr)
 	}
 }
 
@@ -828,13 +815,6 @@ func (e *Watch) settledChRef() chan struct{} {
 	return e.settledCh
 }
 
-// settledByDispute reports whether the chain's settlement log for the
-// contract is a DisputeResolved — the authority on how a settled contract
-// got there, whoever filed.
-func settledByDispute(c *chain.Chain, contract types.Address) bool {
-	return len(c.FilterLogs(chain.FilterQuery{Address: &contract, Topic: &hybrid.TopicDisputeResolved})) > 0
-}
-
 // fileDispute files against a window driveDispute verified to be a lie:
 // veto against chain truth, claim, and file. It runs with no sandbox slot
 // held, so a filing's block wait never makes another window's verdict —
@@ -850,7 +830,7 @@ func (w *Watchtower) fileDispute(e *Watch, win Window, escalated bool) {
 	// skipping one lets a lie finalize, and nothing would ever re-examine
 	// it.
 	if settled, err := e.sess.IsSettled(); err == nil && settled {
-		w.onSettled(e, e.sess.OnChainAddr, settledByDispute(w.chain, e.sess.OnChainAddr))
+		w.onSettled(e, e.sess.OnChainAddr)
 		return
 	}
 	// Claim the dispute under the lock so concurrent examinations (live
@@ -901,7 +881,7 @@ func (w *Watchtower) fileDispute(e *Watch, win Window, escalated bool) {
 		e.mu.Lock()
 		e.disputeWon = true
 		e.mu.Unlock()
-		w.onSettled(e, e.sess.OnChainAddr, true)
+		w.onSettled(e, e.sess.OnChainAddr)
 	}
 	if w.tracer != nil && (e.id != 0 || e.tc.Valid()) {
 		w.tracer.RecordChild(e.tc, e.id, "tower", "dispute", disputeStart, time.Since(disputeStart),

@@ -130,18 +130,23 @@ func CompiledRegistry(depth int) (*lang.CompiledContract, error) {
 	return cc, nil
 }
 
+// Window is the batch challenge period in chain seconds: a leaf can be
+// opened against its epoch's root until postedAt + Window. It matches the
+// default per-session challenge period. Every registry is deployed with it
+// (the constructor still takes it as an argument).
+const Window uint64 = 600
+
 // Registry is a client handle on one deployed rollup-registry instance.
 type Registry struct {
-	CC     *lang.CompiledContract
-	Addr   types.Address
-	Depth  int
-	Window uint64 // batch challenge window, seconds of chain time
+	CC    *lang.CompiledContract
+	Addr  types.Address
+	Depth int
 }
 
 // DeployRegistry deploys a fresh registry naming sequencer as the only
 // address allowed to post epochs.
-func DeployRegistry(p *hybrid.Participant, depth int, sequencer types.Address, window, gas uint64) (*Registry, error) {
-	bind, err := DeployRegistryAsync(p, depth, sequencer, window, gas)
+func DeployRegistry(p *hybrid.Participant, depth int, sequencer types.Address, gas uint64) (*Registry, error) {
+	bind, err := DeployRegistryAsync(p, depth, sequencer, gas)
 	if err != nil {
 		return nil, err
 	}
@@ -154,12 +159,12 @@ func DeployRegistry(p *hybrid.Participant, depth int, sequencer types.Address, w
 // reads msg.sender, so p may be anyone with the balance — a faucet that
 // queues the creation behind the sequencer's funding transfer has one block
 // carry both.
-func DeployRegistryAsync(p *hybrid.Participant, depth int, sequencer types.Address, window, gas uint64) (bind func() (*Registry, error), err error) {
+func DeployRegistryAsync(p *hybrid.Participant, depth int, sequencer types.Address, gas uint64) (bind func() (*Registry, error), err error) {
 	cc, err := CompiledRegistry(depth)
 	if err != nil {
 		return nil, err
 	}
-	code, err := cc.DeployWithArgs(sequencer, window)
+	code, err := cc.DeployWithArgs(sequencer, Window)
 	if err != nil {
 		return nil, err
 	}
@@ -175,18 +180,18 @@ func DeployRegistryAsync(p *hybrid.Participant, depth int, sequencer types.Addre
 		if !r.Succeeded() {
 			return nil, fmt.Errorf("rollup: registry deploy reverted")
 		}
-		return &Registry{CC: cc, Addr: r.ContractAddress, Depth: depth, Window: window}, nil
+		return &Registry{CC: cc, Addr: r.ContractAddress, Depth: depth}, nil
 	}, nil
 }
 
 // OpenRegistry re-attaches to an already-deployed registry (recovery,
 // federation towers learning the address from gossip).
-func OpenRegistry(addr types.Address, depth int, window uint64) (*Registry, error) {
+func OpenRegistry(addr types.Address, depth int) (*Registry, error) {
 	cc, err := CompiledRegistry(depth)
 	if err != nil {
 		return nil, err
 	}
-	return &Registry{CC: cc, Addr: addr, Depth: depth, Window: window}, nil
+	return &Registry{CC: cc, Addr: addr, Depth: depth}, nil
 }
 
 // PostEpoch submits one epoch's root and waits for it to mine. The receipt

@@ -24,7 +24,7 @@ func newParty(t *testing.T, scalar uint64, c *chain.Chain) *hybrid.Participant {
 }
 
 // registryFixture deploys a depth-4 registry with seq as sequencer.
-func registryFixture(t *testing.T, window uint64) (*chain.Chain, *hybrid.Participant, *hybrid.Participant, *Registry) {
+func registryFixture(t *testing.T) (*chain.Chain, *hybrid.Participant, *hybrid.Participant, *Registry) {
 	t.Helper()
 	keySeq, _ := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0x5EC))
 	keyOther, _ := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0x07E6))
@@ -34,7 +34,7 @@ func registryFixture(t *testing.T, window uint64) (*chain.Chain, *hybrid.Partici
 	})
 	seq := hybrid.NewParticipant(keySeq, c, nil)
 	other := hybrid.NewParticipant(keyOther, c, nil)
-	reg, err := DeployRegistry(seq, 4, seq.Addr, window, 3_000_000)
+	reg, err := DeployRegistry(seq, 4, seq.Addr, 3_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func registryFixture(t *testing.T, window uint64) (*chain.Chain, *hybrid.Partici
 }
 
 func TestRegistryPostAndOpen(t *testing.T) {
-	_, seq, other, reg := registryFixture(t, 600)
+	_, seq, other, reg := registryFixture(t)
 
 	leaves := mkLeaves(5)
 	tree, err := NewTree(4, leaves)
@@ -89,7 +89,7 @@ func TestRegistryPostAndOpen(t *testing.T) {
 }
 
 func TestRegistryRejectsFraudulentOpens(t *testing.T) {
-	c, seq, other, reg := registryFixture(t, 600)
+	c, seq, other, reg := registryFixture(t)
 
 	leaves := mkLeaves(6)
 	tree, _ := NewTree(4, leaves)
@@ -144,7 +144,7 @@ func TestRegistryRejectsFraudulentOpens(t *testing.T) {
 }
 
 func TestRegistryOnlySequencerPosts(t *testing.T) {
-	_, _, other, reg := registryFixture(t, 600)
+	_, _, other, reg := registryFixture(t)
 	tree, _ := NewTree(4, mkLeaves(2))
 	if r, err := reg.PostEpoch(other, tree.Root(), 2, 500_000); err == nil && r.Succeeded() {
 		t.Fatal("non-sequencer posted an epoch")

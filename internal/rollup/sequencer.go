@@ -31,9 +31,6 @@ type Config struct {
 	// arrived: the liveness bound that keeps a trickle of sessions from
 	// waiting forever for a full batch. Default 250ms.
 	EpochAge time.Duration
-	// Window is the batch challenge period in chain seconds: leaves can
-	// be disputed (opened against the root) until postedAt + Window.
-	Window uint64
 	// Journal, when set, makes epoch state durable: it receives every
 	// rollup record BEFORE the action it describes (the hub passes its
 	// WAL journal here, so epochs ride the session log).
@@ -214,7 +211,6 @@ func New(cfg Config) (*Sequencer, error) {
 // where the crash left it (modulo what the chain says actually landed).
 type Folded struct {
 	Registry     types.Address // zero: never deployed
-	Window       uint64
 	Depth        int
 	Pending      map[uint64]Leaf // enqueued, not in any sealed epoch
 	Sealed       []*sealedState  // sealed; posted-or-not decided on chain
@@ -231,8 +227,8 @@ func Fold(recs []*store.Record) *Folded {
 	for _, rec := range recs {
 		switch rec.Kind {
 		case store.KindRollupRegistry:
+			// U1 carried the batch window in older WALs; it is Window.
 			f.Registry = types.BytesToAddress(rec.Blob)
-			f.Window = rec.U1
 			f.Depth = int(rec.U2)
 		case store.KindEpochLeaf:
 			f.Pending[rec.SID] = Leaf{SID: rec.SID, Contract: types.BytesToAddress(rec.Blob), Outcome: rec.U1}
@@ -279,7 +275,7 @@ func (s *Sequencer) Seed(f *Folded) error {
 		if f.Depth != s.cfg.Depth {
 			return fmt.Errorf("rollup: journaled registry depth %d, configured %d", f.Depth, s.cfg.Depth)
 		}
-		reg, err := OpenRegistry(f.Registry, f.Depth, f.Window)
+		reg, err := OpenRegistry(f.Registry, f.Depth)
 		if err != nil {
 			return err
 		}
@@ -325,7 +321,7 @@ func (s *Sequencer) Seed(f *Folded) error {
 // the receipt, journals the registry and installs it. A registry comes
 // from here or from Seed; Start refuses to run without one.
 func (s *Sequencer) DeployRegistryAsync(deployer *hybrid.Participant) (bind func() error, err error) {
-	wait, err := DeployRegistryAsync(deployer, s.cfg.Depth, s.cfg.Party.Addr, s.cfg.Window, registryDeployGas)
+	wait, err := DeployRegistryAsync(deployer, s.cfg.Depth, s.cfg.Party.Addr, registryDeployGas)
 	if err != nil {
 		return nil, err
 	}
@@ -334,10 +330,7 @@ func (s *Sequencer) DeployRegistryAsync(deployer *hybrid.Participant) (bind func
 		if err != nil {
 			return err
 		}
-		if err := s.journal(&store.Record{
-			Kind: store.KindRollupRegistry, Blob: reg.Addr[:],
-			U1: s.cfg.Window, U2: uint64(s.cfg.Depth),
-		}); err != nil {
+		if err := s.journal(registryRecord(reg)); err != nil {
 			return err
 		}
 		s.registry = reg
@@ -711,9 +704,9 @@ func (s *Sequencer) finishEpoch(sealed *Epoch, gasUsed uint64) {
 	// Chain time is monotonic, so any cached epoch whose window closed
 	// before THIS post's timestamp can no longer be opened — evict it to
 	// bound the proof cache (and the compaction snapshot it feeds).
-	if w := s.cfg.Window; w > 0 && postedAt > 0 {
+	if postedAt > 0 {
 		for n, old := range s.epochs {
-			if old.PostedAt > 0 && old.PostedAt+w < postedAt {
+			if old.PostedAt > 0 && old.PostedAt+Window < postedAt {
 				delete(s.epochs, n)
 			}
 		}
@@ -787,10 +780,7 @@ func (s *Sequencer) StateRecords() []*store.Record {
 	defer s.mu.Unlock()
 	var out []*store.Record
 	if s.registry != nil {
-		out = append(out, &store.Record{
-			Kind: store.KindRollupRegistry, Blob: s.registry.Addr[:],
-			U1: s.cfg.Window, U2: uint64(s.cfg.Depth),
-		})
+		out = append(out, registryRecord(s.registry))
 	}
 	for _, t := range s.bySID {
 		out = append(out, &store.Record{
@@ -836,6 +826,10 @@ func (s *Sequencer) journal(rec *store.Record) error {
 		return nil
 	}
 	return s.cfg.Journal(rec)
+}
+
+func registryRecord(reg *Registry) *store.Record {
+	return &store.Record{Kind: store.KindRollupRegistry, Blob: reg.Addr[:], U2: uint64(reg.Depth)}
 }
 
 func sealedRecord(e *Epoch) *store.Record {

@@ -51,9 +51,6 @@ func newSeq(t *testing.T, party *hybrid.Participant, cfg Config, wal *recordLog)
 	if wal != nil {
 		cfg.Journal = wal.log
 	}
-	if cfg.Window == 0 {
-		cfg.Window = 600
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -472,9 +469,9 @@ func sealedOf(t *testing.T, depth int, number uint64, leaves []Leaf) *store.Reco
 // requireSameFold asserts two folds describe the same durable state.
 func requireSameFold(t *testing.T, what string, got, want *Folded) {
 	t.Helper()
-	if got.Registry != want.Registry || got.Window != want.Window || got.Depth != want.Depth || got.PostedThru != want.PostedThru {
-		t.Fatalf("%s: registry/window/depth/posted-thru %s/%d/%d/%d, want %s/%d/%d/%d", what,
-			got.Registry.Hex(), got.Window, got.Depth, got.PostedThru, want.Registry.Hex(), want.Window, want.Depth, want.PostedThru)
+	if got.Registry != want.Registry || got.Depth != want.Depth || got.PostedThru != want.PostedThru {
+		t.Fatalf("%s: registry/depth/posted-thru %s/%d/%d, want %s/%d/%d", what,
+			got.Registry.Hex(), got.Depth, got.PostedThru, want.Registry.Hex(), want.Depth, want.PostedThru)
 	}
 	if len(got.Pending) != len(want.Pending) || len(got.Sealed) != len(want.Sealed) || len(got.postedEpochs) != len(want.postedEpochs) {
 		t.Fatalf("%s: %d pending / %d sealed / %d posted, want %d / %d / %d", what,

@@ -1,9 +1,10 @@
 // Package store is the hub's durability layer: an append-only,
 // RLP-encoded write-ahead log with CRC-framed records, size-based segment
-// rotation, and snapshot compaction. The hub logs every session lifecycle
-// transition BEFORE acting on it; after a crash, hub.Recover replays the
-// log to rebuild the session table and re-guard every session the chain
-// may still hold a challenge window open for.
+// rotation, and snapshot compaction. The hub logs each session fact
+// (parties, contract, signed copy, setup bracket, submitted outcome)
+// BEFORE the side effect that depends on it; after a crash, hub.Recover
+// replays the log to rebuild the session table and re-guard every session
+// the chain may still hold a challenge window open for.
 //
 // The store itself is deliberately dumb: it persists and replays opaque
 // Records in order. What a record MEANS — how a stream of records folds
@@ -28,15 +29,17 @@ const (
 	// Logged at Submit time, before any worker touches the session, so a
 	// crash can never silently lose a queued session.
 	KindAccepted Kind = iota + 1
-	// KindParties: the session's parties — Blobs = their 20-byte addresses
-	// in participant order; only the count is read, because recovery
-	// re-derives the keys from the session ID. (Older WALs carry the
-	// parties' 32-byte private scalars in Blobs, the challenge period in
-	// U1, the disputing party's index in U2 and a key-sequence mark in U3;
-	// they still decode, and fold to the same count.)
+	// KindParties: the session's party count, as len(Blobs) empty blobs;
+	// recovery re-derives the keys from the session ID. Logged before any
+	// party touches the chain. (Older WALs carry the parties' 20-byte
+	// addresses or 32-byte private scalars in Blobs, the challenge period
+	// in U1, the disputing party's index in U2 and a key-sequence mark in
+	// U3; they still decode, and fold to the same count.)
 	KindParties
-	// KindStage: write-ahead intent — the session is ABOUT to run the
-	// stage in U1. Logged before the stage's first side effect.
+	// KindStage: write-ahead intent — the session was ABOUT to run the
+	// stage in U1. No longer written: how far a session got is read off
+	// its facts (parties, contract, signed copy, submitted outcome). The
+	// kind still decodes from older WALs and folds to nothing.
 	KindStage
 	// KindDeployed: the on-chain half is live. Blob = 20-byte contract
 	// address. (U1 carried the deploy block in older WALs; it is no longer
@@ -51,9 +54,11 @@ const (
 	// re-running setup blindly.
 	KindSetupStart
 	KindSetupDone
-	// KindSubmitted: intent to push the result in U1 on-chain. The chain
-	// is the source of truth for whether the transaction actually landed;
-	// recovery checks FilterLogs, never this record alone.
+	// KindSubmitted: intent to push the result in U1 on-chain, in
+	// per-session settlement (a rollup session's submit record is its
+	// KindEpochLeaf). The chain is the source of truth for whether the
+	// transaction actually landed; recovery replays the chain, never
+	// trusting this record alone.
 	KindSubmitted
 	// KindDisputed: the watchtower was about to file a dispute for the
 	// session. No longer written and never folded — recovery re-derives
@@ -110,19 +115,22 @@ const (
 	// Blobs[0] = the declaring member); it folds to nothing and receivers
 	// ignore it.
 	KindFedIntent
-	// KindFedClosed: the contract in Blob settled (U1 = 1 when settled by
-	// dispute resolution); its guard state is dead and a restarted member
-	// must not re-arm it.
+	// KindFedClosed: the contract in Blob settled; its guard state is dead
+	// and a restarted member must not re-arm it. How it settled is the
+	// chain's to say (older records carry U1 = 1 for a dispute resolution;
+	// it is not read).
 	KindFedClosed
 
 	// Rollup kinds: the durable state of an internal/rollup sequencer
 	// (written into the hosting hub's WAL; the hub's per-session fold
-	// ignores everything >= KindFedMember, so these ride alongside).
+	// reads KindEpochLeaf and ignores the rest, so they ride alongside).
 
 	// KindEpochLeaf: a finished session's outcome was enqueued for
 	// rollup settlement. SID = session ID, U1 = outcome word,
-	// Blob = 20-byte session-contract address. Recovery re-enqueues
-	// leaves that never made it into a sealed epoch.
+	// Blob = 20-byte session-contract address. It is the session's submit
+	// record in batch settlement: logged before the hand-off, folded by the
+	// hub like a KindSubmitted (older WALs carry both, with one outcome).
+	// Recovery re-enqueues leaves that never made it into a sealed epoch.
 	KindEpochLeaf
 	// KindEpochSealed: write-ahead intent — the sequencer is ABOUT to
 	// post the epoch in U1 (U2 = leaf count, Blob = 32-byte Merkle root,
@@ -136,9 +144,10 @@ const (
 	// skips the on-chain probe for epochs with this record.
 	KindEpochPosted
 	// KindRollupRegistry: the rollup-registry contract is deployed.
-	// Blob = 20-byte address, U1 = challenge window (seconds),
-	// U2 = Merkle tree depth. A recovered sequencer reuses it instead of
-	// deploying a second registry.
+	// Blob = 20-byte address, U2 = Merkle tree depth. A recovered
+	// sequencer reuses it instead of deploying a second registry. (Older
+	// records carry the batch window in U1; it is rollup.Window, and not
+	// read.)
 	KindRollupRegistry
 
 	// Chain kinds: durable block journal for a chain node (cmd/chaind

@@ -143,16 +143,10 @@ func (c *Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// guardInfo is one contract this tower shares guard duty for.
-type guardInfo struct {
-	export *guardExport
-	watch  *hub.Watch
-	own    bool // guarded by the wrapped hub itself (not adopted)
-}
-
 // Tower is one federation member: a wrapped hub.Watchtower plus the
 // gossip and assignment machinery that shares its guard duty with the
-// fleet.
+// fleet. The wrapped tower's guard set is the only one: the federation
+// keeps no per-contract state beside it.
 type Tower struct {
 	cfg      Config
 	self     types.Address
@@ -171,12 +165,9 @@ type Tower struct {
 
 	mu     sync.Mutex
 	splits map[string]*hybrid.SplitResult
-	guards map[types.Address]*guardInfo
-	closed map[types.Address]bool
 	killed bool
 
 	inbox    <-chan *whisper.Envelope
-	adoptCh  chan *guardExport
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
 	teardown sync.Once
@@ -233,9 +224,6 @@ func newTower(c Config) (*Tower, error) {
 		ctx:     ctx,
 		cancel:  cancel,
 		splits:  make(map[string]*hybrid.SplitResult),
-		guards:  make(map[types.Address]*guardInfo),
-		closed:  make(map[types.Address]bool),
-		adoptCh: make(chan *guardExport, 4096),
 		stopCh:  make(chan struct{}),
 	}
 	t.journal = &journal{st: cfg.Store, logf: cfg.Logf}
@@ -244,11 +232,10 @@ func newTower(c Config) (*Tower, error) {
 }
 
 // attach makes w this member's tower: the federation's observer and gate
-// go in, durable state is re-armed onto it, and the gossip, adoption and
-// regossip loops start. Sessions w already guards (a hub recovered before
-// AttachHub) are back-filled to the fleet BEFORE the re-arm, so the
-// journal's copy of an own guard finds it taken instead of overwriting the
-// hub's watch with a standalone one.
+// go in, sessions w already guards (a hub recovered before AttachHub) are
+// back-filled to the fleet, durable state is re-armed onto it, and the
+// gossip and regossip loops start. A journaled guard w already holds — a
+// recovered hub's own — is left to w (see adopt).
 func (t *Tower) attach(w *hub.Watchtower) {
 	t.tower = w
 	obs := (*towerObserver)(t)
@@ -261,14 +248,13 @@ func (t *Tower) attach(w *hub.Watchtower) {
 	}
 	t.rearm()
 	t.inbox = t.node.Subscribe(t.topic)
-	t.wg.Add(3)
+	t.wg.Add(2)
 	go t.receiverLoop()
-	go t.adopterLoop()
 	go t.regossipLoop()
 }
 
-// rearm rebuilds guard duty from the journal: fold the store, restore the
-// closed set, then re-guard every non-closed contract. Each adoption
+// rearm rebuilds guard duty from the journal: fold the store, then
+// re-guard every contract it leaves open. Each adoption
 // replays its contract's whole chain history, so every window reopens from
 // the chain — the replay-before-act recipe hub.Recover uses, scoped to
 // guard duty. (A batch window opens from the
@@ -283,11 +269,6 @@ func (t *Tower) rearm() {
 		return
 	}
 	fs := foldFederation(recs)
-	t.mu.Lock()
-	for c := range fs.closed {
-		t.closed[c] = true
-	}
-	t.mu.Unlock()
 	rearmed := 0
 	for contract, g := range fs.guards {
 		if err := t.adopt(g, false); err != nil {
@@ -308,14 +289,12 @@ func (t *Tower) Self() types.Address { return t.self }
 func (t *Tower) Watchtower() *hub.Watchtower { return t.tower }
 
 // Metrics returns the tower's federation counters plus its guard count.
-// Filings are the wrapped tower's own counts, read where they are kept.
+// Filings and guards are the wrapped tower's own, read where they are kept.
 func (t *Tower) Metrics() Snapshot {
 	snap := t.metrics.snapshot()
 	tm := t.tower.Metrics()
 	snap.Escalations, snap.DisputesFiled, snap.DisputesWon = tm.DisputesEscalated, tm.DisputesRaised, tm.DisputesWon
-	t.mu.Lock()
-	snap.Guards = len(t.guards)
-	t.mu.Unlock()
+	snap.Guards = len(t.tower.Watches())
 	return snap
 }
 
@@ -390,26 +369,19 @@ func (t *Tower) regossipLoop() {
 	}
 }
 
-// regossip re-posts an owner's guard state while one of its windows is
-// open: the whisper overlay is lossy (full subscriber buffers drop
-// envelopes), and a one-shot export that never arrived would silently
-// leave that window unguarded on the peer. Receivers dedup, so repetition
-// costs only bandwidth — and only during the handful of seconds a window
-// is actually open.
+// regossip re-posts the guard state of the hub's own sessions (SID != 0)
+// while their windows are open: the whisper overlay is lossy (full
+// subscriber buffers drop envelopes), and a one-shot export that never
+// arrived would silently leave that window unguarded on the peer.
+// Receivers dedup against their tower's guard set, so repetition costs only
+// bandwidth — and only during the handful of seconds a window is actually
+// open.
 func (t *Tower) regossip() {
-	t.mu.Lock()
-	var own []*guardInfo
-	for _, gi := range t.guards {
-		if gi.own {
-			own = append(own, gi)
+	for _, e := range t.tower.Watches() {
+		if e.SID() == 0 || e.OpenWindow() == nil {
+			continue // adopted, or nothing at stake right now
 		}
-	}
-	t.mu.Unlock()
-	for _, gi := range own {
-		if gi.watch.OpenWindow() == nil {
-			continue // nothing at stake right now
-		}
-		t.post(guardRecord(gi.export), gi.export.Trace)
+		t.post(guardRecord(exportOf(e)), e.TraceCtx())
 	}
 }
 
@@ -451,8 +423,20 @@ func (t *Tower) handleEnvelope(env *whisper.Envelope) {
 	// Any other kind — KindFedWindow and KindFedIntent, which older members
 	// posted, among them — is ignored: windows come only from the chain, and
 	// the slot stagger alone times a filing.
-	if rec.Kind == store.KindFedGuard {
-		t.handleGuardGossip(env.From, rec, env.TraceCtx())
+	if rec.Kind != store.KindFedGuard {
+		return
+	}
+	g, err := decodeGuardRecord(rec)
+	if err != nil {
+		t.cfg.Logf("federation: guard gossip from %s: %v", env.From.Hex(), err)
+		return
+	}
+	g.Trace = env.TraceCtx()
+	// Adopted here, on the receiving goroutine: the bus's subscriber buffer
+	// is the backlog, and regossip repeats a guard while its window is open.
+	if err := t.adopt(g, true); err != nil {
+		t.cfg.Logf("federation: cannot adopt guard %s (%s): %v — the window will be UNGUARDED here",
+			g.Contract.Hex(), g.Scenario, err)
 	}
 }
 
@@ -465,52 +449,17 @@ func (t *Tower) isMember(a types.Address) bool {
 	return false
 }
 
-// handleGuardGossip queues the adoption: rebuilding a session (n party-key
-// derivations, then a replay of the contract's history from the log index)
-// is too heavy for the receiver loop — stalling it under a burst of session
-// starts would back up every other record.
-func (t *Tower) handleGuardGossip(from types.Address, rec *store.Record, tc telemetry.TraceContext) {
-	export, err := decodeGuardRecord(rec)
-	if err != nil {
-		t.cfg.Logf("federation: guard gossip from %s: %v", from.Hex(), err)
-		return
-	}
-	export.Trace = tc
-	select {
-	case t.adoptCh <- export:
-	default:
-		t.cfg.Logf("federation: adoption queue full, dropping guard %s (%s) from %s — the window will be UNGUARDED here",
-			export.Contract.Hex(), export.Scenario, from.Hex())
-	}
-}
-
-func (t *Tower) adopterLoop() {
-	defer t.wg.Done()
-	for {
-		select {
-		case <-t.stopCh:
-			return
-		case g := <-t.adoptCh:
-			if err := t.adopt(g, true); err != nil {
-				t.cfg.Logf("federation: cannot adopt guard %s (%s): %v — the window will be UNGUARDED here",
-					g.Contract.Hex(), g.Scenario, err)
-			}
-		}
-	}
-}
-
-// adopt takes a peer's session under this tower's guard: rebuild the
-// session from the registry spec + party scalars + signed copy (see
-// rebuild), register the watch, and replay the contract's chain history
-// through the tower, which reopens a window whose submission beat the
-// gossip (or this tower's restart) here.
+// adopt takes a peer's session under this tower's guard, unless the tower
+// already guards the contract: rebuild the session from the registry spec +
+// party scalars + signed copy (see rebuild), register the watch, and replay
+// the contract's chain history through the tower, which reopens a window
+// whose submission beat the gossip (or this tower's restart) here. A guard
+// the tower already ended is adopted again if it is gossiped again; the
+// replay finds it settled, or its batch window clean, and ends it again.
 func (t *Tower) adopt(g *guardExport, journalIt bool) error {
-	t.mu.Lock()
-	if t.closed[g.Contract] || t.guards[g.Contract] != nil {
-		t.mu.Unlock()
+	if t.tower.Guarding(g.Contract) {
 		return nil
 	}
-	t.mu.Unlock()
 	adoptStart := time.Now()
 	// The gossiped trace context is the ORIGIN hub's root session span; the
 	// adoption becomes a child span in this tower's own recorder, and every
@@ -530,24 +479,19 @@ func (t *Tower) adopt(g *guardExport, journalIt bool) error {
 		}
 		sess.Trace = adoptTC
 	}
-	watch, err := t.tower.Guard(sess, g.Scenario, adoptTC)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	if t.guards[g.Contract] != nil { // lost a benign race
-		t.mu.Unlock()
-		return nil
-	}
-	t.guards[g.Contract] = &guardInfo{export: g, watch: watch}
-	t.mu.Unlock()
+	// Journal the guard before the tower holds it: taking a guard can end
+	// it at once (a batch window its sandbox finds clean), and the closure
+	// must follow the guard in the journal.
 	if journalIt {
 		t.journal.log(guardRecord(g))
 	}
+	if _, err := t.tower.Guard(sess, g.Scenario, adoptTC); err != nil {
+		return err
+	}
 	t.metrics.guardsAdopted.Inc()
 	t.cfg.Tracer.RecordSpan(adoptTC, g.Trace.Span, g.SID, "federation", "adopt", adoptStart, time.Since(adoptStart), "tower="+t.self.Hex())
-	// The submission may already be on chain (the block raced the adoption
-	// queue, or landed while this tower was down): replay the contract's
+	// The submission may already be on chain (the block raced the gossip,
+	// or landed while this tower was down): replay the contract's
 	// whole history, served from the log index, through the same idempotent
 	// handlers as live delivery.
 	addr := g.Contract
@@ -619,9 +563,6 @@ func (o *towerObserver) Guarded(e *hub.Watch, contract types.Address) {
 	if export.Trace = e.TraceCtx(); export.Trace.Valid() {
 		t.cfg.Tracer.EventChild(export.Trace, export.SID, "federation", "guard_export", "tower="+t.self.Hex())
 	}
-	t.mu.Lock()
-	t.guards[contract] = &guardInfo{export: export, watch: e, own: true}
-	t.mu.Unlock()
 	rec := guardRecord(export)
 	t.journal.log(rec)
 	t.post(rec, export.Trace)
@@ -642,13 +583,9 @@ func exportOf(e *hub.Watch) *guardExport {
 	}
 }
 
-// WindowClosed retires the contract everywhere: journal, mirrors, maps.
-// Settlement is chain-visible, so peers observe it themselves — no gossip.
+// WindowClosed journals the end of a guard, so a restarted member does not
+// re-arm it. Settlement and a posted root are chain-visible, so peers end
+// their own guards themselves — no gossip.
 func (o *towerObserver) WindowClosed(contract types.Address) {
-	t := o.t()
-	t.journal.log(&store.Record{Kind: store.KindFedClosed, Blob: contract[:]})
-	t.mu.Lock()
-	t.closed[contract] = true
-	delete(t.guards, contract)
-	t.mu.Unlock()
+	o.t().journal.log(&store.Record{Kind: store.KindFedClosed, Blob: contract[:]})
 }

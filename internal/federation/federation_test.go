@@ -193,8 +193,9 @@ func fedFleetRun(t *testing.T, mode string) {
 			t.Errorf("session %d (%s): stage=%s disputed=%v, want a clean settle", i, rep.Scenario, rep.Stage, rep.Disputed)
 		}
 	}
-	// Adoption runs on each backup's own goroutine; on a loaded host the
-	// last session can finish before its guard export has been rebuilt there.
+	// Each backup adopts on its gossip receiver, after the envelope crosses
+	// the bus; on a loaded host the last session can finish before its guard
+	// export has been rebuilt there.
 	waitUntil(t, 10*time.Second, "both backups to adopt every exported guard", func() bool {
 		return int(s1.Metrics().GuardsAdopted) == len(specs) && int(s2.Metrics().GuardsAdopted) == len(specs)
 	})
@@ -588,11 +589,11 @@ func TestFederationStandaloneRecovery(t *testing.T) {
 }
 
 // TestAttachHubAfterRecoverKeepsOwnWatches: a hub member restarts on its
-// WAL and its federation journal. AttachHub must back-fill the recovered
-// hub's sessions before it re-arms from the journal; otherwise the
-// journal's copy of an own guard is adopted as a standalone watch that
-// replaces the hub's, the session is never exported to the fleet, and the
-// hub's own watch stops receiving its events. Block production pauses
+// WAL and its federation journal. AttachHub must export the recovered hub's
+// sessions to the fleet and leave its own watches in place: the journal's
+// copy of an own guard finds the contract already guarded, and is not
+// adopted as a standalone watch that replaces the hub's (which would then
+// stop receiving its events). Block production pauses
 // across Recover and AttachHub, so the resumed session cannot settle (and
 // leave the guard set) before the attach looks at it.
 func TestAttachHubAfterRecoverKeepsOwnWatches(t *testing.T) {
@@ -926,7 +927,9 @@ func TestSignedGossip(t *testing.T) {
 // own plus two standalone backups — is armed on the same rollup registry
 // and epoch source. Honest sessions roll up with ZERO per-session
 // transactions; each fraudulent leaf is opened against the posted root
-// and disputed exactly once fleet-wide.
+// and disputed exactly once fleet-wide. Every tower ends every guard — a
+// settled contract's, and an honest leaf's once its sandbox finds the batch
+// window clean — and a standalone tower's journal folds to no open guard.
 func TestFederationRollupFleet(t *testing.T) {
 	for _, mode := range miningModes {
 		mode := mode
@@ -958,7 +961,14 @@ func fedRollupRun(t *testing.T, mode string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := Join(mk(keys[1]))
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s1cfg := mk(keys[1])
+	s1cfg.Store = st
+	s1, err := Join(s1cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -994,10 +1004,26 @@ func fedRollupRun(t *testing.T, mode string) {
 			t.Errorf("session %d (%s): stage=%s disputed=%v, want rolled-up", i, rep.Scenario, rep.Stage, rep.Disputed)
 		}
 	}
+	towers := []*Tower{hubTower, s1, s2}
+	waitUntil(t, 10*time.Second, "every tower to end every guard", func() bool {
+		for _, tw := range towers {
+			if tw.Metrics().Guards != 0 || tw.Watchtower().OpenWindows() != 0 {
+				return false
+			}
+		}
+		return true
+	})
 	h.Stop()
-	hubTower.Stop()
-	s1.Stop()
-	s2.Stop()
+	for _, tw := range towers {
+		tw.Stop()
+	}
+	recs, err := st.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := foldFederation(recs); len(fs.guards) != 0 {
+		t.Errorf("standalone tower's journal folds to %d open guards, want 0", len(fs.guards))
+	}
 
 	// Chain truth. No session contract ever saw a submit or finalize —
 	// settlement commits are epoch posts — and every lie was enforced
@@ -1118,8 +1144,8 @@ func TestHostileGossip(t *testing.T) {
 	waitUntil(t, 10*time.Second, "the guard behind the hostile records", func() bool {
 		return s0.Metrics().GuardsAdopted == 1
 	})
-	// The one hostile guard that decodes (bad scalar) is refused on the
-	// adopter's own goroutine, by the session rebuild.
+	// The one hostile guard that decodes (bad scalar) is refused by the
+	// session rebuild.
 	mu.Lock()
 	refused := false
 	for _, l := range logged {

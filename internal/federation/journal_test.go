@@ -2,11 +2,63 @@ package federation
 
 import (
 	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"onoffchain/internal/store"
 )
+
+// TestGoldenJournalFolds: a committed journal of a standalone tower —
+// four guards adopted from gossip, three closed at settlement, one left
+// open when the tower was killed — folds to the committed guard set.
+func TestGoldenJournalFolds(t *testing.T) {
+	cp := t.TempDir() // opening a store starts a segment, which must not land in testdata
+	dir := filepath.Join("testdata", "journal")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := store.Open(cp, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	recs, err := st.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := foldFederation(recs)
+	var lines []string
+	for c, g := range fs.guards {
+		lines = append(lines, fmt.Sprintf("guard %s sid=%d scenario=%s parties=%d", c.Hex(), g.SID, g.Scenario, len(g.Scalars)))
+	}
+	for c := range fs.closed {
+		lines = append(lines, "closed "+c.Hex())
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+	want, err := os.ReadFile(filepath.Join("testdata", "journal.fold"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("golden journal folds to\n%s\nwant\n%s", got, want)
+	}
+}
 
 // TestFoldIgnoresIntentRecords: journals written while towers journaled
 // membership, dispute intents, a block cursor and windows with the owner's

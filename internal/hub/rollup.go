@@ -182,13 +182,11 @@ func (h *Hub) awaitRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, fut
 		return done
 	}
 	// Honest leaf: the posted root commits the true outcome and no
-	// per-session transaction exists. The batch window may still be open,
-	// but the tower's dispute decision for this leaf is already final —
-	// release the guard.
+	// per-session transaction exists. The tower ended the guard when its
+	// sandbox found the leaf clean, before the verdict step returned.
 	if !h.advance(lc, StageRolledUp) {
 		return h.crashReport(t, StageRolledUp)
 	}
 	h.terminal(lc, StageRolledUp)
-	h.tower.release(sess.OnChainAddr)
 	return rep
 }

@@ -73,17 +73,19 @@ type Watchtower struct {
 	halted    bool // simulated crash: the tower is "dead"
 }
 
-// TowerObserver mirrors the tower's guard state to an external listener —
-// the federation layer — without handing it ownership of sessions.
-// Callbacks run outside the tower's locks, on the event loop and dispute
-// pipeline goroutines; implementations must be concurrency-safe and must
-// not block for long (they stall block examination). Filings are not
-// mirrored: the tower counts its own (Snapshot.DisputesRaised and kin).
+// TowerObserver tells an external listener — the federation layer — when
+// the tower takes and ends a guard, without handing it ownership of
+// sessions; the tower's guard set stays the only one. Callbacks run
+// outside the tower's locks, on the event loop and dispute pipeline
+// goroutines; implementations must be concurrency-safe and must not block
+// for long (they stall block examination). Filings are not reported: the
+// tower counts its own (Snapshot.DisputesRaised and kin).
 type TowerObserver interface {
 	// Guarded: the tower took a session's contract under guard.
 	Guarded(e *Watch, contract types.Address)
-	// WindowClosed: the contract settled, or its rolled-up session was
-	// released. How it settled is the chain's to say (its settlement log).
+	// WindowClosed: the tower ended the guard — the contract settled, or
+	// its rolled-up leaf's batch window verified clean. How a contract
+	// settled is the chain's to say (its settlement log).
 	WindowClosed(contract types.Address)
 }
 
@@ -183,7 +185,7 @@ func NewWatchtower(c *chain.Chain, m *metrics, tr *telemetry.Tracer, src rollup.
 	return w
 }
 
-// Federate installs the federation's mirror and its filing arbiter. Must be
+// Federate installs the federation's observer and its filing arbiter. Must be
 // called before any session is guarded.
 func (w *Watchtower) Federate(obs TowerObserver, gate DisputeGate) {
 	w.cbMu.Lock()
@@ -388,9 +390,14 @@ func (w *Watchtower) Stop() {
 	w.pacerWG.Wait()
 }
 
-// Watches returns the towers's current guard set. The federation uses it
-// to back-fill its mirror when attaching to a hub that already guards
-// sessions (a recovered hub federates after Recover re-armed its tower).
+// Guarding reports whether the tower currently guards the contract.
+func (w *Watchtower) Guarding(contract types.Address) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.entries[contract] != nil
+}
+
+// Watches returns the tower's current guard set.
 func (w *Watchtower) Watches() []*Watch {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -561,12 +568,10 @@ func (w *Watchtower) openBatchWindow(e *Watch, ep *rollup.Epoch, i int, postedAt
 	w.examine(e, leaf.Outcome, postedAt, postedAt+rollup.Window)
 }
 
-// release drops a guarded contract whose session reached a clean batch
-// settlement (rolled up; the tower's dispute decision for its window is
-// already final, or no window ever opened). The per-session paths never
-// need this — settlement events delete entries in onSettled — but a
-// rolled-up honest session emits no per-contract event, so the hub calls
-// release at the RolledUp terminal.
+// release drops a guarded contract whose batch window the tower's sandbox
+// found clean: the leaf's outcome is fixed by its epoch root, so the verdict
+// is final. Settlement events end the other guards (onSettled), but a
+// rolled-up honest session emits no per-contract event.
 func (w *Watchtower) release(addr types.Address) {
 	w.mu.Lock()
 	_, ok := w.entries[addr]
@@ -754,7 +759,8 @@ func (w *Watchtower) releaseJob(e *Watch) {
 // tower's own sandbox verdict, on one of the sandbox slots, released before
 // anything else happens. The job ends there on an unverifiable window, and
 // on every pass that finds the open window clean — a re-submission can
-// change it, so each pass re-reads it. Only a window that disagrees with
+// change it, so each pass re-reads it; a clean batch window also ends the
+// guard (release). Only a window that disagrees with
 // the verdict reaches the gate, which times the filing from the moment this
 // pacer first found the lie; the job ends when the contract settles or a
 // filing completes.
@@ -778,8 +784,14 @@ func (w *Watchtower) driveDispute(e *Watch) {
 		default:
 		}
 		win := e.OpenWindow()
-		if win == nil || win.Result == expected {
-			return // settled (or re-guarded) while we deliberated, or clean
+		if win == nil {
+			return // settled while we deliberated
+		}
+		if win.Result == expected {
+			if e.batched() {
+				w.release(win.Contract)
+			}
+			return
 		}
 		if first.IsZero() {
 			first = time.Now()
@@ -807,6 +819,13 @@ func (w *Watchtower) driveDispute(e *Watch) {
 			return
 		}
 	}
+}
+
+// batched reports whether the watch's window is a batch window.
+func (e *Watch) batched() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.rollup != nil
 }
 
 func (e *Watch) settledChRef() chan struct{} {

@@ -106,7 +106,7 @@ func (sc *SignedCopy) VerifyWithKeys(pubs []*secp256k1.PublicKey) error {
 		}
 		jobs[i] = secp256k1.VerifyJob{Pub: pubs[i], Hash: [32]byte(h), R: r, S: s, V: sig.V}
 	}
-	ok := secp256k1.VerifyBatch(jobs, 1)
+	ok := secp256k1.VerifyBatch(jobs)
 	for i := range ok {
 		if !ok[i] {
 			return fmt.Errorf("hybrid: signature %d does not match participant key", i)

@@ -157,8 +157,10 @@ func Split(wholeSource, contractName string, policy Policy) (*SplitResult, error
 		if heavySet[fn.Name] || !fn.Public {
 			continue
 		}
-		if callsAny(fn.Body, heavySet) {
-			dropped[fn.Name] = true
+		for name := range calledNames(fn.Body) {
+			if heavySet[name] {
+				dropped[fn.Name] = true
+			}
 		}
 	}
 
@@ -216,72 +218,15 @@ func (sr *SplitResult) OnChainCtorArgs(allArgs []interface{}) []interface{} {
 	return out
 }
 
-// callsAny reports whether any statement calls one of the named functions.
-func callsAny(stmts []lang.Stmt, names map[string]bool) bool {
-	found := false
-	var walkExpr func(e lang.Expr)
-	var walkStmts func(ss []lang.Stmt)
-	walkExpr = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.CallExpr:
-			if names[e.Name] {
-				found = true
-			}
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *lang.BinaryExpr:
-			walkExpr(e.X)
-			walkExpr(e.Y)
-		case *lang.UnaryExpr:
-			walkExpr(e.X)
-		case *lang.IndexExpr:
-			walkExpr(e.Base)
-			walkExpr(e.Index)
-		case *lang.CastExpr:
-			walkExpr(e.X)
-		case *lang.ExternalCallExpr:
-			walkExpr(e.Addr)
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *lang.TransferExpr:
-			walkExpr(e.To)
-			walkExpr(e.Amount)
+// calledNames returns the name of every function the statements call.
+func calledNames(stmts []lang.Stmt) map[string]bool {
+	out := map[string]bool{}
+	lang.WalkExprs(stmts, func(e lang.Expr) {
+		if c, ok := e.(*lang.CallExpr); ok {
+			out[c.Name] = true
 		}
-	}
-	walkStmts = func(ss []lang.Stmt) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *lang.VarDeclStmt:
-				walkExpr(s.Init)
-			case *lang.AssignStmt:
-				walkExpr(s.Target)
-				walkExpr(s.Value)
-			case *lang.IfStmt:
-				walkExpr(s.Cond)
-				walkStmts(s.Then)
-				walkStmts(s.Else)
-			case *lang.WhileStmt:
-				walkExpr(s.Cond)
-				walkStmts(s.Body)
-			case *lang.ReturnStmt:
-				if s.Value != nil {
-					walkExpr(s.Value)
-				}
-			case *lang.RequireStmt:
-				walkExpr(s.Cond)
-			case *lang.EmitStmt:
-				for _, a := range s.Args {
-					walkExpr(a)
-				}
-			case *lang.ExprStmt:
-				walkExpr(s.X)
-			}
-		}
-	}
-	walkStmts(stmts)
-	return found
+	})
+	return out
 }
 
 // buildOnChainSource assembles the on-chain half: light/public functions
@@ -310,11 +255,8 @@ func buildOnChainSource(whole *lang.Contract, pol Policy, n int, heavy, dropped 
 	reachable := map[string]bool{pol.Settle: true}
 	var mark func(body []lang.Stmt)
 	mark = func(body []lang.Stmt) {
-		for name, fn := range internal {
-			if reachable[name] {
-				continue
-			}
-			if callsAny(body, map[string]bool{name: true}) {
+		for name := range calledNames(body) {
+			if fn := internal[name]; fn != nil && !reachable[name] {
 				reachable[name] = true
 				mark(fn.Body)
 			}
@@ -487,67 +429,11 @@ func buildOnChainSource(whole *lang.Contract, pol Policy, n int, heavy, dropped 
 // errs towards keeping a variable).
 func varRefs(stmts []lang.Stmt) map[string]bool {
 	out := map[string]bool{}
-	var walkExpr func(e lang.Expr)
-	var walkStmts func(ss []lang.Stmt)
-	walkExpr = func(e lang.Expr) {
-		switch e := e.(type) {
-		case *lang.IdentExpr:
-			out[e.Name] = true
-		case *lang.IndexExpr:
-			walkExpr(e.Base)
-			walkExpr(e.Index)
-		case *lang.BinaryExpr:
-			walkExpr(e.X)
-			walkExpr(e.Y)
-		case *lang.UnaryExpr:
-			walkExpr(e.X)
-		case *lang.CastExpr:
-			walkExpr(e.X)
-		case *lang.CallExpr:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *lang.ExternalCallExpr:
-			walkExpr(e.Addr)
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *lang.TransferExpr:
-			walkExpr(e.To)
-			walkExpr(e.Amount)
+	lang.WalkExprs(stmts, func(e lang.Expr) {
+		if id, ok := e.(*lang.IdentExpr); ok {
+			out[id.Name] = true
 		}
-	}
-	walkStmts = func(ss []lang.Stmt) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *lang.VarDeclStmt:
-				walkExpr(s.Init)
-			case *lang.AssignStmt:
-				walkExpr(s.Target)
-				walkExpr(s.Value)
-			case *lang.IfStmt:
-				walkExpr(s.Cond)
-				walkStmts(s.Then)
-				walkStmts(s.Else)
-			case *lang.WhileStmt:
-				walkExpr(s.Cond)
-				walkStmts(s.Body)
-			case *lang.ReturnStmt:
-				if s.Value != nil {
-					walkExpr(s.Value)
-				}
-			case *lang.RequireStmt:
-				walkExpr(s.Cond)
-			case *lang.EmitStmt:
-				for _, a := range s.Args {
-					walkExpr(a)
-				}
-			case *lang.ExprStmt:
-				walkExpr(s.X)
-			}
-		}
-	}
-	walkStmts(stmts)
+	})
 	return out
 }
 

@@ -363,3 +363,66 @@ func (*CallExpr) exprNode()         {}
 func (*ExternalCallExpr) exprNode() {}
 func (*TransferExpr) exprNode()     {}
 func (*CastExpr) exprNode()         {}
+
+// WalkExprs calls visit on every expression in stmts, nested ones
+// included, parents before their operands. Statement bodies (if/else,
+// while) are walked in order.
+func WalkExprs(stmts []Stmt, visit func(Expr)) {
+	for _, s := range stmts {
+		switch s := s.(type) {
+		case *VarDeclStmt:
+			walkExpr(s.Init, visit)
+		case *AssignStmt:
+			walkExpr(s.Target, visit)
+			walkExpr(s.Value, visit)
+		case *IfStmt:
+			walkExpr(s.Cond, visit)
+			WalkExprs(s.Then, visit)
+			WalkExprs(s.Else, visit)
+		case *WhileStmt:
+			walkExpr(s.Cond, visit)
+			WalkExprs(s.Body, visit)
+		case *ReturnStmt:
+			walkExpr(s.Value, visit)
+		case *RequireStmt:
+			walkExpr(s.Cond, visit)
+		case *EmitStmt:
+			walkExprs(s.Args, visit)
+		case *ExprStmt:
+			walkExpr(s.X, visit)
+		}
+	}
+}
+
+func walkExprs(es []Expr, visit func(Expr)) {
+	for _, e := range es {
+		walkExpr(e, visit)
+	}
+}
+
+func walkExpr(e Expr, visit func(Expr)) {
+	if e == nil {
+		return
+	}
+	visit(e)
+	switch e := e.(type) {
+	case *IndexExpr:
+		walkExpr(e.Base, visit)
+		walkExpr(e.Index, visit)
+	case *BinaryExpr:
+		walkExpr(e.X, visit)
+		walkExpr(e.Y, visit)
+	case *UnaryExpr:
+		walkExpr(e.X, visit)
+	case *CastExpr:
+		walkExpr(e.X, visit)
+	case *CallExpr:
+		walkExprs(e.Args, visit)
+	case *ExternalCallExpr:
+		walkExpr(e.Addr, visit)
+		walkExprs(e.Args, visit)
+	case *TransferExpr:
+		walkExpr(e.To, visit)
+		walkExpr(e.Amount, visit)
+	}
+}

@@ -36,11 +36,9 @@ type RecoverJob struct {
 	V    byte
 }
 
-// VerifyJob is one signature-verification input. V is optional: zero means
-// no recovery hint (the job is verified alone with plain ECDSA), while
-// 27..30 pins the nonce point's parity/wrap the way ecrecover does and
-// makes the job eligible for shared-chain batching; a pinned job verifies
-// iff recovering (Hash, R, S, V) yields exactly Pub.
+// VerifyJob is one signature-verification input. V, in 27..30, pins the
+// nonce point's parity/wrap the way ecrecover does; a job verifies iff
+// recovering (Hash, R, S, V) yields exactly Pub.
 type VerifyJob struct {
 	Pub  *PublicKey
 	Hash [32]byte
@@ -217,48 +215,25 @@ func verifyChunk(jobs []VerifyJob, idxs []int, ok []bool) {
 	}
 }
 
-// VerifyBatch verifies every job across a pool of workers goroutines
-// (workers <= 0 means one). Results are positional: ok[i] reports whether
-// jobs[i] verified. Jobs carrying a recovery hint (V in 27..30) are folded
-// into shared-chain chunks of batchChunk signatures; unhinted jobs verify
-// independently with plain ECDSA, preserving the original semantics.
-func VerifyBatch(jobs []VerifyJob, workers int) (ok []bool) {
+// VerifyBatch verifies every job on the calling goroutine. Results are
+// positional: ok[i] reports whether jobs[i] verified. Jobs are folded into
+// shared-chain chunks of batchChunk signatures; a job without a recovery
+// hint (V outside 27..30) cannot join a fold and reports false.
+func VerifyBatch(jobs []VerifyJob) (ok []bool) {
 	ok = make([]bool, len(jobs))
-	var singles, pinned []int
+	pinned := make([]int, 0, len(jobs))
 	for i := range jobs {
 		if jobs[i].V >= 27 && jobs[i].V <= 30 {
 			pinned = append(pinned, i)
-		} else {
-			singles = append(singles, i)
 		}
-	}
-	// Work items: each unhinted job alone, each pinned chunk as a unit.
-	type workItem struct {
-		single int   // valid when chunk is nil
-		chunk  []int // pinned chunk
-	}
-	items := make([]workItem, 0, len(singles)+len(pinned)/batchChunk+1)
-	for _, i := range singles {
-		items = append(items, workItem{single: i})
 	}
 	for lo := 0; lo < len(pinned); lo += batchChunk {
-		hi := lo + batchChunk
-		if hi > len(pinned) {
-			hi = len(pinned)
+		chunk := pinned[lo:min(lo+batchChunk, len(pinned))]
+		if len(chunk) == 1 {
+			ok[chunk[0]] = verifyPinned(&jobs[chunk[0]])
+		} else {
+			verifyChunk(jobs, chunk, ok)
 		}
-		items = append(items, workItem{single: -1, chunk: pinned[lo:hi]})
 	}
-	forEachJob(len(items), workers, func(w int) {
-		it := &items[w]
-		switch {
-		case it.chunk == nil:
-			j := &jobs[it.single]
-			ok[it.single] = j.Pub != nil && Verify(j.Pub, j.Hash[:], j.R, j.S)
-		case len(it.chunk) == 1:
-			ok[it.chunk[0]] = verifyPinned(&jobs[it.chunk[0]])
-		default:
-			verifyChunk(jobs, it.chunk, ok)
-		}
-	})
 	return ok
 }

@@ -75,8 +75,8 @@ func TestRecoverAddressesBatch(t *testing.T) {
 	}
 }
 
-// TestVerifyBatch: positional verification across pool sizes, including a
-// deliberately wrong signature.
+// TestVerifyBatch: positional verification, including a deliberately wrong
+// signature and a job without a recovery hint, which cannot join a fold.
 func TestVerifyBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const n = 9
@@ -91,15 +91,14 @@ func TestVerifyBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs[i] = VerifyJob{Pub: &key.PublicKey, Hash: hash, R: sig.R, S: sig.S}
+		jobs[i] = VerifyJob{Pub: &key.PublicKey, Hash: hash, R: sig.R, S: sig.S, V: sig.V + 27}
 	}
 	jobs[4].Hash[0] ^= 0xFF // tampered message
-	for _, workers := range []int{1, 4, 16} {
-		ok := VerifyBatch(jobs, workers)
-		for i := range ok {
-			if want := i != 4; ok[i] != want {
-				t.Fatalf("workers=%d: job %d verified=%v, want %v", workers, i, ok[i], want)
-			}
+	jobs[6].V = 0           // no recovery hint
+	ok := VerifyBatch(jobs)
+	for i := range ok {
+		if want := i != 4 && i != 6; ok[i] != want {
+			t.Fatalf("job %d verified=%v, want %v", i, ok[i], want)
 		}
 	}
 }
@@ -124,12 +123,10 @@ func TestVerifyBatchPinned(t *testing.T) {
 		jobs[i] = VerifyJob{Pub: &key.PublicKey, Hash: hash, R: sig.R, S: sig.S, V: sig.V + 27}
 	}
 	// Clean batch: every chunk folds to infinity.
-	for _, workers := range []int{1, 4} {
-		ok := VerifyBatch(jobs, workers)
-		for i := range ok {
-			if !ok[i] {
-				t.Fatalf("workers=%d: clean pinned job %d rejected", workers, i)
-			}
+	ok := VerifyBatch(jobs)
+	for i := range ok {
+		if !ok[i] {
+			t.Fatalf("clean pinned job %d rejected", i)
 		}
 	}
 	// Tamper with one member per chunk: the folds fail, the fallback must
@@ -140,7 +137,7 @@ func TestVerifyBatchPinned(t *testing.T) {
 	for i := range bad {
 		jobs[i].Hash[5] ^= 0x80
 	}
-	ok := VerifyBatch(jobs, 4)
+	ok = VerifyBatch(jobs)
 	for i := range ok {
 		if ok[i] == bad[i] {
 			t.Fatalf("tampered batch: job %d verified=%v, want %v", i, ok[i], !bad[i])
@@ -151,7 +148,7 @@ func TestVerifyBatchPinned(t *testing.T) {
 	// pinned 27..30 range) must be rejected by the pinned path even though
 	// plain ECDSA Verify would accept the same (r, s).
 	jobs[7].V = 27 + ((jobs[7].V - 27) ^ 1)
-	ok = VerifyBatch(jobs, 2)
+	ok = VerifyBatch(jobs)
 	for i := range ok {
 		if want := i != 7; ok[i] != want {
 			t.Fatalf("flipped-v batch: job %d verified=%v, want %v", i, ok[i], want)
@@ -161,15 +158,16 @@ func TestVerifyBatchPinned(t *testing.T) {
 	if !Verify(jobs[7].Pub, jobs[7].Hash[:], jobs[7].R, jobs[7].S) {
 		t.Fatal("sanity: plain Verify should accept the signature itself")
 	}
-	// Mixed batch: pinned and unpinned jobs interleaved, one singleton
-	// pinned chunk (n above keeps the last chunk short).
+	// Mixed batch: unhinted jobs interleaved with pinned ones are rejected
+	// without disturbing the folds around them, one of which is a singleton
+	// chunk (n above keeps the last chunk short).
 	for i := 0; i < n; i += 3 {
 		jobs[i].V = 0
 	}
-	ok = VerifyBatch(jobs, 4)
+	ok = VerifyBatch(jobs)
 	for i := range ok {
-		if !ok[i] {
-			t.Fatalf("mixed batch: job %d rejected", i)
+		if want := i%3 != 0; ok[i] != want {
+			t.Fatalf("mixed batch: job %d verified=%v, want %v", i, ok[i], want)
 		}
 	}
 }
@@ -198,7 +196,7 @@ func TestVerifyBatchPinnedStructuralFailures(t *testing.T) {
 	badPub := *jobs[3].Pub
 	badPub.Y.Add(&badPub.Y, &badPub.Y) // knock the point off the curve
 	jobs[3].Pub = &badPub
-	ok := VerifyBatch(jobs, 1)
+	ok := VerifyBatch(jobs)
 	want := []bool{true, false, false, false, true, true}
 	for i := range ok {
 		if ok[i] != want[i] {
@@ -219,25 +217,7 @@ func BenchmarkVerifyBatchPinned16(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if ok := VerifyBatch(jobs, 1); !ok[0] {
-			b.Fatal("batch rejected")
-		}
-	}
-}
-
-func BenchmarkVerifyBatchUnpinned16(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
-	jobs := make([]VerifyJob, batchChunk)
-	for i := range jobs {
-		key, _ := PrivateKeyFromScalar(ScalarFromUint64(uint64(6000 + i)))
-		hash := randBytes32(rng)
-		sig, _ := Sign(key, hash[:])
-		jobs[i] = VerifyJob{Pub: &key.PublicKey, Hash: hash, R: sig.R, S: sig.S}
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if ok := VerifyBatch(jobs, 1); !ok[0] {
+		if ok := VerifyBatch(jobs); !ok[0] {
 			b.Fatal("batch rejected")
 		}
 	}

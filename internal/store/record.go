@@ -115,10 +115,11 @@ const (
 	// Blobs[0] = the declaring member); it folds to nothing and receivers
 	// ignore it.
 	KindFedIntent
-	// KindFedClosed: the contract in Blob settled; its guard state is dead
-	// and a restarted member must not re-arm it. How it settled is the
-	// chain's to say (older records carry U1 = 1 for a dispute resolution;
-	// it is not read).
+	// KindFedClosed: the tower ended its guard on the contract in Blob — it
+	// settled, or its rolled-up leaf's batch window verified clean; its
+	// guard state is dead and a restarted member must not re-arm it. How it
+	// settled is the chain's to say (older records carry U1 = 1 for a
+	// dispute resolution; it is not read).
 	KindFedClosed
 
 	// Rollup kinds: the durable state of an internal/rollup sequencer

@@ -273,13 +273,15 @@ func DecodeValues(typs []Type, data []byte) ([]interface{}, error) {
 		}
 		word := data[headOff : headOff+32]
 		if t.IsDynamic() {
+			// Bounds are compared as what is left of data, never as a sum
+			// that hostile words could wrap past 2^64.
 			off := new(uint256.Int).SetBytes(word)
-			if !off.IsUint64() || off.Uint64()+32 > uint64(len(data)) {
+			if !off.IsUint64() || off.Uint64() > uint64(len(data)) || uint64(len(data))-off.Uint64() < 32 {
 				return nil, errors.New("abi: bad dynamic offset")
 			}
 			o := off.Uint64()
 			length := new(uint256.Int).SetBytes(data[o : o+32])
-			if !length.IsUint64() || o+32+length.Uint64() > uint64(len(data)) {
+			if !length.IsUint64() || length.Uint64() > uint64(len(data))-(o+32) {
 				return nil, errors.New("abi: bad dynamic length")
 			}
 			payload := data[o+32 : o+32+length.Uint64()]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -282,6 +283,87 @@ func TestHonestOwnerHoldsClockWhileVerdictPending(t *testing.T) {
 		if held := !strings.Contains(barrier.Attrs, "clock_ms=0.0"); held != (tk == honest) {
 			t.Errorf("session %d: barrier attrs %q", tk.ID, barrier.Attrs)
 		}
+	}
+}
+
+// Invariant 2 against a lie that lands after the honest submission: the
+// honest session submits in block k, the lie lands in k+1, and the gate
+// defers the lie's filing for two blocks. The honest owner, whose own
+// window opened first and closes first, must still not jump the clock: a
+// barrier scoped to its own deadline would let the jump close the later
+// lie's window before its verdict. So the honest finalizeResult is not
+// pooled until the lie is enforced, and the enforcement lands no later
+// than the lie's deadline.
+func TestHonestFinalizeWaitsForLaterLie(t *testing.T) {
+	c, net, faucetKey := manualWorld(t)
+	var honestID, lyingID atomic.Uint64
+	lieGo, honestGo := make(chan struct{}), make(chan struct{})
+	releaseLie := sync.OnceFunc(func() { close(lieGo) })
+	releaseHonest := sync.OnceFunc(func() { close(honestGo) })
+	h := New(c, net, faucetKey, Config{Workers: 2, StageHook: func(sid uint64, s Stage) bool {
+		switch {
+		case sid == lyingID.Load() && s == StageExecuted:
+			<-lieGo // the liar submits only once the honest result is mined
+		case sid == honestID.Load() && s == StageSubmitted:
+			<-honestGo // the honest owner reaches its barriers after the lie is mined
+		}
+		return true
+	}})
+	stopAtCleanup(t, h)
+	t.Cleanup(func() { releaseLie(); releaseHonest() })
+	var hold atomic.Bool
+	hold.Store(true)
+	h.tower.Federate(nil, func(types.Address, time.Duration) time.Duration {
+		if hold.Load() {
+			return 2 * time.Millisecond
+		}
+		return 0
+	})
+
+	honest := h.Submit(BettingSpec(4, 600, false))
+	honestID.Store(honest.ID)
+	lying := h.Submit(BettingSpec(4, 600, true))
+	lyingID.Store(lying.ID)
+	mineAt(t, c, setupPhases(2)...)
+	mineAt(t, c, 1) // block k: the honest submitResult
+	releaseLie()
+	mineAt(t, c, 1) // block k+1: the lie
+	lie := c.Latest()
+	releaseHonest()
+
+	waitFor(t, 10*time.Second, "the lie's window to open", func() bool { return h.tower.PendingDisputes() == 1 })
+	for i := 0; i < 2; i++ { // the gate defers the filing for two blocks
+		time.Sleep(50 * time.Millisecond)
+		if n := c.PendingCount(); n != 0 {
+			t.Fatalf("%d transactions pooled while the lie's filing is deferred: the honest owner passed the clock barrier", n)
+		}
+		c.MineBlock()
+	}
+	hold.Store(false)
+	waitFor(t, 10*time.Second, "the dispute pair to be pooled", func() bool { return c.PendingCount() >= 2 })
+	time.Sleep(50 * time.Millisecond)
+	if n := c.PendingCount(); n != 2 {
+		t.Fatalf("%d transactions pooled with the dispute pair, want 2: the honest finalize must wait for the enforcement", n)
+	}
+	mineAt(t, c, 2) // the dispute
+	lrep := lying.Report()
+	if lrep.Err != nil || lrep.Stage != StageResolved || !lrep.Disputed {
+		t.Fatalf("lying session: stage=%s disputed=%v err=%v, want a resolved dispute", lrep.Stage, lrep.Disputed, lrep.Err)
+	}
+	enforced, err := c.BlockByNumber(blockOf(t, c, lrep.OnChainAddr, hybrid.TopicDisputeResolved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deadline := lie.Time() + 600; enforced.Time() > deadline {
+		t.Errorf("lie enforced at chain time %d, after its deadline %d", enforced.Time(), deadline)
+	}
+	mineAt(t, c, 1) // the honest finalizeResult
+	rep := honest.Report()
+	if rep.Err != nil || rep.Stage != StageSettled || rep.Disputed {
+		t.Fatalf("honest session: stage=%s disputed=%v err=%v, want settled", rep.Stage, rep.Disputed, rep.Err)
+	}
+	if got := blockOf(t, c, rep.OnChainAddr, hybrid.TopicResultFinalized); got <= enforced.Number() {
+		t.Errorf("honest finalize mined in block %d, not after the enforcement in block %d", got, enforced.Number())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"onoffchain/internal/abi"
 	"onoffchain/internal/chain"
@@ -14,6 +15,7 @@ import (
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
 	"onoffchain/internal/vm"
+	"onoffchain/internal/whisper"
 )
 
 // executeOnSandboxChain is the recipe ExecuteOffChain replaced, kept as the
@@ -224,6 +226,74 @@ func BenchmarkExecuteOffChainLottery(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := hybrid.ExecuteOffChain(bytecode); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDisputeDrawOnChain is the miner's side of the same draw: the
+// one block that carries a lottery's deployVerifiedInstance and
+// returnDisputeResolution, which recomputes the 8,000-round draw on chain.
+// It is the block an offchain_heavy dispute waits for. Only the mining is
+// timed; each iteration first deploys and signs a fresh contract.
+func BenchmarkDisputeDrawOnChain(b *testing.B) {
+	spec := hub.LotterySpec(6, 8000, 600, false)
+	split, err := hybrid.Split(spec.Source, spec.Contract, spec.Policy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alloc := map[types.Address]*uint256.Int{}
+	keys := make([]*secp256k1.PrivateKey, split.Participants)
+	for i := range keys {
+		if keys[i], err = secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(uint64(0xD15C0 + i))); err != nil {
+			b.Fatal(err)
+		}
+		alloc[types.Address(keys[i].EthereumAddress())] = new(uint256.Int).Mul(uint256.NewInt(1000), uint256.NewInt(1e18))
+	}
+	cfg := chain.DefaultConfig()
+	cfg.AutoMine = false
+	c := chain.New(cfg, alloc)
+	net := whisper.NewNetwork(c.Now)
+	parties := make([]*hybrid.Participant, len(keys))
+	addrs := make([]types.Address, len(keys))
+	for i, key := range keys {
+		parties[i] = hybrid.NewParticipant(key, c, net)
+		addrs[i] = parties[i].Addr
+	}
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		sess, err := hybrid.NewSession(split, parties)
+		if err != nil {
+			b.Fatal(err)
+		}
+		args := spec.CtorArgs(addrs, c.Now())
+		hash, err := sess.DeployOnChainAsync(parties[0], spec.DeployGas, args...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.MineBlock()
+		r, err := parties[0].WaitReceipt(hash)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sess.BindOnChain(r); err != nil {
+			b.Fatal(err)
+		}
+		if err := sess.SignAndExchange(args...); err != nil {
+			b.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := sess.Dispute(0)
+			done <- err
+		}()
+		for c.PendingCount() != 2 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		b.StartTimer()
+		c.MineBlock()
+		b.StopTimer()
+		if err := <-done; err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -669,11 +669,7 @@ func (z *Int) SetBytes(buf []byte) *Int {
 		buf = buf[len(buf)-32:]
 	}
 	if len(buf) == 32 {
-		z[3] = binary.BigEndian.Uint64(buf[0:8])
-		z[2] = binary.BigEndian.Uint64(buf[8:16])
-		z[1] = binary.BigEndian.Uint64(buf[16:24])
-		z[0] = binary.BigEndian.Uint64(buf[24:32])
-		return z
+		return z.SetBytes32((*[32]byte)(buf))
 	}
 	if len(buf) <= 8 {
 		var x uint64
@@ -692,13 +688,27 @@ func (z *Int) SetBytes(buf []byte) *Int {
 	return z
 }
 
-// Bytes32 returns z as a 32-byte big-endian array.
-func (z *Int) Bytes32() [32]byte {
-	var b [32]byte
+// SetBytes32 sets z to the 32-byte big-endian word b and returns z.
+func (z *Int) SetBytes32(b *[32]byte) *Int {
+	z[3] = binary.BigEndian.Uint64(b[0:8])
+	z[2] = binary.BigEndian.Uint64(b[8:16])
+	z[1] = binary.BigEndian.Uint64(b[16:24])
+	z[0] = binary.BigEndian.Uint64(b[24:32])
+	return z
+}
+
+// PutBytes32 writes z into b as a 32-byte big-endian word.
+func (z *Int) PutBytes32(b *[32]byte) {
 	binary.BigEndian.PutUint64(b[0:8], z[3])
 	binary.BigEndian.PutUint64(b[8:16], z[2])
 	binary.BigEndian.PutUint64(b[16:24], z[1])
 	binary.BigEndian.PutUint64(b[24:32], z[0])
+}
+
+// Bytes32 returns z as a 32-byte big-endian array.
+func (z *Int) Bytes32() [32]byte {
+	var b [32]byte
+	z.PutBytes32(&b)
 	return b
 }
 

@@ -91,6 +91,8 @@ func memExpansion(mem *Memory, offset, size *uint256.Int) (cost, off, sz uint64,
 
 // run executes a contract frame to completion. Write protection is
 // governed by evm.static, which STATICCALL sets for the whole subtree.
+// It runs basic blocks (block.go): fast, with the constant gas and stack
+// bounds of a whole block checked on entry, or op by op.
 func (evm *EVM) run(c *Contract) ([]byte, error) {
 	evm.depth++
 	prevReturnData := evm.returnData
@@ -105,64 +107,72 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 		return nil, nil
 	}
 
-	st := newStack()
-	mem := newMemory()
+	f := framePool.Get().(*frame)
+	defer framePool.Put(f)
+	f.reset(c.Code)
+	st, mem := &f.stack, &f.mem
 	var pc uint64
 	code := c.Code
+	fast := f.enter(c, 0)
+	var ok bool
 
 	for {
 		if pc >= uint64(len(code)) {
 			return nil, nil // implicit STOP
 		}
 		op := OpCode(code[pc])
-		spec := stackSpecs[op]
-		if !spec.defined {
-			return nil, ErrInvalidOpcode
-		}
-		if st.len() < spec.pop {
-			return nil, ErrStackUnderflow
-		}
-		if st.len()-spec.pop+spec.push > StackLimit {
-			return nil, ErrStackOverflow
-		}
-		if !c.useGas(constGas[op]) {
-			return nil, ErrOutOfGas
+		if !fast {
+			spec := stackSpecs[op]
+			if !spec.defined {
+				return nil, ErrInvalidOpcode
+			}
+			if st.len() < spec.pop {
+				return nil, ErrStackUnderflow
+			}
+			if st.len()-spec.pop+spec.push > StackLimit {
+				return nil, ErrStackOverflow
+			}
+			if !c.useGas(constGas[op]) {
+				return nil, ErrOutOfGas
+			}
 		}
 
 		// A switch on op's value with a case for every byte value compiles
 		// to a jump table: every opcode costs one indexed branch, not a
-		// compare per case listed above it.
+		// compare per case listed above it. Operands are worked on in
+		// place: drop pops without copying the word, and the result
+		// overwrites the slot it lands in.
 		switch op {
 		case STOP:
 			return nil, nil
 
 		case ADD, MUL, SUB, DIV, SDIV, MOD, SMOD, EXP, SIGNEXTEND, LT, GT,
 			SLT, SGT, EQ, AND, OR, XOR, BYTE, SHL, SHR, SAR:
-			x := st.pop()
+			x := st.drop()
 			y := st.peek(0)
 			var z uint256.Int
 			switch op {
 			case ADD:
-				z.Add(&x, y)
+				z.Add(x, y)
 			case MUL:
-				z.Mul(&x, y)
+				z.Mul(x, y)
 			case SUB:
-				z.Sub(&x, y)
+				z.Sub(x, y)
 			case DIV:
-				z.Div(&x, y)
+				z.Div(x, y)
 			case SDIV:
-				z.SDiv(&x, y)
+				z.SDiv(x, y)
 			case MOD:
-				z.Mod(&x, y)
+				z.Mod(x, y)
 			case SMOD:
-				z.SMod(&x, y)
+				z.SMod(x, y)
 			case EXP:
-				if !c.useGas(expGasCost(y)) {
+				if fast, ok = c.charge(expGasCost(y), fast, pc); !ok {
 					return nil, ErrOutOfGas
 				}
-				z.Exp(&x, y)
+				z.Exp(x, y)
 			case SIGNEXTEND:
-				z.SignExtend(&x, y)
+				z.SignExtend(x, y)
 			case LT:
 				if x.Lt(y) {
 					z.SetOne()
@@ -184,13 +194,13 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 					z.SetOne()
 				}
 			case AND:
-				z.And(&x, y)
+				z.And(x, y)
 			case OR:
-				z.Or(&x, y)
+				z.Or(x, y)
 			case XOR:
-				z.Xor(&x, y)
+				z.Xor(x, y)
 			case BYTE:
-				z.Byte(&x, y)
+				z.Byte(x, y)
 			case SHL:
 				if x.IsUint64() && x.Uint64() < 256 {
 					z.Lsh(y, uint(x.Uint64()))
@@ -209,14 +219,14 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			*y = z
 
 		case ADDMOD, MULMOD:
-			x := st.pop()
-			y := st.pop()
+			x := st.drop()
+			y := st.drop()
 			m := st.peek(0)
 			var z uint256.Int
 			if op == ADDMOD {
-				z.AddMod(&x, &y, m)
+				z.AddMod(x, y, m)
 			} else {
-				z.MulMod(&x, &y, m)
+				z.MulMod(x, y, m)
 			}
 			*m = z
 
@@ -233,21 +243,28 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			v.Not(v)
 
 		case SHA3:
-			offset := st.pop()
-			size := st.pop()
-			cost, off, sz, err := memExpansion(mem, &offset, &size)
-			if err != nil {
-				return nil, err
+			offset := st.drop()
+			size := st.peek(0)
+			var data []byte
+			if msize := mem.size(); offset.IsUint64() && size.IsUint64() && size[0] <= msize && offset[0] <= msize-size[0] {
+				// In bounds: nothing to grow or charge for memory.
+				if fast, ok = c.charge(toWordSize(size[0])*GasSha3Word, fast, pc); !ok {
+					return nil, ErrOutOfGas
+				}
+				data = mem.store[offset[0] : offset[0]+size[0]]
+			} else {
+				cost, off, sz, err := memExpansion(mem, offset, size)
+				if err != nil {
+					return nil, c.halt(err, fast, pc)
+				}
+				if fast, ok = c.charge(cost+toWordSize(sz)*GasSha3Word, fast, pc); !ok {
+					return nil, ErrOutOfGas
+				}
+				mem.resize(off + sz)
+				data = mem.view(off, sz)
 			}
-			words := toWordSize(sz)
-			if !c.useGas(cost + words*GasSha3Word) {
-				return nil, ErrOutOfGas
-			}
-			mem.resize(off + sz)
-			h := keccak.Sum256(mem.view(off, sz))
-			var z uint256.Int
-			z.SetBytes(h[:])
-			st.push(&z)
+			h := keccak.Sum256(data)
+			size.SetBytes32(&h)
 
 		case ADDRESS:
 			pushAddress(st, c.Address)
@@ -274,14 +291,14 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			st.pushUint64(uint64(len(evm.returnData)))
 
 		case CALLDATACOPY, CODECOPY, RETURNDATACOPY:
-			memOff := st.pop()
-			dataOff := st.pop()
-			size := st.pop()
-			cost, off, sz, err := memExpansion(mem, &memOff, &size)
+			memOff := st.drop()
+			dataOff := st.drop()
+			size := st.drop()
+			cost, off, sz, err := memExpansion(mem, memOff, size)
 			if err != nil {
-				return nil, err
+				return nil, c.halt(err, fast, pc)
 			}
-			if !c.useGas(cost + toWordSize(sz)*GasCopyWord) {
+			if fast, ok = c.charge(cost+toWordSize(sz)*GasCopyWord, fast, pc); !ok {
 				return nil, ErrOutOfGas
 			}
 			mem.resize(off + sz)
@@ -293,13 +310,13 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 				src = c.Code
 			case RETURNDATACOPY:
 				// Strict bounds: out-of-range is an error, not zero fill.
-				end := new(uint256.Int).Add(&dataOff, &size)
+				end := new(uint256.Int).Add(dataOff, size)
 				if !end.IsUint64() || end.Uint64() > uint64(len(evm.returnData)) {
-					return nil, ErrReturnDataOutOfBounds
+					return nil, c.halt(ErrReturnDataOutOfBounds, fast, pc)
 				}
 				src = evm.returnData
 			}
-			mem.set(off, readSlice(src, &dataOff, sz))
+			mem.set(off, readSlice(src, dataOff, sz))
 
 		case EXTCODESIZE:
 			a := st.peek(0)
@@ -307,20 +324,20 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			a.SetUint64(uint64(evm.State.GetCodeSize(addr)))
 
 		case EXTCODECOPY:
-			target := st.pop()
-			memOff := st.pop()
-			codeOff := st.pop()
-			size := st.pop()
-			cost, off, sz, err := memExpansion(mem, &memOff, &size)
+			target := st.drop()
+			memOff := st.drop()
+			codeOff := st.drop()
+			size := st.drop()
+			cost, off, sz, err := memExpansion(mem, memOff, size)
 			if err != nil {
-				return nil, err
+				return nil, c.halt(err, fast, pc)
 			}
-			if !c.useGas(cost + toWordSize(sz)*GasCopyWord) {
+			if fast, ok = c.charge(cost+toWordSize(sz)*GasCopyWord, fast, pc); !ok {
 				return nil, ErrOutOfGas
 			}
 			mem.resize(off + sz)
-			extCode := evm.State.GetCode(wordToAddress(&target))
-			mem.set(off, readSlice(extCode, &codeOff, sz))
+			extCode := evm.State.GetCode(wordToAddress(target))
+			mem.set(off, readSlice(extCode, codeOff, sz))
 
 		case EXTCODEHASH:
 			a := st.peek(0)
@@ -351,42 +368,49 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			st.pushUint64(evm.Block.GasLimit)
 
 		case POP:
-			st.pop()
+			st.drop()
 
 		case MLOAD:
 			offset := st.peek(0)
+			if w := mem.word(offset); w != nil {
+				offset.SetBytes32(w)
+				break
+			}
 			cost, off, _, err := memExpansion(mem, offset, uint256.NewInt(32))
 			if err != nil {
-				return nil, err
+				return nil, c.halt(err, fast, pc)
 			}
-			if !c.useGas(cost) {
+			if fast, ok = c.charge(cost, fast, pc); !ok {
 				return nil, ErrOutOfGas
 			}
 			mem.resize(off + 32)
-			offset.SetBytes(mem.view(off, 32))
+			offset.SetBytes32((*[32]byte)(mem.store[off:]))
 
 		case MSTORE:
-			offset := st.pop()
-			value := st.pop()
-			cost, off, _, err := memExpansion(mem, &offset, uint256.NewInt(32))
-			if err != nil {
-				return nil, err
+			offset := st.drop()
+			value := st.drop()
+			if w := mem.word(offset); w != nil {
+				value.PutBytes32(w)
+				break
 			}
-			if !c.useGas(cost) {
+			cost, off, _, err := memExpansion(mem, offset, uint256.NewInt(32))
+			if err != nil {
+				return nil, c.halt(err, fast, pc)
+			}
+			if fast, ok = c.charge(cost, fast, pc); !ok {
 				return nil, ErrOutOfGas
 			}
 			mem.resize(off + 32)
-			word := value.Bytes32()
-			mem.set(off, word[:])
+			value.PutBytes32((*[32]byte)(mem.store[off:]))
 
 		case MSTORE8:
-			offset := st.pop()
-			value := st.pop()
-			cost, off, _, err := memExpansion(mem, &offset, uint256.NewInt(1))
+			offset := st.drop()
+			value := st.drop()
+			cost, off, _, err := memExpansion(mem, offset, uint256.NewInt(1))
 			if err != nil {
-				return nil, err
+				return nil, c.halt(err, fast, pc)
 			}
-			if !c.useGas(cost) {
+			if fast, ok = c.charge(cost, fast, pc); !ok {
 				return nil, ErrOutOfGas
 			}
 			mem.resize(off + 1)
@@ -394,15 +418,22 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 
 		case SLOAD:
 			k := st.peek(0)
+			e, hit := f.cachedSlot(k)
+			if hit {
+				*k = e.val
+				break
+			}
 			val := evm.State.GetState(c.Address, types.Hash(k.Bytes32()))
-			k.SetBytes(val[:])
+			e.key = *k
+			k.SetBytes32((*[32]byte)(&val))
+			e.val = *k
 
 		case SSTORE:
 			if readOnly {
-				return nil, ErrWriteProtection
+				return nil, c.halt(ErrWriteProtection, fast, pc)
 			}
-			key := st.pop()
-			val := st.pop()
+			key := st.drop()
+			val := st.drop()
 			kh := types.Hash(key.Bytes32())
 			vh := types.Hash(val.Bytes32())
 			current := evm.State.GetState(c.Address, kh)
@@ -418,29 +449,33 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 					evm.State.AddRefund(GasSstoreRefund)
 				}
 			}
-			if !c.useGas(cost) {
+			if fast, ok = c.charge(cost, fast, pc); !ok {
 				return nil, ErrOutOfGas
 			}
 			evm.State.SetState(c.Address, kh, vh)
+			f.slotsOK = 0
 
 		case JUMP:
-			dest := st.pop()
-			if !c.validJumpdest(&dest) {
+			dest := st.drop()
+			if !c.validJumpdest(dest) {
 				return nil, ErrInvalidJump
 			}
 			pc = dest.Uint64()
+			fast = f.enter(c, pc)
 			continue
 
 		case JUMPI:
-			dest := st.pop()
-			cond := st.pop()
+			dest := st.drop()
+			cond := st.drop()
 			if !cond.IsZero() {
-				if !c.validJumpdest(&dest) {
+				if !c.validJumpdest(dest) {
 					return nil, ErrInvalidJump
 				}
 				pc = dest.Uint64()
+				fast = f.enter(c, pc)
 				continue
 			}
+			fast = f.enter(c, pc+1)
 
 		case PC:
 			st.pushUint64(pc)
@@ -448,23 +483,33 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			st.pushUint64(mem.size())
 		case GAS:
 			st.pushUint64(c.Gas)
+			fast = f.enter(c, pc+1)
 		case JUMPDEST:
 			// no-op
 
-		case PUSH1, PUSH1 + 1, PUSH1 + 2, PUSH1 + 3, PUSH1 + 4, PUSH1 + 5,
+		case PUSH1:
+			v := st.slot()
+			if pc+1 < uint64(len(code)) {
+				v.SetUint64(uint64(code[pc+1]))
+			} else {
+				v.Clear()
+			}
+			pc += 2
+			continue
+
+		case PUSH2, PUSH1 + 2, PUSH1 + 3, PUSH1 + 4, PUSH1 + 5,
 			PUSH1 + 6, PUSH1 + 7, PUSH1 + 8, PUSH1 + 9, PUSH1 + 10, PUSH1 + 11,
 			PUSH1 + 12, PUSH1 + 13, PUSH1 + 14, PUSH1 + 15, PUSH1 + 16, PUSH1 + 17,
 			PUSH1 + 18, PUSH1 + 19, PUSH1 + 20, PUSH1 + 21, PUSH1 + 22, PUSH1 + 23,
 			PUSH1 + 24, PUSH1 + 25, PUSH1 + 26, PUSH1 + 27, PUSH1 + 28, PUSH1 + 29,
 			PUSH1 + 30, PUSH1 + 31:
 			n := uint64(op-PUSH1) + 1
-			var v uint256.Int
+			v := st.slot()
 			if end := pc + 1 + n; end <= uint64(len(code)) {
 				v.SetBytes(code[pc+1 : end])
 			} else {
-				v = truncatedPush(code[pc+1:], n)
+				*v = truncatedPush(code[pc+1:], n)
 			}
-			st.push(&v)
 			pc += n + 1
 			continue
 
@@ -480,21 +525,20 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 
 		case LOG0, LOG1, LOG2, LOG3, LOG4:
 			if readOnly {
-				return nil, ErrWriteProtection
+				return nil, c.halt(ErrWriteProtection, fast, pc)
 			}
 			nTopics := int(op - LOG0)
-			offset := st.pop()
-			size := st.pop()
+			offset := st.drop()
+			size := st.drop()
 			topics := make([]types.Hash, nTopics)
 			for i := 0; i < nTopics; i++ {
-				t := st.pop()
-				topics[i] = types.Hash(t.Bytes32())
+				topics[i] = types.Hash(st.drop().Bytes32())
 			}
-			cost, off, sz, err := memExpansion(mem, &offset, &size)
+			cost, off, sz, err := memExpansion(mem, offset, size)
 			if err != nil {
-				return nil, err
+				return nil, c.halt(err, fast, pc)
 			}
-			if !c.useGas(cost + sz*GasLogByte) {
+			if fast, ok = c.charge(cost+sz*GasLogByte, fast, pc); !ok {
 				return nil, ErrOutOfGas
 			}
 			mem.resize(off + sz)
@@ -509,13 +553,13 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 				return nil, ErrWriteProtection
 			}
 			value := st.pop()
-			offset := st.pop()
-			size := st.pop()
+			offset := st.drop()
+			size := st.drop()
 			var salt uint256.Int
 			if op == CREATE2 {
 				salt = st.pop()
 			}
-			cost, off, sz, err := memExpansion(mem, &offset, &size)
+			cost, off, sz, err := memExpansion(mem, offset, size)
 			if err != nil {
 				return nil, err
 			}
@@ -539,7 +583,9 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 				ret, addr, leftGas, err = evm.Create2(c.Address, initCode, forward, &value, types.Hash(salt.Bytes32()))
 			}
 			c.Gas += leftGas
-			var res uint256.Int
+			f.slotsOK = 0 // the callee may have written this contract's storage
+			res := st.slot()
+			res.Clear()
 			if err == nil {
 				res.SetBytes(addr.Bytes())
 				evm.returnData = nil
@@ -548,29 +594,29 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			} else {
 				evm.returnData = nil
 			}
-			st.push(&res)
+			fast = f.enter(c, pc+1)
 
 		case CALL, CALLCODE, DELEGATECALL, STATICCALL:
-			gasReq := st.pop()
-			target := st.pop()
+			gasReq := st.drop()
+			target := st.drop()
 			var value uint256.Int
 			if op == CALL || op == CALLCODE {
 				value = st.pop()
 			}
-			inOff := st.pop()
-			inSize := st.pop()
-			outOff := st.pop()
-			outSize := st.pop()
+			inOff := st.drop()
+			inSize := st.drop()
+			outOff := st.drop()
+			outSize := st.drop()
 
 			if op == CALL && readOnly && !value.IsZero() {
 				return nil, ErrWriteProtection
 			}
 
-			costIn, inO, inS, err := memExpansion(mem, &inOff, &inSize)
+			costIn, inO, inS, err := memExpansion(mem, inOff, inSize)
 			if err != nil {
 				return nil, err
 			}
-			costOut, outO, outS, err := memExpansion(mem, &outOff, &outSize)
+			costOut, outO, outS, err := memExpansion(mem, outOff, outSize)
 			if err != nil {
 				return nil, err
 			}
@@ -580,7 +626,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			extra := max(costIn, costOut)
 			if !value.IsZero() {
 				extra += GasCallValue
-				if op == CALL && !evm.State.Exist(wordToAddress(&target)) {
+				if op == CALL && !evm.State.Exist(wordToAddress(target)) {
 					extra += GasNewAccount
 				}
 			}
@@ -602,7 +648,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			}
 
 			input := mem.get(inO, inS)
-			addr := wordToAddress(&target)
+			addr := wordToAddress(target)
 			var ret []byte
 			var leftGas uint64
 			switch op {
@@ -616,11 +662,8 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 				ret, leftGas, err = evm.StaticCall(c.Address, addr, input, forward)
 			}
 			c.Gas += leftGas
+			f.slotsOK = 0 // the callee may have written this contract's storage
 			evm.returnData = ret
-			var res uint256.Int
-			if err == nil {
-				res.SetOne()
-			}
 			if len(ret) > 0 && outS > 0 {
 				n := uint64(len(ret))
 				if n > outS {
@@ -628,12 +671,17 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 				}
 				mem.set(outO, ret[:n])
 			}
-			st.push(&res)
+			res := st.slot()
+			res.Clear()
+			if err == nil {
+				res.SetOne()
+			}
+			fast = f.enter(c, pc+1)
 
 		case RETURN:
-			offset := st.pop()
-			size := st.pop()
-			cost, off, sz, err := memExpansion(mem, &offset, &size)
+			offset := st.drop()
+			size := st.drop()
+			cost, off, sz, err := memExpansion(mem, offset, size)
 			if err != nil {
 				return nil, err
 			}
@@ -644,9 +692,9 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			return mem.get(off, sz), nil
 
 		case REVERT:
-			offset := st.pop()
-			size := st.pop()
-			cost, off, sz, err := memExpansion(mem, &offset, &size)
+			offset := st.drop()
+			size := st.drop()
+			cost, off, sz, err := memExpansion(mem, offset, size)
 			if err != nil {
 				return nil, err
 			}
@@ -660,8 +708,7 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			if readOnly {
 				return nil, ErrWriteProtection
 			}
-			beneficiary := st.pop()
-			target := wordToAddress(&beneficiary)
+			target := wordToAddress(st.drop())
 			balance := evm.State.GetBalance(c.Address)
 			if !balance.IsZero() && !evm.State.Exist(target) {
 				if !c.useGas(GasNewAccount) {
@@ -675,10 +722,11 @@ func (evm *EVM) run(c *Contract) ([]byte, error) {
 			evm.State.SelfDestruct(c.Address)
 			return nil, nil
 
-		// INVALID and the undefined opcodes never get here: none has a
-		// stack spec. Listing them gives every byte value a case, which the
-		// compiler needs before it emits a jump table (a case range for at
-		// least every fourth value) rather than a binary search.
+		// INVALID and the undefined opcodes reach here only in a block run
+		// fast: none has a stack spec, so op by op they halt above.
+		// Listing them gives every byte value a case, which the compiler
+		// needs before it emits a jump table (a case range for at least
+		// every fourth value) rather than a binary search.
 		case INVALID,
 			0x0c, 0x0d, 0x0e, 0x0f,
 			0x1e, 0x1f,

@@ -2,47 +2,62 @@ package vm
 
 import "onoffchain/internal/uint256"
 
-// Stack is the EVM operand stack (max 1024 words). Values are stored by
-// value to prevent aliasing between slots.
+// Stack is the EVM operand stack. Its StackLimit words are held by value,
+// so no slot aliases another, in one fixed array, so a push never grows
+// it. The interpreter checks the bounds before an instruction runs (once
+// per basic block where it can), so the accessors check nothing but Go's
+// index. A frame's stack comes from the frame pool (block.go).
 type Stack struct {
-	data []uint256.Int
+	data [StackLimit]uint256.Int
+	n    int
 }
 
-func newStack() *Stack {
-	return &Stack{data: make([]uint256.Int, 0, 64)}
-}
+func newStack() *Stack { return new(Stack) }
 
-func (s *Stack) len() int { return len(s.data) }
+func (s *Stack) len() int { return s.n }
 
 func (s *Stack) push(v *uint256.Int) {
-	s.data = append(s.data, *v)
+	s.data[s.n] = *v
+	s.n++
 }
 
 func (s *Stack) pushUint64(v uint64) {
-	var z uint256.Int
-	z.SetUint64(v)
-	s.data = append(s.data, z)
+	s.data[s.n].SetUint64(v)
+	s.n++
+}
+
+// slot pushes a word the caller writes in place through the pointer.
+func (s *Stack) slot() *uint256.Int {
+	s.n++
+	return &s.data[s.n-1]
 }
 
 // pop removes and returns the top element by value.
 func (s *Stack) pop() uint256.Int {
-	v := s.data[len(s.data)-1]
-	s.data = s.data[:len(s.data)-1]
-	return v
+	s.n--
+	return s.data[s.n]
+}
+
+// drop removes the top element and returns a pointer to it, valid until
+// the next push: the in-place pop.
+func (s *Stack) drop() *uint256.Int {
+	s.n--
+	return &s.data[s.n]
 }
 
 // peek returns a pointer to the n'th element from the top (0 = top). The
 // pointer is valid until the next push.
 func (s *Stack) peek(n int) *uint256.Int {
-	return &s.data[len(s.data)-1-n]
+	return &s.data[s.n-1-n]
 }
 
 func (s *Stack) dup(n int) {
-	s.data = append(s.data, s.data[len(s.data)-n])
+	s.data[s.n] = s.data[s.n-n]
+	s.n++
 }
 
 func (s *Stack) swap(n int) {
-	top := len(s.data) - 1
+	top := s.n - 1
 	s.data[top], s.data[top-n] = s.data[top-n], s.data[top]
 }
 
@@ -57,15 +72,25 @@ func newMemory() *Memory { return &Memory{} }
 // size returns the current memory size in bytes.
 func (m *Memory) size() uint64 { return uint64(len(m.store)) }
 
-// resize grows memory to at least size bytes, rounded up to a word.
+// resize grows memory to at least size bytes, rounded up to a word, with
+// zeros. The backing array grows as append grows it, with spare capacity,
+// so memory grown a word at a time is not copied whole each time.
 func (m *Memory) resize(size uint64) {
 	if size <= uint64(len(m.store)) {
 		return
 	}
 	rounded := toWordSize(size) * 32
-	grown := make([]byte, rounded)
-	copy(grown, m.store)
-	m.store = grown
+	m.store = append(m.store, make([]byte, rounded-uint64(len(m.store)))...)
+}
+
+// word returns the 32 bytes at offset if memory already holds them: the
+// in-bounds path of MLOAD and MSTORE, which neither charges nor grows.
+func (m *Memory) word(offset *uint256.Int) *[32]byte {
+	off := offset[0]
+	if !offset.IsUint64() || off >= uint64(len(m.store)) || uint64(len(m.store))-off < 32 {
+		return nil
+	}
+	return (*[32]byte)(m.store[off:])
 }
 
 // set writes value at [offset, offset+len(value)). Memory must already be

@@ -70,7 +70,7 @@ func (s *server) status(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]interface{}{
 		"height":   s.chain.Height(),
 		"time":     s.chain.Now(),
-		"gasLimit": s.chain.GasLimit(),
+		"gasLimit": chain.BlockGasLimit,
 		"headHash": head.Hash().Hex(),
 	})
 }

@@ -61,7 +61,7 @@ func main() {
 	}
 
 	if *classify {
-		profiles, err := hybrid.Classify(source, name, hybrid.ClassifierConfig{})
+		profiles, err := hybrid.Classify(source, name, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -21,9 +21,8 @@ func eth(n uint64) *uint256.Int {
 
 func main() {
 	// The classifier reproduces the paper's taxonomy automatically.
-	profiles, err := hybrid.Classify(hybrid.AuctionSource, "Auction", hybrid.ClassifierConfig{
-		SecretVars: []string{"bidA", "bidB", "weightQuality", "weightPrice"},
-	})
+	profiles, err := hybrid.Classify(hybrid.AuctionSource, "Auction",
+		[]string{"bidA", "bidB", "weightQuality", "weightPrice"})
 	if err != nil {
 		log.Fatal(err)
 	}

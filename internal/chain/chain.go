@@ -55,14 +55,24 @@ const (
 	ExecParallel ExecPolicy = "parallel"
 )
 
+// The dev chain's fixed parameters. The private sandbox
+// (hybrid.ExecuteOffChain) builds its world from the same values.
+const (
+	// BlockGasLimit is the per-block gas limit.
+	BlockGasLimit uint64 = 10_000_000
+	// BlockInterval is the simulated seconds between blocks (Kovan's PoA
+	// block time).
+	BlockInterval uint64 = 4
+	// GenesisTime is the genesis block's timestamp, an arbitrary epoch
+	// start.
+	GenesisTime uint64 = 1_500_000_000
+)
+
+// Coinbase receives transaction fees.
+var Coinbase = types.BytesToAddress([]byte("miner"))
+
 // Config tunes chain behaviour.
 type Config struct {
-	// GasLimit is the per-block gas limit.
-	GasLimit uint64
-	// Coinbase receives transaction fees.
-	Coinbase types.Address
-	// BlockInterval is the simulated seconds between blocks.
-	BlockInterval uint64
 	// Exec selects the block-execution engine: ExecSerial (the default,
 	// also chosen by the empty string) or ExecParallel. Serial and
 	// parallel execution produce byte-identical blocks — state root,
@@ -97,12 +107,7 @@ type Config struct {
 
 // DefaultConfig mirrors a developer testnet.
 func DefaultConfig() Config {
-	return Config{
-		GasLimit:      10_000_000,
-		Coinbase:      types.BytesToAddress([]byte("miner")),
-		BlockInterval: 4, // Kovan's PoA block time
-		AutoMine:      true,
-	}
+	return Config{AutoMine: true}
 }
 
 // Chain is a single-node blockchain.
@@ -195,7 +200,7 @@ func New(config Config, alloc map[types.Address]*uint256.Int) *Chain {
 		waiters:      make(map[types.Hash][]chan receiptOutcome),
 		pendingNonce: make(map[types.Address]uint64),
 		logIndex:     make(map[types.Address][]indexedLog),
-		now:          1_500_000_000, // arbitrary epoch start
+		now:          GenesisTime,
 	}
 	if reg := config.Telemetry; reg != nil {
 		c.mBlocksMined = reg.Counter("chain_blocks_mined_total")
@@ -244,10 +249,10 @@ func New(config Config, alloc map[types.Address]*uint256.Int) *Chain {
 	genesis := &types.Block{
 		Header: &types.Header{
 			Number:   0,
-			GasLimit: config.GasLimit,
+			GasLimit: BlockGasLimit,
 			Time:     c.now,
 			Root:     root,
-			Coinbase: config.Coinbase,
+			Coinbase: Coinbase,
 			Extra:    []byte("on/off-chain dev chain genesis"),
 		},
 	}
@@ -280,15 +285,6 @@ func (c *Chain) Now() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
-}
-
-// SetTime moves the simulated clock forward to t (no-op if t is earlier).
-func (c *Chain) SetTime(t uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
-	}
 }
 
 // AdvanceTime moves the simulated clock forward by delta seconds.
@@ -509,7 +505,7 @@ func (c *Chain) validateTx(tx *types.Transaction) error {
 	if tx.Nonce > expect {
 		return fmt.Errorf("%w: have %d, want %d", ErrNonceTooHigh, tx.Nonce, expect)
 	}
-	if tx.Gas > c.config.GasLimit {
+	if tx.Gas > BlockGasLimit {
 		return ErrGasLimitExceeded
 	}
 	if vm.IntrinsicGas(tx.Data, tx.IsContractCreation()) > tx.Gas {
@@ -524,7 +520,7 @@ func (c *Chain) validateTx(tx *types.Transaction) error {
 func (c *Chain) mineLocked() *types.Block {
 	mineStart := time.Now()
 	parent := c.blocks[len(c.blocks)-1]
-	c.now += c.config.BlockInterval
+	c.now += BlockInterval
 	number := parent.Number() + 1
 
 	// Under a cap-driven mining policy, seal at most mineCap transactions
@@ -565,13 +561,13 @@ func (c *Chain) mineLocked() *types.Block {
 	root := c.state.Commit()
 	header := &types.Header{
 		ParentHash:  parent.Hash(),
-		Coinbase:    c.config.Coinbase,
+		Coinbase:    Coinbase,
 		Root:        root,
 		TxHash:      types.DeriveTxListHash(included),
 		ReceiptHash: types.DeriveReceiptListHash(receipts),
 		Bloom:       types.CreateBloom(receipts),
 		Number:      number,
-		GasLimit:    c.config.GasLimit,
+		GasLimit:    BlockGasLimit,
 		GasUsed:     cumulative,
 		Time:        c.now,
 	}
@@ -632,10 +628,10 @@ func (c *Chain) dropTxLocked(hash types.Hash, err error) {
 
 func (c *Chain) blockContext(number, timestamp uint64) vm.BlockContext {
 	return vm.BlockContext{
-		Coinbase: c.config.Coinbase,
+		Coinbase: Coinbase,
 		Number:   number,
 		Time:     timestamp,
-		GasLimit: c.config.GasLimit,
+		GasLimit: BlockGasLimit,
 		BlockHash: func(n uint64) types.Hash {
 			if n < uint64(len(c.blocks)) {
 				return c.blocks[n].Hash()
@@ -716,7 +712,7 @@ func (c *Chain) applyTransactionOn(st *state.StateDB, tx *types.Transaction, blo
 	if creditCoinbase {
 		fee := new(uint256.Int).SetUint64(gasUsed)
 		fee.Mul(fee, tx.GasPrice)
-		st.AddBalance(c.config.Coinbase, fee)
+		st.AddBalance(Coinbase, fee)
 	}
 
 	receipt := &types.Receipt{
@@ -759,7 +755,7 @@ func (c *Chain) Call(msg CallMsg) ([]byte, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if msg.Gas == 0 {
-		msg.Gas = c.config.GasLimit
+		msg.Gas = BlockGasLimit
 	}
 	st := c.state.Fork()
 	head := c.blocks[len(c.blocks)-1]
@@ -874,9 +870,6 @@ func (c *Chain) LogScanStats() (scannedBlocks, indexedQueries uint64) {
 	defer c.mu.Unlock()
 	return c.logScanned, c.logIndexed
 }
-
-// GasLimit returns the per-block gas limit.
-func (c *Chain) GasLimit() uint64 { return c.config.GasLimit }
 
 // Height returns the head block number.
 func (c *Chain) Height() uint64 {

@@ -116,14 +116,13 @@ func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64)
 		receipts []*types.Receipt
 	)
 	ix := state.NewAccessIndex()
-	coinbase := c.config.Coinbase
 	feeCredited := false
 	for i, tx := range batch {
 		hash := tx.Hash()
 		delete(c.pendingSet, hash)
 		res := results[i]
 
-		conflict := ix.Conflicts(res.access) || (feeCredited && res.access.Touches(coinbase))
+		conflict := ix.Conflicts(res.access) || (feeCredited && res.access.Touches(Coinbase))
 		var receipt *types.Receipt
 		if conflict {
 			// Serial re-execution on the canonical state: the authoritative
@@ -152,7 +151,7 @@ func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64)
 			c.state.ApplyWrites(res.writes)
 			fee := new(uint256.Int).SetUint64(res.receipt.GasUsed)
 			fee.Mul(fee, tx.GasPrice)
-			c.state.AddBalance(coinbase, fee)
+			c.state.AddBalance(Coinbase, fee)
 			c.state.Finalise()
 			ix.Add(res.access)
 			receipt = res.receipt

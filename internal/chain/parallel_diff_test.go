@@ -47,7 +47,6 @@ var diffAccounts = func() []account {
 func runDiffWorkload(t *testing.T, seed int64, workers int) {
 	rng := rand.New(rand.NewSource(seed))
 	accounts := diffAccounts
-	coinbase := DefaultConfig().Coinbase
 
 	// Small, uneven balances so large transfers overdraft mid-block and
 	// exercise the drop-parity path.
@@ -121,7 +120,7 @@ func runDiffWorkload(t *testing.T, seed int64, workers int) {
 				tx = types.NewTransaction(nonce[from.addr], contract, nil, 200_000, uint256.NewInt(1), data[:])
 			case k < 9:
 				// Pay the miner: forces the coinbase serial path.
-				tx = types.NewTransaction(nonce[from.addr], coinbase, uint256.NewInt(uint64(1+rng.Intn(1000))), 21_000, uint256.NewInt(1), nil)
+				tx = types.NewTransaction(nonce[from.addr], Coinbase, uint256.NewInt(uint64(1+rng.Intn(1000))), 21_000, uint256.NewInt(1), nil)
 			default:
 				// Deliberate near-overdraft: admitted against committed
 				// state, often dropped at execution once earlier transfers

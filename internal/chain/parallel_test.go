@@ -198,13 +198,12 @@ func TestParallelDropParity(t *testing.T) {
 func TestParallelCoinbaseRecipient(t *testing.T) {
 	alice, bob := newAccount(9500), newAccount(9501)
 	serial, parallel := execPair(4, alice, bob)
-	coinbase := DefaultConfig().Coinbase
 	sendBoth(t, serial, parallel, signedTransfer(t, alice, bob.addr, eth(1), 0))
-	sendBoth(t, serial, parallel, signedTransfer(t, bob, coinbase, eth(3), 0))
+	sendBoth(t, serial, parallel, signedTransfer(t, bob, Coinbase, eth(3), 0))
 	mineBoth(t, serial, parallel)
 	// 3 ether + both fees.
 	want := new(uint256.Int).Add(eth(3), uint256.NewInt(42000))
-	if got := parallel.BalanceAt(coinbase); !got.Eq(want) {
+	if got := parallel.BalanceAt(Coinbase); !got.Eq(want) {
 		t.Errorf("coinbase balance = %s, want %s", got, want)
 	}
 }

@@ -75,8 +75,8 @@ func (c *Chain) importBlock(number, btime uint64, wantHash types.Hash, txRLPs []
 		txs[i] = tx
 	}
 	c.pending = txs
-	if btime >= c.config.BlockInterval {
-		c.now = btime - c.config.BlockInterval // mineLocked advances by one interval
+	if btime >= BlockInterval {
+		c.now = btime - BlockInterval // mineLocked advances by one interval
 	} else {
 		c.now = 0
 	}

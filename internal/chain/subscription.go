@@ -50,13 +50,6 @@ func (s *AddressSet) Contains(a types.Address) bool {
 	return ok
 }
 
-// Len returns the current size.
-func (s *AddressSet) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
 // Snapshot returns the current members, in unspecified order. The chain's
 // indexed FilterLogs path uses it to enumerate candidate per-address index
 // runs for an AddressIn query.

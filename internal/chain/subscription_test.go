@@ -359,7 +359,7 @@ func TestSubscribeBlockLogsAddressSet(t *testing.T) {
 	if b = recvBatch(t, sub); len(b.Logs) != 0 {
 		t.Fatalf("batch 4: removed address still delivered: %+v", b.Logs)
 	}
-	if set.Len() != 1 || set.Contains(addrA) || !set.Contains(addrB) {
+	if len(set.Snapshot()) != 1 || set.Contains(addrA) || !set.Contains(addrB) {
 		t.Fatal("set state after Add/Remove is wrong")
 	}
 }

@@ -121,9 +121,6 @@ type Config struct {
 	// hub.Recover can rebuild the session table from it after a crash. The
 	// caller owns the store (and closes it); the hub only appends.
 	Store *store.Store
-	// CompactEvery triggers WAL snapshot compaction after that many
-	// terminal sessions (default 512).
-	CompactEvery int
 	// StageHook, when set, is called every time a session completes a
 	// lifecycle stage. Returning false simulates the process dying at
 	// exactly that point: the worker abandons the session with no further
@@ -229,7 +226,7 @@ func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKe
 		cancel:  cancel,
 		metrics: m,
 		tracer:  cfg.Tracer,
-		journal: newJournal(cfg.Store, cfg.CompactEvery),
+		journal: newJournal(cfg.Store),
 		splits:  make(map[types.Hash]*hybrid.SplitResult),
 		jobs:    make(chan *Ticket, 4*cfg.Workers),
 	}

@@ -75,10 +75,12 @@ type journal struct {
 	extra func() []*store.Record
 }
 
-func newJournal(st *store.Store, compactEvery int) *journal {
-	if compactEvery <= 0 {
-		compactEvery = 512
-	}
+// compactEvery is how many terminal sessions pass between WAL snapshot
+// compactions. A variable only so a test can compact often without
+// running hundreds of sessions.
+var compactEvery = 512
+
+func newJournal(st *store.Store) *journal {
 	return &journal{st: st, sessions: make(map[uint64]*sessionState), compactEvery: compactEvery}
 }
 
@@ -271,7 +273,7 @@ func partiesRecord(sid uint64, n int) *store.Record {
 // floor its allocator (and with it the derived party keys) above all of
 // them.
 func foldRecords(recs []*store.Record) (live map[uint64]*sessionState, terminal map[uint64]Stage, sidHigh uint64) {
-	j := newJournal(nil, 0)
+	j := newJournal(nil)
 	terminal = make(map[uint64]Stage)
 	for _, rec := range recs {
 		if rec.Kind == store.KindTerminal {

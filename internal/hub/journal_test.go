@@ -136,7 +136,7 @@ func FuzzHubFold(f *testing.F) {
 			data = data[n:]
 		}
 		live, _, high := foldRecords(recs)
-		j := newJournal(nil, 0)
+		j := newJournal(nil)
 		j.sessions, j.sidHigh = live, high
 		var snap []*store.Record
 		for _, rec := range j.stateRecordsLocked() {

@@ -49,7 +49,7 @@ func TestLifecycleProperties(t *testing.T) {
 				}
 				defer st.Close()
 				cfg.Store = st
-				cfg.CompactEvery = 4 + rng.Intn(8)
+				compactingEvery(t, 4+rng.Intn(8))
 			}
 			h := New(c, net, faucetKey, cfg)
 			defer h.Stop()

@@ -522,9 +522,11 @@ func TestWALHoldsNoPartyKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	// CompactEvery 1: every terminal writes a snapshot, and the two fresh
-	// sessions overlap, so a snapshot is written while one of them is live.
-	h2, rec, err := Recover(st2, c, net, faucetKey, Config{Workers: 2, CompactEvery: 1}, testRegistry())
+	// Compacting on every terminal: every terminal writes a snapshot, and
+	// the two fresh sessions overlap, so a snapshot is written while one of
+	// them is live.
+	compactingEvery(t, 1)
+	h2, rec, err := Recover(st2, c, net, faucetKey, Config{Workers: 2}, testRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +647,8 @@ func TestDurableHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(c, net, faucetKey, Config{Workers: 4, Store: st, CompactEvery: 8})
+	compactingEvery(t, 8)
+	h := New(c, net, faucetKey, Config{Workers: 4, Store: st})
 	specs := make([]*Spec, 24)
 	for i := range specs {
 		specs[i] = BettingSpec(4, 600, i%10 == 0)
@@ -686,7 +689,7 @@ func TestDurableHappyPath(t *testing.T) {
 	if len(live) != 0 {
 		t.Errorf("quiesced WAL still folds to %d live sessions", len(live))
 	}
-	// Compaction ran (24 terminals, CompactEvery 8) and replaced segment
+	// Compaction ran (24 terminals, compacting every 8) and replaced segment
 	// history with snapshots; terminal sessions are deliberately dropped
 	// from snapshots — there is nothing left to guard for them.
 	entries, err := os.ReadDir(st2.Dir())
@@ -718,10 +721,18 @@ func TestDurableHappyPath(t *testing.T) {
 	requireWinnerPaid(t, rep)
 }
 
+// compactingEvery has every journal built for the rest of the test compact
+// after n terminal sessions.
+func compactingEvery(t *testing.T, n int) {
+	old := compactEvery
+	compactEvery = n
+	t.Cleanup(func() { compactEvery = old })
+}
+
 // TestSeededStateSurvivesCompaction pins the recovery ordering bug class:
 // a compaction triggered while Recover is still classifying sessions
 // (every abandoned session writes a terminal record, and a small
-// CompactEvery fires mid-loop) deletes the old generation's segments —
+// compactEvery fires mid-loop) deletes the old generation's segments —
 // so the snapshot it writes must already carry every seeded live
 // session and the session-ID high mark, or a second crash would lose them
 // forever.
@@ -730,7 +741,8 @@ func TestSeededStateSurvivesCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJournal(st, 1) // compact on every terminal
+	compactingEvery(t, 1)
+	j := newJournal(st)
 	kept := &sessionState{
 		ID: 5, Scenario: "betting",
 		Parties: 2,
@@ -779,7 +791,7 @@ func snapshotFixture() *sessionState {
 // session state and folding it back must reproduce the state.
 func TestSessionStateSnapshotRoundTrip(t *testing.T) {
 	in := snapshotFixture()
-	j := newJournal(nil, 0)
+	j := newJournal(nil)
 	for _, rec := range encodeSessionState(in) {
 		// Round-trip each record through its wire encoding too.
 		dec, err := store.DecodeRecord(rec.Encode())

@@ -853,7 +853,11 @@ func TestBatchWindowOpensAtTheEpochsBlockTime(t *testing.T) {
 		t.Fatal(rep.Err)
 	}
 	seq := hybrid.NewParticipant(faucetKey, c, nil)
-	reg, err := rollup.DeployRegistry(seq, 2, seq.Addr, 3_000_000)
+	bind, err := rollup.DeployRegistryAsync(seq, 2, seq.Addr, 3_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := bind()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -869,7 +873,11 @@ func TestBatchWindowOpensAtTheEpochsBlockTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AdvanceTime(1000) // the post's block time is nowhere near 0
-	rec, err := reg.PostEpoch(seq, tree.Root(), 1, 500_000)
+	hash, err := reg.PostEpochAsync(seq, tree.Root(), 1, 500_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := seq.WaitReceipt(hash)
 	if err != nil || !rec.Succeeded() {
 		t.Fatalf("postEpoch: %v", err)
 	}

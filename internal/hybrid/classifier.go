@@ -25,36 +25,22 @@ type FunctionProfile struct {
 	Heavy bool
 }
 
-// ClassifierConfig tunes the recommendation.
-type ClassifierConfig struct {
-	// GasThreshold above which a function is considered heavy (default
-	// 50000 — roughly 2.5x a plain transfer).
-	GasThreshold uint64
-	// LoopWeight is the assumed iteration count of unbounded loops
-	// (default 50).
-	LoopWeight uint64
-	// SecretVars lists state variables considered private; functions
-	// reading them are private regardless of cost.
-	SecretVars []string
-}
-
-func (cfg *ClassifierConfig) withDefaults() ClassifierConfig {
-	out := *cfg
-	if out.GasThreshold == 0 {
-		out.GasThreshold = 50_000
-	}
-	if out.LoopWeight == 0 {
-		out.LoopWeight = 50
-	}
-	return out
-}
+// The classifier's two judgement constants.
+const (
+	// heavyGas is the estimate above which a function is heavy — roughly
+	// 2.5x a plain transfer.
+	heavyGas = 50_000
+	// loopWeight is the assumed iteration count of an unbounded loop.
+	loopWeight = 50
+)
 
 // Classify analyses a whole contract and recommends the heavy/private set,
 // reproducing the paper's function taxonomy automatically. The estimate
 // walks the AST with yellow-paper costs, multiplying loop bodies by
-// LoopWeight, and inlining internal calls one level.
-func Classify(source, contractName string, config ClassifierConfig) ([]FunctionProfile, error) {
-	cfg := config.withDefaults()
+// loopWeight, and inlining internal calls one level. secretVars lists the
+// state variables considered private: a function reading one is private
+// regardless of its cost.
+func Classify(source, contractName string, secretVars []string) ([]FunctionProfile, error) {
 	file, err := lang.Parse(source)
 	if err != nil {
 		return nil, err
@@ -75,13 +61,13 @@ func Classify(source, contractName string, config ClassifierConfig) ([]FunctionP
 		}
 	}
 	secret := map[string]bool{}
-	for _, v := range cfg.SecretVars {
+	for _, v := range secretVars {
 		secret[v] = true
 	}
 
 	var out []FunctionProfile
 	for _, fn := range contract.Functions {
-		est := estimator{cfg: cfg, internal: internal, secret: secret}
+		est := estimator{internal: internal, secret: secret}
 		gas := vm.GasTx + est.stmts(fn.Body, 1)
 		p := FunctionProfile{
 			Name:           fn.Name,
@@ -91,7 +77,7 @@ func Classify(source, contractName string, config ClassifierConfig) ([]FunctionP
 		}
 		// Paper rule: transfer functions stay light/public; everything
 		// else is heavy if costly or sensitive.
-		p.Heavy = !p.TransfersValue && (gas > cfg.GasThreshold || p.TouchesSecret)
+		p.Heavy = !p.TransfersValue && (gas > heavyGas || p.TouchesSecret)
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -100,7 +86,6 @@ func Classify(source, contractName string, config ClassifierConfig) ([]FunctionP
 
 // estimator accumulates a static gas estimate.
 type estimator struct {
-	cfg           ClassifierConfig
 	internal      map[string]*lang.Function
 	secret        map[string]bool
 	transfers     bool
@@ -131,7 +116,7 @@ func (e *estimator) stmt(s lang.Stmt, mult uint64) uint64 {
 		return mult * (e.expr(s.Cond) + vm.GasSlowStep +
 			(e.stmts(s.Then, 1)+e.stmts(s.Else, 1))/2)
 	case *lang.WhileStmt:
-		return mult * e.cfg.LoopWeight * (e.expr(s.Cond) + vm.GasSlowStep + e.stmts(s.Body, 1))
+		return mult * loopWeight * (e.expr(s.Cond) + vm.GasSlowStep + e.stmts(s.Body, 1))
 	case *lang.ReturnStmt:
 		if s.Value != nil {
 			return mult * (e.expr(s.Value) + 10)
@@ -205,19 +190,6 @@ func (e *estimator) expr(x lang.Expr) uint64 {
 	default:
 		return 0
 	}
-}
-
-// SuggestPolicy derives a Policy from classifier output plus the two
-// structural designations the library cannot infer (result and settle
-// functions).
-func SuggestPolicy(profiles []FunctionProfile, result, settle string) Policy {
-	var heavy []string
-	for _, p := range profiles {
-		if p.Heavy && p.Name != settle {
-			heavy = append(heavy, p.Name)
-		}
-	}
-	return Policy{Heavy: heavy, Result: result, Settle: settle}
 }
 
 // FormatProfiles renders a human-readable classification table.

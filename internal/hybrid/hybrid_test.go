@@ -562,9 +562,7 @@ func TestMultiPartySplit(t *testing.T) {
 }
 
 func TestClassifierMatchesPaperTaxonomy(t *testing.T) {
-	profiles, err := Classify(BettingSource, "Betting", ClassifierConfig{
-		SecretVars: []string{"betSecretA", "betSecretB"},
-	})
+	profiles, err := Classify(BettingSource, "Betting", []string{"betSecretA", "betSecretB"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,20 +588,6 @@ func TestClassifierMatchesPaperTaxonomy(t *testing.T) {
 	}
 	if byName["reveal"].EstimatedGas < 50_000 {
 		t.Errorf("reveal estimate %d too low", byName["reveal"].EstimatedGas)
-	}
-	// SuggestPolicy must include reveal and exclude settle.
-	pol := SuggestPolicy(profiles, "reveal", "settle")
-	found := false
-	for _, h := range pol.Heavy {
-		if h == "reveal" {
-			found = true
-		}
-		if h == "settle" {
-			t.Error("settle suggested as heavy")
-		}
-	}
-	if !found {
-		t.Error("reveal not suggested")
 	}
 	if FormatProfiles(profiles) == "" {
 		t.Error("empty profile table")

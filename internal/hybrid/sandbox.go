@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"onoffchain/internal/abi"
+	"onoffchain/internal/chain"
 	"onoffchain/internal/state"
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
@@ -22,15 +23,13 @@ type OffChainOutcome struct {
 	ExecGas   uint64
 }
 
-// The sandbox's world is the one a fresh default dev chain gives its first
-// transaction — same origin, block number, timestamp, coinbase and limits —
-// so DeployGas and ExecGas are what that chain's receipt and eth_call
-// report (TestSandboxMatchesChain holds them to it). There are no earlier
-// blocks, so BLOCKHASH reads zero.
-const (
-	sandboxGasLimit  = 10_000_000 // block gas limit; the gas computeResult may burn
-	sandboxCreateGas = 8_000_000  // gas limit of the creation
-)
+// The sandbox's world is the one a fresh dev chain gives its first
+// transaction — same origin, block number, timestamp, coinbase and limits,
+// read from the chain's own constants — so DeployGas and ExecGas are what
+// that chain's receipt and eth_call report (TestSandboxMatchesChain holds
+// them to it). There are no earlier blocks, so BLOCKHASH reads zero.
+// computeResult may burn up to the block gas limit.
+const sandboxCreateGas = 8_000_000 // gas limit of the creation
 
 var (
 	// sandboxOrigin is the address of the secp256k1 scalar 0x0FFC4A1B: the
@@ -41,10 +40,10 @@ var (
 	}
 	sandboxGasPrice = uint256.NewInt(1)
 	sandboxBlock    = vm.BlockContext{
-		Coinbase:  types.BytesToAddress([]byte("miner")),
-		Number:    1,             // first block after genesis
-		Time:      1_500_000_004, // genesis time plus one block interval
-		GasLimit:  sandboxGasLimit,
+		Coinbase:  chain.Coinbase,
+		Number:    1, // first block after genesis
+		Time:      chain.GenesisTime + chain.BlockInterval,
+		GasLimit:  chain.BlockGasLimit,
 		BlockHash: func(uint64) types.Hash { return types.Hash{} },
 	}
 
@@ -89,7 +88,7 @@ func ExecuteOffChain(bytecode []byte) (*OffChainOutcome, error) {
 		return nil, err
 	}
 	evm = vm.NewEVM(sandboxBlock, vm.TxContext{Origin: sandboxOrigin}, st)
-	ret, leftover, err := evm.Call(sandboxOrigin, contract, data, sandboxGasLimit, nil)
+	ret, leftover, err := evm.Call(sandboxOrigin, contract, data, chain.BlockGasLimit, nil)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: sandbox computeResult: %w", err)
 	}
@@ -104,7 +103,7 @@ func ExecuteOffChain(bytecode []byte) (*OffChainOutcome, error) {
 	return &OffChainOutcome{
 		Result:    result.Uint64(),
 		DeployGas: deployGas,
-		ExecGas:   sandboxGasLimit - leftover,
+		ExecGas:   chain.BlockGasLimit - leftover,
 	}, nil
 }
 

@@ -4,24 +4,48 @@ import (
 	"onoffchain/internal/uint256"
 )
 
-// parser is a recursive-descent parser over the token stream.
+// maxNesting bounds how deeply statements, expressions and types nest.
+// The parser recurses once per level, so without a bound a hostile input
+// grows the goroutine stack until Go's fatal stack-limit error, which
+// recover cannot catch. The deepest source in the repo nests 11 levels.
+const maxNesting = 1000
+
+// parser is a recursive-descent parser over the token stream. It lexes
+// tokens as it reaches them, so an input it refuses early costs no more
+// than the part it read.
 type parser struct {
-	toks []token
-	pos  int
+	lx    *lexer
+	toks  []token // lexed so far; toks[pos] is the current token
+	pos   int
+	depth int // statements, expressions and types being parsed
 }
 
-// Parse parses Solo source into a File AST.
+// Parse parses Solo source into a File AST. The first error in the source
+// wins: a lexical error ends the token stream where it occurs, and the
+// parser reports it in place of whatever it made of that early end.
 func Parse(src string) (*File, error) {
-	toks, err := tokenize(src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: newLexer(src)}
+	f, err := p.parseFile()
+	if p.lx.err != nil {
+		return nil, p.lx.err
 	}
-	p := &parser{toks: toks}
-	return p.parseFile()
+	return f, err
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+// peek returns the token i places after the current one; past the end of
+// the input that is the final tokEOF.
+func (p *parser) peek(i int) token {
+	for len(p.toks) <= p.pos+i {
+		if n := len(p.toks); n > 0 && p.toks[n-1].kind == tokEOF {
+			return p.toks[n-1]
+		}
+		p.toks = append(p.toks, p.lx.next())
+	}
+	return p.toks[p.pos+i]
+}
+
+func (p *parser) cur() token  { return p.peek(0) }
+func (p *parser) next() token { t := p.cur(); p.pos++; return t }
 
 func (p *parser) at(text string) bool {
 	t := p.cur()
@@ -44,6 +68,18 @@ func (p *parser) expect(text string) (token, error) {
 	p.pos++
 	return t, nil
 }
+
+// enter opens one nesting level and fails past maxNesting; leave closes it.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxNesting {
+		t := p.cur()
+		return errAt(t.line, t.col, "nesting deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) expectIdent() (token, error) {
 	t := p.cur()
@@ -196,6 +232,10 @@ func (p *parser) parseStateVar() (*StateVar, error) {
 }
 
 func (p *parser) parseType() (*TypeRef, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	var base *TypeRef
 	switch t.text {
@@ -427,6 +467,10 @@ func isTypeStart(t token) bool {
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case t.text == "_":
@@ -607,10 +651,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 // `address x = ...` (declaration): a cast has "(" right after the type
 // keyword.
 func (p *parser) looksLikeCast() bool {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1].text == "("
-	}
-	return false
+	return p.peek(1).text == "("
 }
 
 // Expression parsing with precedence climbing.
@@ -649,6 +690,10 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	if t.kind == tokOperator && (t.text == "!" || t.text == "-") {
 		p.next()

@@ -5,38 +5,6 @@ import (
 	"strings"
 )
 
-// PrintFile renders a parsed File back to Solo source. The splitter uses
-// this to emit the generated on-chain/off-chain contract pair as auditable
-// source artifacts; Parse(PrintFile(f)) is semantically identical to f.
-func PrintFile(f *File) string {
-	var b strings.Builder
-	for i, iface := range f.Interfaces {
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		printInterface(&b, iface)
-	}
-	for i, c := range f.Contracts {
-		if i > 0 || len(f.Interfaces) > 0 {
-			b.WriteString("\n")
-		}
-		PrintContract(&b, c)
-	}
-	return b.String()
-}
-
-func printInterface(b *strings.Builder, iface *Interface) {
-	fmt.Fprintf(b, "interface %s {\n", iface.Name)
-	for _, fn := range iface.Functions {
-		fmt.Fprintf(b, "    function %s(%s) external", fn.Name, printParams(fn.Params))
-		if fn.Ret != nil {
-			fmt.Fprintf(b, " returns (%s)", fn.Ret)
-		}
-		b.WriteString(";\n")
-	}
-	b.WriteString("}\n")
-}
-
 // PrintContract renders one contract declaration.
 func PrintContract(b *strings.Builder, c *Contract) {
 	fmt.Fprintf(b, "contract %s {\n", c.Name)

@@ -44,12 +44,13 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// lexer converts source text into tokens.
+// lexer converts source text into tokens, one at a time.
 type lexer struct {
 	src  string
 	pos  int
 	line int
 	col  int
+	err  error // first lexical error; the stream ends there
 }
 
 func newLexer(src string) *lexer {
@@ -130,90 +131,89 @@ func (lx *lexer) skipSpaceAndComments() error {
 	return nil
 }
 
-// tokenize lexes the whole input.
-func tokenize(src string) ([]token, error) {
-	lx := newLexer(src)
-	var out []token
-	for {
-		if err := lx.skipSpaceAndComments(); err != nil {
-			return nil, err
+// next lexes the token at the current position. At the end of the input,
+// and at the first lexical error (kept in lx.err), it returns tokEOF.
+func (lx *lexer) next() token {
+	if err := lx.skipSpaceAndComments(); err != nil {
+		return lx.fail(err)
+	}
+	if lx.pos >= len(lx.src) {
+		return token{kind: tokEOF, line: lx.line, col: lx.col}
+	}
+	line, col := lx.line, lx.col
+	b := lx.peekByte()
+	switch {
+	case isIdentStart(b):
+		start := lx.pos
+		for lx.pos < len(lx.src) && isIdentPart(lx.peekByte()) {
+			lx.advance()
+		}
+		text := lx.src[start:lx.pos]
+		kind := tokIdent
+		if keywords[text] {
+			kind = tokKeyword
+		}
+		return token{kind: kind, text: text, line: line, col: col}
+	case unicode.IsDigit(rune(b)):
+		start := lx.pos
+		if b == '0' && (lx.peekByteAt(1) == 'x' || lx.peekByteAt(1) == 'X') {
+			lx.advance()
+			lx.advance()
+			for lx.pos < len(lx.src) && isHexDigit(lx.peekByte()) {
+				lx.advance()
+			}
+		} else {
+			for lx.pos < len(lx.src) && (unicode.IsDigit(rune(lx.peekByte())) || lx.peekByte() == '_') {
+				lx.advance()
+			}
+			// suffix: "ether" handled by parser as separate ident
+		}
+		return token{kind: tokNumber, text: strings.ReplaceAll(lx.src[start:lx.pos], "_", ""), line: line, col: col}
+	case b == '"':
+		lx.advance()
+		start := lx.pos
+		for lx.pos < len(lx.src) && lx.peekByte() != '"' {
+			if lx.peekByte() == '\n' {
+				return lx.fail(errAt(line, col, "unterminated string literal"))
+			}
+			lx.advance()
 		}
 		if lx.pos >= len(lx.src) {
-			out = append(out, token{kind: tokEOF, line: lx.line, col: lx.col})
-			return out, nil
+			return lx.fail(errAt(line, col, "unterminated string literal"))
 		}
-		line, col := lx.line, lx.col
-		b := lx.peekByte()
-		switch {
-		case isIdentStart(b):
-			start := lx.pos
-			for lx.pos < len(lx.src) && isIdentPart(lx.peekByte()) {
-				lx.advance()
-			}
-			text := lx.src[start:lx.pos]
-			kind := tokIdent
-			if keywords[text] {
-				kind = tokKeyword
-			}
-			out = append(out, token{kind: kind, text: text, line: line, col: col})
-		case unicode.IsDigit(rune(b)):
-			start := lx.pos
-			if b == '0' && (lx.peekByteAt(1) == 'x' || lx.peekByteAt(1) == 'X') {
-				lx.advance()
-				lx.advance()
-				for lx.pos < len(lx.src) && isHexDigit(lx.peekByte()) {
-					lx.advance()
-				}
-			} else {
-				for lx.pos < len(lx.src) && (unicode.IsDigit(rune(lx.peekByte())) || lx.peekByte() == '_') {
-					lx.advance()
-				}
-				// suffix: "ether" handled by parser as separate ident
-			}
-			out = append(out, token{kind: tokNumber, text: strings.ReplaceAll(lx.src[start:lx.pos], "_", ""), line: line, col: col})
-		case b == '"':
-			lx.advance()
-			start := lx.pos
-			for lx.pos < len(lx.src) && lx.peekByte() != '"' {
-				if lx.peekByte() == '\n' {
-					return nil, errAt(line, col, "unterminated string literal")
-				}
-				lx.advance()
-			}
-			if lx.pos >= len(lx.src) {
-				return nil, errAt(line, col, "unterminated string literal")
-			}
-			text := lx.src[start:lx.pos]
-			lx.advance() // closing quote
-			out = append(out, token{kind: tokString, text: text, line: line, col: col})
-		default:
-			two := ""
-			if lx.pos+1 < len(lx.src) {
-				two = lx.src[lx.pos : lx.pos+2]
-			}
-			switch two {
-			case "==", "!=", "<=", ">=", "&&", "||", "=>":
-				lx.advance()
-				lx.advance()
-				kind := tokOperator
-				if two == "=>" {
-					kind = tokPunct
-				}
-				out = append(out, token{kind: kind, text: two, line: line, col: col})
-				continue
-			}
-			switch b {
-			case '(', ')', '{', '}', '[', ']', ';', ',', '.':
-				lx.advance()
-				out = append(out, token{kind: tokPunct, text: string(b), line: line, col: col})
-			case '+', '-', '*', '/', '%', '<', '>', '!', '=', '_':
-				lx.advance()
-				out = append(out, token{kind: tokOperator, text: string(b), line: line, col: col})
-			default:
-				return nil, errAt(line, col, "unexpected character %q", string(b))
-			}
-		}
+		text := lx.src[start:lx.pos]
+		lx.advance() // closing quote
+		return token{kind: tokString, text: text, line: line, col: col}
 	}
+	two := ""
+	if lx.pos+1 < len(lx.src) {
+		two = lx.src[lx.pos : lx.pos+2]
+	}
+	switch two {
+	case "==", "!=", "<=", ">=", "&&", "||", "=>":
+		lx.advance()
+		lx.advance()
+		kind := tokOperator
+		if two == "=>" {
+			kind = tokPunct
+		}
+		return token{kind: kind, text: two, line: line, col: col}
+	}
+	switch b {
+	case '(', ')', '{', '}', '[', ']', ';', ',', '.':
+		lx.advance()
+		return token{kind: tokPunct, text: string(b), line: line, col: col}
+	case '+', '-', '*', '/', '%', '<', '>', '!', '=', '_':
+		lx.advance()
+		return token{kind: tokOperator, text: string(b), line: line, col: col}
+	}
+	return lx.fail(errAt(line, col, "unexpected character %q", string(b)))
+}
+
+// fail records the first lexical error and ends the token stream.
+func (lx *lexer) fail(err error) token {
+	lx.err = err
+	return token{kind: tokEOF, line: lx.line, col: lx.col}
 }
 
 func isIdentStart(b byte) bool {

@@ -7,7 +7,6 @@ package rlp
 import (
 	"errors"
 	"fmt"
-	"math/big"
 )
 
 // Kind distinguishes the two RLP item kinds.
@@ -42,15 +41,6 @@ func String(s string) *Item { return &Item{Kind: KindBytes, Bytes: []byte(s)} }
 // Uint returns a byte-string item holding the minimal big-endian encoding
 // of v (zero encodes as the empty string, per the RLP spec).
 func Uint(v uint64) *Item { return Bytes(uintBytes(v)) }
-
-// BigInt returns a byte-string item holding the minimal big-endian encoding
-// of v, which must be non-negative.
-func BigInt(v *big.Int) *Item {
-	if v == nil || v.Sign() == 0 {
-		return Bytes(nil)
-	}
-	return Bytes(v.Bytes())
-}
 
 // List returns a list item.
 func List(items ...*Item) *Item { return &Item{Kind: KindList, Items: items} }
@@ -134,12 +124,6 @@ func Decode(data []byte) (*Item, error) {
 		return nil, ErrTrailingBytes
 	}
 	return item, nil
-}
-
-// DecodePrefix parses one RLP item from the front of data and returns the
-// remaining bytes.
-func DecodePrefix(data []byte) (*Item, []byte, error) {
-	return decodeItem(data, 0)
 }
 
 func decodeItem(data []byte, depth int) (*Item, []byte, error) {
@@ -246,16 +230,4 @@ func (it *Item) Uint64() (uint64, error) {
 		v = v<<8 | uint64(b)
 	}
 	return v, nil
-}
-
-// BigInt interprets a decoded byte-string item as a big-endian unsigned
-// big integer.
-func (it *Item) BigInt() (*big.Int, error) {
-	if it.Kind != KindBytes {
-		return nil, errors.New("rlp: expected bytes, found list")
-	}
-	if len(it.Bytes) > 0 && it.Bytes[0] == 0 {
-		return nil, ErrCanonical
-	}
-	return new(big.Int).SetBytes(it.Bytes), nil
 }

@@ -3,7 +3,6 @@ package rlp
 import (
 	"bytes"
 	"encoding/hex"
-	"math/big"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -88,7 +87,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestDecodeValues(t *testing.T) {
-	item, err := Decode(Encode(List(Uint(42), String("hi"), BigInt(big.NewInt(1e18)))))
+	item, err := Decode(Encode(List(Uint(42), String("hi"), List())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +101,8 @@ func TestDecodeValues(t *testing.T) {
 	if string(item.Items[1].Bytes) != "hi" {
 		t.Errorf("string: %q", item.Items[1].Bytes)
 	}
-	b, err := item.Items[2].BigInt()
-	if err != nil || b.Cmp(big.NewInt(1e18)) != 0 {
-		t.Errorf("BigInt: %v, %v", b, err)
+	if item.Items[2].Kind != KindList || len(item.Items[2].Items) != 0 {
+		t.Errorf("empty list: %+v", item.Items[2])
 	}
 }
 
@@ -132,21 +130,6 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestDecodePrefix(t *testing.T) {
-	data := append(Encode(String("cat")), Encode(String("dog"))...)
-	first, rest, err := DecodePrefix(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(first.Bytes) != "cat" {
-		t.Errorf("first = %q", first.Bytes)
-	}
-	second, rest2, err := DecodePrefix(rest)
-	if err != nil || len(rest2) != 0 || string(second.Bytes) != "dog" {
-		t.Errorf("second = %v, rest = %x, err = %v", second, rest2, err)
-	}
-}
-
 func TestUint64NonCanonical(t *testing.T) {
 	// 0x820001 encodes integer 1 with a leading zero byte: invalid as int.
 	item, err := Decode([]byte{0x82, 0x00, 0x01})
@@ -170,15 +153,6 @@ func TestNestingDepthLimit(t *testing.T) {
 	}
 }
 
-func TestBigIntNil(t *testing.T) {
-	if got := enc(t, BigInt(nil)); got != "80" {
-		t.Errorf("BigInt(nil) = %s", got)
-	}
-	if got := enc(t, BigInt(new(big.Int))); got != "80" {
-		t.Errorf("BigInt(0) = %s", got)
-	}
-}
-
 // The famous Ethereum constant: keccak256(rlp("")) is the empty trie root.
 // Here we only verify rlp of empty string is 0x80, the hashing is checked
 // in the trie package.
@@ -191,10 +165,10 @@ func TestEmptyStringEncoding(t *testing.T) {
 func BenchmarkEncodeTxShape(b *testing.B) {
 	item := List(
 		Uint(7),
-		BigInt(big.NewInt(20_000_000_000)),
+		Uint(20_000_000_000),
 		Uint(21000),
 		Bytes(make([]byte, 20)),
-		BigInt(big.NewInt(1e18)),
+		Uint(1e18),
 		Bytes(make([]byte, 100)),
 	)
 	b.ReportAllocs()

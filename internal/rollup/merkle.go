@@ -106,12 +106,6 @@ func NewTree(depth int, leaves []Leaf) (*Tree, error) {
 // Root returns the epoch commitment posted on chain.
 func (t *Tree) Root() types.Hash { return t.root }
 
-// Depth returns the fixed proof length.
-func (t *Tree) Depth() int { return t.depth }
-
-// Leaves returns the tree's leaves in index order.
-func (t *Tree) Leaves() []Leaf { return t.leaves }
-
 // Proof returns the Merkle proof for leaf index i: exactly Depth sibling
 // hashes, leaf level first.
 func (t *Tree) Proof(i int) ([]types.Hash, error) {

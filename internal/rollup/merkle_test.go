@@ -19,11 +19,12 @@ func mkLeaves(n int) []Leaf {
 
 func TestTreeProofsVerify(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 8, 100, 256} {
-		tree, err := NewTree(8, mkLeaves(n))
+		leaves := mkLeaves(n)
+		tree, err := NewTree(8, leaves)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		for i, l := range tree.Leaves() {
+		for i, l := range leaves {
 			proof, err := tree.Proof(i)
 			if err != nil {
 				t.Fatalf("n=%d proof(%d): %v", n, i, err)

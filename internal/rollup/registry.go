@@ -143,16 +143,6 @@ type Registry struct {
 	Depth int
 }
 
-// DeployRegistry deploys a fresh registry naming sequencer as the only
-// address allowed to post epochs.
-func DeployRegistry(p *hybrid.Participant, depth int, sequencer types.Address, gas uint64) (*Registry, error) {
-	bind, err := DeployRegistryAsync(p, depth, sequencer, gas)
-	if err != nil {
-		return nil, err
-	}
-	return bind()
-}
-
 // DeployRegistryAsync pools the registry's creation from p without waiting
 // for it to mine; the returned bind waits for the receipt and yields the
 // handle. The constructor takes the sequencer as an argument and never
@@ -194,23 +184,6 @@ func OpenRegistry(addr types.Address, depth int) (*Registry, error) {
 	return &Registry{CC: cc, Addr: addr, Depth: depth}, nil
 }
 
-// PostEpoch submits one epoch's root and waits for it to mine. The receipt
-// reports the actual gas the batch settlement cost.
-func (r *Registry) PostEpoch(p *hybrid.Participant, root types.Hash, count uint64, gas uint64) (*types.Receipt, error) {
-	hash, err := r.PostEpochAsync(p, root, count, gas)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := p.WaitReceipt(hash)
-	if err != nil {
-		return nil, err
-	}
-	if !rec.Succeeded() {
-		return rec, fmt.Errorf("rollup: postEpoch reverted")
-	}
-	return rec, nil
-}
-
 // PostEpochAsync pools the postEpoch call without waiting for it to mine. The
 // registry numbers epochs itself, in execution order, so a sequencer that
 // queues several posts (one sender, consecutive nonces) has one block carry
@@ -228,17 +201,6 @@ func (r *Registry) PostedBy(rec *types.Receipt) (*EpochPostedEvent, error) {
 		}
 	}
 	return nil, fmt.Errorf("rollup: receipt carries no EpochPosted log of registry %s", r.Addr.Hex())
-}
-
-// OpenLeaf pins a disputed leaf against its epoch's posted root. A revert
-// is expected when the leaf was already opened (the on-chain exactly-once
-// veto) or the proof does not reach the root.
-func (r *Registry) OpenLeaf(p *hybrid.Participant, epoch uint64, leaf Leaf, index int, proof []types.Hash, gas uint64) (*types.Receipt, error) {
-	hash, err := r.OpenLeafAsync(p, epoch, leaf, index, proof, gas)
-	if err != nil {
-		return nil, err
-	}
-	return p.WaitReceipt(hash)
 }
 
 // OpenLeafAsync pools the openLeaf call without waiting for it to mine, so

@@ -34,11 +34,26 @@ func registryFixture(t *testing.T) (*chain.Chain, *hybrid.Participant, *hybrid.P
 	})
 	seq := hybrid.NewParticipant(keySeq, c, nil)
 	other := hybrid.NewParticipant(keyOther, c, nil)
-	reg, err := DeployRegistry(seq, 4, seq.Addr, 3_000_000)
+	bind, err := DeployRegistryAsync(seq, 4, seq.Addr, 3_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := bind()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c, seq, other, reg
+}
+
+// landed waits for the receipt of a transaction one of the registry's
+// …Async calls pooled from p; a send error comes back as is.
+func landed(p *hybrid.Participant) func(types.Hash, error) (*types.Receipt, error) {
+	return func(hash types.Hash, err error) (*types.Receipt, error) {
+		if err != nil {
+			return nil, err
+		}
+		return p.WaitReceipt(hash)
+	}
 }
 
 func TestRegistryPostAndOpen(t *testing.T) {
@@ -49,9 +64,9 @@ func TestRegistryPostAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := reg.PostEpoch(seq, tree.Root(), uint64(len(leaves)), 500_000)
-	if err != nil {
-		t.Fatal(err)
+	rec, err := landed(seq)(reg.PostEpochAsync(seq, tree.Root(), uint64(len(leaves)), 500_000))
+	if err != nil || !rec.Succeeded() {
+		t.Fatalf("postEpoch: %v", err)
 	}
 	if rec.GasUsed == 0 {
 		t.Fatal("postEpoch gas not accounted")
@@ -72,7 +87,7 @@ func TestRegistryPostAndOpen(t *testing.T) {
 	// Anyone (not just the sequencer) can open a committed leaf within
 	// the window — the honest party files the dispute.
 	proof, _ := tree.Proof(3)
-	r, err := reg.OpenLeaf(other, 0, leaves[3], 3, proof, 500_000)
+	r, err := landed(other)(reg.OpenLeafAsync(other, 0, leaves[3], 3, proof, 500_000))
 	if err != nil || !r.Succeeded() {
 		t.Fatalf("openLeaf: %v (receipt %+v)", err, r)
 	}
@@ -93,8 +108,8 @@ func TestRegistryRejectsFraudulentOpens(t *testing.T) {
 
 	leaves := mkLeaves(6)
 	tree, _ := NewTree(4, leaves)
-	if _, err := reg.PostEpoch(seq, tree.Root(), 6, 500_000); err != nil {
-		t.Fatal(err)
+	if r, err := landed(seq)(reg.PostEpochAsync(seq, tree.Root(), 6, 500_000)); err != nil || !r.Succeeded() {
+		t.Fatalf("postEpoch: %v", err)
 	}
 
 	proof, _ := tree.Proof(1)
@@ -103,33 +118,33 @@ func TestRegistryRejectsFraudulentOpens(t *testing.T) {
 	// fold back to the root.
 	lie := leaves[1]
 	lie.Outcome = 1 - lie.Outcome
-	if r, err := reg.OpenLeaf(other, 0, lie, 1, proof, 500_000); err == nil && r.Succeeded() {
+	if r, err := landed(other)(reg.OpenLeafAsync(other, 0, lie, 1, proof, 500_000)); err == nil && r.Succeeded() {
 		t.Fatal("lied outcome opened against the root")
 	}
 
 	// Unposted epoch.
-	if r, err := reg.OpenLeaf(other, 7, leaves[1], 1, proof, 500_000); err == nil && r.Succeeded() {
+	if r, err := landed(other)(reg.OpenLeafAsync(other, 7, leaves[1], 1, proof, 500_000)); err == nil && r.Succeeded() {
 		t.Fatal("open against unposted epoch succeeded")
 	}
 
 	// Honest open succeeds once…
-	if r, err := reg.OpenLeaf(other, 0, leaves[1], 1, proof, 500_000); err != nil || !r.Succeeded() {
+	if r, err := landed(other)(reg.OpenLeafAsync(other, 0, leaves[1], 1, proof, 500_000)); err != nil || !r.Succeeded() {
 		t.Fatalf("honest open: %v", err)
 	}
 	// …and the second open of the SAME leaf reverts: the on-chain
 	// exactly-once veto for batched disputes.
-	if r, err := reg.OpenLeaf(seq, 0, leaves[1], 1, proof, 500_000); err == nil && r.Succeeded() {
+	if r, err := landed(seq)(reg.OpenLeafAsync(seq, 0, leaves[1], 1, proof, 500_000)); err == nil && r.Succeeded() {
 		t.Fatal("double open succeeded")
 	}
 
 	// Stale root: a proof computed against a DIFFERENT epoch's tree must
 	// not open a leaf of this one.
 	tree2, _ := NewTree(4, mkLeaves(9))
-	if _, err := reg.PostEpoch(seq, tree2.Root(), 9, 500_000); err != nil {
-		t.Fatal(err)
+	if r, err := landed(seq)(reg.PostEpochAsync(seq, tree2.Root(), 9, 500_000)); err != nil || !r.Succeeded() {
+		t.Fatalf("postEpoch: %v", err)
 	}
 	staleProof, _ := tree.Proof(2) // epoch-0 proof…
-	if r, err := reg.OpenLeaf(other, 1, leaves[2], 2, staleProof, 500_000); err == nil && r.Succeeded() {
+	if r, err := landed(other)(reg.OpenLeafAsync(other, 1, leaves[2], 2, staleProof, 500_000)); err == nil && r.Succeeded() {
 		t.Fatal("stale-root proof opened a leaf of epoch 1")
 	}
 
@@ -138,7 +153,7 @@ func TestRegistryRejectsFraudulentOpens(t *testing.T) {
 	c.AdvanceTime(700)
 	p2, _ := tree2.Proof(0)
 	nine := mkLeaves(9)
-	if r, err := reg.OpenLeaf(other, 1, nine[0], 0, p2, 500_000); err == nil && r.Succeeded() {
+	if r, err := landed(other)(reg.OpenLeafAsync(other, 1, nine[0], 0, p2, 500_000)); err == nil && r.Succeeded() {
 		t.Fatal("open succeeded after window expiry")
 	}
 }
@@ -146,7 +161,7 @@ func TestRegistryRejectsFraudulentOpens(t *testing.T) {
 func TestRegistryOnlySequencerPosts(t *testing.T) {
 	_, _, other, reg := registryFixture(t)
 	tree, _ := NewTree(4, mkLeaves(2))
-	if r, err := reg.PostEpoch(other, tree.Root(), 2, 500_000); err == nil && r.Succeeded() {
+	if r, err := landed(other)(reg.PostEpochAsync(other, tree.Root(), 2, 500_000)); err == nil && r.Succeeded() {
 		t.Fatal("non-sequencer posted an epoch")
 	}
 }

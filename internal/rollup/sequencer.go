@@ -41,7 +41,6 @@ type Config struct {
 	// Telemetry / Tracer are optional observability handles.
 	Telemetry *telemetry.Registry
 	Tracer    *telemetry.Tracer
-	Logf      func(string, ...interface{})
 }
 
 // Epoch is one sealed-and-posted batch: everything needed to derive any
@@ -146,6 +145,7 @@ type Sequencer struct {
 	landing chan *sentEpoch // sent posts, in send order; capacity postWindow
 
 	metrics seqMetrics
+	logf    func(string, ...interface{})
 
 	wg     sync.WaitGroup
 	ctx    context.Context
@@ -183,9 +183,6 @@ func New(cfg Config) (*Sequencer, error) {
 	if cfg.EpochAge <= 0 {
 		cfg.EpochAge = 250 * time.Millisecond
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = telemetry.Default().Layer("rollup").Logf
-	}
 	s := &Sequencer{
 		cfg:       cfg,
 		bySID:     make(map[uint64]*ticket),
@@ -193,6 +190,7 @@ func New(cfg Config) (*Sequencer, error) {
 		inflight:  make(map[uint64]*Epoch),
 		arrivedCh: make(chan struct{}, 1),
 		landing:   make(chan *sentEpoch, postWindow),
+		logf:      telemetry.Default().Layer("rollup").Logf,
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if reg := cfg.Telemetry; reg != nil {
@@ -370,14 +368,14 @@ func (s *Sequencer) Start() error {
 			return fmt.Errorf("rollup: probing sealed epoch %d: %w", e.Number, err)
 		}
 		if onChain == e.Root {
-			s.cfg.Logf("rollup: sealed epoch %d already on chain, not re-posting", e.Number)
+			s.logf("rollup: sealed epoch %d already on chain, not re-posting", e.Number)
 			if err := s.journal(&store.Record{Kind: store.KindEpochPosted, U1: e.Number, Blob: e.Root[:]}); err != nil {
 				return err
 			}
 			s.finishEpoch(e, 0)
 			continue
 		}
-		s.cfg.Logf("rollup: re-posting torn epoch %d (%d leaves)", e.Number, len(e.Leaves))
+		s.logf("rollup: re-posting torn epoch %d (%d leaves)", e.Number, len(e.Leaves))
 		se, err := s.send(e, time.Time{})
 		if err != nil {
 			return fmt.Errorf("rollup: re-posting epoch %d: %w", e.Number, err)
@@ -580,7 +578,7 @@ func (s *Sequencer) fail(err error) {
 	if s.ctx.Err() != nil {
 		return
 	}
-	s.cfg.Logf("rollup: epoch post failed: %v", err)
+	s.logf("rollup: epoch post failed: %v", err)
 	s.abort(err)
 	s.cancel()
 }
@@ -691,7 +689,7 @@ func (s *Sequencer) finishEpoch(sealed *Epoch, gasUsed uint64) {
 	number, leaves := sealed.Number, sealed.Leaves
 	postedAt, err := s.registry.PostedAt(s.cfg.Party, number)
 	if err != nil {
-		s.cfg.Logf("rollup: postedAt(%d) probe failed: %v", number, err)
+		s.logf("rollup: postedAt(%d) probe failed: %v", number, err)
 	}
 	e := &Epoch{Number: number, Root: sealed.Root, Tree: sealed.Tree, Leaves: leaves, PostedAt: postedAt, GasUsed: gasUsed}
 	index := make(map[uint64]int, len(leaves))

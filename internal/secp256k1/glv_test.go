@@ -8,7 +8,7 @@ import (
 // λ must be a nontrivial cube root of unity mod n.
 func TestGLVLambdaCubeRoot(t *testing.T) {
 	var l2, l3 Scalar
-	l2.Square(&glvLambda)
+	l2.Mul(&glvLambda, &glvLambda)
 	l3.Mul(&l2, &glvLambda)
 	one := ScalarFromUint64(1)
 	if !l3.Equal(&one) {

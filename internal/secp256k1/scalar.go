@@ -70,12 +70,6 @@ func (z *Scalar) SetUint64(v uint64) *Scalar {
 	return z
 }
 
-// Set copies x into z.
-func (z *Scalar) Set(x *Scalar) *Scalar {
-	z.n = x.n
-	return z
-}
-
 // Bytes32 returns the canonical 32-byte big-endian encoding.
 func (z *Scalar) Bytes32() [32]byte {
 	var out [32]byte
@@ -179,9 +173,6 @@ func (z *Scalar) Mul(x, y *Scalar) *Scalar {
 	z.reduce512(&t)
 	return z
 }
-
-// Square sets z = x^2 mod n.
-func (z *Scalar) Square(x *Scalar) *Scalar { return z.Mul(x, x) }
 
 // mulAddC accumulates hi * scalarC into the 4-limb value lo, returning the
 // 8-limb result (top limbs bounded by the caller's input sizes). hi may

@@ -14,11 +14,9 @@
 package secp256k1
 
 import (
-	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 
 	"onoffchain/internal/keccak"
@@ -44,11 +42,6 @@ type Signature struct {
 	V    byte
 }
 
-// IsOnCurve reports whether (x, y) satisfies y^2 = x^3 + 7 (mod p).
-func IsOnCurve(x, y FieldElement) bool {
-	return isOnCurveFE(&x, &y)
-}
-
 // IsOnCurve reports whether the public key is a valid curve point.
 func (pub *PublicKey) IsOnCurve() bool {
 	return isOnCurveFE(&pub.X, &pub.Y)
@@ -69,25 +62,6 @@ func ScalarBaseMult(k Scalar) (pub PublicKey, ok bool) {
 		return PublicKey{}, false
 	}
 	return PublicKey{X: a.x, Y: a.y}, true
-}
-
-// GenerateKey creates a private key using entropy from rnd (crypto/rand if
-// nil).
-func GenerateKey(rnd io.Reader) (*PrivateKey, error) {
-	if rnd == nil {
-		rnd = rand.Reader
-	}
-	for {
-		var buf [32]byte
-		if _, err := io.ReadFull(rnd, buf[:]); err != nil {
-			return nil, fmt.Errorf("secp256k1: entropy: %w", err)
-		}
-		var d Scalar
-		if overflow := d.SetBytes32(&buf); overflow || d.IsZero() {
-			continue
-		}
-		return PrivateKeyFromScalar(d)
-	}
 }
 
 // PrivateKeyFromScalar builds a key pair from an existing scalar in [1, n).

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math/big"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -34,7 +33,7 @@ func (z *FieldElement) big() *big.Int {
 }
 
 func TestCurveParameters(t *testing.T) {
-	if !IsOnCurve(genG.x, genG.y) {
+	if g := (PublicKey{X: genG.x, Y: genG.y}); !g.IsOnCurve() {
 		t.Fatal("generator is not on the curve")
 	}
 	// (n-1)*G == -G
@@ -108,13 +107,25 @@ func TestKnownEthereumAddresses(t *testing.T) {
 	}
 }
 
+// fixedKey returns the key whose scalar is keccak256(label, i): full-width
+// scalars, the same on every run.
+func fixedKey(t *testing.T, label string, i int) *PrivateKey {
+	t.Helper()
+	h := keccak.Sum256([]byte(label), []byte{byte(i)})
+	var d Scalar
+	if d.SetBytes32(&h) {
+		t.Fatalf("scalar %s/%d overflows n", label, i)
+	}
+	key, err := PrivateKeyFromScalar(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
 func TestSignVerifyRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 20; i++ {
-		key, err := GenerateKey(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
+		key := fixedKey(t, "round-trip", i)
 		msg := []byte("message number " + string(rune('a'+i)))
 		hash := keccak.Sum256(msg)
 		sig, err := Sign(key, hash[:])
@@ -149,9 +160,8 @@ func TestSignIsDeterministic(t *testing.T) {
 }
 
 func TestLowSNormalization(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 30; i++ {
-		key, _ := GenerateKey(rng)
+		key := fixedKey(t, "low-s", i)
 		hash := keccak.Sum256([]byte{byte(i)})
 		sig, err := Sign(key, hash[:])
 		if err != nil {
@@ -164,9 +174,8 @@ func TestLowSNormalization(t *testing.T) {
 }
 
 func TestRecoverMatchesSigner(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 20; i++ {
-		key, _ := GenerateKey(rng)
+		key := fixedKey(t, "recover", i)
 		hash := keccak.Sum256([]byte{byte(i), 0xaa})
 		sig, err := Sign(key, hash[:])
 		if err != nil {

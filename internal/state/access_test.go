@@ -32,7 +32,7 @@ func TestRecordingFootprint(t *testing.T) {
 	f.GetNonce(addr(1))
 	f.GetCode(addr(2))
 	f.GetState(addr(2), slot(1))
-	f.GetCommittedState(addr(2), slot(2))
+	f.GetState(addr(2), slot(2))
 	f.AddBalance(addr(3), uint256.NewInt(5))
 	f.SetNonce(addr(1), 8)
 	f.SetState(addr(2), slot(3), slot(0xBB))
@@ -141,15 +141,13 @@ func TestExtractApplyRoundtrip(t *testing.T) {
 	f.Finalise()
 	access := f.TakeAccess()
 	ws := f.ExtractWrites(access)
-	f.Commit()
-	wantRoot := f.Root()
+	wantRoot := f.Commit()
 
 	g := base.Fork()
 	g.ApplyWrites(ws)
 	g.Finalise()
-	g.Commit()
-	if g.Root() != wantRoot {
-		t.Fatalf("replayed root %x != executed root %x", g.Root(), wantRoot)
+	if got := g.Commit(); got != wantRoot {
+		t.Fatalf("replayed root %x != executed root %x", got, wantRoot)
 	}
 	if !bytes.Equal(g.GetCode(addr(7)), []byte{0xFE}) {
 		t.Error("replay lost created account's code")
@@ -201,14 +199,13 @@ func TestExtractSelfDestruct(t *testing.T) {
 	f.Finalise()
 	access := f.TakeAccess()
 	ws := f.ExtractWrites(access)
-	f.Commit()
+	wantRoot := f.Commit()
 
 	g := base.Fork()
 	g.ApplyWrites(ws)
 	g.Finalise()
-	g.Commit()
-	if g.Root() != f.Root() {
-		t.Fatalf("destroy replay root %x != executed %x", g.Root(), f.Root())
+	if got := g.Commit(); got != wantRoot {
+		t.Fatalf("destroy replay root %x != executed %x", got, wantRoot)
 	}
 	if g.Exist(addr(2)) {
 		t.Error("destroyed account still exists after replay")
@@ -251,14 +248,6 @@ func TestForkRecordingCodeIsolation(t *testing.T) {
 	// Parent code reachable through the fallback store.
 	if !bytes.Equal(f1.GetCode(addr(2)), []byte{0x60, 0x00}) {
 		t.Error("fork lost access to parent code")
-	}
-	// Copy of a fork flattens the fallback so the copy stands alone.
-	cp := f1.Copy()
-	if !bytes.Equal(cp.GetCode(addr(2)), []byte{0x60, 0x00}) {
-		t.Error("copy lost fallback code")
-	}
-	if !bytes.Equal(cp.GetCode(addr(10)), []byte{0x01}) {
-		t.Error("copy lost fork-private code")
 	}
 }
 
@@ -315,19 +304,6 @@ func TestSnapshotRevertAcrossForkReads(t *testing.T) {
 	}
 	if got := f.GetState(addr(2), slot(1)); got != slot(0xAA) {
 		t.Errorf("revert lost trie-loaded storage: %x", got)
-	}
-}
-
-func TestResetRefund(t *testing.T) {
-	s := New()
-	s.AddRefund(100)
-	s.SubRefund(40)
-	if s.GetRefund() != 60 {
-		t.Fatalf("refund = %d", s.GetRefund())
-	}
-	s.ResetRefund()
-	if s.GetRefund() != 0 {
-		t.Error("ResetRefund left a residue")
 	}
 }
 

@@ -321,17 +321,6 @@ func (s *StateDB) GetState(addr types.Address, key types.Hash) types.Hash {
 	return s.committedState(obj, key)
 }
 
-// GetCommittedState reads the slot value as of the last commit (the
-// "original" value used by SSTORE refund rules).
-func (s *StateDB) GetCommittedState(addr types.Address, key types.Hash) types.Hash {
-	s.recordSlotRead(addr, key)
-	obj := s.getObject(addr)
-	if obj == nil {
-		return types.Hash{}
-	}
-	return s.committedState(obj, key)
-}
-
 func (s *StateDB) committedState(obj *stateObject, key types.Hash) types.Hash {
 	if v, ok := obj.originStorage[key]; ok {
 		return v
@@ -398,21 +387,8 @@ func (s *StateDB) AddRefund(gas uint64) {
 	s.refund += gas
 }
 
-// SubRefund decreases the refund counter.
-func (s *StateDB) SubRefund(gas uint64) {
-	prev := s.refund
-	s.journal = append(s.journal, journalEntry{revert: func(db *StateDB) { db.refund = prev }})
-	if gas > s.refund {
-		panic("state: refund underflow")
-	}
-	s.refund -= gas
-}
-
 // GetRefund returns the accumulated refund.
 func (s *StateDB) GetRefund() uint64 { return s.refund }
-
-// ResetRefund clears the refund counter (start of transaction).
-func (s *StateDB) ResetRefund() { s.refund = 0 }
 
 // AddLog records an emitted log, stamped with the tx context.
 func (s *StateDB) AddLog(log *types.Log) {
@@ -424,9 +400,6 @@ func (s *StateDB) AddLog(log *types.Log) {
 	s.journal = append(s.journal, journalEntry{revert: func(db *StateDB) { db.logs = db.logs[:prevLen] }})
 	s.logs = append(s.logs, log)
 }
-
-// Logs returns all logs recorded since the last TakeLogs.
-func (s *StateDB) Logs() []*types.Log { return s.logs }
 
 // TakeLogs returns and clears the recorded logs (end of transaction).
 func (s *StateDB) TakeLogs() []*types.Log {
@@ -567,9 +540,6 @@ func (s *StateDB) flushOneStorage(obj *stateObject) {
 	obj.storage = make(map[types.Hash]types.Hash)
 }
 
-// Root returns the state root as of the last Commit.
-func (s *StateDB) Root() types.Hash { return s.root }
-
 func trimLeftZeros(b []byte) []byte {
 	i := 0
 	for i < len(b) && b[i] == 0 {
@@ -579,8 +549,8 @@ func trimLeftZeros(b []byte) []byte {
 }
 
 // Fork returns a view of the last committed state that loads accounts
-// lazily from the trie, for eth_call-style speculative execution. Unlike
-// Copy it is O(1): nothing is copied up front. The code store is shared —
+// lazily from the trie, for eth_call-style speculative execution. It is
+// O(1): nothing is copied up front. The code store is shared —
 // it is content-addressed and append-only, so entries a fork adds are
 // harmless. The caller must ensure the canonical state is not mutated
 // concurrently (Chain.Call holds the chain lock).
@@ -597,49 +567,4 @@ func (s *StateDB) Fork() *StateDB {
 		objects: make(map[types.Address]*stateObject),
 		dirties: make(map[types.Address]struct{}),
 	}
-}
-
-// Copy returns a deep copy of the state, including uncommitted mutations.
-// The trie node store is shared: it is content-addressed and append-only,
-// so sharing is safe.
-func (s *StateDB) Copy() *StateDB {
-	tr, err := trie.NewSecureFromRoot(s.db, s.root)
-	if err != nil {
-		panic("state: copy from unknown root: " + err.Error())
-	}
-	cp := &StateDB{
-		db:      s.db,
-		tr:      tr,
-		root:    s.root,
-		codes:   make(map[types.Hash][]byte, len(s.codes)),
-		objects: make(map[types.Address]*stateObject, len(s.objects)),
-		dirties: make(map[types.Address]struct{}, len(s.dirties)),
-		refund:  s.refund,
-	}
-	for addr := range s.dirties {
-		cp.dirties[addr] = struct{}{}
-	}
-	for h, code := range s.fallbackCodes {
-		cp.codes[h] = code
-	}
-	for h, code := range s.codes {
-		cp.codes[h] = code
-	}
-	for addr, obj := range s.objects {
-		n := newObject(addr)
-		n.account = obj.account
-		n.account.Balance = obj.account.Balance.Clone()
-		n.code = append([]byte{}, obj.code...)
-		for k, v := range obj.storage {
-			n.storage[k] = v
-		}
-		for k, v := range obj.originStorage {
-			n.originStorage[k] = v
-		}
-		n.selfDestructed = obj.selfDestructed
-		n.deleted = obj.deleted
-		n.created = obj.created
-		cp.objects[addr] = n
-	}
-	return cp
 }

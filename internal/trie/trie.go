@@ -68,14 +68,6 @@ func (db *Database) Node(h types.Hash) ([]byte, bool) {
 	return enc, ok
 }
 
-// Len returns the number of stored nodes.
-func (db *Database) Len() int {
-	db.mu.RLock()
-	n := len(db.nodes)
-	db.mu.RUnlock()
-	return n
-}
-
 // Trie is a mutable Merkle Patricia Trie.
 type Trie struct {
 	root node
@@ -516,9 +508,6 @@ func NewSecureFromRoot(db *Database, root types.Hash) (*SecureTrie, error) {
 	}
 	return &SecureTrie{inner: inner}, nil
 }
-
-// Database exposes the underlying node store.
-func (s *SecureTrie) Database() *Database { return s.inner.db }
 
 // Get fetches the value for the (pre-hash) key.
 func (s *SecureTrie) Get(key []byte) []byte {

@@ -68,13 +68,6 @@ func (a Address) String() string { return a.Hex() }
 // IsZero reports whether the address is the zero address.
 func (a Address) IsZero() bool { return a == Address{} }
 
-// Hash returns the address left-padded to 32 bytes.
-func (a Address) Hash() Hash {
-	var h Hash
-	copy(h[12:], a[:])
-	return h
-}
-
 // BytesToHash converts b to a Hash, left-padding or truncating to 32 bytes.
 func BytesToHash(b []byte) Hash {
 	var h Hash

@@ -1,10 +1,8 @@
 package types
 
 import (
-	"bytes"
 	"encoding/hex"
 	"testing"
-	"testing/quick"
 
 	"onoffchain/internal/keccak"
 	"onoffchain/internal/secp256k1"
@@ -227,17 +225,6 @@ func TestDeriveListHashes(t *testing.T) {
 	r2 := &Receipt{Status: 0, GasUsed: 2}
 	if DeriveReceiptListHash([]*Receipt{r1}) == DeriveReceiptListHash([]*Receipt{r2}) {
 		t.Error("receipt list hash collision")
-	}
-}
-
-func TestAddressHashPadding(t *testing.T) {
-	f := func(raw [20]byte) bool {
-		a := Address(raw)
-		h := a.Hash()
-		return bytes.Equal(h[12:], a[:]) && bytes.Equal(h[:12], make([]byte, 12))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

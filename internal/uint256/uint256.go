@@ -724,11 +724,6 @@ func (z *Int) Bytes() []byte {
 	return out
 }
 
-// Hex returns a 0x-prefixed minimal hexadecimal representation.
-func (z *Int) Hex() string {
-	return fmt.Sprintf("%#x", z.ToBig())
-}
-
 // String implements fmt.Stringer with decimal formatting.
 func (z *Int) String() string {
 	return z.ToBig().String()

@@ -305,17 +305,17 @@ func TestEdgeValues(t *testing.T) {
 	// MinInt256 / -1 wraps to MinInt256 (EVM rule).
 	z.SDiv(minInt256, negOne)
 	if !z.Eq(minInt256) {
-		t.Errorf("SDiv(MinInt256, -1) = %s, want MinInt256", z.Hex())
+		t.Errorf("SDiv(MinInt256, -1) = %#x, want MinInt256", &z)
 	}
 	// max + 1 == 0
 	z.Add(max, NewInt(1))
 	if !z.IsZero() {
-		t.Errorf("max+1 = %s, want 0", z.Hex())
+		t.Errorf("max+1 = %#x, want 0", &z)
 	}
 	// 0 - 1 == max
 	z.Sub(new(Int), NewInt(1))
 	if !z.Eq(max) {
-		t.Errorf("0-1 = %s, want max", z.Hex())
+		t.Errorf("0-1 = %#x, want max", &z)
 	}
 	// x / 0 == 0, x % 0 == 0
 	z.Div(NewInt(5), new(Int))
@@ -348,7 +348,7 @@ func TestSetFromBigNegative(t *testing.T) {
 	// -1 becomes 2^256-1 (two's complement).
 	z, _ := FromBig(big.NewInt(-1))
 	if !z.Eq(new(Int).Not(new(Int))) {
-		t.Errorf("FromBig(-1) = %s", z.Hex())
+		t.Errorf("FromBig(-1) = %#x", z)
 	}
 }
 
@@ -367,10 +367,10 @@ func TestBitLenByteLen(t *testing.T) {
 	}
 	for _, c := range cases {
 		if c.v.BitLen() != c.bits {
-			t.Errorf("BitLen(%s) = %d, want %d", c.v.Hex(), c.v.BitLen(), c.bits)
+			t.Errorf("BitLen(%#x) = %d, want %d", c.v, c.v.BitLen(), c.bits)
 		}
 		if c.v.ByteLen() != c.bytesz {
-			t.Errorf("ByteLen(%s) = %d, want %d", c.v.Hex(), c.v.ByteLen(), c.bytesz)
+			t.Errorf("ByteLen(%#x) = %d, want %d", c.v, c.v.ByteLen(), c.bytesz)
 		}
 	}
 }

@@ -27,7 +27,7 @@ func TestDelegateCallStorageContext(t *testing.T) {
 	}
 	// The write landed in the PROXY's storage, not the library's.
 	got := st.GetState(proxy, types.BytesToHash([]byte{1}))
-	want := caller.Hash()
+	want := types.BytesToHash(caller[:])
 	if got != want {
 		t.Errorf("proxy slot = %s, want caller %s", got.Hex(), want.Hex())
 	}
@@ -53,8 +53,8 @@ func TestCallCodeStorageContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := st.GetState(proxy, types.BytesToHash([]byte{2}))
-	if got != proxy.Hash() {
-		t.Errorf("callcode sender = %s, want proxy %s", got.Hex(), proxy.Hash().Hex())
+	if want := types.BytesToHash(proxy[:]); got != want {
+		t.Errorf("callcode sender = %s, want proxy %s", got.Hex(), want.Hex())
 	}
 }
 

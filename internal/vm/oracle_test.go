@@ -697,7 +697,7 @@ func execFrames(run func(*EVM, *Contract) ([]byte, error), code, input []byte) [
 	for frame := 0; frame < 2; frame++ {
 		c := newContract(caller, self, uint256.NewInt(0), code, input, oracleGas)
 		ret, err := run(evm, c)
-		out := frameOutcome{ret: ret, err: err, gas: c.Gas, refund: st.GetRefund(), logs: st.Logs()}
+		out := frameOutcome{ret: ret, err: err, gas: c.Gas, refund: st.GetRefund(), logs: st.TakeLogs()}
 		out.root = st.Commit()
 		outs = append(outs, out)
 		if err != nil || len(ret) == 0 {

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -195,7 +196,7 @@ func TestTruncatedPush(t *testing.T) {
 		{[]byte{0xff}, 32, "0xff" + strings.Repeat("00", 31)},
 	} {
 		v := truncatedPush(c.tail, c.n)
-		if got := v.Hex(); got != c.want {
+		if got := fmt.Sprintf("%#x", &v); got != c.want {
 			t.Errorf("PUSH%d %x: pushed %s, want %s", c.n, c.tail, got, c.want)
 		}
 	}
@@ -594,7 +595,7 @@ func TestLogsEmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logs := st.Logs()
+	logs := st.TakeLogs()
 	if len(logs) != 1 {
 		t.Fatalf("logs = %d", len(logs))
 	}

@@ -189,9 +189,6 @@ func (n *Network) NewNode(key *secp256k1.PrivateKey) *Node {
 	return &Node{network: n, key: key, address: types.Address(key.EthereumAddress())}
 }
 
-// Address returns the node's identity address.
-func (nd *Node) Address() types.Address { return nd.address }
-
 // Subscribe returns a channel of verified envelopes on the topic. The
 // buffer is generous; a full buffer drops (simulating lossy gossip).
 // Callers that outlive their interest in the topic must Unsubscribe the

@@ -32,7 +32,7 @@ func TestPostAndSubscribe(t *testing.T) {
 	if string(env.Payload) != "hello bob" {
 		t.Errorf("payload = %q", env.Payload)
 	}
-	if env.From != alice.Address() {
+	if env.From != alice.address {
 		t.Errorf("from = %s", env.From)
 	}
 	if !env.Verify() {
@@ -77,7 +77,7 @@ func TestEnvelopeTamperDetection(t *testing.T) {
 	}
 	// Claiming a different sender must also fail.
 	env.Payload = []byte("authentic")
-	env.From = bob.Address()
+	env.From = bob.address
 	if env.Verify() {
 		t.Error("spoofed sender verified")
 	}
@@ -133,7 +133,7 @@ func TestEncryptedPost(t *testing.T) {
 	bobInbox := bob.Subscribe(topic)
 	eveInbox := eve.Subscribe(topic)
 
-	key := SharedTopicKey("alice-bob", []types.Address{alice.Address(), bob.Address()})
+	key := SharedTopicKey("alice-bob", []types.Address{alice.address, bob.address})
 	secret := []byte("the betting rules: reveal() internals")
 	alice.Post(topic, secret, PostOptions{Key: key})
 
@@ -147,7 +147,7 @@ func TestEncryptedPost(t *testing.T) {
 	if bytes.Contains(eveEnv.Payload, []byte("betting")) {
 		t.Error("payload leaked in plaintext")
 	}
-	eveKey := SharedTopicKey("alice-eve", []types.Address{alice.Address(), eve.Address()})
+	eveKey := SharedTopicKey("alice-eve", []types.Address{alice.address, eve.address})
 	if _, err := Decrypt(eveKey, eveEnv.Payload); err == nil {
 		t.Error("eve decrypted with wrong key")
 	}
@@ -295,7 +295,7 @@ func TestEnvelopeVerdictMemoKeyedByContent(t *testing.T) {
 		"topic":   func() { env.Topic[0] ^= 1 },
 		"expiry":  func() { env.Expiry++ },
 		"payload": func() { env.Payload = []byte("forged!!!") },
-		"from":    func() { env.From = bob.Address() },
+		"from":    func() { env.From = bob.address },
 		"sigV":    func() { env.SigV ^= 1 },
 		"sigR":    func() { env.SigR = good.s },
 		"sigS":    func() { env.SigS = good.r },

@@ -373,15 +373,18 @@ func (t *Tower) regossipLoop() {
 // while their windows are open: the whisper overlay is lossy (full
 // subscriber buffers drop envelopes), and a one-shot export that never
 // arrived would silently leave that window unguarded on the peer.
-// Receivers dedup against their tower's guard set, so repetition costs only
-// bandwidth — and only during the handful of seconds a window is actually
-// open.
+// Receivers dedup against their tower's guard set and the chain, so
+// repetition costs only bandwidth — and only during the handful of seconds
+// a window is actually open. A re-post is marked (U3 = 1) so receivers can
+// tell it from the first export.
 func (t *Tower) regossip() {
 	for _, e := range t.tower.Watches() {
 		if e.SID() == 0 || e.OpenWindow() == nil {
 			continue // adopted, or nothing at stake right now
 		}
-		t.post(guardRecord(exportOf(e)), e.TraceCtx())
+		rec := guardRecord(exportOf(e))
+		rec.U3 = 1
+		t.post(rec, e.TraceCtx())
 	}
 }
 
@@ -431,6 +434,15 @@ func (t *Tower) handleEnvelope(env *whisper.Envelope) {
 		t.cfg.Logf("federation: guard gossip from %s: %v", env.From.Hex(), err)
 		return
 	}
+	// A re-post of a contract whose settlement is on chain is dropped
+	// before the rebuild. The bus delivers a sender's posts in order, so the
+	// first export came first: this tower adopted the guard from it, and
+	// then ended it on the settlement. Adopting the re-post would rebuild
+	// the session, replay its history, journal the guard and count it a
+	// second time.
+	if rec.U3 == 1 && t.settledOnChain(g.Contract) {
+		return
+	}
 	g.Trace = env.TraceCtx()
 	// Adopted here, on the receiving goroutine: the bus's subscriber buffer
 	// is the backlog, and regossip repeats a guard while its window is open.
@@ -453,9 +465,11 @@ func (t *Tower) isMember(a types.Address) bool {
 // already guards the contract: rebuild the session from the registry spec +
 // party scalars + signed copy (see rebuild), register the watch, and replay
 // the contract's chain history through the tower, which reopens a window
-// whose submission beat the gossip (or this tower's restart) here. A guard
-// the tower already ended is adopted again if it is gossiped again; the
-// replay finds it settled, or its batch window clean, and ends it again.
+// whose submission beat the gossip (or this tower's restart) here. A
+// settled contract's guard adopted from its first export (or the journal)
+// is ended again by that replay. A rolled-up leaf has no settlement log, so
+// a re-post of one whose batch window the tower found clean is adopted
+// again, and the replay's sandbox ends it again.
 func (t *Tower) adopt(g *guardExport, journalIt bool) error {
 	if t.tower.Guarding(g.Contract) {
 		return nil
@@ -497,6 +511,16 @@ func (t *Tower) adopt(g *guardExport, journalIt bool) error {
 	addr := g.Contract
 	t.tower.ReplayLogs(t.cfg.Chain.FilterLogs(chain.FilterQuery{Address: &addr}))
 	return nil
+}
+
+// settledOnChain reports whether the contract has logged its settlement,
+// by finalization or by an enforced dispute — the logs on which the
+// watchtower ends a guard. The query is served from the log index.
+func (t *Tower) settledOnChain(contract types.Address) bool {
+	return len(t.cfg.Chain.FilterLogs(chain.FilterQuery{
+		Address: &contract,
+		Topics:  []types.Hash{hybrid.TopicResultFinalized, hybrid.TopicDisputeResolved},
+	})) > 0
 }
 
 // rebuild reconstructs a guardable session from exported guard state —

@@ -930,32 +930,43 @@ func TestSignedGossip(t *testing.T) {
 // and disputed exactly once fleet-wide. Every tower ends every guard — a
 // settled contract's, and an honest leaf's once its sandbox finds the batch
 // window clean — and a standalone tower's journal folds to no open guard.
+// The per-session legs run the same fleet without the rollup: there every
+// guard ends on a settlement log, so the journal holds exactly one guard
+// record per contract, however often the owner re-posted it.
 func TestFederationRollupFleet(t *testing.T) {
 	for _, mode := range miningModes {
 		mode := mode
-		t.Run("mining="+mode, func(t *testing.T) { fedRollupRun(t, mode) })
+		t.Run("mining="+mode, func(t *testing.T) { fedRollupRun(t, mode, true) })
+	}
+	for _, mode := range miningModes {
+		mode := mode
+		t.Run("per-session,mining="+mode, func(t *testing.T) { fedRollupRun(t, mode, false) })
 	}
 }
 
-func fedRollupRun(t *testing.T, mode string) {
+func fedRollupRun(t *testing.T, mode string, rolled bool) {
 	c, net, faucetKey := fedWorld(t, mode)
 	keys, members := memberKeys(t, 3)
 
-	h := hub.New(c, net, faucetKey, hub.Config{
-		Workers: 4,
-		Rollup:  &hub.RollupConfig{Depth: 4, EpochAge: 60 * time.Millisecond},
-	})
+	hcfg, honestStage := hub.Config{Workers: 4}, hub.StageSettled
+	if rolled {
+		hcfg.Rollup = &hub.RollupConfig{Depth: 4, EpochAge: 60 * time.Millisecond}
+		honestStage = hub.StageRolledUp
+	}
+	h := hub.New(c, net, faucetKey, hcfg)
 	rsrc := h.RollupHandles()
-	if rsrc == nil {
-		t.Fatal("rollup hub exposes no handles")
+	if rolled != (rsrc != nil) {
+		t.Fatalf("rollup hub exposes handles %v, want %v", rsrc != nil, rolled)
 	}
 	mk := func(k *secp256k1.PrivateKey) Config {
 		cfg := fedConfig(c, net, k, members)
 		cfg.Rollup = rsrc
 		return cfg
 	}
-	if _, err := AttachHub(h, mk(keys[0])); err == nil {
-		t.Fatal("AttachHub accepted a Rollup for a hub whose tower guards its own batches")
+	if rolled {
+		if _, err := AttachHub(h, mk(keys[0])); err == nil {
+			t.Fatal("AttachHub accepted a Rollup for a hub whose tower guards its own batches")
+		}
 	}
 	hubTower, err := AttachHub(h, fedConfig(c, net, keys[0], members))
 	if err != nil {
@@ -1000,8 +1011,8 @@ func fedRollupRun(t *testing.T, mode string) {
 			if rep.Stage != hub.StageResolved || !rep.Disputed {
 				t.Errorf("session %d (%s): stage=%s disputed=%v, want a resolved dispute", i, rep.Scenario, rep.Stage, rep.Disputed)
 			}
-		} else if rep.Stage != hub.StageRolledUp || rep.Disputed {
-			t.Errorf("session %d (%s): stage=%s disputed=%v, want rolled-up", i, rep.Scenario, rep.Stage, rep.Disputed)
+		} else if rep.Stage != honestStage || rep.Disputed {
+			t.Errorf("session %d (%s): stage=%s disputed=%v, want %s", i, rep.Scenario, rep.Stage, rep.Disputed, honestStage)
 		}
 	}
 	towers := []*Tower{hubTower, s1, s2}
@@ -1024,14 +1035,38 @@ func fedRollupRun(t *testing.T, mode string) {
 	if fs := foldFederation(recs); len(fs.guards) != 0 {
 		t.Errorf("standalone tower's journal folds to %d open guards, want 0", len(fs.guards))
 	}
+	if !rolled {
+		guardRecs := map[types.Address]int{}
+		for _, rec := range recs {
+			if rec.Kind != store.KindFedGuard {
+				continue
+			}
+			if g, err := decodeGuardRecord(rec); err == nil {
+				guardRecs[g.Contract]++
+			}
+		}
+		for _, rep := range reports {
+			if n := guardRecs[rep.OnChainAddr]; n != 1 {
+				t.Errorf("contract %s: %d guard records in the standalone tower's journal, want 1", rep.OnChainAddr.Hex(), n)
+			}
+		}
+		if len(guardRecs) != len(reports) {
+			t.Errorf("journal holds guards for %d contracts, want %d", len(guardRecs), len(reports))
+		}
+	}
 
-	// Chain truth. No session contract ever saw a submit or finalize —
-	// settlement commits are epoch posts — and every lie was enforced
-	// exactly once despite three towers guarding the same batches.
+	// Chain truth. Rolled up, no session contract ever saw a submit or
+	// finalize — settlement commits are epoch posts; per session, every
+	// honest contract finalized. Every lie was enforced exactly once
+	// despite three towers guarding the same sessions.
 	ec := countEvents(c)
 	for i, rep := range reports {
 		addr := rep.OnChainAddr
-		if ec.submitted[addr] != 0 || ec.finalized[addr] != 0 {
+		if !rolled {
+			if !specs[i].Adversarial && ec.finalized[addr] != 1 {
+				t.Errorf("honest contract %s: finalized=%d, want 1", addr.Hex(), ec.finalized[addr])
+			}
+		} else if ec.submitted[addr] != 0 || ec.finalized[addr] != 0 {
 			t.Errorf("contract %s: submitted=%d finalized=%d, want 0/0 in rollup mode",
 				addr.Hex(), ec.submitted[addr], ec.finalized[addr])
 		}
@@ -1043,23 +1078,25 @@ func fedRollupRun(t *testing.T, mode string) {
 			t.Errorf("honest contract %s: opened=%d resolved=%d, want 0/0", addr.Hex(), ec.opened[addr], ec.resolved[addr])
 		}
 	}
-	posted, leavesOpened := 0, 0
-	for _, l := range c.FilterLogs(chain.FilterQuery{}) {
-		if len(l.Topics) == 0 {
-			continue
+	if rolled {
+		posted, leavesOpened := 0, 0
+		for _, l := range c.FilterLogs(chain.FilterQuery{}) {
+			if len(l.Topics) == 0 {
+				continue
+			}
+			switch l.Topics[0] {
+			case rollup.TopicEpochPosted:
+				posted++
+			case rollup.TopicLeafOpened:
+				leavesOpened++
+			}
 		}
-		switch l.Topics[0] {
-		case rollup.TopicEpochPosted:
-			posted++
-		case rollup.TopicLeafOpened:
-			leavesOpened++
+		if posted == 0 || posted >= len(specs) {
+			t.Errorf("epoch posts = %d for %d sessions, want batching in [1, %d)", posted, len(specs), len(specs))
 		}
-	}
-	if posted == 0 || posted >= len(specs) {
-		t.Errorf("epoch posts = %d for %d sessions, want batching in [1, %d)", posted, len(specs), len(specs))
-	}
-	if leavesOpened != adversarial {
-		t.Errorf("leaves opened on chain = %d, adversarial sessions = %d", leavesOpened, adversarial)
+		if leavesOpened != adversarial {
+			t.Errorf("leaves opened on chain = %d, adversarial sessions = %d", leavesOpened, adversarial)
+		}
 	}
 	m0, m1, m2 := hubTower.Metrics(), s1.Metrics(), s2.Metrics()
 	filed := m0.DisputesFiled + m1.DisputesFiled + m2.DisputesFiled

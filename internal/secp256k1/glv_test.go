@@ -5,6 +5,20 @@ import (
 	"testing"
 )
 
+// scalarMult sets p = k*q for an arbitrary affine point via width-5 wNAF,
+// without the GLV split: the reference the GLV paths are checked against.
+func scalarMult(p *jacobianPoint, k *Scalar, q *affinePoint) {
+	var qTab [qWnafEntries]jacobianPoint
+	buildQTable(&qTab, q)
+	var digits [257]int8
+	l := k.wnaf(&digits, qWnafWidth)
+	p.setInfinity()
+	for i := l - 1; i >= 0; i-- {
+		p.double()
+		p.addQDigit(&qTab, digits[i])
+	}
+}
+
 // λ must be a nontrivial cube root of unity mod n.
 func TestGLVLambdaCubeRoot(t *testing.T) {
 	var l2, l3 Scalar

@@ -524,18 +524,3 @@ func multiScalarMult(p *jacobianPoint, gk *Scalar, scalars []Scalar, points []af
 		}
 	}
 }
-
-// scalarMult sets p = k*q for an arbitrary affine point via width-5 wNAF
-// (used by tests and key tooling; the hot paths use the two entry points
-// above).
-func scalarMult(p *jacobianPoint, k *Scalar, q *affinePoint) {
-	var qTab [qWnafEntries]jacobianPoint
-	buildQTable(&qTab, q)
-	var digits [257]int8
-	l := k.wnaf(&digits, qWnafWidth)
-	p.setInfinity()
-	for i := l - 1; i >= 0; i-- {
-		p.double()
-		p.addQDigit(&qTab, digits[i])
-	}
-}

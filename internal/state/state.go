@@ -91,10 +91,15 @@ type journalEntry struct {
 
 // StateDB is the mutable world state with snapshot/revert support.
 type StateDB struct {
-	db      *trie.Database
-	tr      *trie.SecureTrie
+	tr      trie.SecureTrie // the account trie as of the last Commit
 	codes   map[types.Hash][]byte
 	objects map[types.Address]*stateObject
+
+	// tries holds the storage trie of every account whose storage this
+	// state has committed. A fork reads the rest through parent, the
+	// state it was forked from.
+	tries  map[types.Address]trie.Trie
+	parent *StateDB
 
 	// fallbackCodes is a read-only parent code store consulted on misses
 	// (set by ForkRecording so concurrent forks never write the shared
@@ -102,8 +107,6 @@ type StateDB struct {
 	// running transaction (see access.go).
 	fallbackCodes map[types.Hash][]byte
 	rec           *Access
-
-	root types.Hash // root as of the last Commit
 
 	// dirties are accounts mutated since the last Commit. Commit flushes
 	// only these: rewriting every cached object would make each block
@@ -120,15 +123,12 @@ type StateDB struct {
 	block   uint64
 }
 
-// New creates an empty state backed by a fresh trie database.
+// New creates an empty state.
 func New() *StateDB {
-	db := trie.NewDatabase()
 	return &StateDB{
-		db:      db,
-		tr:      trie.NewSecure(db),
-		root:    trie.EmptyRoot,
 		codes:   make(map[types.Hash][]byte),
 		objects: make(map[types.Address]*stateObject),
+		tries:   make(map[types.Address]trie.Trie),
 		dirties: make(map[types.Address]struct{}),
 	}
 }
@@ -327,18 +327,28 @@ func (s *StateDB) committedState(obj *stateObject, key types.Hash) types.Hash {
 	}
 	var v types.Hash
 	if obj.account.Root != trie.EmptyRoot {
-		st, err := trie.FromRoot(s.db, obj.account.Root)
-		if err == nil {
-			if enc := st.Get(keccak.Sum256Bytes(key.Bytes())); enc != nil {
-				item, err := rlp.Decode(enc)
-				if err == nil {
-					v = types.BytesToHash(item.Bytes)
-				}
+		st := s.storageTrie(obj.address)
+		if enc := st.Get(keccak.Sum256Bytes(key.Bytes())); enc != nil {
+			item, err := rlp.Decode(enc)
+			if err == nil {
+				v = types.BytesToHash(item.Bytes)
 			}
 		}
 	}
 	obj.originStorage[key] = v
 	return v
+}
+
+// storageTrie returns addr's storage trie as of the last Commit. It is
+// consulted only for an account whose storage root is not empty, which a
+// Commit gives only together with the trie.
+func (s *StateDB) storageTrie(addr types.Address) trie.Trie {
+	for ; s != nil; s = s.parent {
+		if t, ok := s.tries[addr]; ok {
+			return t
+		}
+	}
+	return trie.Trie{}
 }
 
 // SetState writes a storage slot.
@@ -438,9 +448,10 @@ func (s *StateDB) Finalise() {
 // trie and returns the new state root. Clean cached objects are skipped.
 //
 // The per-account storage flush is embarrassingly parallel — each account
-// owns a disjoint storage trie, and the shared node store is concurrency-
-// safe — so on multi-core hosts the storage tries are flushed across a
-// worker pool before the (serial, deterministic) account-trie update.
+// owns a disjoint storage trie, and an update copies the path it changes
+// rather than writing a node another trie shares — so on multi-core hosts
+// the storage tries are flushed across a worker pool before the (serial,
+// deterministic) account-trie update.
 func (s *StateDB) Commit() types.Hash {
 	s.Finalise()
 	// Deterministic iteration order for reproducible tries.
@@ -462,35 +473,39 @@ func (s *StateDB) Commit() types.Hash {
 			flush = append(flush, obj)
 		}
 	}
-	s.flushStorage(flush, runtime.GOMAXPROCS(0))
+	for i, st := range s.flushStorage(flush, runtime.GOMAXPROCS(0)) {
+		s.tries[flush[i].address] = st
+	}
 	// Phase 2: fold the accounts into the state trie serially.
 	for _, addr := range addrs {
 		obj := s.objects[addr]
 		if obj.deleted {
 			s.tr.Delete(addr.Bytes())
 			delete(s.objects, addr)
+			delete(s.tries, addr)
 			continue
 		}
 		s.tr.Update(addr.Bytes(), obj.account.EncodeRLP())
 	}
 	s.dirties = make(map[types.Address]struct{})
-	s.root = s.tr.Hash()
-	return s.root
+	return s.tr.Hash()
 }
 
 // flushStorage commits the dirty storage of every object across at most
-// workers goroutines. Each object's flush touches only that object and
-// its own storage trie (the shared node database is mutex-guarded), so
-// the resulting storage roots are identical to a serial flush.
-func (s *StateDB) flushStorage(objs []*stateObject, workers int) {
+// workers goroutines and returns each object's new storage trie. Each
+// object's flush touches only that object and its own copy of its
+// storage trie, so the resulting storage roots are identical to a serial
+// flush.
+func (s *StateDB) flushStorage(objs []*stateObject, workers int) []trie.Trie {
+	tries := make([]trie.Trie, len(objs))
 	if workers > len(objs) {
 		workers = len(objs)
 	}
 	if workers <= 1 {
-		for _, obj := range objs {
-			s.flushOneStorage(obj)
+		for i, obj := range objs {
+			tries[i] = s.flushOneStorage(obj)
 		}
-		return
+		return tries
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -503,19 +518,21 @@ func (s *StateDB) flushStorage(objs []*stateObject, workers int) {
 				if i >= len(objs) {
 					return
 				}
-				s.flushOneStorage(objs[i])
+				tries[i] = s.flushOneStorage(objs[i])
 			}
 		}()
 	}
 	wg.Wait()
+	return tries
 }
 
-// flushOneStorage writes one account's dirty storage slots into its
-// storage trie and records the new root on the account.
-func (s *StateDB) flushOneStorage(obj *stateObject) {
-	st, err := trie.FromRoot(s.db, obj.account.Root)
-	if err != nil {
-		st, _ = trie.FromRoot(s.db, trie.EmptyRoot)
+// flushOneStorage writes one account's dirty storage slots into a copy of
+// its storage trie, records the new root on the account and returns the
+// trie.
+func (s *StateDB) flushOneStorage(obj *stateObject) trie.Trie {
+	var st trie.Trie
+	if obj.account.Root != trie.EmptyRoot {
+		st = s.storageTrie(obj.address)
 	}
 	keys := make([]types.Hash, 0, len(obj.storage))
 	for k := range obj.storage {
@@ -538,6 +555,7 @@ func (s *StateDB) flushOneStorage(obj *stateObject) {
 	}
 	obj.account.Root = st.Hash()
 	obj.storage = make(map[types.Hash]types.Hash)
+	return st
 }
 
 func trimLeftZeros(b []byte) []byte {
@@ -550,21 +568,19 @@ func trimLeftZeros(b []byte) []byte {
 
 // Fork returns a view of the last committed state that loads accounts
 // lazily from the trie, for eth_call-style speculative execution. It is
-// O(1): nothing is copied up front. The code store is shared —
-// it is content-addressed and append-only, so entries a fork adds are
-// harmless. The caller must ensure the canonical state is not mutated
-// concurrently (Chain.Call holds the chain lock).
+// O(1): the fork copies the account-trie handle, reads storage tries
+// through this state, and shares the code store, which is
+// content-addressed and append-only, so entries a fork adds are harmless.
+// The fork stays valid until this state's next Commit; the caller must
+// ensure the canonical state is not mutated concurrently (Chain.Call holds
+// the chain lock).
 func (s *StateDB) Fork() *StateDB {
-	tr, err := trie.NewSecureFromRoot(s.db, s.root)
-	if err != nil {
-		panic("state: fork from unknown root: " + err.Error())
-	}
 	return &StateDB{
-		db:      s.db,
-		tr:      tr,
-		root:    s.root,
+		tr:      s.tr,
+		parent:  s,
 		codes:   s.codes,
 		objects: make(map[types.Address]*stateObject),
+		tries:   make(map[types.Address]trie.Trie),
 		dirties: make(map[types.Address]struct{}),
 	}
 }

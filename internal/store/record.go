@@ -98,8 +98,10 @@ const (
 	// SID = owning hub's session ID (0 if unknown), Str = scenario
 	// (SpecRegistry key), Blobs[0] = 20-byte contract address, Blobs[1] =
 	// signed-copy encoding, Blobs[2:] = the parties' 32-byte private
-	// scalars. (Older records carry the challenge period in U1 and the
-	// disputing party's index in U2; neither is read.)
+	// scalars. On gossip, U3 = 1 marks an owner's re-post of a guard it
+	// exported before; journals never carry it. (Older records carry the
+	// challenge period in U1 and the disputing party's index in U2; neither
+	// is read.)
 	KindFedGuard
 	// KindFedWindow: a challenge window an owner observed, with its verdict
 	// hint. No longer posted or journaled: every tower reads windows from

@@ -9,9 +9,7 @@ package trie
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"sync"
 
 	"onoffchain/internal/keccak"
 	"onoffchain/internal/rlp"
@@ -21,7 +19,13 @@ import (
 // EmptyRoot is the root hash of an empty trie: keccak256(rlp("")).
 var EmptyRoot = types.Hash(keccak.Sum256([]byte{0x80}))
 
-// node is one of: *shortNode, *fullNode, valueNode, hashNode, or nil.
+// node is one of: *shortNode, *fullNode, valueNode, or nil. A node never
+// changes once linked into a trie: an update copies the path it changes,
+// so a copied Trie value is a snapshot that later updates to either copy
+// leave alone. The one write is a node's ref, set once by the first Hash
+// that reaches it. A node with a ref has refs all the way down, so a Hash
+// after an update encodes only the copied path, and concurrent readers of
+// a hashed trie never write to it.
 type node interface{}
 
 type (
@@ -30,57 +34,32 @@ type (
 	shortNode struct {
 		Key []byte // hex nibbles, possibly ending in the 0x10 terminator
 		Val node
+		ref *rlp.Item // see refOf; nil until a Hash computes it
 	}
 	// fullNode is a 17-ary branch: 16 nibble children plus a value slot.
 	fullNode struct {
 		Children [17]node
+		ref      *rlp.Item
 	}
 	valueNode []byte
-	hashNode  []byte
 )
 
-// Database is the node store for hashed trie nodes. It is safe for
-// concurrent use: state forks and the parallel storage-trie flush share
-// one store and persist nodes from many goroutines.
-// Stored encodings are immutable once put, so readers may retain the
-// returned slices without copying.
-type Database struct {
-	mu    sync.RWMutex
-	nodes map[types.Hash][]byte
-}
+// Database holds nothing: a trie keeps its nodes in memory and no reader
+// opens an older root. The type remains because benchmark/probes.go
+// passes one to New.
+type Database struct{}
 
-// NewDatabase returns an empty in-memory node store.
-func NewDatabase() *Database {
-	return &Database{nodes: make(map[types.Hash][]byte)}
-}
+// NewDatabase returns a Database.
+func NewDatabase() *Database { return &Database{} }
 
-func (db *Database) put(h types.Hash, enc []byte) {
-	db.mu.Lock()
-	db.nodes[h] = enc
-	db.mu.Unlock()
-}
-
-// Node returns the encoding of a stored node.
-func (db *Database) Node(h types.Hash) ([]byte, bool) {
-	db.mu.RLock()
-	enc, ok := db.nodes[h]
-	db.mu.RUnlock()
-	return enc, ok
-}
-
-// Trie is a mutable Merkle Patricia Trie.
+// Trie is a Merkle Patricia Trie. The zero value is an empty trie, and
+// copying a Trie value takes a snapshot.
 type Trie struct {
 	root node
-	db   *Database
 }
 
-// New creates an empty trie backed by db (a fresh store if nil).
-func New(db *Database) *Trie {
-	if db == nil {
-		db = NewDatabase()
-	}
-	return &Trie{db: db}
-}
+// New returns an empty trie; db is ignored.
+func New(db *Database) *Trie { return &Trie{} }
 
 // keybytesToHex expands key bytes into nibbles and appends the terminator.
 func keybytesToHex(key []byte) []byte {
@@ -117,24 +96,6 @@ func hexToCompact(hexKey []byte) []byte {
 	return buf
 }
 
-// compactToHex inverts hexToCompact.
-func compactToHex(compact []byte) []byte {
-	if len(compact) == 0 {
-		return nil
-	}
-	base := make([]byte, 0, len(compact)*2)
-	if compact[0]&0x10 != 0 { // odd
-		base = append(base, compact[0]&0x0f)
-	}
-	for _, b := range compact[1:] {
-		base = append(base, b>>4, b&0x0f)
-	}
-	if compact[0]&0x20 != 0 { // terminator flag
-		base = append(base, 16)
-	}
-	return base
-}
-
 func prefixLen(a, b []byte) int {
 	n := 0
 	for n < len(a) && n < len(b) && a[n] == b[n] {
@@ -145,14 +106,14 @@ func prefixLen(a, b []byte) int {
 
 // Get returns the value for key, or nil if absent.
 func (t *Trie) Get(key []byte) []byte {
-	v := t.get(t.root, keybytesToHex(key))
+	v := get(t.root, keybytesToHex(key))
 	if v == nil {
 		return nil
 	}
 	return append([]byte{}, v...)
 }
 
-func (t *Trie) get(n node, key []byte) valueNode {
+func get(n node, key []byte) valueNode {
 	switch n := n.(type) {
 	case nil:
 		return nil
@@ -165,7 +126,7 @@ func (t *Trie) get(n node, key []byte) valueNode {
 		if len(key) < len(n.Key) || !bytes.Equal(n.Key, key[:len(n.Key)]) {
 			return nil
 		}
-		return t.get(n.Val, key[len(n.Key):])
+		return get(n.Val, key[len(n.Key):])
 	case *fullNode:
 		if len(key) == 0 {
 			if v, ok := n.Children[16].(valueNode); ok {
@@ -173,13 +134,7 @@ func (t *Trie) get(n node, key []byte) valueNode {
 			}
 			return nil
 		}
-		return t.get(n.Children[key[0]], key[1:])
-	case hashNode:
-		resolved, err := t.resolve(n)
-		if err != nil {
-			return nil
-		}
-		return t.get(resolved, key)
+		return get(n.Children[key[0]], key[1:])
 	default:
 		panic(fmt.Sprintf("trie: unknown node type %T", n))
 	}
@@ -191,10 +146,10 @@ func (t *Trie) Update(key, value []byte) {
 		t.Delete(key)
 		return
 	}
-	t.root = t.insert(t.root, keybytesToHex(key), valueNode(append([]byte{}, value...)))
+	t.root = insert(t.root, keybytesToHex(key), valueNode(append([]byte{}, value...)))
 }
 
-func (t *Trie) insert(n node, key []byte, value valueNode) node {
+func insert(n node, key []byte, value valueNode) node {
 	if len(key) == 0 {
 		return value
 	}
@@ -204,33 +159,27 @@ func (t *Trie) insert(n node, key []byte, value valueNode) node {
 	case *shortNode:
 		match := prefixLen(key, n.Key)
 		if match == len(n.Key) {
-			return &shortNode{Key: n.Key, Val: t.insert(n.Val, key[match:], value)}
+			return &shortNode{Key: n.Key, Val: insert(n.Val, key[match:], value)}
 		}
 		// Split: create a branch at the divergence point.
 		branch := &fullNode{}
-		t.attach(branch, n.Key[match:], n.Val)
-		t.attach(branch, key[match:], value)
+		attach(branch, n.Key[match:], n.Val)
+		attach(branch, key[match:], value)
 		if match == 0 {
 			return branch
 		}
 		return &shortNode{Key: append([]byte{}, key[:match]...), Val: branch}
 	case *fullNode:
-		idx := key[0]
-		n.Children[idx] = t.insert(n.Children[idx], key[1:], value)
-		return n
+		cp := &fullNode{Children: n.Children}
+		cp.Children[key[0]] = insert(n.Children[key[0]], key[1:], value)
+		return cp
 	case valueNode:
 		// Existing value at this exact position being extended: move it
 		// into a branch's value slot.
 		branch := &fullNode{}
 		branch.Children[16] = n
-		t.attach(branch, key, value)
+		attach(branch, key, value)
 		return branch
-	case hashNode:
-		resolved, err := t.resolve(n)
-		if err != nil {
-			panic("trie: missing node during insert: " + err.Error())
-		}
-		return t.insert(resolved, key, value)
 	default:
 		panic(fmt.Sprintf("trie: unknown node type %T", n))
 	}
@@ -238,7 +187,7 @@ func (t *Trie) insert(n node, key []byte, value valueNode) node {
 
 // attach places (key, val) under a branch node; key may be empty, a single
 // terminator, or longer.
-func (t *Trie) attach(branch *fullNode, key []byte, val node) {
+func attach(branch *fullNode, key []byte, val node) {
 	if len(key) == 0 || key[0] == 16 {
 		branch.Children[16] = val
 		return
@@ -254,27 +203,23 @@ func (t *Trie) attach(branch *fullNode, key []byte, val node) {
 
 // Delete removes key from the trie (no-op if absent).
 func (t *Trie) Delete(key []byte) {
-	t.root = t.remove(t.root, keybytesToHex(key))
+	hexKey := keybytesToHex(key)
+	if get(t.root, hexKey) != nil {
+		t.root = remove(t.root, hexKey)
+	}
 }
 
-func (t *Trie) remove(n node, key []byte) node {
+// remove deletes key, which must be present, copying the path to it.
+func remove(n node, key []byte) node {
 	switch n := n.(type) {
-	case nil:
-		return nil
 	case valueNode:
-		if len(key) == 0 {
-			return nil
-		}
-		return n
+		return nil
 	case *shortNode:
 		match := prefixLen(key, n.Key)
-		if match < len(n.Key) {
-			return n // not found
-		}
 		if match == len(key) {
 			return nil // exact leaf removal
 		}
-		child := t.remove(n.Val, key[match:])
+		child := remove(n.Val, key[match:])
 		if child == nil {
 			return nil
 		}
@@ -285,18 +230,13 @@ func (t *Trie) remove(n node, key []byte) node {
 		}
 		return &shortNode{Key: n.Key, Val: child}
 	case *fullNode:
+		cp := &fullNode{Children: n.Children}
 		if len(key) == 0 {
-			n.Children[16] = nil
+			cp.Children[16] = nil
 		} else {
-			n.Children[key[0]] = t.remove(n.Children[key[0]], key[1:])
+			cp.Children[key[0]] = remove(n.Children[key[0]], key[1:])
 		}
-		return t.collapse(n)
-	case hashNode:
-		resolved, err := t.resolve(n)
-		if err != nil {
-			panic("trie: missing node during delete: " + err.Error())
-		}
-		return t.remove(resolved, key)
+		return collapse(cp)
 	default:
 		panic(fmt.Sprintf("trie: unknown node type %T", n))
 	}
@@ -304,7 +244,7 @@ func (t *Trie) remove(n node, key []byte) node {
 
 // collapse reduces a branch with fewer than two occupied slots back into a
 // short node, preserving canonical structure.
-func (t *Trie) collapse(n *fullNode) node {
+func collapse(n *fullNode) node {
 	pos := -1
 	count := 0
 	for i, child := range n.Children {
@@ -323,13 +263,6 @@ func (t *Trie) collapse(n *fullNode) node {
 		return &shortNode{Key: []byte{16}, Val: n.Children[16]}
 	}
 	child := n.Children[pos]
-	if hn, ok := child.(hashNode); ok {
-		resolved, err := t.resolve(hn)
-		if err != nil {
-			panic("trie: missing node during collapse: " + err.Error())
-		}
-		child = resolved
-	}
 	if sn, ok := child.(*shortNode); ok {
 		merged := append([]byte{byte(pos)}, sn.Key...)
 		return &shortNode{Key: merged, Val: sn.Val}
@@ -337,90 +270,22 @@ func (t *Trie) collapse(n *fullNode) node {
 	return &shortNode{Key: []byte{byte(pos)}, Val: child}
 }
 
-func (t *Trie) resolve(h hashNode) (node, error) {
-	enc, ok := t.db.Node(types.BytesToHash(h))
-	if !ok {
-		return nil, fmt.Errorf("trie: missing node %x", []byte(h))
-	}
-	item, err := rlp.Decode(enc)
-	if err != nil {
-		return nil, err
-	}
-	return decodeNode(item)
-}
+var emptyRef = rlp.Bytes(nil)
 
-func decodeNode(item *rlp.Item) (node, error) {
-	if item.Kind == rlp.KindBytes {
-		if len(item.Bytes) == 0 {
-			return nil, nil
-		}
-		if len(item.Bytes) == 32 {
-			return hashNode(item.Bytes), nil
-		}
-		return nil, errors.New("trie: unexpected byte node")
-	}
-	switch len(item.Items) {
-	case 2:
-		key := compactToHex(item.Items[0].Bytes)
-		if hasTerminator(key) {
-			return &shortNode{Key: key, Val: valueNode(item.Items[1].Bytes)}, nil
-		}
-		child, err := decodeRef(item.Items[1])
-		if err != nil {
-			return nil, err
-		}
-		return &shortNode{Key: key, Val: child}, nil
-	case 17:
-		fn := &fullNode{}
-		for i := 0; i < 16; i++ {
-			child, err := decodeRef(item.Items[i])
-			if err != nil {
-				return nil, err
-			}
-			fn.Children[i] = child
-		}
-		if len(item.Items[16].Bytes) > 0 {
-			fn.Children[16] = valueNode(item.Items[16].Bytes)
-		}
-		return fn, nil
-	default:
-		return nil, fmt.Errorf("trie: invalid node arity %d", len(item.Items))
-	}
-}
-
-func decodeRef(item *rlp.Item) (node, error) {
-	if item.Kind == rlp.KindList {
-		return decodeNode(item)
-	}
-	if len(item.Bytes) == 0 {
-		return nil, nil
-	}
-	if len(item.Bytes) == 32 {
-		return hashNode(item.Bytes), nil
-	}
-	return nil, fmt.Errorf("trie: invalid node reference of %d bytes", len(item.Bytes))
-}
-
-// encodeNode builds the RLP item tree for a node.
-func (t *Trie) encodeNode(n node) *rlp.Item {
+// encodeNode builds the RLP item tree for a short or full node.
+func encodeNode(n node) *rlp.Item {
 	switch n := n.(type) {
-	case nil:
-		return rlp.Bytes(nil)
-	case valueNode:
-		return rlp.Bytes(n)
-	case hashNode:
-		return rlp.Bytes(n)
 	case *shortNode:
-		return rlp.List(rlp.Bytes(hexToCompact(n.Key)), t.encodeRef(n.Val))
+		return rlp.List(rlp.Bytes(hexToCompact(n.Key)), encodeRef(n.Val))
 	case *fullNode:
 		items := make([]*rlp.Item, 17)
 		for i := 0; i < 16; i++ {
-			items[i] = t.encodeRef(n.Children[i])
+			items[i] = encodeRef(n.Children[i])
 		}
 		if v, ok := n.Children[16].(valueNode); ok {
 			items[16] = rlp.Bytes(v)
 		} else {
-			items[16] = rlp.Bytes(nil)
+			items[16] = emptyRef
 		}
 		return rlp.List(items...)
 	default:
@@ -428,34 +293,40 @@ func (t *Trie) encodeNode(n node) *rlp.Item {
 	}
 }
 
-// encodeRef returns the reference encoding of a child: inline if its
-// encoding is under 32 bytes, otherwise the keccak hash (persisting the
-// node to the database).
-func (t *Trie) encodeRef(n node) *rlp.Item {
+// encodeRef returns the reference encoding of a child, computing and
+// caching it on the node if no earlier Hash has.
+func encodeRef(n node) *rlp.Item {
 	switch n := n.(type) {
 	case nil:
-		return rlp.Bytes(nil)
+		return emptyRef
 	case valueNode:
 		return rlp.Bytes(n)
-	case hashNode:
-		return rlp.Bytes(n)
+	case *shortNode:
+		if n.ref == nil {
+			n.ref = refOf(encodeNode(n))
+		}
+		return n.ref
+	case *fullNode:
+		if n.ref == nil {
+			n.ref = refOf(encodeNode(n))
+		}
+		return n.ref
+	default:
+		panic(fmt.Sprintf("trie: unknown node type %T", n))
 	}
-	item := t.encodeNode(n)
-	enc := rlp.Encode(item)
-	if len(enc) < 32 {
-		return item
-	}
-	h := types.Hash(keccak.Sum256(enc))
-	t.db.put(h, enc)
-	return rlp.Bytes(h.Bytes())
 }
 
-// Hash computes the root commitment, persisting hashed nodes to the
-// database, and collapses the in-memory tree to its root hash. Without
-// the collapse, every node ever expanded by an Update would be re-encoded
-// and re-keccak'd by every later Hash call, making a long-lived trie's
-// commits O(trie size) instead of O(touched paths): subsequent operations
-// re-resolve just the paths they walk from the node store.
+// refOf turns a node's item into its reference: the item itself when its
+// encoding is under 32 bytes, else the keccak hash of the encoding.
+func refOf(item *rlp.Item) *rlp.Item {
+	if enc := rlp.Encode(item); len(enc) >= 32 {
+		return rlp.Bytes(keccak.Sum256Bytes(enc))
+	}
+	return item
+}
+
+// Hash returns the root commitment. Only the nodes changed since the last
+// Hash are encoded; every other subtree answers from its cached ref.
 //
 // The walk is serial: fanning the top-level branch's subtrees across
 // goroutines read slower at every size tried (DESIGN §8 "Verdicts").
@@ -463,50 +334,19 @@ func (t *Trie) Hash() types.Hash {
 	if t.root == nil {
 		return EmptyRoot
 	}
-	// Already collapsed and unchanged since: the stored hash IS the root.
-	// Re-encoding the 32-byte reference would hash the reference itself
-	// and return a bogus root.
-	if h, ok := t.root.(hashNode); ok {
-		return types.BytesToHash(h)
+	ref := encodeRef(t.root)
+	if ref.Kind == rlp.KindBytes {
+		return types.BytesToHash(ref.Bytes)
 	}
-	enc := rlp.Encode(t.encodeNode(t.root))
-	h := types.Hash(keccak.Sum256(enc))
-	t.db.put(h, enc)
-	t.root = hashNode(h.Bytes())
-	return h
-}
-
-// FromRoot rebuilds a trie handle from a previously committed root.
-func FromRoot(db *Database, root types.Hash) (*Trie, error) {
-	t := New(db)
-	if root == EmptyRoot || root.IsZero() {
-		return t, nil
-	}
-	if _, ok := db.Node(root); !ok {
-		return nil, fmt.Errorf("trie: unknown root %s", root.Hex())
-	}
-	t.root = hashNode(root.Bytes())
-	return t, nil
+	// The root is hashed even when its encoding is short enough to embed.
+	return types.Hash(keccak.Sum256(rlp.Encode(ref)))
 }
 
 // SecureTrie wraps Trie with keccak-hashed keys, preventing key-length
-// attacks (this is what Ethereum's state and storage tries use).
+// attacks (this is what Ethereum's state and storage tries use). The zero
+// value is an empty trie, and copying a SecureTrie value takes a snapshot.
 type SecureTrie struct {
-	inner *Trie
-}
-
-// NewSecure creates an empty secure trie.
-func NewSecure(db *Database) *SecureTrie {
-	return &SecureTrie{inner: New(db)}
-}
-
-// NewSecureFromRoot opens a secure trie at a previously committed root.
-func NewSecureFromRoot(db *Database, root types.Hash) (*SecureTrie, error) {
-	inner, err := FromRoot(db, root)
-	if err != nil {
-		return nil, err
-	}
-	return &SecureTrie{inner: inner}, nil
+	inner Trie
 }
 
 // Get fetches the value for the (pre-hash) key.

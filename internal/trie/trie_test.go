@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"onoffchain/internal/types"
 )
 
 func TestEmptyRootVector(t *testing.T) {
@@ -203,52 +201,8 @@ func TestLargeValues(t *testing.T) {
 	}
 }
 
-func TestFromRootReload(t *testing.T) {
-	db := NewDatabase()
-	tr := New(db)
-	for i := 0; i < 50; i++ {
-		tr.Update([]byte(fmt.Sprintf("key-%02d", i)), []byte(fmt.Sprintf("value-%d", i*i)))
-	}
-	root := tr.Hash()
-
-	reloaded, err := FromRoot(db, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		got := reloaded.Get([]byte(fmt.Sprintf("key-%02d", i)))
-		if string(got) != fmt.Sprintf("value-%d", i*i) {
-			t.Fatalf("reloaded Get(key-%02d) = %q", i, got)
-		}
-	}
-	// Mutating the reloaded trie must produce a fresh consistent root.
-	reloaded.Update([]byte("key-00"), []byte("mutated"))
-	if reloaded.Hash() == root {
-		t.Error("mutation did not change root")
-	}
-	if _, err := FromRoot(db, types.BytesToHash([]byte{1, 2, 3})); err == nil {
-		t.Error("unknown root accepted")
-	}
-}
-
-func TestHexCompactRoundTrip(t *testing.T) {
-	f := func(raw []byte, term bool) bool {
-		hexKey := make([]byte, 0, len(raw)+1)
-		for _, b := range raw {
-			hexKey = append(hexKey, b%16)
-		}
-		if term {
-			hexKey = append(hexKey, 16)
-		}
-		return bytes.Equal(compactToHex(hexToCompact(hexKey)), hexKey)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSecureTrie(t *testing.T) {
-	st := NewSecure(nil)
+	var st SecureTrie
 	st.Update([]byte("balance"), []byte{1, 2, 3})
 	if got := st.Get([]byte("balance")); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Errorf("secure get = %x", got)
@@ -285,8 +239,9 @@ func BenchmarkTrieGet(b *testing.B) {
 	}
 }
 
-// Hash must be idempotent: a second Hash on an unchanged (collapsed) trie
-// returns the same root, and the trie stays fully usable afterwards.
+// Hash must be idempotent: a second Hash on an unchanged trie returns the
+// same root from the cached refs, and the trie stays fully usable
+// afterwards.
 func TestHashIdempotentAfterCollapse(t *testing.T) {
 	tr := New(nil)
 	for j := 0; j < 50; j++ {
@@ -297,7 +252,7 @@ func TestHashIdempotentAfterCollapse(t *testing.T) {
 	if h1 != h2 {
 		t.Fatalf("Hash not idempotent: %s vs %s", h1.Hex(), h2.Hex())
 	}
-	// Reads and writes still work through the collapsed root.
+	// Reads and writes still work after hashing.
 	if got := tr.Get([]byte("key0007")); string(got) != "value7" {
 		t.Fatalf("get after collapse = %q", got)
 	}
@@ -310,37 +265,37 @@ func TestHashIdempotentAfterCollapse(t *testing.T) {
 		t.Fatal("Hash not idempotent after re-update")
 	}
 	if got := tr.Get([]byte("key0007")); string(got) != "rewritten" {
-		t.Fatalf("get after second collapse = %q", got)
+		t.Fatalf("get after second hash = %q", got)
 	}
 }
 
-// TestConcurrentDatabaseAccess: hammers one node store from hashing,
-// reading, and committing goroutines at once — meaningful under -race.
-func TestConcurrentDatabaseAccess(t *testing.T) {
-	db := NewDatabase()
-	roots := make([]types.Hash, 8)
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			tr := New(db)
-			for i := 0; i < 50; i++ {
-				k := []byte(fmt.Sprintf("g%d-key-%d", g, i))
-				tr.Update(k, []byte(fmt.Sprintf("value-%d", i*g)))
-			}
-			roots[g] = tr.Hash()
-			// Read back through a fresh handle while others still write.
-			reload, err := FromRoot(db, roots[g])
-			if err != nil {
-				t.Errorf("g%d: reload: %v", g, err)
-				return
-			}
-			if got := reload.Get([]byte(fmt.Sprintf("g%d-key-%d", g, 7))); string(got) != fmt.Sprintf("value-%d", 7*g) {
-				t.Errorf("g%d: read back %q", g, got)
-			}
-		}(g)
+// A copied Trie value is a snapshot: updates to either copy, before or
+// after hashing, leave the other's contents and root unchanged.
+func TestCopyIsSnapshot(t *testing.T) {
+	var tr Trie
+	for j := 0; j < 50; j++ {
+		tr.Update([]byte(fmt.Sprintf("key%04d", j)), []byte(fmt.Sprintf("value%d", j)))
 	}
-	for g := 0; g < 8; g++ {
-		<-done
+	snap := tr
+	root := snap.Hash()
+	for j := 0; j < 50; j += 3 {
+		tr.Update([]byte(fmt.Sprintf("key%04d", j)), []byte("rewritten"))
+		tr.Delete([]byte(fmt.Sprintf("key%04d", j+1)))
+	}
+	tr.Update([]byte("key9999"), []byte("new"))
+	if tr.Hash() == root {
+		t.Fatal("root unchanged after updates")
+	}
+	if snap.Hash() != root {
+		t.Fatal("updating the original changed the snapshot's root")
+	}
+	for j := 0; j < 50; j++ {
+		if got := snap.Get([]byte(fmt.Sprintf("key%04d", j))); string(got) != fmt.Sprintf("value%d", j) {
+			t.Fatalf("snapshot Get(key%04d) = %q", j, got)
+		}
+	}
+	snap.Delete([]byte("key0002"))
+	if got := tr.Get([]byte("key0002")); string(got) != "value2" {
+		t.Fatalf("deleting from the snapshot reached the original: %q", got)
 	}
 }

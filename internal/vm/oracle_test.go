@@ -42,8 +42,8 @@ func (evm *EVM) refRun(c *Contract) ([]byte, error) {
 		return nil, nil
 	}
 
-	st := newStack()
-	mem := newMemory()
+	st := new(Stack)
+	mem := &Memory{}
 	var pc uint64
 	code := c.Code
 

@@ -12,8 +12,6 @@ type Stack struct {
 	n    int
 }
 
-func newStack() *Stack { return new(Stack) }
-
 func (s *Stack) len() int { return s.n }
 
 func (s *Stack) push(v *uint256.Int) {
@@ -66,8 +64,6 @@ func (s *Stack) swap(n int) {
 type Memory struct {
 	store []byte
 }
-
-func newMemory() *Memory { return &Memory{} }
 
 // size returns the current memory size in bytes.
 func (m *Memory) size() uint64 { return uint64(len(m.store)) }

@@ -1,5 +1,5 @@
 // Command bench regenerates the paper's evaluation tables and figures
-// (DESIGN.md §4 experiment index) and prints them in paper-style form.
+// (DESIGN.md §8) and prints them in paper-style form.
 //
 // Usage:
 //

@@ -117,9 +117,7 @@ type Chain struct {
 	config   Config
 	state    *state.StateDB
 	blocks   []*types.Block
-	byHash   map[types.Hash]*types.Block
 	receipts map[types.Hash]*types.Receipt
-	txs      map[types.Hash]*types.Transaction
 	pending  []*types.Transaction
 	now      uint64 // current simulated time
 
@@ -192,9 +190,7 @@ func New(config Config, alloc map[types.Address]*uint256.Int) *Chain {
 	c := &Chain{
 		config:       config,
 		state:        state.New(),
-		byHash:       make(map[types.Hash]*types.Block),
 		receipts:     make(map[types.Hash]*types.Receipt),
-		txs:          make(map[types.Hash]*types.Transaction),
 		pendingSet:   make(map[types.Hash]struct{}),
 		dropped:      make(map[types.Hash]error),
 		waiters:      make(map[types.Hash][]chan receiptOutcome),
@@ -267,7 +263,6 @@ func NewDefault(alloc map[types.Address]*uint256.Int) *Chain {
 
 func (c *Chain) appendBlock(b *types.Block) {
 	c.blocks = append(c.blocks, b)
-	c.byHash[b.Hash()] = b
 	// Index the block's logs by emitting address, in chain order. The seq
 	// stamp lets multi-address queries merge per-address runs back into
 	// exactly the order a full receipt scan would produce.
@@ -605,7 +600,6 @@ func (c *Chain) executeSerialLocked(batch []*types.Transaction, number uint64) (
 		receipts = append(receipts, receipt)
 		included = append(included, tx)
 		c.receipts[hash] = receipt
-		c.txs[hash] = tx
 		c.resolveWaitersLocked(hash, receiptOutcome{receipt: receipt})
 	}
 	return included, receipts
@@ -617,8 +611,7 @@ func (c *Chain) executeSerialLocked(batch []*types.Transaction, number uint64) (
 // blocks forever on a transaction that will never mine. Both errors stay
 // unwrappable: errors.Is sees ErrTxDropped AND the execution-time cause.
 // The drop ledger is retained for the chain's lifetime so late waiters
-// fail fast — same unbounded-by-design footprint as the receipts and txs
-// maps.
+// fail fast — same unbounded-by-design footprint as the receipts map.
 func (c *Chain) dropTxLocked(hash types.Hash, err error) {
 	dropErr := fmt.Errorf("%w: %w", ErrTxDropped, err)
 	c.dropped[hash] = dropErr

@@ -167,7 +167,6 @@ func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64)
 		receipts = append(receipts, receipt)
 		included = append(included, tx)
 		c.receipts[hash] = receipt
-		c.txs[hash] = tx
 		c.resolveWaitersLocked(hash, receiptOutcome{receipt: receipt})
 	}
 	return included, receipts

@@ -232,8 +232,9 @@ func (s *StateDB) recordSlotWrite(addr types.Address, slot types.Hash) {
 // that were reverted leave their key recorded but their value unchanged;
 // extraction simply reads whatever the fork ended up with, which for a
 // fully reverted account equals the block-start value — replaying it is a
-// no-op by value. Accounts journalled dirty but absent from the object
-// cache (created then reverted away) are skipped entirely.
+// no-op by value. Accounts recorded as written but absent from the object
+// cache (created then reverted away) are skipped entirely. Code is read
+// from the code store by hash; the store never changes an entry.
 func (s *StateDB) ExtractWrites(a *Access) *WriteSet {
 	perAddr := make(map[types.Address]*AccountWrite)
 	get := func(addr types.Address) *AccountWrite {
@@ -265,7 +266,7 @@ func (s *StateDB) ExtractWrites(a *Access) *WriteSet {
 		}
 		if flags&wCode != 0 {
 			w.Flags |= wCode
-			w.Code = append([]byte{}, obj.code...)
+			w.Code = s.code(obj.account.CodeHash)
 		}
 		if flags&wCreated != 0 {
 			w.Flags |= wCreated

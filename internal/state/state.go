@@ -5,6 +5,7 @@
 package state
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sort"
@@ -57,17 +58,17 @@ func decodeAccount(enc []byte) (*Account, error) {
 	}, nil
 }
 
-// stateObject is the in-memory representation of an account under
-// modification.
+// stateObject is an account under modification in one block. Commit folds
+// it into the trie and drops it, so the account trie, the storage tries and
+// the code store hold the only copies of committed state.
 type stateObject struct {
 	address        types.Address
 	account        Account
-	code           []byte
 	storage        map[types.Hash]types.Hash // dirty view
-	originStorage  map[types.Hash]types.Hash // committed view (lazy)
+	originStorage  map[types.Hash]types.Hash // committed slots read this block
 	selfDestructed bool
 	deleted        bool // removed at commit
-	created        bool // created in this transaction scope
+	dirty          bool // written this block: Commit re-encodes it
 }
 
 func newObject(addr types.Address) *stateObject {
@@ -83,16 +84,16 @@ func (o *stateObject) empty() bool {
 	return o.account.Nonce == 0 && o.account.Balance.IsZero() && o.account.CodeHash == types.EmptyCodeHash
 }
 
-// journalEntry undoes one state mutation.
-type journalEntry struct {
-	revert func(*StateDB)
-	dirty  *types.Address // account touched, for dirty tracking
-}
-
 // StateDB is the mutable world state with snapshot/revert support.
 type StateDB struct {
-	tr      trie.SecureTrie // the account trie as of the last Commit
-	codes   map[types.Hash][]byte
+	tr trie.SecureTrie // the account trie as of the last Commit
+
+	// codes holds one copy of each contract code, keyed by its hash.
+	codes map[types.Hash][]byte
+
+	// objects are the accounts this block has read or written; Commit
+	// empties it, so per-transaction and per-block work is bounded by
+	// what the block touched.
 	objects map[types.Address]*stateObject
 
 	// tries holds the storage trie of every account whose storage this
@@ -108,12 +109,7 @@ type StateDB struct {
 	fallbackCodes map[types.Hash][]byte
 	rec           *Access
 
-	// dirties are accounts mutated since the last Commit. Commit flushes
-	// only these: rewriting every cached object would make each block
-	// commit O(all accounts ever touched) — quadratic over a long chain.
-	dirties map[types.Address]struct{}
-
-	journal []journalEntry
+	journal []func() // each entry undoes one mutation
 	refund  uint64
 	logs    []*types.Log
 
@@ -129,7 +125,6 @@ func New() *StateDB {
 		codes:   make(map[types.Hash][]byte),
 		objects: make(map[types.Address]*stateObject),
 		tries:   make(map[types.Address]trie.Trie),
-		dirties: make(map[types.Address]struct{}),
 	}
 }
 
@@ -168,20 +163,20 @@ func (s *StateDB) getOrCreateObject(addr types.Address) *stateObject {
 	obj := newObject(addr)
 	prev, hadPrev := s.objects[addr]
 	s.objects[addr] = obj
-	s.appendJournal(addr, func(db *StateDB) {
+	s.change(obj, func() {
 		if hadPrev {
-			db.objects[addr] = prev
+			s.objects[addr] = prev
 		} else {
-			delete(db.objects, addr)
+			delete(s.objects, addr)
 		}
 	})
 	return obj
 }
 
-func (s *StateDB) appendJournal(addr types.Address, revert func(*StateDB)) {
-	a := addr
-	s.dirties[addr] = struct{}{}
-	s.journal = append(s.journal, journalEntry{revert: revert, dirty: &a})
+// change marks obj written in this block and journals how to undo the write.
+func (s *StateDB) change(obj *stateObject, revert func()) {
+	obj.dirty = true
+	s.journal = append(s.journal, revert)
 }
 
 // Exist reports whether the account exists (even if empty).
@@ -200,8 +195,7 @@ func (s *StateDB) Empty(addr types.Address) bool {
 // CreateAccount explicitly creates an account (contract deployment target).
 func (s *StateDB) CreateAccount(addr types.Address) {
 	s.recordAccountWrite(addr, wCreated)
-	obj := s.getOrCreateObject(addr)
-	obj.created = true
+	s.getOrCreateObject(addr)
 }
 
 // GetBalance returns the account balance (zero for missing accounts).
@@ -218,7 +212,7 @@ func (s *StateDB) AddBalance(addr types.Address, amount *uint256.Int) {
 	s.recordAccountWrite(addr, wBalance)
 	obj := s.getOrCreateObject(addr)
 	prev := obj.account.Balance.Clone()
-	s.appendJournal(addr, func(*StateDB) { obj.account.Balance = prev })
+	s.change(obj, func() { obj.account.Balance = prev })
 	obj.account.Balance = new(uint256.Int).Add(obj.account.Balance, amount)
 }
 
@@ -227,7 +221,7 @@ func (s *StateDB) SubBalance(addr types.Address, amount *uint256.Int) {
 	s.recordAccountWrite(addr, wBalance)
 	obj := s.getOrCreateObject(addr)
 	prev := obj.account.Balance.Clone()
-	s.appendJournal(addr, func(*StateDB) { obj.account.Balance = prev })
+	s.change(obj, func() { obj.account.Balance = prev })
 	obj.account.Balance = new(uint256.Int).Sub(obj.account.Balance, amount)
 }
 
@@ -236,7 +230,7 @@ func (s *StateDB) SetBalance(addr types.Address, amount *uint256.Int) {
 	s.recordAccountWrite(addr, wBalance)
 	obj := s.getOrCreateObject(addr)
 	prev := obj.account.Balance.Clone()
-	s.appendJournal(addr, func(*StateDB) { obj.account.Balance = prev })
+	s.change(obj, func() { obj.account.Balance = prev })
 	obj.account.Balance = amount.Clone()
 }
 
@@ -254,7 +248,7 @@ func (s *StateDB) SetNonce(addr types.Address, nonce uint64) {
 	s.recordAccountWrite(addr, wNonce)
 	obj := s.getOrCreateObject(addr)
 	prev := obj.account.Nonce
-	s.appendJournal(addr, func(*StateDB) { obj.account.Nonce = prev })
+	s.change(obj, func() { obj.account.Nonce = prev })
 	obj.account.Nonce = nonce
 }
 
@@ -262,21 +256,19 @@ func (s *StateDB) SetNonce(addr types.Address, nonce uint64) {
 func (s *StateDB) GetCode(addr types.Address) []byte {
 	s.recordAccountRead(addr)
 	obj := s.getObject(addr)
-	if obj == nil {
+	if obj == nil || obj.account.CodeHash == types.EmptyCodeHash {
 		return nil
 	}
-	if obj.code != nil {
-		return obj.code
+	return s.code(obj.account.CodeHash)
+}
+
+// code returns the code stored under hash h. A recording fork reads its
+// parent's store through fallbackCodes.
+func (s *StateDB) code(h types.Hash) []byte {
+	if code, ok := s.codes[h]; ok {
+		return code
 	}
-	if obj.account.CodeHash == types.EmptyCodeHash {
-		return nil
-	}
-	code, ok := s.codes[obj.account.CodeHash]
-	if !ok && s.fallbackCodes != nil {
-		code = s.fallbackCodes[obj.account.CodeHash]
-	}
-	obj.code = code
-	return code
+	return s.fallbackCodes[h]
 }
 
 // GetCodeHash returns the code hash (zero hash for missing accounts).
@@ -294,18 +286,18 @@ func (s *StateDB) GetCodeSize(addr types.Address) int {
 	return len(s.GetCode(addr))
 }
 
-// SetCode installs contract code.
+// SetCode installs contract code. The code store keeps one copy per hash
+// and is append-only, so a revert restores the account's hash alone.
 func (s *StateDB) SetCode(addr types.Address, code []byte) {
 	s.recordAccountWrite(addr, wCode)
 	obj := s.getOrCreateObject(addr)
-	prevHash, prevCode := obj.account.CodeHash, obj.code
-	s.appendJournal(addr, func(*StateDB) {
-		obj.account.CodeHash, obj.code = prevHash, prevCode
-	})
+	prev := obj.account.CodeHash
+	s.change(obj, func() { obj.account.CodeHash = prev })
 	h := types.Hash(keccak.Sum256(code))
 	obj.account.CodeHash = h
-	obj.code = append([]byte{}, code...)
-	s.codes[h] = obj.code
+	if s.code(h) == nil {
+		s.codes[h] = bytes.Clone(code)
+	}
 }
 
 // GetState reads a storage slot.
@@ -356,7 +348,7 @@ func (s *StateDB) SetState(addr types.Address, key, value types.Hash) {
 	s.recordSlotWrite(addr, key)
 	obj := s.getOrCreateObject(addr)
 	prev, hadPrev := obj.storage[key]
-	s.appendJournal(addr, func(*StateDB) {
+	s.change(obj, func() {
 		if hadPrev {
 			obj.storage[key] = prev
 		} else {
@@ -375,7 +367,7 @@ func (s *StateDB) SelfDestruct(addr types.Address) {
 	}
 	prevBalance := obj.account.Balance.Clone()
 	prevFlag := obj.selfDestructed
-	s.appendJournal(addr, func(*StateDB) {
+	s.change(obj, func() {
 		obj.selfDestructed = prevFlag
 		obj.account.Balance = prevBalance
 	})
@@ -393,7 +385,7 @@ func (s *StateDB) HasSelfDestructed(addr types.Address) bool {
 // AddRefund accumulates gas refund (SSTORE clears, selfdestruct).
 func (s *StateDB) AddRefund(gas uint64) {
 	prev := s.refund
-	s.journal = append(s.journal, journalEntry{revert: func(db *StateDB) { db.refund = prev }})
+	s.journal = append(s.journal, func() { s.refund = prev })
 	s.refund += gas
 }
 
@@ -407,7 +399,7 @@ func (s *StateDB) AddLog(log *types.Log) {
 	log.BlockNumber = s.block
 	log.Index = uint(len(s.logs))
 	prevLen := len(s.logs)
-	s.journal = append(s.journal, journalEntry{revert: func(db *StateDB) { db.logs = db.logs[:prevLen] }})
+	s.journal = append(s.journal, func() { s.logs = s.logs[:prevLen] })
 	s.logs = append(s.logs, log)
 }
 
@@ -427,7 +419,7 @@ func (s *StateDB) RevertToSnapshot(id int) {
 		panic(fmt.Sprintf("state: invalid snapshot id %d (journal %d)", id, len(s.journal)))
 	}
 	for i := len(s.journal) - 1; i >= id; i-- {
-		s.journal[i].revert(s)
+		s.journal[i]()
 	}
 	s.journal = s.journal[:id]
 }
@@ -444,8 +436,9 @@ func (s *StateDB) Finalise() {
 	s.refund = 0
 }
 
-// Commit finalises the accounts mutated since the last Commit into the
-// trie and returns the new state root. Clean cached objects are skipped.
+// Commit folds the accounts written since the last Commit into the trie,
+// drops every cached object and returns the new state root. Objects that
+// were only read are not re-encoded.
 //
 // The per-account storage flush is embarrassingly parallel — each account
 // owns a disjoint storage trie, and an update copies the path it changes
@@ -455,20 +448,19 @@ func (s *StateDB) Finalise() {
 func (s *StateDB) Commit() types.Hash {
 	s.Finalise()
 	// Deterministic iteration order for reproducible tries.
-	addrs := make([]types.Address, 0, len(s.dirties))
-	for addr := range s.dirties {
-		if _, ok := s.objects[addr]; ok {
-			addrs = append(addrs, addr)
+	var written []*stateObject
+	for _, obj := range s.objects {
+		if obj.dirty {
+			written = append(written, obj)
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return string(addrs[i].Bytes()) < string(addrs[j].Bytes())
+	sort.Slice(written, func(i, j int) bool {
+		return string(written[i].address.Bytes()) < string(written[j].address.Bytes())
 	})
 	// Phase 1: flush every live account's dirty storage into its own
 	// storage trie, in parallel when it pays.
 	var flush []*stateObject
-	for _, addr := range addrs {
-		obj := s.objects[addr]
+	for _, obj := range written {
 		if !obj.deleted && len(obj.storage) > 0 {
 			flush = append(flush, obj)
 		}
@@ -477,17 +469,15 @@ func (s *StateDB) Commit() types.Hash {
 		s.tries[flush[i].address] = st
 	}
 	// Phase 2: fold the accounts into the state trie serially.
-	for _, addr := range addrs {
-		obj := s.objects[addr]
+	for _, obj := range written {
 		if obj.deleted {
-			s.tr.Delete(addr.Bytes())
-			delete(s.objects, addr)
-			delete(s.tries, addr)
+			s.tr.Delete(obj.address.Bytes())
+			delete(s.tries, obj.address)
 			continue
 		}
-		s.tr.Update(addr.Bytes(), obj.account.EncodeRLP())
+		s.tr.Update(obj.address.Bytes(), obj.account.EncodeRLP())
 	}
-	s.dirties = make(map[types.Address]struct{})
+	s.objects = make(map[types.Address]*stateObject)
 	return s.tr.Hash()
 }
 
@@ -528,7 +518,7 @@ func (s *StateDB) flushStorage(objs []*stateObject, workers int) []trie.Trie {
 
 // flushOneStorage writes one account's dirty storage slots into a copy of
 // its storage trie, records the new root on the account and returns the
-// trie.
+// trie. The object ends at Commit, so its storage maps are left as they are.
 func (s *StateDB) flushOneStorage(obj *stateObject) trie.Trie {
 	var st trie.Trie
 	if obj.account.Root != trie.EmptyRoot {
@@ -551,10 +541,8 @@ func (s *StateDB) flushOneStorage(obj *stateObject) trie.Trie {
 			// matching Ethereum's storage encoding.
 			st.Update(hashedKey, rlp.EncodeBytes(trimLeftZeros(v.Bytes())))
 		}
-		obj.originStorage[k] = v
 	}
 	obj.account.Root = st.Hash()
-	obj.storage = make(map[types.Hash]types.Hash)
 	return st
 }
 
@@ -581,6 +569,5 @@ func (s *StateDB) Fork() *StateDB {
 		codes:   s.codes,
 		objects: make(map[types.Address]*stateObject),
 		tries:   make(map[types.Address]trie.Trie),
-		dirties: make(map[types.Address]struct{}),
 	}
 }

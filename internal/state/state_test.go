@@ -302,7 +302,9 @@ func TestParallelCommitMatchesSerial(t *testing.T) {
 			sObjs = append(sObjs, obj)
 		}
 	}
-	serial.flushStorage(sObjs, 1)
+	for i, st := range serial.flushStorage(sObjs, 1) {
+		serial.tries[sObjs[i].address] = st
+	}
 	rootSerial := serial.Commit()
 	// Parallel flush.
 	parallel.Finalise()
@@ -312,7 +314,9 @@ func TestParallelCommitMatchesSerial(t *testing.T) {
 			pObjs = append(pObjs, obj)
 		}
 	}
-	parallel.flushStorage(pObjs, 8)
+	for i, st := range parallel.flushStorage(pObjs, 8) {
+		parallel.tries[pObjs[i].address] = st
+	}
 	rootParallel := parallel.Commit()
 	if rootSerial != rootParallel {
 		t.Fatalf("parallel commit root %s, serial %s", rootParallel.Hex(), rootSerial.Hex())
@@ -326,4 +330,73 @@ func TestParallelCommitMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCommitEndsEveryObject: after Commit no account is cached, and every
+// committed field reads back from the trie and the code store — directly,
+// after a revert of later writes, and through a Fork. Two contracts with
+// the same code share one stored copy.
+func TestCommitEndsEveryObject(t *testing.T) {
+	s := New()
+	code := []byte{0x60, 0x01, 0x60, 0x00, 0x55, 0x00}
+	for a := byte(1); a <= 3; a++ {
+		s.SetBalance(addr(a), uint256.NewInt(uint64(a)*100))
+		s.SetNonce(addr(a), uint64(a))
+		for k := byte(1); k <= 4; k++ {
+			s.SetState(addr(a), slot(k), slot(a*16+k))
+		}
+	}
+	s.SetCode(addr(1), code)
+	s.SetCode(addr(2), code)
+	s.Commit()
+	if len(s.objects) != 0 {
+		t.Fatalf("%d objects cached after Commit, want 0", len(s.objects))
+	}
+	if len(s.codes) != 1 {
+		t.Fatalf("code store holds %d entries, want 1", len(s.codes))
+	}
+	if c1, c2 := s.GetCode(addr(1)), s.GetCode(addr(2)); &c1[0] != &c2[0] {
+		t.Error("two contracts with identical code hold two copies")
+	}
+
+	check := func(label string, db *StateDB) {
+		t.Helper()
+		for a := byte(1); a <= 3; a++ {
+			if got := db.GetBalance(addr(a)); got.Uint64() != uint64(a)*100 {
+				t.Errorf("%s: account %d balance %s", label, a, got)
+			}
+			if got := db.GetNonce(addr(a)); got != uint64(a) {
+				t.Errorf("%s: account %d nonce %d", label, a, got)
+			}
+			for k := byte(1); k <= 4; k++ {
+				if got := db.GetState(addr(a), slot(k)); got != slot(a*16+k) {
+					t.Errorf("%s: account %d slot %d = %s", label, a, k, got.Hex())
+				}
+			}
+		}
+		for a, want := range map[byte][]byte{1: code, 2: code, 3: nil} {
+			if got := db.GetCode(addr(a)); string(got) != string(want) {
+				t.Errorf("%s: account %d code %x, want %x", label, a, got, want)
+			}
+		}
+	}
+	check("after commit", s)
+	check("fork", s.Fork())
+
+	snap := s.Snapshot()
+	for a := byte(1); a <= 3; a++ {
+		s.SetBalance(addr(a), uint256.NewInt(1))
+		s.SetNonce(addr(a), 99)
+		s.SetState(addr(a), slot(1), slot(0xEE))
+		s.SetState(addr(a), slot(2), types.Hash{})
+		s.SetCode(addr(a), []byte{0xfe})
+	}
+	s.RevertToSnapshot(snap)
+	check("after revert", s)
+	s.Commit()
+	if len(s.objects) != 0 {
+		t.Fatalf("%d objects cached after the second Commit, want 0", len(s.objects))
+	}
+	check("after revert and commit", s)
+	check("fork after revert and commit", s.Fork())
 }

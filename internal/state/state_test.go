@@ -280,7 +280,8 @@ func TestFinaliseClearsJournal(t *testing.T) {
 }
 
 // TestParallelCommitMatchesSerial: the parallel storage flush must produce
-// the identical state root as a serial flush of the same mutations.
+// the identical storage tries and state root as a serial flush of the same
+// mutations.
 func TestParallelCommitMatchesSerial(t *testing.T) {
 	build := func() *StateDB {
 		s := New()
@@ -293,40 +294,52 @@ func TestParallelCommitMatchesSerial(t *testing.T) {
 		}
 		return s
 	}
+	// flush runs flushStorage with the given worker count and stores the
+	// tries it returns, as Commit does. It then empties each object's dirty
+	// storage, so the Commit that follows folds exactly these tries and
+	// does not flush the slots a second time.
+	flush := func(s *StateDB, workers int) map[types.Address]types.Hash {
+		s.Finalise()
+		var objs []*stateObject
+		for _, obj := range s.objects {
+			if len(obj.storage) > 0 {
+				objs = append(objs, obj)
+			}
+		}
+		roots := make(map[types.Address]types.Hash)
+		for i, st := range s.flushStorage(objs, workers) {
+			obj := objs[i]
+			s.tries[obj.address] = st
+			if h := st.Hash(); h != obj.account.Root {
+				t.Fatalf("%d workers: account %s trie %s, account root %s", workers, obj.address.Hex(), h.Hex(), obj.account.Root.Hex())
+			}
+			roots[obj.address] = obj.account.Root
+			clear(obj.storage)
+		}
+		return roots
+	}
 	serial, parallel := build(), build()
-	// Serial flush.
-	serial.Finalise()
-	var sObjs []*stateObject
-	for _, obj := range serial.objects {
-		if len(obj.storage) > 0 {
-			sObjs = append(sObjs, obj)
+	serialRoots, parallelRoots := flush(serial, 1), flush(parallel, 8)
+	if len(serialRoots) != 24 || len(parallelRoots) != 24 {
+		t.Fatalf("flushed %d accounts serially, %d in parallel; want 24", len(serialRoots), len(parallelRoots))
+	}
+	for a, want := range serialRoots {
+		if got := parallelRoots[a]; got != want {
+			t.Fatalf("account %s: parallel storage root %s, serial %s", a.Hex(), got.Hex(), want.Hex())
 		}
 	}
-	for i, st := range serial.flushStorage(sObjs, 1) {
-		serial.tries[sObjs[i].address] = st
-	}
-	rootSerial := serial.Commit()
-	// Parallel flush.
-	parallel.Finalise()
-	var pObjs []*stateObject
-	for _, obj := range parallel.objects {
-		if len(obj.storage) > 0 {
-			pObjs = append(pObjs, obj)
-		}
-	}
-	for i, st := range parallel.flushStorage(pObjs, 8) {
-		parallel.tries[pObjs[i].address] = st
-	}
-	rootParallel := parallel.Commit()
+	rootSerial, rootParallel := serial.Commit(), parallel.Commit()
 	if rootSerial != rootParallel {
 		t.Fatalf("parallel commit root %s, serial %s", rootParallel.Hex(), rootSerial.Hex())
 	}
 	// Storage still readable after both.
-	for a := byte(1); a <= 24; a++ {
-		for k := byte(0); k < 8; k++ {
-			want := types.BytesToHash([]byte{a, k, a + k})
-			if got := parallel.GetState(addr(a), slot(a^k)); got != want {
-				t.Fatalf("account %d slot %d: got %s, want %s", a, k, got.Hex(), want.Hex())
+	for _, s := range []*StateDB{serial, parallel} {
+		for a := byte(1); a <= 24; a++ {
+			for k := byte(0); k < 8; k++ {
+				want := types.BytesToHash([]byte{a, k, a + k})
+				if got := s.GetState(addr(a), slot(a^k)); got != want {
+					t.Fatalf("account %d slot %d: got %s, want %s", a, k, got.Hex(), want.Hex())
+				}
 			}
 		}
 	}

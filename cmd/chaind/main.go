@@ -26,6 +26,7 @@ package main
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -36,9 +37,17 @@ import (
 	"onoffchain/internal/chain"
 	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
+	"onoffchain/internal/telemetry/telemetryhttp"
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
+	"onoffchain/internal/vm"
 )
+
+// maxBody bounds every request body. The longest admissible transaction
+// spends a whole block's gas on zero bytes of calldata (2.5 MB at
+// chain.BlockGasLimit), 5 MB as hex; the rest is room for the RLP
+// envelope, the signature and the JSON around them.
+const maxBody = int(2*chain.BlockGasLimit/vm.GasTxDataZero) + 1<<12
 
 type server struct {
 	chain *chain.Chain
@@ -54,6 +63,22 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 func writeError(w http.ResponseWriter, status int, err error) {
 	w.WriteHeader(status)
 	writeJSON(w, map[string]string{"error": err.Error()})
+}
+
+// readJSON decodes the request body into v, at most maxBody bytes of it.
+// On failure it answers 413 for an oversized body, 400 otherwise, and
+// returns false.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(maxBody))).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err)
+	return false
 }
 
 func parseAddr(r *http.Request) (types.Address, error) {
@@ -133,8 +158,7 @@ func (s *server) send(w http.ResponseWriter, r *http.Request) {
 		RLP  string `json:"rlp"`
 		Wait bool   `json:"wait"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	raw, err := decodeHex(req.RLP)
@@ -175,8 +199,7 @@ func (s *server) call(w http.ResponseWriter, r *http.Request) {
 		To   string `json:"to"`
 		Data string `json:"data"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	from, err := types.HexToAddress(req.From)
@@ -209,12 +232,29 @@ func (s *server) advance(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Seconds uint64 `json:"seconds"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if !readJSON(w, r, &req) {
+		return
+	}
+	if err := s.chain.AdvanceTime(req.Seconds); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.chain.AdvanceTime(req.Seconds)
 	writeJSON(w, map[string]uint64{"time": s.chain.Now()})
+}
+
+// newMux routes the chain API's eight endpoints.
+func newMux(c *chain.Chain) *http.ServeMux {
+	srv := &server{chain: c}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/status", srv.status)
+	mux.HandleFunc("/balance", srv.balance)
+	mux.HandleFunc("/nonce", srv.nonce)
+	mux.HandleFunc("/code", srv.code)
+	mux.HandleFunc("/receipt", srv.receipt)
+	mux.HandleFunc("/send", srv.send)
+	mux.HandleFunc("/call", srv.call)
+	mux.HandleFunc("/advance", srv.advance)
+	return mux
 }
 
 func main() {
@@ -305,20 +345,9 @@ func main() {
 		}
 		defer c.StopMining()
 	}
-	srv := &server{chain: c}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("/status", srv.status)
-	mux.HandleFunc("/balance", srv.balance)
-	mux.HandleFunc("/nonce", srv.nonce)
-	mux.HandleFunc("/code", srv.code)
-	mux.HandleFunc("/receipt", srv.receipt)
-	mux.HandleFunc("/send", srv.send)
-	mux.HandleFunc("/call", srv.call)
-	mux.HandleFunc("/advance", srv.advance)
 
 	if *telemetryAddr != "" {
-		tsrv, err := telemetry.Serve(*telemetryAddr, reg, tr)
+		tsrv, err := telemetryhttp.Serve(*telemetryAddr, reg, tr)
 		if err != nil {
 			log.Fatalf("telemetry listen: %v", err)
 		}
@@ -327,5 +356,5 @@ func main() {
 	}
 
 	log.Printf("chaind: dev chain listening on %s (funded accounts: %d)", *listen, len(alloc))
-	log.Fatal(http.ListenAndServe(*listen, mux))
+	log.Fatal(http.ListenAndServe(*listen, newMux(c)))
 }

@@ -29,6 +29,7 @@ import (
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
+	"onoffchain/internal/telemetry/telemetryhttp"
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
 	"onoffchain/internal/whisper"
@@ -108,7 +109,7 @@ func main() {
 		o.reg.RegisterRuntimeMetrics()
 	}
 	if *telemetryAddr != "" {
-		tsrv, err := telemetry.Serve(*telemetryAddr, o.reg, o.tr)
+		tsrv, err := telemetryhttp.Serve(*telemetryAddr, o.reg, o.tr)
 		if err != nil {
 			log.Fatalf("telemetry listen: %v", err)
 		}

@@ -10,6 +10,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -32,6 +34,9 @@ var (
 	ErrGasLimitExceeded   = errors.New("chain: exceeds block gas limit")
 	ErrUnknownTransaction = errors.New("chain: unknown transaction")
 	ErrUnknownBlock       = errors.New("chain: unknown block")
+	// ErrClockOverflow rejects an AdvanceTime that would carry the clock,
+	// or the next block's timestamp, past 2^64-1 seconds.
+	ErrClockOverflow = errors.New("chain: clock advance overflows the block timestamp")
 	// ErrTxDropped resolves WaitReceipt for a transaction that passed
 	// admission but became invalid by the time its block executed it (for
 	// example its sender's balance was consumed by an earlier transaction
@@ -282,11 +287,18 @@ func (c *Chain) Now() uint64 {
 	return c.now
 }
 
-// AdvanceTime moves the simulated clock forward by delta seconds.
-func (c *Chain) AdvanceTime(delta uint64) {
+// AdvanceTime moves the simulated clock forward by delta seconds. A delta
+// that leaves no room for the next block's interval is rejected with
+// ErrClockOverflow and the clock stays where it was: a wrapped clock would
+// seal a block older than its parent.
+func (c *Chain) AdvanceTime(delta uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if next, carry := bits.Add64(c.now, delta, 0); carry != 0 || next > math.MaxUint64-BlockInterval {
+		return ErrClockOverflow
+	}
 	c.now += delta
+	return nil
 }
 
 // Latest returns the head block.

@@ -1,6 +1,8 @@
 package chain
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"onoffchain/internal/secp256k1"
@@ -268,6 +270,33 @@ func TestClockControl(t *testing.T) {
 	c.SendTransaction(tx)
 	if c.Latest().Time() < start+5000 {
 		t.Error("block timestamp ignored clock")
+	}
+}
+
+// An advance that would wrap the clock, or leave the next block's timestamp
+// no room, is refused and moves nothing: block time never runs backwards.
+func TestAdvanceTimeRejectsOverflow(t *testing.T) {
+	alice := newAccount(114)
+	c := testChain(alice)
+	start := c.Now()
+	for _, delta := range []uint64{math.MaxUint64, math.MaxUint64 - start, math.MaxUint64 - start - BlockInterval + 1} {
+		if err := c.AdvanceTime(delta); !errors.Is(err, ErrClockOverflow) {
+			t.Fatalf("AdvanceTime(%d) from %d = %v, want ErrClockOverflow", delta, start, err)
+		}
+		if c.Now() != start {
+			t.Fatalf("a refused advance moved the clock %d → %d", start, c.Now())
+		}
+	}
+	last := math.MaxUint64 - start - BlockInterval
+	if err := c.AdvanceTime(last); err != nil {
+		t.Fatalf("AdvanceTime(%d) leaves one block interval and must pass: %v", last, err)
+	}
+	parent := c.Latest().Time()
+	if _, err := c.SendTransaction(signedTransfer(t, alice, alice.addr, new(uint256.Int), 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Latest().Time(); got <= parent || got != math.MaxUint64 {
+		t.Fatalf("block after the last admissible advance has time %d (parent %d), want 2^64-1", got, parent)
 	}
 }
 

@@ -873,7 +873,9 @@ func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch)
 	if h.crashed.Load() {
 		return h.crashReport(lc.t, StageSubmitted)
 	}
-	h.advancePast(sess)
+	if err := h.advancePast(sess); err != nil {
+		return fail(fmt.Errorf("hub: advance past the challenge window: %w", err))
+	}
 	fr, err := sess.FinalizeResult(0)
 	if err != nil {
 		return fail(fmt.Errorf("hub: finalize: %w", err))
@@ -971,8 +973,8 @@ func settledByDispute(c *chain.Chain, contract types.Address) bool {
 // session is safe for the others because the caller has just passed
 // WaitCaughtUp — no window anywhere has an undecided or unenforced verdict
 // — so a lie can never be frozen in by someone else's clock jump.
-func (h *Hub) advancePast(sess *hybrid.Session) {
-	h.chain.AdvanceTime(sess.Split.Policy.ChallengePeriod + 1)
+func (h *Hub) advancePast(sess *hybrid.Session) error {
+	return h.chain.AdvanceTime(sess.Split.Policy.ChallengePeriod + 1)
 }
 
 // barrierSpan records how long the session's tail waited on the tower,

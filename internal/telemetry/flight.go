@@ -202,7 +202,7 @@ func (f *FlightRecorder) run() {
 	}
 	write := func(s Span) {
 		s.Proc = f.proc
-		line, err := marshalSpan(s)
+		line, err := MarshalSpan(s)
 		if err != nil {
 			f.fail(err)
 			return
@@ -278,8 +278,9 @@ type flightRecord struct {
 	Attributes   []flightAttr      `json:"attributes"`
 }
 
-// marshalSpan renders one span as a recorder line (without the newline).
-func marshalSpan(s Span) ([]byte, error) {
+// MarshalSpan renders one span as a recorder line (without the newline):
+// the recorder's files and the live /debug/trace/{sid} share this format.
+func MarshalSpan(s Span) ([]byte, error) {
 	rec := flightRecord{
 		Resource: map[string]string{"proc": s.Proc},
 		Name:     s.Name,

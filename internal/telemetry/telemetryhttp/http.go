@@ -1,4 +1,9 @@
-package telemetry
+// Package telemetryhttp serves the telemetry registry and tracer over HTTP:
+// /metrics, /healthz, /debug/trace[/sid] and /debug/pprof/*. It is the only
+// package under internal/ that imports the network stack, and only the
+// binaries that take a -telemetry flag import it, so a process that never
+// listens does not link net/http (DESIGN §10).
+package telemetryhttp
 
 import (
 	"encoding/json"
@@ -10,6 +15,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"onoffchain/internal/telemetry"
 )
 
 func writeIndentedJSON(w http.ResponseWriter, v any) {
@@ -33,10 +40,10 @@ func writeIndentedJSON(w http.ResponseWriter, v any) {
 // are labelled with the serving executable's name, as a recorder labels
 // its file. reg and tr may each be nil; the endpoints degrade to empty
 // output.
-func newMux(reg *Registry, tr *Tracer) *http.ServeMux {
+func newMux(reg *telemetry.Registry, tr *telemetry.Tracer) *http.ServeMux {
 	proc := filepath.Base(os.Args[0])
-	live := func(r *http.Request, sid uint64) []Span {
-		spans := Select(tr.Spans(), sid, r.URL.Query().Get("layer"))
+	live := func(r *http.Request, sid uint64) []telemetry.Span {
+		spans := telemetry.Select(tr.Spans(), sid, r.URL.Query().Get("layer"))
 		for i := range spans {
 			spans[i].Proc = proc
 		}
@@ -49,7 +56,7 @@ func newMux(reg *Registry, tr *Tracer) *http.ServeMux {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		rep := reg.HealthReport()
-		if rep.Status == HealthUnhealthy {
+		if rep.Status == telemetry.HealthUnhealthy {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 		writeIndentedJSON(w, rep)
@@ -57,7 +64,7 @@ func newMux(reg *Registry, tr *Tracer) *http.ServeMux {
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc := json.NewEncoder(w)
-		for _, sum := range SummarizeTraces(live(r, 0)) {
+		for _, sum := range telemetry.SummarizeTraces(live(r, 0)) {
 			enc.Encode(sum)
 		}
 	})
@@ -69,7 +76,7 @@ func newMux(reg *Registry, tr *Tracer) *http.ServeMux {
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		for _, s := range live(r, sid) {
-			line, err := marshalSpan(s)
+			line, err := telemetry.MarshalSpan(s)
 			if err != nil {
 				continue
 			}
@@ -93,7 +100,7 @@ type Server struct {
 // Serve starts the telemetry surface on addr (e.g. ":6060"). Telemetry is
 // opt-in: nothing listens unless this is called. The returned server is
 // already accepting; Close to stop.
-func Serve(addr string, reg *Registry, tr *Tracer) (*Server, error) {
+func Serve(addr string, reg *telemetry.Registry, tr *telemetry.Tracer) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)

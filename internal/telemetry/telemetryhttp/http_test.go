@@ -1,4 +1,4 @@
-package telemetry
+package telemetryhttp
 
 import (
 	"encoding/json"
@@ -10,12 +10,14 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"onoffchain/internal/telemetry"
 )
 
 func TestHTTPSurfaces(t *testing.T) {
-	reg := NewRegistry()
+	reg := telemetry.NewRegistry()
 	reg.Counter("hub_sessions_completed_total").Add(5)
-	tr := NewTracer(64)
+	tr := telemetry.NewTracer(64)
 	start := time.Now()
 	tc := tr.NewTrace()
 	tr.RecordSpan(tc, 0, 42, "hub", "session", start, 3*time.Millisecond, "")
@@ -46,7 +48,7 @@ func TestHTTPSurfaces(t *testing.T) {
 		t.Fatalf("/debug/trace = %d", code)
 	}
 	lines := strings.Split(strings.TrimSpace(body), "\n")
-	var sum TraceSummary
+	var sum telemetry.TraceSummary
 	if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &sum) != nil {
 		t.Fatalf("/debug/trace index = %q, want one summary line", body)
 	}
@@ -72,7 +74,7 @@ func TestHTTPSurfaces(t *testing.T) {
 // ReadFlightFile parses it back into exactly the spans the tracer recorded
 // for the session, labelled with the serving process.
 func TestDebugTraceReadsBackAsRecorderFile(t *testing.T) {
-	tr := NewTracer(64)
+	tr := telemetry.NewTracer(64)
 	t0 := time.Unix(1_700_000_000, 123_000)
 	tc := tr.NewTrace()
 	tr.RecordSpan(tc, 0, 9, "hub", "session", t0, 5*time.Millisecond, "scenario=betting")
@@ -92,11 +94,11 @@ func TestDebugTraceReadsBackAsRecorderFile(t *testing.T) {
 	if err := os.WriteFile(path, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFlightFile(path)
+	got, err := telemetry.ReadFlightFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Select(tr.Spans(), 9, "")
+	want := telemetry.Select(tr.Spans(), 9, "")
 	if len(got) != len(want) {
 		t.Fatalf("read back %d spans, the tracer holds %d for the session", len(got), len(want))
 	}
@@ -109,13 +111,13 @@ func TestDebugTraceReadsBackAsRecorderFile(t *testing.T) {
 			t.Fatalf("span %d read back as %+v, recorded as %+v", i, g, w)
 		}
 	}
-	if tl := BuildTimeline(got, tc.TraceID); len(tl) != 2 || tl[0].Name != "session" || tl[1].Depth != 1 || tl[1].Orphan {
+	if tl := telemetry.BuildTimeline(got, tc.TraceID); len(tl) != 2 || tl[0].Name != "session" || tl[1].Depth != 1 || tl[1].Orphan {
 		t.Fatalf("timeline over the saved response: %+v", tl)
 	}
 }
 
 func TestServeAndClose(t *testing.T) {
-	reg := NewRegistry()
+	reg := telemetry.NewRegistry()
 	reg.Counter("x_total").Inc()
 	srv, err := Serve("127.0.0.1:0", reg, nil)
 	if err != nil {

@@ -60,7 +60,10 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 	}
 }
 
+// writeError answers status with a JSON error body. The content type is
+// set before WriteHeader: a header set after it is not sent.
 func writeError(w http.ResponseWriter, status int, err error) {
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	writeJSON(w, map[string]string{"error": err.Error()})
 }

@@ -32,10 +32,10 @@ func testAPI(t *testing.T) (*httptest.Server, *chain.Chain, *secp256k1.PrivateKe
 	return ts, c, key
 }
 
-// do sends one request and returns its status and body. A handler that
-// panics drops the connection and one that hangs hits the timeout: both
-// fail the test here.
-func do(t *testing.T, ts *httptest.Server, method, path, body string) (int, string) {
+// do sends one request and returns its status, its body and its content
+// type. A handler that panics drops the connection and one that hangs hits
+// the timeout: both fail the test here.
+func do(t *testing.T, ts *httptest.Server, method, path, body string) (int, string, string) {
 	t.Helper()
 	req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
 	if err != nil {
@@ -50,7 +50,7 @@ func do(t *testing.T, ts *httptest.Server, method, path, body string) (int, stri
 	if err != nil {
 		t.Fatalf("%s %s: read body: %v", method, path, err)
 	}
-	return resp.StatusCode, string(out)
+	return resp.StatusCode, string(out), resp.Header.Get("Content-Type")
 }
 
 func signedTx(t *testing.T, key *secp256k1.PrivateKey, nonce, gas uint64, data []byte) *types.Transaction {
@@ -67,8 +67,8 @@ func sendBody(tx *types.Transaction) string {
 }
 
 // Every endpoint answers well-formed requests with 200 and hostile ones
-// with a 4xx JSON error: bad hex, bad JSON, truncated RLP, an overflowing
-// clock advance and a body past the bound.
+// with a 4xx JSON error, typed application/json: bad hex, bad JSON,
+// truncated RLP, an overflowing clock advance and a body past the bound.
 func TestHandlers(t *testing.T) {
 	ts, c, key := testAPI(t)
 	addr := types.Address(key.EthereumAddress()).Hex()
@@ -116,10 +116,13 @@ func TestHandlers(t *testing.T) {
 		{"advance", "POST", "/advance", `{"seconds":100}`, 200},
 	} {
 		before := c.Now()
-		code, body := do(t, ts, tc.method, tc.path, tc.body)
+		code, body, ctype := do(t, ts, tc.method, tc.path, tc.body)
 		if code != tc.want {
 			t.Errorf("%s: %s %s answered %d %q, want %d", tc.name, tc.method, tc.path, code, body, tc.want)
 			continue
+		}
+		if code >= 400 && ctype != "application/json" {
+			t.Errorf("%s: error answer typed %q, want application/json", tc.name, ctype)
 		}
 		var resp map[string]any
 		if err := json.Unmarshal([]byte(body), &resp); err != nil {
@@ -145,7 +148,7 @@ func TestSendAdmitsTheLargestTransaction(t *testing.T) {
 	if len(body) > maxBody {
 		t.Fatalf("a %d-byte transaction makes a %d-byte body, past the %d bound", len(data), len(body), maxBody)
 	}
-	code, resp := do(t, ts, "POST", "/send", body)
+	code, resp, _ := do(t, ts, "POST", "/send", body)
 	if code != 200 || !strings.Contains(resp, `"status":1`) {
 		t.Fatalf("largest transaction answered %d %q", code, resp)
 	}

@@ -142,32 +142,47 @@ func main() {
 	net := whisper.NewNetwork(c.Now)
 	h := hub.New(c, net, faucetKey, hub.Config{Workers: 4, Telemetry: o.reg, Tracer: o.tr, Rollup: rollupCfg})
 
-	// Stream finalization and dispute events live over the push API. In
+	// Stream finalization and dispute events live: each sealed block wakes
+	// the feed, which reads the new blocks' events from the log index. In
 	// rollup mode no per-session finalizations exist — the epoch feed shows
 	// the batched commits instead.
-	events := c.SubscribeBlockLogs(chain.FilterQuery{Topics: []types.Hash{
-		hybrid.TopicResultFinalized, hybrid.TopicDisputeResolved, rollup.TopicEpochPosted,
-	}})
-	feedDone := make(chan struct{})
+	next := c.Height() + 1
+	printEvents := func() {
+		head := c.Height()
+		if next > head {
+			return
+		}
+		for _, l := range c.FilterLogs(chain.FilterQuery{FromBlock: next, ToBlock: head, Topics: []types.Hash{
+			hybrid.TopicResultFinalized, hybrid.TopicDisputeResolved, rollup.TopicEpochPosted,
+		}}) {
+			switch l.Topics[0] {
+			case rollup.TopicEpochPosted:
+				if ev, err := rollup.DecodeEpochPosted(l); err == nil {
+					fmt.Printf("  [events] block %4d  epoch %d POSTED root=%s.. (%d sessions in one tx)\n",
+						l.BlockNumber, ev.Epoch, ev.Root.Hex()[:10], ev.Count)
+				}
+			case hybrid.TopicResultFinalized:
+				r, _ := hybrid.DecodeResultWord(l)
+				fmt.Printf("  [events] block %4d  %s  finalized result=%d (unchallenged)\n",
+					l.BlockNumber, l.Address.Hex()[:10], r)
+			case hybrid.TopicDisputeResolved:
+				r, _ := hybrid.DecodeResultWord(l)
+				fmt.Printf("  [events] block %4d  %s  DISPUTE RESOLVED result=%d (enforced by miners)\n",
+					l.BlockNumber, l.Address.Hex()[:10], r)
+			}
+		}
+		next = head + 1
+	}
+	feedStop, feedDone := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(feedDone)
-		for b := range events.BlockLogs() {
-			for _, l := range b.Logs {
-				switch l.Topics[0] {
-				case rollup.TopicEpochPosted:
-					if ev, err := rollup.DecodeEpochPosted(l); err == nil {
-						fmt.Printf("  [events] block %4d  epoch %d POSTED root=%s.. (%d sessions in one tx)\n",
-							l.BlockNumber, ev.Epoch, ev.Root.Hex()[:10], ev.Count)
-					}
-				case hybrid.TopicResultFinalized:
-					r, _ := hybrid.DecodeResultWord(l)
-					fmt.Printf("  [events] block %4d  %s  finalized result=%d (unchallenged)\n",
-						l.BlockNumber, l.Address.Hex()[:10], r)
-				case hybrid.TopicDisputeResolved:
-					r, _ := hybrid.DecodeResultWord(l)
-					fmt.Printf("  [events] block %4d  %s  DISPUTE RESOLVED result=%d (enforced by miners)\n",
-						l.BlockNumber, l.Address.Hex()[:10], r)
-				}
+		for {
+			mined := c.Mined()
+			printEvents()
+			select {
+			case <-mined:
+			case <-feedStop:
+				return
 			}
 		}
 	}()
@@ -185,10 +200,12 @@ func main() {
 	reports := h.Run(specs)
 	m := h.Metrics()
 
-	// Flush the live event feed before summarizing.
+	// Stop the feed, then read what it has not yet printed, before
+	// summarizing.
 	h.Stop()
-	events.Unsubscribe()
+	close(feedStop)
 	<-feedDone
+	printEvents()
 
 	fmt.Println("\nper-session outcome:")
 	for i, rep := range reports {

@@ -13,11 +13,10 @@ import (
 	"testing"
 )
 
-// exportSeams names each exported function or method under internal/ that
-// no program calls, with the reason it stays: the test that needs it where
-// no production call answers, or the interface it is called through
-// outside this module. Anything else without a caller is deleted, not
-// listed.
+// exportSeams names each function or method under internal/ that no
+// program calls, with the reason it stays: the test that needs it where no
+// production call answers, or the interface it is called through outside
+// this module. Anything else without a caller is deleted, not listed.
 var exportSeams = map[string]string{
 	// Seams: what a test observes that no production call reports.
 	"(*chain.Chain).PendingCount":      "TestBlockWaitBudget and the other block-wait tests count what is pooled before they mine",
@@ -44,10 +43,13 @@ var exportSeams = map[string]string{
 }
 
 // TestExportsHaveCallers type-checks every non-test file of the module and
-// of benchmark/, and fails on any exported function or method declared
-// under internal/ that no non-test code refers to. A method also counts as
-// called when its type implements an interface whose method of that name
-// is called — by this code, or by fmt (String, Error, Format).
+// of benchmark/, and fails on any function or method declared under
+// internal/, exported or not, that no non-test code refers to. A method
+// also counts as called when its type implements an interface whose method
+// of that name is called — by this code, or by fmt (String, Error, Format).
+// An unexported method counts as used when its type implements an
+// interface declared in the module that has it: that is how a package
+// closes an interface to its own types (lang's stmtNode and exprNode).
 func TestExportsHaveCallers(t *testing.T) {
 	l := &loader{
 		fset:     token.NewFileSet(),
@@ -110,10 +112,36 @@ func TestExportsHaveCallers(t *testing.T) {
 		return false
 	}
 
+	var modIfaces []*types.Interface
+	for _, pkg := range l.pkgs {
+		if pkg == nil {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			if it, ok := pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok {
+				modIfaces = append(modIfaces, it)
+			}
+		}
+	}
+	implementsModuleInterface := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil || fn.Exported() {
+			return false
+		}
+		for _, it := range modIfaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Id() == fn.Id() && types.Implements(recv.Type(), it) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
 	uncalled := map[string]bool{}
 	var missing []string
 	for fn := range l.declared {
-		if called[fn] || throughInterface(fn) {
+		if called[fn] || throughInterface(fn) || implementsModuleInterface(fn) {
 			continue
 		}
 		name := strings.ReplaceAll(fn.FullName(), "onoffchain/internal/", "")
@@ -140,7 +168,7 @@ type loader struct {
 	std      types.Importer
 	pkgs     map[string]*types.Package
 	info     *types.Info
-	declared map[*types.Func]bool // exported functions and methods under internal/
+	declared map[*types.Func]bool // functions and methods under internal/
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {
@@ -186,7 +214,7 @@ func (l *loader) load(dir string) (*types.Package, error) {
 	}
 	for _, f := range files {
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name != "init" && fd.Name.Name != "_" {
 				l.declared[l.info.Defs[fd.Name].(*types.Func)] = true
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -140,9 +141,8 @@ type Chain struct {
 	mineDone chan struct{}
 	mineCap  int
 
-	// Push subscriptions (see subscription.go).
-	subID uint64
-	subs  map[uint64]*BlockLogSubscription
+	// mined is closed when the next block is sealed (see Mined).
+	mined chan struct{}
 
 	// In-memory log index (see appendBlock/filterIndexedLocked): every
 	// mined log, keyed by emitting address, in chain order.
@@ -154,7 +154,7 @@ type Chain struct {
 	logIndexed uint64 // queries served by the index
 
 	// Block journal (see persist.go): sealJournal, when attached, makes
-	// each sealed block durable before subscribers hear about it;
+	// each sealed block durable before Mined announces it;
 	// importing suppresses it while RestoreChain replays those records.
 	sealJournal func(*types.Block)
 	importing   bool
@@ -201,6 +201,7 @@ func New(config Config, alloc map[types.Address]*uint256.Int) *Chain {
 		waiters:      make(map[types.Hash][]chan receiptOutcome),
 		pendingNonce: make(map[types.Address]uint64),
 		logIndex:     make(map[types.Address][]indexedLog),
+		mined:        make(chan struct{}),
 		now:          GenesisTime,
 	}
 	if reg := config.Telemetry; reg != nil {
@@ -583,7 +584,8 @@ func (c *Chain) mineLocked() *types.Block {
 	if c.sealJournal != nil && !c.importing {
 		c.sealJournal(block)
 	}
-	c.notifySubs(block)
+	close(c.mined)
+	c.mined = make(chan struct{})
 	c.mBlocksMined.Inc()
 	c.hMineSeconds.ObserveSince(mineStart)
 	c.lastSeal = time.Now()
@@ -779,23 +781,31 @@ type FilterQuery struct {
 	Address   *types.Address
 	Topic     *types.Hash // matched against topic[0] if set
 
-	// AddressIn, when set, restricts matches to addresses in the (mutable)
-	// set. Unlike Address it is a live filter: a subscriber may grow and
-	// shrink the set after subscribing, which is how a watchtower tracks a
-	// changing population of guarded contracts without re-subscribing —
-	// and without every other tower paying to receive its logs.
-	AddressIn *AddressSet
+	// Addresses, when non-nil, matches the emitting address against any
+	// entry; an empty, non-nil list matches nothing, so a watchtower
+	// guarding no contract reads no log.
+	Addresses []types.Address
 	// Topics, when non-empty, matches topic[0] against any entry (an
 	// "any-of" selector, where Topic is exact-match).
 	Topics []types.Hash
 }
 
+// Mined returns a channel that is closed when the next block is sealed.
+// A reader takes it before it reads the head (Height, FilterLogs): a block
+// sealed after that read closes the channel the reader then waits on, so
+// no block is missed and none already sealed is waited for.
+func (c *Chain) Mined() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.mined
+}
+
 // FilterLogs returns mined logs matching q. Address-selective queries
-// (Address or AddressIn set) are served from the in-memory per-address log
+// (Address or Addresses set) are served from the in-memory per-address log
 // index — O(matching logs + log n), not O(blocks) — which is what keeps a
-// watchtower's catch-up after a restart from re-walking every receipt of
-// every block in range. Queries with no address selector still fall back
-// to the full scan.
+// watchtower's per-block scan and its catch-up after a restart from
+// re-walking every receipt of every block in range. Queries with no
+// address selector still fall back to the full scan.
 func (c *Chain) FilterLogs(q FilterQuery) []*types.Log {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -824,24 +834,40 @@ func (c *Chain) FilterLogs(q FilterQuery) []*types.Log {
 	return out
 }
 
+// matchLog applies the Address/Addresses/Topic/Topics selectors of a
+// FilterQuery.
+func matchLog(q *FilterQuery, l *types.Log) bool {
+	if q.Address != nil && l.Address != *q.Address {
+		return false
+	}
+	if q.Addresses != nil && !slices.Contains(q.Addresses, l.Address) {
+		return false
+	}
+	if q.Topic != nil && (len(l.Topics) == 0 || l.Topics[0] != *q.Topic) {
+		return false
+	}
+	if len(q.Topics) > 0 && (len(l.Topics) == 0 || !slices.Contains(q.Topics, l.Topics[0])) {
+		return false
+	}
+	return true
+}
+
 // queryAddresses extracts the candidate address list of an
 // address-selective query (ok=false for queries that need a full scan).
 // The indexed path re-applies matchLog to every candidate log, so
-// returning the tighter of Address/AddressIn is purely a pruning choice.
+// returning the tighter of Address/Addresses is purely a pruning choice.
 func queryAddresses(q *FilterQuery) ([]types.Address, bool) {
 	if q.Address != nil {
 		return []types.Address{*q.Address}, true
 	}
-	if q.AddressIn != nil {
-		return q.AddressIn.Snapshot(), true
-	}
-	return nil, false
+	return q.Addresses, q.Addresses != nil
 }
 
 // filterIndexedLocked serves an address-selective query from the log
 // index: binary-search each address's run for the block range, then merge
 // the per-address runs by their global sequence stamps so the result order
-// is exactly what the full receipt scan would produce.
+// is exactly what the full receipt scan would produce (an address listed
+// twice contributes its logs once).
 func (c *Chain) filterIndexedLocked(q *FilterQuery, addrs []types.Address, from, to uint64) []*types.Log {
 	var hits []indexedLog
 	for _, addr := range addrs {
@@ -858,6 +884,7 @@ func (c *Chain) filterIndexedLocked(q *FilterQuery, addrs []types.Address, from,
 	}
 	if len(addrs) > 1 {
 		sort.Slice(hits, func(i, j int) bool { return hits[i].seq < hits[j].seq })
+		hits = slices.CompactFunc(hits, func(a, b indexedLog) bool { return a.seq == b.seq })
 	}
 	out := make([]*types.Log, len(hits))
 	for i := range hits {

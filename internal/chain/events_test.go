@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -115,82 +116,31 @@ func TestFilterLogsTopicMatching(t *testing.T) {
 	}
 }
 
-// TestSubscriptionDelivery: two subscribers with different filters each
-// receive their own view of the same blocks — only logs mined after the
-// subscription, only the ones their selectors match, one batch per block.
-func TestSubscriptionDelivery(t *testing.T) {
-	alice := newAccount(132)
-	c := testChain(alice)
-	addr, nonce := deployLogger(t, c, alice, 0, 0x33)
-	other, nonce := deployLogger(t, c, alice, nonce, 0x34)
-	// Mined before the subscriptions: never replayed.
-	nonce = callLogger(t, c, alice, nonce, addr)
-
-	topic := types.BytesToHash([]byte{0x33})
-	exact := c.SubscribeBlockLogs(FilterQuery{Address: &addr, Topic: &topic})
-	defer exact.Unsubscribe()
-	all := c.SubscribeBlockLogs(FilterQuery{})
-	defer all.Unsubscribe()
-
-	start := c.Height()
-	for i := 0; i < 3; i++ {
-		nonce = callLogger(t, c, alice, nonce, addr)
-	}
-	callLogger(t, c, alice, nonce, other)
-	for i := uint64(1); i <= 4; i++ {
-		e, a := recvBatch(t, exact), recvBatch(t, all)
-		if e.Number != start+i || a.Number != start+i {
-			t.Fatalf("batch %d: numbers %d/%d, want %d", i, e.Number, a.Number, start+i)
-		}
-		if len(a.Logs) != 1 {
-			t.Fatalf("batch %d: unfiltered subscriber got %d logs, want 1", i, len(a.Logs))
-		}
-		if i == 4 {
-			if len(e.Logs) != 0 || a.Logs[0].Address != other {
-				t.Fatalf("batch 4: exact filter got %d logs, unfiltered got %s", len(e.Logs), a.Logs[0].Address.Hex())
-			}
-			continue
-		}
-		if len(e.Logs) != 1 || e.Logs[0].Address != addr || e.Logs[0].Topics[0] != topic {
-			t.Fatalf("batch %d: wrong address/topic: %+v", i, e.Logs)
-		}
-	}
-	select {
-	case b := <-exact.BlockLogs():
-		t.Fatalf("unexpected extra batch for block %d", b.Number)
-	default:
-	}
-}
-
-func TestSubscribeUnsubscribeClosesChannel(t *testing.T) {
-	alice := newAccount(133)
-	c := testChain(alice)
-	sub := c.SubscribeBlockLogs(FilterQuery{})
-	sub.Unsubscribe()
-	sub.Unsubscribe() // idempotent
-	if _, ok := <-sub.BlockLogs(); ok {
-		t.Error("channel not closed after Unsubscribe")
-	}
-	// Detached: the mined-block fan-out no longer reaches it.
-	c.mu.Lock()
-	n := len(c.subs)
-	c.mu.Unlock()
-	if n != 0 {
-		t.Errorf("%d subscriptions still registered after Unsubscribe", n)
-	}
-}
-
-// TestSubscriptionsUnderConcurrentMining hammers manual mining (AutoMine
-// off) from several goroutines while subscribers consume: every mined
-// block must be delivered exactly once and in order — to a subscriber
-// whose empty-set filter lets no log through as much as to one that
-// matches — and every log must reach the matching subscriber. Run with
-// -race.
-func TestSubscriptionsUnderConcurrentMining(t *testing.T) {
+// TestMinedUnderConcurrentMining: four miners race (AutoMine off) while
+// a reader takes Mined before it reads the head, then reads the new blocks'
+// logs. The reader sees every block and every log exactly once, each wake
+// follows a new block, and it never waits on a block already sealed: once
+// the miners stop, it reaches the final head with no further block mined.
+// Run with -race.
+func TestMinedUnderConcurrentMining(t *testing.T) {
 	alice := newAccount(134)
 	cfg := DefaultConfig()
 	cfg.AutoMine = false
 	c := New(cfg, map[types.Address]*uint256.Int{alice.addr: eth(100)})
+
+	// A channel taken before a seal is closed by it; one taken after is not.
+	before := c.Mined()
+	c.MineBlock()
+	select {
+	case <-before:
+	default:
+		t.Fatal("Mined channel taken before a seal is still open after it")
+	}
+	select {
+	case <-c.Mined():
+		t.Fatal("Mined channel taken after the last seal is already closed")
+	default:
+	}
 
 	// Deploy the logger with a manual mine.
 	code := []byte{
@@ -217,15 +167,46 @@ func TestSubscriptionsUnderConcurrentMining(t *testing.T) {
 	}
 	addr := r.ContractAddress
 
-	tickSub := c.SubscribeBlockLogs(FilterQuery{AddressIn: NewAddressSet()})
-	logSub := c.SubscribeBlockLogs(FilterQuery{Address: &addr})
-	startHeight := c.Height()
-
 	const (
 		miners        = 4
 		blocksPerGoro = 25
 		loggedTxs     = 20
 	)
+	start := c.Height()
+	final := start + miners*blocksPerGoro + 1 // the miners' blocks, then one flush
+
+	var logs, wakes int
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		seen := start
+		for seen < final {
+			mined := c.Mined()
+			head := c.Height()
+			if head == seen {
+				select {
+				case <-mined:
+				case <-time.After(10 * time.Second):
+					t.Errorf("reader waits at block %d with the head at %d", seen, c.Height())
+					return
+				}
+				if c.Height() == seen {
+					t.Errorf("Mined fired with the head still at %d", seen)
+					return
+				}
+				wakes++
+				continue
+			}
+			for _, l := range c.FilterLogs(FilterQuery{FromBlock: seen + 1, ToBlock: head, Addresses: []types.Address{addr}}) {
+				if l.Address != addr || l.BlockNumber <= seen || l.BlockNumber > head {
+					t.Errorf("log from %s in block %d read for blocks %d..%d", l.Address.Hex(), l.BlockNumber, seen+1, head)
+				}
+				logs++
+			}
+			seen = head
+		}
+	}()
+
 	var wg sync.WaitGroup
 	// One goroutine submits transactions that log; miners race to mine.
 	wg.Add(1)
@@ -257,34 +238,17 @@ func TestSubscriptionsUnderConcurrentMining(t *testing.T) {
 	wg.Wait()
 	// Everything submitted is mined now; flush any stragglers.
 	c.MineBlock()
+	<-readerDone
 
-	mined := c.Height() - startHeight
-	logs := 0
-	for i := uint64(1); i <= mined; i++ {
-		tick, b := recvBatch(t, tickSub), recvBatch(t, logSub)
-		if tick.Number != startHeight+i || b.Number != startHeight+i {
-			t.Fatalf("blocks out of order: got %d/%d, want %d", tick.Number, b.Number, startHeight+i)
-		}
-		if len(tick.Logs) != 0 {
-			t.Fatalf("block %d: empty-set filter delivered %d logs", tick.Number, len(tick.Logs))
-		}
-		for _, l := range b.Logs {
-			if l.Address != addr || l.BlockNumber != b.Number {
-				t.Fatalf("block %d: log from %s in block %d", b.Number, l.Address.Hex(), l.BlockNumber)
-			}
-		}
-		logs += len(b.Logs)
+	if c.Height() != final {
+		t.Fatalf("head %d, want %d", c.Height(), final)
 	}
 	if logs != loggedTxs {
-		t.Fatalf("%d logs delivered, want %d", logs, loggedTxs)
+		t.Fatalf("reader read %d logs, want %d", logs, loggedTxs)
 	}
-	select {
-	case b := <-logSub.BlockLogs():
-		t.Fatalf("batch for block %d past the head", b.Number)
-	default:
+	if wakes == 0 {
+		t.Error("the reader never waited on Mined")
 	}
-	tickSub.Unsubscribe()
-	logSub.Unsubscribe()
 }
 
 // Empty blocks (manual mining with nothing pending) must carry the SAME
@@ -303,101 +267,68 @@ func TestEmptyBlockKeepsStateRoot(t *testing.T) {
 	}
 }
 
-// recvBatch reads one BlockLogs batch or fails the test.
-func recvBatch(t *testing.T, sub *BlockLogSubscription) *BlockLogs {
-	t.Helper()
-	select {
-	case b, ok := <-sub.BlockLogs():
-		if !ok {
-			t.Fatal("block-log channel closed")
-		}
-		return b
-	case <-time.After(2 * time.Second):
-		t.Fatal("timed out waiting for a block-log batch")
-	}
-	return nil
-}
-
-// TestSubscribeBlockLogsAddressSet: the live AddressIn filter delivers
-// only the watched contracts' logs while still ticking every block
-// boundary — the per-tower filtering the watchtower rides on.
-func TestSubscribeBlockLogsAddressSet(t *testing.T) {
+// TestFilterLogsAddresses: Addresses is an any-of selector on the emitting
+// address — a listed contract's logs match, an unlisted one's do not, a
+// duplicate entry adds nothing — and an empty list matches nothing: a tower
+// guarding no contract reads no log.
+func TestFilterLogsAddresses(t *testing.T) {
 	alice := newAccount(140)
 	c := testChain(alice)
 	addrA, nonce := deployLogger(t, c, alice, 0, 0xA1)
 	addrB, nonce := deployLogger(t, c, alice, nonce, 0xB2)
-
-	set := NewAddressSet()
-	set.Add(addrA)
-	sub := c.SubscribeBlockLogs(FilterQuery{AddressIn: set})
-	defer sub.Unsubscribe()
-
-	// A's log matches; B's block arrives as an empty boundary batch.
+	addrC, nonce := deployLogger(t, c, alice, nonce, 0xC3)
+	from := c.Height() + 1
 	nonce = callLogger(t, c, alice, nonce, addrA)
-	b := recvBatch(t, sub)
-	if len(b.Logs) != 1 || b.Logs[0].Address != addrA {
-		t.Fatalf("batch 1: want A's log, got %+v", b.Logs)
-	}
-	if b.Number != c.Height() {
-		t.Fatalf("batch 1: number %d, head %d", b.Number, c.Height())
-	}
 	nonce = callLogger(t, c, alice, nonce, addrB)
-	if b = recvBatch(t, sub); len(b.Logs) != 0 {
-		t.Fatalf("batch 2: unwatched address delivered logs: %+v", b.Logs)
-	}
+	callLogger(t, c, alice, nonce, addrC)
 
-	// Growing the set takes effect for the next mined block.
-	set.Add(addrB)
-	nonce = callLogger(t, c, alice, nonce, addrB)
-	if b = recvBatch(t, sub); len(b.Logs) != 1 || b.Logs[0].Address != addrB {
-		t.Fatalf("batch 3: want B's log after Add, got %+v", b.Logs)
+	addrsOf := func(q FilterQuery) []types.Address {
+		q.FromBlock = from
+		var out []types.Address
+		for _, l := range c.FilterLogs(q) {
+			out = append(out, l.Address)
+		}
+		return out
 	}
-
-	// Shrinking mutes a previously watched contract.
-	set.Remove(addrA)
-	callLogger(t, c, alice, nonce, addrA)
-	if b = recvBatch(t, sub); len(b.Logs) != 0 {
-		t.Fatalf("batch 4: removed address still delivered: %+v", b.Logs)
+	if got := addrsOf(FilterQuery{Addresses: []types.Address{addrC, addrA}}); !slices.Equal(got, []types.Address{addrA, addrC}) {
+		t.Errorf("Addresses {C, A} read %v, want A's log then C's", got)
 	}
-	if len(set.Snapshot()) != 1 || set.Contains(addrA) || !set.Contains(addrB) {
-		t.Fatal("set state after Add/Remove is wrong")
+	if got := addrsOf(FilterQuery{Addresses: []types.Address{addrB, addrB}}); !slices.Equal(got, []types.Address{addrB}) {
+		t.Errorf("Addresses {B, B} read %v, want B's one log", got)
+	}
+	if got := addrsOf(FilterQuery{Addresses: []types.Address{}}); len(got) != 0 {
+		t.Errorf("an empty Addresses list read %v, want nothing", got)
+	}
+	if got := addrsOf(FilterQuery{}); len(got) != 3 {
+		t.Errorf("no address selector read %d logs, want all 3", len(got))
+	}
+	topic := types.BytesToHash([]byte{0xB2})
+	if got := addrsOf(FilterQuery{Addresses: []types.Address{addrA, addrB}, Topic: &topic}); !slices.Equal(got, []types.Address{addrB}) {
+		t.Errorf("Addresses {A, B} with B's topic read %v, want B's log", got)
 	}
 }
 
-// TestSubscribeBlockLogsTopicsAnyOf: the Topics selector is an any-of
-// match on topic[0].
-func TestSubscribeBlockLogsTopicsAnyOf(t *testing.T) {
+// TestFilterLogsTopicsAnyOf: the Topics selector is an any-of match on
+// topic[0], on the full scan and on the index alike.
+func TestFilterLogsTopicsAnyOf(t *testing.T) {
 	alice := newAccount(141)
 	c := testChain(alice)
 	addrA, nonce := deployLogger(t, c, alice, 0, 0x11)
 	addrB, nonce := deployLogger(t, c, alice, nonce, 0x22)
 	addrC, nonce := deployLogger(t, c, alice, nonce, 0x33)
+	nonce = callLogger(t, c, alice, nonce, addrA)
+	nonce = callLogger(t, c, alice, nonce, addrB)
+	callLogger(t, c, alice, nonce, addrC)
 
 	t1 := types.BytesToHash([]byte{0x11})
 	t2 := types.BytesToHash([]byte{0x22})
-	sub := c.SubscribeBlockLogs(FilterQuery{Topics: []types.Hash{t1, t2}})
-	defer sub.Unsubscribe()
-
-	nonce = callLogger(t, c, alice, nonce, addrA)
-	if b := recvBatch(t, sub); len(b.Logs) != 1 || b.Logs[0].Topics[0] != t1 {
-		t.Fatalf("topic 0x11 not matched: %+v", b.Logs)
-	}
-	nonce = callLogger(t, c, alice, nonce, addrB)
-	if b := recvBatch(t, sub); len(b.Logs) != 1 || b.Logs[0].Topics[0] != t2 {
-		t.Fatalf("topic 0x22 not matched: %+v", b.Logs)
-	}
-	callLogger(t, c, alice, nonce, addrC)
-	if b := recvBatch(t, sub); len(b.Logs) != 0 {
-		t.Fatalf("topic 0x33 should not match: %+v", b.Logs)
-	}
-
-	// FilterLogs honors the same selectors (poll side).
-	if got := len(c.FilterLogs(FilterQuery{Topics: []types.Hash{t1, t2}})); got != 2 {
-		t.Fatalf("FilterLogs any-of matched %d logs, want 2", got)
-	}
-	set := NewAddressSet()
-	set.Add(addrC)
-	if got := len(c.FilterLogs(FilterQuery{AddressIn: set})); got != 1 {
-		t.Fatalf("FilterLogs AddressIn matched %d logs, want 1", got)
+	for _, q := range []FilterQuery{
+		{Topics: []types.Hash{t1, t2}},
+		{Topics: []types.Hash{t1, t2}, Addresses: []types.Address{addrA, addrB, addrC}},
+	} {
+		logs := c.FilterLogs(q)
+		if len(logs) != 2 || logs[0].Topics[0] != t1 || logs[1].Topics[0] != t2 {
+			t.Fatalf("Topics {0x11, 0x22} (Addresses %v) read %d logs, want 0x11's then 0x22's", q.Addresses, len(logs))
+		}
 	}
 }

@@ -53,17 +53,15 @@ func logIndexWorld(t *testing.T) (*Chain, types.Address, types.Address) {
 
 // TestLogIndexEquivalence: the indexed path must return exactly what the
 // full receipt scan returns — same logs, same pointers, same order — for
-// single-address, set, topic-constrained and range-bounded queries.
+// single-address, address-list, topic-constrained and range-bounded queries.
 func TestLogIndexEquivalence(t *testing.T) {
 	c, addrA, addrB := logIndexWorld(t)
-	set := NewAddressSet()
-	set.Add(addrA)
-	set.Add(addrB)
+	both := []types.Address{addrA, addrB}
 	queries := []FilterQuery{
 		{Address: &addrA},
 		{Address: &addrB, FromBlock: 2, ToBlock: 3},
-		{AddressIn: set},
-		{AddressIn: set, FromBlock: 3},
+		{Addresses: both},
+		{Addresses: both, FromBlock: 3},
 	}
 	for qi, q := range queries {
 		indexed := c.FilterLogs(q)

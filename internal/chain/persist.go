@@ -20,7 +20,7 @@ import (
 )
 
 // AttachJournal makes every block sealed from now on durable: after the
-// block is appended (and before it is announced to subscribers), write
+// block is appended (and before Mined announces it), write
 // one KindChainBlock record — number, timestamp, header hash, raw
 // transactions — followed by a KindChainIndex record carrying the log
 // index's high-water mark (the global log sequence after this block).

@@ -310,7 +310,7 @@ func fedFailoverRun(t *testing.T, mode string) {
 
 	// The lie is on-chain, the window is open, the owner is dead. A
 	// standalone backup must find it (via its adopted guard and its own
-	// chain subscription), wait out its escalation slot, and dispute.
+	// block loop), wait out its escalation slot, and dispute.
 	contract := submittedContract(t, c)
 	deadline := c.FilterLogs(chain.FilterQuery{Topic: &hybrid.TopicResultSubmitted})[0]
 	ev, err := hybrid.DecodeResultSubmitted(deadline)
@@ -1016,7 +1016,14 @@ func fedRollupRun(t *testing.T, mode string, rolled bool) {
 		}
 	}
 	towers := []*Tower{hubTower, s1, s2}
-	waitUntil(t, 10*time.Second, "every tower to end every guard", func() bool {
+	// A Join tower that has not yet read a session's guard export also
+	// guards nothing: wait for every adoption before the guards end.
+	waitUntil(t, 10*time.Second, "every Join tower to adopt every guard and every tower to end it", func() bool {
+		for _, tw := range []*Tower{s1, s2} {
+			if int(tw.Metrics().GuardsAdopted) < len(specs) {
+				return false
+			}
+		}
 		for _, tw := range towers {
 			if tw.Metrics().Guards != 0 || tw.Watchtower().OpenWindows() != 0 {
 				return false

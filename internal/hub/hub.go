@@ -931,7 +931,7 @@ func (h *Hub) verdict(lc *lifecycle, sess *hybrid.Session, watch *Watch) (own ti
 // already settled, labelled from the chain's settlement log rather than
 // from how the owner got here. DisputeResolved means a dispute was
 // enforced — our tower's, a federated peer's, or a dead generation's;
-// the chain indexes a block's logs before any subscriber hears of them, so
+// the chain indexes a block's logs before Mined announces the block, so
 // the log is there whenever the contract reads settled. ResultFinalized
 // alone means an unchallenged finalization this worker did not send (a
 // recovered session whose dead generation's finalize was still pooled at

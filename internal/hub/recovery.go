@@ -100,9 +100,9 @@ func (r *RecoverReport) Resumed() []*Ticket {
 // replay-before-act:
 //
 //  1. Fold the WAL into per-session state; no chain interaction yet.
-//  2. Start the new hub (fresh workers, fresh watchtower subscribed to
-//     live blocks — in rollup mode armed with the sequencer rebuilt from
-//     the WAL, not yet started) with a session-ID floor above the WAL's
+//  2. Start the new hub (fresh workers, fresh watchtower reading every
+//     block sealed from now on — in rollup mode armed with the sequencer
+//     rebuilt from the WAL, not yet started) with a session-ID floor above the WAL's
 //     high mark — party keys derive from session IDs, so no dead session's
 //     keys are ever re-minted.
 //  3. Rebuild every resumable session (participants from keys re-derived
@@ -262,8 +262,8 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 	// guard set armed each re-post — and any pooled post of the dead
 	// generation that mines meanwhile — opens its windows through its
 	// EpochPosted log. Then the replay: every guarded contract's history from
-	// block 0. The tower's live subscription has been running since newHub,
-	// so events mined from here on are handled twice at most — idempotently.
+	// block 0. The tower's block loop has been running since newHub, so
+	// events mined from here on are handled twice at most — idempotently.
 	if h.seq != nil {
 		if err := h.seq.Start(); err != nil {
 			h.Stop()

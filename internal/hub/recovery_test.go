@@ -576,7 +576,7 @@ func requireNoKey(t *testing.T, dir string, keys [][]byte) (snapshots int) {
 }
 
 // TestRecoverReplaysFromTheIndex: Recover's chain-event replay asks the
-// chain what the live subscription asks — the guarded set and the tower's
+// chain what the block loop asks — the guarded set and the tower's
 // topics, from block 0 to the head — so it is served from the log index;
 // the full-scan path, which walks every receipt of every block, stays cold.
 func TestRecoverReplaysFromTheIndex(t *testing.T) {

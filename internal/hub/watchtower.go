@@ -13,12 +13,12 @@ import (
 )
 
 // Watchtower is the hub's always-on chain monitor (in the tradition of
-// state-channel watchtowers): it subscribes to newly mined blocks, scans
-// them for the lifecycle events the generated on-chain contracts emit,
-// tracks every open challenge window, and — when a submitted result
-// disagrees with its own sandboxed execution of the signed off-chain
-// bytecode — files a dispute on behalf of the honest participant, inside
-// the challenge window.
+// state-channel watchtowers): it wakes on each sealed block, reads the
+// lifecycle events its guarded contracts emitted in the new blocks from
+// the chain's log index, tracks every open challenge window, and — when a
+// submitted result disagrees with its own sandboxed execution of the
+// signed off-chain bytecode — files a dispute on behalf of the honest
+// participant, inside the challenge window.
 //
 // Dispute filing is asynchronous: the event loop never transacts. Every
 // open window is handed to the dispute pipeline — a pacer goroutine per
@@ -39,8 +39,6 @@ import (
 // chain order.
 type Watchtower struct {
 	chain   *chain.Chain
-	sub     *chain.BlockLogSubscription
-	filter  *chain.AddressSet // guarded contracts; gates log delivery chain-side
 	metrics *metrics
 	tracer  *telemetry.Tracer // nil: no spans
 	wg      sync.WaitGroup
@@ -55,7 +53,7 @@ type Watchtower struct {
 
 	sem     chan struct{} // sandbox slots: bounds concurrent Watch.Expected runs, never a filing
 	pacerWG sync.WaitGroup
-	stopCh  chan struct{} // closed by Stop: pacers wind down undecided
+	stopCh  chan struct{} // closed by Stop: the loop returns, pacers wind down undecided
 	haltCh  chan struct{} // closed by Halt: the "process" is dead
 
 	// Rollup guard state, fixed at construction (nil in per-session mode):
@@ -141,8 +139,9 @@ const sandboxSlots = 4
 // party 0, which never lies (a lying representative is the last party).
 const disputer = 0
 
-// NewWatchtower starts a tower on the chain. Stop() must be called to
-// release the subscription and its goroutines. m is the hub's internal
+// NewWatchtower starts a tower on the chain at its current head: blocks
+// sealed from here on are read, older ones only by CatchUp. Stop() must be
+// called to release its goroutines. m is the hub's internal
 // metrics sink; external callers (the federation's standalone towers) pass
 // nil. tr records tower-layer spans (windows opened, settlements, dispute
 // filings); nil disables them. src, when set, arms the
@@ -154,30 +153,18 @@ func NewWatchtower(c *chain.Chain, m *metrics, tr *telemetry.Tracer, src rollup.
 	if m == nil {
 		m = newMetrics(nil)
 	}
-	// The tower subscribes at the chain's filter layer: only logs of
-	// guarded contracts (a live, per-tower address set) with lifecycle
-	// topics cross the channel, so N towers sharing a chain do not each
-	// pay to receive — and scan — every other tower's traffic. Block
-	// boundaries still arrive for every block (empty batches) to drive
-	// the caught-up barrier.
-	filter := chain.NewAddressSet()
 	w := &Watchtower{
-		chain: c,
-		sub: c.SubscribeBlockLogs(chain.FilterQuery{
-			AddressIn: filter,
-			Topics:    towerTopics,
-		}),
-		filter:  filter,
-		metrics: m,
-		tracer:  tr,
-		entries: make(map[types.Address]*Watch),
-		sem:     make(chan struct{}, sandboxSlots),
-		stopCh:  make(chan struct{}),
-		haltCh:  make(chan struct{}),
+		chain:     c,
+		metrics:   m,
+		tracer:    tr,
+		entries:   make(map[types.Address]*Watch),
+		processed: c.Height(),
+		sem:       make(chan struct{}, sandboxSlots),
+		stopCh:    make(chan struct{}),
+		haltCh:    make(chan struct{}),
 	}
 	if src != nil {
 		w.rollupSrc, w.rollupReg = src, src.Registry()
-		filter.Add(w.rollupReg.Addr)
 	}
 	w.cond = sync.NewCond(&w.mu)
 	w.wg.Add(1)
@@ -231,12 +218,10 @@ func (w *Watchtower) guard(sess *hybrid.Session, sid uint64, scenario string, tc
 		w.mu.Unlock()
 		return nil, fmt.Errorf("hub: watchtower stopped")
 	}
+	// Guard is called before any result can be submitted, so every scan
+	// of a block that can hold one asks for this contract's logs.
 	w.entries[sess.OnChainAddr] = e
 	w.mu.Unlock()
-	// Open the subscription filter for this contract BEFORE returning:
-	// Guard is called before any result can be submitted, so the filter
-	// is listening before the first event that matters can be mined.
-	w.filter.Add(sess.OnChainAddr)
 	if o, _ := w.federated(); o != nil {
 		o.Guarded(e, sess.OnChainAddr)
 	}
@@ -373,12 +358,12 @@ func (w *Watchtower) OpenWindows() int {
 	return n
 }
 
-// Stop unsubscribes, drains the event loop, winds down undecided dispute
-// pacers (a deferred window is abandoned — a restart re-arms it from the
-// chain, see CatchUp) and waits for in-flight dispute filings to complete.
+// Stop ends the block loop, winds down undecided dispute pacers (a
+// deferred window is abandoned — a restart re-arms it from the chain, see
+// CatchUp) and waits for in-flight dispute filings to complete. The loop
+// is waited for first: it is what starts pacers, so none starts once
+// pacerWG is waited on.
 func (w *Watchtower) Stop() {
-	w.sub.Unsubscribe()
-	w.wg.Wait()
 	w.mu.Lock()
 	alreadyStopped := w.stopped
 	w.stopped = true
@@ -387,6 +372,7 @@ func (w *Watchtower) Stop() {
 	if !alreadyStopped {
 		close(w.stopCh)
 	}
+	w.wg.Wait()
 	w.pacerWG.Wait()
 }
 
@@ -409,9 +395,10 @@ func (w *Watchtower) Watches() []*Watch {
 }
 
 // Halt simulates the tower process dying right now (Hub.Kill, and the
-// crash-harness seam for standalone towers): block delivery keeps draining
-// but nothing is examined or disputed, and barrier waiters are released so
-// their workers can observe the crash.
+// crash-harness seam for standalone towers): blocks keep sealing but
+// nothing is read, examined or disputed — the processed watermark stays
+// where it was — and barrier waiters are released so their workers can
+// observe the crash.
 func (w *Watchtower) Halt() {
 	w.mu.Lock()
 	alreadyHalted := w.halted
@@ -429,21 +416,26 @@ func (w *Watchtower) isHalted() bool {
 	return w.halted
 }
 
+// loop reads every block sealed after the tower started: it takes the
+// chain's Mined channel before scan reads the head, so a block sealed
+// during a scan wakes the next one.
 func (w *Watchtower) loop() {
 	defer w.wg.Done()
-	for b := range w.sub.BlockLogs() {
+	for {
+		mined := w.chain.Mined()
 		if w.isHalted() {
-			continue // the "process" is gone; drain and ignore
-		}
-		for _, l := range b.Logs {
-			w.handleLog(l)
+			<-w.stopCh // the "process" is gone: read nothing more
+			return
 		}
 		w.mu.Lock()
-		if b.Number > w.processed {
-			w.processed = b.Number
-		}
-		w.cond.Broadcast()
+		from := w.processed + 1
 		w.mu.Unlock()
+		w.scan(from)
+		select {
+		case <-mined:
+		case <-w.stopCh:
+			return
+		}
 	}
 }
 
@@ -457,19 +449,35 @@ func (w *Watchtower) ReplayLogs(logs []*types.Log) {
 }
 
 // CatchUp replays the guarded contracts' whole history, blocks [0, head],
-// with the query the live subscription runs — the guarded set and
-// towerTopics, served from the chain's log index, so it costs the guarded
-// contracts' handful of logs, not the chain's length. It raises the
-// processed watermark to head so the barriers see the replayed height, and
-// returns head. A restarted tower calls it once its guards are re-armed:
-// the replay reopens every window in chain order, and no durable record can
-// make it skip one.
-func (w *Watchtower) CatchUp() uint64 {
+// through the scan the block loop runs, and returns head. A restarted tower
+// calls it once its guards are re-armed: the replay reopens every window in
+// chain order, and no durable record can make it skip one.
+func (w *Watchtower) CatchUp() uint64 { return w.scan(0) }
+
+// scan is the tower's one read of the chain: the logs of blocks [from,
+// head] that the guarded contracts and the rollup registry emitted under
+// towerTopics, served from the chain's log index — the guarded contracts'
+// handful of logs, not the chain's length. It handles them in chain order,
+// raises the processed watermark to head so the barriers see the height,
+// and returns head. The head is read before the guard set: a contract
+// guarded after that read submits nothing before the next block.
+func (w *Watchtower) scan(from uint64) uint64 {
 	head := w.chain.Height()
-	w.ReplayLogs(w.chain.FilterLogs(chain.FilterQuery{
-		ToBlock:   head,
-		AddressIn: w.filter, Topics: towerTopics,
-	}))
+	if from <= head {
+		w.mu.Lock()
+		addrs := make([]types.Address, 0, len(w.entries)+1)
+		for a := range w.entries {
+			addrs = append(addrs, a)
+		}
+		w.mu.Unlock()
+		if w.rollupReg != nil {
+			addrs = append(addrs, w.rollupReg.Addr)
+		}
+		w.ReplayLogs(w.chain.FilterLogs(chain.FilterQuery{
+			FromBlock: from, ToBlock: head,
+			Addresses: addrs, Topics: towerTopics,
+		}))
+	}
 	w.mu.Lock()
 	if head > w.processed {
 		w.processed = head
@@ -580,7 +588,6 @@ func (w *Watchtower) release(addr types.Address) {
 	if !ok {
 		return
 	}
-	w.filter.Remove(addr)
 	if o, _ := w.federated(); o != nil {
 		o.WindowClosed(addr)
 	}
@@ -615,10 +622,9 @@ func (w *Watchtower) sendLeafOpen(e *Watch, rl *rollupLeaf) (observe func()) {
 	}
 }
 
-// towerTopics are the lifecycle topics the tower asks the chain for — live
-// in its subscription, after a restart in CatchUp — AND dispatches in
-// handleLog's switch. Extend them together: a topic handled but not listed
-// here never reaches the tower on either path.
+// towerTopics are the lifecycle topics the tower asks the chain for in scan
+// AND dispatches in handleLog's switch. Extend them together: a topic
+// handled but not listed here never reaches the tower.
 var towerTopics = []types.Hash{
 	hybrid.TopicResultSubmitted,
 	hybrid.TopicResultFinalized,
@@ -633,7 +639,7 @@ func (w *Watchtower) handleLog(l *types.Log) {
 	if l.Topics[0] == rollup.TopicEpochPosted {
 		// Batch settlement: one registry event opens a challenge window
 		// for EVERY leaf in the epoch. Routed before the entries lookup —
-		// the registry itself is in the filter set, not the sessions'.
+		// scan asks for the registry's address, which guards no session.
 		w.onEpochPosted(l)
 		return
 	}
@@ -665,12 +671,11 @@ func (w *Watchtower) onSettled(e *Watch, addr types.Address) {
 	}
 	// The contract is settled for good (both paths set the on-chain
 	// settled flag): drop the entry so a long-lived hub doesn't
-	// accumulate every session it ever guarded. Holders of the *Watch
-	// keep reading it safely.
+	// accumulate every session it ever guarded, and scan stops asking for
+	// its logs. Holders of the *Watch keep reading it safely.
 	w.mu.Lock()
 	delete(w.entries, addr)
 	w.mu.Unlock()
-	w.filter.Remove(addr) // settled for good: stop receiving its logs
 	if first && w.tracer != nil && (e.id != 0 || e.tc.Valid()) {
 		w.tracer.EventChild(e.tc, e.id, "tower", "settled", "")
 	}
@@ -692,7 +697,7 @@ func (w *Watchtower) onSubmission(e *Watch, l *types.Log) {
 }
 
 // examine records one observed submission and ensures a dispute pipeline
-// job is driving the window. It is shared by live delivery and replay
+// job is driving the window. It is shared by the block loop and replay
 // (onSubmission, openBatchWindow) — windows come only from the chain — and
 // is idempotent: a submission that is already settled, already disputed, or
 // already being driven by a pending job is left alone — that is what makes

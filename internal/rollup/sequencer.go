@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"onoffchain/internal/chain"
 	"onoffchain/internal/hybrid"
 	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
@@ -400,21 +399,17 @@ func (s *Sequencer) Start() error {
 // as n and one as n+1, and every later epoch would be numbered one off.
 func (s *Sequencer) awaitPoolDrained() error {
 	c, addr := s.cfg.Party.Chain, s.cfg.Party.Addr
-	drained := func() bool { return c.NonceAt(addr) == c.PendingNonceAt(addr) }
-	if drained() {
-		return nil
-	}
-	// An empty address set matches no log; block boundaries still arrive.
-	sub := c.SubscribeBlockLogs(chain.FilterQuery{AddressIn: chain.NewAddressSet()})
-	defer sub.Unsubscribe()
-	for !drained() {
+	for {
+		mined := c.Mined() // before the check: a block sealed after it wakes us
+		if c.NonceAt(addr) == c.PendingNonceAt(addr) {
+			return nil
+		}
 		select {
 		case <-s.ctx.Done():
 			return s.ctx.Err()
-		case <-sub.BlockLogs():
+		case <-mined:
 		}
 	}
-	return nil
 }
 
 // Registry exposes the installed registry handle (nil before one is).

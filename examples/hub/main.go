@@ -3,12 +3,12 @@
 // one dev chain, while the hub's watchtower monitors chain events. One
 // submitter is dishonest — watch the tower catch the lie inside the
 // challenge window and force the true result through dispute/resolve.
-// A log subscription (the push counterpart of FilterLogs) streams the
-// settlement events live.
+// An event feed wakes on each sealed block (chain.Mined) and prints the
+// new blocks' settlement events, read with FilterLogs.
 //
 // The second act is the durability demo: a WAL-backed hub is killed the
 // instant a fraudulent result lands on-chain, then rebuilt with
-// hub.Recover — which replays the log, re-arms the watchtower over the
+// hub.Recover — which folds the WAL, re-arms the watchtower over the
 // still-open challenge window, and makes sure the lie is disputed
 // exactly once.
 package main
@@ -340,22 +340,27 @@ func federationDemo(faucetKey *secp256k1.PrivateKey, towers int, o obs) {
 	}
 	fmt.Printf("  window open on %s until t=%d; backups guard it from gossiped state\n", contract.Hex()[:10], ev.At+600)
 
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
+	// Wake on each sealed block until the dispute's resolution is on chain.
+	timeout := time.After(30 * time.Second)
+	for {
+		mined := c.Mined()
 		if len(c.FilterLogs(chain.FilterQuery{Address: &contract, Topic: &hybrid.TopicDisputeResolved})) > 0 {
 			break
 		}
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-mined:
+		case <-timeout:
+			log.Fatal("no backup disputed the lie")
+		}
 	}
 	for i, bt := range backups {
-		m := bt.Metrics()
-		if m.DisputesWon > 0 {
+		// A tower counts its win once its own settled check returns, which
+		// can trail the resolution's block: wait until it has decided.
+		bt.Watchtower().WaitCaughtUp(c.Height())
+		if bt.Metrics().DisputesWon > 0 {
 			fmt.Printf("  backup tower %d (%s) escalated and ENFORCED the dispute at chain time %d — %ds before the deadline\n",
 				i+1, bt.Self().Hex()[:10], c.Now(), ev.At+600-c.Now())
 		}
-	}
-	if len(c.FilterLogs(chain.FilterQuery{Address: &contract, Topic: &hybrid.TopicDisputeResolved})) == 0 {
-		log.Fatal("no backup disputed the lie")
 	}
 	fmt.Printf("  exactly-once: %d DisputeOpened event(s) on the contract\n",
 		len(c.FilterLogs(chain.FilterQuery{Address: &contract, Topic: &hybrid.TopicDisputeOpened})))
@@ -452,8 +457,8 @@ func durabilityDemo(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.P
 	fmt.Printf("  hub KILLED at stage %s, session %d: fraudulent submission on-chain, window open\n", rep.Stage, rep.ID)
 	st.Close()
 
-	// "Restart the process": reopen the WAL, recover, and let the tower
-	// replay its guarded contracts' chain history from the log index.
+	// "Restart the process": reopen the WAL and recover; each re-armed guard
+	// reads its contract's chain history from the log index.
 	st2, err := store.Open(dir, store.Options{Telemetry: o.reg})
 	if err != nil {
 		log.Fatal(err)
@@ -463,7 +468,6 @@ func durabilityDemo(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.P
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  recovered: chain events replayed through block %d\n", rec.ReplayedTo)
 	for _, s := range rec.Sessions {
 		fmt.Printf("  session %d (%s): %s from stage %s\n", s.ID, s.Scenario, s.Outcome, s.Stage)
 	}

@@ -21,7 +21,6 @@ var exportSeams = map[string]string{
 	// Seams: what a test observes that no production call reports.
 	"(*chain.Chain).PendingCount":      "TestBlockWaitBudget and the other block-wait tests count what is pooled before they mine",
 	"(*chain.Chain).StorageAt":         "TestCallDoesNotMutate and TestParallelStorageContention read a slot with no getter to call",
-	"(*federation.Tower).Watchtower":   "TestFederationPartition and the failover runs halt a member's wrapped tower and read its watches",
 	"(*hub.Hub).LiveSessions":          "TestLifecycleProperties and the crash harness check that no session is left live",
 	"(*hub.Hub).RollupHandles":         "TestSeriesHaveReaders and the rollup tests hand a Join tower the hub's registry and epochs",
 	"(*hub.Ticket).Done":               "TestBlockWaitBudget and TestDisputeGateHoldsBarrier wait for a session with a deadline",

@@ -201,6 +201,71 @@ func TestWaitReceiptContextAndUnknown(t *testing.T) {
 	}
 }
 
+// TestWaitReceiptParksAcrossACappedBlock: a cap-only driver seals the first
+// two of three pooled transfers; a waiter on the third stays parked across
+// that block and resolves at the next MineBlock, which carries it. A waiter
+// canceled while parked returns ctx.Err(), and the transaction it waited
+// on still mines.
+func TestWaitReceiptParksAcrossACappedBlock(t *testing.T) {
+	alice, bob := newAccount(315), newAccount(316)
+	c := batchChain(alice, bob)
+	var hashes []types.Hash
+	for i := uint64(0); i < 3; i++ {
+		h, err := c.SendTransaction(signedTransfer(t, alice, bob.addr, eth(1), i))
+		if err != nil {
+			t.Fatalf("tx %d: %v", i, err)
+		}
+		hashes = append(hashes, h)
+	}
+	type outcome struct {
+		r   *types.Receipt
+		err error
+	}
+	wait := func(ctx context.Context) <-chan outcome {
+		done := make(chan outcome, 1)
+		go func() {
+			r, err := c.WaitReceipt(ctx, hashes[2])
+			done <- outcome{r, err}
+		}()
+		return done
+	}
+	parked := wait(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
+	canceled := wait(ctx)
+
+	mined := c.Mined()
+	if err := c.StartMining(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	defer c.StopMining()
+	<-mined
+	if c.Height() != 1 || c.PendingCount() != 1 {
+		t.Fatalf("after the capped block: height %d, %d pooled; want 1 and 1", c.Height(), c.PendingCount())
+	}
+	for _, h := range hashes[:2] {
+		if _, err := c.Receipt(h); err != nil {
+			t.Fatalf("capped block: %v", err)
+		}
+	}
+	select {
+	case out := <-parked:
+		t.Fatalf("waiter resolved by a block that does not carry its transaction: %v, %v", out.r, out.err)
+	case out := <-canceled:
+		t.Fatalf("waiter resolved by a block that does not carry its transaction: %v, %v", out.r, out.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	cancel()
+	if out := <-canceled; !errors.Is(out.err, context.Canceled) {
+		t.Fatalf("canceled waiter: %v, %v; want context.Canceled", out.r, out.err)
+	}
+	c.MineBlock()
+	out := <-parked
+	if out.err != nil || !out.r.Succeeded() || out.r.BlockNumber != 2 {
+		t.Fatalf("parked waiter: receipt=%+v err=%v, want a successful receipt from block 2", out.r, out.err)
+	}
+}
+
 // TestPendingNonceAt: the pending pool reserves nonces, so a sender can
 // pipeline transactions without waiting for blocks, and admission stays
 // strict about gaps and reuse.

@@ -33,7 +33,7 @@
 // journal.go), the encoding its journal holds, so one codec serves both
 // directions. Each tower journals guard states and closures to its own
 // internal/store WAL; a restarted member re-arms every guard from durable
-// state and replays each guarded contract's chain history from the log
+// state, and each guard reads its contract's chain history from the log
 // index. See DESIGN.md §7.
 package federation
 
@@ -176,7 +176,7 @@ type Tower struct {
 // Join starts a standalone guard tower: a federation member with no hub
 // of its own that adopts guard duty for sessions its peers gossip. With a
 // Store carrying a previous incarnation's journal, the tower re-arms
-// every durable guard and replays its contract's chain history before it
+// every durable guard, reading its contract's chain history, before it
 // starts gossiping.
 func Join(cfg Config) (*Tower, error) {
 	t, err := newTower(cfg)
@@ -254,11 +254,10 @@ func (t *Tower) attach(w *hub.Watchtower) {
 }
 
 // rearm rebuilds guard duty from the journal: fold the store, then
-// re-guard every contract it leaves open. Each adoption
-// replays its contract's whole chain history, so every window reopens from
-// the chain — the replay-before-act recipe hub.Recover uses, scoped to
-// guard duty. (A batch window opens from the
-// Source when the guard is taken; see Watchtower.Guard.)
+// re-guard every contract it leaves open. Each guard reads its contract's
+// whole chain history, so every window reopens from the chain — the
+// recipe hub.Recover uses, scoped to guard duty. (A batch window opens from
+// the Source when the guard is taken; see Watchtower.Guard.)
 func (t *Tower) rearm() {
 	if t.cfg.Store == nil {
 		return
@@ -438,7 +437,7 @@ func (t *Tower) handleEnvelope(env *whisper.Envelope) {
 	// before the rebuild. The bus delivers a sender's posts in order, so the
 	// first export came first: this tower adopted the guard from it, and
 	// then ended it on the settlement. Adopting the re-post would rebuild
-	// the session, replay its history, journal the guard and count it a
+	// the session, read its history again, journal the guard and count it a
 	// second time.
 	if rec.U3 == 1 && t.settledOnChain(g.Contract) {
 		return
@@ -463,13 +462,13 @@ func (t *Tower) isMember(a types.Address) bool {
 
 // adopt takes a peer's session under this tower's guard, unless the tower
 // already guards the contract: rebuild the session from the registry spec +
-// party scalars + signed copy (see rebuild), register the watch, and replay
-// the contract's chain history through the tower, which reopens a window
-// whose submission beat the gossip (or this tower's restart) here. A
-// settled contract's guard adopted from its first export (or the journal)
-// is ended again by that replay. A rolled-up leaf has no settlement log, so
-// a re-post of one whose batch window the tower found clean is adopted
-// again, and the replay's sandbox ends it again.
+// party scalars + signed copy (see rebuild) and guard it. The guard reads
+// the contract's chain history, which reopens a window whose submission
+// beat the gossip (or this tower's restart) here. A settled contract's
+// guard adopted from its first export (or the journal) is ended again by
+// that read. A rolled-up leaf has no settlement log, so a re-post of one
+// whose batch window the tower found clean is adopted again, and the
+// sandbox ends it again.
 func (t *Tower) adopt(g *guardExport, journalIt bool) error {
 	if t.tower.Guarding(g.Contract) {
 		return nil
@@ -504,12 +503,6 @@ func (t *Tower) adopt(g *guardExport, journalIt bool) error {
 	}
 	t.metrics.guardsAdopted.Inc()
 	t.cfg.Tracer.RecordSpan(adoptTC, g.Trace.Span, g.SID, "federation", "adopt", adoptStart, time.Since(adoptStart), "tower="+t.self.Hex())
-	// The submission may already be on chain (the block raced the gossip,
-	// or landed while this tower was down): replay the contract's
-	// whole history, served from the log index, through the same idempotent
-	// handlers as live delivery.
-	addr := g.Contract
-	t.tower.ReplayLogs(t.cfg.Chain.FilterLogs(chain.FilterQuery{Address: &addr}))
 	return nil
 }
 

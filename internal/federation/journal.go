@@ -11,7 +11,7 @@ import (
 
 // journal is the tower's durable state: the guard states it shares duty
 // for and which contracts have closed — enough for a restarted member to
-// re-arm every guard and replay its contract's chain history. It reuses the hub's WAL store (internal/store) with
+// re-arm every guard, which reads its contract's chain history. It reuses the hub's WAL store (internal/store) with
 // the federation record kinds; the store is this tower's own, never shared
 // with a hub WAL.
 type journal struct {

@@ -558,9 +558,6 @@ func (f *overlapFixture) checkReport(t *testing.T, rr *RecoverReport, swept bool
 			t.Fatalf("session %d recovered as %+v, want resumed", id, rs)
 		}
 	}
-	if rr.ReplayedTo < f.lieBlock {
-		t.Fatalf("replayed through block %d, want the outage block %d inside", rr.ReplayedTo, f.lieBlock)
-	}
 	return byID
 }
 

@@ -759,8 +759,8 @@ func (h *Hub) runFromSigned(lc *lifecycle, sess *hybrid.Session, watch *Watch, s
 	t, rep, spec := lc.t, lc.rep, lc.t.Spec
 	fail := func(err error) *Report { return h.failSession(lc, err) }
 
-	// Hand the session to the watchtower BEFORE any submission can land,
-	// so no challenge window ever opens unobserved.
+	// Guard the session first: startPrivateRun below pre-computes the
+	// watch's own verdict alongside the parties' runs.
 	if watch == nil {
 		var err error
 		watch, err = h.tower.guard(sess, t.ID, spec.Scenario, t.tc)

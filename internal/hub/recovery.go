@@ -80,9 +80,6 @@ type RecoveredSession struct {
 // RecoverReport summarizes one Recover run.
 type RecoverReport struct {
 	Sessions []*RecoveredSession
-	// ReplayedTo is the head the chain-event replay ran through: the
-	// guarded contracts' history is replayed from block 0 up to here.
-	ReplayedTo uint64
 }
 
 // Resumed returns the tickets of every resumed session.
@@ -107,14 +104,14 @@ func (r *RecoverReport) Resumed() []*Ticket {
 //     keys are ever re-minted.
 //  3. Rebuild every resumable session (participants from keys re-derived
 //     from the session ID, signed copy decoded and re-verified, on-chain
-//     address) and re-arm the watchtower over it.
-//  4. In rollup mode, start the sequencer, which re-posts torn epochs. Then
-//     replay the guarded contracts' whole history from the chain's log
-//     index (Watchtower.CatchUp), which reopens every window in chain
-//     order. Any fraudulent submission whose contract is not yet settled is
-//     disputed immediately — exactly once, because examinations claim the
-//     dispute per-watch and the chain's settled flag vetoes re-filing lies
-//     whose dispute already landed.
+//     address) and re-arm the watchtower over it: each guard reads its
+//     contract's whole history from the chain's log index, which reopens
+//     its windows in chain order. Any fraudulent submission whose contract
+//     is not yet settled is disputed immediately — exactly once, because
+//     examinations claim the dispute per-watch and the chain's settled flag
+//     vetoes re-filing lies whose dispute already landed.
+//  4. In rollup mode, start the sequencer, which re-posts torn epochs; the
+//     tower's block loop reads those posts with every guard armed.
 //  5. Enqueue a resume job per session so workers drive it to a terminal
 //     stage (finalizing honest submissions once their window elapses).
 //  6. Await the receipts of the abandoned sessions' sweeps, pooled back in
@@ -130,7 +127,7 @@ func (r *RecoverReport) Resumed() []*Ticket {
 // On a chain with AutoMine off, block production must already be running
 // (chain.StartMining, or something calling MineBlock) before Recover is
 // called: recovery itself transacts — abandoned-session sweeps, and any
-// dispute the replay files — and those transactions only resolve when
+// dispute a guard files — and those transactions only resolve when
 // blocks are sealed.
 func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, cfg Config, registry SpecRegistry) (*Hub, *RecoverReport, error) {
 	recs, err := st.Replay()
@@ -196,7 +193,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 	// beyond reach.)
 	// The sweeps of ALL abandoned sessions are pooled here and awaited
 	// together at the end of Recover, so the block that carries them also
-	// carries the replay's disputes and the resumed sessions' next steps.
+	// carries the guards' disputes and the resumed sessions' next steps.
 	type abandoned struct {
 		rs     *RecoveredSession
 		sweeps []types.Hash
@@ -261,16 +258,13 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 	// chain, re-posting exactly the ones that never landed, and with the
 	// guard set armed each re-post — and any pooled post of the dead
 	// generation that mines meanwhile — opens its windows through its
-	// EpochPosted log. Then the replay: every guarded contract's history from
-	// block 0. The tower's block loop has been running since newHub, so
-	// events mined from here on are handled twice at most — idempotently.
+	// EpochPosted log.
 	if h.seq != nil {
 		if err := h.seq.Start(); err != nil {
 			h.Stop()
 			return nil, nil, fmt.Errorf("hub: recover: rollup: %w", err)
 		}
 	}
-	report.ReplayedTo = h.tower.CatchUp()
 
 	// Step 5: hand every survivor to the worker pool to finish.
 	for _, r := range resumables {
@@ -393,7 +387,7 @@ func (h *Hub) partyKeys(ss *sessionState) ([]*secp256k1.PrivateKey, error) {
 }
 
 // resumeSession drives a recovered session to a terminal stage. It opens
-// with the verdict step every tail takes — the tower's replay has reached
+// with the verdict step every tail takes — the session's guard has reached
 // its decision on whatever window it found, so a settled contract is
 // labelled from the chain and a standing lie is never finalized — and then
 // re-enters the lifecycle where the chain and the WAL say the session

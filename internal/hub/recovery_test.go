@@ -448,9 +448,6 @@ func fraudWhileHubDownRun(t *testing.T, mode string, cursorPastTheLie bool) {
 	}
 	defer h2.Stop()
 
-	if rec.ReplayedTo < fraudBlock {
-		t.Fatalf("replay stopped at %d, before the fraud block %d", rec.ReplayedTo, fraudBlock)
-	}
 	resumed := rec.Resumed()
 	if len(resumed) != 1 {
 		t.Fatalf("%d sessions resumed, want 1", len(resumed))
@@ -575,10 +572,10 @@ func requireNoKey(t *testing.T, dir string, keys [][]byte) (snapshots int) {
 	return snapshots
 }
 
-// TestRecoverReplaysFromTheIndex: Recover's chain-event replay asks the
-// chain what the block loop asks — the guarded set and the tower's
-// topics, from block 0 to the head — so it is served from the log index;
-// the full-scan path, which walks every receipt of every block, stays cold.
+// TestRecoverReplaysFromTheIndex: a recovered guard's history read asks the
+// chain what the block loop asks — its contract and the tower's topics,
+// from block 0 to the head — so it is served from the log index; the
+// full-scan path, which walks every receipt of every block, stays cold.
 func TestRecoverReplaysFromTheIndex(t *testing.T) {
 	c, net, faucetKey := miningWorld(t, "auto")
 	st, err := store.Open(t.TempDir(), store.Options{})
@@ -609,16 +606,12 @@ func TestRecoverReplaysFromTheIndex(t *testing.T) {
 	}
 	defer st2.Close()
 
-	head := c.Height()
 	scanned, indexed := c.LogScanStats()
 	h2, rec, err := Recover(st2, c, net, faucetKey, Config{Workers: 1}, testRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h2.Stop()
-	if rec.ReplayedTo < head {
-		t.Fatalf("replayed through block %d, short of the head %d at recovery", rec.ReplayedTo, head)
-	}
 	resumed := rec.Resumed()
 	if len(resumed) != 1 {
 		t.Fatalf("%d sessions resumed, want 1", len(resumed))

@@ -846,11 +846,13 @@ func (s inFlightSource) CachedEpochs() []*rollup.Epoch { return []*rollup.Epoch{
 // and not at 0 + Window.
 func TestBatchWindowOpensAtTheEpochsBlockTime(t *testing.T) {
 	c, net, faucetKey := miningWorld(t, "auto")
-	h := New(c, net, faucetKey, Config{Workers: 1})
-	rep := h.Submit(BettingSpec(4, 600, false)).Report()
-	h.Stop()
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
+	// The session stops after its private run, unsettled: a guard whose
+	// history holds a settlement log ends as it is taken.
+	w := executedWatches(t, c, net, faucetKey, BettingSpec(4, 600, false))[0]
+	sess := w.Session()
+	out, err := hybrid.ExecuteOffChain(sess.Copy.Bytecode)
+	if err != nil {
+		t.Fatal(err)
 	}
 	seq := hybrid.NewParticipant(faucetKey, c, nil)
 	bind, err := rollup.DeployRegistryAsync(seq, 2, seq.Addr, 3_000_000)
@@ -861,14 +863,14 @@ func TestBatchWindowOpensAtTheEpochsBlockTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaves := []rollup.Leaf{{SID: rep.ID, Contract: rep.OnChainAddr, Outcome: rep.Result}}
+	leaves := []rollup.Leaf{{SID: w.SID(), Contract: sess.OnChainAddr, Outcome: out.Result}}
 	tree, err := rollup.NewTree(2, leaves)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tower := NewWatchtower(c, nil, nil, inFlightSource{reg, &rollup.Epoch{Number: 0, Root: tree.Root(), Tree: tree, Leaves: leaves}})
 	defer tower.Stop()
-	watch, err := tower.Guard(rep.Session, "", telemetry.TraceContext{})
+	watch, err := tower.Guard(sess, "", telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

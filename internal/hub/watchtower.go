@@ -33,9 +33,9 @@ import (
 // decision reached — is what it waits for before moving the shared clock,
 // so nobody can advance time past a window whose verdict is still pending.
 //
-// The tower keeps no durable state: the chain is its only memory. A
-// restarted tower re-guards its sessions and replays their whole history
-// from the chain's log index (CatchUp), which reopens every window in
+// The tower keeps no durable state: the chain is its only memory. Taking a
+// guard reads the contract's whole history from the chain's log index, so
+// a restarted tower that re-guards its sessions reopens every window in
 // chain order.
 type Watchtower struct {
 	chain   *chain.Chain
@@ -139,15 +139,15 @@ const sandboxSlots = 4
 // party 0, which never lies (a lying representative is the last party).
 const disputer = 0
 
-// NewWatchtower starts a tower on the chain at its current head: blocks
-// sealed from here on are read, older ones only by CatchUp. Stop() must be
-// called to release its goroutines. m is the hub's internal
-// metrics sink; external callers (the federation's standalone towers) pass
-// nil. tr records tower-layer spans (windows opened, settlements, dispute
-// filings); nil disables them. src, when set, arms the
-// tower for batch settlement: EpochPosted events on src's registry open a
-// batch window per guarded leaf, and disputes open that leaf against the
-// posted root first. Guarded sessions keep their per-session logs too, so
+// NewWatchtower starts a tower on the chain at its current head: its block
+// loop reads the blocks sealed from here on, and a guard reads its own
+// contract's older ones. Stop() must be called to release its goroutines.
+// m is the hub's internal metrics sink; external callers (the federation's
+// standalone towers) pass nil. tr records tower-layer spans (windows
+// opened, settlements, dispute filings); nil disables them. src, when set,
+// arms the tower for batch settlement: EpochPosted events on src's registry
+// open a batch window per guarded leaf, and disputes open that leaf against
+// the posted root first. Guarded sessions keep their per-session logs too, so
 // dispute resolutions still settle watches the normal way.
 func NewWatchtower(c *chain.Chain, m *metrics, tr *telemetry.Tracer, src rollup.Source) *Watchtower {
 	if m == nil {
@@ -199,8 +199,8 @@ func (w *Watchtower) Metrics() Snapshot { return w.metrics.snapshot() }
 // spans a standalone tower records for it (window openings, disputes) join
 // the trace that produced the session — the federation passes the context
 // it re-hydrated from gossip. Must be called after DeployOnChain and
-// SignAndExchange (the tower needs the address and the signed copy) and
-// before any result is submitted.
+// SignAndExchange (the tower needs the address and the signed copy); a
+// result already submitted opens its window as the guard is taken.
 func (w *Watchtower) Guard(sess *hybrid.Session, scenario string, tc telemetry.TraceContext) (*Watch, error) {
 	return w.guard(sess, 0, scenario, tc)
 }
@@ -218,13 +218,15 @@ func (w *Watchtower) guard(sess *hybrid.Session, sid uint64, scenario string, tc
 		w.mu.Unlock()
 		return nil, fmt.Errorf("hub: watchtower stopped")
 	}
-	// Guard is called before any result can be submitted, so every scan
-	// of a block that can hold one asks for this contract's logs.
 	w.entries[sess.OnChainAddr] = e
 	w.mu.Unlock()
 	if o, _ := w.federated(); o != nil {
 		o.Guarded(e, sess.OnChainAddr)
 	}
+	// Every scan whose guard set holds the entry asks for this contract's
+	// logs; one that read its head before the entry went in read a head no
+	// later than this one, so reading [0, head] here leaves no block unread.
+	w.read([]types.Address{sess.OnChainAddr}, 0, w.chain.Height())
 	w.seedBatchWindow(e)
 	return e, nil
 }
@@ -360,9 +362,9 @@ func (w *Watchtower) OpenWindows() int {
 
 // Stop ends the block loop, winds down undecided dispute pacers (a
 // deferred window is abandoned — a restart re-arms it from the chain, see
-// CatchUp) and waits for in-flight dispute filings to complete. The loop
-// is waited for first: it is what starts pacers, so none starts once
-// pacerWG is waited on.
+// Guard) and waits for in-flight dispute filings to complete. A pacer is
+// counted under the lock that marks the tower stopped (see examine), so
+// none starts once pacerWG is waited on.
 func (w *Watchtower) Stop() {
 	w.mu.Lock()
 	alreadyStopped := w.stopped
@@ -439,29 +441,12 @@ func (w *Watchtower) loop() {
 	}
 }
 
-// ReplayLogs feeds historical logs through the same handlers as live
-// blocks; overlap with live delivery is harmless because the handlers are
-// idempotent.
-func (w *Watchtower) ReplayLogs(logs []*types.Log) {
-	for _, l := range logs {
-		w.handleLog(l)
-	}
-}
-
-// CatchUp replays the guarded contracts' whole history, blocks [0, head],
-// through the scan the block loop runs, and returns head. A restarted tower
-// calls it once its guards are re-armed: the replay reopens every window in
-// chain order, and no durable record can make it skip one.
-func (w *Watchtower) CatchUp() uint64 { return w.scan(0) }
-
-// scan is the tower's one read of the chain: the logs of blocks [from,
-// head] that the guarded contracts and the rollup registry emitted under
-// towerTopics, served from the chain's log index — the guarded contracts'
-// handful of logs, not the chain's length. It handles them in chain order,
-// raises the processed watermark to head so the barriers see the height,
-// and returns head. The head is read before the guard set: a contract
-// guarded after that read submits nothing before the next block.
-func (w *Watchtower) scan(from uint64) uint64 {
+// scan is the block loop's read of blocks [from, head]: the logs the
+// guarded contracts and the rollup registry emitted there. It then raises
+// the processed watermark to head so the barriers see the height. The head
+// is read before the guard set: a contract guarded after that read reads
+// its own history through a later head (guard).
+func (w *Watchtower) scan(from uint64) {
 	head := w.chain.Height()
 	if from <= head {
 		w.mu.Lock()
@@ -473,10 +458,7 @@ func (w *Watchtower) scan(from uint64) uint64 {
 		if w.rollupReg != nil {
 			addrs = append(addrs, w.rollupReg.Addr)
 		}
-		w.ReplayLogs(w.chain.FilterLogs(chain.FilterQuery{
-			FromBlock: from, ToBlock: head,
-			Addresses: addrs, Topics: towerTopics,
-		}))
+		w.read(addrs, from, head)
 	}
 	w.mu.Lock()
 	if head > w.processed {
@@ -484,7 +466,6 @@ func (w *Watchtower) scan(from uint64) uint64 {
 	}
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	return head
 }
 
 // rollupLeafOpenGas bounds one openLeaf transaction: a fixed number of
@@ -501,12 +482,12 @@ type rollupLeaf struct {
 	proof []types.Hash
 }
 
-// onEpochPosted resolves an EpochPosted log — live, or replayed by CatchUp —
-// to its epoch and opens a batch window per guarded leaf at the log's block
-// time. It runs on the event loop, so the caught-up barrier counts these
-// windows before the block is marked processed. The Source serves every
-// epoch from its seal until its window has closed, so a miss is an epoch
-// nobody can open any more.
+// onEpochPosted resolves an EpochPosted log to its epoch and opens a batch
+// window per guarded leaf at the log's block time. Only the block loop reads
+// the registry, so the caught-up barrier counts these windows before the
+// block is marked processed. The Source serves every epoch from its seal
+// until its window has closed, so a miss is an epoch nobody can open any
+// more.
 func (w *Watchtower) onEpochPosted(l *types.Log) {
 	if w.rollupSrc == nil || l.Address != w.rollupReg.Addr {
 		return
@@ -530,6 +511,20 @@ func (w *Watchtower) onEpochPosted(l *types.Log) {
 		if e != nil { // nil: another guard's session, or already settled/released
 			w.openBatchWindow(e, ep, i, b.Time())
 		}
+	}
+}
+
+// read is the tower's one read of the chain: the logs of blocks [from, to]
+// that addrs emitted under towerTopics, served from the chain's log index —
+// the guarded contracts' handful of logs, not the chain's length — and
+// handled in chain order. The handlers are idempotent, so a block the loop
+// and a new guard both read changes nothing the second time.
+func (w *Watchtower) read(addrs []types.Address, from, to uint64) {
+	for _, l := range w.chain.FilterLogs(chain.FilterQuery{
+		FromBlock: from, ToBlock: to,
+		Addresses: addrs, Topics: towerTopics,
+	}) {
+		w.handleLog(l)
 	}
 }
 
@@ -697,11 +692,11 @@ func (w *Watchtower) onSubmission(e *Watch, l *types.Log) {
 }
 
 // examine records one observed submission and ensures a dispute pipeline
-// job is driving the window. It is shared by the block loop and replay
-// (onSubmission, openBatchWindow) — windows come only from the chain — and
-// is idempotent: a submission that is already settled, already disputed, or
-// already being driven by a pending job is left alone — that is what makes
-// replay-after-restart unable to double-dispute.
+// job is driving the window. It is shared by the block loop and a guard's
+// history read (onSubmission, openBatchWindow) — windows come only from the
+// chain — and is idempotent: a submission that is already settled, already
+// disputed, or already being driven by a pending job is left alone — that
+// is what makes a re-guard after a restart unable to double-dispute.
 func (w *Watchtower) examine(e *Watch, result, openedAt, deadline uint64) {
 	// Honor Kill at sub-block granularity too: a "dead" tower must not
 	// open windows or file disputes for a block it was mid-way through. (A
@@ -743,8 +738,8 @@ func (w *Watchtower) examine(e *Watch, result, openedAt, deadline uint64) {
 		return
 	}
 	w.pending++
+	w.pacerWG.Add(1) // under w.mu, which Stop takes to mark the tower stopped
 	w.mu.Unlock()
-	w.pacerWG.Add(1)
 	go w.driveDispute(e)
 }
 
@@ -857,8 +852,8 @@ func (w *Watchtower) fileDispute(e *Watch, win Window, escalated bool) {
 		w.onSettled(e, e.sess.OnChainAddr)
 		return
 	}
-	// Claim the dispute under the lock so concurrent examinations (live
-	// delivery racing a recovery replay) file at most once. Re-check the
+	// Claim the dispute under the lock so concurrent examinations (the block
+	// loop racing a guard's history read) file at most once. Re-check the
 	// crash flag at the last moment — after this point the dispute
 	// transaction is as good as sent.
 	if w.isHalted() {

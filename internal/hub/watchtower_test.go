@@ -5,76 +5,146 @@ import (
 	"testing"
 	"time"
 
+	"onoffchain/internal/chain"
 	"onoffchain/internal/hybrid"
+	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/telemetry"
+	"onoffchain/internal/types"
+	"onoffchain/internal/whisper"
 )
 
-// A tower reads the blocks sealed after it starts. One created at height N
-// leaves a lie mined at or below N to CatchUp, and disputes a lie mined at
-// N+1 on its own.
-func TestTowerStartsAtTheHead(t *testing.T) {
-	c, net, faucetKey := miningWorld(t, "auto")
-	// Two lying sessions stop after their private run: deployed, signed,
-	// nothing submitted yet.
+// executedWatches runs specs on a hub that stops every session after its
+// private run — deployed, signed, nothing submitted — and returns the
+// hub's watches in spec order, with the hub stopped.
+func executedWatches(t *testing.T, c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, specs ...*Spec) []*Watch {
+	t.Helper()
 	h := New(c, net, faucetKey, Config{Workers: 2, StageHook: func(_ uint64, s Stage) bool { return s != StageExecuted }})
-	early, late := h.Submit(BettingSpec(4, 600, true)), h.Submit(BettingSpec(4, 600, true))
-	for _, tk := range []*Ticket{early, late} {
+	tickets := make([]*Ticket, len(specs))
+	for i, spec := range specs {
+		tickets[i] = h.Submit(spec)
+	}
+	for _, tk := range tickets {
 		if rep := tk.Report(); !errors.Is(rep.Err, ErrCrashed) || rep.Stage != StageExecuted {
 			t.Fatalf("session %d: stage=%s err=%v, want a stop at executed", tk.ID, rep.Stage, rep.Err)
 		}
 	}
-	sessions := map[uint64]*hybrid.Session{}
+	bySID := map[uint64]*Watch{}
 	for _, e := range h.Watchtower().Watches() {
-		sessions[e.SID()] = e.Session()
+		bySID[e.SID()] = e
 	}
 	h.Stop()
-	lie := func(sess *hybrid.Session) {
-		t.Helper()
-		for _, p := range sess.Parties {
+	out := make([]*Watch, len(tickets))
+	for i, tk := range tickets {
+		out[i] = bySID[tk.ID]
+		for _, p := range out[i].Session().Parties {
 			p.Ctx = nil // the stopped hub canceled their receipt-wait context
 		}
-		out, err := hybrid.ExecuteOffChain(sess.Copy.Bytecode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r, err := sess.SubmitResult(len(sess.Parties)-1, 1-out.Result); err != nil || !r.Succeeded() {
-			t.Fatalf("lie did not land: %v", err)
-		}
 	}
+	return out
+}
 
-	lie(sessions[early.ID])
+// submitLie has the session's last party submit the opposite of the
+// off-chain outcome.
+func submitLie(t *testing.T, sess *hybrid.Session) {
+	t.Helper()
+	out, err := hybrid.ExecuteOffChain(sess.Copy.Bytecode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := sess.SubmitResult(len(sess.Parties)-1, 1-out.Result); err != nil || !r.Succeeded() {
+		t.Fatalf("lie did not land: %v", err)
+	}
+}
+
+// A tower's block loop reads the blocks sealed after it starts; a guard
+// reads its own contract's older ones. On a tower created at height N, a
+// lie mined at or below N is disputed when its contract is guarded, and a
+// lie mined after the guard by the block loop.
+func TestTowerStartsAtTheHead(t *testing.T) {
+	c, net, faucetKey := miningWorld(t, "auto")
+	ws := executedWatches(t, c, net, faucetKey, BettingSpec(4, 600, true), BettingSpec(4, 600, true))
+	early, late := ws[0].Session(), ws[1].Session()
+
+	submitLie(t, early)
 	n := c.Height()
 	tower := NewWatchtower(c, nil, nil, nil)
 	defer tower.Stop()
-	watches := map[uint64]*Watch{}
-	for _, tk := range []*Ticket{early, late} {
-		e, err := tower.Guard(sessions[tk.ID], "", telemetry.TraceContext{})
+	guard := func(sess *hybrid.Session) *Watch {
+		t.Helper()
+		e, err := tower.Guard(sess, "", telemetry.TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		watches[tk.ID] = e
+		return e
 	}
-	lie(sessions[late.ID])
-	if got := blockOf(t, c, watches[late.ID].Contract(), hybrid.TopicResultSubmitted); got != n+1 {
-		t.Fatalf("second lie in block %d, want %d", got, n+1)
-	}
-	tower.WaitVerdict(watches[late.ID], n+1)
-	if raised, won := watches[late.ID].Disputed(); !raised || !won {
-		t.Fatalf("lie in block N+1: raised=%v won=%v, want an enforced dispute", raised, won)
-	}
-	tower.WaitCaughtUp(c.Height())
-	if watches[early.ID].OpenWindow() != nil {
-		t.Fatal("the tower opened a window for a submission mined at or below its start height")
-	}
+	e := guard(early)
+	// The loop reads from N+1 on: the guard itself read the lie.
 	if m := tower.Metrics(); m.SubmissionsSeen != 1 {
-		t.Fatalf("tower saw %d submissions, want only the one mined after it started", m.SubmissionsSeen)
+		t.Fatalf("after the guard, the tower saw %d submissions, want the lie at or below N", m.SubmissionsSeen)
+	}
+	tower.WaitVerdict(e, n)
+	if raised, won := e.Disputed(); !raised || !won {
+		t.Fatalf("lie at or below N: raised=%v won=%v, want an enforced dispute", raised, won)
 	}
 
-	// CatchUp reads the history the block loop does not.
-	tower.CatchUp()
-	tower.WaitVerdict(watches[early.ID], c.Height())
-	if raised, won := watches[early.ID].Disputed(); !raised || !won {
-		t.Fatalf("lie at or below N after CatchUp: raised=%v won=%v, want an enforced dispute", raised, won)
+	e = guard(late)
+	head := c.Height()
+	submitLie(t, late)
+	if got := blockOf(t, c, e.Contract(), hybrid.TopicResultSubmitted); got != head+1 {
+		t.Fatalf("second lie in block %d, want %d", got, head+1)
+	}
+	tower.WaitVerdict(e, head+1)
+	if raised, won := e.Disputed(); !raised || !won {
+		t.Fatalf("lie after the guard: raised=%v won=%v, want an enforced dispute", raised, won)
+	}
+	if m := tower.Metrics(); m.SubmissionsSeen != 2 {
+		t.Fatalf("tower saw %d submissions, want each lie once", m.SubmissionsSeen)
+	}
+}
+
+// stopOnGuard stops its tower from another goroutine the moment a guard
+// is taken — while that guard reads its contract's history — and reports
+// how many windows were still pending when Stop returned.
+type stopOnGuard struct {
+	w       *Watchtower
+	pending chan int
+}
+
+func (o stopOnGuard) Guarded(*Watch, types.Address) {
+	go func() {
+		o.w.Stop()
+		o.pending <- o.w.PendingDisputes()
+	}()
+}
+
+func (o stopOnGuard) WindowClosed(types.Address) {}
+
+// A guard that reads a lie from its contract's history while another
+// goroutine stops the tower either counts its dispute pacer before Stop
+// waits for pacers, or starts none: once Stop returns no pacer runs and no
+// window is pending. The gate defers every filing, so the lie stays open
+// for the next round.
+func TestStopWhileGuardingALie(t *testing.T) {
+	c, net, faucetKey := miningWorld(t, "auto")
+	sess := executedWatches(t, c, net, faucetKey, BettingSpec(4, 600, true))[0].Session()
+	submitLie(t, sess)
+	never := func(types.Address, time.Duration) time.Duration { return time.Hour }
+	for i := 0; i < 500; i++ {
+		tower := NewWatchtower(c, nil, nil, nil)
+		o := stopOnGuard{w: tower, pending: make(chan int, 1)}
+		tower.Federate(o, never)
+		if _, err := tower.Guard(sess, "", telemetry.TraceContext{}); err != nil {
+			t.Fatal(err)
+		}
+		if n := <-o.pending; n != 0 {
+			t.Fatalf("round %d: %d windows pending when Stop returned", i, n)
+		}
+		if n := tower.PendingDisputes(); n != 0 {
+			t.Fatalf("round %d: a pacer started after Stop: %d windows pending", i, n)
+		}
+	}
+	if settled, err := sess.IsSettled(); err != nil || settled {
+		t.Fatalf("settled=%v err=%v: a stopped tower filed a dispute", settled, err)
 	}
 }
 

@@ -65,12 +65,11 @@ func mineAt(tb testing.TB, c *chain.Chain, depths ...int) {
 }
 
 // One session's phases up to its result submission, as pool depths per
-// concurrently running session, when its worker's shard is cold (as every
-// shard of a fresh hub is): the root faucet's run — the shard's refill, the
-// two funding transfers, the contract creation — then the two deposits. (The
-// tower's and sequencer's transactions follow and are scripted by each test.)
+// concurrently running session: the faucet's run — the two funding
+// transfers, the contract creation — then the two deposits. (The tower's and
+// sequencer's transactions follow and are scripted by each test.)
 func setupPhases(sessions int) []int {
-	return []int{4 * sessions, 2 * sessions}
+	return []int{3 * sessions, 2 * sessions}
 }
 
 // startRollupHub builds a rollup-mode hub on the manual chain. New returns
@@ -97,38 +96,80 @@ func startRollupHub(t *testing.T, c *chain.Chain, net *whisper.Network, faucetKe
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireNonceRun(t, c.Latest(), h.faucet.Addr, []types.Address{types.Address(seqKey.EthereumAddress())}, reg.Addr)
+	requireNonceRuns(t, c, c.Height(), h.faucet.Addr, nonceRun{[]types.Address{types.Address(seqKey.EthereumAddress())}, reg.Addr})
 	return h
 }
 
-// requireNonceRun asserts that the block is exactly one sender's run of
-// consecutive nonces — transfers value transfers to the given recipients, in
-// that order, then one creation — and that the creation made the contract at
-// created.
-func requireNonceRun(t *testing.T, b *types.Block, sender types.Address, transfers []types.Address, created types.Address) {
+// nonceRun is one faucet run: value transfers to the recipients, in that
+// order, then the creation of the contract at created.
+type nonceRun struct {
+	transfers []types.Address
+	created   types.Address
+}
+
+// sessionRun is the run that funded and deployed a session.
+func sessionRun(rep *Report) nonceRun {
+	return nonceRun{rep.Session.ParticipantAddrs(), rep.OnChainAddr}
+}
+
+// requireNonceRuns asserts that block number is exactly the given runs of
+// one sender, back to back in any order, with nonces consecutive across the
+// whole block and every transaction succeeded, and that each creation made
+// its run's contract at CreateAddress(sender, nonce).
+func requireNonceRuns(t *testing.T, c *chain.Chain, number uint64, sender types.Address, runs ...nonceRun) {
 	t.Helper()
-	if len(b.Transactions) != len(transfers)+1 {
-		t.Fatalf("block %d holds %d transactions, want %d transfers + 1 creation", b.Number(), len(b.Transactions), len(transfers))
+	b, err := c.BlockByNumber(number)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, tx := range b.Transactions {
+	byContract := make(map[types.Address]nonceRun, len(runs))
+	want := 0
+	for _, r := range runs {
+		byContract[r.created] = r
+		want += len(r.transfers) + 1
+	}
+	txs := b.Transactions
+	if len(txs) != want {
+		t.Fatalf("block %d holds %d transactions, want %d runs of transfers + 1 creation (%d)", b.Number(), len(txs), len(runs), want)
+	}
+	for i, tx := range txs {
 		if from, err := tx.Sender(); err != nil || from != sender {
 			t.Errorf("block %d tx %d sent by %s (err %v), want %s", b.Number(), i, from.Hex(), err, sender.Hex())
 		}
-		if want := b.Transactions[0].Nonce + uint64(i); tx.Nonce != want {
+		if want := txs[0].Nonce + uint64(i); tx.Nonce != want {
 			t.Errorf("block %d tx %d has nonce %d, want %d (consecutive)", b.Number(), i, tx.Nonce, want)
-		}
-		if creation := i == len(transfers); tx.IsContractCreation() != creation {
-			t.Errorf("block %d tx %d: creation=%v, want the transfers first and the creation last", b.Number(), i, tx.IsContractCreation())
-		} else if !creation && *tx.To != transfers[i] {
-			t.Errorf("block %d tx %d pays %s, want %s", b.Number(), i, tx.To.Hex(), transfers[i].Hex())
 		}
 		if !b.Receipts[i].Succeeded() {
 			t.Errorf("block %d tx %d reverted", b.Number(), i)
 		}
 	}
-	creation := b.Transactions[len(transfers)]
-	if got := types.CreateAddress(sender, creation.Nonce); got != created || b.Receipts[len(transfers)].ContractAddress != created {
-		t.Errorf("contract at %s, want CreateAddress(sender, %d) = %s", created.Hex(), creation.Nonce, got.Hex())
+	for start := 0; start < len(txs); {
+		end := start
+		for end < len(txs) && !txs[end].IsContractCreation() {
+			end++
+		}
+		if end == len(txs) {
+			t.Fatalf("block %d: transfers from tx %d on have no creation behind them", b.Number(), start)
+		}
+		created := b.Receipts[end].ContractAddress
+		r, ok := byContract[created]
+		if !ok {
+			t.Fatalf("block %d tx %d creates %s, which ends no expected run (or ends one twice)", b.Number(), end, created.Hex())
+		}
+		delete(byContract, created)
+		if got := types.CreateAddress(sender, txs[end].Nonce); got != created {
+			t.Errorf("contract at %s, want CreateAddress(sender, %d) = %s", created.Hex(), txs[end].Nonce, got.Hex())
+		}
+		if end-start != len(r.transfers) {
+			t.Errorf("block %d: %d transfers before the creation of %s, want %d", b.Number(), end-start, created.Hex(), len(r.transfers))
+		} else {
+			for i, to := range r.transfers {
+				if tx := txs[start+i]; *tx.To != to {
+					t.Errorf("block %d tx %d pays %s, want %s", b.Number(), start+i, tx.To.Hex(), to.Hex())
+				}
+			}
+		}
+		start = end + 1
 	}
 }
 
@@ -485,12 +526,12 @@ func newOverlapFixture(t *testing.T) *overlapFixture {
 	presign := submit(BettingSpec(4, 600, false), StageDeployed)
 	honest := submit(BettingSpec(4, 600, false), StageSubmitted)
 	executed := submit(BettingSpec(4, 600, false), StageExecuted)
-	mineAt(t, f.c, 12) // three cold shards: refill, two transfers, creation each
+	mineAt(t, f.c, 9) // three faucet runs: two transfers and a creation each
 	if rep := presign.Report(); !errors.Is(rep.Err, ErrCrashed) || rep.Stage != StageDeployed {
 		t.Fatalf("fixture: pre-sign session stage=%s err=%v, want a crash at deployed", rep.Stage, rep.Err)
 	}
-	// The lying session starts a block behind, on the worker (and the now
-	// funded shard) the pre-sign session left: two transfers and a creation.
+	// The lying session starts a block behind, on the worker the pre-sign
+	// session left: two transfers and a creation.
 	lying := submit(BettingSpec(4, 600, true), StagePending)
 	mineAt(t, f.c, 4+3) // two sessions' deposits, the late session's funding run
 	if rep := executed.Report(); !errors.Is(rep.Err, ErrCrashed) || rep.Stage != StageExecuted {
@@ -636,28 +677,24 @@ func spanAttrs(t *testing.T, tr *telemetry.Tracer, sid uint64, layer, name strin
 // chain to itself. Every phase below is waited for — the next block is
 // sealed only once the pool holds exactly that phase's transactions — so a
 // change that adds a wait times out here, and one that removes a wait finds
-// the wrong pool depth. The first block is one sender's nonce run: the
-// parties' transfers and the contract's creation behind them, from the
-// worker's shard when it can pay and otherwise from the root faucet, with the
-// shard's refill in front. The burst rows are the same budget for sessions
-// that arrive together: k epochs post in one block, l lies are enforced in
-// one block.
+// the wrong pool depth. The first block is the faucet's nonce run: the
+// parties' transfers and the contract's creation behind them. The burst rows
+// are the same budget for sessions that arrive together: the wave's first
+// block is the faucet's runs back to back, k epochs post in one block, l lies
+// are enforced in one block.
 func TestBlockWaitBudget(t *testing.T) {
 	const dispute = 2 // deployVerifiedInstance + returnDisputeResolution
 	cases := []struct {
 		name   string
 		rollup bool
 		lying  bool
-		cold   bool  // the shard cannot pay: the root faucet sends the run, refill first
 		phases []int // pool depth at each seal
 		end    Stage
 	}{
-		{"persession/honest", false, false, false, []int{3, 2, 1, 1}, StageSettled},      // fund+deploy, deposits, submit, finalize
-		{"persession/lying", false, true, false, []int{3, 2, 1, dispute}, StageResolved}, // …, the lie, the dispute
-		{"rollup/honest", true, false, false, []int{3, 2, 1}, StageRolledUp},             // fund+deploy, deposits, postEpoch
-		{"rollup/lying", true, true, false, []int{3, 2, 1, 1 + dispute}, StageResolved},  // …, openLeaf + the dispute
-		{"cold/persession", false, false, true, []int{4, 2, 1, 1}, StageSettled},         // refill+fund+deploy, …: the same four blocks
-		{"cold/rollup", true, false, true, []int{4, 2, 1}, StageRolledUp},                // … and the same three
+		{"persession/honest", false, false, []int{3, 2, 1, 1}, StageSettled},      // fund+deploy, deposits, submit, finalize
+		{"persession/lying", false, true, []int{3, 2, 1, dispute}, StageResolved}, // …, the lie, the dispute
+		{"rollup/honest", true, false, []int{3, 2, 1}, StageRolledUp},             // fund+deploy, deposits, postEpoch
+		{"rollup/lying", true, true, []int{3, 2, 1, 1 + dispute}, StageResolved},  // …, openLeaf + the dispute
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -671,10 +708,6 @@ func TestBlockWaitBudget(t *testing.T) {
 			} else {
 				h = New(c, net, faucetKey, Config{Workers: 1, Tracer: tr})
 				stopAtCleanup(t, h)
-			}
-			sender, label := h.faucet.Addr, "root"
-			if !tc.cold {
-				sender, label = fundShard(t, c, h).Addr, "shard"
 			}
 			tk := h.Submit(BettingSpec(4, 600, tc.lying))
 			first := c.Height() + 1
@@ -691,24 +724,12 @@ func TestBlockWaitBudget(t *testing.T) {
 			if got, want := c.Height(), first+uint64(len(tc.phases))-1; got != want || c.PendingCount() != 0 {
 				t.Errorf("chain at block %d with %d pooled, want block %d and an empty pool", got, c.PendingCount(), want)
 			}
-
-			b, err := c.BlockByNumber(first)
-			if err != nil {
-				t.Fatal(err)
-			}
-			transfers := rep.Session.ParticipantAddrs()
-			if tc.cold {
-				transfers = append([]types.Address{h.shards[0].Addr}, transfers...)
-			}
-			requireNonceRun(t, b, sender, transfers, rep.OnChainAddr)
+			requireNonceRuns(t, c, first, h.faucet.Addr, sessionRun(rep))
 			// The spans' named reader: both start at send and end in the same
-			// block, and chain/fund names who paid.
-			fund, deploy := fmt.Sprintf("block=%d sender=%s", first, label), fmt.Sprintf("block=%d", first)
-			if gotFund, gotDeploy := spanAttrs(t, tr, rep.ID, "chain", "fund"), spanAttrs(t, tr, rep.ID, "chain", "deploy"); gotFund != fund || gotDeploy != deploy {
-				t.Errorf("chain/fund %q, chain/deploy %q, want %q and %q", gotFund, gotDeploy, fund, deploy)
-			}
-			if tc.cold && c.BalanceAt(h.shards[0].Addr).Lt(eth(11)) {
-				t.Errorf("shard holds %s after the cold run: the next session would be cold too", c.BalanceAt(h.shards[0].Addr))
+			// block.
+			want := fmt.Sprintf("block=%d", first)
+			if gotFund, gotDeploy := spanAttrs(t, tr, rep.ID, "chain", "fund"), spanAttrs(t, tr, rep.ID, "chain", "deploy"); gotFund != want || gotDeploy != want {
+				t.Errorf("chain/fund %q, chain/deploy %q, want %q for both", gotFund, gotDeploy, want)
 			}
 		})
 	}
@@ -726,13 +747,19 @@ func TestBlockWaitBudget(t *testing.T) {
 		for i := range tickets {
 			tickets[i] = h.Submit(BettingSpec(4, 600, false))
 		}
+		first := c.Height() + 1
 		mineAt(t, c, setupPhases(k)...)
 		mineAt(t, c, k) // every postEpoch
-		for _, tk := range tickets {
-			if rep := tk.Report(); rep.Err != nil || rep.Stage != StageRolledUp {
+		runs := make([]nonceRun, k)
+		for i, tk := range tickets {
+			rep := tk.Report()
+			if rep.Err != nil || rep.Stage != StageRolledUp {
 				t.Fatalf("session %d: stage=%s err=%v, want rolled-up", rep.ID, rep.Stage, rep.Err)
 			}
+			runs[i] = sessionRun(rep)
 		}
+		// The wave's first block: every session's faucet run, back to back.
+		requireNonceRuns(t, c, first, h.faucet.Addr, runs...)
 		posts := c.Latest()
 		for n, l := range requireEpochsInSealOrder(t, c, h, k, k) {
 			if l.BlockNumber != posts.Number() {
@@ -770,6 +797,7 @@ func TestBlockWaitBudget(t *testing.T) {
 		for i := range lying {
 			lying[i] = h.Submit(BettingSpec(4, 600, true))
 		}
+		first := c.Height() + 1
 		mineAt(t, c, setupPhases(l+1)...)
 		mineAt(t, c, l+1) // every submitResult
 		lies := c.Height()
@@ -786,22 +814,16 @@ func TestBlockWaitBudget(t *testing.T) {
 			}
 		}
 		mineAt(t, c, 1) // the honest finalizeResult, behind the clock barrier
-		if rep := honest.Report(); rep.Err != nil || rep.Stage != StageSettled || rep.Disputed {
+		rep := honest.Report()
+		if rep.Err != nil || rep.Stage != StageSettled || rep.Disputed {
 			t.Fatalf("honest session: stage=%s disputed=%v err=%v, want settled", rep.Stage, rep.Disputed, rep.Err)
 		}
+		runs := []nonceRun{sessionRun(rep)}
+		for _, tk := range lying {
+			runs = append(runs, sessionRun(tk.Report()))
+		}
+		requireNonceRuns(t, c, first, h.faucet.Addr, runs...)
 	})
-}
-
-// fundShard gives the lone worker's shard exactly what one betting session
-// needs, so the hub sends no refill of its own.
-func fundShard(t *testing.T, c *chain.Chain, h *Hub) *hybrid.Participant {
-	t.Helper()
-	shard := h.shards[0]
-	if _, err := h.faucet.SendTxAsync(&shard.Addr, eth(11), 21_000, nil); err != nil {
-		t.Fatal(err)
-	}
-	c.MineBlock()
-	return shard
 }
 
 // requireFailedBeforeDeposits asserts the session failed, and that it ended
@@ -827,7 +849,6 @@ func TestCreationRevertFailsSessionBeforeDeposits(t *testing.T) {
 	c, net, faucetKey := manualWorld(t)
 	h := New(c, net, faucetKey, Config{Workers: 1})
 	stopAtCleanup(t, h)
-	shard := fundShard(t, c, h)
 	spec := BettingSpec(4, 600, false)
 	spec.DeployGas = 300_000 // past the intrinsic cost, short of the code deposit
 	tk := h.Submit(spec)
@@ -845,27 +866,27 @@ func TestCreationRevertFailsSessionBeforeDeposits(t *testing.T) {
 			t.Errorf("party %d holds %s, want its untouched 5 ether funding", i, got)
 		}
 	}
-	if code := c.CodeAt(types.CreateAddress(shard.Addr, b.Transactions[2].Nonce)); len(code) != 0 {
+	if code := c.CodeAt(types.CreateAddress(h.faucet.Addr, b.Transactions[2].Nonce)); len(code) != 0 {
 		t.Errorf("%d bytes of code where the reverted creation would have put the contract", len(code))
 	}
 }
 
-// A funding transfer is dropped at execution (the shard is drained under
+// A funding transfer is dropped at execution (the faucet is drained under
 // it). A dropped transaction leaves its sender's nonce where it was, so
-// everything the shard queued behind it is dropped with it — the creation
-// too, though the shard could still pay for it: no block carries the
+// everything the faucet queued behind it is dropped with it — the creation
+// too, though the faucet could still pay for it: no block carries the
 // creation without the transfers. The session fails with the drop as the
 // cause, no contract exists and no party ever deposits.
 func TestDroppedTransferTakesCreationWithIt(t *testing.T) {
 	c, net, faucetKey := manualWorld(t)
 	h := New(c, net, faucetKey, Config{Workers: 1})
 	stopAtCleanup(t, h)
-	shard := fundShard(t, c, h)
-	// Pooled ahead of the session's run: leaves the shard the first transfer
+	// Pooled ahead of the session's run: leaves the faucet the first transfer
 	// and change. Admission checks each transaction against the state
 	// balance, so all four enter the pool.
 	sink := types.Address{0x51}
-	if _, err := shard.SendTxAsync(&sink, eth(5), 21_000, nil); err != nil {
+	drain := new(uint256.Int).Sub(c.BalanceAt(h.faucet.Addr), eth(6))
+	if _, err := h.faucet.SendTxAsync(&sink, drain, 21_000, nil); err != nil {
 		t.Fatal(err)
 	}
 	tk := h.Submit(BettingSpec(4, 600, false))
@@ -884,10 +905,10 @@ func TestDroppedTransferTakesCreationWithIt(t *testing.T) {
 	if got := c.BalanceAt(rep.Session.Parties[1].Addr); !got.IsZero() {
 		t.Errorf("party 1 holds %s, want nothing", got)
 	}
-	if gas := uint256.NewInt(3_000_000); c.BalanceAt(shard.Addr).Lt(gas) {
-		t.Fatalf("fixture: the shard must still afford the creation's gas")
+	if gas := uint256.NewInt(3_000_000); c.BalanceAt(h.faucet.Addr).Lt(gas) {
+		t.Fatalf("fixture: the faucet must still afford the creation's gas")
 	}
-	if code := c.CodeAt(types.CreateAddress(shard.Addr, c.NonceAt(shard.Addr)+1)); len(code) != 0 {
+	if code := c.CodeAt(types.CreateAddress(h.faucet.Addr, c.NonceAt(h.faucet.Addr)+1)); len(code) != 0 {
 		t.Errorf("the creation landed without the transfer in front of it")
 	}
 }
@@ -904,7 +925,6 @@ func TestKillBeforeCreationReceiptAbandonsOrphan(t *testing.T) {
 	defer st.Close()
 	h1 := New(c, net, faucetKey, Config{Workers: 1, Store: st})
 	stopAtCleanup(t, h1)
-	shard := fundShard(t, c, h1)
 	tk := h1.Submit(BettingSpec(4, 600, false))
 	waitFor(t, 10*time.Second, "the funding run to be pooled", func() bool { return c.PendingCount() == 3 })
 	h1.Kill()
@@ -925,7 +945,7 @@ func TestKillBeforeCreationReceiptAbandonsOrphan(t *testing.T) {
 		}
 		parties[i] = types.Address(key.EthereumAddress())
 	}
-	requireNonceRun(t, b, shard.Addr, parties, orphan)
+	requireNonceRuns(t, c, b.Number(), h1.faucet.Addr, nonceRun{parties, orphan})
 
 	done := recoverAsync(st, c, net, faucetKey, Config{Workers: 1})
 	mineAt(t, c, 2) // the two parties' sweeps
@@ -945,14 +965,13 @@ func TestKillBeforeCreationReceiptAbandonsOrphan(t *testing.T) {
 	}
 }
 
-// Parties check what they did not deploy: when the code the shard's creation
+// Parties check what they did not deploy: when the code the faucet's creation
 // left on chain is not the runtime of the on-chain half the parties hold, the
 // session fails at the bind — before anyone signs, and before any deposit.
 func TestForeignCodeFailsSessionBeforeDeposits(t *testing.T) {
 	c, net, faucetKey := manualWorld(t)
 	h := New(c, net, faucetKey, Config{Workers: 1})
 	stopAtCleanup(t, h)
-	fundShard(t, c, h)
 	spec := BettingSpec(4, 600, false)
 	if _, err := h.split(spec); err != nil {
 		t.Fatal(err)

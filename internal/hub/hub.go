@@ -92,8 +92,8 @@ type Report struct {
 type Ticket struct {
 	ID     uint64
 	Spec   *Spec
-	tc     telemetry.TraceContext                  // causal identity minted at admission
-	run    func(shard *hybrid.Participant) *Report // non-nil: resume job
+	tc     telemetry.TraceContext // causal identity minted at admission
+	run    func() *Report         // non-nil: resume job
 	done   chan struct{}
 	report *Report
 }
@@ -178,11 +178,10 @@ type Hub struct {
 	splitMu sync.Mutex
 	splits  map[types.Hash]*hybrid.SplitResult
 
-	faucetMu sync.Mutex // serializes the root faucet's nonce runs (see sendRun)
-	shards   []*hybrid.Participant
-	// keySecret seeds every party and shard key (see deriveKey). Derived
-	// from the faucet key, the one credential a hub and the hub recovered
-	// from its WAL share.
+	faucetMu sync.Mutex // serializes the faucet's nonce runs (see faucetRun)
+	// keySecret seeds every party key and the sequencer's (see deriveKey).
+	// Derived from the faucet key, the one credential a hub and the hub
+	// recovered from its WAL share.
 	keySecret [32]byte
 
 	jobs     chan *Ticket
@@ -199,9 +198,8 @@ func New(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, 
 		err = h.seq.Start()
 	}
 	if err != nil {
-		// Same contract as the shard-key failure in newHub: the hub cannot
-		// exist half-constructed, and rollup startup only fails on a broken
-		// environment (empty faucet, dead chain).
+		// The hub cannot exist half-constructed, and rollup startup only
+		// fails on a broken environment (empty faucet, dead chain).
 		panic(fmt.Sprintf("hub: rollup sequencer: %v", err))
 	}
 	return h
@@ -250,21 +248,6 @@ func newHub(c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKe
 	if net != nil {
 		net.RegisterMetrics(cfg.Telemetry)
 	}
-	// One faucet shard per worker: funding fresh participant keys is on
-	// every session's critical path, and a single faucet account would
-	// serialize it (nonces are strictly ordered per sender). Shards are
-	// topped up from the root faucet in rare, large refills. Shard keys
-	// live under session ID 0, which Submit never issues; a recovered hub
-	// derives the same shards and inherits their balances.
-	h.shards = make([]*hybrid.Participant, cfg.Workers)
-	for i := range h.shards {
-		key, err := h.deriveKey(0, i)
-		if err != nil {
-			panic(fmt.Sprintf("hub: shard key: %v", err))
-		}
-		h.shards[i] = hybrid.NewParticipant(key, c, nil)
-		h.shards[i].Ctx = ctx
-	}
 	return h
 }
 
@@ -296,8 +279,8 @@ func (h *Hub) start(f *rollup.Folded) error {
 		}
 	})
 	h.wg.Add(h.cfg.Workers)
-	for _, shard := range h.shards {
-		go h.worker(shard)
+	for i := 0; i < h.cfg.Workers; i++ {
+		go h.worker()
 	}
 	return nil
 }
@@ -408,16 +391,16 @@ func (h *Hub) Kill() {
 // Crashed reports whether Kill was called.
 func (h *Hub) Crashed() bool { return h.crashed.Load() }
 
-func (h *Hub) worker(shard *hybrid.Participant) {
+func (h *Hub) worker() {
 	defer h.wg.Done()
 	for t := range h.jobs {
 		switch {
 		case h.crashed.Load():
 			t.report = h.crashReport(t, StagePending)
 		case t.run != nil:
-			t.report = t.run(shard)
+			t.report = t.run()
 		default:
-			t.report = h.runSession(t, shard)
+			t.report = h.runSession(t)
 		}
 		if t.report.Err == nil || errors.Is(t.report.Err, ErrCrashed) {
 			// Crashed sessions count as neither completed nor failed: the
@@ -453,8 +436,8 @@ func (h *Hub) split(spec *Spec) (*hybrid.SplitResult, error) {
 	return sr, nil
 }
 
-// deriveKey returns the key of party (or, under session ID 0, faucet shard
-// or sequencer) number index: a pure function of (hub secret, sid, index).
+// deriveKey returns the key of party (or, under session ID 0, the
+// sequencer) number index: a pure function of (hub secret, sid, index).
 // Which worker runs a session, and in what order workers reach this point,
 // cannot change the session's addresses — twin worlds fed the same fleet
 // agree on every address-seeded outcome at any core count — and the scalars
@@ -469,16 +452,13 @@ func (h *Hub) deriveKey(sid uint64, index int) (*secp256k1.PrivateKey, error) {
 	return secp256k1.PrivateKeyFromBytes(d[:])
 }
 
-// sendRun sends one nonce run: run pools one sender's transactions back to
-// back and awaits none of them. The root faucet's runs — a cold shard's
-// session, rollup start-up — share its nonces, so they are serialized under
-// faucetMu, which covers the sends and none of the waits; a shard belongs to
-// one worker and needs no lock.
-func (h *Hub) sendRun(sender *hybrid.Participant, run func() error) error {
-	if sender == h.faucet {
-		h.faucetMu.Lock()
-		defer h.faucetMu.Unlock()
-	}
+// faucetRun sends one of the faucet's nonce runs: run pools the faucet's
+// transactions back to back and awaits none of them. Every session's run and
+// rollup start-up share the faucet's nonces, so runs are serialized under
+// faucetMu, which covers the sends and none of the waits.
+func (h *Hub) faucetRun(run func() error) error {
+	h.faucetMu.Lock()
+	defer h.faucetMu.Unlock()
 	return run()
 }
 
@@ -495,48 +475,28 @@ func awaitSuccess(sender *hybrid.Participant, hash types.Hash, what string) (*ty
 	return r, nil
 }
 
-// fundAndDeploy is the whole of StageDeployed on chain, in one block: one
-// sender sends partyFunding to every party and, directly behind those
+// fundAndDeploy is the whole of StageDeployed on chain, in one block: the
+// faucet sends partyFunding to every party and, directly behind those
 // transfers, the on-chain contract's creation. One sender, consecutive nonces:
 // no block can carry the creation without the transfers, and nothing stops one
 // block carrying all of them — whereas a party could not deploy before a block
 // had funded it, because the pool admits no transaction its sender cannot yet
 // pay for. Everything is sent first and awaited afterwards, and the session
-// binds to the address the creation's receipt reports.
-//
-// The sender is the worker's own faucet shard (no cross-worker contention)
-// whenever the shard can pay. A shard that cannot — every worker's first
-// session, then one in ~64 — is under the same pool rule as the parties: it
-// could not send until a block had refilled it. So the root faucet sends that
-// session's whole run instead, the shard's refill in front of it, in one nonce
-// run under faucetMu (which covers the sends and none of the waits): the
-// single-sender argument with the sender swapped, and no block for the refill
-// alone. The next session finds the shard funded.
-func (h *Hub) fundAndDeploy(t *Ticket, shard *hybrid.Participant, sess *hybrid.Session, gas uint64, ctorArgs []interface{}) error {
+// binds to the address the creation's receipt reports. Sessions running at
+// once queue for faucetMu only while they sign and pool, so a wave's runs
+// still land back to back in one block.
+func (h *Hub) fundAndDeploy(t *Ticket, sess *hybrid.Session, gas uint64, ctorArgs []interface{}) error {
 	addrs := sess.ParticipantAddrs()
-	need := new(uint256.Int).Mul(partyFunding, uint256.NewInt(uint64(len(addrs))))
-	need.Add(need, eth(1)) // gas headroom, the creation's included
-	sender, label := shard, "shard"
-	cold := shard.Chain.BalanceAt(shard.Addr).Lt(need)
-	if cold {
-		sender, label = h.faucet, "root"
-	}
 	sent := time.Now()
 	hashes := make([]types.Hash, len(addrs))
-	var refill, creation types.Hash
-	err := h.sendRun(sender, func() (err error) {
-		if cold {
-			refill, err = sender.SendTxAsync(&shard.Addr, new(uint256.Int).Mul(need, uint256.NewInt(64)), 21_000, nil)
-			if err != nil {
-				return fmt.Errorf("hub: refill shard: %w", err)
-			}
-		}
+	var creation types.Hash
+	err := h.faucetRun(func() (err error) {
 		for i := range addrs {
-			if hashes[i], err = sender.SendTxAsync(&addrs[i], partyFunding, 21_000, nil); err != nil {
+			if hashes[i], err = h.faucet.SendTxAsync(&addrs[i], partyFunding, 21_000, nil); err != nil {
 				return fmt.Errorf("hub: fund %s: %w", addrs[i].Hex(), err)
 			}
 		}
-		if creation, err = sess.DeployOnChainAsync(sender, gas, ctorArgs...); err != nil {
+		if creation, err = sess.DeployOnChainAsync(h.faucet, gas, ctorArgs...); err != nil {
 			return fmt.Errorf("hub: deploy: %w", err)
 		}
 		return nil
@@ -544,21 +504,16 @@ func (h *Hub) fundAndDeploy(t *Ticket, shard *hybrid.Participant, sess *hybrid.S
 	if err != nil {
 		return err
 	}
-	if cold {
-		if _, err := awaitSuccess(sender, refill, "refill shard"); err != nil {
-			return err
-		}
-	}
 	var funded uint64
 	for i, hash := range hashes {
-		r, err := awaitSuccess(sender, hash, "fund "+addrs[i].Hex())
+		r, err := awaitSuccess(h.faucet, hash, "fund "+addrs[i].Hex())
 		if err != nil {
 			return err
 		}
 		funded = r.BlockNumber
 	}
-	h.tracer.RecordChild(t.tc, t.ID, "chain", "fund", sent, time.Since(sent), fmt.Sprintf("block=%d sender=%s", funded, label))
-	r, err := sender.WaitReceipt(creation)
+	h.tracer.RecordChild(t.tc, t.ID, "chain", "fund", sent, time.Since(sent), fmt.Sprintf("block=%d", funded))
+	r, err := h.faucet.WaitReceipt(creation)
 	if err != nil {
 		return fmt.Errorf("hub: deploy: %w", err)
 	}
@@ -657,7 +612,7 @@ func (h *Hub) failSession(lc *lifecycle, err error) *Report {
 }
 
 // runSession drives one session through the full lifecycle state machine.
-func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
+func (h *Hub) runSession(t *Ticket) *Report {
 	spec := t.Spec
 	rep := &Report{ID: t.ID, Scenario: spec.Scenario, Stage: StagePending, Latency: make(map[Stage]time.Duration)}
 	lc := &lifecycle{t: t, rep: rep}
@@ -721,7 +676,7 @@ func (h *Hub) runSession(t *Ticket, shard *hybrid.Participant) *Report {
 		gas = 3_000_000
 	}
 	ctorArgs := spec.CtorArgs(addrs, h.chain.Now())
-	if err := h.fundAndDeploy(t, shard, sess, gas, ctorArgs); err != nil {
+	if err := h.fundAndDeploy(t, sess, gas, ctorArgs); err != nil {
 		return fail(err)
 	}
 	rep.OnChainAddr = sess.OnChainAddr

@@ -272,7 +272,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 		h.metrics.sessionsRecovered.Inc()
 		h.metrics.sessionsStarted.Inc()
 		t := &Ticket{ID: r.ss.ID, Spec: r.spec, tc: r.watch.tc, done: make(chan struct{})}
-		t.run = func(shard *hybrid.Participant) *Report {
+		t.run = func() *Report {
 			return h.resumeSession(t, r.ss, r.sess, r.watch)
 		}
 		report.Sessions = append(report.Sessions, &RecoveredSession{

@@ -34,11 +34,10 @@ type RollupConfig struct {
 }
 
 // sequencerIndex is the sequencer's place among the hub's own keys, which
-// live under session ID 0: the faucet shards count up from 0, so no worker
-// count reaches it. Generation-stable like every derived key, as it must be:
-// the rollup registry admits exactly one posting address, so a recovered hub
-// has to come back as the sequencer the crashed generation deployed the
-// registry with.
+// live under session ID 0, an ID Submit never issues. Generation-stable like
+// every derived key, as it must be: the rollup registry admits exactly one
+// posting address, so a recovered hub has to come back as the sequencer the
+// crashed generation deployed the registry with.
 const sequencerIndex = -1
 
 // initRollup builds (without starting) the hub-hosted sequencer: mint its
@@ -73,10 +72,10 @@ func (h *Hub) initRollup(f *rollup.Folded) error {
 	return h.fundAndDeployRollup(party)
 }
 
-// fundAndDeployRollup is rollup start-up on chain, in one block: the root
-// faucet sends the sequencer's funding (it pays for every epoch post) and,
-// directly behind it, the registry's creation — one sender, consecutive
-// nonces under faucetMu, the argument of fundAndDeploy. Either half is
+// fundAndDeployRollup is rollup start-up on chain, in one block: the faucet
+// sends the sequencer's funding (it pays for every epoch post) and, directly
+// behind it, the registry's creation — one sender, consecutive nonces under
+// faucetMu, the argument of fundAndDeploy. Either half is
 // skipped when a dead generation already did it: a funded sequencer, a
 // registry seeded from the WAL.
 func (h *Hub) fundAndDeployRollup(party *hybrid.Participant) error {
@@ -85,7 +84,7 @@ func (h *Hub) fundAndDeployRollup(party *hybrid.Participant) error {
 		bind    func() error
 	)
 	fund := h.chain.BalanceAt(party.Addr).Lt(eth(100))
-	err := h.sendRun(h.faucet, func() (err error) {
+	err := h.faucetRun(func() (err error) {
 		if fund {
 			funding, err = h.faucet.SendTxAsync(&party.Addr, eth(1000), 21_000, nil)
 		}

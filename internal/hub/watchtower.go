@@ -104,6 +104,9 @@ type Watch struct {
 	id       uint64                 // hub session ID (0 for sessions guarded standalone)
 	scenario string                 // spec label, for federated guard-state export
 	tc       telemetry.TraceContext // causal identity; zero when untraced
+	// settledCh is closed by the onSettled call that first sets settled. The
+	// field is set at construction and never changes, so it is read unlocked.
+	settledCh chan struct{}
 
 	expectOnce sync.Once
 	expected   uint64
@@ -118,7 +121,6 @@ type Watch struct {
 	disputedAt uint64 // chain time when the tower filed the dispute
 	deadline   uint64 // window deadline at dispute time
 	settled    bool
-	settledCh  chan struct{} // closed when the contract settles
 }
 
 // Window is an open challenge window: a submission awaiting finalization.
@@ -659,10 +661,9 @@ func (w *Watchtower) onSettled(e *Watch, addr types.Address) {
 	first := !e.settled
 	e.settled = true
 	e.window = nil
-	ch := e.settledCh
 	e.mu.Unlock()
-	if first && ch != nil {
-		close(ch) // wake the dispute pacer, if one is deferring
+	if first {
+		close(e.settledCh) // wake the dispute pacer, if one is deferring
 	}
 	// The contract is settled for good (both paths set the on-chain
 	// settled flag): drop the entry so a long-lived hub doesn't
@@ -809,7 +810,7 @@ func (w *Watchtower) driveDispute(e *Watch) {
 		t := time.NewTimer(retry)
 		select {
 		case <-t.C:
-		case <-e.settledChRef():
+		case <-e.settledCh:
 			t.Stop()
 		case <-w.haltCh:
 			t.Stop()
@@ -826,12 +827,6 @@ func (e *Watch) batched() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.rollup != nil
-}
-
-func (e *Watch) settledChRef() chan struct{} {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.settledCh
 }
 
 // fileDispute files against a window driveDispute verified to be a lie:

@@ -72,13 +72,15 @@ func (p *Participant) SendTxAsync(to *types.Address, value *uint256.Int, gas uin
 	return p.Chain.SendTransaction(tx)
 }
 
-// submitAndWait is the one seam between this package and the chain's
-// receipt pipeline: submit, then block on WaitReceipt under the
-// participant's context. Every state-changing helper (SendTx, Deploy,
-// Invoke — and through them deposits, submissions, disputes, finalize,
-// faucet refills) funnels through here, so no call site ever assumes a
-// receipt is synchronously available after SendTransaction.
-func (p *Participant) submitAndWait(to *types.Address, value *uint256.Int, gas uint64, data []byte) (*types.Receipt, error) {
+// SendTx signs and submits a transaction, then waits for its receipt
+// (immediately available under AutoMine, one batch block away otherwise).
+// It is the one seam between this package and the chain's receipt pipeline:
+// submit, then block on WaitReceipt under the participant's context. Every
+// state-changing helper that waits (Deploy, Invoke — and through them
+// deposits, submissions, disputes, finalize) funnels through here, so no
+// call site ever assumes a receipt is synchronously available after
+// SendTransaction.
+func (p *Participant) SendTx(to *types.Address, value *uint256.Int, gas uint64, data []byte) (*types.Receipt, error) {
 	start := time.Now()
 	hash, err := p.SendTxAsync(to, value, gas, data)
 	if err != nil {
@@ -89,12 +91,6 @@ func (p *Participant) submitAndWait(to *types.Address, value *uint256.Int, gas u
 		p.Trace("tx", start, time.Since(start), "")
 	}
 	return r, err
-}
-
-// SendTx signs and submits a transaction, then waits for its receipt
-// (immediately available under AutoMine, one batch block away otherwise).
-func (p *Participant) SendTx(to *types.Address, value *uint256.Int, gas uint64, data []byte) (*types.Receipt, error) {
-	return p.submitAndWait(to, value, gas, data)
 }
 
 // Deploy sends a contract-creation transaction and returns the new address

@@ -344,7 +344,7 @@ func federationDemo(faucetKey *secp256k1.PrivateKey, towers int, o obs) {
 	timeout := time.After(30 * time.Second)
 	for {
 		mined := c.Mined()
-		if len(c.FilterLogs(chain.FilterQuery{Address: &contract, Topic: &hybrid.TopicDisputeResolved})) > 0 {
+		if _, byDispute := hybrid.Settlement(c, contract); byDispute {
 			break
 		}
 		select {
@@ -354,7 +354,7 @@ func federationDemo(faucetKey *secp256k1.PrivateKey, towers int, o obs) {
 		}
 	}
 	for i, bt := range backups {
-		// A tower counts its win once its own settled check returns, which
+		// A tower counts its win once its own filing returns, which
 		// can trail the resolution's block: wait until it has decided.
 		bt.Watchtower().WaitCaughtUp(c.Height())
 		if bt.Metrics().DisputesWon > 0 {

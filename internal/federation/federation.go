@@ -439,8 +439,10 @@ func (t *Tower) handleEnvelope(env *whisper.Envelope) {
 	// then ended it on the settlement. Adopting the re-post would rebuild
 	// the session, read its history again, journal the guard and count it a
 	// second time.
-	if rec.U3 == 1 && t.settledOnChain(g.Contract) {
-		return
+	if rec.U3 == 1 {
+		if settled, _ := hybrid.Settlement(t.cfg.Chain, g.Contract); settled {
+			return
+		}
 	}
 	g.Trace = env.TraceCtx()
 	// Adopted here, on the receiving goroutine: the bus's subscriber buffer
@@ -504,16 +506,6 @@ func (t *Tower) adopt(g *guardExport, journalIt bool) error {
 	t.metrics.guardsAdopted.Inc()
 	t.cfg.Tracer.RecordSpan(adoptTC, g.Trace.Span, g.SID, "federation", "adopt", adoptStart, time.Since(adoptStart), "tower="+t.self.Hex())
 	return nil
-}
-
-// settledOnChain reports whether the contract has logged its settlement,
-// by finalization or by an enforced dispute — the logs on which the
-// watchtower ends a guard. The query is served from the log index.
-func (t *Tower) settledOnChain(contract types.Address) bool {
-	return len(t.cfg.Chain.FilterLogs(chain.FilterQuery{
-		Address: &contract,
-		Topics:  []types.Hash{hybrid.TopicResultFinalized, hybrid.TopicDisputeResolved},
-	})) > 0
 }
 
 // rebuild reconstructs a guardable session from exported guard state —

@@ -840,8 +840,8 @@ func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch)
 		// finalize transaction: a dispute (only possible if someone
 		// re-submitted), or — for a recovered session — the finalization the
 		// dead generation left in the pool.
-		if s, _ := sess.IsSettled(); s {
-			return h.reportSettled(lc, sess, watch)
+		if settled, byDispute := hybrid.Settlement(h.chain, sess.OnChainAddr); settled {
+			return h.reportSettled(lc, watch, byDispute)
 		}
 		return fail(errors.New("hub: finalizeResult reverted"))
 	}
@@ -856,7 +856,8 @@ func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch)
 
 // verdict is the step every tail takes once a submission may be on chain:
 // wait for the tower to have examined every block up to now and decided
-// THIS watch, then read the contract. own is how long the wait took. A
+// THIS watch, then read the contract's settlement log. own is how long the
+// wait took. A
 // non-nil report ends the session — crashed, settled (reportSettled), or
 // left open by a dispute the tower filed and could not enforce, in which
 // case what stands in the contract is a lie and must not be finalized.
@@ -869,36 +870,30 @@ func (h *Hub) verdict(lc *lifecycle, sess *hybrid.Session, watch *Watch) (own ti
 	if h.crashed.Load() {
 		return own, h.crashReport(lc.t, lc.rep.Stage)
 	}
-	settled, err := sess.IsSettled()
-	if err != nil {
-		return own, h.failSession(lc, err)
+	if settled, byDispute := hybrid.Settlement(h.chain, sess.OnChainAddr); settled {
+		return own, h.reportSettled(lc, watch, byDispute)
 	}
-	if settled {
-		return own, h.reportSettled(lc, sess, watch)
-	}
-	if raised, _ := watch.Disputed(); raised {
+	if watch.Disputed() {
 		return own, h.failSession(lc, errors.New("hub: dispute filed but not enforced"))
 	}
 	return own, nil
 }
 
 // reportSettled closes out a session whose owner found its contract
-// already settled, labelled from the chain's settlement log rather than
-// from how the owner got here. DisputeResolved means a dispute was
-// enforced — our tower's, a federated peer's, or a dead generation's;
-// the chain indexes a block's logs before Mined announces the block, so
-// the log is there whenever the contract reads settled. ResultFinalized
-// alone means an unchallenged finalization this worker did not send (a
-// recovered session whose dead generation's finalize was still pooled at
-// the kill): that session is settled, not resolved.
-func (h *Hub) reportSettled(lc *lifecycle, sess *hybrid.Session, watch *Watch) *Report {
+// already settled, labelled from the chain's settlement log (byDispute,
+// hybrid.Settlement) rather than from how the owner got here.
+// DisputeResolved means a dispute was enforced — our tower's, a federated
+// peer's, or a dead generation's. ResultFinalized means an unchallenged
+// finalization this worker did not send (a recovered session whose dead
+// generation's finalize was still pooled at the kill): that session is
+// settled, not resolved — unless this tower filed a dispute, which then
+// did not enforce.
+func (h *Hub) reportSettled(lc *lifecycle, watch *Watch, byDispute bool) *Report {
 	t, rep := lc.t, lc.rep
-	raised, won := watch.Disputed()
-	byDispute := settledByDispute(h.chain, sess.OnChainAddr)
-	if raised && !won && !byDispute {
+	if watch.Disputed() && !byDispute {
 		return h.failSession(lc, errors.New("hub: dispute filed but not enforced"))
 	}
-	rep.Disputed = raised || byDispute
+	rep.Disputed = byDispute
 	if !rep.Disputed {
 		if !h.advance(lc, StageSettled) {
 			return h.crashReport(t, StageSettled)
@@ -914,13 +909,6 @@ func (h *Hub) reportSettled(lc *lifecycle, sess *hybrid.Session, watch *Watch) *
 	}
 	h.terminal(lc, StageResolved)
 	return rep
-}
-
-// settledByDispute reports whether the chain's settlement log for the
-// contract is a DisputeResolved — the authority on how a settled contract
-// got there, whoever filed.
-func settledByDispute(c *chain.Chain, contract types.Address) bool {
-	return len(c.FilterLogs(chain.FilterQuery{Address: &contract, Topic: &hybrid.TopicDisputeResolved})) > 0
 }
 
 // advancePast moves the shared clock beyond the session's challenge

@@ -163,7 +163,7 @@ func (h *Hub) awaitRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, fut
 	t, rep := lc.t, lc.rep
 
 	lc.began = time.Now()
-	if _, _, err := fut.Wait(h.ctx); err != nil {
+	if err := fut.Wait(h.ctx); err != nil {
 		if h.crashed.Load() || h.ctx.Err() != nil || errors.Is(err, rollup.ErrHalted) {
 			return h.crashReport(t, StageSubmitted)
 		}

@@ -117,7 +117,6 @@ type Watch struct {
 	rollup     *rollupLeaf // batch context; set when a posted epoch carries this session
 	pending    bool        // a dispute pipeline job is driving this watch
 	disputed   bool
-	disputeWon bool
 	disputedAt uint64 // chain time when the tower filed the dispute
 	deadline   uint64 // window deadline at dispute time
 	settled    bool
@@ -268,12 +267,12 @@ func (e *Watch) Expected() (uint64, error) {
 	return e.expected, e.expectErr
 }
 
-// Disputed reports whether the tower filed a dispute, and whether the
-// dispute resolved to the tower's expected result.
-func (e *Watch) Disputed() (raised, won bool) {
+// Disputed reports whether the tower filed a dispute. Whether a dispute
+// enforced is the chain's to say (hybrid.Settlement).
+func (e *Watch) Disputed() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.disputed, e.disputeWon
+	return e.disputed
 }
 
 // DisputeTiming returns the chain time the dispute was filed at and the
@@ -839,11 +838,8 @@ func (w *Watchtower) fileDispute(e *Watch, win Window, escalated bool) {
 	// dispute that landed has settled the contract, so a tower (restarted,
 	// or a federation backup escalating behind slot 0's in-flight
 	// filing) re-examining the same lie stops here instead of
-	// double-disputing. On a query error, fall through and file anyway — a
-	// dispute against an already-settled contract merely reverts, while
-	// skipping one lets a lie finalize, and nothing would ever re-examine
-	// it.
-	if settled, err := e.sess.IsSettled(); err == nil && settled {
+	// double-disputing.
+	if settled, _ := hybrid.Settlement(w.chain, e.sess.OnChainAddr); settled {
 		w.onSettled(e, e.sess.OnChainAddr)
 		return
 	}
@@ -884,17 +880,12 @@ func (w *Watchtower) fileDispute(e *Watch, win Window, escalated bool) {
 	}
 	_, _, err := e.sess.Dispute(disputer)
 	observeLeafOpen()
-	// Enforcement is read from the contract, never from the receipts.
-	enforced := false
-	if err == nil {
-		settled, serr := e.sess.IsSettled()
-		enforced = serr == nil && settled
-	}
+	// Enforcement is read from the contract's settlement log, never from
+	// the receipts.
+	_, byDispute := hybrid.Settlement(w.chain, e.sess.OnChainAddr)
+	enforced := err == nil && byDispute
 	if enforced {
 		w.metrics.disputesWon.Inc()
-		e.mu.Lock()
-		e.disputeWon = true
-		e.mu.Unlock()
 		w.onSettled(e, e.sess.OnChainAddr)
 	}
 	if w.tracer != nil && (e.id != 0 || e.tc.Valid()) {

@@ -83,8 +83,8 @@ func TestTowerStartsAtTheHead(t *testing.T) {
 		t.Fatalf("after the guard, the tower saw %d submissions, want the lie at or below N", m.SubmissionsSeen)
 	}
 	tower.WaitVerdict(e, n)
-	if raised, won := e.Disputed(); !raised || !won {
-		t.Fatalf("lie at or below N: raised=%v won=%v, want an enforced dispute", raised, won)
+	if _, won := hybrid.Settlement(c, e.Contract()); !e.Disputed() || !won {
+		t.Fatalf("lie at or below N: raised=%v won=%v, want an enforced dispute", e.Disputed(), won)
 	}
 
 	e = guard(late)
@@ -94,8 +94,8 @@ func TestTowerStartsAtTheHead(t *testing.T) {
 		t.Fatalf("second lie in block %d, want %d", got, head+1)
 	}
 	tower.WaitVerdict(e, head+1)
-	if raised, won := e.Disputed(); !raised || !won {
-		t.Fatalf("lie after the guard: raised=%v won=%v, want an enforced dispute", raised, won)
+	if _, won := hybrid.Settlement(c, e.Contract()); !e.Disputed() || !won {
+		t.Fatalf("lie after the guard: raised=%v won=%v, want an enforced dispute", e.Disputed(), won)
 	}
 	if m := tower.Metrics(); m.SubmissionsSeen != 2 {
 		t.Fatalf("tower saw %d submissions, want each lie once", m.SubmissionsSeen)

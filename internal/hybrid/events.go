@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"onoffchain/internal/abi"
+	"onoffchain/internal/chain"
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
 )
@@ -16,6 +17,25 @@ var (
 	TopicDisputeOpened   = abi.EventTopic("DisputeOpened(address,address)")
 	TopicDisputeResolved = abi.EventTopic("DisputeResolved(uint256)")
 )
+
+// settlementTopics are the two logs a contract emits in the one
+// transaction that sets its settled flag; a reverted transaction leaves
+// neither.
+var settlementTopics = []types.Hash{TopicResultFinalized, TopicDisputeResolved}
+
+// Settlement reads how a contract with LifecycleEvents settled, from its
+// settlement log in the chain's log index: settled once either log is on
+// chain, byDispute when that log is DisputeResolved — an enforced dispute,
+// whoever filed it. The log index and the state are updated under one lock
+// as a block is sealed, so this reads what the contract's settled flag
+// reads. A contract without lifecycle events reads (false, false).
+func Settlement(c *chain.Chain, contract types.Address) (settled, byDispute bool) {
+	logs := c.FilterLogs(chain.FilterQuery{Address: &contract, Topics: settlementTopics})
+	if len(logs) == 0 {
+		return false, false
+	}
+	return true, logs[0].Topics[0] == TopicDisputeResolved
+}
 
 // ResultSubmittedEvent is the decoded form of a ResultSubmitted log: a
 // participant opened (or refreshed) the challenge window with a claimed

@@ -74,23 +74,20 @@ type ticket struct {
 	leaf    Leaf
 	tc      telemetry.TraceContext
 	done    chan struct{}
-	epoch   *Epoch // set before done closes
-	index   int    // leaf index inside epoch
-	err     error
+	err     error // set before done closes
 	arrived time.Time
 }
 
 // Future is the caller's handle on an enqueued leaf.
 type Future struct{ t *ticket }
 
-// Wait blocks until the leaf's epoch posts (returning the epoch and the
-// leaf's index in it) or ctx ends.
-func (f *Future) Wait(ctx context.Context) (*Epoch, int, error) {
+// Wait blocks until the leaf's epoch posts or ctx ends.
+func (f *Future) Wait(ctx context.Context) error {
 	select {
 	case <-ctx.Done():
-		return nil, 0, ctx.Err()
+		return ctx.Err()
 	case <-f.t.done:
-		return f.t.epoch, f.t.index, f.t.err
+		return f.t.err
 	}
 }
 
@@ -160,12 +157,14 @@ type sentEpoch struct {
 	first time.Time // earliest leaf arrival; zero for a recovery re-post
 }
 
-// sealedState is a folded KindEpochSealed awaiting on-chain
-// reconciliation (posted or not?) at Start.
+// sealedState is a folded KindEpochSealed: awaiting on-chain
+// reconciliation (posted or not?) at Start, or posted and served from the
+// proof cache.
 type sealedState struct {
-	number uint64
-	root   types.Hash
-	leaves []Leaf
+	number  uint64
+	root    types.Hash
+	leaves  []Leaf
+	damaged bool // a leaf blob did not decode
 }
 
 // New builds a sequencer. Call Seed (optionally) then Start.
@@ -232,9 +231,12 @@ func Fold(recs []*store.Record) *Folded {
 		case store.KindEpochSealed:
 			ss := &sealedState{number: rec.U1, root: types.BytesToHash(rec.Blob)}
 			for _, b := range rec.Blobs {
-				if l, ok := decodeLeaf(b); ok {
-					ss.leaves = append(ss.leaves, l)
+				l, ok := decodeLeaf(b)
+				if !ok {
+					ss.damaged = true
+					continue
 				}
+				ss.leaves = append(ss.leaves, l)
 			}
 			sealed[ss.number] = ss
 		case store.KindEpochPosted:
@@ -282,11 +284,10 @@ func (s *Sequencer) Seed(f *Folded) error {
 	defer s.mu.Unlock()
 	s.nextEpoch = f.PostedThru
 	for _, ss := range f.Sealed {
-		tree, err := NewTree(s.cfg.Depth, ss.leaves)
-		if err != nil || tree.Root() != ss.root {
-			return fmt.Errorf("rollup: sealed epoch %d does not re-fold to its journaled root", ss.number)
+		e, err := s.refold(ss)
+		if err != nil {
+			return err
 		}
-		e := &Epoch{Number: ss.number, Root: ss.root, Tree: tree, Leaves: ss.leaves}
 		s.inflight[e.Number] = e
 		s.sealed = append(s.sealed, e)
 		if e.Number >= s.nextEpoch {
@@ -294,11 +295,10 @@ func (s *Sequencer) Seed(f *Folded) error {
 		}
 	}
 	for n, ss := range f.postedEpochs {
-		tree, err := NewTree(s.cfg.Depth, ss.leaves)
+		e, err := s.refold(ss)
 		if err != nil {
-			continue
+			return err
 		}
-		e := &Epoch{Number: n, Root: ss.root, Tree: tree, Leaves: ss.leaves}
 		if s.registry != nil {
 			// A failed probe leaves PostedAt 0: the epoch then stays cached
 			// until Stop instead of being evicted, which costs memory only.
@@ -310,6 +310,18 @@ func (s *Sequencer) Seed(f *Folded) error {
 		s.enqueueLocked(l, telemetry.TraceContext{}, false)
 	}
 	return nil
+}
+
+// refold rebuilds a journaled epoch's tree and checks it against the
+// journaled root: a leaf that does not decode, or one whose bytes changed,
+// would otherwise be served with proofs that its epoch's posted root does
+// not commit.
+func (s *Sequencer) refold(ss *sealedState) (*Epoch, error) {
+	tree, err := NewTree(s.cfg.Depth, ss.leaves)
+	if ss.damaged || err != nil || tree.Root() != ss.root {
+		return nil, fmt.Errorf("rollup: journaled epoch %d does not re-fold to its journaled root", ss.number)
+	}
+	return &Epoch{Number: ss.number, Root: ss.root, Tree: tree, Leaves: ss.leaves}, nil
 }
 
 // DeployRegistryAsync pools the registry's creation from deployer — the
@@ -476,9 +488,9 @@ func (s *Sequencer) tryResolve(leaf Leaf) (*Future, error, bool) {
 		return &Future{t: t}, nil, true
 	}
 	for _, e := range s.epochs {
-		for i, l := range e.Leaves {
+		for _, l := range e.Leaves {
 			if l.SID == leaf.SID {
-				t := &ticket{leaf: l, done: make(chan struct{}), epoch: e, index: i}
+				t := &ticket{leaf: l, done: make(chan struct{})}
 				close(t.done)
 				return &Future{t: t}, nil, true
 			}
@@ -687,9 +699,9 @@ func (s *Sequencer) finishEpoch(sealed *Epoch, gasUsed uint64) {
 		s.logf("rollup: postedAt(%d) probe failed: %v", number, err)
 	}
 	e := &Epoch{Number: number, Root: sealed.Root, Tree: sealed.Tree, Leaves: leaves, PostedAt: postedAt, GasUsed: gasUsed}
-	index := make(map[uint64]int, len(leaves))
-	for i, l := range leaves {
-		index[l.SID] = i
+	carried := make(map[uint64]bool, len(leaves))
+	for _, l := range leaves {
+		carried[l.SID] = true
 	}
 	s.mu.Lock()
 	delete(s.inflight, number)
@@ -706,8 +718,7 @@ func (s *Sequencer) finishEpoch(sealed *Epoch, gasUsed uint64) {
 	}
 	var resolve []*ticket
 	for sid, t := range s.bySID {
-		if i, ok := index[sid]; ok {
-			t.epoch, t.index = e, i
+		if carried[sid] {
 			resolve = append(resolve, t)
 			delete(s.bySID, sid)
 		}

@@ -79,13 +79,10 @@ func TestSequencerBatchesLeaves(t *testing.T) {
 	defer cancel()
 	seen := map[uint64]bool{}
 	for i, f := range futs {
-		e, idx, err := f.Wait(ctx)
-		if err != nil {
+		if err := f.Wait(ctx); err != nil {
 			t.Fatalf("leaf %d: %v", i, err)
 		}
-		if e.Leaves[idx].SID != leaves[i].SID {
-			t.Fatalf("leaf %d resolved at wrong index", i)
-		}
+		e, idx := carrier(t, s, leaves[i].SID)
 		proof, err := e.Tree.Proof(idx)
 		if err != nil {
 			t.Fatal(err)
@@ -112,8 +109,11 @@ func TestSequencerBatchesLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, _, err := f.Wait(ctx); err != nil || !seen[e.Number] {
+	if err := f.Wait(ctx); err != nil {
 		t.Fatalf("re-enqueue: %v", err)
+	}
+	if e, _ := carrier(t, s, leaves[3].SID); !seen[e.Number] {
+		t.Fatalf("re-enqueue: leaf in epoch %d, which no first enqueue resolved in", e.Number)
 	}
 }
 
@@ -136,8 +136,9 @@ func TestSequencerSealsAtCap(t *testing.T) {
 	s := newSeq(t, party, Config{Depth: 3, EpochCap: 4, EpochAge: time.Hour}, nil)
 	startSeq(t, c, s)
 	defer s.Stop()
+	leaves := mkLeaves(8)
 	var futs []*Future
-	for _, l := range mkLeaves(8) {
+	for _, l := range leaves {
 		f, err := s.Enqueue(l, telemetry.TraceContext{})
 		if err != nil {
 			t.Fatal(err)
@@ -147,11 +148,11 @@ func TestSequencerSealsAtCap(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	epochs := map[uint64]int{}
-	for _, f := range futs {
-		e, _, err := f.Wait(ctx)
-		if err != nil {
+	for i, f := range futs {
+		if err := f.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
+		e, _ := carrier(t, s, leaves[i].SID)
 		epochs[e.Number]++
 	}
 	// EpochAge is an hour, so only the cap can have sealed: 8 leaves in
@@ -184,7 +185,7 @@ func TestSequencerRecoversTornEpoch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for _, f := range futs {
-		if _, _, err := f.Wait(ctx); err != nil {
+		if err := f.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,6 +249,51 @@ func TestSequencerRecoversTornEpoch(t *testing.T) {
 	}
 }
 
+// A posted epoch's journaled leaves are held to its journaled root, as a
+// sealed one's are: a flipped outcome, or a leaf blob that does not decode,
+// makes Seed fail — and hub.Recover with it — rather than serve a tree whose
+// proofs the posted root does not commit.
+func TestSeedRefusesATamperedPostedEpoch(t *testing.T) {
+	c, party := seqFixture(t)
+	wal := &recordLog{}
+	cfg := Config{Depth: 4, EpochCap: 3, EpochAge: time.Hour}
+	s := newSeq(t, party, cfg, wal)
+	startSeq(t, c, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, f := range enqueueAll(t, s, mkLeaves(3)) {
+		if err := f.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Halt()
+	if err := newSeq(t, party, cfg, nil).Seed(Fold(wal.all())); err != nil {
+		t.Fatalf("untampered WAL: %v", err)
+	}
+
+	for name, tamper := range map[string]func(leaf []byte) []byte{
+		"flipped outcome":  func(leaf []byte) []byte { b := append([]byte{}, leaf...); b[35] ^= 1; return b },
+		"undecodable blob": func(leaf []byte) []byte { return leaf[:35] },
+	} {
+		var recs []*store.Record
+		for _, r := range wal.all() {
+			if r.Kind == store.KindEpochSealed {
+				cp := *r
+				cp.Blobs = append([][]byte{}, r.Blobs...)
+				cp.Blobs[1] = tamper(r.Blobs[1])
+				r = &cp
+			}
+			recs = append(recs, r)
+		}
+		if f := Fold(recs); len(f.postedEpochs) != 1 || len(f.Sealed) != 0 {
+			t.Fatalf("%s: fixture folds to %d posted and %d sealed epochs, want one posted", name, len(f.postedEpochs), len(f.Sealed))
+		}
+		if err := newSeq(t, party, cfg, nil).Seed(Fold(recs)); err == nil {
+			t.Errorf("%s: Seed served a posted epoch that does not re-fold to its journaled root", name)
+		}
+	}
+}
+
 // TestSequencerReenqueuesPendingLeaves: leaves enqueued (KindEpochLeaf)
 // but never sealed before the crash must flow into the next incarnation's
 // first epoch.
@@ -290,8 +336,11 @@ func TestSequencerReenqueuesPendingLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, idx, err := f.Wait(ctx); err != nil || e.Leaves[idx].SID != leaves[0].SID {
+	if err := f.Wait(ctx); err != nil {
 		t.Fatalf("re-attach: %v", err)
+	}
+	if e, _ := carrier(t, s, leaves[0].SID); e.Number != 0 {
+		t.Fatalf("re-attached leaf in epoch %d, want the first epoch", e.Number)
 	}
 }
 
@@ -300,21 +349,20 @@ func TestFoldStateRoundTrip(t *testing.T) {
 	wal := &recordLog{}
 	s := newSeq(t, party, Config{Depth: 4, EpochAge: 20 * time.Millisecond}, wal)
 	startSeq(t, c, s)
+	leaves := mkLeaves(3)
 	var futs []*Future
-	for _, l := range mkLeaves(3) {
+	for _, l := range leaves {
 		f, _ := s.Enqueue(l, telemetry.TraceContext{})
 		futs = append(futs, f)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	var first *Epoch
 	for _, f := range futs {
-		e, _, err := f.Wait(ctx)
-		if err != nil {
+		if err := f.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
-		first = e
 	}
+	first, _ := carrier(t, s, leaves[2].SID)
 	// StateRecords (the compaction snapshot contribution) must fold back
 	// to the same durable state as the full WAL.
 	fromWAL := Fold(wal.all())
@@ -337,16 +385,31 @@ func TestFoldStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, _, err := f.Wait(ctx)
-	if err != nil {
+	if err := f.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
+	next, _ := carrier(t, s, 99)
 	if cached := s.CachedEpochs(); len(cached) != 1 || cached[0].Number != next.Number {
 		t.Fatalf("proof cache holds %d epochs after epoch %d, want it alone (epoch %d's window closed)", len(cached), next.Number, first.Number)
 	}
 	if got := Fold(s.StateRecords()); len(got.postedEpochs) != 1 || got.postedEpochs[next.Number] == nil {
 		t.Fatalf("snapshot after epoch %d carries %d posted epochs, want it alone", next.Number, len(got.postedEpochs))
 	}
+}
+
+// carrier returns the cached epoch whose leaves hold sid, and the leaf's
+// index in it.
+func carrier(t *testing.T, s *Sequencer, sid uint64) (*Epoch, int) {
+	t.Helper()
+	for _, e := range s.CachedEpochs() {
+		for i, l := range e.Leaves {
+			if l.SID == sid {
+				return e, i
+			}
+		}
+	}
+	t.Fatalf("no cached epoch carries leaf %d", sid)
+	return nil, 0
 }
 
 // manualSeqFixture is seqFixture on a chain that seals a block only when the
@@ -535,8 +598,11 @@ func TestSequencerRecoversWithPostsPooled(t *testing.T) {
 	c.MineBlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if e, _, err := fut.Wait(ctx); err != nil || e.Number != k {
-		t.Fatalf("epoch after recovery: %+v, %v; want epoch %d", e, err, k)
+	if err := fut.Wait(ctx); err != nil {
+		t.Fatalf("epoch after recovery: %v", err)
+	}
+	if e, _ := carrier(t, s2, leaves[k].SID); e.Number != k {
+		t.Fatalf("epoch after recovery is %d, want epoch %d", e.Number, k)
 	}
 
 	requireEpochsInSealOrder(t, c, s2, k+1)
@@ -617,8 +683,11 @@ func TestSequencerHaltsOnLandingMismatch(t *testing.T) {
 	first := enqueueAll(t, s, leaves[:1])[0]
 	awaitPool(t, c, 1)
 	c.MineBlock()
-	if e, _, err := first.Wait(ctx); err != nil || e.Number != 0 {
-		t.Fatalf("epoch 0: %+v, %v", e, err)
+	if err := first.Wait(ctx); err != nil {
+		t.Fatalf("epoch 0: %v", err)
+	}
+	if e, ok := s.EpochByNumber(0); !ok || len(e.Leaves) != 1 || e.Leaves[0] != leaves[0] {
+		t.Fatal("epoch 0 does not carry the first leaf alone")
 	}
 
 	// Out of band, and pooled ahead of the sequencer's own next post.
@@ -633,7 +702,7 @@ func TestSequencerHaltsOnLandingMismatch(t *testing.T) {
 	awaitPool(t, c, 3)
 	c.MineBlock()
 	for i, f := range futs {
-		if _, _, err := f.Wait(ctx); !errors.Is(err, ErrHalted) {
+		if err := f.Wait(ctx); !errors.Is(err, ErrHalted) {
 			t.Errorf("ticket of leaf %d resolved with %v, want ErrHalted", i+1, err)
 		}
 	}

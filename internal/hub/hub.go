@@ -857,12 +857,12 @@ func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch)
 // verdict is the step every tail takes once a submission may be on chain:
 // wait for the tower to have examined every block up to now and decided
 // THIS watch, then read the contract's settlement log. own is how long the
-// wait took. A
-// non-nil report ends the session — crashed, settled (reportSettled), or
-// left open by a dispute the tower filed and could not enforce, in which
-// case what stands in the contract is a lie and must not be finalized.
-// Otherwise the submission stands clean; other sessions' disputes may
-// still be in flight, and the caller decides whether to wait for them.
+// wait took. A non-nil report ends the session — crashed, settled, or left
+// open by a dispute the tower filed and could not enforce, in which case
+// what stands in the contract is a lie and must not be finalized (both
+// reportSettled). Otherwise the submission stands clean; other sessions'
+// disputes may still be in flight, and the caller decides whether to wait
+// for them.
 func (h *Hub) verdict(lc *lifecycle, sess *hybrid.Session, watch *Watch) (own time.Duration, done *Report) {
 	start := time.Now()
 	h.tower.WaitVerdict(watch, h.chain.Height())
@@ -870,24 +870,21 @@ func (h *Hub) verdict(lc *lifecycle, sess *hybrid.Session, watch *Watch) (own ti
 	if h.crashed.Load() {
 		return own, h.crashReport(lc.t, lc.rep.Stage)
 	}
-	if settled, byDispute := hybrid.Settlement(h.chain, sess.OnChainAddr); settled {
+	if settled, byDispute := hybrid.Settlement(h.chain, sess.OnChainAddr); settled || watch.Disputed() {
 		return own, h.reportSettled(lc, watch, byDispute)
-	}
-	if watch.Disputed() {
-		return own, h.failSession(lc, errors.New("hub: dispute filed but not enforced"))
 	}
 	return own, nil
 }
 
-// reportSettled closes out a session whose owner found its contract
-// already settled, labelled from the chain's settlement log (byDispute,
-// hybrid.Settlement) rather than from how the owner got here.
-// DisputeResolved means a dispute was enforced — our tower's, a federated
-// peer's, or a dead generation's. ResultFinalized means an unchallenged
+// reportSettled closes out a session whose contract settled, or that this
+// tower disputed, from the chain's settlement log (byDispute,
+// hybrid.Settlement), not from how the owner got here. A dispute this
+// tower filed that the log does not show as DisputeResolved fails the
+// session: what stands is a lie. DisputeResolved is an enforced dispute —
+// ours, a federated peer's or a dead generation's. ResultFinalized is a
 // finalization this worker did not send (a recovered session whose dead
-// generation's finalize was still pooled at the kill): that session is
-// settled, not resolved — unless this tower filed a dispute, which then
-// did not enforce.
+// generation's finalize was still pooled at the kill): settled, not
+// resolved.
 func (h *Hub) reportSettled(lc *lifecycle, watch *Watch, byDispute bool) *Report {
 	t, rep := lc.t, lc.rep
 	if watch.Disputed() && !byDispute {

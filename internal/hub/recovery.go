@@ -108,8 +108,8 @@ func (r *RecoverReport) Resumed() []*Ticket {
 //     contract's whole history from the chain's log index, which reopens
 //     its windows in chain order. Any fraudulent submission whose contract
 //     is not yet settled is disputed immediately — exactly once, because
-//     examinations claim the dispute per-watch and the chain's settled flag
-//     vetoes re-filing lies whose dispute already landed.
+//     examinations claim the dispute per-watch and the contract's
+//     settlement log vetoes re-filing lies whose dispute already landed.
 //  4. In rollup mode, start the sequencer, which re-posts torn epochs; the
 //     tower's block loop reads those posts with every guard armed.
 //  5. Enqueue a resume job per session so workers drive it to a terminal

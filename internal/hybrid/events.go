@@ -18,19 +18,17 @@ var (
 	TopicDisputeResolved = abi.EventTopic("DisputeResolved(uint256)")
 )
 
-// settlementTopics are the two logs a contract emits in the one
-// transaction that sets its settled flag; a reverted transaction leaves
-// neither.
-var settlementTopics = []types.Hash{TopicResultFinalized, TopicDisputeResolved}
-
-// Settlement reads how a contract with LifecycleEvents settled, from its
-// settlement log in the chain's log index: settled once either log is on
-// chain, byDispute when that log is DisputeResolved — an enforced dispute,
-// whoever filed it. The log index and the state are updated under one lock
-// as a block is sealed, so this reads what the contract's settled flag
-// reads. A contract without lifecycle events reads (false, false).
+// Settlement reads whether a contract with LifecycleEvents settled, and
+// whether by an enforced dispute, from its settlement log: the
+// ResultFinalized or DisputeResolved of the one transaction that set its
+// settled flag. A reverted transaction leaves no log, and the chain indexes
+// a block's logs under the lock that commits its state, so this reads what
+// the flag reads. A contract without lifecycle events reads (false, false).
 func Settlement(c *chain.Chain, contract types.Address) (settled, byDispute bool) {
-	logs := c.FilterLogs(chain.FilterQuery{Address: &contract, Topics: settlementTopics})
+	logs := c.FilterLogs(chain.FilterQuery{
+		Address: &contract,
+		Topics:  []types.Hash{TopicResultFinalized, TopicDisputeResolved},
+	})
 	if len(logs) == 0 {
 		return false, false
 	}

@@ -68,9 +68,9 @@ type Source interface {
 	CachedEpochs() []*Epoch
 }
 
-// ticket is one session's pending leaf: resolved (done closed) when the
-// epoch carrying it is posted on chain.
-type ticket struct {
+// Future is one session's pending leaf, and the caller's handle on it:
+// resolved (done closed) when the epoch carrying it is posted on chain.
+type Future struct {
 	leaf    Leaf
 	tc      telemetry.TraceContext
 	done    chan struct{}
@@ -78,16 +78,13 @@ type ticket struct {
 	arrived time.Time
 }
 
-// Future is the caller's handle on an enqueued leaf.
-type Future struct{ t *ticket }
-
 // Wait blocks until the leaf's epoch posts or ctx ends.
 func (f *Future) Wait(ctx context.Context) error {
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-f.t.done:
-		return f.t.err
+	case <-f.done:
+		return f.err
 	}
 }
 
@@ -129,8 +126,8 @@ type Sequencer struct {
 	registry *Registry
 
 	mu        sync.Mutex
-	pending   []*ticket
-	bySID     map[uint64]*ticket // every unresolved ticket, for idempotent re-enqueue
+	pending   []*Future
+	bySID     map[uint64]*Future // every unresolved ticket, for idempotent re-enqueue
 	epochs    map[uint64]*Epoch  // posted, by number
 	inflight  map[uint64]*Epoch  // sealed, post receipt pending — already visible to Source
 	nextEpoch uint64
@@ -157,14 +154,12 @@ type sentEpoch struct {
 	first time.Time // earliest leaf arrival; zero for a recovery re-post
 }
 
-// sealedState is a folded KindEpochSealed: awaiting on-chain
-// reconciliation (posted or not?) at Start, or posted and served from the
-// proof cache.
+// sealedState is a folded KindEpochSealed awaiting on-chain
+// reconciliation (posted or not?) at Start.
 type sealedState struct {
-	number  uint64
-	root    types.Hash
-	leaves  []Leaf
-	damaged bool // a leaf blob did not decode
+	number uint64
+	root   types.Hash
+	leaves []Leaf
 }
 
 // New builds a sequencer. Call Seed (optionally) then Start.
@@ -183,7 +178,7 @@ func New(cfg Config) (*Sequencer, error) {
 	}
 	s := &Sequencer{
 		cfg:       cfg,
-		bySID:     make(map[uint64]*ticket),
+		bySID:     make(map[uint64]*Future),
 		epochs:    make(map[uint64]*Epoch),
 		inflight:  make(map[uint64]*Epoch),
 		arrivedCh: make(chan struct{}, 1),
@@ -231,12 +226,9 @@ func Fold(recs []*store.Record) *Folded {
 		case store.KindEpochSealed:
 			ss := &sealedState{number: rec.U1, root: types.BytesToHash(rec.Blob)}
 			for _, b := range rec.Blobs {
-				l, ok := decodeLeaf(b)
-				if !ok {
-					ss.damaged = true
-					continue
+				if l, ok := decodeLeaf(b); ok {
+					ss.leaves = append(ss.leaves, l)
 				}
-				ss.leaves = append(ss.leaves, l)
 			}
 			sealed[ss.number] = ss
 		case store.KindEpochPosted:
@@ -312,13 +304,12 @@ func (s *Sequencer) Seed(f *Folded) error {
 	return nil
 }
 
-// refold rebuilds a journaled epoch's tree and checks it against the
-// journaled root: a leaf that does not decode, or one whose bytes changed,
-// would otherwise be served with proofs that its epoch's posted root does
-// not commit.
+// refold rebuilds a journaled epoch and checks it against its journaled
+// root, which a leaf whose bytes changed, or that Fold dropped as
+// undecodable, no longer matches.
 func (s *Sequencer) refold(ss *sealedState) (*Epoch, error) {
 	tree, err := NewTree(s.cfg.Depth, ss.leaves)
-	if ss.damaged || err != nil || tree.Root() != ss.root {
+	if err != nil || tree.Root() != ss.root {
 		return nil, fmt.Errorf("rollup: journaled epoch %d does not re-fold to its journaled root", ss.number)
 	}
 	return &Epoch{Number: ss.number, Root: ss.root, Tree: tree, Leaves: ss.leaves}, nil
@@ -469,10 +460,9 @@ func (s *Sequencer) Enqueue(leaf Leaf, tc telemetry.TraceContext) (*Future, erro
 		return nil, ErrHalted
 	}
 	if t := s.bySID[leaf.SID]; t != nil {
-		return &Future{t: t}, nil
+		return t, nil
 	}
-	t := s.enqueueLocked(leaf, tc, true)
-	return &Future{t: t}, nil
+	return s.enqueueLocked(leaf, tc, true), nil
 }
 
 // tryResolve covers the no-journal-needed cases: halted, an existing live
@@ -485,22 +475,22 @@ func (s *Sequencer) tryResolve(leaf Leaf) (*Future, error, bool) {
 		return nil, ErrHalted, true
 	}
 	if t := s.bySID[leaf.SID]; t != nil {
-		return &Future{t: t}, nil, true
+		return t, nil, true
 	}
 	for _, e := range s.epochs {
 		for _, l := range e.Leaves {
 			if l.SID == leaf.SID {
-				t := &ticket{leaf: l, done: make(chan struct{})}
+				t := &Future{leaf: l, done: make(chan struct{})}
 				close(t.done)
-				return &Future{t: t}, nil, true
+				return t, nil, true
 			}
 		}
 	}
 	return nil, nil, false
 }
 
-func (s *Sequencer) enqueueLocked(leaf Leaf, tc telemetry.TraceContext, trace bool) *ticket {
-	t := &ticket{leaf: leaf, tc: tc, done: make(chan struct{}), arrived: time.Now()}
+func (s *Sequencer) enqueueLocked(leaf Leaf, tc telemetry.TraceContext, trace bool) *Future {
+	t := &Future{leaf: leaf, tc: tc, done: make(chan struct{}), arrived: time.Now()}
 	s.pending = append(s.pending, t)
 	s.bySID[leaf.SID] = t
 	if trace && s.cfg.Tracer != nil && tc.Valid() {
@@ -604,7 +594,7 @@ func (s *Sequencer) sealAndSend() (*sentEpoch, error) {
 		n = s.cfg.EpochCap
 	}
 	batch := s.pending[:n:n]
-	s.pending = append([]*ticket{}, s.pending[n:]...)
+	s.pending = append([]*Future{}, s.pending[n:]...)
 	if len(s.pending) > 0 {
 		select {
 		case s.arrivedCh <- struct{}{}:
@@ -699,10 +689,6 @@ func (s *Sequencer) finishEpoch(sealed *Epoch, gasUsed uint64) {
 		s.logf("rollup: postedAt(%d) probe failed: %v", number, err)
 	}
 	e := &Epoch{Number: number, Root: sealed.Root, Tree: sealed.Tree, Leaves: leaves, PostedAt: postedAt, GasUsed: gasUsed}
-	carried := make(map[uint64]bool, len(leaves))
-	for _, l := range leaves {
-		carried[l.SID] = true
-	}
 	s.mu.Lock()
 	delete(s.inflight, number)
 	s.epochs[number] = e
@@ -716,11 +702,11 @@ func (s *Sequencer) finishEpoch(sealed *Epoch, gasUsed uint64) {
 			}
 		}
 	}
-	var resolve []*ticket
-	for sid, t := range s.bySID {
-		if carried[sid] {
+	var resolve []*Future
+	for _, l := range leaves {
+		if t := s.bySID[l.SID]; t != nil {
 			resolve = append(resolve, t)
-			delete(s.bySID, sid)
+			delete(s.bySID, l.SID)
 		}
 	}
 	s.mu.Unlock()
@@ -740,7 +726,7 @@ func (s *Sequencer) finishEpoch(sealed *Epoch, gasUsed uint64) {
 func (s *Sequencer) abort(err error) {
 	s.mu.Lock()
 	s.halted = true
-	var open []*ticket
+	var open []*Future
 	for sid, t := range s.bySID {
 		t.err = fmt.Errorf("%w: %v", ErrHalted, err)
 		open = append(open, t)

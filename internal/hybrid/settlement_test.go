@@ -15,7 +15,7 @@ import (
 // specSession runs a hub spec's stages 1-3 by hand on an auto-mined chain —
 // split, deploy, sign, the spec's deposits and the private run — and returns
 // the session with the agreed outcome. The parties are the first
-// split.Participants of a fixed, funded key set, so sessions share them.
+// split.Participants party keys, so sessions share them.
 func specSession(t *testing.T, c *chain.Chain, net *whisper.Network, spec *hub.Spec) (*hybrid.Session, uint64) {
 	t.Helper()
 	split, err := hybrid.Split(spec.Source, spec.Contract, spec.Policy)
@@ -25,8 +25,7 @@ func specSession(t *testing.T, c *chain.Chain, net *whisper.Network, spec *hub.S
 	parties := make([]*hybrid.Participant, split.Participants)
 	addrs := make([]types.Address, split.Participants)
 	for i := range parties {
-		key, _ := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0x5E771E + uint64(i)))
-		parties[i] = hybrid.NewParticipant(key, c, net)
+		parties[i] = hybrid.NewParticipant(partyKey(i), c, net)
 		addrs[i] = parties[i].Addr
 	}
 	sess, err := hybrid.NewSession(split, parties)
@@ -54,13 +53,18 @@ func specSession(t *testing.T, c *chain.Chain, net *whisper.Network, spec *hub.S
 	return sess, out.Result
 }
 
-// settlementWorld is an auto-mined chain whose six fixed parties each hold
-// 100 ether.
+// partyKey is the i-th fixed party key.
+func partyKey(i int) *secp256k1.PrivateKey {
+	key, _ := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0x5E771E + uint64(i)))
+	return key
+}
+
+// settlementWorld is an auto-mined chain whose first six party keys each
+// hold 100 ether.
 func settlementWorld() (*chain.Chain, *whisper.Network) {
 	alloc := map[types.Address]*uint256.Int{}
-	for i := uint64(0); i < 6; i++ {
-		key, _ := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0x5E771E + i))
-		alloc[types.Address(key.EthereumAddress())] = new(uint256.Int).Mul(uint256.NewInt(100), uint256.NewInt(1e18))
+	for i := 0; i < 6; i++ {
+		alloc[types.Address(partyKey(i).EthereumAddress())] = new(uint256.Int).Mul(uint256.NewInt(100), uint256.NewInt(1e18))
 	}
 	c := chain.NewDefault(alloc)
 	return c, whisper.NewNetwork(c.Now)
@@ -107,8 +111,12 @@ func TestSettlementMatchesIsSettled(t *testing.T) {
 				if settled != flag || byDispute != (resolved > 0) {
 					t.Errorf("%s: Settlement=(%v, %v), isSettled=%v, DisputeResolved logs=%d", ending, settled, byDispute, flag, resolved)
 				}
-				if want := map[bool]int{true: 1}[settled]; resolved+finalized != want {
-					t.Errorf("%s: %d settlement logs, want %d", ending, resolved+finalized, want)
+				wantLogs := 0
+				if settled {
+					wantLogs = 1
+				}
+				if resolved+finalized != wantLogs {
+					t.Errorf("%s: %d settlement logs, want %d", ending, resolved+finalized, wantLogs)
 				}
 				if settled != wantSettled || byDispute != wantDispute {
 					t.Errorf("%s: Settlement=(%v, %v), want (%v, %v)", ending, settled, byDispute, wantSettled, wantDispute)

@@ -14,27 +14,79 @@ import (
 // ciRun matches a quoted -run pattern in the CI workflow.
 var ciRun = regexp.MustCompile(`-run '([^']*)'`)
 
-// alternatives splits a -run pattern at its top-level '|': a parenthesised
-// group such as TestSequencer(Recovers|Halts) stays one alternative. A
-// top-level '/' ends the part that names top-level tests.
+// alternatives splits a -run pattern into the names it stands for: at each
+// top-level '|', and a parenthesised group such as TestSequencer(Recovers|Halts)
+// into one alternative per member (TestSequencerRecovers, TestSequencerHalts),
+// so a renamed member is missed even while its siblings exist. A top-level '/'
+// ends the part that names top-level tests.
 func alternatives(pattern string) []string {
+	if i := topLevel(pattern, '/'); i >= 0 {
+		pattern = pattern[:i]
+	}
 	var out []string
-	depth, start := 0, 0
-	for i, r := range pattern {
-		switch {
-		case r == '(':
+	for _, alt := range split(pattern) {
+		out = append(out, expand(alt)...)
+	}
+	return out
+}
+
+// expand writes out alt's first top-level group once per member, and each
+// result's remaining groups in turn.
+func expand(alt string) []string {
+	open := topLevel(alt, '(')
+	if open < 0 {
+		return []string{alt}
+	}
+	depth := 0
+	for i := open; i < len(alt); i++ {
+		switch alt[i] {
+		case '(':
 			depth++
-		case r == ')':
-			depth--
-		case (r == '|' || r == '/') && depth == 0:
-			out = append(out, pattern[start:i])
-			if r == '/' {
+		case ')':
+			if depth--; depth == 0 {
+				var out []string
+				for _, m := range split(alt[open+1 : i]) {
+					out = append(out, expand(alt[:open]+m+alt[i+1:])...)
+				}
 				return out
 			}
-			start = i + 1
 		}
 	}
-	return append(out, pattern[start:])
+	return []string{alt} // unbalanced: regexp.Compile reports it
+}
+
+// split cuts pattern at its top-level '|'.
+func split(pattern string) []string {
+	var out []string
+	for {
+		i := topLevel(pattern, '|')
+		if i < 0 {
+			return append(out, pattern)
+		}
+		out = append(out, pattern[:i])
+		pattern = pattern[i+1:]
+	}
+}
+
+// topLevel is the index of the first c outside any parentheses, or -1.
+func topLevel(pattern string, c byte) int {
+	depth := 0
+	for i := 0; i < len(pattern); i++ {
+		switch pattern[i] {
+		case '(':
+			if depth == 0 && c == '(' {
+				return i
+			}
+			depth++
+		case ')':
+			depth--
+		case c:
+			if depth == 0 {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // TestCIRunNamesExist fails when an alternative of a quoted -run pattern in

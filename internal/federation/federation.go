@@ -439,8 +439,10 @@ func (t *Tower) handleEnvelope(env *whisper.Envelope) {
 	// then ended it on the settlement. Adopting the re-post would rebuild
 	// the session, read its history again, journal the guard and count it a
 	// second time.
-	if settled, _ := hybrid.Settlement(t.cfg.Chain, g.Contract); settled && rec.U3 == 1 {
-		return
+	if rec.U3 == 1 {
+		if settled, _ := hybrid.Settlement(t.cfg.Chain, g.Contract); settled {
+			return
+		}
 	}
 	g.Trace = env.TraceCtx()
 	// Adopted here, on the receiving goroutine: the bus's subscriber buffer

@@ -104,13 +104,29 @@ func TestSequencerBatchesLeaves(t *testing.T) {
 	if snap["rollup_epochs_total"] == 0 || snap["rollup_post_gas_total"] == 0 {
 		t.Fatalf("epoch/gas series not populated: %v", snap)
 	}
-	// Idempotent re-enqueue of an already-posted leaf resolves instantly.
+	// Idempotent re-enqueue of an already-posted leaf resolves instantly:
+	// nothing is journaled, pooled or posted again.
+	walLen := len(wal.all())
 	f, err := s.Enqueue(leaves[3], telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	select {
+	case <-f.done:
+	default:
+		t.Fatal("re-enqueue of a posted leaf is pending")
+	}
 	if err := f.Wait(ctx); err != nil {
 		t.Fatalf("re-enqueue: %v", err)
+	}
+	if n := len(wal.all()); n != walLen {
+		t.Fatalf("re-enqueue journaled %d records, want none", n-walLen)
+	}
+	again := reg.Snapshot()
+	for _, series := range []string{"rollup_epochs_total", "rollup_leaves_total"} {
+		if again[series] != snap[series] {
+			t.Fatalf("re-enqueue: %s %v → %v, want unchanged", series, snap[series], again[series])
+		}
 	}
 	if e, _ := carrier(t, s, leaves[3].SID); !seen[e.Number] {
 		t.Fatalf("re-enqueue: leaf in epoch %d, which no first enqueue resolved in", e.Number)
@@ -339,6 +355,9 @@ func TestSequencerReenqueuesPendingLeaves(t *testing.T) {
 	if err := f.Wait(ctx); err != nil {
 		t.Fatalf("re-attach: %v", err)
 	}
+	if n, _ := s.Registry().Epochs(party); n != 1 {
+		t.Fatalf("re-attach posted again: %d epochs on chain, want 1", n)
+	}
 	if e, _ := carrier(t, s, leaves[0].SID); e.Number != 0 {
 		t.Fatalf("re-attached leaf in epoch %d, want the first epoch", e.Number)
 	}
@@ -398,18 +417,28 @@ func TestFoldStateRoundTrip(t *testing.T) {
 }
 
 // carrier returns the cached epoch whose leaves hold sid, and the leaf's
-// index in it.
+// index in it. A leaf carried twice, in one epoch or in two, fails the test.
 func carrier(t *testing.T, s *Sequencer, sid uint64) (*Epoch, int) {
 	t.Helper()
+	var (
+		carrying *Epoch
+		at       int
+	)
 	for _, e := range s.CachedEpochs() {
 		for i, l := range e.Leaves {
-			if l.SID == sid {
-				return e, i
+			if l.SID != sid {
+				continue
 			}
+			if carrying != nil {
+				t.Fatalf("leaf %d is carried twice: epoch %d index %d and epoch %d index %d", sid, carrying.Number, at, e.Number, i)
+			}
+			carrying, at = e, i
 		}
 	}
-	t.Fatalf("no cached epoch carries leaf %d", sid)
-	return nil, 0
+	if carrying == nil {
+		t.Fatalf("no cached epoch carries leaf %d", sid)
+	}
+	return carrying, at
 }
 
 // manualSeqFixture is seqFixture on a chain that seals a block only when the

@@ -80,10 +80,13 @@ var Coinbase = types.BytesToAddress([]byte("miner"))
 // Config tunes chain behaviour.
 type Config struct {
 	// Exec selects the block-execution engine: ExecSerial (the default,
-	// also chosen by the empty string) or ExecParallel. Serial and
-	// parallel execution produce byte-identical blocks — state root,
-	// receipts, logs and gas — which the differential harness in
-	// parallel_diff_test.go pins.
+	// also chosen by the empty string) or ExecParallel. The serial engine
+	// executes each transaction as it is pooled, into the next block, so a
+	// seal only commits that block; it executes at the seal only when the
+	// block went stale (a clock move, or a tail left over past the mining
+	// cap). The parallel engine executes the whole batch at the seal. Both
+	// produce byte-identical blocks — state root, receipts, logs and gas —
+	// which the differential harness in parallel_diff_test.go pins.
 	Exec ExecPolicy
 	// ExecWorkers bounds the speculative execution pool of ExecParallel
 	// (default GOMAXPROCS). Values above the core count are honoured —
@@ -126,6 +129,11 @@ type Chain struct {
 	receipts map[types.Hash]*types.Receipt
 	pending  []*types.Transaction
 	now      uint64 // current simulated time
+
+	// next is the serial engine's next block, executed as its transactions
+	// were pooled (see executePooledLocked); nil when it went stale or the
+	// engine is parallel.
+	next *pendingBlock
 
 	// Receipt pipeline (see WaitReceipt): accepted-but-unmined hashes,
 	// execution-time drop errors, and the per-tx notification channels
@@ -190,6 +198,17 @@ type receiptOutcome struct {
 	err     error
 }
 
+// pendingBlock is a block under execution: the outcomes of its first
+// transactions, in pool order, on a fork of the canonical state. Nothing
+// of it is visible until mineLocked commits it.
+type pendingBlock struct {
+	state    *state.StateDB
+	number   uint64
+	time     uint64
+	outcomes []receiptOutcome // err is the execution-time cause of a drop
+	receipts uint             // outcomes with a receipt: the next receipt's index
+}
+
 // New creates a chain with the given genesis balance allocation.
 func New(config Config, alloc map[types.Address]*uint256.Int) *Chain {
 	c := &Chain{
@@ -210,6 +229,9 @@ func New(config Config, alloc map[types.Address]*uint256.Int) *Chain {
 		c.hMineSeconds = reg.Histogram("chain_mine_seconds", telemetry.DurationBuckets())
 		c.mParTxs = reg.Counter("chain_parallel_txs_total")
 		c.mParReexec = reg.Counter("chain_parallel_reexec_total")
+		// chain_exec_seconds is the execution a seal itself does. The
+		// serial engine executes as transactions are pooled, so its series
+		// reads ≈0 for a fresh block and a stale block's batch otherwise.
 		c.hExecSerial = reg.Histogram("chain_exec_seconds", telemetry.DurationBuckets(), "exec", "serial")
 		c.hExecParallel = reg.Histogram("chain_exec_seconds", telemetry.DurationBuckets(), "exec", "parallel")
 		// Crypto hot-path counters: cumulative totals maintained by the
@@ -382,10 +404,12 @@ func (c *Chain) Receipt(txHash types.Hash) (*types.Receipt, error) {
 }
 
 // SendTransaction validates and accepts a signed transaction into the
-// pending pool and returns its hash. When the transaction executes (the
-// next block under AutoMine, a later batch block otherwise) its outcome is
-// published through WaitReceipt — use that, not Receipt-after-send, to
-// observe it.
+// pending pool and returns its hash. The serial engine also executes it
+// into the next block right away (executePooledLocked). Either way its
+// outcome is published only when its block is sealed (the next block under
+// AutoMine, a later batch block otherwise), through WaitReceipt — use that,
+// not Receipt-after-send, to observe it; until then every read of the chain
+// sees sealed state only.
 func (c *Chain) SendTransaction(tx *types.Transaction) (types.Hash, error) {
 	// Recover (and cache) the sender before taking the chain lock, so the
 	// elliptic-curve work of concurrent submitters runs in parallel
@@ -410,6 +434,7 @@ func (c *Chain) SendTransaction(tx *types.Transaction) (types.Hash, error) {
 	// report the stale drop for a transaction that is live in the pool.
 	delete(c.dropped, tx.Hash())
 	c.pendingNonce[sender] = tx.Nonce + 1
+	c.executePooledLocked(tx)
 	if c.config.AutoMine {
 		c.mineLocked()
 	} else if c.mineKick != nil && len(c.pending) >= c.mineCap {
@@ -485,7 +510,7 @@ func (c *Chain) resolveWaitersLocked(txHash types.Hash, out receiptOutcome) {
 	}
 }
 
-// MineBlock executes pending transactions into one block — all of them,
+// MineBlock seals pending transactions into one block — all of them,
 // unless a StartMining driver is active, in which case its
 // maxTxsPerBlock cap applies and an over-full pool needs repeated calls
 // (or the driver's own re-kick) to drain.
@@ -525,6 +550,45 @@ func (c *Chain) validateTx(tx *types.Transaction) error {
 	return nil
 }
 
+// executePooledLocked executes tx, just pooled, as the next transaction of
+// the serial engine's next block. The block goes stale — nothing more runs
+// into it, and the seal executes its batch afresh — when the clock moved
+// since it was started or the pool outgrew the mining cap.
+func (c *Chain) executePooledLocked(tx *types.Transaction) {
+	if c.config.Exec == ExecParallel {
+		return
+	}
+	if len(c.pending) == 1 {
+		c.next = c.newBlockLocked(c.now + BlockInterval)
+	}
+	if c.next == nil || c.next.time != c.now+BlockInterval || (c.mineCap > 0 && len(c.pending) > c.mineCap) {
+		c.next = nil
+		return
+	}
+	c.executeLocked(c.next, tx)
+}
+
+// newBlockLocked starts the block on top of the head, stamped t.
+func (c *Chain) newBlockLocked(t uint64) *pendingBlock {
+	return &pendingBlock{state: c.state.Fork(), number: uint64(len(c.blocks)), time: t}
+}
+
+// executeLocked executes tx as the next transaction of b. It is the serial
+// engine's one per-transaction path, as transactions are pooled and when a
+// stale block is sealed.
+func (c *Chain) executeLocked(b *pendingBlock, tx *types.Transaction) {
+	receipt, err := c.applyTransactionOn(b.state, tx, b.number, b.time, b.receipts, true)
+	if err == nil {
+		b.receipts++
+	}
+	b.outcomes = append(b.outcomes, receiptOutcome{receipt: receipt, err: err})
+}
+
+// mineLocked seals the next block and publishes it: receipts and drops to
+// their waiters, the block to the log index, the journal and Mined. With
+// the serial engine the block was executed as its transactions were pooled
+// and the seal only commits it, unless it went stale; the parallel engine
+// executes the batch here.
 func (c *Chain) mineLocked() *types.Block {
 	mineStart := time.Now()
 	parent := c.blocks[len(c.blocks)-1]
@@ -539,21 +603,47 @@ func (c *Chain) mineLocked() *types.Block {
 	}
 
 	var (
-		receipts []*types.Receipt
-		included []*types.Transaction
+		outcomes []receiptOutcome
+		root     types.Hash
 	)
 	execStart := time.Now()
 	if c.config.Exec == ExecParallel && len(batch) > 1 {
-		included, receipts = c.executeParallelLocked(batch, number)
+		outcomes = c.executeParallelLocked(batch, number)
 		c.hExecParallel.ObserveSince(execStart)
+		root = c.state.Commit()
 	} else {
-		included, receipts = c.executeSerialLocked(batch, number)
+		b := c.next
+		c.next = nil
+		if b == nil || b.time != c.now || len(b.outcomes) != len(batch) {
+			b = c.newBlockLocked(c.now)
+			for _, tx := range batch {
+				c.executeLocked(b, tx)
+			}
+		}
 		c.hExecSerial.ObserveSince(execStart)
+		outcomes = b.outcomes
+		root = c.state.CommitFork(b.state)
 	}
-	var cumulative uint64
-	for _, receipt := range receipts {
-		cumulative += receipt.GasUsed
-		receipt.CumulativeGasUsed = cumulative
+
+	var (
+		receipts   []*types.Receipt
+		included   []*types.Transaction
+		cumulative uint64
+	)
+	for i, tx := range batch {
+		hash := tx.Hash()
+		delete(c.pendingSet, hash)
+		out := outcomes[i]
+		if out.err != nil {
+			c.dropTxLocked(hash, out.err)
+			continue
+		}
+		cumulative += out.receipt.GasUsed
+		out.receipt.CumulativeGasUsed = cumulative
+		receipts = append(receipts, out.receipt)
+		included = append(included, tx)
+		c.receipts[hash] = out.receipt
+		c.resolveWaitersLocked(hash, out)
 	}
 	leftover := c.pending[len(batch):]
 	c.pending = append([]*types.Transaction(nil), leftover...)
@@ -566,7 +656,6 @@ func (c *Chain) mineLocked() *types.Block {
 		c.pendingNonce[s] = tx.Nonce + 1
 	}
 
-	root := c.state.Commit()
 	header := &types.Header{
 		ParentHash:  parent.Hash(),
 		Coinbase:    Coinbase,
@@ -593,30 +682,6 @@ func (c *Chain) mineLocked() *types.Block {
 	c.config.Tracer.Record(0, "chain", "mine_block", mineStart, time.Since(mineStart),
 		fmt.Sprintf("height=%d txs=%d", number, len(included)))
 	return block
-}
-
-// executeSerialLocked is the reference block-execution engine: every
-// transaction of the batch applied one after another against the canonical
-// state, in pool order.
-func (c *Chain) executeSerialLocked(batch []*types.Transaction, number uint64) ([]*types.Transaction, []*types.Receipt) {
-	var (
-		receipts []*types.Receipt
-		included []*types.Transaction
-	)
-	for _, tx := range batch {
-		hash := tx.Hash()
-		delete(c.pendingSet, hash)
-		receipt, err := c.applyTransaction(tx, number, uint(len(included)))
-		if err != nil {
-			c.dropTxLocked(hash, err)
-			continue
-		}
-		receipts = append(receipts, receipt)
-		included = append(included, tx)
-		c.receipts[hash] = receipt
-		c.resolveWaitersLocked(hash, receiptOutcome{receipt: receipt})
-	}
-	return included, receipts
 }
 
 // dropTxLocked records a transaction invalid at execution time (e.g. its
@@ -648,20 +713,15 @@ func (c *Chain) blockContext(number, timestamp uint64) vm.BlockContext {
 	}
 }
 
-// applyTransaction runs one transaction against the canonical state.
-func (c *Chain) applyTransaction(tx *types.Transaction, blockNumber uint64, txIndex uint) (*types.Receipt, error) {
-	return c.applyTransactionOn(c.state, tx, blockNumber, c.now, txIndex, true)
-}
-
-// applyTransactionOn runs one transaction against st — the canonical state
-// for serial execution and conflict re-execution, a recording fork for the
-// speculative phase of the parallel engine. creditCoinbase=false defers
-// the miner's fee: speculative runs must keep the coinbase account out of
-// their write sets (every transaction pays a fee, so recording it would
-// serialize the whole block), and the committer applies the fee to the
-// canonical state in commit order instead. A transaction that reads the
-// coinbase for any other reason still records that access and is re-run
-// serially by the scheduler.
+// applyTransactionOn runs one transaction against st — the next block's
+// fork for serial execution, the canonical state for the parallel engine's
+// conflict re-execution, a recording fork for its speculative phase.
+// creditCoinbase=false defers the miner's fee: speculative runs must keep
+// the coinbase account out of their write sets (every transaction pays a
+// fee, so recording it would serialize the whole block), and the committer
+// applies the fee to the canonical state in commit order instead. A
+// transaction that reads the coinbase for any other reason still records
+// that access and is re-run serially by the scheduler.
 func (c *Chain) applyTransactionOn(st *state.StateDB, tx *types.Transaction, blockNumber, timestamp uint64, txIndex uint, creditCoinbase bool) (*types.Receipt, error) {
 	sender, err := tx.Sender()
 	if err != nil {

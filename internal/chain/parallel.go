@@ -33,9 +33,10 @@
 // it over an earlier transaction's write would silently discard that write
 // (e.g. two blind AddBalance increments to the same account).
 //
-// The result is bit-identical to executeSerialLocked — same state root,
-// receipts, logs, gas, same drop decisions — which parallel_diff_test.go
-// pins across randomized conflicting workloads.
+// The result is bit-identical to the serial engine (executeLocked, one
+// transaction after another on a fork as they are pooled) — same state
+// root, receipts, logs, gas, same drop decisions — which
+// parallel_diff_test.go pins across randomized conflicting workloads.
 package chain
 
 import (
@@ -66,12 +67,13 @@ func (c *Chain) execWorkerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// executeParallelLocked is the optimistic block-execution engine. Called
-// from mineLocked with c.mu held; the canonical state and the blocks slice
-// stay read-only for the whole speculative phase (the forks only read
-// committed trie data and the shared code store), so the forks race with
-// nothing.
-func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64) ([]*types.Transaction, []*types.Receipt) {
+// executeParallelLocked is the optimistic block-execution engine: it
+// executes batch onto the canonical state and returns one outcome per
+// transaction, for mineLocked to publish. Called from mineLocked with c.mu
+// held; the canonical state and the blocks slice stay read-only for the
+// whole speculative phase (the forks only read committed trie data and the
+// shared code store), so the forks race with nothing.
+func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64) []receiptOutcome {
 	workers := c.execWorkerCount()
 	if workers > len(batch) {
 		workers = len(batch)
@@ -111,17 +113,12 @@ func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64)
 	c.mParTxs.Add(uint64(len(batch)))
 
 	// Phase 2: ordered commit.
-	var (
-		included []*types.Transaction
-		receipts []*types.Receipt
-	)
+	outcomes := make([]receiptOutcome, len(batch))
+	var included uint // transactions committed so far: the next one's index
 	ix := state.NewAccessIndex()
 	feeCredited := false
 	for i, tx := range batch {
-		hash := tx.Hash()
-		delete(c.pendingSet, hash)
 		res := results[i]
-
 		conflict := ix.Conflicts(res.access) || (feeCredited && res.access.Touches(Coinbase))
 		var receipt *types.Receipt
 		if conflict {
@@ -129,10 +126,10 @@ func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64)
 			// path, recording its writes so later conflict checks see them.
 			c.mParReexec.Inc()
 			c.state.StartRecording()
-			r, err := c.applyTransactionOn(c.state, tx, number, c.now, uint(len(included)), true)
+			r, err := c.applyTransactionOn(c.state, tx, number, c.now, included, true)
 			a := c.state.TakeAccess()
 			if err != nil {
-				c.dropTxLocked(hash, err)
+				outcomes[i].err = err
 				continue
 			}
 			ix.Add(a)
@@ -144,7 +141,7 @@ func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64)
 				// and failed the same way. Drop decisions in
 				// applyTransactionOn precede any mutation, so there is
 				// nothing to undo.
-				c.dropTxLocked(hash, res.err)
+				outcomes[i].err = res.err
 				continue
 			}
 			// Disjoint footprint: replay the speculative result verbatim.
@@ -157,17 +154,15 @@ func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64)
 			receipt = res.receipt
 			// The speculative run stamped logs with the batch position; an
 			// earlier drop shifts the final transaction index.
-			if want := uint(len(included)); want != uint(i) {
+			if included != uint(i) {
 				for _, l := range receipt.Logs {
-					l.TxIndex = want
+					l.TxIndex = included
 				}
 			}
 		}
 		feeCredited = true
-		receipts = append(receipts, receipt)
-		included = append(included, tx)
-		c.receipts[hash] = receipt
-		c.resolveWaitersLocked(hash, receiptOutcome{receipt: receipt})
+		included++
+		outcomes[i].receipt = receipt
 	}
-	return included, receipts
+	return outcomes
 }

@@ -9,6 +9,7 @@ import (
 
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
+	"onoffchain/internal/vm"
 )
 
 // The differential determinism harness: randomized workloads full of
@@ -42,8 +43,23 @@ var diffAccounts = func() []account {
 	return as
 }()
 
+// stampRuntime stores the block's timestamp in slot 0 and LOG0s it, so a
+// transaction executed at the wrong block time shows in the root and the
+// receipts.
+var stampRuntime = []byte{
+	byte(vm.TIMESTAMP), byte(vm.DUP1), // [t, t]
+	byte(vm.PUSH1), 0, byte(vm.SSTORE), // [t]
+	byte(vm.PUSH1), 0, byte(vm.MSTORE), // []
+	byte(vm.PUSH1), 32, byte(vm.PUSH1), 0, byte(vm.LOG0),
+	byte(vm.STOP),
+}
+
 // runDiffWorkload drives one randomized conflicting workload, derived
-// entirely from seed, through a serial/parallel chain pair.
+// entirely from seed, through a serial/parallel chain pair. The serial
+// chain executes each transaction as it is pooled, the parallel one at the
+// seal; seeded clock moves between sends make the serial chain's next block
+// stale, and a seeded mining cap carries leftovers into later blocks, so
+// the serial engine's seal-time path is compared too.
 func runDiffWorkload(t *testing.T, seed int64, workers int) {
 	rng := rand.New(rand.NewSource(seed))
 	accounts := diffAccounts
@@ -67,6 +83,12 @@ func runDiffWorkload(t *testing.T, seed int64, workers int) {
 	pcfg.Exec = ExecParallel
 	pcfg.ExecWorkers = workers
 	serial, parallel := New(scfg, alloc()), New(pcfg, alloc())
+	if rng.Intn(2) == 0 {
+		// A small cap, as a StartMining driver would set: blocks seal at
+		// most this many transactions and leave the rest pooled.
+		serial.mineCap = 2 + rng.Intn(3)
+		parallel.mineCap = serial.mineCap
+	}
 
 	send := func(tx *types.Transaction) error {
 		_, errS := serial.SendTransaction(tx)
@@ -77,25 +99,30 @@ func runDiffWorkload(t *testing.T, seed int64, workers int) {
 		return errS
 	}
 
-	// Deploy the shared counter contract (the storage-contention target).
-	deploy := types.NewContractCreation(0, nil, 300_000, uint256.NewInt(1), deployInit(counterRuntime))
-	if err := deploy.Sign(accounts[0].key); err != nil {
-		t.Fatal(err)
+	// Deploy the shared counter contract (the storage-contention target)
+	// and the timestamp stamp.
+	var contracts [2]types.Address
+	for i, runtime := range [][]byte{counterRuntime, stampRuntime} {
+		deploy := types.NewContractCreation(uint64(i), nil, 300_000, uint256.NewInt(1), deployInit(runtime))
+		if err := deploy.Sign(accounts[0].key); err != nil {
+			t.Fatal(err)
+		}
+		if err := send(deploy); err != nil {
+			t.Fatalf("seed %d: deploy rejected: %v", seed, err)
+		}
+		mineBoth(t, serial, parallel)
+		r, err := parallel.Receipt(deploy.Hash())
+		if err != nil || !r.Succeeded() {
+			t.Fatalf("seed %d: deploy failed: %v", seed, err)
+		}
+		contracts[i] = r.ContractAddress
 	}
-	if err := send(deploy); err != nil {
-		t.Fatalf("seed %d: deploy rejected: %v", seed, err)
-	}
-	mineBoth(t, serial, parallel)
-	r, err := parallel.Receipt(deploy.Hash())
-	if err != nil || !r.Succeeded() {
-		t.Fatalf("seed %d: deploy failed: %v", seed, err)
-	}
-	contract := r.ContractAddress
+	contract, stamp := contracts[0], contracts[1]
 
 	nonce := map[types.Address]uint64{}
 	resync := func() {
 		for _, a := range accounts {
-			nonce[a.addr] = serial.NonceAt(a.addr)
+			nonce[a.addr] = serial.PendingNonceAt(a.addr)
 		}
 	}
 	resync()
@@ -104,9 +131,25 @@ func runDiffWorkload(t *testing.T, seed int64, workers int) {
 	for b := 0; b < blocks; b++ {
 		ops := 3 + rng.Intn(11)
 		for o := 0; o < ops; o++ {
+			switch rng.Intn(8) {
+			case 0:
+				// A clock move between sends: the serial chain's next block
+				// is stale and its seal executes the batch.
+				dt := uint64(1 + rng.Intn(30))
+				if err := serial.AdvanceTime(dt); err != nil {
+					t.Fatal(err)
+				}
+				if err := parallel.AdvanceTime(dt); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				// A seal mid-round; under a cap it may leave a tail pooled.
+				mineBoth(t, serial, parallel)
+				resync() // execution-time drops leave nonces behind local tracking
+			}
 			from := accounts[rng.Intn(len(accounts))]
 			var tx *types.Transaction
-			switch k := rng.Intn(10); {
+			switch k := rng.Intn(11); {
 			case k < 4:
 				// Transfer to a common recipient — the pool's first two
 				// accounts act as shared sinks, maximizing balance conflicts.
@@ -121,6 +164,9 @@ func runDiffWorkload(t *testing.T, seed int64, workers int) {
 			case k < 9:
 				// Pay the miner: forces the coinbase serial path.
 				tx = types.NewTransaction(nonce[from.addr], Coinbase, uint256.NewInt(uint64(1+rng.Intn(1000))), 21_000, uint256.NewInt(1), nil)
+			case k < 10:
+				// Record the block time: wrong if executed at a stale one.
+				tx = types.NewTransaction(nonce[from.addr], stamp, nil, 100_000, uint256.NewInt(1), nil)
 			default:
 				// Deliberate near-overdraft: admitted against committed
 				// state, often dropped at execution once earlier transfers
@@ -146,7 +192,10 @@ func runDiffWorkload(t *testing.T, seed int64, workers int) {
 			}
 		}
 		mineBoth(t, serial, parallel)
-		resync() // execution-time drops leave state nonces behind local tracking
+		for serial.PendingCount() > 0 {
+			mineBoth(t, serial, parallel) // a capped block's carried tail
+		}
+		resync()
 	}
 }
 

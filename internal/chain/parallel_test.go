@@ -48,16 +48,30 @@ func mineBoth(t *testing.T, serial, parallel *Chain) {
 	bs := serial.MineBlock()
 	bp := parallel.MineBlock()
 	assertBlocksEqual(t, bs, bp)
-	// Drop ledgers must agree too (same hashes dropped for the same cause).
-	serial.mu.Lock()
-	ds := len(serial.dropped)
-	serial.mu.Unlock()
-	parallel.mu.Lock()
-	dp := len(parallel.dropped)
-	parallel.mu.Unlock()
-	if ds != dp {
-		t.Fatalf("dropped-ledger size diverged: serial=%d parallel=%d", ds, dp)
+	if ns, np := serial.PendingCount(), parallel.PendingCount(); ns != np {
+		t.Fatalf("block %d left %d transactions pooled on the serial chain, %d on the parallel one", bs.Number(), ns, np)
 	}
+	// Drop ledgers must agree too (same hashes dropped for the same cause).
+	ds, dp := dropLedger(serial), dropLedger(parallel)
+	if len(ds) != len(dp) {
+		t.Fatalf("dropped-ledger size diverged: serial=%d parallel=%d", len(ds), len(dp))
+	}
+	for h, cause := range ds {
+		if dp[h] != cause {
+			t.Fatalf("drop of %s diverged: serial=%q parallel=%q", h.Hex(), cause, dp[h])
+		}
+	}
+}
+
+// dropLedger copies c's drop ledger, each error as its text.
+func dropLedger(c *Chain) map[types.Hash]string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := make(map[types.Hash]string, len(c.dropped))
+	for h, err := range c.dropped {
+		m[h] = err.Error()
+	}
+	return m
 }
 
 func assertBlocksEqual(t *testing.T, bs, bp *types.Block) {
@@ -97,6 +111,9 @@ func assertBlocksEqual(t *testing.T, bs, bp *types.Block) {
 				t.Fatalf("block %d receipt %d log %d diverged: %+v vs %+v", bs.Number(), i, j, ls, lp)
 			}
 		}
+	}
+	if bs.Hash() != bp.Hash() {
+		t.Fatalf("block %d header hash diverged (time %d vs %d)", bs.Number(), bs.Header.Time, bp.Header.Time)
 	}
 }
 

@@ -50,12 +50,13 @@ func (c *Chain) AttachJournal(write func(*store.Record) error, onErr func(error)
 	}
 }
 
-// importBlock replays one journaled block onto the head: admit its
+// importBlock replays one journaled block onto the head: pool its
 // transactions, force the recorded timestamp, and seal through the normal
-// mining path so receipts, waiter resolution, and the log index are
-// rebuilt by exactly the code that built them originally. The recorded
-// header hash must match the replayed one — covering state root, receipt
-// root, bloom, and transaction list at once.
+// mining path — which executes them, as it does a stale block — so
+// receipts, waiter resolution, and the log index are rebuilt by exactly
+// the code that built them originally. The recorded header hash must match
+// the replayed one — covering state root, receipt root, bloom, and
+// transaction list at once.
 func (c *Chain) importBlock(number, btime uint64, wantHash types.Hash, txRLPs [][]byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -69,6 +70,11 @@ func (c *Chain) importBlock(number, btime uint64, wantHash types.Hash, txRLPs []
 	txs := make([]*types.Transaction, len(txRLPs))
 	for i, raw := range txRLPs {
 		tx, err := types.DecodeTransaction(raw)
+		if err == nil && tx.Gas > BlockGasLimit {
+			// Admission refuses it; a journal that holds one was not written
+			// by this chain, and its run would be bounded by nothing.
+			err = ErrGasLimitExceeded
+		}
 		if err != nil {
 			return fmt.Errorf("chain: import block %d tx %d: %w", number, i, err)
 		}

@@ -1,11 +1,14 @@
 package chain
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"onoffchain/internal/store"
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
+	"onoffchain/internal/vm"
 )
 
 // persistWorld builds a journaled chain: two log-emitting contracts and
@@ -169,4 +172,108 @@ func TestChainRestoreDetectsCorruption(t *testing.T) {
 	if _, err := RestoreChain(New(cfg, alloc), recs); err == nil {
 		t.Fatal("corrupted journal restored without error")
 	}
+}
+
+// restoreFuzzJournal journals a short run with a clock move inside an
+// interval (its block's transactions run at the seal) and a transfer
+// dropped at execution, and returns the genesis allocation, the journal
+// framed as fuzz input, and the head hash it must restore.
+func restoreFuzzJournal(tb testing.TB) (map[types.Address]*uint256.Int, []byte, types.Hash) {
+	alice, carol := newAccount(9910), newAccount(9911)
+	alloc := map[types.Address]*uint256.Int{alice.addr: eth(100), carol.addr: eth(1)}
+	cfg := DefaultConfig()
+	cfg.AutoMine = false
+	c := New(cfg, alloc)
+	var data []byte
+	c.AttachJournal(func(r *store.Record) error {
+		enc := r.Encode()
+		data = binary.AppendUvarint(data, uint64(len(enc)))
+		data = append(data, enc...)
+		return nil
+	}, func(err error) { tb.Error(err) })
+	sign := func(tx *types.Transaction, from account) *types.Transaction {
+		if err := tx.Sign(from.key); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := c.SendTransaction(tx); err != nil {
+			tb.Fatal(err)
+		}
+		return tx
+	}
+	deploy := sign(types.NewContractCreation(0, nil, 300_000, uint256.NewInt(1), deployInit(stampRuntime)), alice)
+	c.MineBlock()
+	r, err := c.Receipt(deploy.Hash())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sign(types.NewTransaction(1, r.ContractAddress, nil, 100_000, uint256.NewInt(1), nil), alice)
+	if err := c.AdvanceTime(1); err != nil {
+		tb.Fatal(err)
+	}
+	sign(types.NewTransaction(2, r.ContractAddress, nil, 100_000, uint256.NewInt(1), nil), alice)
+	c.MineBlock()
+	pay := new(uint256.Int).Mul(uint256.NewInt(6), uint256.NewInt(ether/10))
+	sign(types.NewTransaction(0, alice.addr, pay, 21_000, uint256.NewInt(1), nil), carol)
+	sign(types.NewTransaction(1, alice.addr, pay, 21_000, uint256.NewInt(1), nil), carol)
+	c.MineBlock()
+	c.mu.Lock()
+	dropped := len(c.dropped)
+	c.mu.Unlock()
+	if dropped != 1 {
+		tb.Fatalf("journaled run dropped %d transactions, want 1", dropped)
+	}
+	return alloc, data, c.Latest().Hash()
+}
+
+// FuzzRestoreChain feeds RestoreChain hostile block and index records: it
+// must return an error, never panic or hang, and whatever it accepts must
+// end on the head its last block record names. The unaltered journal
+// restores the head it was written from.
+func FuzzRestoreChain(f *testing.F) {
+	alloc, valid, head := restoreFuzzJournal(f)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(append(bytes.Clone(valid), valid...))
+	// A block of one signed creation the chain would never admit: free gas
+	// past the block limit, spent by an endless loop.
+	loop := types.NewContractCreation(0, nil, 1<<62, new(uint256.Int), []byte{byte(vm.JUMPDEST), byte(vm.PUSH1), 0, byte(vm.JUMP)})
+	if err := loop.Sign(newAccount(9912).key); err != nil {
+		f.Fatal(err)
+	}
+	hostile := (&store.Record{Kind: store.KindChainBlock, U1: 1, U2: GenesisTime + BlockInterval,
+		Blob: make([]byte, 32), Blobs: [][]byte{loop.EncodeRLP()}}).Encode()
+	f.Add(append(binary.AppendUvarint(nil, uint64(len(hostile))), hostile...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var recs []*store.Record
+		for rest := data; len(rest) > 0; {
+			n, k := binary.Uvarint(rest)
+			if k <= 0 || n > uint64(len(rest)-k) {
+				return
+			}
+			r, err := store.DecodeRecord(rest[k : k+int(n)])
+			if err != nil {
+				return // the record codec has its own fuzz targets
+			}
+			recs = append(recs, r)
+			rest = rest[k+int(n):]
+		}
+		cfg := DefaultConfig()
+		cfg.AutoMine = false
+		c := New(cfg, alloc)
+		_, err := RestoreChain(c, recs)
+		if bytes.Equal(data, valid) && (err != nil || c.Latest().Hash() != head) {
+			t.Fatalf("valid journal: err %v, head %s, want %s", err, c.Latest().Hash().Hex(), head.Hex())
+		}
+		if err != nil {
+			return
+		}
+		for i := len(recs) - 1; i >= 0; i-- {
+			if recs[i].Kind == store.KindChainBlock {
+				if got := c.Latest().Hash(); !bytes.Equal(got[:], recs[i].Blob) {
+					t.Fatalf("restore accepted the journal but ended on %s, not its last block %x", got.Hex(), recs[i].Blob)
+				}
+				break
+			}
+		}
+	})
 }

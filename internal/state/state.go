@@ -571,3 +571,21 @@ func (s *StateDB) Fork() *StateDB {
 		tries:   make(map[types.Address]trie.Trie),
 	}
 }
+
+// CommitFork folds f, a Fork of s, into s and commits the result: every
+// account f wrote replaces s's copy, and Commit writes it into s's tries,
+// so the root is the one executing f's transactions on s would give. s must
+// hold no uncommitted writes and must not have committed since f was
+// forked; f is spent afterwards.
+func (s *StateDB) CommitFork(f *StateDB) types.Hash {
+	if f.parent != s {
+		panic("state: CommitFork of a state not forked from this one")
+	}
+	f.Finalise()
+	for addr, obj := range f.objects {
+		if obj.dirty {
+			s.objects[addr] = obj
+		}
+	}
+	return s.Commit()
+}

@@ -413,3 +413,54 @@ func TestCommitEndsEveryObject(t *testing.T) {
 	check("after revert and commit", s)
 	check("fork after revert and commit", s.Fork())
 }
+
+// TestCommitForkMatchesDirectWrites: writes made on a fork and folded back
+// with CommitFork give the root, and the reads, of the same writes made on
+// the state itself — including a destroyed account, a cleared slot and new
+// code — while the state's own reads before the fold see none of them.
+func TestCommitForkMatchesDirectWrites(t *testing.T) {
+	build := func() *StateDB {
+		s := New()
+		for i := byte(1); i <= 4; i++ {
+			s.SetBalance(addr(i), uint256.NewInt(uint64(i)*100))
+			s.SetState(addr(i), slot(1), slot(i))
+			s.SetState(addr(i), slot(2), slot(9))
+		}
+		s.Commit()
+		return s
+	}
+	write := func(s *StateDB) {
+		s.AddBalance(addr(1), uint256.NewInt(5))
+		s.SetState(addr(2), slot(1), types.Hash{})
+		s.SetState(addr(2), slot(3), slot(7))
+		s.SelfDestruct(addr(3))
+		s.SetCode(addr(5), []byte{0x60, 0x00})
+		s.SetNonce(addr(5), 1)
+		s.Finalise()
+	}
+	direct := build()
+	write(direct)
+	want := direct.Commit()
+
+	s := build()
+	s.GetState(addr(2), slot(1)) // a cached read the fold must supersede
+	f := s.Fork()
+	write(f)
+	if s.GetBalance(addr(1)).Uint64() != 100 || s.GetState(addr(2), slot(1)) != slot(2) || s.GetCodeSize(addr(5)) != 0 {
+		t.Fatal("the state sees its fork's writes before the fold")
+	}
+	if got := s.CommitFork(f); got != want {
+		t.Fatalf("CommitFork root %x, want %x", got, want)
+	}
+	if s.GetBalance(addr(1)).Uint64() != 105 || s.GetState(addr(2), slot(1)) != (types.Hash{}) ||
+		s.GetState(addr(2), slot(3)) != slot(7) || s.Exist(addr(3)) || s.GetCodeSize(addr(5)) != 2 {
+		t.Fatal("the state does not read its fork's writes after the fold")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CommitFork accepted a fork of another state")
+		}
+	}()
+	s.CommitFork(build().Fork())
+}

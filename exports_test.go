@@ -26,9 +26,6 @@ var exportSeams = map[string]string{
 	"(*hub.Ticket).Done":               "TestBlockWaitBudget and TestDisputeGateHoldsBarrier wait for a session with a deadline",
 	"(*hub.Ticket).TraceCtx":           "TestDisputeTraceCrossTower finds the session's trace in the merged recordings",
 	"(*hub.Watchtower).OpenWindows":    "TestLifecycleProperties and the crash harness check that no challenge window is left open",
-	"(*rollup.Registry).Epochs":        "TestRegistryPostAndOpen and TestSequencerRecoversTornEpoch count the epochs on chain",
-	"(*rollup.Registry).IsOpened":      "TestRegistryPostAndOpen and TestRollupDisputesFraudulentLeaf read the on-chain open veto",
-	"(*rollup.Registry).LeafCount":     "TestRegistryPostAndOpen reads the leaf count an epoch was posted with",
 	"(*store.Store).Dir":               "the recovery tests reopen a crashed store from its directory",
 	"(*types.Bloom).Test":              "TestBloom and TestFilterLogs check header blooms; FilterLogs serves from the log index instead",
 	"(*whisper.Network).SetLinkFilter": "TestFederationPartition and TestDropCounters cut links between nodes",

@@ -53,9 +53,9 @@ func (w *Watchtower) onEpochPosted(l *types.Log) {
 
 // seedBatchWindow opens the batch window of a watch guarded after its
 // epoch's log went by: a recovered hub's guards, and a federated backup
-// whose guard gossip trails the chain. postedAt 0 means the post has not
-// landed yet; its log is still to come, and onEpochPosted opens the window
-// then. A failed probe reads as 0.
+// whose guard gossip trails the chain. It reads the epoch's log and the
+// block that carries it, as onEpochPosted does; no log means the post has
+// not landed yet, and onEpochPosted opens the window when it does.
 func (w *Watchtower) seedBatchWindow(e *Watch) {
 	if w.rollupSrc == nil {
 		return
@@ -65,7 +65,7 @@ func (w *Watchtower) seedBatchWindow(e *Watch) {
 			if leaf.Contract != e.sess.OnChainAddr {
 				continue
 			}
-			if postedAt, err := w.rollupReg.PostedAt(e.sess.Parties[disputer], ep.Number); err == nil && postedAt > 0 {
+			if _, postedAt, ok := w.rollupReg.Posted(w.chain, ep.Number); ok {
 				w.openBatchWindow(e, ep, i, postedAt)
 			}
 			return
@@ -77,9 +77,9 @@ func (w *Watchtower) seedBatchWindow(e *Watch) {
 // postedAt + Window) plus its Merkle context, and hands it to the same
 // dispute pipeline as a per-session submission — with enforcement routed
 // through a leaf-open against the posted root first. Its two callers are
-// the only routes that open a batch window, and both pass the time the
-// registry recorded, which is what openLeaf enforces, never an epoch copy's
-// PostedAt.
+// the only routes that open a batch window, and both pass the time of the
+// block that carries the post, which is what openLeaf enforces, never an
+// epoch copy's PostedAt.
 func (w *Watchtower) openBatchWindow(e *Watch, ep *rollup.Epoch, i int, postedAt uint64) {
 	proof, err := ep.Tree.Proof(i)
 	if err != nil {

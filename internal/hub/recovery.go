@@ -254,11 +254,11 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 	}
 	// Replay-before-act, step 4. In batch mode the guard loop above already
 	// re-opened every batch window whose post had landed, from the Source at
-	// the registry's postedAt; Start reconciles torn epochs against the
-	// chain, re-posting exactly the ones that never landed, and with the
-	// guard set armed each re-post — and any pooled post of the dead
-	// generation that mines meanwhile — opens its windows through its
-	// EpochPosted log.
+	// the time of the block that carries the post; Start reconciles torn
+	// epochs against the chain's logs, re-posting exactly the ones that
+	// never landed, and with the guard set armed each re-post — and any
+	// pooled post of the dead generation that mines meanwhile — opens its
+	// windows through its EpochPosted log.
 	if h.seq != nil {
 		if err := h.seq.Start(); err != nil {
 			h.Stop()

@@ -171,7 +171,8 @@ func TestRollupDisputesFraudulentLeaf(t *testing.T) {
 		t.Errorf("dispute resolutions = %d, want exactly 1", ec.resolved[rep.OnChainAddr])
 	}
 	// The registry remembers the leaf as opened (the on-chain
-	// exactly-once veto for any later opener).
+	// exactly-once veto for any later opener): its one LeafOpened log
+	// names the leaf, and a second open of it reverts.
 	src := h.RollupHandles()
 	if src == nil {
 		t.Fatal("rollup handles absent")
@@ -181,10 +182,29 @@ func TestRollupDisputesFraudulentLeaf(t *testing.T) {
 	if !ok {
 		t.Fatal("epoch 0 not cached")
 	}
-	seqParty := rep.Session.Parties[0]
-	isOpen, err := regi.IsOpened(seqParty, ep.Number, rep.ID, rep.OnChainAddr)
-	if err != nil || !isOpen {
-		t.Errorf("IsOpened(epoch=%d, sid=%d) = %v, %v; want true", ep.Number, rep.ID, isOpen, err)
+	logs := c.FilterLogs(chain.FilterQuery{Address: &regi.Addr, Topic: &rollup.TopicLeafOpened})
+	if len(logs) != 1 || len(logs[0].Data) < 96 ||
+		binary.BigEndian.Uint64(logs[0].Data[24:32]) != ep.Number ||
+		binary.BigEndian.Uint64(logs[0].Data[56:64]) != rep.ID ||
+		types.BytesToAddress(logs[0].Data[76:96]) != rep.OnChainAddr {
+		t.Errorf("LeafOpened logs %v, want one naming epoch %d, session %d, contract %s", logs, ep.Number, rep.ID, rep.OnChainAddr.Hex())
+	}
+	for i, leaf := range ep.Leaves {
+		if leaf.Contract != rep.OnChainAddr {
+			continue
+		}
+		proof, err := ep.Tree.Proof(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opener := rep.Session.Parties[0]
+		hash, err := regi.OpenLeafAsync(opener, ep.Number, leaf, i, proof, rollupLeafOpenGas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, err := opener.WaitReceipt(hash); err == nil && r.Succeeded() {
+			t.Error("a second open of the disputed leaf succeeded")
+		}
 	}
 	m := h.Metrics()
 	if m.DisputesRaised != 1 || m.DisputesWon != 1 || m.LeavesOpened != 1 {
@@ -890,5 +910,57 @@ func TestBatchWindowOpensAtTheEpochsBlockTime(t *testing.T) {
 	waitFor(t, 5*time.Second, "the batch window", func() bool { return watch.OpenWindow() != nil })
 	if win := watch.OpenWindow(); win.OpenedAt != b.Time() || win.Deadline != b.Time()+rollup.Window {
 		t.Fatalf("window opened at %d closing at %d, want the post's block time %d and %d", win.OpenedAt, win.Deadline, b.Time(), b.Time()+rollup.Window)
+	}
+}
+
+// A session guarded after its epoch's post has landed, and after the
+// tower's block loop has read the post's block, while the tower's Source
+// still serves the epoch as in flight: the post's log went by before the
+// guard, so the guard itself opens the batch window, at the post's block
+// time.
+func TestGuardAfterThePostLandedOpensAtItsBlockTime(t *testing.T) {
+	c, net, faucetKey := miningWorld(t, "auto")
+	w := executedWatches(t, c, net, faucetKey, BettingSpec(4, 600, false))[0]
+	sess := w.Session()
+	out, err := hybrid.ExecuteOffChain(sess.Copy.Bytecode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := hybrid.NewParticipant(faucetKey, c, nil)
+	bind, err := rollup.DeployRegistryAsync(seq, 2, seq.Addr, 3_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := bind()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := []rollup.Leaf{{SID: w.SID(), Contract: sess.OnChainAddr, Outcome: out.Result}}
+	tree, err := rollup.NewTree(2, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tower := NewWatchtower(c, nil, nil, inFlightSource{reg, &rollup.Epoch{Number: 0, Root: tree.Root(), Tree: tree, Leaves: leaves}})
+	defer tower.Stop()
+	c.AdvanceTime(1000)
+	hash, err := reg.PostEpochAsync(seq, tree.Root(), 1, 500_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := seq.WaitReceipt(hash)
+	if err != nil || !rec.Succeeded() {
+		t.Fatalf("postEpoch: %v", err)
+	}
+	b, err := c.BlockByNumber(rec.BlockNumber)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tower.WaitCaughtUp(c.Height())
+	watch, err := tower.Guard(sess, "", telemetry.TraceContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if win := watch.OpenWindow(); win == nil || win.OpenedAt != b.Time() || win.Deadline != b.Time()+rollup.Window {
+		t.Fatalf("window %+v, want opened at the post's block time %d closing at %d", win, b.Time(), b.Time()+rollup.Window)
 	}
 }

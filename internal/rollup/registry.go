@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"onoffchain/internal/abi"
+	"onoffchain/internal/chain"
 	"onoffchain/internal/hybrid"
 	"onoffchain/internal/lang"
 	"onoffchain/internal/types"
@@ -31,7 +32,6 @@ func registrySource(depth int) string {
     uint epochCount;
     mapping(uint => bytes32) roots;
     mapping(uint => uint) postedAts;
-    mapping(uint => uint) leafCounts;
     mapping(bytes32 => bool) openedLeaves;
 
     event EpochPosted(uint epoch, bytes32 root, uint count);
@@ -49,7 +49,6 @@ func registrySource(depth int) string {
         epochCount = e + 1;
         roots[e] = root;
         postedAts[e] = block.timestamp;
-        leafCounts[e] = count;
         emit EpochPosted(e, root, count);
     }
 
@@ -81,26 +80,6 @@ func registrySource(depth int) string {
         openedLeaves[k] = true;
         emit LeafOpened(epoch, sid, who, outcome);
     }
-
-    function epochs() public view returns (uint) {
-        return epochCount;
-    }
-
-    function rootOf(uint epoch) public view returns (bytes32) {
-        return roots[epoch];
-    }
-
-    function postedAt(uint epoch) public view returns (uint) {
-        return postedAts[epoch];
-    }
-
-    function leafCount(uint epoch) public view returns (uint) {
-        return leafCounts[epoch];
-    }
-
-    function isOpened(uint epoch, uint sid, address who) public view returns (bool) {
-        return openedLeaves[keccak256(epoch, sid, uint(who))];
-    }
 }
 `)
 	return b.String()
@@ -131,9 +110,9 @@ func CompiledRegistry(depth int) (*lang.CompiledContract, error) {
 }
 
 // Window is the batch challenge period in chain seconds: a leaf can be
-// opened against its epoch's root until postedAt + Window. It matches the
-// default per-session challenge period. Every registry is deployed with it
-// (the constructor still takes it as an argument).
+// opened against its epoch's root until the post's block time + Window. It
+// matches the default per-session challenge period. Every registry is
+// deployed with it (the constructor still takes it as an argument).
 const Window uint64 = 600
 
 // Registry is a client handle on one deployed rollup-registry instance.
@@ -218,59 +197,23 @@ func (r *Registry) OpenLeafAsync(p *hybrid.Participant, epoch uint64, leaf Leaf,
 	return p.InvokeAsync(r.CC, r.Addr, nil, gas, "openLeaf", args...)
 }
 
-// Epochs returns the number of posted epochs.
-func (r *Registry) Epochs(p *hybrid.Participant) (uint64, error) {
-	return r.queryUint(p, "epochs")
-}
-
-// PostedAt returns the chain time epoch was posted (0 = never posted) —
-// the probe recovery uses to decide whether a WAL-sealed epoch needs
-// re-posting.
-func (r *Registry) PostedAt(p *hybrid.Participant, epoch uint64) (uint64, error) {
-	return r.queryUint(p, "postedAt", epoch)
-}
-
-// LeafCount returns the number of leaves committed under epoch's root.
-func (r *Registry) LeafCount(p *hybrid.Participant, epoch uint64) (uint64, error) {
-	return r.queryUint(p, "leafCount", epoch)
-}
-
-// RootOf returns the posted root for epoch.
-func (r *Registry) RootOf(p *hybrid.Participant, epoch uint64) (types.Hash, error) {
-	v, err := p.Query(r.CC, r.Addr, "rootOf", epoch)
-	if err != nil {
-		return types.Hash{}, err
+// Posted reads what the registry recorded for epoch, from its EpochPosted
+// log: the root the log carries and the time of the block that carries it,
+// which is the time openLeaf counts the epoch's batch window from. ok is
+// false while no mined block carries the post.
+func (r *Registry) Posted(c *chain.Chain, epoch uint64) (root types.Hash, at uint64, ok bool) {
+	for _, l := range c.FilterLogs(chain.FilterQuery{Address: &r.Addr, Topic: &TopicEpochPosted}) {
+		ev, err := DecodeEpochPosted(l)
+		if err != nil || ev.Epoch != epoch {
+			continue
+		}
+		b, err := c.BlockByNumber(l.BlockNumber)
+		if err != nil {
+			return types.Hash{}, 0, false
+		}
+		return ev.Root, b.Time(), true
 	}
-	h, ok := v.(types.Hash)
-	if !ok {
-		return types.Hash{}, fmt.Errorf("rollup: rootOf returned %T", v)
-	}
-	return h, nil
-}
-
-// IsOpened reports whether the leaf (epoch, sid, who) was already opened.
-func (r *Registry) IsOpened(p *hybrid.Participant, epoch, sid uint64, who types.Address) (bool, error) {
-	v, err := p.Query(r.CC, r.Addr, "isOpened", epoch, sid, who)
-	if err != nil {
-		return false, err
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("rollup: isOpened returned %T", v)
-	}
-	return b, nil
-}
-
-func (r *Registry) queryUint(p *hybrid.Participant, fn string, args ...interface{}) (uint64, error) {
-	v, err := p.Query(r.CC, r.Addr, fn, args...)
-	if err != nil {
-		return 0, err
-	}
-	u, ok := v.(*uint256.Int)
-	if !ok || !u.IsUint64() {
-		return 0, fmt.Errorf("rollup: %s returned %T", fn, v)
-	}
-	return u.Uint64(), nil
+	return types.Hash{}, 0, false
 }
 
 // EpochPostedEvent is the decoded form of an EpochPosted log.

@@ -56,8 +56,22 @@ func landed(p *hybrid.Participant) func(types.Hash, error) (*types.Receipt, erro
 	}
 }
 
+// postedEvents decodes the registry's EpochPosted logs, in chain order.
+func postedEvents(t *testing.T, c *chain.Chain, reg *Registry) []*EpochPostedEvent {
+	t.Helper()
+	var out []*EpochPostedEvent
+	for _, l := range c.FilterLogs(chain.FilterQuery{Address: &reg.Addr, Topic: &TopicEpochPosted}) {
+		ev, err := DecodeEpochPosted(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ev)
+	}
+	return out
+}
+
 func TestRegistryPostAndOpen(t *testing.T) {
-	_, seq, other, reg := registryFixture(t)
+	c, seq, other, reg := registryFixture(t)
 
 	leaves := mkLeaves(5)
 	tree, err := NewTree(4, leaves)
@@ -71,17 +85,22 @@ func TestRegistryPostAndOpen(t *testing.T) {
 	if rec.GasUsed == 0 {
 		t.Fatal("postEpoch gas not accounted")
 	}
-	if n, err := reg.Epochs(seq); err != nil || n != 1 {
-		t.Fatalf("epochs = %d, %v", n, err)
+	evs := postedEvents(t, c, reg)
+	if len(evs) != 1 {
+		t.Fatalf("%d EpochPosted logs, want 1", len(evs))
 	}
-	if root, err := reg.RootOf(seq, 0); err != nil || root != tree.Root() {
-		t.Fatalf("rootOf = %x, %v", root, err)
+	if ev := evs[0]; ev.Epoch != 0 || ev.Root != tree.Root() || ev.Count != 5 {
+		t.Fatalf("EpochPosted = epoch %d root %x count %d, want epoch 0 root %x count 5", ev.Epoch, ev.Root, ev.Count, tree.Root())
 	}
-	if at, err := reg.PostedAt(seq, 0); err != nil || at == 0 {
-		t.Fatalf("postedAt = %d, %v", at, err)
+	b, err := c.BlockByNumber(rec.BlockNumber)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n, err := reg.LeafCount(seq, 0); err != nil || n != 5 {
-		t.Fatalf("leafCount = %d, %v", n, err)
+	if root, at, ok := reg.Posted(c, 0); !ok || root != tree.Root() || at != b.Time() {
+		t.Fatalf("Posted(0) = %x, %d, %t; want %x at the post's block time %d", root, at, ok, tree.Root(), b.Time())
+	}
+	if _, _, ok := reg.Posted(c, 1); ok {
+		t.Fatal("Posted(1) found an epoch nobody posted")
 	}
 
 	// Anyone (not just the sequencer) can open a committed leaf within
@@ -91,15 +110,19 @@ func TestRegistryPostAndOpen(t *testing.T) {
 	if err != nil || !r.Succeeded() {
 		t.Fatalf("openLeaf: %v (receipt %+v)", err, r)
 	}
-	opened, err := reg.IsOpened(other, 0, leaves[3].SID, leaves[3].Contract)
-	if err != nil || !opened {
-		t.Fatalf("isOpened = %v, %v", opened, err)
-	}
 	if got := len(r.Logs); got != 1 {
 		t.Fatalf("openLeaf emitted %d logs", got)
 	}
 	if r.Logs[0].Topics[0] != TopicLeafOpened {
 		t.Fatal("wrong topic on LeafOpened")
+	}
+	// The registry remembers the leaf as opened: a second open of it
+	// reverts, and the chain carries exactly one LeafOpened log.
+	if r, err := landed(seq)(reg.OpenLeafAsync(seq, 0, leaves[3], 3, proof, 500_000)); err == nil && r.Succeeded() {
+		t.Fatal("second open of an opened leaf succeeded")
+	}
+	if opened := c.FilterLogs(chain.FilterQuery{Address: &reg.Addr, Topic: &TopicLeafOpened}); len(opened) != 1 {
+		t.Fatalf("%d LeafOpened logs, want 1", len(opened))
 	}
 }
 

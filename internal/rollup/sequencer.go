@@ -49,7 +49,7 @@ type Epoch struct {
 	Root     types.Hash
 	Tree     *Tree
 	Leaves   []Leaf
-	PostedAt uint64 // chain time the registry recorded
+	PostedAt uint64 // time of the block that carries the post
 	GasUsed  uint64 // actual gas of the post transaction
 }
 
@@ -58,7 +58,7 @@ type Epoch struct {
 // to guard a batch.
 type Source interface {
 	// Registry is the contract the epochs are posted to: its EpochPosted
-	// logs open batch windows, and its postedAt says when each one opened.
+	// logs open batch windows, each at the time of the block that carries it.
 	Registry() *Registry
 	// EpochByNumber returns epoch n from its seal until its batch window
 	// has closed — posted, or sealed with its post still landing — and
@@ -256,8 +256,9 @@ func Fold(recs []*store.Record) *Folded {
 
 // Seed installs folded state. Must run before Start. From here on the
 // Source serves every epoch the WAL knows: a posted one from the proof cache,
-// carrying the posting time the registry recorded (what eviction counts its
-// window from), a sealed one as in flight until Start has reconciled it.
+// carrying the time of the block that carries its post (what eviction
+// counts its window from), a sealed one as in flight until Start has
+// reconciled it.
 func (s *Sequencer) Seed(f *Folded) error {
 	if f == nil {
 		return nil
@@ -292,9 +293,9 @@ func (s *Sequencer) Seed(f *Folded) error {
 			return err
 		}
 		if s.registry != nil {
-			// A failed probe leaves PostedAt 0: the epoch then stays cached
-			// until Stop instead of being evicted, which costs memory only.
-			e.PostedAt, _ = s.registry.PostedAt(s.cfg.Party, n)
+			// No log leaves PostedAt 0: the epoch then stays cached until
+			// Stop instead of being evicted, which costs memory only.
+			_, e.PostedAt, _ = s.registry.Posted(s.cfg.Party.Chain, n)
 		}
 		s.epochs[n] = e
 	}
@@ -348,33 +349,29 @@ func (s *Sequencer) Start() error {
 	}
 	// Torn-epoch reconciliation: a KindEpochSealed without KindEpochPosted
 	// means the crash hit between seal and receipt. The CHAIN decides
-	// whether the post landed — rootOf(n) matching the sealed root means
-	// it did (only this sequencer's key can post, so no other writer
-	// exists) and re-posting would double-settle the batch; anything else
-	// means the epoch never landed and is re-posted now.
+	// whether the post landed — an EpochPosted log carrying n with the
+	// sealed root means it did (only this sequencer's key can post, so no
+	// other writer exists) and re-posting would double-settle the batch;
+	// anything else means the epoch never landed and is re-posted now.
 	s.mu.Lock()
 	sealed := s.sealed
 	s.sealed = nil
 	s.mu.Unlock()
 	if len(sealed) > 0 {
-		// The probe reads mined state only, so it may run only once nothing
-		// of the dead generation is left to mine.
+		// The logs are those of mined blocks only, so they are read only once
+		// nothing of the dead generation is left to mine.
 		if err := s.awaitPoolDrained(); err != nil {
 			return err
 		}
 	}
 	var resent []*sentEpoch
 	for _, e := range sealed {
-		onChain, err := s.registry.RootOf(s.cfg.Party, e.Number)
-		if err != nil {
-			return fmt.Errorf("rollup: probing sealed epoch %d: %w", e.Number, err)
-		}
-		if onChain == e.Root {
+		if root, postedAt, ok := s.registry.Posted(s.cfg.Party.Chain, e.Number); ok && root == e.Root {
 			s.logf("rollup: sealed epoch %d already on chain, not re-posting", e.Number)
 			if err := s.journal(&store.Record{Kind: store.KindEpochPosted, U1: e.Number, Blob: e.Root[:]}); err != nil {
 				return err
 			}
-			s.finishEpoch(e, 0)
+			s.finishEpoch(e, 0, postedAt)
 			continue
 		}
 		s.logf("rollup: re-posting torn epoch %d (%d leaves)", e.Number, len(e.Leaves))
@@ -397,9 +394,9 @@ func (s *Sequencer) Start() error {
 
 // awaitPoolDrained returns once the chain's pool holds no transaction of the
 // sequencer's: on an interval-mined chain a dead generation's postEpoch can
-// outlive it there. Probing rootOf(n) before that post mines would find the
-// root absent and post the epoch a second time; both copies would mine, one
-// as n and one as n+1, and every later epoch would be numbered one off.
+// outlive it there. Reading the logs before that post mines would find no
+// log of epoch n and post the epoch a second time; both copies would mine,
+// one as n and one as n+1, and every later epoch would be numbered one off.
 func (s *Sequencer) awaitPoolDrained() error {
 	c, addr := s.cfg.Party.Chain, s.cfg.Party.Addr
 	for {
@@ -645,7 +642,8 @@ func (s *Sequencer) send(e *Epoch, first time.Time) (*sentEpoch, error) {
 // reverted, shifts every later number, and proofs built for epoch n would be
 // opened against the root stored under another.
 func (s *Sequencer) land(se *sentEpoch) error {
-	rec, err := s.cfg.Party.Chain.WaitReceipt(s.ctx, se.hash)
+	c := s.cfg.Party.Chain
+	rec, err := c.WaitReceipt(s.ctx, se.hash)
 	if err != nil {
 		return err
 	}
@@ -659,6 +657,10 @@ func (s *Sequencer) land(se *sentEpoch) error {
 	if ev.Epoch != se.Number || ev.Root != se.Root {
 		return fmt.Errorf("rollup: sealed epoch %d (root %s) landed as epoch %d (root %s)",
 			se.Number, se.Root.Hex(), ev.Epoch, ev.Root.Hex())
+	}
+	b, err := c.BlockByNumber(rec.BlockNumber)
+	if err != nil {
+		return fmt.Errorf("rollup: block of epoch %d's post: %w", se.Number, err)
 	}
 	if err := s.journal(&store.Record{Kind: store.KindEpochPosted, U1: se.Number, U2: rec.BlockNumber, Blob: se.Root[:]}); err != nil {
 		return err
@@ -675,19 +677,16 @@ func (s *Sequencer) land(se *sentEpoch) error {
 		s.cfg.Tracer.Record(0, "rollup", "post_epoch", se.sent, time.Since(se.sent),
 			fmt.Sprintf("epoch=%d leaves=%d gas=%d block=%d", se.Number, len(se.Leaves), rec.GasUsed, rec.BlockNumber))
 	}
-	s.finishEpoch(se.Epoch, rec.GasUsed)
+	s.finishEpoch(se.Epoch, rec.GasUsed, b.Time())
 	return nil
 }
 
 // finishEpoch records the posted epoch, resolves tickets, and runs the
 // OnEpoch hook. sealed stays as it is — Source readers may hold it — and the
-// cache gets a copy that carries the posting time.
-func (s *Sequencer) finishEpoch(sealed *Epoch, gasUsed uint64) {
+// cache gets a copy that carries postedAt, the time of the block that
+// carries the post.
+func (s *Sequencer) finishEpoch(sealed *Epoch, gasUsed, postedAt uint64) {
 	number, leaves := sealed.Number, sealed.Leaves
-	postedAt, err := s.registry.PostedAt(s.cfg.Party, number)
-	if err != nil {
-		s.logf("rollup: postedAt(%d) probe failed: %v", number, err)
-	}
 	e := &Epoch{Number: number, Root: sealed.Root, Tree: sealed.Tree, Leaves: leaves, PostedAt: postedAt, GasUsed: gasUsed}
 	s.mu.Lock()
 	delete(s.inflight, number)
@@ -695,11 +694,9 @@ func (s *Sequencer) finishEpoch(sealed *Epoch, gasUsed uint64) {
 	// Chain time is monotonic, so any cached epoch whose window closed
 	// before THIS post's timestamp can no longer be opened — evict it to
 	// bound the proof cache (and the compaction snapshot it feeds).
-	if postedAt > 0 {
-		for n, old := range s.epochs {
-			if old.PostedAt > 0 && old.PostedAt+Window < postedAt {
-				delete(s.epochs, n)
-			}
+	for n, old := range s.epochs {
+		if old.PostedAt > 0 && old.PostedAt+Window < postedAt {
+			delete(s.epochs, n)
 		}
 	}
 	var resolve []*Future
@@ -780,7 +777,7 @@ func (s *Sequencer) StateRecords() []*store.Record {
 	}
 	// In-flight epochs are sealed but their post receipt has not landed:
 	// snapshot them WITHOUT a posted record, so a recovery folded from this
-	// snapshot re-runs the chain probe exactly as the raw WAL would.
+	// snapshot reads the chain's logs for them exactly as the raw WAL would.
 	for _, e := range s.inflight {
 		out = append(out, sealedRecord(e))
 	}

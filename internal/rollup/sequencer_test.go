@@ -36,7 +36,7 @@ func (r *recordLog) all() []*store.Record {
 	return append([]*store.Record{}, r.recs...)
 }
 
-func seqFixture(t *testing.T) (*chain.Chain, *hybrid.Participant) {
+func seqFixture(t testing.TB) (*chain.Chain, *hybrid.Participant) {
 	t.Helper()
 	key, _ := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0x5EC0))
 	c := chain.NewDefault(map[types.Address]*uint256.Int{
@@ -224,8 +224,8 @@ func TestSequencerRecoversTornEpoch(t *testing.T) {
 	if err := s2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s2.Registry().Epochs(party); err != nil || n != 1 {
-		t.Fatalf("after recovery, on-chain epochs = %d (%v), want 1 — double-post!", n, err)
+	if evs := postedEvents(t, c, s2.Registry()); len(evs) != 1 {
+		t.Fatalf("after recovery, %d EpochPosted logs, want 1 — double-post!", len(evs))
 	}
 	// The recovered cache still serves the epoch for open batch windows.
 	if e, ok := s2.EpochByNumber(0); !ok || len(e.Leaves) != 3 {
@@ -257,11 +257,12 @@ func TestSequencerRecoversTornEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Stop()
-	if n, err := s3.Registry().Epochs(party); err != nil || n != 2 {
-		t.Fatalf("torn epoch not re-posted: on-chain epochs = %d (%v), want 2", n, err)
+	evs := postedEvents(t, c, s3.Registry())
+	if len(evs) != 2 {
+		t.Fatalf("torn epoch not re-posted: %d EpochPosted logs, want 2", len(evs))
 	}
-	if root, err := s3.Registry().RootOf(party, 1); err != nil || root != root2 {
-		t.Fatalf("re-posted epoch root mismatch: %x", root)
+	if ev := evs[1]; ev.Epoch != 1 || ev.Root != root2 || ev.Count != uint64(len(extra)) {
+		t.Fatalf("re-posted epoch %d root %x count %d, want epoch 1 root %x count %d", ev.Epoch, ev.Root, ev.Count, root2, len(extra))
 	}
 }
 
@@ -338,7 +339,7 @@ func TestSequencerReenqueuesPendingLeaves(t *testing.T) {
 	// sessions re-attach by enqueueing again and resolve instantly.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if n, _ := s.Registry().Epochs(party); n == 1 {
+		if len(postedEvents(t, c, s.Registry())) == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -355,8 +356,8 @@ func TestSequencerReenqueuesPendingLeaves(t *testing.T) {
 	if err := f.Wait(ctx); err != nil {
 		t.Fatalf("re-attach: %v", err)
 	}
-	if n, _ := s.Registry().Epochs(party); n != 1 {
-		t.Fatalf("re-attach posted again: %d epochs on chain, want 1", n)
+	if n := len(postedEvents(t, c, s.Registry())); n != 1 {
+		t.Fatalf("re-attach posted again: %d EpochPosted logs, want 1", n)
 	}
 	if e, _ := carrier(t, s, leaves[0].SID); e.Number != 0 {
 		t.Fatalf("re-attached leaf in epoch %d, want the first epoch", e.Number)

@@ -140,11 +140,11 @@ const (
 	// Blobs = the sealed leaf encodings in tree order). Logged BEFORE the
 	// rollup transaction, so a crash between seal and post leaves the
 	// full epoch reconstructible; whether the post landed is decided by
-	// querying the registry contract, never by this record alone.
+	// the registry's EpochPosted logs on chain, never by this record alone.
 	KindEpochSealed
 	// KindEpochPosted: the rollup transaction for epoch U1 landed
 	// (Blob = root, U2 = block number). Forensic + fast-path: recovery
-	// skips the on-chain probe for epochs with this record.
+	// does not reconcile epochs with this record against the chain's logs.
 	KindEpochPosted
 	// KindRollupRegistry: the rollup-registry contract is deployed.
 	// Blob = 20-byte address, U2 = Merkle tree depth. A recovered

@@ -25,7 +25,7 @@ var exportSeams = map[string]string{
 	"(*hub.Hub).RollupHandles":         "TestSeriesHaveReaders and the rollup tests hand a Join tower the hub's registry and epochs",
 	"(*hub.Ticket).Done":               "TestBlockWaitBudget and TestDisputeGateHoldsBarrier wait for a session with a deadline",
 	"(*hub.Ticket).TraceCtx":           "TestDisputeTraceCrossTower finds the session's trace in the merged recordings",
-	"(*hub.Watchtower).OpenWindows":    "TestLifecycleProperties and the crash harness check that no challenge window is left open",
+	"(*tower.Watchtower).OpenWindows":  "TestLifecycleProperties and the crash harness check that no challenge window is left open",
 	"(*store.Store).Dir":               "the recovery tests reopen a crashed store from its directory",
 	"(*types.Bloom).Test":              "TestBloom and TestFilterLogs check header blooms; FilterLogs serves from the log index instead",
 	"(*whisper.Network).SetLinkFilter": "TestFederationPartition and TestDropCounters cut links between nodes",

@@ -5,7 +5,7 @@
 // undisputed — the delegated-guardian design of Celer's State Guardian
 // Network and POSE's standby watchdogs, built on this repo's own pieces.
 //
-// Each federated tower wraps a hub.Watchtower. Members gossip whisper
+// Each federated tower wraps a tower.Watchtower. Members gossip whisper
 // envelopes on a dedicated AES-GCM-encrypted topic (key derived from the
 // member set via whisper.SharedTopicKey), each signed by its sender and
 // verified on receipt: guard state for every session a hub takes under
@@ -50,6 +50,7 @@ import (
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
+	"onoffchain/internal/tower"
 	"onoffchain/internal/types"
 	"onoffchain/internal/whisper"
 )
@@ -143,7 +144,7 @@ func (c *Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// Tower is one federation member: a wrapped hub.Watchtower plus the
+// Tower is one federation member: a wrapped tower.Watchtower plus the
 // gossip and assignment machinery that shares its guard duty with the
 // fleet. The wrapped tower's guard set is the only one: the federation
 // keeps no per-contract state beside it.
@@ -153,7 +154,7 @@ type Tower struct {
 	node     *whisper.Node
 	topic    whisper.Topic
 	symKey   []byte
-	tower    *hub.Watchtower
+	tower    *tower.Watchtower
 	ownTower bool // Join created it (Stop tears it down); AttachHub wraps
 	journal  *journal
 	metrics  *metrics
@@ -184,7 +185,7 @@ func Join(cfg Config) (*Tower, error) {
 		return nil, err
 	}
 	t.ownTower = true
-	t.attach(hub.NewWatchtower(t.cfg.Chain, nil, t.cfg.Tracer, t.cfg.Rollup))
+	t.attach(tower.NewWatchtower(t.cfg.Chain, nil, t.cfg.Tracer, t.cfg.Rollup))
 	return t, nil
 }
 
@@ -236,7 +237,7 @@ func newTower(c Config) (*Tower, error) {
 // back-filled to the fleet, durable state is re-armed onto it, and the
 // gossip and regossip loops start. A journaled guard w already holds — a
 // recovered hub's own — is left to w (see adopt).
-func (t *Tower) attach(w *hub.Watchtower) {
+func (t *Tower) attach(w *tower.Watchtower) {
 	t.tower = w
 	obs := (*towerObserver)(t)
 	w.Federate(obs, t.decide)
@@ -285,7 +286,7 @@ func (t *Tower) rearm() {
 func (t *Tower) Self() types.Address { return t.self }
 
 // Watchtower exposes the wrapped tower (for tests and monitoring).
-func (t *Tower) Watchtower() *hub.Watchtower { return t.tower }
+func (t *Tower) Watchtower() *tower.Watchtower { return t.tower }
 
 // Metrics returns the tower's federation counters plus its guard count.
 // Filings and guards are the wrapped tower's own, read where they are kept.
@@ -500,7 +501,7 @@ func (t *Tower) adopt(g *guardExport, journalIt bool) error {
 	if journalIt {
 		t.journal.log(guardRecord(g))
 	}
-	if _, err := t.tower.Guard(sess, g.Scenario, adoptTC); err != nil {
+	if _, err := t.tower.Guard(sess, 0, g.Scenario, adoptTC); err != nil {
 		return err
 	}
 	t.metrics.guardsAdopted.Inc()
@@ -552,7 +553,7 @@ func (t *Tower) decide(contract types.Address, since time.Duration) time.Duratio
 	return time.Duration(t.Slot(contract))*t.cfg.EscalateAfter - since
 }
 
-// towerObserver adapts Tower to hub.TowerObserver (a distinct type so the
+// towerObserver adapts Tower to tower.TowerObserver (a distinct type so the
 // observer methods don't pollute the Tower API).
 type towerObserver Tower
 
@@ -560,7 +561,7 @@ func (o *towerObserver) t() *Tower { return (*Tower)(o) }
 
 // Guarded exports the hub's own sessions to the fleet the moment they
 // come under guard — before any submission can open a window.
-func (o *towerObserver) Guarded(e *hub.Watch, contract types.Address) {
+func (o *towerObserver) Guarded(e *tower.Watch, contract types.Address) {
 	t := o.t()
 	if e.SID() == 0 {
 		return // an adopted guard echoing back; already recorded
@@ -580,7 +581,7 @@ func (o *towerObserver) Guarded(e *hub.Watch, contract types.Address) {
 
 // exportOf is the guard state a peer needs to rebuild e's session and
 // dispute as its honest party.
-func exportOf(e *hub.Watch) *guardExport {
+func exportOf(e *tower.Watch) *guardExport {
 	sess := e.Session()
 	scalars := make([][]byte, len(sess.Parties))
 	for i, p := range sess.Parties {

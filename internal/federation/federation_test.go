@@ -18,6 +18,7 @@ import (
 	"onoffchain/internal/rollup"
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/store"
+	"onoffchain/internal/tower"
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
 	"onoffchain/internal/whisper"
@@ -394,7 +395,7 @@ func forgedVerdictRun(t *testing.T, mode string) {
 	// The forger holds the hub member's key and the fleet key. Its record is
 	// built from raw bytes: no member writes one any more.
 	forger := net.NewNode(keys[0])
-	forge := func(e *hub.Watch) {
+	forge := func(e *tower.Watch) {
 		truth, err := e.Expected()
 		if err != nil {
 			t.Errorf("hub's verdict: %v", err)

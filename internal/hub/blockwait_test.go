@@ -15,6 +15,7 @@ import (
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
+	"onoffchain/internal/tower"
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
 	"onoffchain/internal/whisper"
@@ -788,7 +789,7 @@ func TestBlockWaitBudget(t *testing.T) {
 	// block, and the honest submission of that block has its clean verdict
 	// while they are still pooled.
 	t.Run("burst/lies", func(t *testing.T) {
-		const l = sandboxSlots + 2
+		const l = tower.SandboxSlots + 2
 		c, net, faucetKey := manualWorld(t)
 		h := New(c, net, faucetKey, Config{Workers: l + 1})
 		stopAtCleanup(t, h)

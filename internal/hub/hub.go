@@ -27,6 +27,7 @@ import (
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
+	"onoffchain/internal/tower"
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
 	"onoffchain/internal/whisper"
@@ -85,7 +86,7 @@ type Report struct {
 	// delivered.
 	Session *hybrid.Session
 	// Watch is the watchtower's record for the session.
-	Watch *Watch
+	Watch *tower.Watch
 }
 
 // Ticket is a handle on an in-flight session.
@@ -166,7 +167,7 @@ type Hub struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	tower   *Watchtower
+	tower   *tower.Watchtower
 	metrics *metrics
 	tracer  *telemetry.Tracer
 	journal *journal
@@ -264,15 +265,15 @@ func (h *Hub) start(f *rollup.Folded) error {
 		}
 		src = h.seq
 	}
-	h.tower = NewWatchtower(h.chain, h.metrics, h.tracer, src)
+	h.tower = tower.NewWatchtower(h.chain, h.metrics.reg, h.tracer, src)
 	// SLO: open dispute decisions pile up when the sandbox slots stall or the
 	// chain stops confirming filings; a deep backlog risks missed windows.
 	h.cfg.Telemetry.RegisterHealth("tower_disputes", func() telemetry.ComponentHealth {
 		backlog := h.tower.PendingDisputes()
 		switch {
-		case backlog > 8*sandboxSlots:
+		case backlog > 8*tower.SandboxSlots:
 			return telemetry.Unhealthy(fmt.Sprintf("dispute backlog %d", backlog))
-		case backlog > 2*sandboxSlots:
+		case backlog > 2*tower.SandboxSlots:
 			return telemetry.Degraded(fmt.Sprintf("dispute backlog %d", backlog))
 		default:
 			return telemetry.Healthy()
@@ -286,7 +287,7 @@ func (h *Hub) start(f *rollup.Folded) error {
 }
 
 // Watchtower exposes the hub's tower (for tests and monitoring).
-func (h *Hub) Watchtower() *Watchtower { return h.tower }
+func (h *Hub) Watchtower() *tower.Watchtower { return h.tower }
 
 // Metrics returns a consistent snapshot of the hub's counters, including
 // the whisper network's envelope-loss counter, so gossip (signed-copy
@@ -294,6 +295,10 @@ func (h *Hub) Watchtower() *Watchtower { return h.tower }
 // up next to the sessions it can stall.
 func (h *Hub) Metrics() Snapshot {
 	snap := h.metrics.snapshot()
+	tm := h.tower.Metrics()
+	snap.DisputesRaised, snap.DisputesWon = tm.DisputesRaised, tm.DisputesWon
+	snap.DisputesDeferred, snap.DisputesEscalated = tm.DisputesDeferred, tm.DisputesEscalated
+	snap.SubmissionsSeen, snap.LeavesOpened = tm.SubmissionsSeen, tm.LeavesOpened
 	if h.net != nil {
 		snap.WhisperDrops = h.net.Drops()
 	}
@@ -710,7 +715,7 @@ func (h *Hub) runSession(t *Ticket) *Report {
 // either fresh from SignAndExchange (watch nil: the session still needs
 // guarding) or rebuilt from the WAL by Recover (watch already armed;
 // setupDone reflects the WAL's setup bracket).
-func (h *Hub) runFromSigned(lc *lifecycle, sess *hybrid.Session, watch *Watch, setupDone bool) *Report {
+func (h *Hub) runFromSigned(lc *lifecycle, sess *hybrid.Session, watch *tower.Watch, setupDone bool) *Report {
 	t, rep, spec := lc.t, lc.rep, lc.t.Spec
 	fail := func(err error) *Report { return h.failSession(lc, err) }
 
@@ -718,7 +723,7 @@ func (h *Hub) runFromSigned(lc *lifecycle, sess *hybrid.Session, watch *Watch, s
 	// watch's own verdict alongside the parties' runs.
 	if watch == nil {
 		var err error
-		watch, err = h.tower.guard(sess, t.ID, spec.Scenario, t.tc)
+		watch, err = h.tower.Guard(sess, t.ID, spec.Scenario, t.tc)
 		if err != nil {
 			return fail(err)
 		}
@@ -809,7 +814,7 @@ func (h *Hub) runFromSigned(lc *lifecycle, sess *hybrid.Session, watch *Watch, s
 // awaitSettlement is the tail of the lifecycle: take the verdict step,
 // then — behind the all-verdicts barrier — finalize the honest submission
 // past its challenge window.
-func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch) *Report {
+func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *tower.Watch) *Report {
 	rep := lc.rep
 	fail := func(err error) *Report { return h.failSession(lc, err) }
 
@@ -863,7 +868,7 @@ func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *Watch)
 // reportSettled). Otherwise the submission stands clean; other sessions'
 // disputes may still be in flight, and the caller decides whether to wait
 // for them.
-func (h *Hub) verdict(lc *lifecycle, sess *hybrid.Session, watch *Watch) (own time.Duration, done *Report) {
+func (h *Hub) verdict(lc *lifecycle, sess *hybrid.Session, watch *tower.Watch) (own time.Duration, done *Report) {
 	start := time.Now()
 	h.tower.WaitVerdict(watch, h.chain.Height())
 	own = time.Since(start)
@@ -885,7 +890,7 @@ func (h *Hub) verdict(lc *lifecycle, sess *hybrid.Session, watch *Watch) (own ti
 // finalization this worker did not send (a recovered session whose dead
 // generation's finalize was still pooled at the kill): settled, not
 // resolved.
-func (h *Hub) reportSettled(lc *lifecycle, watch *Watch, byDispute bool) *Report {
+func (h *Hub) reportSettled(lc *lifecycle, watch *tower.Watch, byDispute bool) *Report {
 	t, rep := lc.t, lc.rep
 	if watch.Disputed() && !byDispute {
 		return h.failSession(lc, errors.New("hub: dispute filed but not enforced"))
@@ -932,7 +937,7 @@ func (h *Hub) barrierSpan(lc *lifecycle, start time.Time, own, clock time.Durati
 // concurrently, as they would run on separate machines. The returned join
 // waits for them and yields the unanimous outcome; it may be called more
 // than once.
-func startPrivateRun(sess *hybrid.Session, watch *Watch) (join func() (*hybrid.OffChainOutcome, error)) {
+func startPrivateRun(sess *hybrid.Session, watch *tower.Watch) (join func() (*hybrid.OffChainOutcome, error)) {
 	var (
 		wg                 sync.WaitGroup
 		outcome            *hybrid.OffChainOutcome

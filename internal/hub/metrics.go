@@ -18,11 +18,6 @@ type metrics struct {
 	sessionsStarted   *telemetry.Counter
 	sessionsCompleted *telemetry.Counter
 	sessionsFailed    *telemetry.Counter
-	disputesRaised    *telemetry.Counter
-	disputesWon       *telemetry.Counter
-	disputesDeferred  *telemetry.Counter // gate deferrals (slot 0 or a rival filer goes first)
-	disputesEscalated *telemetry.Counter // filings sent after at least one deferral
-	submissionsSeen   *telemetry.Counter // submissions the watchtower examined
 
 	sessionsRecovered  *telemetry.Counter // sessions resumed from the WAL by Recover
 	sessionsAbandoned  *telemetry.Counter // sessions Recover could not safely resume
@@ -32,9 +27,8 @@ type metrics struct {
 	// and gas spent committing outcomes on chain — submit+finalize in
 	// per-session mode, one postEpoch per batch in rollup mode. Dispute
 	// enforcement cost is NOT included (identical machinery either way).
-	settleTxs    *telemetry.Counter
-	settleGas    *telemetry.Counter
-	leavesOpened *telemetry.Counter // rollup leaves pinned on chain by disputes
+	settleTxs *telemetry.Counter
+	settleGas *telemetry.Counter
 
 	stageMu sync.Mutex
 	stages  map[Stage]*telemetry.Histogram // hub_stage_seconds{stage=...}
@@ -50,17 +44,11 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		sessionsStarted:    reg.Counter("hub_sessions_started_total"),
 		sessionsCompleted:  reg.Counter("hub_sessions_completed_total"),
 		sessionsFailed:     reg.Counter("hub_sessions_failed_total"),
-		disputesRaised:     reg.Counter("hub_disputes_raised_total"),
-		disputesWon:        reg.Counter("hub_disputes_won_total"),
-		disputesDeferred:   reg.Counter("hub_disputes_deferred_total"),
-		disputesEscalated:  reg.Counter("hub_disputes_escalated_total"),
-		submissionsSeen:    reg.Counter("hub_submissions_seen_total"),
 		sessionsRecovered:  reg.Counter("hub_sessions_recovered_total"),
 		sessionsAbandoned:  reg.Counter("hub_sessions_abandoned_total"),
 		illegalTransitions: reg.Counter("hub_illegal_transitions_total"),
 		settleTxs:          reg.Counter("hub_settle_txs_total"),
 		settleGas:          reg.Counter("hub_settle_gas_total"),
-		leavesOpened:       reg.Counter("hub_rollup_leaves_opened_total"),
 		stages:             make(map[Stage]*telemetry.Histogram),
 	}
 }
@@ -90,7 +78,8 @@ type StageStats struct {
 	Max   time.Duration
 }
 
-// Snapshot is a point-in-time copy of the hub's counters.
+// Snapshot is a point-in-time copy of the hub's counters. The dispute,
+// submission and leaf-open counts are its tower's (tower.Snapshot).
 type Snapshot struct {
 	Elapsed           time.Duration
 	SessionsStarted   uint64
@@ -136,17 +125,11 @@ func (m *metrics) snapshot() Snapshot {
 		SessionsStarted:    m.sessionsStarted.Value(),
 		SessionsCompleted:  m.sessionsCompleted.Value(),
 		SessionsFailed:     m.sessionsFailed.Value(),
-		DisputesRaised:     m.disputesRaised.Value(),
-		DisputesWon:        m.disputesWon.Value(),
-		DisputesDeferred:   m.disputesDeferred.Value(),
-		DisputesEscalated:  m.disputesEscalated.Value(),
-		SubmissionsSeen:    m.submissionsSeen.Value(),
 		SessionsRecovered:  m.sessionsRecovered.Value(),
 		SessionsAbandoned:  m.sessionsAbandoned.Value(),
 		IllegalTransitions: m.illegalTransitions.Value(),
 		SettleTxs:          m.settleTxs.Value(),
 		SettleGas:          m.settleGas.Value(),
-		LeavesOpened:       m.leavesOpened.Value(),
 	}
 	if sec := elapsed.Seconds(); sec > 0 {
 		snap.SessionsPerSec = float64(snap.SessionsCompleted) / sec

@@ -7,6 +7,7 @@ import (
 
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/types"
+	"onoffchain/internal/uint256"
 	"onoffchain/internal/whisper"
 )
 
@@ -85,26 +86,40 @@ func TestDisputeGateHoldsBarrier(t *testing.T) {
 // TestUnenforcedDisputeIsNeverFinalized: a verdict that reads "filed, not
 // enforced" leaves a lie standing in an open contract. The owner must fail
 // the session there — not jump the clock and finalize it (per-session) or
-// call the leaf rolled up (rollup).
+// call the leaf rolled up (rollup). The gate holds the tower's filing until
+// the disputing party's balance is gone, so the filing errors out.
 func TestUnenforcedDisputeIsNeverFinalized(t *testing.T) {
 	for _, rc := range []*RollupConfig{nil, {Depth: 2, EpochAge: 20 * time.Millisecond}} {
 		c, net, faucetKey := miningWorld(t, "auto")
+		faucet := types.Address(faucetKey.EthereumAddress())
 		var h *Hub
+		var drained atomic.Bool
 		h = New(c, net, faucetKey, Config{Workers: 1, Rollup: rc, StageHook: func(sid uint64, s Stage) bool {
 			if s == StageSubmitted {
-				// What a tower whose filing errored out leaves behind.
 				for _, e := range h.tower.Watches() {
-					e.mu.Lock()
-					e.disputed = true
-					e.mu.Unlock()
+					p := e.Session().Parties[0]
+					rest := new(uint256.Int).Sub(c.BalanceAt(p.Addr), uint256.NewInt(21_000))
+					if r, err := p.SendTx(&faucet, rest, 21_000, nil); err != nil || !r.Succeeded() {
+						t.Errorf("draining the disputer: %v", err)
+					}
 				}
+				drained.Store(true)
 			}
 			return true
 		}})
-		rep := h.Submit(BettingSpec(4, 600, false)).Report()
+		h.tower.Federate(nil, func(types.Address, time.Duration) time.Duration {
+			if drained.Load() {
+				return 0
+			}
+			return time.Millisecond
+		})
+		rep := h.Submit(BettingSpec(4, 600, true)).Report()
 		h.Stop()
 		if rep.Err == nil || rep.Stage != StageFailed {
 			t.Fatalf("rollup=%t: stage=%s err=%v, want the session failed", rc != nil, rep.Stage, rep.Err)
+		}
+		if !rep.Watch.Disputed() {
+			t.Fatalf("rollup=%t: the tower filed no dispute", rc != nil)
 		}
 		if settled, err := rep.Session.IsSettled(); err != nil || settled {
 			t.Errorf("rollup=%t: contract settled=%t (err %v) behind an unenforced dispute", rc != nil, settled, err)

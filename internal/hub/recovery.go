@@ -12,6 +12,7 @@ import (
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
+	"onoffchain/internal/tower"
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
 	"onoffchain/internal/whisper"
@@ -183,7 +184,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 	type resumable struct {
 		ss    *sessionState
 		sess  *hybrid.Session
-		watch *Watch
+		watch *tower.Watch
 		spec  *Spec
 	}
 	var resumables []*resumable
@@ -233,8 +234,8 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 				h.tracer.RecordSpan(rtc, 0, ss.ID, "hub", "session_recovered", time.Now(), 0, "scenario="+ss.Scenario)
 				sess.Trace = rtc
 			}
-			var watch *Watch
-			if watch, err = h.tower.guard(sess, ss.ID, ss.Scenario, rtc); err == nil {
+			var watch *tower.Watch
+			if watch, err = h.tower.Guard(sess, ss.ID, ss.Scenario, rtc); err == nil {
 				resumables = append(resumables, &resumable{ss: ss, sess: sess, watch: watch, spec: spec})
 				continue
 			}
@@ -271,7 +272,7 @@ func Recover(st *store.Store, c *chain.Chain, net *whisper.Network, faucetKey *s
 		r := r
 		h.metrics.sessionsRecovered.Inc()
 		h.metrics.sessionsStarted.Inc()
-		t := &Ticket{ID: r.ss.ID, Spec: r.spec, tc: r.watch.tc, done: make(chan struct{})}
+		t := &Ticket{ID: r.ss.ID, Spec: r.spec, tc: r.watch.TraceCtx(), done: make(chan struct{})}
 		t.run = func() *Report {
 			return h.resumeSession(t, r.ss, r.sess, r.watch)
 		}
@@ -395,7 +396,7 @@ func (h *Hub) partyKeys(ss *sessionState) ([]*secp256k1.PrivateKey, error) {
 // leaf at the enqueue (idempotent), anything earlier at the signed copy —
 // including an honest re-submission, since re-executing the deterministic
 // off-chain bytecode reproduces the agreed result.
-func (h *Hub) resumeSession(t *Ticket, ss *sessionState, sess *hybrid.Session, watch *Watch) *Report {
+func (h *Hub) resumeSession(t *Ticket, ss *sessionState, sess *hybrid.Session, watch *tower.Watch) *Report {
 	rep := &Report{
 		ID: ss.ID, Scenario: ss.Scenario, Stage: ss.stage(), Recovered: true,
 		OnChainAddr: sess.OnChainAddr, Session: sess, Watch: watch,

@@ -7,6 +7,7 @@ import (
 
 	"onoffchain/internal/hybrid"
 	"onoffchain/internal/rollup"
+	"onoffchain/internal/tower"
 	"onoffchain/internal/types"
 )
 
@@ -136,7 +137,7 @@ func (h *Hub) onEpoch(e *rollup.Epoch) {
 // recovered session re-enters here too: Enqueue is idempotent per SID, so
 // it adopts the live ticket if the crash left one pending, or resolves
 // instantly if the leaf already rode a posted epoch.
-func (h *Hub) settleRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, submitted uint64) *Report {
+func (h *Hub) settleRollup(lc *lifecycle, sess *hybrid.Session, watch *tower.Watch, submitted uint64) *Report {
 	t := lc.t
 	if rep := h.gate(lc); rep != nil {
 		return rep
@@ -159,7 +160,7 @@ func (h *Hub) settleRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, su
 // awaitSettlement, with the finalize transaction (and the clock jump and
 // all-verdicts barrier in front of it) replaced by nothing at all: the
 // epoch post IS the settlement commit.
-func (h *Hub) awaitRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, fut *rollup.Future) *Report {
+func (h *Hub) awaitRollup(lc *lifecycle, sess *hybrid.Session, watch *tower.Watch, fut *rollup.Future) *Report {
 	t, rep := lc.t, lc.rep
 
 	lc.began = time.Now()

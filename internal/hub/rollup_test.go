@@ -13,6 +13,7 @@ import (
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
+	"onoffchain/internal/tower"
 	"onoffchain/internal/types"
 	"onoffchain/internal/whisper"
 )
@@ -198,7 +199,7 @@ func TestRollupDisputesFraudulentLeaf(t *testing.T) {
 			t.Fatal(err)
 		}
 		opener := rep.Session.Parties[0]
-		hash, err := regi.OpenLeafAsync(opener, ep.Number, leaf, i, proof, rollupLeafOpenGas)
+		hash, err := regi.OpenLeafAsync(opener, ep.Number, leaf, i, proof, 1_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -845,6 +846,36 @@ func TestSequencerKeyDerivedFromHubSecret(t *testing.T) {
 	}
 }
 
+// executedWatches runs specs on a hub that stops every session after its
+// private run — deployed, signed, nothing submitted — and returns the
+// hub's watches in spec order, with the hub stopped.
+func executedWatches(t *testing.T, c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, specs ...*Spec) []*tower.Watch {
+	t.Helper()
+	h := New(c, net, faucetKey, Config{Workers: 2, StageHook: func(_ uint64, s Stage) bool { return s != StageExecuted }})
+	tickets := make([]*Ticket, len(specs))
+	for i, spec := range specs {
+		tickets[i] = h.Submit(spec)
+	}
+	for _, tk := range tickets {
+		if rep := tk.Report(); !errors.Is(rep.Err, ErrCrashed) || rep.Stage != StageExecuted {
+			t.Fatalf("session %d: stage=%s err=%v, want a stop at executed", tk.ID, rep.Stage, rep.Err)
+		}
+	}
+	bySID := map[uint64]*tower.Watch{}
+	for _, e := range h.Watchtower().Watches() {
+		bySID[e.SID()] = e
+	}
+	h.Stop()
+	out := make([]*tower.Watch, len(tickets))
+	for i, tk := range tickets {
+		out[i] = bySID[tk.ID]
+		for _, p := range out[i].Session().Parties {
+			p.Ctx = nil // the stopped hub canceled their receipt-wait context
+		}
+	}
+	return out
+}
+
 // inFlightSource serves one epoch the way the sequencer serves an epoch
 // whose post has not landed for it yet: leaves and tree, PostedAt 0.
 type inFlightSource struct {
@@ -888,9 +919,9 @@ func TestBatchWindowOpensAtTheEpochsBlockTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tower := NewWatchtower(c, nil, nil, inFlightSource{reg, &rollup.Epoch{Number: 0, Root: tree.Root(), Tree: tree, Leaves: leaves}})
-	defer tower.Stop()
-	watch, err := tower.Guard(sess, "", telemetry.TraceContext{})
+	tw := tower.NewWatchtower(c, nil, nil, inFlightSource{reg, &rollup.Epoch{Number: 0, Root: tree.Root(), Tree: tree, Leaves: leaves}})
+	defer tw.Stop()
+	watch, err := tw.Guard(sess, 0, "", telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -940,8 +971,8 @@ func TestGuardAfterThePostLandedOpensAtItsBlockTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tower := NewWatchtower(c, nil, nil, inFlightSource{reg, &rollup.Epoch{Number: 0, Root: tree.Root(), Tree: tree, Leaves: leaves}})
-	defer tower.Stop()
+	tw := tower.NewWatchtower(c, nil, nil, inFlightSource{reg, &rollup.Epoch{Number: 0, Root: tree.Root(), Tree: tree, Leaves: leaves}})
+	defer tw.Stop()
 	c.AdvanceTime(1000)
 	hash, err := reg.PostEpochAsync(seq, tree.Root(), 1, 500_000)
 	if err != nil {
@@ -955,8 +986,8 @@ func TestGuardAfterThePostLandedOpensAtItsBlockTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tower.WaitCaughtUp(c.Height())
-	watch, err := tower.Guard(sess, "", telemetry.TraceContext{})
+	tw.WaitCaughtUp(c.Height())
+	watch, err := tw.Guard(sess, 0, "", telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/store"
 	"onoffchain/internal/telemetry"
+	"onoffchain/internal/tower"
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
 	"onoffchain/internal/whisper"
@@ -139,7 +140,7 @@ func TestTraceDisabledIsNoOp(t *testing.T) {
 // undecided windows — degraded above two per sandbox slot — and recovers once
 // they are decided.
 func TestTowerDisputesHealth(t *testing.T) {
-	const held = 2*sandboxSlots + 1
+	const held = 2*tower.SandboxSlots + 1
 	c, net, faucetKey := miningWorld(t, "auto")
 	reg := telemetry.NewRegistry()
 	// An owner waits for its own verdict, so each held window takes a worker.

@@ -1,4 +1,4 @@
-package hub
+package tower
 
 import (
 	"onoffchain/internal/rollup"

@@ -1,4 +1,4 @@
-package hub
+package tower
 
 import (
 	"fmt"
@@ -8,11 +8,11 @@ import (
 	"onoffchain/internal/types"
 )
 
-// sandboxSlots bounds the tower's concurrent sandbox runs — the private
+// SandboxSlots bounds the tower's concurrent sandbox runs — the private
 // re-executions that produce its own verdict on a submission. It does not
 // bound filings: a slot is released before any dispute transaction is sent
 // or awaited, so any number of concurrent lies are enforced in one block.
-const sandboxSlots = 4
+const SandboxSlots = 4
 
 // disputer is the party index the tower files disputes and opens leaves as:
 // party 0, which never lies (a lying representative is the last party).

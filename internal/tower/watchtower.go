@@ -1,4 +1,11 @@
-package hub
+// Package tower is the protocol's third role beside the participants
+// (internal/hybrid) and the operator that runs their sessions
+// (internal/hub): a watcher that reads the chain, checks each submitted
+// result against its own sandboxed run of the signed off-chain code, and
+// disputes a lie inside its challenge window. A hub runs one for its own
+// sessions; a federation member (internal/federation) wraps one. The
+// package imports neither.
+package tower
 
 import (
 	"fmt"
@@ -12,7 +19,7 @@ import (
 	"onoffchain/internal/types"
 )
 
-// Watchtower is the hub's always-on chain monitor (in the tradition of
+// Watchtower is an always-on chain monitor (in the tradition of
 // state-channel watchtowers): it wakes on each sealed block, reads the
 // lifecycle events its guarded contracts emitted in the new blocks from
 // the chain's log index, tracks every open challenge window, and — when a
@@ -44,7 +51,7 @@ type Watchtower struct {
 	wg      sync.WaitGroup
 
 	// The federation's two collaborators: Federate installs them on an
-	// already-running hub — by which time the event loop may have processed
+	// already-running tower — by which time the event loop may have processed
 	// blocks — so every access goes through cbMu. Both are set before any
 	// session is guarded and never changed after.
 	cbMu     sync.RWMutex
@@ -133,24 +140,22 @@ type Window struct {
 // NewWatchtower starts a tower on the chain at its current head: its block
 // loop reads the blocks sealed from here on, and a guard reads its own
 // contract's older ones. Stop() must be called to release its goroutines.
-// m is the hub's internal metrics sink; external callers (the federation's
-// standalone towers) pass nil. tr records tower-layer spans (windows
-// opened, settlements, dispute filings); nil disables them. src, when set,
-// arms the tower for batch settlement: EpochPosted events on src's registry
-// open a batch window per guarded leaf, and disputes open that leaf against
-// the posted root first. Guarded sessions keep their per-session logs too, so
-// dispute resolutions still settle watches the normal way.
-func NewWatchtower(c *chain.Chain, m *metrics, tr *telemetry.Tracer, src rollup.Source) *Watchtower {
-	if m == nil {
-		m = newMetrics(nil)
-	}
+// reg is the registry the tower's counters are published into — a hub
+// passes its own; nil keeps them private (the federation's standalone
+// towers). tr records tower-layer spans (windows opened, settlements,
+// dispute filings); nil disables them. src, when set, arms the tower for
+// batch settlement: EpochPosted events on src's registry open a batch
+// window per guarded leaf, and disputes open that leaf against the posted
+// root first. Guarded sessions keep their per-session logs too, so dispute
+// resolutions still settle watches the normal way.
+func NewWatchtower(c *chain.Chain, reg *telemetry.Registry, tr *telemetry.Tracer, src rollup.Source) *Watchtower {
 	w := &Watchtower{
 		chain:     c,
-		metrics:   m,
+		metrics:   newMetrics(reg),
 		tracer:    tr,
 		entries:   make(map[types.Address]*Watch),
 		processed: c.Height(),
-		sem:       make(chan struct{}, sandboxSlots),
+		sem:       make(chan struct{}, SandboxSlots),
 		stopCh:    make(chan struct{}),
 		haltCh:    make(chan struct{}),
 	}
@@ -178,12 +183,13 @@ func (w *Watchtower) federated() (TowerObserver, DisputeGate) {
 	return w.observer, w.gate
 }
 
-// Metrics exposes the tower's counter snapshot (standalone towers have
-// their own metrics; a hub-owned tower shares the hub's).
+// Metrics exposes the tower's counter snapshot.
 func (w *Watchtower) Metrics() Snapshot { return w.metrics.snapshot() }
 
 // Guard registers a session whose on-chain contract the tower should
-// monitor; the tower files disputes as party 0 (see disputer). scenario
+// monitor; the tower files disputes as party 0 (see disputer). sid is the
+// hub session ID the watch reports (Watch.SID): 0 for a session guarded
+// standalone, such as one a federated tower adopts for a peer. scenario
 // labels the session's spec (federated towers gossip it so peers can
 // rebuild the guard from their SpecRegistry — pass "" when unused).
 // tc is the session's causal trace context (zero when untraced), so the
@@ -192,11 +198,7 @@ func (w *Watchtower) Metrics() Snapshot { return w.metrics.snapshot() }
 // it re-hydrated from gossip. Must be called after DeployOnChain and
 // SignAndExchange (the tower needs the address and the signed copy); a
 // result already submitted opens its window as the guard is taken.
-func (w *Watchtower) Guard(sess *hybrid.Session, scenario string, tc telemetry.TraceContext) (*Watch, error) {
-	return w.guard(sess, 0, scenario, tc)
-}
-
-func (w *Watchtower) guard(sess *hybrid.Session, sid uint64, scenario string, tc telemetry.TraceContext) (*Watch, error) {
+func (w *Watchtower) Guard(sess *hybrid.Session, sid uint64, scenario string, tc telemetry.TraceContext) (*Watch, error) {
 	if sess.OnChainAddr.IsZero() || sess.Copy == nil {
 		return nil, fmt.Errorf("hub: session not ready to guard (deploy and sign first)")
 	}

@@ -1,7 +1,6 @@
-package hub
+package tower
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -10,37 +9,71 @@ import (
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/telemetry"
 	"onoffchain/internal/types"
+	"onoffchain/internal/uint256"
 	"onoffchain/internal/whisper"
 )
 
-// executedWatches runs specs on a hub that stops every session after its
-// private run — deployed, signed, nothing submitted — and returns the
-// hub's watches in spec order, with the hub stopped.
-func executedWatches(t *testing.T, c *chain.Chain, net *whisper.Network, faucetKey *secp256k1.PrivateKey, specs ...*Spec) []*Watch {
+// world is a chain whose genesis funds every party key the tests use, and a
+// whisper network on its clock. autoMine false leaves sealing to the test.
+func world(t *testing.T, autoMine bool) (*chain.Chain, *whisper.Network) {
 	t.Helper()
-	h := New(c, net, faucetKey, Config{Workers: 2, StageHook: func(_ uint64, s Stage) bool { return s != StageExecuted }})
-	tickets := make([]*Ticket, len(specs))
-	for i, spec := range specs {
-		tickets[i] = h.Submit(spec)
+	cfg := chain.DefaultConfig()
+	cfg.AutoMine = autoMine
+	alloc := map[types.Address]*uint256.Int{}
+	for i := range partyKeys {
+		alloc[types.Address(partyKey(t, i).EthereumAddress())] = new(uint256.Int).Mul(uint256.NewInt(100), uint256.NewInt(1e18))
 	}
-	for _, tk := range tickets {
-		if rep := tk.Report(); !errors.Is(rep.Err, ErrCrashed) || rep.Stage != StageExecuted {
-			t.Fatalf("session %d: stage=%s err=%v, want a stop at executed", tk.ID, rep.Stage, rep.Err)
+	c := chain.New(cfg, alloc)
+	return c, whisper.NewNetwork(c.Now)
+}
+
+// partyKeys are the scalars of the parties signedSession draws from, two per
+// session.
+var partyKeys = []uint64{0x7001, 0x7002, 0x7003, 0x7004}
+
+func partyKey(t *testing.T, i int) *secp256k1.PrivateKey {
+	t.Helper()
+	key, err := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(partyKeys[i]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// signedSession deploys the betting contract between parties 2n and 2n+1
+// on an auto-mined chain, has both deposit and signs the off-chain copy: a
+// session ready to guard, nothing submitted.
+func signedSession(t *testing.T, c *chain.Chain, net *whisper.Network, n int) *hybrid.Session {
+	t.Helper()
+	pol := hybrid.BettingPolicy(600)
+	pol.LifecycleEvents = true
+	split, err := hybrid.Split(hybrid.BettingSource, "Betting", pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parties := []*hybrid.Participant{
+		hybrid.NewParticipant(partyKey(t, 2*n), c, net),
+		hybrid.NewParticipant(partyKey(t, 2*n+1), c, net),
+	}
+	sess, err := hybrid.NewSession(split, parties)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1 := c.Now() + 1_000_000_000 // far past any clock move in these tests
+	ctorArgs := []interface{}{parties[0].Addr, parties[1].Addr, t1, 2 * t1, 3 * t1, uint64(0x5ec4e7a), uint64(0x5ec4e7b), uint64(4)}
+	if _, err := sess.DeployOnChain(3_000_000, ctorArgs...); err != nil {
+		t.Fatal(err)
+	}
+	deposit := new(uint256.Int).Mul(uint256.NewInt(1), uint256.NewInt(1e18))
+	for _, p := range parties {
+		if r, err := p.Invoke(split.OnChain, sess.OnChainAddr, deposit, 300_000, "deposit"); err != nil || !r.Succeeded() {
+			t.Fatalf("deposit: %v", err)
 		}
 	}
-	bySID := map[uint64]*Watch{}
-	for _, e := range h.Watchtower().Watches() {
-		bySID[e.SID()] = e
+	if err := sess.SignAndExchange(ctorArgs...); err != nil {
+		t.Fatal(err)
 	}
-	h.Stop()
-	out := make([]*Watch, len(tickets))
-	for i, tk := range tickets {
-		out[i] = bySID[tk.ID]
-		for _, p := range out[i].Session().Parties {
-			p.Ctx = nil // the stopped hub canceled their receipt-wait context
-		}
-	}
-	return out
+	return sess
 }
 
 // submitLie has the session's last party submit the opposite of the
@@ -56,14 +89,35 @@ func submitLie(t *testing.T, sess *hybrid.Session) {
 	}
 }
 
+// blockOf is the number of the one block carrying addr's log under topic.
+func blockOf(t *testing.T, c *chain.Chain, addr types.Address, topic types.Hash) uint64 {
+	t.Helper()
+	logs := c.FilterLogs(chain.FilterQuery{Address: &addr, Topic: &topic})
+	if len(logs) != 1 {
+		t.Fatalf("%d logs with topic %s on %s, want exactly 1", len(logs), topic.Hex(), addr.Hex())
+	}
+	return logs[0].BlockNumber
+}
+
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
+
 // A tower's block loop reads the blocks sealed after it starts; a guard
 // reads its own contract's older ones. On a tower created at height N, a
 // lie mined at or below N is disputed when its contract is guarded, and a
 // lie mined after the guard by the block loop.
 func TestTowerStartsAtTheHead(t *testing.T) {
-	c, net, faucetKey := miningWorld(t, "auto")
-	ws := executedWatches(t, c, net, faucetKey, BettingSpec(4, 600, true), BettingSpec(4, 600, true))
-	early, late := ws[0].Session(), ws[1].Session()
+	c, net := world(t, true)
+	early, late := signedSession(t, c, net, 0), signedSession(t, c, net, 1)
 
 	submitLie(t, early)
 	n := c.Height()
@@ -71,7 +125,7 @@ func TestTowerStartsAtTheHead(t *testing.T) {
 	defer tower.Stop()
 	guard := func(sess *hybrid.Session) *Watch {
 		t.Helper()
-		e, err := tower.Guard(sess, "", telemetry.TraceContext{})
+		e, err := tower.Guard(sess, 0, "", telemetry.TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,15 +179,15 @@ func (o stopOnGuard) WindowClosed(types.Address) {}
 // window is pending. The gate defers every filing, so the lie stays open
 // for the next round.
 func TestStopWhileGuardingALie(t *testing.T) {
-	c, net, faucetKey := miningWorld(t, "auto")
-	sess := executedWatches(t, c, net, faucetKey, BettingSpec(4, 600, true))[0].Session()
+	c, net := world(t, true)
+	sess := signedSession(t, c, net, 0)
 	submitLie(t, sess)
 	never := func(types.Address, time.Duration) time.Duration { return time.Hour }
 	for i := 0; i < 500; i++ {
 		tower := NewWatchtower(c, nil, nil, nil)
 		o := stopOnGuard{w: tower, pending: make(chan int, 1)}
 		tower.Federate(o, never)
-		if _, err := tower.Guard(sess, "", telemetry.TraceContext{}); err != nil {
+		if _, err := tower.Guard(sess, 0, "", telemetry.TraceContext{}); err != nil {
 			t.Fatal(err)
 		}
 		if n := <-o.pending; n != 0 {
@@ -152,7 +206,7 @@ func TestStopWhileGuardingALie(t *testing.T) {
 // watermark stays where the halt found it while a live tower on the same
 // chain reads them.
 func TestHaltedTowerWatermarkFreezes(t *testing.T) {
-	c, _, _ := manualWorld(t)
+	c, _ := world(t, false)
 	processed := func(w *Watchtower) uint64 {
 		w.mu.Lock()
 		defer w.mu.Unlock()

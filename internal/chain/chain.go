@@ -317,6 +317,24 @@ func (c *Chain) Now() uint64 {
 func (c *Chain) AdvanceTime(delta uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.advanceTimeLocked(delta)
+}
+
+// AdvanceTimeAt is AdvanceTime on the condition that block head is still
+// the chain's head: once a later block has been sealed it leaves the clock
+// alone and reports false. A reader that has examined every block up to
+// head thereby moves the clock past nothing it has not seen.
+func (c *Chain) AdvanceTimeAt(head, delta uint64) (bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if uint64(len(c.blocks))-1 != head {
+		return false, nil
+	}
+	err := c.advanceTimeLocked(delta)
+	return err == nil, err
+}
+
+func (c *Chain) advanceTimeLocked(delta uint64) error {
 	if next, carry := bits.Add64(c.now, delta, 0); carry != 0 || next > math.MaxUint64-BlockInterval {
 		return ErrClockOverflow
 	}

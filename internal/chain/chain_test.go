@@ -300,6 +300,28 @@ func TestAdvanceTimeRejectsOverflow(t *testing.T) {
 	}
 }
 
+// AdvanceTimeAt moves the clock only while its head is still the chain's
+// head: once a later block is sealed, the clock is left alone and the call
+// reports it. An overflow is refused at the head as AdvanceTime refuses it.
+func TestAdvanceTimeAtLeavesALaterHeadAlone(t *testing.T) {
+	alice := newAccount(115)
+	c := testChain(alice)
+	head := c.Height()
+	if _, err := c.SendTransaction(signedTransfer(t, alice, alice.addr, new(uint256.Int), 0)); err != nil || c.Height() != head+1 {
+		t.Fatalf("the transfer sealed no block after %d: %v", head, err)
+	}
+	sealed := c.Now()
+	if moved, err := c.AdvanceTimeAt(head, 601); moved || err != nil || c.Now() != sealed {
+		t.Fatalf("AdvanceTimeAt(%d) after block %d sealed: moved=%v err=%v, clock %d → %d", head, c.Height(), moved, err, sealed, c.Now())
+	}
+	if moved, err := c.AdvanceTimeAt(c.Height(), 601); !moved || err != nil || c.Now() != sealed+601 {
+		t.Fatalf("AdvanceTimeAt at the head: moved=%v err=%v, clock %d → %d, want +601", moved, err, sealed, c.Now())
+	}
+	if moved, err := c.AdvanceTimeAt(c.Height(), math.MaxUint64); moved || !errors.Is(err, ErrClockOverflow) || c.Now() != sealed+601 {
+		t.Fatalf("overflowing AdvanceTimeAt: moved=%v err=%v, clock %d", moved, err, c.Now())
+	}
+}
+
 func TestBlockLinkage(t *testing.T) {
 	alice := newAccount(113)
 	c := testChain(alice)

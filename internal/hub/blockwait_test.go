@@ -277,7 +277,7 @@ func TestRollupHonestLeafDoesNotWaitForLie(t *testing.T) {
 }
 
 // All verdicts before any clock jump: an honest per-session owner whose own
-// verdict is long reached still may not call advancePast while another
+// verdict is long reached still may not move the clock while another
 // session's dispute is in flight. The barrier span shows which wait held it.
 func TestHonestOwnerHoldsClockWhileVerdictPending(t *testing.T) {
 	c, net, faucetKey := manualWorld(t)
@@ -406,6 +406,135 @@ func TestHonestFinalizeWaitsForLaterLie(t *testing.T) {
 	}
 	if got := blockOf(t, c, rep.OnChainAddr, hybrid.TopicResultFinalized); got <= enforced.Number() {
 		t.Errorf("honest finalize mined in block %d, not after the enforcement in block %d", got, enforced.Number())
+	}
+}
+
+// parkClose is a tower observer that records each guard by session and
+// parks the tower's close of one contract until resume is closed.
+type parkClose struct {
+	mu      sync.Mutex
+	guarded map[uint64]*tower.Watch
+	hold    types.Address
+	parked  chan struct{} // closed when the held close arrives
+	resume  chan struct{}
+}
+
+func (o *parkClose) Guarded(e *tower.Watch, _ types.Address) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.guarded[e.SID()] = e
+}
+
+func (o *parkClose) WindowClosed(contract types.Address) {
+	o.mu.Lock()
+	hold := contract == o.hold
+	o.mu.Unlock()
+	if hold {
+		close(o.parked)
+		<-o.resume
+	}
+}
+
+// gate defers the held contract's filing for good and files every other
+// lie at once.
+func (o *parkClose) gate(contract types.Address, _ time.Duration) time.Duration {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if contract == o.hold {
+		return time.Hour
+	}
+	return 0
+}
+
+// The clock step against a lie sealed beside another lie's dispute. The
+// honest owner is held by lie L1, whose filing the gate defers; the test
+// files L1's dispute itself, and lie L2 is sealed in the same block, behind
+// the dispute pair. The tower's loop reads that block in log order and is
+// parked (in its observer) right after L1's settlement woke L1's pacer,
+// before it reaches L2's submission. No dispute job is then pending, yet
+// the clock must not move: the block is unscanned, and a jump would close
+// L2's window before anyone read it. Once the loop goes on, L2 is enforced
+// inside its window, and only then is the honest result finalized.
+func TestClockWaitsForTheScanOfADisputeBlock(t *testing.T) {
+	c, net, faucetKey := manualWorld(t)
+	var l2ID atomic.Uint64
+	l2Go := make(chan struct{})
+	releaseL2 := sync.OnceFunc(func() { close(l2Go) })
+	h := New(c, net, faucetKey, Config{Workers: 3, StageHook: func(sid uint64, s Stage) bool {
+		if sid == l2ID.Load() && s == StageExecuted {
+			<-l2Go // L2 submits only once L1's dispute pair is pooled
+		}
+		return true
+	}})
+	stopAtCleanup(t, h)
+	o := &parkClose{guarded: map[uint64]*tower.Watch{}, parked: make(chan struct{}), resume: make(chan struct{})}
+	resume := sync.OnceFunc(func() { close(o.resume) })
+	t.Cleanup(func() { releaseL2(); resume() }) // runs before stopAtCleanup's
+	h.tower.Federate(o, o.gate)
+
+	honest := h.Submit(BettingSpec(4, 600, false))
+	l1 := h.Submit(BettingSpec(4, 600, true))
+	l2 := h.Submit(BettingSpec(4, 600, true))
+	l2ID.Store(l2.ID)
+	mineAt(t, c, setupPhases(3)...)
+	o.mu.Lock()
+	l1Sess := o.guarded[l1.ID].Session()
+	o.hold = l1Sess.OnChainAddr
+	o.mu.Unlock()
+	mineAt(t, c, 2) // the honest submitResult and L1
+	waitFor(t, 10*time.Second, "L1's filing to be deferred", func() bool { return h.tower.PendingDisputes() == 1 })
+
+	disputed := make(chan error, 1)
+	go func() {
+		_, _, err := l1Sess.Dispute(0)
+		disputed <- err
+	}()
+	waitFor(t, 10*time.Second, "L1's dispute pair to be pooled", func() bool { return c.PendingCount() == 2 })
+	releaseL2()
+	waitFor(t, 10*time.Second, "L2 to be pooled behind it", func() bool { return c.PendingCount() == 3 })
+	c.MineBlock()
+	sealed := c.Now()
+	select {
+	case <-o.parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the tower's loop never closed L1's guard")
+	}
+	waitFor(t, 10*time.Second, "L1's pacer to end", func() bool { return h.tower.PendingDisputes() == 0 })
+	time.Sleep(100 * time.Millisecond)
+	if now, n := c.Now(), c.PendingCount(); now != sealed || n != 0 {
+		t.Fatalf("clock moved %d s, pool %d, while the block carrying L2 was unscanned", now-sealed, n)
+	}
+	if err := <-disputed; err != nil {
+		t.Fatalf("L1's dispute: %v", err)
+	}
+
+	resume()
+	waitFor(t, 10*time.Second, "L2's dispute pair to be pooled", func() bool { return c.PendingCount() >= 2 })
+	time.Sleep(50 * time.Millisecond)
+	if n := c.PendingCount(); n != 2 {
+		t.Fatalf("%d transactions pooled with L2's dispute pair, want 2: the honest finalize must wait for it", n)
+	}
+	mineAt(t, c, 2)
+	rep := l2.Report()
+	if rep.Err != nil || rep.Stage != StageResolved || !rep.Disputed {
+		t.Fatalf("L2: stage=%s disputed=%v err=%v, want a resolved dispute", rep.Stage, rep.Disputed, rep.Err)
+	}
+	at := func(topic types.Hash) uint64 {
+		b, err := c.BlockByNumber(blockOf(t, c, rep.OnChainAddr, topic))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.Time()
+	}
+	if submitted, resolved := at(hybrid.TopicResultSubmitted), at(hybrid.TopicDisputeResolved); resolved > submitted+600 {
+		t.Errorf("L2 submitted at %d, enforced at %d: after its window closed at %d", submitted, resolved, submitted+600)
+	}
+	if rep := l1.Report(); rep.Err != nil || rep.Stage != StageResolved {
+		t.Fatalf("L1: stage=%s err=%v, want resolved", rep.Stage, rep.Err)
+	}
+	mineAt(t, c, 1) // the honest finalizeResult
+	if rep := honest.Report(); rep.Err != nil || rep.Stage != StageSettled {
+		t.Fatalf("honest session: stage=%s err=%v, want settled", rep.Stage, rep.Err)
 	}
 }
 

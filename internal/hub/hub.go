@@ -6,7 +6,7 @@
 // auto-disputes fraudulent result submissions within their challenge
 // windows. With a Config.Store attached, each session fact is written
 // ahead of the side effect that depends on it to a WAL (internal/store) so
-// a crashed hub can be rebuilt with Recover — see DESIGN.md for the lifecycle diagram, the two-barrier
+// a crashed hub can be rebuilt with Recover — see DESIGN.md for the lifecycle diagram, the verdict and clock steps'
 // safety argument, and the durability/recovery invariants.
 package hub
 

@@ -157,8 +157,8 @@ func (h *Hub) settleRollup(lc *lifecycle, sess *hybrid.Session, watch *tower.Wat
 
 // awaitRollup is the rollup-mode tail of the lifecycle: wait for the
 // leaf's epoch to post, then take the verdict step — the shape of
-// awaitSettlement, with the finalize transaction (and the clock jump and
-// all-verdicts barrier in front of it) replaced by nothing at all: the
+// awaitSettlement, with the finalize transaction (and the tower's clock
+// step in front of it) replaced by nothing at all: the
 // epoch post IS the settlement commit.
 func (h *Hub) awaitRollup(lc *lifecycle, sess *hybrid.Session, watch *tower.Watch, fut *rollup.Future) *Report {
 	t, rep := lc.t, lc.rep

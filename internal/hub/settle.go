@@ -13,8 +13,8 @@ import (
 )
 
 // awaitSettlement is the tail of the lifecycle: take the verdict step,
-// then — behind the all-verdicts barrier — finalize the honest submission
-// past its challenge window.
+// then have the tower move the clock past the challenge window — behind
+// every verdict — and finalize the honest submission.
 func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *tower.Watch) *Report {
 	rep := lc.rep
 	fail := func(err error) *Report { return h.failSession(lc, err) }
@@ -25,16 +25,16 @@ func (h *Hub) awaitSettlement(lc *lifecycle, sess *hybrid.Session, watch *tower.
 		h.barrierSpan(lc, lc.began, own, 0)
 		return done
 	}
-	// Honest path: advance past the challenge window and finalize. All
-	// verdicts before any clock jump: the clock is shared, so the jump must
-	// not overtake ANY window whose dispute is still undecided or in flight.
+	// Honest path: advance past the challenge window and finalize. The
+	// clock is shared, so the jump must not overtake ANY window whose
+	// dispute is undecided, in flight or not yet read: the tower's step.
 	clockStart := time.Now()
-	h.tower.WaitCaughtUp(h.chain.Height())
+	err := h.tower.AdvanceTime(sess.Split.Policy.ChallengePeriod + 1)
 	h.barrierSpan(lc, lc.began, own, time.Since(clockStart))
 	if h.crashed.Load() {
 		return h.crashReport(lc.t, StageSubmitted)
 	}
-	if err := h.advancePast(sess); err != nil {
+	if err != nil {
 		return fail(fmt.Errorf("hub: advance past the challenge window: %w", err))
 	}
 	fr, err := sess.FinalizeResult(0)
@@ -112,15 +112,6 @@ func (h *Hub) reportSettled(lc *lifecycle, watch *tower.Watch, byDispute bool) *
 	}
 	h.terminal(lc, StageResolved)
 	return rep
-}
-
-// advancePast moves the shared clock beyond the session's challenge
-// window. The clock is shared by all sessions; advancing it for one
-// session is safe for the others because the caller has just passed
-// WaitCaughtUp — no window anywhere has an undecided or unenforced verdict
-// — so a lie can never be frozen in by someone else's clock jump.
-func (h *Hub) advancePast(sess *hybrid.Session) error {
-	return h.chain.AdvanceTime(sess.Split.Policy.ChallengePeriod + 1)
 }
 
 // barrierSpan records how long the session's tail waited on the tower,

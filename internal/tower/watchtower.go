@@ -8,6 +8,7 @@
 package tower
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -33,12 +34,13 @@ import (
 // slots, and only when the submission disagrees with that verdict consults
 // the dispute gate (federation arbitration; absent a gate the answer is
 // always "file now") and files with the slot already released.
-// Two barriers read the pipeline, one per
-// invariant (DESIGN.md §4): WaitVerdict(e, h) — block ≤ h examined and
-// THIS watch's decision reached — is what a session owner waits for
-// before reporting, and WaitCaughtUp(h) — block ≤ h examined and EVERY
-// decision reached — is what it waits for before moving the shared clock,
-// so nobody can advance time past a window whose verdict is still pending.
+// Two steps read the pipeline, one per invariant (DESIGN.md §4):
+// WaitVerdict(e, h) — block ≤ h examined and THIS watch's decision
+// reached — is what a session owner waits for before reporting, and
+// AdvanceTime — every sealed block examined and EVERY decision reached,
+// then the clock jump, made only if no block was sealed in between — is
+// how it moves the shared clock, so nobody can advance time past a window
+// whose verdict is still pending or whose submission nobody has read.
 //
 // The tower keeps no durable state: the chain is its only memory. Taking a
 // guard reads the contract's whole history from the chain's log index, so
@@ -200,16 +202,16 @@ func (w *Watchtower) Metrics() Snapshot { return w.metrics.snapshot() }
 // result already submitted opens its window as the guard is taken.
 func (w *Watchtower) Guard(sess *hybrid.Session, sid uint64, scenario string, tc telemetry.TraceContext) (*Watch, error) {
 	if sess.OnChainAddr.IsZero() || sess.Copy == nil {
-		return nil, fmt.Errorf("hub: session not ready to guard (deploy and sign first)")
+		return nil, fmt.Errorf("tower: session not ready to guard (deploy and sign first)")
 	}
 	if !sess.Split.Policy.LifecycleEvents {
-		return nil, fmt.Errorf("hub: session's split policy has LifecycleEvents off; the watchtower cannot see its challenge windows")
+		return nil, fmt.Errorf("tower: session's split policy has LifecycleEvents off; the watchtower cannot see its challenge windows")
 	}
 	e := &Watch{sess: sess, id: sid, scenario: scenario, tc: tc, settledCh: make(chan struct{})}
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
-		return nil, fmt.Errorf("hub: watchtower stopped")
+		return nil, errStopped
 	}
 	w.entries[sess.OnChainAddr] = e
 	w.mu.Unlock()
@@ -293,7 +295,7 @@ func (e *Watch) OpenWindow() *Window {
 // once it returns for h ≥ the submission's block, a lie in that submission
 // has already been enforced against, whatever other sessions' disputes are
 // still in flight. It says nothing about those, so it does not license a
-// clock jump — see WaitCaughtUp. Returns immediately if the tower is
+// clock jump — see AdvanceTime. Returns immediately if the tower is
 // stopped or crash-halted; callers re-check Hub.Crashed before acting.
 func (w *Watchtower) WaitVerdict(e *Watch, h uint64) {
 	w.mu.Lock()
@@ -314,18 +316,43 @@ func (e *Watch) jobPending() bool {
 
 // WaitCaughtUp blocks until the tower has fully processed every block up
 // to and including height h AND reached a dispute decision for every
-// window it has ever opened. Session owners MUST call this before
-// advancing the shared clock: it guarantees no fraudulent submission mined
-// at or before h is still awaiting enforcement, so moving time past its
-// window cannot freeze a lie into a contract (or close a batch window on a
-// leaf nobody has opened yet). Returns immediately if the tower is stopped
-// or crash-halted — callers on the crashed path re-check Hub.Crashed
-// before acting.
-func (w *Watchtower) WaitCaughtUp(h uint64) {
+// window it has ever opened: no fraudulent submission mined at or before h
+// is still awaiting enforcement. Returns immediately if the tower is
+// stopped or crash-halted. A session owner does not call it to move the
+// clock: AdvanceTime does, at the head.
+func (w *Watchtower) WaitCaughtUp(h uint64) { w.caughtUp(h) }
+
+// caughtUp is WaitCaughtUp, reporting false when the tower is stopped or
+// crash-halted.
+func (w *Watchtower) caughtUp(h uint64) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for (w.processed < h || w.pending > 0) && !w.stopped && !w.halted {
 		w.cond.Wait()
+	}
+	return !w.stopped && !w.halted
+}
+
+// errStopped refuses a clock jump on a tower that can no longer vouch for
+// what the jump overtakes.
+var errStopped = errors.New("tower: stopped")
+
+// AdvanceTime moves the shared clock forward by delta seconds once the jump
+// can overtake no lie: every sealed block examined and every dispute
+// decision reached (DESIGN.md §4). The jump is made only while the head the
+// tower caught up to is still the chain's head (chain.AdvanceTimeAt); a
+// block sealed in between may carry a submission nobody has examined, so
+// the step waits again, for the new head. A stopped or crash-halted tower
+// moves nothing.
+func (w *Watchtower) AdvanceTime(delta uint64) error {
+	for {
+		head := w.chain.Height()
+		if !w.caughtUp(head) {
+			return errStopped
+		}
+		if moved, err := w.chain.AdvanceTimeAt(head, delta); moved || err != nil {
+			return err
+		}
 	}
 }
 

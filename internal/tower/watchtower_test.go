@@ -1,6 +1,7 @@
 package tower
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,4 +230,61 @@ func TestHaltedTowerWatermarkFreezes(t *testing.T) {
 		t.Fatalf("halted tower's watermark moved from %d to %d", frozen, got)
 	}
 	halted.WaitCaughtUp(c.Height()) // a halted tower releases its barriers at once
+}
+
+// The clock step waits for every verdict: with a lie's filing deferred by
+// the gate, AdvanceTime neither returns nor moves the clock; once the gate
+// lets the filing through, the lie is enforced inside its window and the
+// clock jumps after that. A stopped tower moves nothing.
+func TestAdvanceTimeWaitsForEveryVerdict(t *testing.T) {
+	c, net := world(t, true)
+	sess := signedSession(t, c, net, 0)
+	tw := NewWatchtower(c, nil, nil, nil)
+	defer tw.Stop()
+	var hold atomic.Bool
+	hold.Store(true)
+	tw.Federate(nil, func(types.Address, time.Duration) time.Duration {
+		if hold.Load() {
+			return time.Millisecond
+		}
+		return 0
+	})
+	if _, err := tw.Guard(sess, 0, "", telemetry.TraceContext{}); err != nil {
+		t.Fatal(err)
+	}
+	submitLie(t, sess)
+	waitFor(t, 5*time.Second, "the lie's filing to be deferred", func() bool { return tw.PendingDisputes() == 1 })
+	before := c.Now()
+	jumped := make(chan error, 1)
+	go func() { jumped <- tw.AdvanceTime(601) }()
+	select {
+	case err := <-jumped:
+		t.Fatalf("the clock step returned (err %v) with the lie's verdict pending", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if now := c.Now(); now != before {
+		t.Fatalf("clock moved %d s with the lie's verdict pending", now-before)
+	}
+	hold.Store(false)
+	if err := <-jumped; err != nil {
+		t.Fatal(err)
+	}
+	blockTime := func(topic types.Hash) uint64 {
+		b, err := c.BlockByNumber(blockOf(t, c, sess.OnChainAddr, topic))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.Time()
+	}
+	submitted, resolved := blockTime(hybrid.TopicResultSubmitted), blockTime(hybrid.TopicDisputeResolved)
+	if resolved > submitted+600 {
+		t.Errorf("lie submitted at %d, enforced at %d: after its window", submitted, resolved)
+	}
+	if now := c.Now(); now != resolved+601 {
+		t.Errorf("clock at %d after the step, want the enforcing block's %d + 601", now, resolved)
+	}
+	tw.Stop()
+	if err := tw.AdvanceTime(601); err == nil || c.Now() != resolved+601 {
+		t.Fatalf("a stopped tower's clock step: err=%v, clock %d → %d", err, resolved+601, c.Now())
+	}
 }

@@ -117,8 +117,8 @@ func FuzzRollupSeed(f *testing.F) {
 			if e.Tree.Root() != e.Root {
 				t.Fatalf("epoch %d served with a tree that does not fold to its root", e.Number)
 			}
-			if _, at, ok := reg.Posted(c, e.Number); e.PostedAt != 0 && (!ok || e.PostedAt != at) {
-				t.Fatalf("epoch %d served as posted at %d, its log's block says %d (found %t)", e.Number, e.PostedAt, at, ok)
+			if p, ok := reg.Posts(c)[e.Number]; e.PostedAt != 0 && (!ok || e.PostedAt != p.At) {
+				t.Fatalf("epoch %d served as posted at %d, its log's block says %d (found %t)", e.Number, e.PostedAt, p.At, ok)
 			}
 		}
 		again, err := New(Config{Party: party, Depth: folded.Depth})

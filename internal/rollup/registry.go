@@ -197,23 +197,29 @@ func (r *Registry) OpenLeafAsync(p *hybrid.Participant, epoch uint64, leaf Leaf,
 	return p.InvokeAsync(r.CC, r.Addr, nil, gas, "openLeaf", args...)
 }
 
-// Posted reads what the registry recorded for epoch, from its EpochPosted
-// log: the root the log carries and the time of the block that carries it,
-// which is the time openLeaf counts the epoch's batch window from. ok is
-// false while no mined block carries the post.
-func (r *Registry) Posted(c *chain.Chain, epoch uint64) (root types.Hash, at uint64, ok bool) {
+// Post is what the registry recorded for one epoch: the root its
+// EpochPosted log carries and the time of the block that carries it, which
+// is the time openLeaf counts the epoch's batch window from.
+type Post struct {
+	Root types.Hash
+	At   uint64
+}
+
+// Posts reads every epoch the registry recorded, in one pass over its
+// EpochPosted logs: epoch number → Post. An epoch no mined block carries a
+// post of is absent.
+func (r *Registry) Posts(c *chain.Chain) map[uint64]Post {
+	posts := map[uint64]Post{}
 	for _, l := range c.FilterLogs(chain.FilterQuery{Address: &r.Addr, Topic: &TopicEpochPosted}) {
 		ev, err := DecodeEpochPosted(l)
-		if err != nil || ev.Epoch != epoch {
+		if err != nil {
 			continue
 		}
-		b, err := c.BlockByNumber(l.BlockNumber)
-		if err != nil {
-			return types.Hash{}, 0, false
+		if b, err := c.BlockByNumber(l.BlockNumber); err == nil {
+			posts[ev.Epoch] = Post{Root: ev.Root, At: b.Time()}
 		}
-		return ev.Root, b.Time(), true
 	}
-	return types.Hash{}, 0, false
+	return posts
 }
 
 // EpochPostedEvent is the decoded form of an EpochPosted log.

@@ -96,11 +96,12 @@ func TestRegistryPostAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root, at, ok := reg.Posted(c, 0); !ok || root != tree.Root() || at != b.Time() {
-		t.Fatalf("Posted(0) = %x, %d, %t; want %x at the post's block time %d", root, at, ok, tree.Root(), b.Time())
+	posts := reg.Posts(c)
+	if p, ok := posts[0]; !ok || p.Root != tree.Root() || p.At != b.Time() {
+		t.Fatalf("Posts()[0] = %x, %d, %t; want %x at the post's block time %d", p.Root, p.At, ok, tree.Root(), b.Time())
 	}
-	if _, _, ok := reg.Posted(c, 1); ok {
-		t.Fatal("Posted(1) found an epoch nobody posted")
+	if _, ok := posts[1]; ok || len(posts) != 1 {
+		t.Fatalf("Posts() = %v: an epoch nobody posted", posts)
 	}
 
 	// Anyone (not just the sequencer) can open a committed leaf within

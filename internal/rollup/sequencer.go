@@ -287,16 +287,18 @@ func (s *Sequencer) Seed(f *Folded) error {
 			s.nextEpoch = e.Number + 1
 		}
 	}
+	var posts map[uint64]Post
+	if s.registry != nil {
+		posts = s.registry.Posts(s.cfg.Party.Chain)
+	}
 	for n, ss := range f.postedEpochs {
 		e, err := s.refold(ss)
 		if err != nil {
 			return err
 		}
-		if s.registry != nil {
-			// No log leaves PostedAt 0: the epoch then stays cached until
-			// Stop instead of being evicted, which costs memory only.
-			_, e.PostedAt, _ = s.registry.Posted(s.cfg.Party.Chain, n)
-		}
+		// No log leaves PostedAt 0: the epoch then stays cached until Stop
+		// instead of being evicted, which costs memory only.
+		e.PostedAt = posts[n].At
 		s.epochs[n] = e
 	}
 	for _, l := range f.Pending {
@@ -357,21 +359,23 @@ func (s *Sequencer) Start() error {
 	sealed := s.sealed
 	s.sealed = nil
 	s.mu.Unlock()
+	var posts map[uint64]Post
 	if len(sealed) > 0 {
 		// The logs are those of mined blocks only, so they are read only once
 		// nothing of the dead generation is left to mine.
 		if err := s.awaitPoolDrained(); err != nil {
 			return err
 		}
+		posts = s.registry.Posts(s.cfg.Party.Chain)
 	}
 	var resent []*sentEpoch
 	for _, e := range sealed {
-		if root, postedAt, ok := s.registry.Posted(s.cfg.Party.Chain, e.Number); ok && root == e.Root {
+		if p, ok := posts[e.Number]; ok && p.Root == e.Root {
 			s.logf("rollup: sealed epoch %d already on chain, not re-posting", e.Number)
 			if err := s.journal(&store.Record{Kind: store.KindEpochPosted, U1: e.Number, Blob: e.Root[:]}); err != nil {
 				return err
 			}
-			s.finishEpoch(e, 0, postedAt)
+			s.finishEpoch(e, 0, p.At)
 			continue
 		}
 		s.logf("rollup: re-posting torn epoch %d (%d leaves)", e.Number, len(e.Leaves))

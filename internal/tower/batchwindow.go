@@ -65,8 +65,8 @@ func (w *Watchtower) seedBatchWindow(e *Watch) {
 			if leaf.Contract != e.sess.OnChainAddr {
 				continue
 			}
-			if _, postedAt, ok := w.rollupReg.Posted(w.chain, ep.Number); ok {
-				w.openBatchWindow(e, ep, i, postedAt)
+			if p, ok := w.rollupReg.Posts(w.chain)[ep.Number]; ok {
+				w.openBatchWindow(e, ep, i, p.At)
 			}
 			return
 		}

@@ -29,19 +29,11 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	}
 }
 
-// Snapshot is a point-in-time copy of the tower's counters.
+// Snapshot is a point-in-time copy of the tower's counters; hub.Snapshot
+// documents each.
 type Snapshot struct {
-	DisputesRaised uint64
-	DisputesWon    uint64
-	// DisputesDeferred counts dispute-gate deferrals: windows this tower
-	// left to a federated peer (at least for one arbitration round).
-	DisputesDeferred uint64
-	// DisputesEscalated counts filings sent after at least one gate
-	// deferral: a federated backup filing once its slot's stagger ran out.
-	DisputesEscalated uint64
-	SubmissionsSeen   uint64
-	// LeavesOpened counts rollup leaves pinned on chain by disputes.
-	LeavesOpened uint64
+	DisputesRaised, DisputesWon, DisputesDeferred, DisputesEscalated uint64
+	SubmissionsSeen, LeavesOpened                                    uint64
 }
 
 func (m *metrics) snapshot() Snapshot {

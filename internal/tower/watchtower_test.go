@@ -1,12 +1,14 @@
 package tower
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"onoffchain/internal/chain"
 	"onoffchain/internal/hybrid"
+	"onoffchain/internal/rollup"
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/telemetry"
 	"onoffchain/internal/types"
@@ -29,8 +31,8 @@ func world(t *testing.T, autoMine bool) (*chain.Chain, *whisper.Network) {
 }
 
 // partyKeys are the scalars of the parties signedSession draws from, two per
-// session.
-var partyKeys = []uint64{0x7001, 0x7002, 0x7003, 0x7004}
+// session, and last the rollup sequencer's.
+var partyKeys = []uint64{0x7001, 0x7002, 0x7003, 0x7004, 0x7005}
 
 func partyKey(t *testing.T, i int) *secp256k1.PrivateKey {
 	t.Helper()
@@ -286,5 +288,113 @@ func TestAdvanceTimeWaitsForEveryVerdict(t *testing.T) {
 	tw.Stop()
 	if err := tw.AdvanceTime(601); err == nil || c.Now() != resolved+601 {
 		t.Fatalf("a stopped tower's clock step: err=%v, clock %d → %d", err, resolved+601, c.Now())
+	}
+}
+
+// oneEpoch serves one epoch the way a sequencer does while its post is in
+// flight or landed.
+type oneEpoch struct {
+	reg *rollup.Registry
+	ep  *rollup.Epoch
+}
+
+func (s oneEpoch) Registry() *rollup.Registry { return s.reg }
+
+func (s oneEpoch) EpochByNumber(n uint64) (*rollup.Epoch, bool) { return s.ep, n == s.ep.Number }
+
+func (s oneEpoch) CachedEpochs() []*rollup.Epoch { return []*rollup.Epoch{s.ep} }
+
+// closes records the contracts whose guards the tower ended.
+type closes struct {
+	mu     sync.Mutex
+	closed map[types.Address]bool
+}
+
+func (o *closes) Guarded(*Watch, types.Address) {}
+
+func (o *closes) WindowClosed(c types.Address) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.closed[c] = true
+}
+
+// An epoch carrying an honest leaf and a lie: its post opens a batch window
+// per guarded leaf at the post's block time. The tower releases the honest
+// leaf's guard on its sandbox's clean verdict, and opens the lying leaf
+// against the posted root ahead of the dispute that enforces it; both
+// guards end, and the spans name the leaf open and the filing.
+func TestBatchWindowDisputesTheLyingLeaf(t *testing.T) {
+	c, net := world(t, true)
+	honest, lying := signedSession(t, c, net, 0), signedSession(t, c, net, 1)
+	outcome := func(sess *hybrid.Session) uint64 {
+		out, err := hybrid.ExecuteOffChain(sess.Copy.Bytecode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Result
+	}
+	seq := hybrid.NewParticipant(partyKey(t, 4), c, nil)
+	bind, err := rollup.DeployRegistryAsync(seq, 2, seq.Addr, 3_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := bind()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := []rollup.Leaf{
+		{SID: 1, Contract: honest.OnChainAddr, Outcome: outcome(honest)},
+		{SID: 2, Contract: lying.OnChainAddr, Outcome: 1 - outcome(lying)},
+	}
+	tree, err := rollup.NewTree(2, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := telemetry.NewTracer(64)
+	tw := NewWatchtower(c, nil, tr, oneEpoch{reg, &rollup.Epoch{Number: 0, Root: tree.Root(), Tree: tree, Leaves: leaves}})
+	defer tw.Stop()
+	o := &closes{closed: map[types.Address]bool{}}
+	tw.Federate(o, nil)
+	watches := make([]*Watch, 2)
+	for i, sess := range []*hybrid.Session{honest, lying} {
+		if watches[i], err = tw.Guard(sess, uint64(i+1), "betting", telemetry.TraceContext{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hash, err := reg.PostEpochAsync(seq, tree.Root(), 2, 500_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := seq.WaitReceipt(hash); err != nil || !r.Succeeded() {
+		t.Fatalf("postEpoch: %v", err)
+	}
+	tw.WaitCaughtUp(c.Height())
+
+	if watches[0].Disputed() || tw.Guarding(honest.OnChainAddr) {
+		t.Errorf("honest leaf: disputed=%v guarded=%v, want released clean", watches[0].Disputed(), tw.Guarding(honest.OnChainAddr))
+	}
+	if _, won := hybrid.Settlement(c, lying.OnChainAddr); !watches[1].Disputed() || !won {
+		t.Fatalf("lying leaf: disputed=%v won=%v, want an enforced dispute", watches[1].Disputed(), won)
+	}
+	opened := c.FilterLogs(chain.FilterQuery{Address: &reg.Addr, Topic: &rollup.TopicLeafOpened})
+	if enforced := blockOf(t, c, lying.OnChainAddr, hybrid.TopicDisputeResolved); len(opened) != 1 || opened[0].BlockNumber > enforced {
+		t.Fatalf("%d LeafOpened logs, want one, no later than the block %d that enforced the dispute", len(opened), enforced)
+	}
+	if m := tw.Metrics(); m.LeavesOpened != 1 || m.DisputesRaised != 1 || m.DisputesWon != 1 || tw.OpenWindows() != 0 || len(tw.Watches()) != 0 {
+		t.Errorf("metrics %+v, %d windows open, %d guards: want one leaf opened, one dispute won, nothing left", m, tw.OpenWindows(), len(tw.Watches()))
+	}
+	o.mu.Lock()
+	if !o.closed[honest.OnChainAddr] || !o.closed[lying.OnChainAddr] {
+		t.Errorf("guards ended %v, want both", o.closed)
+	}
+	o.mu.Unlock()
+	for _, name := range []string{"window_open", "leaf_open", "dispute", "settled"} {
+		found := false
+		for _, sp := range telemetry.Select(tr.Spans(), 2, "tower") {
+			found = found || sp.Name == name
+		}
+		if !found {
+			t.Errorf("no tower/%s span for the lying leaf", name)
+		}
 	}
 }

@@ -21,7 +21,7 @@ type rollupLeaf struct {
 
 // onEpochPosted resolves an EpochPosted log to its epoch and opens a batch
 // window per guarded leaf at the log's block time. Only the block loop reads
-// the registry, so the caught-up barrier counts these windows before the
+// the registry, so the clock step counts these windows before the
 // block is marked processed. The Source serves every epoch from its seal
 // until its window has closed, so a miss is an epoch nobody can open any
 // more.

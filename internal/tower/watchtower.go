@@ -101,7 +101,7 @@ type TowerObserver interface {
 // delay means another guard is responsible right now — ask again after it.
 // since is how long ago this tower's own sandbox first found the lie; the
 // pacer that asks owns that clock, so the gate keeps no state. The window
-// stays pending (the caught-up barrier stays held) until a later answer
+// stays pending (the clock step stays held) until a later answer
 // files or the contract settles. A nil gate always answers 0 — the
 // single-tower hub's behavior. The federation installs a gate that defers
 // to the window's slot 0 and escalates on staggered timeouts.
@@ -333,8 +333,8 @@ func (w *Watchtower) caughtUp(h uint64) bool {
 	return !w.stopped && !w.halted
 }
 
-// errStopped refuses a clock jump on a tower that can no longer vouch for
-// what the jump overtakes.
+// errStopped refuses a guard, or a clock jump, on a tower that no longer
+// reads the chain and so cannot vouch for what either needs.
 var errStopped = errors.New("tower: stopped")
 
 // AdvanceTime moves the shared clock forward by delta seconds once the jump

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -27,7 +28,6 @@ var exportSeams = map[string]string{
 	"(*hub.Ticket).TraceCtx":           "TestDisputeTraceCrossTower finds the session's trace in the merged recordings",
 	"(*tower.Watchtower).OpenWindows":  "TestLifecycleProperties and the crash harness check that no challenge window is left open",
 	"(*store.Store).Dir":               "the recovery tests reopen a crashed store from its directory",
-	"(*types.Bloom).Test":              "TestBloom and TestFilterLogs check header blooms; FilterLogs serves from the log index instead",
 	"(*whisper.Network).SetLinkFilter": "TestFederationPartition and TestDropCounters cut links between nodes",
 	"uint256.MustFromHex":              "the uint256 tests write 256-bit constants in hex",
 
@@ -47,29 +47,7 @@ var exportSeams = map[string]string{
 // interface declared in the module that has it: that is how a package
 // closes an interface to its own types (lang's stmtNode and exprNode).
 func TestExportsHaveCallers(t *testing.T) {
-	l := &loader{
-		fset:     token.NewFileSet(),
-		std:      importer.Default(),
-		pkgs:     map[string]*types.Package{},
-		info:     &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-		declared: map[*types.Func]bool{},
-	}
-	for _, top := range []string{"internal", "cmd", "examples", "benchmark"} {
-		err := filepath.WalkDir(top, func(dir string, d os.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			if d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			_, err = l.load(dir)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	l := loadModule(t)
 	called := map[*types.Func]bool{}
 	ifaces := map[string][]*types.Interface{} // called interface methods, by name
 	for _, obj := range l.info.Uses {
@@ -159,13 +137,58 @@ func TestExportsHaveCallers(t *testing.T) {
 
 // loader type-checks the module's packages from source, each before the
 // packages that import it, and the standard library from its export data.
+// It keeps each package's syntax and the types of its expressions for the
+// audits that read them (fields_test.go).
 type loader struct {
 	fset     *token.FileSet
 	std      types.Importer
 	pkgs     map[string]*types.Package
+	files    map[string][]*ast.File // non-test syntax, by package path
 	info     *types.Info
 	declared map[*types.Func]bool // functions and methods under internal/
 }
+
+// loadModule type-checks every non-test file of the module and of
+// benchmark/, once per test binary: the audits share one pass.
+func loadModule(t *testing.T) *loader {
+	t.Helper()
+	l, err := moduleLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+var moduleLoader = sync.OnceValues(func() (*loader, error) {
+	l := &loader{
+		fset:  token.NewFileSet(),
+		std:   importer.Default(),
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+		declared: map[*types.Func]bool{},
+	}
+	for _, top := range []string{"internal", "cmd", "examples", "benchmark"} {
+		err := filepath.WalkDir(top, func(dir string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			_, err = l.load(dir)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
+})
 
 func (l *loader) Import(path string) (*types.Package, error) {
 	if dir, ok := strings.CutPrefix(path, "onoffchain/"); ok {
@@ -205,6 +228,7 @@ func (l *loader) load(dir string) (*types.Package, error) {
 		}
 	}
 	l.pkgs[path] = pkg
+	l.files[path] = files
 	if !strings.HasPrefix(path, "onoffchain/internal/") {
 		return pkg, nil
 	}

@@ -206,7 +206,6 @@ type pendingBlock struct {
 	number   uint64
 	time     uint64
 	outcomes []receiptOutcome // err is the execution-time cause of a drop
-	receipts uint             // outcomes with a receipt: the next receipt's index
 }
 
 // New creates a chain with the given genesis balance allocation.
@@ -595,10 +594,7 @@ func (c *Chain) newBlockLocked(t uint64) *pendingBlock {
 // engine's one per-transaction path, as transactions are pooled and when a
 // stale block is sealed.
 func (c *Chain) executeLocked(b *pendingBlock, tx *types.Transaction) {
-	receipt, err := c.applyTransactionOn(b.state, tx, b.number, b.time, b.receipts, true)
-	if err == nil {
-		b.receipts++
-	}
+	receipt, err := c.applyTransactionOn(b.state, tx, b.number, b.time, true)
 	b.outcomes = append(b.outcomes, receiptOutcome{receipt: receipt, err: err})
 }
 
@@ -680,7 +676,6 @@ func (c *Chain) mineLocked() *types.Block {
 		Root:        root,
 		TxHash:      types.DeriveTxListHash(included),
 		ReceiptHash: types.DeriveReceiptListHash(receipts),
-		Bloom:       types.CreateBloom(receipts),
 		Number:      number,
 		GasLimit:    BlockGasLimit,
 		GasUsed:     cumulative,
@@ -740,7 +735,7 @@ func (c *Chain) blockContext(number, timestamp uint64) vm.BlockContext {
 // applies the fee to the canonical state in commit order instead. A
 // transaction that reads the coinbase for any other reason still records
 // that access and is re-run serially by the scheduler.
-func (c *Chain) applyTransactionOn(st *state.StateDB, tx *types.Transaction, blockNumber, timestamp uint64, txIndex uint, creditCoinbase bool) (*types.Receipt, error) {
+func (c *Chain) applyTransactionOn(st *state.StateDB, tx *types.Transaction, blockNumber, timestamp uint64, creditCoinbase bool) (*types.Receipt, error) {
 	sender, err := tx.Sender()
 	if err != nil {
 		return nil, err
@@ -761,7 +756,7 @@ func (c *Chain) applyTransactionOn(st *state.StateDB, tx *types.Transaction, blo
 	upfront.Mul(upfront, tx.GasPrice)
 	st.SubBalance(sender, upfront)
 
-	st.SetTxContext(tx.Hash(), txIndex, blockNumber)
+	st.SetTxContext(blockNumber)
 	evm := vm.NewEVM(c.blockContext(blockNumber, timestamp), vm.TxContext{
 		Origin:   sender,
 		GasPrice: tx.GasPrice,
@@ -803,7 +798,6 @@ func (c *Chain) applyTransactionOn(st *state.StateDB, tx *types.Transaction, blo
 	receipt := &types.Receipt{
 		Status:      types.ReceiptStatusSuccessful,
 		GasUsed:     gasUsed,
-		TxHash:      tx.Hash(),
 		BlockNumber: blockNumber,
 		Logs:        st.TakeLogs(),
 	}
@@ -816,9 +810,6 @@ func (c *Chain) applyTransactionOn(st *state.StateDB, tx *types.Transaction, blo
 	}
 	if tx.IsContractCreation() && execErr == nil {
 		receipt.ContractAddress = contractAddr
-	}
-	for _, l := range receipt.Logs {
-		receipt.Bloom.AddLog(l)
 	}
 	st.Finalise()
 	return receipt, nil

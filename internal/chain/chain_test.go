@@ -384,10 +384,6 @@ func TestFilterLogs(t *testing.T) {
 	if got := c.FilterLogs(FilterQuery{Address: &addr, Topic: &other}); len(got) != 0 {
 		t.Errorf("wrong-topic filter returned %d logs", len(got))
 	}
-	// Bloom filter on the block must contain the log address.
-	if !c.Latest().Header.Bloom.Test(addr.Bytes()) {
-		t.Error("block bloom missing log address")
-	}
 }
 
 func TestCallDoesNotMutate(t *testing.T) {

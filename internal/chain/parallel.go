@@ -98,7 +98,7 @@ func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64)
 					return
 				}
 				fork := c.state.ForkRecording()
-				receipt, err := c.applyTransactionOn(fork, batch[i], number, c.now, uint(i), false)
+				receipt, err := c.applyTransactionOn(fork, batch[i], number, c.now, false)
 				res := &specResult{receipt: receipt, err: err}
 				res.access = fork.TakeAccess()
 				if err == nil {
@@ -114,7 +114,6 @@ func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64)
 
 	// Phase 2: ordered commit.
 	outcomes := make([]receiptOutcome, len(batch))
-	var included uint // transactions committed so far: the next one's index
 	ix := state.NewAccessIndex()
 	feeCredited := false
 	for i, tx := range batch {
@@ -126,7 +125,7 @@ func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64)
 			// path, recording its writes so later conflict checks see them.
 			c.mParReexec.Inc()
 			c.state.StartRecording()
-			r, err := c.applyTransactionOn(c.state, tx, number, c.now, included, true)
+			r, err := c.applyTransactionOn(c.state, tx, number, c.now, true)
 			a := c.state.TakeAccess()
 			if err != nil {
 				outcomes[i].err = err
@@ -152,16 +151,8 @@ func (c *Chain) executeParallelLocked(batch []*types.Transaction, number uint64)
 			c.state.Finalise()
 			ix.Add(res.access)
 			receipt = res.receipt
-			// The speculative run stamped logs with the batch position; an
-			// earlier drop shifts the final transaction index.
-			if included != uint(i) {
-				for _, l := range receipt.Logs {
-					l.TxIndex = included
-				}
-			}
 		}
 		feeCredited = true
-		included++
 		outcomes[i].receipt = receipt
 	}
 	return outcomes

@@ -55,8 +55,8 @@ func (c *Chain) AttachJournal(write func(*store.Record) error, onErr func(error)
 // mining path — which executes them, as it does a stale block — so
 // receipts, waiter resolution, and the log index are rebuilt by exactly
 // the code that built them originally. The recorded header hash must match
-// the replayed one — covering state root, receipt root, bloom, and
-// transaction list at once.
+// the replayed one — covering state root, receipt root and transaction
+// list at once.
 func (c *Chain) importBlock(number, btime uint64, wantHash types.Hash, txRLPs [][]byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -30,9 +30,6 @@ const (
 // LifecycleGas breaks down the miner gas spent over one full betting
 // lifecycle (deploy → deposits → resolution).
 type LifecycleGas struct {
-	Mode    Mode
-	Dispute bool
-
 	DeployGas   uint64
 	DepositGas  uint64
 	ResolveGas  uint64 // reassign (monolith) or submit+finalize (hybrid)
@@ -92,7 +89,7 @@ func (e *env) parties() []*hybrid.Participant {
 // signed copy (paper Table I rule 5).
 func RunBettingLifecycle(mode Mode, revealRounds uint64, dispute bool) (*LifecycleGas, error) {
 	e := newEnv()
-	out := &LifecycleGas{Mode: mode, Dispute: dispute}
+	out := &LifecycleGas{}
 	now := e.chain.Now()
 	ctorArgs := []interface{}{
 		e.alice.Addr, e.bob.Addr, now + 1000, now + 2000, now + 3000,

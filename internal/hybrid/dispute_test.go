@@ -260,7 +260,8 @@ func TestDisputeCodelessReturnIsNotEnforcement(t *testing.T) {
 		t.Fatal(err)
 	}
 	mineAt(t, fx.chain, 2)
-	if r, err := fx.chain.Receipt(f.returnHash); err != nil || !r.Succeeded() {
+	vacuous, err := fx.chain.Receipt(f.returnHash)
+	if err != nil || !vacuous.Succeeded() {
 		t.Fatalf("fixture: the code-less call should succeed vacuously (err %v)", err)
 	}
 	if settled, _ := sess.IsSettled(); settled {
@@ -271,7 +272,7 @@ func TestDisputeCodelessReturnIsNotEnforcement(t *testing.T) {
 	if !sess.DisputeFellBack {
 		t.Error("vacuous return receipt was taken for enforcement")
 	}
-	if returnR.TxHash == f.returnHash {
+	if returnR == vacuous {
 		t.Error("await reported the vacuous receipt, not the re-sent call's")
 	}
 	requireEnforced(t, fx.chain, sess, truth)

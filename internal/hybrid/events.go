@@ -39,10 +39,8 @@ func Settlement(c *chain.Chain, contract types.Address) (settled, byDispute bool
 // participant opened (or refreshed) the challenge window with a claimed
 // off-chain result.
 type ResultSubmittedEvent struct {
-	Contract  types.Address
-	Submitter types.Address
-	Result    uint64
-	At        uint64 // block timestamp of the submission
+	Result uint64
+	At     uint64 // block timestamp of the submission
 }
 
 func word(data []byte, i int) []byte { return data[32*i : 32*(i+1)] }
@@ -57,12 +55,7 @@ func DecodeResultSubmitted(l *types.Log) (*ResultSubmittedEvent, error) {
 	if !result.IsUint64() || !at.IsUint64() {
 		return nil, errors.New("hybrid: ResultSubmitted fields overflow uint64")
 	}
-	return &ResultSubmittedEvent{
-		Contract:  l.Address,
-		Submitter: types.BytesToAddress(word(l.Data, 0)),
-		Result:    result.Uint64(),
-		At:        at.Uint64(),
-	}, nil
+	return &ResultSubmittedEvent{Result: result.Uint64(), At: at.Uint64()}, nil
 }
 
 // DecodeResultWord parses the single-uint data of ResultFinalized and

@@ -79,9 +79,6 @@ type SplitResult struct {
 	// by heavy/private functions (e.g. secret rule data) are PRUNED from
 	// the public half so they never appear in on-chain calldata.
 	OnChainCtorIdx []int
-	// ResultIsBool records whether the result function returns bool (the
-	// wire format is always uint: 0/1).
-	ResultIsBool bool
 	// Policy echoes the effective policy.
 	Policy Policy
 }
@@ -202,7 +199,6 @@ func Split(wholeSource, contractName string, policy Policy) (*SplitResult, error
 		OnChain:        onCompiled.Contracts[contractName+"OnChain"],
 		OffChain:       offCompiled.Contracts[contractName+"OffChain"],
 		Monolith:       monolith.Contracts[contractName],
-		ResultIsBool:   resultIsBool,
 		Policy:         pol,
 		OnChainCtorIdx: ctorIdx,
 	}, nil

@@ -27,10 +27,8 @@ type FuncMeta struct {
 
 // EventMeta describes an event of a compiled contract.
 type EventMeta struct {
-	Name      string
 	Signature string
 	Topic     types.Hash
-	Params    []*Param
 }
 
 // CompiledContract holds the artifacts for one contract.
@@ -250,12 +248,7 @@ func compileContract(c *Contract, interfaces map[string]*Interface) (*CompiledCo
 		AST:     c,
 	}
 	for _, e := range c.Events {
-		cc.Events[e.Name] = &EventMeta{
-			Name:      e.Name,
-			Signature: e.Signature(),
-			Topic:     abi.EventTopic(e.Signature()),
-			Params:    e.Params,
-		}
+		cc.Events[e.Name] = &EventMeta{Signature: e.Signature(), Topic: abi.EventTopic(e.Signature())}
 	}
 	return cc, nil
 }

@@ -171,7 +171,7 @@ func FuzzDecodeEpochPosted(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if ev.Registry != l.Address || ev.Epoch != binary.BigEndian.Uint64(data[24:32]) ||
+		if ev.Epoch != binary.BigEndian.Uint64(data[24:32]) ||
 			ev.Root != types.BytesToHash(data[32:64]) || ev.Count != binary.BigEndian.Uint64(data[88:96]) {
 			t.Fatalf("decoded %+v from %x", ev, data)
 		}

@@ -224,10 +224,9 @@ func (r *Registry) Posts(c *chain.Chain) map[uint64]Post {
 
 // EpochPostedEvent is the decoded form of an EpochPosted log.
 type EpochPostedEvent struct {
-	Registry types.Address
-	Epoch    uint64
-	Root     types.Hash
-	Count    uint64
+	Epoch uint64
+	Root  types.Hash
+	Count uint64
 }
 
 // DecodeEpochPosted parses a log known to carry TopicEpochPosted.
@@ -241,9 +240,8 @@ func DecodeEpochPosted(l *types.Log) (*EpochPostedEvent, error) {
 		return nil, fmt.Errorf("rollup: EpochPosted fields overflow uint64")
 	}
 	return &EpochPostedEvent{
-		Registry: l.Address,
-		Epoch:    epoch.Uint64(),
-		Root:     types.BytesToHash(l.Data[32:64]),
-		Count:    count.Uint64(),
+		Epoch: epoch.Uint64(),
+		Root:  types.BytesToHash(l.Data[32:64]),
+		Count: count.Uint64(),
 	}, nil
 }

@@ -113,10 +113,8 @@ type StateDB struct {
 	refund  uint64
 	logs    []*types.Log
 
-	// Per-transaction context for logs.
-	txHash  types.Hash
-	txIndex uint
-	block   uint64
+	// The block number emitted logs are stamped with.
+	block uint64
 }
 
 // New creates an empty state.
@@ -128,9 +126,9 @@ func New() *StateDB {
 	}
 }
 
-// SetTxContext sets the transaction context recorded on emitted logs.
-func (s *StateDB) SetTxContext(txHash types.Hash, txIndex uint, block uint64) {
-	s.txHash, s.txIndex, s.block = txHash, txIndex, block
+// SetTxContext sets the block number recorded on emitted logs.
+func (s *StateDB) SetTxContext(block uint64) {
+	s.block = block
 }
 
 func (s *StateDB) getObject(addr types.Address) *stateObject {
@@ -392,12 +390,9 @@ func (s *StateDB) AddRefund(gas uint64) {
 // GetRefund returns the accumulated refund.
 func (s *StateDB) GetRefund() uint64 { return s.refund }
 
-// AddLog records an emitted log, stamped with the tx context.
+// AddLog records an emitted log, stamped with its block number.
 func (s *StateDB) AddLog(log *types.Log) {
-	log.TxHash = s.txHash
-	log.TxIndex = s.txIndex
 	log.BlockNumber = s.block
-	log.Index = uint(len(s.logs))
 	prevLen := len(s.logs)
 	s.journal = append(s.journal, func() { s.logs = s.logs[:prevLen] })
 	s.logs = append(s.logs, log)

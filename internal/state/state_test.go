@@ -175,7 +175,7 @@ func TestRefundCounter(t *testing.T) {
 
 func TestLogsJournaled(t *testing.T) {
 	s := New()
-	s.SetTxContext(types.BytesToHash([]byte{1}), 3, 12)
+	s.SetTxContext(12)
 	s.AddLog(&types.Log{Address: addr(1)})
 	snap := s.Snapshot()
 	s.AddLog(&types.Log{Address: addr(2)})
@@ -185,7 +185,7 @@ func TestLogsJournaled(t *testing.T) {
 	if len(logs) != 1 {
 		t.Fatalf("%d logs after the revert, want 1", len(logs))
 	}
-	if logs[0].TxIndex != 3 || logs[0].BlockNumber != 12 {
+	if logs[0].BlockNumber != 12 {
 		t.Error("log context wrong")
 	}
 	if len(s.TakeLogs()) != 0 {

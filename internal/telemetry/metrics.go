@@ -212,7 +212,6 @@ type BucketCount struct {
 type HistogramSnapshot struct {
 	Count   uint64
 	Sum     float64
-	Max     float64
 	Buckets []BucketCount
 }
 
@@ -224,7 +223,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Count:   h.count.Load(),
 		Sum:     h.Sum(),
-		Max:     h.Max(),
 		Buckets: make([]BucketCount, len(h.counts)),
 	}
 	var cum uint64

@@ -91,7 +91,7 @@ func (w *Watchtower) openBatchWindow(e *Watch, ep *rollup.Epoch, i int, postedAt
 		e.rollup = &rollupLeaf{reg: w.rollupReg, epoch: ep.Number, index: i, leaf: leaf, proof: proof}
 	}
 	e.mu.Unlock()
-	w.examine(e, leaf.Outcome, postedAt, postedAt+rollup.Window)
+	w.examine(e, leaf.Outcome, postedAt+rollup.Window)
 }
 
 // release drops a guarded contract whose batch window the tower's sandbox

@@ -53,7 +53,7 @@ func (w *Watchtower) sendLeafOpen(e *Watch, rl *rollupLeaf) (observe func()) {
 // chain — and is idempotent: a submission that is already settled, already
 // disputed, or already being driven by a pending job is left alone — that
 // is what makes a re-guard after a restart unable to double-dispute.
-func (w *Watchtower) examine(e *Watch, result, openedAt, deadline uint64) {
+func (w *Watchtower) examine(e *Watch, result, deadline uint64) {
 	// Honor Kill at sub-block granularity too: a "dead" tower must not
 	// open windows or file disputes for a block it was mid-way through. (A
 	// dispute transaction already sent when Kill lands is a
@@ -70,7 +70,6 @@ func (w *Watchtower) examine(e *Watch, result, openedAt, deadline uint64) {
 	e.window = &Window{
 		Contract: e.sess.OnChainAddr,
 		Result:   result,
-		OpenedAt: openedAt,
 		Deadline: deadline,
 	}
 	driven := e.disputed || e.pending

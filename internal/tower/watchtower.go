@@ -135,8 +135,7 @@ type Watch struct {
 type Window struct {
 	Contract types.Address
 	Result   uint64
-	OpenedAt uint64 // submission block timestamp
-	Deadline uint64 // OpenedAt + challenge period
+	Deadline uint64 // submission block timestamp + challenge period
 }
 
 // NewWatchtower starts a tower on the chain at its current head: its block
@@ -572,5 +571,5 @@ func (w *Watchtower) onSubmission(e *Watch, l *types.Log) {
 	}
 	w.metrics.submissionsSeen.Inc()
 	period := e.sess.Split.Policy.ChallengePeriod
-	w.examine(e, ev.Result, ev.At, ev.At+period)
+	w.examine(e, ev.Result, ev.At+period)
 }

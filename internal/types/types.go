@@ -1,6 +1,6 @@
 // Package types defines the fundamental blockchain data types shared by the
-// whole system: addresses, hashes, transactions, receipts, logs, blocks and
-// the bloom filter, together with their RLP encodings and hashing rules.
+// whole system: addresses, hashes, transactions, receipts, logs and blocks,
+// together with their RLP encodings and hashing rules.
 // The encodings follow Ethereum's homestead-era rules, which is what the
 // paper's mechanism depends on (contract addresses derived from
 // keccak256(rlp([sender, nonce])), ecrecover-compatible signatures).
@@ -301,22 +301,6 @@ type Log struct {
 	Topics      []Hash
 	Data        []byte
 	BlockNumber uint64
-	TxHash      Hash
-	TxIndex     uint
-	Index       uint
-}
-
-// EncodeRLP encodes the consensus portion (address, topics, data) of a log.
-func (l *Log) EncodeRLP() []byte {
-	topicItems := make([]*rlp.Item, len(l.Topics))
-	for i, t := range l.Topics {
-		topicItems[i] = rlp.Bytes(t.Bytes())
-	}
-	return rlp.EncodeList(
-		rlp.Bytes(l.Address.Bytes()),
-		rlp.List(topicItems...),
-		rlp.Bytes(l.Data),
-	)
 }
 
 // Receipt records the outcome of a transaction execution.
@@ -324,87 +308,31 @@ type Receipt struct {
 	Status            uint64
 	CumulativeGasUsed uint64
 	GasUsed           uint64
-	TxHash            Hash
 	BlockNumber       uint64  // the block that carries the tx; not part of the consensus encoding
 	ContractAddress   Address // set when the tx created a contract
 	Logs              []*Log
-	Bloom             Bloom
 	RevertReason      []byte // raw return data of a REVERT, if any
 }
 
 // Succeeded reports whether the transaction executed without reverting.
 func (r *Receipt) Succeeded() bool { return r.Status == ReceiptStatusSuccessful }
 
-// EncodeRLP encodes the consensus fields of the receipt.
+// EncodeRLP encodes the consensus fields of the receipt: status,
+// cumulative gas and each log's address, topics and data.
 func (r *Receipt) EncodeRLP() []byte {
 	logItems := make([]*rlp.Item, len(r.Logs))
 	for i, l := range r.Logs {
-		sub, err := rlp.Decode(l.EncodeRLP())
-		if err != nil {
-			panic("types: log re-decode: " + err.Error())
+		topicItems := make([]*rlp.Item, len(l.Topics))
+		for j, t := range l.Topics {
+			topicItems[j] = rlp.Bytes(t.Bytes())
 		}
-		logItems[i] = sub
+		logItems[i] = rlp.List(rlp.Bytes(l.Address.Bytes()), rlp.List(topicItems...), rlp.Bytes(l.Data))
 	}
 	return rlp.EncodeList(
 		rlp.Uint(r.Status),
 		rlp.Uint(r.CumulativeGasUsed),
-		rlp.Bytes(r.Bloom[:]),
 		rlp.List(logItems...),
 	)
-}
-
-// BloomByteLength is the byte size of a block/receipt bloom filter.
-const BloomByteLength = 256
-
-// Bloom is a 2048-bit Ethereum log bloom filter.
-type Bloom [BloomByteLength]byte
-
-// Add sets the three filter bits derived from d (Ethereum's scheme: the
-// low 11 bits of each of the first three 16-bit pairs of keccak256(d)).
-func (b *Bloom) Add(d []byte) {
-	h := keccak.Sum256(d)
-	for i := 0; i < 6; i += 2 {
-		bit := (uint(h[i])<<8 | uint(h[i+1])) & 2047
-		byteIdx := BloomByteLength - 1 - bit/8
-		b[byteIdx] |= 1 << (bit % 8)
-	}
-}
-
-// Test reports whether d may be in the filter (no false negatives).
-func (b *Bloom) Test(d []byte) bool {
-	h := keccak.Sum256(d)
-	for i := 0; i < 6; i += 2 {
-		bit := (uint(h[i])<<8 | uint(h[i+1])) & 2047
-		byteIdx := BloomByteLength - 1 - bit/8
-		if b[byteIdx]&(1<<(bit%8)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// AddLog folds a log's address and topics into the bloom.
-func (b *Bloom) AddLog(l *Log) {
-	b.Add(l.Address.Bytes())
-	for _, t := range l.Topics {
-		b.Add(t.Bytes())
-	}
-}
-
-// Or merges another bloom into b.
-func (b *Bloom) Or(other *Bloom) {
-	for i := range b {
-		b[i] |= other[i]
-	}
-}
-
-// CreateBloom builds the aggregate bloom for a set of receipts.
-func CreateBloom(receipts []*Receipt) Bloom {
-	var bloom Bloom
-	for _, r := range receipts {
-		bloom.Or(&r.Bloom)
-	}
-	return bloom
 }
 
 // Header is a block header. Consensus fields irrelevant to a single-node
@@ -416,7 +344,6 @@ type Header struct {
 	Root        Hash // state trie root after this block
 	TxHash      Hash // transaction trie root
 	ReceiptHash Hash // receipt trie root
-	Bloom       Bloom
 	Number      uint64
 	GasLimit    uint64
 	GasUsed     uint64
@@ -432,7 +359,6 @@ func (h *Header) EncodeRLP() []byte {
 		rlp.Bytes(h.Root.Bytes()),
 		rlp.Bytes(h.TxHash.Bytes()),
 		rlp.Bytes(h.ReceiptHash.Bytes()),
-		rlp.Bytes(h.Bloom[:]),
 		rlp.Uint(h.Number),
 		rlp.Uint(h.GasLimit),
 		rlp.Uint(h.GasUsed),
@@ -475,7 +401,8 @@ func DeriveTxListHash(txs []*Transaction) Hash {
 	return out
 }
 
-// DeriveReceiptListHash computes a commitment over ordered receipts.
+// DeriveReceiptListHash computes a commitment over ordered receipts, and so
+// over every log's address, topics and data, in order.
 func DeriveReceiptListHash(receipts []*Receipt) Hash {
 	h := keccak.New256()
 	for _, r := range receipts {

@@ -1,10 +1,12 @@
 package types
 
 import (
+	"bytes"
 	"encoding/hex"
 	"testing"
 
 	"onoffchain/internal/keccak"
+	"onoffchain/internal/rlp"
 	"onoffchain/internal/secp256k1"
 	"onoffchain/internal/uint256"
 )
@@ -148,56 +150,61 @@ func TestTransactionCost(t *testing.T) {
 	}
 }
 
-func TestBloom(t *testing.T) {
-	var b Bloom
-	b.Add([]byte("alpha"))
-	b.Add([]byte("beta"))
-	if !b.Test([]byte("alpha")) || !b.Test([]byte("beta")) {
-		t.Error("bloom misses inserted values")
-	}
-	misses := 0
-	for i := 0; i < 200; i++ {
-		if !b.Test([]byte{byte(i), 0xEE, byte(i * 3)}) {
-			misses++
-		}
-	}
-	if misses < 190 {
-		t.Errorf("bloom too dense: only %d/200 misses", misses)
-	}
-}
-
-func TestBloomAddLogAndOr(t *testing.T) {
-	l := &Log{
-		Address: BytesToAddress([]byte{0xAA}),
-		Topics:  []Hash{BytesToHash([]byte{0x01}), BytesToHash([]byte{0x02})},
-	}
-	var b Bloom
-	b.AddLog(l)
-	if !b.Test(l.Address.Bytes()) || !b.Test(l.Topics[0].Bytes()) || !b.Test(l.Topics[1].Bytes()) {
-		t.Error("AddLog missed a component")
-	}
-	var merged Bloom
-	merged.Or(&b)
-	if merged != b {
-		t.Error("Or merge mismatch")
-	}
-}
-
-func TestReceiptEncodeAndBloomAggregate(t *testing.T) {
+func TestReceiptEncodeAndSucceeded(t *testing.T) {
 	l := &Log{Address: BytesToAddress([]byte{1}), Topics: []Hash{BytesToHash([]byte{9})}, Data: []byte("d")}
-	var bloom Bloom
-	bloom.AddLog(l)
-	r := &Receipt{Status: ReceiptStatusSuccessful, CumulativeGasUsed: 21000, GasUsed: 21000, Logs: []*Log{l}, Bloom: bloom}
-	enc := r.EncodeRLP()
-	if len(enc) == 0 {
-		t.Fatal("empty receipt encoding")
+	r := &Receipt{Status: ReceiptStatusSuccessful, CumulativeGasUsed: 21000, GasUsed: 21000, Logs: []*Log{l}}
+	item, err := rlp.Decode(r.EncodeRLP())
+	if err != nil {
+		t.Fatal(err)
 	}
-	agg := CreateBloom([]*Receipt{r})
-	if !agg.Test(l.Address.Bytes()) {
-		t.Error("aggregate bloom missed log address")
+	if item.Kind != rlp.KindList || len(item.Items) != 3 || len(item.Items[2].Items) != 1 {
+		t.Fatalf("receipt encodes as %+v, want [status, cumulative gas, [log]]", item)
+	}
+	enc := item.Items[2].Items[0]
+	if len(enc.Items) != 3 || !bytes.Equal(enc.Items[0].Bytes, l.Address[:]) ||
+		len(enc.Items[1].Items) != 1 || !bytes.Equal(enc.Items[1].Items[0].Bytes, l.Topics[0][:]) ||
+		!bytes.Equal(enc.Items[2].Bytes, l.Data) {
+		t.Errorf("log encodes as %+v, want [address, [topic], data]", enc)
 	}
 	if !r.Succeeded() {
 		t.Error("Succeeded() wrong")
+	}
+}
+
+// TestReceiptHashCommitsToLogs holds that the receipt commitment moves with
+// any change to a log's address, topics or data, and with the logs' order:
+// what a header bloom would summarise, the receipt hash already pins.
+func TestReceiptHashCommitsToLogs(t *testing.T) {
+	receipts := func() []*Receipt {
+		return []*Receipt{
+			{Status: ReceiptStatusSuccessful, CumulativeGasUsed: 30000},
+			{Status: ReceiptStatusSuccessful, CumulativeGasUsed: 60000, Logs: []*Log{
+				{Address: BytesToAddress([]byte{0xAA}), Topics: []Hash{BytesToHash([]byte{1}), BytesToHash([]byte{2})}, Data: []byte{0x10, 0x20}},
+				{Address: BytesToAddress([]byte{0xBB}), Topics: []Hash{BytesToHash([]byte{3})}, Data: []byte{0x30}},
+			}},
+		}
+	}
+	base := DeriveReceiptListHash(receipts())
+	for _, tc := range []struct {
+		name   string
+		mutate func(logs []*Log)
+	}{
+		{"address", func(logs []*Log) { logs[0].Address[19] ^= 1 }},
+		{"first topic", func(logs []*Log) { logs[0].Topics[0][31] ^= 1 }},
+		{"second topic", func(logs []*Log) { logs[0].Topics[1][0] ^= 1 }},
+		{"topic dropped", func(logs []*Log) { logs[0].Topics = logs[0].Topics[:1] }},
+		{"data byte", func(logs []*Log) { logs[1].Data[0] ^= 1 }},
+		{"data extended", func(logs []*Log) { logs[1].Data = append(logs[1].Data, 0) }},
+		{"logs swapped", func(logs []*Log) { logs[0], logs[1] = logs[1], logs[0] }},
+	} {
+		rs := receipts()
+		tc.mutate(rs[1].Logs)
+		if DeriveReceiptListHash(rs) == base {
+			t.Errorf("%s: receipt list hash unchanged", tc.name)
+		}
+	}
+	if DeriveReceiptListHash(receipts()) != base {
+		t.Error("receipt list hash not a function of its receipts")
 	}
 }
 
